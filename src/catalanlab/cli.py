@@ -18,30 +18,30 @@ import sys
 from functools import reduce
 
 from . import families, formulas, genrank, greens, pinj, structure
+from .battery import DEFAULT_STARRED_CAP, verification_report
 from .errors import CapExceededError, ValidationError
 
 HARD_CEILING = 12
 DEFAULT_CLI_ENUM_CAP = 10
-DEFAULT_STARRED_CAP = 5
-BATTERY_STARRED_CEILING = 6
 DEFAULT_MAXIMAL_CAP = 6
 
-_PLAIN_RELATIONS = ("L", "R", "H", "D", "J")
 _STARRED_RELATIONS = ("Ls", "Rs", "Hs", "Ds", "Js")
-_PROPERTIES = (
-    "regular",
-    "jtrivial",
-    "left-abundant",
-    "right-abundant",
-    "abundant",
-    "semilattice",
-    "adequate",
-    "right-adequate",
-    "ample",
-    "right-ample",
-    "inverse-ideal",
-    "right-inverse-ideal",
-)
+# Each property with the structure check that decides it.  The two
+# inverse-ideal checks also take the ambient partial injection monoid.
+_PROPERTIES = {
+    "regular": "is_regular_semigroup",
+    "jtrivial": None,
+    "left-abundant": "is_left_abundant",
+    "right-abundant": "is_right_abundant",
+    "abundant": "is_abundant",
+    "semilattice": "is_semilattice_of_idempotents",
+    "adequate": "is_adequate",
+    "right-adequate": "is_right_adequate",
+    "ample": "is_ample",
+    "right-ample": "is_right_ample",
+    "inverse-ideal": "is_inverse_ideal",
+    "right-inverse-ideal": "is_right_inverse_ideal",
+}
 
 
 def _cap_from(args, default):
@@ -191,34 +191,15 @@ def _jtrivial_report(table):
 
 
 def _property_report(name, spec, table, enum_cap):
-    if name == "regular":
-        return structure.is_regular_semigroup(table)
     if name == "jtrivial":
         return _jtrivial_report(table)
-    if name == "left-abundant":
-        return structure.is_left_abundant(table)
-    if name == "right-abundant":
-        return structure.is_right_abundant(table)
-    if name == "abundant":
-        return structure.is_abundant(table)
-    if name == "semilattice":
-        return structure.is_semilattice_of_idempotents(table)
-    if name == "adequate":
-        return structure.is_adequate(table)
-    if name == "right-adequate":
-        return structure.is_right_adequate(table)
-    if name == "ample":
-        return structure.is_ample(table)
-    if name == "right-ample":
-        return structure.is_right_ample(table)
-    sup = families.enumerate_family(
-        families.FamilySpec(families.KIND_SYMINV, spec.n), cap=enum_cap
-    )
-    if name == "inverse-ideal":
-        return structure.is_inverse_ideal(table, sup)
-    if name == "right-inverse-ideal":
-        return structure.is_right_inverse_ideal(table, sup)
-    raise ValidationError(f"unknown property {name!r}")  # pragma: no cover
+    check = getattr(structure, _PROPERTIES[name])
+    if name.endswith("inverse-ideal"):
+        sup = families.enumerate_family(
+            families.FamilySpec(families.KIND_SYMINV, spec.n), cap=enum_cap
+        )
+        return check(table, sup)
+    return check(table)
 
 
 def _cmd_check(args):
@@ -370,8 +351,8 @@ def _cmd_maximal(args):
         "family": spec.label(),
         "count": len(results),
         "maximal": [
-            {"removed": table.text_of(g), "verified": verified}
-            for g, verified in results
+            {"removed": table.text_of(g), "verified": True}
+            for g in results
         ],
     }
     if formula is not None:
@@ -383,1089 +364,15 @@ def _cmd_maximal(args):
             f"  published value {formula}"
             f" ({'agrees' if formula == len(results) else 'DISAGREES'})"
         )
-    human.extend(
-        f"  remove {table.text_of(g)}: {'verified' if v else 'NOT CLOSED'}"
-        for g, v in results
-    )
+    human.extend(f"  remove {table.text_of(g)}: verified" for g in results)
     rows = [("family", "removed", "verified")]
-    rows.extend((spec.label(), table.text_of(g), v) for g, v in results)
+    rows.extend((spec.label(), table.text_of(g), True) for g in results)
     _emit(args, payload, human, rows)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# verify battery
-
-
-def _row(rid, claim, family, expected, computed, status=None):
-    if status is None:
-        status = "pass" if expected == computed else "fail"
-    return {
-        "id": rid,
-        "claim": claim,
-        "family": family,
-        "expected": expected,
-        "computed": computed,
-        "status": status,
-    }
-
-
-def _vector(counts, heights):
-    return ",".join(str(counts.get(h, 0)) for h in heights)
-
-
-def _valid_ps(kind, n):
-    if kind in (families.KIND_K, families.KIND_RIC):
-        return range(1, n + 1)
-    if kind in (families.KIND_M, families.KIND_RQ):
-        return range(1, n)
-    return (None,)
-
-
-def _instances(kinds, n_lo, n_hi):
-    for kind in kinds:
-        for n in range(n_lo, n_hi + 1):
-            for p in _valid_ps(kind, n):
-                yield families.FamilySpec(kind, n, p)
-
-
-def _syminv_order(n):
-    return sum(
-        formulas._comb(n, k) ** 2 * _factorial(k) for k in range(n + 1)
-    )
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _rows_orders(rows, n_max):
-    for n in range(1, min(n_max, 10) + 1):
-        spec = families.FamilySpec(families.KIND_ICN, n)
-        size = families.enumerate_family(spec).size
-        rows.append(
-            _row(
-                f"order-icn-{n}",
-                "order equals catalan(n+1)",
-                spec.label(),
-                formulas.catalan(n + 1),
-                size,
-            )
-        )
-    for n in range(1, min(n_max, 10) + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        size = families.enumerate_family(spec).size
-        expected = formulas.t(n)
-        prefix = formulas.A000245.value(n)
-        status = "pass" if size == expected == prefix else "fail"
-        rows.append(
-            _row(
-                f"order-qprime-{n}",
-                "order equals catalan(n+1) - catalan(n) and the embedded prefix",
-                spec.label(),
-                expected,
-                size,
-                status,
-            )
-        )
-    for n in range(1, min(n_max, 5) + 1):
-        spec = families.FamilySpec(families.KIND_SYMINV, n)
-        size = families.enumerate_family(spec).size
-        rows.append(
-            _row(
-                f"order-syminv-{n}",
-                "order equals sum of C(n,k)^2 k!",
-                spec.label(),
-                _syminv_order(n),
-                size,
-            )
-        )
-
-
-def _rows_idempotents(rows, n_max):
-    for n in range(1, min(n_max, 8) + 1):
-        spec = families.FamilySpec(families.KIND_ICN, n)
-        census = genrank.kind_census(families.enumerate_family(spec))
-        idem = census.get("idempotent", {})
-        rows.append(
-            _row(
-                f"idem-total-icn-{n}",
-                "idempotent count equals 2^n",
-                spec.label(),
-                2**n,
-                sum(idem.values()),
-            )
-        )
-        rows.append(
-            _row(
-                f"idem-heights-icn-{n}",
-                "idempotent count at height p equals C(n,p)",
-                spec.label(),
-                _vector({p: formulas._comb(n, p) for p in range(n + 1)}, range(n + 1)),
-                _vector(idem, range(n + 1)),
-            )
-        )
-    for n in range(1, min(n_max, 8) + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        census = genrank.kind_census(families.enumerate_family(spec))
-        idem = census.get("idempotent", {})
-        rows.append(
-            _row(
-                f"idem-total-qprime-{n}",
-                "idempotent count equals 2^(n-1)",
-                spec.label(),
-                2 ** (n - 1),
-                sum(idem.values()),
-            )
-        )
-        rows.append(
-            _row(
-                f"idem-heights-qprime-{n}",
-                "idempotent count at height p equals C(n-1,p)",
-                spec.label(),
-                _vector(
-                    {p: formulas._comb(n - 1, p) for p in range(n)}, range(n)
-                ),
-                _vector(idem, range(n)),
-            )
-        )
-
-
-def _rows_kind_censuses(rows, n_max):
-    for n in range(2, min(n_max, 8) + 1):
-        spec = families.FamilySpec(families.KIND_ICN, n)
-        census = genrank.kind_census(families.enumerate_family(spec))
-        ess = census.get("essential", {})
-        rows.append(
-            _row(
-                f"essential-total-icn-{n}",
-                "essential count equals (n-1) 2^(n-2) and the embedded prefix",
-                spec.label(),
-                formulas.count_formula("essentials", spec),
-                sum(ess.values()),
-                "pass"
-                if sum(ess.values())
-                == formulas.count_formula("essentials", spec)
-                == formulas.A001787.value(n - 1)
-                else "fail",
-            )
-        )
-        rows.append(
-            _row(
-                f"essential-heights-icn-{n}",
-                "essential count at height p equals (n-1) C(n-2,p-1)",
-                spec.label(),
-                _vector(
-                    {
-                        p: formulas.count_formula("essentials", spec, p)
-                        for p in range(1, n)
-                    },
-                    range(1, n),
-                ),
-                _vector(ess, range(1, n)),
-            )
-        )
-        if 2 <= n <= 7:
-            rows.append(
-                _row(
-                    f"essential-triangle-icn-{n}",
-                    "per-height essential counts match the embedded triangle row",
-                    spec.label(),
-                    ",".join(str(v) for v in formulas.essential_triangle_row(n - 1)),
-                    _vector(ess, range(1, n)),
-                )
-            )
-    for n in range(2, min(n_max, 8) + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        census = genrank.kind_census(families.enumerate_family(spec))
-        ess = census.get("essential", {})
-        req = census.get("requisite", {})
-        rows.append(
-            _row(
-                f"essential-heights-qprime-{n}",
-                "essential count at height p equals (n-2) C(n-3,p-1)",
-                spec.label(),
-                _vector(
-                    {
-                        p: formulas.count_formula("essentials", spec, p)
-                        for p in range(1, n - 1)
-                    },
-                    range(1, n - 1),
-                ),
-                _vector(ess, range(1, n - 1)),
-            )
-        )
-        rows.append(
-            _row(
-                f"requisite-heights-qprime-{n}",
-                "requisite count at height p equals C(n-1,p-1)",
-                spec.label(),
-                _vector(
-                    {
-                        p: formulas.count_formula("requisites", spec, p)
-                        for p in range(1, n)
-                    },
-                    range(1, n),
-                ),
-                _vector(req, range(1, n)),
-            )
-        )
-
-
-def _rows_rees_censuses(rows, n_max):
-    for spec in _instances((families.KIND_RIC, families.KIND_RQ), 2, min(n_max, 6)):
-        census = genrank.kind_census(families.enumerate_family(spec))
-        label = spec.label()
-        tag = f"{spec.kind}-{spec.n}-{spec.p}"
-        idem = sum(census.get("idempotent", {}).values())
-        ess = sum(census.get("essential", {}).values())
-        req = sum(census.get("requisite", {}).values())
-        rows.append(
-            _row(
-                f"idem-{tag}",
-                "non-zero idempotent count matches the published binomial",
-                label,
-                formulas.count_formula("idempotents", spec),
-                idem,
-            )
-        )
-        rows.append(
-            _row(
-                f"essential-{tag}",
-                "essential count matches the published formula",
-                label,
-                formulas.count_formula("essentials", spec),
-                ess,
-            )
-        )
-        if spec.kind == families.KIND_RQ:
-            generators = idem + ess + req
-            rows.append(
-                _row(
-                    f"generator-{tag}",
-                    "idempotents, essentials and requisites together match the"
-                    " published generator count",
-                    label,
-                    formulas.count_formula("generators", spec),
-                    generators,
-                )
-            )
-            rows.append(
-                _row(
-                    f"requisite-{tag}",
-                    "requisite count equals C(n-1,p-1)",
-                    label,
-                    formulas.count_formula("requisites", spec),
-                    req,
-                )
-            )
-        else:
-            generators = idem + ess
-            rows.append(
-                _row(
-                    f"generator-{tag}",
-                    "idempotents and essentials together match the published"
-                    " generator count",
-                    label,
-                    formulas.count_formula("generators", spec),
-                    generators,
-                )
-            )
-            if spec.n <= 6:
-                rows.append(
-                    _row(
-                        f"generator-triangle-{tag}",
-                        "generator count matches the embedded triangle entry",
-                        label,
-                        formulas.generator_triangle_row(spec.n)[spec.p],
-                        generators,
-                    )
-                )
-
-
-def _rows_green_trivial(rows, n_max):
-    kinds = (
-        families.KIND_ICN,
-        families.KIND_QPRIME,
-        families.KIND_K,
-        families.KIND_M,
-        families.KIND_RIC,
-        families.KIND_RQ,
-    )
-    for spec in _instances(kinds, 1, min(n_max, 5)):
-        table = families.enumerate_family(spec)
-        trivial = all(
-            greens.green(table, rel).is_identity for rel in _PLAIN_RELATIONS
-        )
-        tag = f"{spec.kind}-{spec.n}" + (f"-{spec.p}" if spec.p is not None else "")
-        rows.append(
-            _row(
-                f"green-trivial-{tag}",
-                "all five classical relations are identity partitions",
-                spec.label(),
-                True,
-                trivial,
-            )
-        )
-
-
-def _keyed_partition(table, key_fn):
-    keys = []
-    for i in range(table.size):
-        el = table.element(i)
-        if isinstance(el, pinj.PartialInjection):
-            keys.append(("el", key_fn(el)))
-        else:
-            keys.append(("zero",))
-    return greens.IndexPartition.from_keys(keys)
-
-
-def _rows_starred(rows, starred_n_max):
-    kinds = (
-        families.KIND_ICN,
-        families.KIND_QPRIME,
-        families.KIND_K,
-        families.KIND_M,
-        families.KIND_RIC,
-        families.KIND_RQ,
-    )
-    for spec in _instances(kinds, 1, min(starred_n_max, BATTERY_STARRED_CEILING)):
-        table = families.enumerate_family(spec)
-        label = spec.label()
-        tag = f"{spec.kind}-{spec.n}" + (f"-{spec.p}" if spec.p is not None else "")
-        ls = greens.starred_L(table)
-        rs = greens.starred_R(table)
-        # On the Rees quotient of the 1-omitting family, products with any
-        # element other than a left identity collapse to zero once p >= 2, so
-        # distinct images can share every right-multiplication kernel.  The
-        # published equal-image characterization genuinely fails there; the
-        # refutation is reported rather than treated as a suite failure.
-        lstar_ok = ls == _keyed_partition(table, pinj.image)
-        rows.append(
-            _row(
-                f"lstar-image-{tag}",
-                "the left starred relation is the equal-image partition",
-                label,
-                True,
-                lstar_ok,
-                None
-                if lstar_ok or spec.kind != families.KIND_RQ
-                else "paper-inconsistent",
-            )
-        )
-        rows.append(
-            _row(
-                f"rstar-domain-{tag}",
-                "the right starred relation is the equal-domain partition",
-                label,
-                True,
-                rs == _keyed_partition(table, pinj.domain),
-            )
-        )
-        hstar_ok = greens.starred_H(table).is_identity
-        rows.append(
-            _row(
-                f"hstar-identity-{tag}",
-                "the starred meet relation is the identity partition",
-                label,
-                True,
-                hstar_ok,
-                None
-                if hstar_ok or spec.kind != families.KIND_RQ
-                else "paper-inconsistent",
-            )
-        )
-        if spec.is_rees:
-            if spec.kind == families.KIND_RIC:
-                expected_counts = (
-                    f"{formulas._comb(spec.n, spec.p) + 1}"
-                    f",{formulas._comb(spec.n, spec.p) + 1}"
-                )
-            else:
-                expected_counts = (
-                    f"{formulas._comb(spec.n - 1, spec.p) + 1}"
-                    f",{formulas._comb(spec.n, spec.p) + 1}"
-                )
-            computed_counts = f"{rs.class_count},{ls.class_count}"
-            rows.append(
-                _row(
-                    f"starcount-{tag}",
-                    "right and left starred class counts match the published"
-                    " values (zero contributes one class to each)",
-                    label,
-                    expected_counts,
-                    computed_counts,
-                    None
-                    if computed_counts == expected_counts
-                    or spec.kind != families.KIND_RQ
-                    else "paper-inconsistent",
-                )
-            )
-        ds = greens.starred_D(table)
-        js = greens.starred_J(table)
-        height_part = _keyed_partition(table, pinj.height)
-        rows.append(
-            _row(
-                f"dstar-jstar-height-{tag}",
-                "the starred join and starred ideal relations both equal the"
-                " equal-height partition",
-                label,
-                True,
-                ds == height_part and js == height_part,
-            )
-        )
-        rlr = greens.relation_compose(rs, greens.relation_compose(ls, rs))
-        lrl = greens.relation_compose(ls, greens.relation_compose(rs, ls))
-        rows.append(
-            _row(
-                f"dstar-compose-{tag}",
-                "the starred join equals both three-fold compositions of the"
-                " one-sided starred relations",
-                label,
-                True,
-                greens.relations_equal(ds, rlr) and greens.relations_equal(ds, lrl),
-            )
-        )
-
-
-def _rows_witnesses(rows, n_max, starred_n_max):
-    bound = min(n_max, starred_n_max)
-    if bound >= 2:
-        spec = families.FamilySpec(families.KIND_ICN, 2)
-        table = families.enumerate_family(spec)
-        a = table.index_of[pinj.from_pairs(2, [(1, 1)])]
-        b = table.index_of[pinj.from_pairs(2, [(2, 2)])]
-        ls = greens.starred_L(table)
-        rs = greens.starred_R(table)
-        lr = greens.relation_compose(ls, rs)
-        rl = greens.relation_compose(rs, ls)
-        rows.append(
-            _row(
-                "noncommute-icn-2",
-                "the one-sided starred relations fail to commute at the"
-                " published witness pair",
-                spec.label(),
-                True,
-                (a, b) in lr and (a, b) not in rl,
-            )
-        )
-    if bound >= 3:
-        spec = families.FamilySpec(families.KIND_QPRIME, 3)
-        table = families.enumerate_family(spec)
-        a = table.index_of[pinj.from_pairs(3, [(2, 2)])]
-        b = table.index_of[pinj.from_pairs(3, [(3, 3)])]
-        ls = greens.starred_L(table)
-        rs = greens.starred_R(table)
-        lr = greens.relation_compose(ls, rs)
-        rl = greens.relation_compose(rs, ls)
-        rows.append(
-            _row(
-                "noncommute-qprime-3",
-                "the one-sided starred relations fail to commute at the"
-                " published witness pair",
-                spec.label(),
-                True,
-                (a, b) in lr and (a, b) not in rl,
-            )
-        )
-
-
-def _bool_row(rid, claim, report, expected=True):
-    computed = report.holds
-    if report.witness and not report.holds:
-        computed_text = f"{report.holds} (witness {report.witness})"
-    else:
-        computed_text = report.holds
-    status = "pass" if report.holds == expected else "fail"
-    return _row(rid, claim, report.family, expected, computed_text, status)
-
-
-def _rows_structure(rows, n_max):
-    bound = min(n_max, 5)
-    for n in range(1, bound + 1):
-        spec = families.FamilySpec(families.KIND_ICN, n)
-        table = families.enumerate_family(spec)
-        if n >= 2:
-            rows.append(
-                _bool_row(
-                    f"abundant-icn-{n}",
-                    "every starred class on either side contains an idempotent",
-                    structure.is_abundant(table),
-                )
-            )
-            rows.append(
-                _bool_row(
-                    f"adequate-icn-{n}",
-                    "abundant with commuting idempotents closed under product",
-                    structure.is_adequate(table),
-                )
-            )
-            rows.append(
-                _bool_row(
-                    f"ample-icn-{n}",
-                    "both ample identities hold against the unique side idempotents",
-                    structure.is_ample(table),
-                )
-            )
-        else:
-            rep = structure.is_ample(table)
-            rows.append(
-                _row(
-                    f"ample-icn-{n}",
-                    "no published assertion at n = 1; computed value reported",
-                    spec.label(),
-                    None,
-                    rep.holds,
-                    "skipped",
-                )
-            )
-        rows.append(
-            _row(
-                f"regular-matches-idempotents-icn-{n}",
-                "the regular elements are exactly the idempotents",
-                spec.label(),
-                True,
-                structure.regular_elements(table) == structure.idempotent_indices(table),
-            )
-        )
-        rows.append(
-            _bool_row(
-                f"semilattice-icn-{n}",
-                "the idempotents commute and are closed under product",
-                structure.is_semilattice_of_idempotents(table),
-            )
-        )
-    for n in range(1, bound + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        table = families.enumerate_family(spec)
-        rows.append(
-            _bool_row(
-                f"right-abundant-qprime-{n}",
-                "every right starred class contains an idempotent",
-                structure.is_right_abundant(table),
-            )
-        )
-        rows.append(
-            _bool_row(
-                f"right-adequate-qprime-{n}",
-                "right abundant with a semilattice of idempotents",
-                structure.is_right_adequate(table),
-            )
-        )
-        rows.append(
-            _bool_row(
-                f"right-ample-qprime-{n}",
-                "the one-sided ample identity holds against the unique"
-                " right starred idempotents",
-                structure.is_right_ample(table),
-            )
-        )
-        rows.append(
-            _row(
-                f"regular-matches-idempotents-qprime-{n}",
-                "the regular elements are exactly the idempotents",
-                spec.label(),
-                True,
-                structure.regular_elements(table) == structure.idempotent_indices(table),
-            )
-        )
-        if n >= 2:
-            rep = structure.is_left_abundant(table)
-            rows.append(
-                _row(
-                    f"not-left-abundant-qprime-{n}",
-                    "some left starred class contains no idempotent",
-                    spec.label(),
-                    "False with witness",
-                    f"{rep.holds}"
-                    + (f" with witness {rep.witness}" if rep.witness else ""),
-                    "pass" if (not rep.holds and rep.witness) else "fail",
-                )
-            )
-    for spec in _instances((families.KIND_K, families.KIND_RIC), 1, bound):
-        table = families.enumerate_family(spec)
-        tag = f"{spec.kind}-{spec.n}-{spec.p}"
-        rows.append(
-            _bool_row(
-                f"abundant-{tag}",
-                "every starred class on either side contains an idempotent",
-                structure.is_abundant(table),
-            )
-        )
-    for spec in _instances((families.KIND_M, families.KIND_RQ), 2, bound):
-        table = families.enumerate_family(spec)
-        tag = f"{spec.kind}-{spec.n}-{spec.p}"
-        rows.append(
-            _bool_row(
-                f"right-abundant-{tag}",
-                "every right starred class contains an idempotent",
-                structure.is_right_abundant(table),
-            )
-        )
-        rep = structure.is_left_abundant(table)
-        rows.append(
-            _row(
-                f"not-left-abundant-{tag}",
-                "some left starred class contains no idempotent",
-                spec.label(),
-                "False with witness",
-                f"{rep.holds}"
-                + (f" with witness {rep.witness}" if rep.witness else ""),
-                "pass" if (not rep.holds and rep.witness) else "fail",
-            )
-        )
-    kinds = (
-        families.KIND_ICN,
-        families.KIND_QPRIME,
-        families.KIND_K,
-        families.KIND_M,
-        families.KIND_RIC,
-        families.KIND_RQ,
-    )
-    for spec in _instances(kinds, 1, bound):
-        table = families.enumerate_family(spec)
-        tag = f"{spec.kind}-{spec.n}" + (f"-{spec.p}" if spec.p is not None else "")
-        rows.append(
-            _bool_row(
-                f"unique-idempotent-rstar-{tag}",
-                "every right starred class contains exactly one idempotent",
-                structure.unique_idempotent_per_rstar_class(table),
-            )
-        )
-    for n in range(1, min(n_max, 4) + 1):
-        sup = families.enumerate_family(families.FamilySpec(families.KIND_SYMINV, n))
-        icn = families.enumerate_family(families.FamilySpec(families.KIND_ICN, n))
-        rows.append(
-            _bool_row(
-                f"inverse-ideal-icn-{n}",
-                "every element has a generalized inverse in the ambient monoid"
-                " with both products falling back inside",
-                structure.is_inverse_ideal(icn, sup),
-            )
-        )
-        qp = families.enumerate_family(families.FamilySpec(families.KIND_QPRIME, n))
-        rows.append(
-            _bool_row(
-                f"right-inverse-ideal-qprime-{n}",
-                "every element has a generalized inverse in the ambient monoid"
-                " with the right product falling back inside",
-                structure.is_right_inverse_ideal(qp, sup),
-            )
-        )
-        if n >= 2:
-            rep = structure.is_inverse_ideal(qp, sup)
-            rows.append(
-                _row(
-                    f"not-inverse-ideal-qprime-{n}",
-                    "the two-sided fallback fails for some element",
-                    rep.family,
-                    False,
-                    rep.holds,
-                )
-            )
-    for n in range(2, bound + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        table = families.enumerate_family(spec)
-        eps = pinj.partial_identity(n, range(2, n + 1))
-        e = table.index_of[eps]
-        tab_rows = table.product_rows()
-        left_identity = all(tab_rows[e][x] == x for x in range(table.size))
-        right_identity = all(tab_rows[x][e] == x for x in range(table.size))
-        top_idems = [
-            i
-            for i in structure.idempotent_indices(table)
-            if table.height_of(i) == n - 1
-        ]
-        rows.append(
-            _row(
-                f"left-identity-qprime-{n}",
-                "the unique top idempotent is a left identity but not a"
-                " right identity",
-                spec.label(),
-                True,
-                left_identity and not right_identity and top_idems == [e],
-            )
-        )
-
-
-def _rows_top_layer(rows, starred_n_max):
-    for n in range(2, min(starred_n_max, 5) + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        table = families.enumerate_family(spec)
-        top = [i for i in range(table.size) if table.height_of(i) == n - 1]
-        rs = greens.starred_R(table)
-        ls = greens.starred_L(table)
-        r_classes = {rs.class_of[i] for i in top}
-        l_classes = {ls.class_of[i] for i in top}
-        rows.append(
-            _row(
-                f"top-layer-classes-qprime-{n}",
-                "the top height layer has one right starred class and n left"
-                " starred classes",
-                spec.label(),
-                f"1,{n}",
-                f"{len(r_classes)},{len(l_classes)}",
-            )
-        )
-
-
-def _rows_ranks(rows, n_max):
-    bound = min(n_max, 6)
-    for n in range(2, bound + 1):
-        check = genrank.rank_check(families.FamilySpec(families.KIND_ICN, n))
-        rows.append(
-            _row(
-                f"rank-icn-{n}",
-                "rank equals 2n",
-                check.family,
-                check.formula,
-                check.computed,
-            )
-        )
-    for kind in (families.KIND_K, families.KIND_RIC):
-        for n in range(2, bound + 1):
-            for p in range(1, n):
-                check = genrank.rank_check(families.FamilySpec(kind, n, p))
-                rows.append(
-                    _row(
-                        f"rank-{kind}-{n}-{p}",
-                        "rank equals (n-1) C(n-2,p-1) + C(n,p)",
-                        check.family,
-                        check.formula,
-                        check.computed,
-                    )
-                )
-    for n in range(3, bound + 1):
-        for p in range(1, n - 1):
-            check = genrank.rank_check(families.FamilySpec(families.KIND_M, n, p))
-            rows.append(
-                _row(
-                    f"rank-m-{n}-{p}",
-                    "rank equals C(n,p) + (n-2) C(n-3,p-1)",
-                    check.family,
-                    check.formula,
-                    check.computed,
-                )
-            )
-    for n in range(2, bound + 1):
-        for p in range(1, n):
-            check = genrank.rank_check(families.FamilySpec(families.KIND_RQ, n, p))
-            rows.append(
-                _row(
-                    f"rank-rq-{n}-{p}",
-                    "rank equals C(n,p) + (n-2) C(n-3,p-1)",
-                    check.family,
-                    check.formula,
-                    check.computed,
-                )
-            )
-    for n in range(2, bound + 1):
-        check = genrank.rank_check(families.FamilySpec(families.KIND_QPRIME, n))
-        if n <= 3:
-            rows.append(
-                _row(
-                    f"rank-qprime-{n}",
-                    "rank equals n^2 - 3n + 4",
-                    check.family,
-                    check.formula,
-                    check.computed,
-                )
-            )
-        else:
-            # The published n^2 - 3n + 4 first disagrees with brute force at
-            # n = 4 (computed rank 7): the published derivation counts the
-            # second-layer essentials inconsistently with its own census.
-            status = "pass" if check.computed == check.formula else "paper-inconsistent"
-            rows.append(
-                _row(
-                    f"rank-qprime-{n}",
-                    "published value n^2 - 3n + 4 reported beside the brute"
-                    " force rank; disagreement is reported, not failed",
-                    check.family,
-                    check.formula,
-                    check.computed,
-                    status,
-                )
-            )
-
-
-def _rows_maximal(rows, n_max):
-    bound = min(n_max, 6)
-    for n in range(2, bound + 1):
-        spec = families.FamilySpec(families.KIND_ICN, n)
-        table = families.enumerate_family(spec)
-        results = genrank.maximal_subsemigroups(table)
-        computed = len(results) if all(v for _, v in results) else "unverified"
-        rows.append(
-            _row(
-                f"maximal-icn-{n}",
-                "exactly 2n maximal subsemigroups, each verified",
-                spec.label(),
-                2 * n,
-                computed,
-            )
-        )
-    for n in range(3, bound + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        table = families.enumerate_family(spec)
-        results = genrank.maximal_subsemigroups(table)
-        computed = len(results) if all(v for _, v in results) else "unverified"
-        expected = formulas.count_formula("maximal", spec)
-        if n == 3:
-            rows.append(
-                _row(
-                    f"maximal-qprime-{n}",
-                    "exactly n^2 - 3n + 4 maximal subsemigroups, each verified",
-                    spec.label(),
-                    expected,
-                    computed,
-                )
-            )
-        else:
-            status = "pass" if computed == expected else "paper-inconsistent"
-            rows.append(
-                _row(
-                    f"maximal-qprime-{n}",
-                    "published count n^2 - 3n + 4 reported beside the brute"
-                    " force count; disagreement is reported, not failed",
-                    spec.label(),
-                    expected,
-                    computed,
-                    status,
-                )
-            )
-
-
-def _chain_factor_failures(table, qprime_side):
-    failures = 0
-    n = table.family.n
-    for i in range(table.size):
-        alpha = table.element(i)
-        if not isinstance(alpha, pinj.PartialInjection):
-            continue
-        h = pinj.height(alpha)
-        factors = genrank.essential_factorization(alpha, qprime_side=qprime_side)
-        if h == 0:
-            if factors:
-                failures += 1
-            continue
-        ok = reduce(pinj.compose, factors) == alpha
-        for f in factors:
-            kind = pinj.classify(f)
-            ok = ok and pinj.height(f) == h
-            if qprime_side:
-                ok = ok and f.image_of(1) is None
-                ok = ok and kind in ("idempotent", "essential", "requisite")
-            else:
-                ok = ok and kind in ("idempotent", "essential")
-        if not ok:
-            failures += 1
-    return failures
-
-
-def _rows_factorizations(rows, n_max):
-    bound = min(n_max, 5)
-    for n in range(1, bound + 1):
-        spec = families.FamilySpec(families.KIND_ICN, n)
-        table = families.enumerate_family(spec)
-        rows.append(
-            _row(
-                f"factor-chain-icn-{n}",
-                "every element recomposes from idempotent or essential"
-                " factors of its own height",
-                spec.label(),
-                0,
-                _chain_factor_failures(table, qprime_side=False),
-            )
-        )
-    for n in range(2, bound + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        table = families.enumerate_family(spec)
-        rows.append(
-            _row(
-                f"factor-chain-qprime-{n}",
-                "every element recomposes from in-family idempotent,"
-                " essential or requisite factors of its own height",
-                spec.label(),
-                0,
-                _chain_factor_failures(table, qprime_side=True),
-            )
-        )
-        failures = 0
-        for i in range(table.size):
-            alpha = table.element(i)
-            if 1 not in pinj.image(alpha):
-                continue
-            beta, req = genrank.factor_requisite(alpha)
-            ok = (
-                pinj.is_requisite(req)
-                and pinj.image(req) == pinj.image(alpha)
-                and pinj.domain(beta) == pinj.domain(alpha)
-                and 1 not in pinj.image(beta)
-                and pinj.compose(beta, req) == alpha
-            )
-            if not ok:
-                failures += 1
-        rows.append(
-            _row(
-                f"factor-requisite-qprime-{n}",
-                "every element whose image contains 1 splits into a domain"
-                " preserving left factor and the requisite with its image",
-                spec.label(),
-                0,
-                failures,
-            )
-        )
-
-
-def _lift_failures(table, kind, qprime_side, height_bound):
-    failures = 0
-    eligible = 0
-    spec = table.family
-    for i in range(table.size):
-        alpha = table.element(i)
-        if not isinstance(alpha, pinj.PartialInjection):
-            continue
-        ekind = genrank.element_kind(alpha, qprime_side)
-        allowed = (
-            ("idempotent", "essential", "requisite")
-            if qprime_side
-            else ("idempotent", "essential")
-        )
-        if ekind not in allowed or pinj.height(alpha) > height_bound:
-            continue
-        eligible += 1
-        left, right = genrank.lift_height(alpha, kind)
-        ok = (
-            pinj.compose(left, right) == alpha
-            and pinj.height(left) == pinj.height(alpha) + 1
-            and pinj.height(right) == pinj.height(alpha) + 1
-            and families.is_member(left, spec)
-            and families.is_member(right, spec)
-        )
-        if not ok:
-            failures += 1
-    return eligible, failures
-
-
-def _rows_lifts(rows, n_max):
-    bound = min(n_max, 5)
-    for n in range(2, bound + 1):
-        spec = families.FamilySpec(families.KIND_ICN, n)
-        table = families.enumerate_family(spec)
-        eligible, failures = _lift_failures(table, families.KIND_ICN, False, n - 2)
-        rows.append(
-            _row(
-                f"lift-icn-{n}",
-                f"all {eligible} eligible generators split into two in-family"
-                " factors one height up",
-                spec.label(),
-                0,
-                failures,
-            )
-        )
-    for n in range(3, bound + 1):
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        table = families.enumerate_family(spec)
-        eligible, failures = _lift_failures(table, families.KIND_QPRIME, True, n - 3)
-        rows.append(
-            _row(
-                f"lift-qprime-{n}",
-                f"all {eligible} eligible generators split into two in-family"
-                " factors one height up",
-                spec.label(),
-                0,
-                failures,
-            )
-        )
-
-
-def _rows_boundary(rows, n_max):
-    for n in (4, 5):
-        if n > min(n_max, 5):
-            continue
-        spec = families.FamilySpec(families.KIND_QPRIME, n)
-        table = families.enumerate_family(spec)
-        top = [i for i in range(table.size) if table.height_of(i) == n - 1]
-        below = [i for i in range(table.size) if table.height_of(i) == n - 2]
-        clo = genrank.closure(table, top)
-        blocked = [
-            i
-            for i in below
-            if genrank.element_kind(table.element(i), True) == "essential"
-            and table.element(i).image_of(2) is not None
-        ]
-        rows.append(
-            _row(
-                f"boundary-blocked-qprime-{n}",
-                "every second-layer essential with 2 in its domain stays"
-                " outside the closure of the top layer",
-                spec.label(),
-                True,
-                bool(blocked) and all(i not in clo for i in blocked),
-            )
-        )
-        member = pinj.from_pairs(
-            n, [(3, 2)] + [(j, j) for j in range(4, n + 1)]
-        )
-        rows.append(
-            _row(
-                f"boundary-member-qprime-{n}",
-                "the second-layer essential moving only 3 to 2 lies inside"
-                " the closure of the top layer",
-                spec.label(),
-                True,
-                table.index_of[member] in clo,
-            )
-        )
-        rows.append(
-            _row(
-                f"boundary-two-layers-qprime-{n}",
-                "the top two height layers together generate everything",
-                spec.label(),
-                True,
-                genrank.closure(table, top + below) == frozenset(range(table.size)),
-            )
-        )
-
-
-def verification_report(n_max=4, starred_n_max=None):
-    """Run the whole claim battery and return rows plus summary counts."""
-    if n_max < 1:
-        raise ValidationError(f"the verification bound must be at least 1, got {n_max}")
-    if starred_n_max is None:
-        starred_n_max = min(n_max, DEFAULT_STARRED_CAP)
-    if starred_n_max > BATTERY_STARRED_CEILING:
-        raise CapExceededError(
-            f"the starred battery is capped at n = {BATTERY_STARRED_CEILING}"
-        )
-    rows = []
-    _rows_orders(rows, n_max)
-    _rows_idempotents(rows, n_max)
-    _rows_kind_censuses(rows, n_max)
-    _rows_rees_censuses(rows, n_max)
-    _rows_green_trivial(rows, n_max)
-    _rows_starred(rows, starred_n_max)
-    _rows_witnesses(rows, n_max, starred_n_max)
-    _rows_structure(rows, n_max)
-    _rows_top_layer(rows, starred_n_max)
-    _rows_ranks(rows, n_max)
-    _rows_maximal(rows, n_max)
-    _rows_factorizations(rows, n_max)
-    _rows_lifts(rows, n_max)
-    _rows_boundary(rows, n_max)
-    summary = {"pass": 0, "fail": 0, "paper-inconsistent": 0, "skipped": 0}
-    for row in rows:
-        summary[row["status"]] += 1
-    return {
-        "n_max": n_max,
-        "starred_n_max": starred_n_max,
-        "rows": rows,
-        "summary": summary,
-    }
+# verify
 
 
 def _cmd_verify(args):
@@ -1481,18 +388,8 @@ def _cmd_verify(args):
         f"summary: {s['pass']} pass, {s['fail']} fail,"
         f" {s['paper-inconsistent']} paper-inconsistent, {s['skipped']} skipped"
     )
-    csv_rows = [("id", "claim", "family", "expected", "computed", "status")]
-    csv_rows.extend(
-        (
-            row["id"],
-            row["claim"],
-            row["family"],
-            row["expected"],
-            row["computed"],
-            row["status"],
-        )
-        for row in report["rows"]
-    )
+    columns = ("id", "claim", "family", "expected", "computed", "status")
+    csv_rows = [columns] + [tuple(row[c] for c in columns) for row in report["rows"]]
     _emit(args, report, human, csv_rows)
     return 1 if s["fail"] else 0
 
@@ -1543,7 +440,7 @@ def build_parser():
     gr.add_argument(
         "--relation",
         required=True,
-        choices=_PLAIN_RELATIONS + _STARRED_RELATIONS,
+        choices=greens.GREEN_NAMES + _STARRED_RELATIONS,
     )
     gr.set_defaults(handler=_cmd_greens)
 

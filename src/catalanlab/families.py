@@ -235,23 +235,17 @@ def _sorted_elements(maps):
 @lru_cache(maxsize=None)
 def _build_table(spec):
     n, p = spec.n, spec.p
-    kind = spec.kind
-    if kind == KIND_ICN:
-        maps = _isotone_decreasing_maps(n)
-    elif kind == KIND_QPRIME:
-        maps = _isotone_decreasing_maps(n, lowest_point=2)
-    elif kind == KIND_SYMINV:
+    if spec.kind == KIND_SYMINV:
         maps = _all_partial_injections(n)
-    elif kind == KIND_K:
-        maps = _isotone_decreasing_maps(n, max_height=p)
-    elif kind == KIND_M:
-        maps = _isotone_decreasing_maps(n, lowest_point=2, max_height=p)
-    elif kind == KIND_RIC:
-        maps = _isotone_decreasing_maps(n, min_height=p, max_height=p)
-    elif kind == KIND_RQ:
-        maps = _isotone_decreasing_maps(n, lowest_point=2, min_height=p, max_height=p)
-    else:  # pragma: no cover
-        raise FamilySpecError(f"unknown family kind {kind!r}")
+    else:
+        # The identity-free side omits 1 from every domain; the ideals cap
+        # the height at p and the Rees quotients keep height p only.
+        maps = _isotone_decreasing_maps(
+            n,
+            lowest_point=2 if spec.qprime_side else 1,
+            min_height=p if spec.is_rees else 0,
+            max_height=p,
+        )
     elements = _sorted_elements(maps)
     if spec.is_rees:
         elements = [REES_ZERO] + elements
@@ -303,13 +297,6 @@ def is_member(alpha, spec):
     if kind == KIND_RQ:
         return no_one and h == spec.p
     raise FamilySpecError(f"unknown family kind {kind!r}")  # pragma: no cover
-
-
-def rees_product(table, i, j):
-    """Product in a Rees quotient table: height drops collapse to zero."""
-    if not table.family.is_rees:
-        raise ValidationError("rees_product needs a ric or rq table")
-    return table.product(i, j)
 
 
 def table_json(table):

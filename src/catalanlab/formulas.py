@@ -46,6 +46,12 @@ def t(n):
     return diff
 
 
+def syminv_order(n):
+    """Order of the monoid of all partial injections of an n-chain:
+    the sum over k of binomial(n, k)^2 k!."""
+    return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+
+
 def rank_formula(spec):
     """Published rank value for the family, or None where none is stated.
 
@@ -116,11 +122,9 @@ def count_formula(kind, spec, p=None):
             return _comb(n - 1, (spec.p if p is None else p) - 1)
         return None
     if kind == "maximal":
-        if fam == "icn":
-            return 2 * n
-        if fam == "qprime":
-            return n * n - 3 * n + 4 if n > 1 else None
-        return None
+        # On these J-trivial monoids the maximal subsemigroups are the
+        # complements of the minimum generators, so the count is the rank.
+        return rank_formula(spec) if fam in ("icn", "qprime") else None
     if kind == "generators":
         q = spec.p if p is None else p
         if fam == "ric":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import families, formulas, greens, pinj
+from . import families, formulas, greens, pinj, structure
 from .errors import ContractError, UnsupportedTableError, ValidationError
 
 
@@ -48,13 +48,9 @@ def closure(table, generators):
     return frozenset(i for i in range(table.size) if seen[i])
 
 
-def indecomposables(table, strict_distinct_factors=False):
-    """Elements that are not products of two others.
-
-    Default variant: a is decomposable when a = b c with b != a and
-    c != a (b = c allowed).  The strict variant additionally requires
-    b != c; pass strict_distinct_factors=True for it.
-    """
+def indecomposables(table):
+    """Elements that are not products of two others: a is decomposable
+    when a = b c with b != a and c != a (b = c allowed)."""
     rows = table.product_rows()
     m = table.size
     decomposable = [False] * m
@@ -62,7 +58,7 @@ def indecomposables(table, strict_distinct_factors=False):
         row = rows[i]
         for j in range(m):
             k = row[j]
-            if k != i and k != j and (not strict_distinct_factors or i != j):
+            if k != i and k != j:
                 decomposable[k] = True
     return frozenset(i for i in range(m) if not decomposable[i])
 
@@ -137,15 +133,8 @@ def _group_generators(table, gens):
                 and pinj.height(el) == spec.n:
             identity_text = text
             continue
-        kind = element_kind(el, spec.qprime_side)
-        if kind == "idempotent":
-            groups["idempotents"].append(text)
-        elif kind == "essential":
-            groups["essentials"].append(text)
-        elif kind == "requisite":
-            groups["requisites"].append(text)
-        else:
-            groups["other"].append(text)
+        kind = element_kind(el, spec.qprime_side) + "s"
+        groups[kind if kind in groups else "other"].append(text)
     out = {k: v for k, v in groups.items() if v}
     if identity_text is not None:
         out["identity"] = identity_text
@@ -184,7 +173,7 @@ def minimal_generating_set(table):
     spec = getattr(table, "family", None)
     formula = formulas.rank_formula(spec) if isinstance(spec, families.FamilySpec) else None
     return GeneratorReport(
-        family=_label(table),
+        family=structure._label(table),
         rank=len(gens),
         generators=_group_generators(table, gens),
         formula=formula,
@@ -192,13 +181,6 @@ def minimal_generating_set(table):
         jtrivial=jt,
         greedy=greedy,
     )
-
-
-def _label(table):
-    fam = getattr(table, "family", None)
-    if fam is None:
-        return getattr(table, "label", "table")
-    return fam.label()
 
 
 def no_smaller_generating_set(table, max_size=60):
@@ -218,34 +200,6 @@ def no_smaller_generating_set(table, max_size=60):
         if closure(table, rest) == everything:
             return False
     return True
-
-
-@dataclass
-class RankCheck:
-    family: str
-    computed: int
-    formula: int | None
-    agrees: bool | None
-
-    def as_dict(self):
-        return {
-            "family": self.family,
-            "computed": self.computed,
-            "formula": self.formula,
-            "agrees": self.agrees,
-        }
-
-
-def rank_check(spec, cap=families.DEFAULT_ENUM_CAP):
-    """Computed rank next to the published value; reports, never asserts."""
-    table = families.enumerate_family(spec, cap=cap)
-    report = minimal_generating_set(table)
-    return RankCheck(
-        family=spec.label(),
-        computed=report.rank,
-        formula=report.formula,
-        agrees=report.agrees,
-    )
 
 
 def _require_icn_member(alpha):
@@ -356,18 +310,12 @@ def factor_requisite(alpha):
     return beta, requisite
 
 
-def _two_smallest_outside(n, used):
+def _smallest_outside(n, used, count):
+    """The count smallest points of the chain outside used."""
     free = [x for x in range(1, n + 1) if x not in used]
-    if len(free) < 2:
+    if len(free) < count:
         raise ContractError("no room left on the chain for the lift")
-    return free[0], free[1]
-
-
-def _smallest_outside(n, used):
-    free = [x for x in range(1, n + 1) if x not in used]
-    if not free:
-        raise ContractError("no room left on the chain for the lift")
-    return free[0]
+    return free[:count]
 
 
 def lift_height(alpha, kind):
@@ -396,17 +344,17 @@ def lift_height(alpha, kind):
     img = pinj.image(alpha)
     reserved = {1} if qp else set()
     if ekind == "idempotent":
-        c, d = _two_smallest_outside(n, set(dom) | reserved)
+        c, d = _smallest_outside(n, set(dom) | reserved, 2)
         left = pinj.partial_identity(n, dom + (c,))
         right = pinj.partial_identity(n, dom + (d,))
     elif ekind == "essential":
         (y,) = (x for x in dom if alpha.image_of(x) != x)
-        d = _smallest_outside(n, set(dom) | set(img) | reserved)
+        (d,) = _smallest_outside(n, set(dom) | set(img) | reserved, 1)
         left_pairs = [(x, alpha.image_of(x)) for x in dom] + [(d, d)]
         left = pinj.from_pairs(n, left_pairs)
         right = pinj.partial_identity(n, dom + (y - 1,))
     else:
-        d, c = _two_smallest_outside(n, set(dom) | set(img) | reserved)
+        d, c = _smallest_outside(n, set(dom) | set(img) | reserved, 2)
         left = pinj.partial_identity(n, dom + (d,))
         right_pairs = [(x, alpha.image_of(x)) for x in dom] + [(c, c)]
         right = pinj.from_pairs(n, right_pairs)
@@ -419,15 +367,18 @@ def lift_height(alpha, kind):
 
 
 def maximal_subsemigroups(table):
-    """All maximal subsemigroups of a J-trivial table.
+    """All maximal subsemigroups of a J-trivial table, as the sorted
+    indices whose complements they are.
 
-    They are exactly the complements of single minimum generators: any
-    proper subsemigroup misses some indecomposable (else it would
-    generate everything), so it sits inside one of these; and each
-    complement is closed because its removed element is indecomposable.
-    Closedness is re-verified by scanning the product table, and on
-    small tables the candidate set is cross-checked exhaustively against
-    every single-element removal.
+    They are exactly the complements of single minimum generators.  Each
+    complement is closed because the indecomposables scan found no
+    product of two other elements equal to its removed element, and
+    maximal because it misses a single element.  No other maximal
+    subsemigroup exists because the generation check below shows the
+    indecomposables generate: any proper subsemigroup misses one of
+    them, so it sits inside one of these complements.  The tests compare
+    the result with a brute-force search over every subset of small
+    tables.
     """
     if not is_jtrivial(table):
         raise UnsupportedTableError("maximal subsemigroup search needs a J-trivial table")
@@ -435,34 +386,4 @@ def maximal_subsemigroups(table):
     gens = indecomposables(table)
     if closure(table, gens) != everything:
         raise AssertionError("indecomposables fail to generate; table is corrupt")
-    rows = table.product_rows()
-    m = table.size
-    results = []
-    for g in sorted(gens):
-        closed = True
-        for i in range(m):
-            if i == g:
-                continue
-            row = rows[i]
-            for j in range(m):
-                if j != g and row[j] == g:
-                    closed = False
-                    break
-            if not closed:
-                break
-        results.append((g, closed))
-    if m <= 200:
-        candidates = {g for g, ok in results if ok}
-        for x in range(m):
-            complement_closed = not any(
-                rows[i][j] == x
-                for i in range(m)
-                if i != x
-                for j in range(m)
-                if j != x
-            )
-            if complement_closed != (x in candidates):
-                raise AssertionError(
-                    "single-removal cross-check disagrees with the generator set"
-                )
-    return results
+    return sorted(gens)

@@ -5,7 +5,8 @@ from any structural shortcut: a and b are L*-related exactly when the
 maps x -> ax and x -> bx induce the same kernel on the table with an
 identity formally adjoined (no adjunction when the table already has
 one).  Structural characterizations (same image, same domain, same
-height) live in the test suite as the independent cross-check.
+height) are built with partition_by and compared by the battery and the
+tests, as the independent cross-check.
 
 Partitions index elements by table position; class ids are assigned by
 least member, so all outputs are deterministic.
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .errors import CapExceededError, ValidationError
+from . import pinj
+from .errors import ValidationError
 
-_GREEN_NAMES = ("L", "R", "H", "D", "J")
-_PAIR_SOURCE_CAP = 1000
+GREEN_NAMES = ("L", "R", "H", "D", "J")
 
 
 class IndexPartition:
@@ -66,15 +67,6 @@ class IndexPartition:
     def same(self, i, j):
         return self.class_of[i] == self.class_of[j]
 
-    def pairs(self):
-        """The partition as an explicit set of related index pairs."""
-        out = set()
-        for members in self.classes:
-            for a in members:
-                for b in members:
-                    out.add((a, b))
-        return out
-
     def __eq__(self, other):
         return isinstance(other, IndexPartition) and self.classes == other.classes
 
@@ -88,7 +80,7 @@ def green(table, which):
     D is computed as the join of L and R and checked against J, which
     must coincide with it on a finite semigroup.
     """
-    if which not in _GREEN_NAMES:
+    if which not in GREEN_NAMES:
         raise ValidationError(f"unknown Green relation {which!r}")
     rows = table.product_rows()
     m = table.size
@@ -261,33 +253,35 @@ def starred(table, which):
     return fn(table)
 
 
-def relation_pairs(rel):
-    """Normalize a relation (IndexPartition or pair set) to a pair set."""
-    if isinstance(rel, IndexPartition):
-        return rel.pairs()
-    return set(rel)
+def partition_by(table, key_fn):
+    """The partition of a table by key_fn of each element; a Rees zero
+    forms a class of its own."""
+    keys = []
+    for i in range(table.size):
+        el = table.element(i)
+        if isinstance(el, pinj.PartialInjection):
+            keys.append(("el", key_fn(el)))
+        else:
+            keys.append(("zero",))
+    return IndexPartition.from_keys(keys)
 
 
-def relation_compose(r1, r2):
-    """Relational composition: (x, z) whenever (x, y) in r1 and (y, z) in r2."""
-    p1 = relation_pairs(r1)
-    p2 = relation_pairs(r2)
-    sources = {x for x, _ in p1} | {y for _, y in p1} | {x for x, _ in p2} | {
-        y for _, y in p2
-    }
-    if len(sources) > _PAIR_SOURCE_CAP:
-        raise CapExceededError(
-            f"relation composition is capped at {_PAIR_SOURCE_CAP} elements"
-        )
-    by_first = defaultdict(set)
-    for y, z in p2:
-        by_first[y].add(z)
-    out = set()
-    for x, y in p1:
-        for z in by_first.get(y, ()):
-            out.add((x, z))
-    return out
+def related_sets(*partitions):
+    """The composite relation P1 o P2 o ... o Pk of partitions of one table.
 
-
-def relations_equal(r1, r2):
-    return relation_pairs(r1) == relation_pairs(r2)
+    Entry a of the returned tuple is the frozenset of every b with
+    a (P1 o ... o Pk) b.  The work is done on class ids: a (P o Q) b holds
+    exactly when the P-class of a meets the Q-class of b, so the set for a
+    is a's P1-class expanded through the classes of each later partition
+    in turn, and is shared by the whole P1-class.  With one partition the
+    entry is just a's class.
+    """
+    first, *rest = partitions
+    per_class = []
+    for members in first.classes:
+        reach = set(members)
+        for part in rest:
+            ids = {part.class_of[b] for b in reach}
+            reach = {b for c in ids for b in part.classes[c]}
+        per_class.append(frozenset(reach))
+    return tuple(per_class[c] for c in first.class_of)

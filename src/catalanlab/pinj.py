@@ -26,6 +26,10 @@ from .errors import (
     ValidationError,
 )
 
+# Largest chain size the text form accepts.  Far above anything that can
+# be enumerated, and checked before any per-point storage is allocated.
+MAX_TEXT_CHAIN = 1000
+
 
 class PartialInjection:
     """One injective partial self-map of {1, ..., n}."""
@@ -247,9 +251,14 @@ def parse_text(text):
             pos += 1
         if pos == start:
             raise ParseError("expected a number", start)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:  # a non-ASCII digit, or more digits than int() takes
+            raise ParseError("expected a decimal number", start) from None
 
     n = read_int()
+    if n > MAX_TEXT_CHAIN:
+        raise ParseError(f"chain size {n} exceeds the limit {MAX_TEXT_CHAIN}", 0)
     if pos >= len(text) or text[pos] != ":":
         raise ParseError("expected ':' after the chain size", pos)
     pos += 1

@@ -96,14 +96,18 @@ def is_right_abundant(table):
     return _abundance(table, "right")
 
 
+def _all_of(table, name, checks):
+    """The conjunction of the checks, run in order; the first failure's
+    witness is reported."""
+    for check in checks:
+        rep = check(table)
+        if not rep.holds:
+            return PropertyReport(name, _label(table), False, witness=rep.witness)
+    return PropertyReport(name, _label(table), True)
+
+
 def is_abundant(table):
-    left = is_left_abundant(table)
-    if not left.holds:
-        return PropertyReport("abundant", _label(table), False, witness=left.witness)
-    right = is_right_abundant(table)
-    if not right.holds:
-        return PropertyReport("abundant", _label(table), False, witness=right.witness)
-    return PropertyReport("abundant", _label(table), True)
+    return _all_of(table, "abundant", (is_left_abundant, is_right_abundant))
 
 
 def is_semilattice_of_idempotents(table):
@@ -133,25 +137,12 @@ def is_semilattice_of_idempotents(table):
 
 
 def is_adequate(table):
-    ab = is_abundant(table)
-    if not ab.holds:
-        return PropertyReport("adequate", _label(table), False, witness=ab.witness)
-    semi = is_semilattice_of_idempotents(table)
-    if not semi.holds:
-        return PropertyReport("adequate", _label(table), False, witness=semi.witness)
-    return PropertyReport("adequate", _label(table), True)
+    return _all_of(table, "adequate", (is_abundant, is_semilattice_of_idempotents))
 
 
 def is_right_adequate(table):
-    ab = is_right_abundant(table)
-    if not ab.holds:
-        return PropertyReport("right-adequate", _label(table), False, witness=ab.witness)
-    semi = is_semilattice_of_idempotents(table)
-    if not semi.holds:
-        return PropertyReport(
-            "right-adequate", _label(table), False, witness=semi.witness
-        )
-    return PropertyReport("right-adequate", _label(table), True)
+    checks = (is_right_abundant, is_semilattice_of_idempotents)
+    return _all_of(table, "right-adequate", checks)
 
 
 def _unique_idempotent_map(part, idem_set):
@@ -213,14 +204,13 @@ def is_ample(table):
     plus_of = _unique_idempotent_map(rstar, idem_set)
     for a in range(table.size):
         for e in idem_set:
-            ok, witness = _ample_leg_star(table, rows, lstar, star_of, a, e)
-            if ok is not True:
-                note = "precondition failure" if ok is None else None
-                return PropertyReport("ample", _label(table), False, witness, note)
-            ok, witness = _ample_leg_plus(table, rows, rstar, plus_of, a, e)
-            if ok is not True:
-                note = "precondition failure" if ok is None else None
-                return PropertyReport("ample", _label(table), False, witness, note)
+            for ok, witness in (
+                _ample_leg_star(table, rows, lstar, star_of, a, e),
+                _ample_leg_plus(table, rows, rstar, plus_of, a, e),
+            ):
+                if ok is not True:
+                    note = "precondition failure" if ok is None else None
+                    return PropertyReport("ample", _label(table), False, witness, note)
     return PropertyReport("ample", _label(table), True)
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from catalanlab import cli
+from catalanlab import cli, pinj
 from catalanlab.errors import CapExceededError, ValidationError
 
 
@@ -364,6 +364,20 @@ def test_decompose_rejects_non_members_and_bad_text(capsys):
         "--mode", "essentials",
     )
     assert code == 2
+
+
+def test_decompose_rejects_an_oversized_chain_before_allocating(capsys):
+    # One past the parser's limit: small enough that a missing check
+    # would allocate harmlessly and fail on the message instead.
+    element = f"{pinj.MAX_TEXT_CHAIN + 1}:"
+    code, out, err = run_cli(
+        capsys,
+        "decompose", "--family", "icn", "--n", "3", "--element", element,
+        "--mode", "lift",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the limit" in err
 
 
 def test_decompose_mode_family_pairing(capsys):

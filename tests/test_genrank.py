@@ -29,16 +29,37 @@ def table(kind, n, p=None):
     return families.enumerate_family(FamilySpec(kind, n, p))
 
 
-def oracle_indecomposables(t, strict):
+def oracle_indecomposables(t):
     rows = t.product_rows()
     m = t.size
     decomposable = set()
     for b in range(m):
         for c in range(m):
             a = rows[b][c]
-            if b != a and c != a and (not strict or b != c):
+            if b != a and c != a:
                 decomposable.add(a)
     return frozenset(set(range(m)) - decomposable)
+
+
+def brute_force_maximal(t):
+    """Maximal proper subsemigroups, found by testing every proper subset
+    of the table for closure; subsets are bitmasks over the indices."""
+    rows = t.product_rows()
+    full = (1 << t.size) - 1
+    closed = []
+    for mask in range(full):
+        members = [i for i in range(t.size) if mask >> i & 1]
+        if all(mask >> rows[a][b] & 1 for a in members for b in members):
+            closed.append(mask)
+    # Largest first: a closed subset is maximal unless some closed proper
+    # subset strictly contains it, and every such subset sits inside a
+    # maximal one already found.
+    closed.sort(key=lambda mask: -bin(mask).count("1"))
+    maximal = []
+    for mask in closed:
+        if not any(mask & big == mask for big in maximal):
+            maximal.append(mask)
+    return maximal
 
 
 def texts(t, indices):
@@ -89,17 +110,7 @@ def test_closure_is_product_closed_and_minimal():
 def test_indecomposables_match_triple_loop_oracle():
     for spec in FAMILY_TABLES:
         t = families.enumerate_family(spec)
-        assert genrank.indecomposables(t) == oracle_indecomposables(t, False), spec
-        strict = genrank.indecomposables(t, strict_distinct_factors=True)
-        assert strict == oracle_indecomposables(t, True), spec
-
-
-def test_strict_and_default_variants_coincide_on_these_families():
-    for spec in FAMILY_TABLES + [FamilySpec("qprime", 5)]:
-        t = families.enumerate_family(spec)
-        assert genrank.indecomposables(t) == genrank.indecomposables(
-            t, strict_distinct_factors=True
-        ), spec
+        assert genrank.indecomposables(t) == oracle_indecomposables(t), spec
 
 
 def test_indecomposables_pinned_small_cases():
@@ -212,20 +223,6 @@ def test_identity_free_chain_four_rank_disagrees_with_the_formula():
     assert report.rank == 7
     assert report.formula == 8
     assert report.agrees is False
-
-
-def test_rank_check_wraps_the_report():
-    check = genrank.rank_check(FamilySpec("icn", 3))
-    assert (check.family, check.computed, check.formula, check.agrees) == (
-        "IC_3",
-        6,
-        6,
-        True,
-    )
-    data = check.as_dict()
-    assert data == {"family": "IC_3", "computed": 6, "formula": 6, "agrees": True}
-    bad = genrank.rank_check(FamilySpec("qprime", 4))
-    assert bad.computed == 7 and bad.formula == 8 and bad.agrees is False
 
 
 def test_greedy_fallback_on_non_jtrivial_tables():
@@ -439,21 +436,30 @@ def test_lift_height_preconditions():
 
 def test_maximal_subsemigroups_counts_and_verification():
     for n in range(2, 5):
-        results = genrank.maximal_subsemigroups(table("icn", n))
+        t = table("icn", n)
+        results = genrank.maximal_subsemigroups(t)
         assert len(results) == 2 * n
-        assert all(verified for _, verified in results)
+        assert results == sorted(genrank.indecomposables(t))
     assert len(genrank.maximal_subsemigroups(table("qprime", 3))) == 4
     results = genrank.maximal_subsemigroups(table("qprime", 4))
     assert len(results) == 7
-    assert all(verified for _, verified in results)
+
+
+def test_maximal_subsemigroups_match_brute_force_subset_search():
+    # independent of indecomposables: every subset is tested for closure
+    for kind, n in (("icn", 2), ("icn", 3), ("qprime", 3)):
+        t = table(kind, n)
+        full = (1 << t.size) - 1
+        want = sorted(brute_force_maximal(t))
+        got = sorted(full ^ (1 << g) for g in genrank.maximal_subsemigroups(t))
+        assert got == want, (kind, n)
 
 
 def test_maximal_subsemigroups_really_are_closed_and_maximal():
     t = table("qprime", 3)
     rows = t.product_rows()
     everything = frozenset(range(t.size))
-    for g, verified in genrank.maximal_subsemigroups(t):
-        assert verified
+    for g in genrank.maximal_subsemigroups(t):
         rest = [i for i in range(t.size) if i != g]
         for a in rest:
             for b in rest:

@@ -9,11 +9,12 @@ adjoined if the table lacks one.  Same idea, transposed, for R*.
 from itertools import combinations
 
 import pytest
+from conftest import related_pairs, relation_compose, relation_pairs
 
 from catalanlab import families, greens, pinj
-from catalanlab.errors import CapExceededError, ValidationError
-from catalanlab.families import REES_ZERO, FamilySpec
-from catalanlab.greens import IndexPartition
+from catalanlab.errors import ValidationError
+from catalanlab.families import KINDS, FamilySpec
+from catalanlab.greens import IndexPartition, partition_by
 
 PLAIN_SPECS = [
     FamilySpec("icn", 3),
@@ -49,17 +50,6 @@ def oracle_agreement_pairs(table, a, transpose):
 
 def oracle_starred(table, transpose):
     keys = [oracle_agreement_pairs(table, a, transpose) for a in range(table.size)]
-    return IndexPartition.from_keys(keys)
-
-
-def partition_by(table, key_fn):
-    keys = []
-    for i in range(table.size):
-        el = table.element(i)
-        if el is REES_ZERO:
-            keys.append(("zero",))
-        else:
-            keys.append(("el", key_fn(el)))
     return IndexPartition.from_keys(keys)
 
 
@@ -102,8 +92,8 @@ def test_index_partition_basics():
     assert part.class_members(3) == (1, 3)
     assert part.same(1, 3)
     assert not part.same(0, 1)
-    assert (1, 3) in part.pairs() and (3, 1) in part.pairs()
-    assert (0, 0) in part.pairs()
+    assert (1, 3) in relation_pairs(part) and (3, 1) in relation_pairs(part)
+    assert (0, 0) in relation_pairs(part)
 
 
 def test_index_partition_from_keys_and_equality():
@@ -280,11 +270,9 @@ def test_starred_D_composition_identities():
         table = families.enumerate_family(spec)
         l = greens.starred_L(table)
         r = greens.starred_R(table)
-        d = greens.starred_D(table).pairs()
-        rlr = greens.relation_compose(greens.relation_compose(r, l), r)
-        lrl = greens.relation_compose(greens.relation_compose(l, r), l)
-        assert d == rlr, spec
-        assert d == lrl, spec
+        d = greens.related_sets(greens.starred_D(table))
+        assert d == greens.related_sets(r, l, r), spec
+        assert d == greens.related_sets(l, r, l), spec
 
 
 def test_starred_composition_need_not_commute():
@@ -293,16 +281,20 @@ def test_starred_composition_need_not_commute():
     icn = families.enumerate_family(FamilySpec("icn", 2))
     a = icn.index_of[pinj.from_pairs(2, [(1, 1)])]
     b = icn.index_of[pinj.from_pairs(2, [(2, 2)])]
-    lr = greens.relation_compose(greens.starred_L(icn), greens.starred_R(icn))
-    rl = greens.relation_compose(greens.starred_R(icn), greens.starred_L(icn))
-    assert (a, b) in lr and (a, b) not in rl
+    lr = greens.related_sets(greens.starred_L(icn), greens.starred_R(icn))
+    rl = greens.related_sets(greens.starred_R(icn), greens.starred_L(icn))
+    assert b in lr[a] and b not in rl[a]
+    assert (a, b) in relation_compose(greens.starred_L(icn), greens.starred_R(icn))
+    assert (a, b) not in relation_compose(greens.starred_R(icn), greens.starred_L(icn))
 
     q = families.enumerate_family(FamilySpec("qprime", 3))
     a = q.index_of[pinj.from_pairs(3, [(2, 2)])]
     b = q.index_of[pinj.from_pairs(3, [(3, 3)])]
-    lr = greens.relation_compose(greens.starred_L(q), greens.starred_R(q))
-    rl = greens.relation_compose(greens.starred_R(q), greens.starred_L(q))
-    assert (a, b) in lr and (a, b) not in rl
+    lr = greens.related_sets(greens.starred_L(q), greens.starred_R(q))
+    rl = greens.related_sets(greens.starred_R(q), greens.starred_L(q))
+    assert b in lr[a] and b not in rl[a]
+    assert (a, b) in relation_compose(greens.starred_L(q), greens.starred_R(q))
+    assert (a, b) not in relation_compose(greens.starred_R(q), greens.starred_L(q))
 
 
 def test_star_ideal_contains_products_and_starred_classes():
@@ -324,21 +316,59 @@ def test_star_ideal_contains_products_and_starred_classes():
 
 
 def test_relation_compose_by_hand():
+    # the pair-set oracle itself, on raw pair sets
     r1 = {(0, 1), (1, 2)}
     r2 = {(1, 5), (2, 6)}
-    assert greens.relation_compose(r1, r2) == {(0, 5), (1, 6)}
-    assert greens.relation_compose(r2, r1) == set()
+    assert relation_compose(r1, r2) == {(0, 5), (1, 6)}
+    assert relation_compose(r2, r1) == set()
 
 
 def test_relation_pairs_and_equality():
     part = IndexPartition.from_groups(3, [(0, 1), (2,)])
     raw = {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
-    assert greens.relation_pairs(part) == raw
-    assert greens.relations_equal(part, raw)
-    assert not greens.relations_equal(part, {(0, 0)})
+    assert relation_pairs(part) == raw
+    assert relation_pairs(raw) == raw
+    assert related_pairs(greens.related_sets(part)) == raw
+    assert relation_pairs(part) != {(0, 0)}
 
 
-def test_relation_compose_cap():
-    huge = {(i, i) for i in range(1001)}
-    with pytest.raises(CapExceededError):
-        greens.relation_compose(huge, huge)
+def test_related_sets_by_hand():
+    # P = {0,1 | 2,3}, Q = {0 | 1,2 | 3}: P o Q is not transitive
+    p = IndexPartition.from_groups(4, [(0, 1), (2, 3)])
+    q = IndexPartition.from_groups(4, [(0,), (1, 2), (3,)])
+    assert greens.related_sets(p, q) == (
+        frozenset({0, 1, 2}),
+        frozenset({0, 1, 2}),
+        frozenset({1, 2, 3}),
+        frozenset({1, 2, 3}),
+    )
+    assert greens.related_sets(q, p)[0] == frozenset({0, 1})
+    assert greens.related_sets(p, q, p)[0] == frozenset(range(4))
+
+
+def test_related_sets_match_the_pair_set_oracle():
+    # every family with n <= 4, including the non-transitive L* o R*
+    for n in range(1, 5):
+        for kind in KINDS:
+            top = n if kind in ("k", "ric") else n - 1
+            for p in range(1, top + 1) if kind in families.KINDS_WITH_P else (None,):
+                table = families.enumerate_family(FamilySpec(kind, n, p))
+                l = greens.starred_L(table)
+                r = greens.starred_R(table)
+                d = greens.starred_D(table)
+                for chain in ((l, r), (r, l), (r, l, r), (l, r, l), (d,), (d, d)):
+                    want = relation_pairs(chain[0])
+                    for part in chain[1:]:
+                        want = relation_compose(want, part)
+                    got = related_pairs(greens.related_sets(*chain))
+                    assert got == want, (kind, n, p, len(chain))
+
+
+def test_related_sets_have_no_element_cap():
+    # the pair-set composition refused tables above 1,000 elements
+    size = 1500
+    ident = IndexPartition.from_groups(size, [(i,) for i in range(size)])
+    halves = IndexPartition.from_groups(size, [range(0, size, 2), range(1, size, 2)])
+    got = greens.related_sets(ident, halves, ident)
+    assert got[0] == frozenset(range(0, size, 2))
+    assert got[size - 1] == frozenset(range(1, size, 2))

@@ -182,12 +182,18 @@ def test_parse_text_accepts_non_catalan_members():
         ("3:2-1", 3),
         ("3:2>1;3>3", 5),
         ("3:2>1,3", 7),
+        pytest.param("\u00b2:", 0, id="non-ascii-digit"),
+        pytest.param(f"{pinj.MAX_TEXT_CHAIN + 1}:", 0, id="chain-above-the-limit"),
     ],
 )
 def test_parse_text_error_positions(text, position):
     with pytest.raises(ParseError) as err:
         pinj.parse_text(text)
     assert err.value.position == position
+
+
+def test_parse_text_accepts_the_largest_chain():
+    assert pinj.parse_text(f"{pinj.MAX_TEXT_CHAIN}:").n == pinj.MAX_TEXT_CHAIN
 
 
 def test_parse_text_rejects_unsorted_or_repeated_domain():
@@ -202,6 +208,8 @@ def test_parse_text_rejects_out_of_range_and_collisions():
         pinj.parse_text("3:4>1")
     with pytest.raises(ParseError):
         pinj.parse_text("3:2>1,3>1")
+    with pytest.raises(ParseError):  # more digits than int() converts
+        pinj.parse_text("3:2>" + "9" * 5000)
 
 
 def test_from_pairs_validation():
