@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from functools import reduce
+from itertools import chain
 
 from . import families, formulas, genrank, greens, pinj, structure
 from .battery import DEFAULT_STARRED_CAP, verification_report
@@ -78,9 +79,7 @@ def _emit(args, payload, human_lines, csv_rows):
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
         for line in human_lines:
             print(line)
@@ -106,13 +105,16 @@ def _cmd_enum(args):
         )
         return 0
     if args.products:
-        triples = list(families.product_csv_rows(table))
+        # Human and csv output stream row by row; only json holds the list.
+        triples = families.product_csv_rows(table)
+        if args.format == "json":
+            triples = list(triples)
         payload = {"family": label, "order": table.size, "products": triples}
         _emit(
             args,
             payload,
-            [f"{i} {j} {k}" for i, j, k in triples],
-            [("i", "j", "k")] + triples,
+            (f"{i} {j} {k}" for i, j, k in triples),
+            chain([("i", "j", "k")], triples),
         )
         return 0
     payload = families.table_json(table)

@@ -13,7 +13,8 @@ Seven families over the chain {1, ..., n}:
 
 Tables index elements by their sorted position (height first, then
 canonical text) and expose the product as an index function.  Rees
-tables put their zero sentinel at index 0.
+tables put their zero sentinel at index 0.  Tables are cached and
+read-only: elements and rows are tuples, index_of a mapping proxy.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 from . import pinj
 from .errors import CapExceededError, ChainMismatchError, FamilySpecError, ValidationError
@@ -113,15 +115,16 @@ class SemigroupTable:
 
     def __init__(self, family, elements):
         self.family = family
-        self.elements = list(elements)
-        self.index_of = {}
-        for i, el in enumerate(self.elements):
-            if isinstance(el, pinj.PartialInjection):
-                self.index_of[el] = i
+        self.elements = tuple(elements)
+        self.index_of = MappingProxyType({
+            el: i for i, el in enumerate(self.elements)
+            if isinstance(el, pinj.PartialInjection)
+        })
         self.size = len(self.elements)
         self.zero_index = self._find_zero()
         self.identity_index = self._find_identity()
         self._rows = None
+        self._generators = None
 
     def __len__(self):
         return self.size
@@ -182,11 +185,60 @@ class SemigroupTable:
             return z
         return self.index_of[pinj.compose(self.elements[i], self.elements[j])]
 
+    @property
+    def generators(self):
+        """The generating set the rows were built from, as a tuple of
+        indices, chosen greedily from the highest index down.  No rank
+        theorem is assumed; it is any set that reaches every element."""
+        if self._generators is None:
+            self.product_rows()
+        return self._generators
+
     def product_rows(self):
-        """The full table as a list of rows; built once, then cached."""
-        if self._rows is None:
-            m = self.size
-            self._rows = [[self.product(i, j) for j in range(m)] for i in range(m)]
+        """The full table as a tuple of row tuples; built once, then cached.
+
+        A generating set A grows greedily: the highest unreached index
+        joins A and a breadth-first search over x -> x.g (g in A) extends
+        the reach, until every element is reached.  Each element y is
+        found as p.g, so a.y = (a.p).g fills every row in discovery order
+        from the m.|A| products x.g alone.
+        """
+        if self._rows is not None:
+            return self._rows
+        m = self.size
+        gens, cols, steps = [], [], []  # cols[k][x] = x.gens[k]
+        seen = [False] * m
+        for top in range(m - 1, -1, -1):
+            if seen[top]:
+                continue
+            col = [self.product(x, top) for x in range(m)]
+            gens.append(top)
+            cols.append(col)
+            seen[top] = True
+            fresh = [top]
+            for x in range(m):  # reached elements times the new generator
+                y = col[x]
+                if seen[x] and not seen[y]:
+                    seen[y] = True
+                    fresh.append(y)
+                    steps.append((y, x, col))
+            for x in fresh:  # new elements times every generator
+                for c in cols:
+                    y = c[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        fresh.append(y)
+                        steps.append((y, x, c))
+        rows = []
+        for a in range(m):
+            row = [0] * m
+            for g, col in zip(gens, cols):
+                row[g] = col[a]
+            for y, x, col in steps:
+                row[y] = col[row[x]]
+            rows.append(tuple(row))
+        self._generators = tuple(gens)
+        self._rows = tuple(rows)
         return self._rows
 
 

@@ -1,5 +1,11 @@
 """Green's relations and their starred refinements on a finite table.
 
+The classical relations come from the Cayley graphs over the table's
+generating set A: x -> xg is the right graph and x -> gx the left one
+(g in A).  xS^1 is what x reaches in the right graph, so R is its
+strongly connected components; L is those of the left graph and J those
+of the union of both.  Tarjan's algorithm finds them in O(m |A|).
+
 The starred relations are computed from their defining witnesses, not
 from any structural shortcut: a and b are L*-related exactly when the
 maps x -> ax and x -> bx induce the same kernel on the table with an
@@ -77,52 +83,72 @@ class IndexPartition:
 def green(table, which):
     """One of Green's relations L, R, H, D, J as an IndexPartition.
 
-    D is computed as the join of L and R and checked against J, which
-    must coincide with it on a finite semigroup.
+    L, R and J are the strongly connected components of the left, right
+    and two-sided Cayley graphs over table.generators; H is the meet of L
+    and R.  D is computed as the join of L and R and checked against J,
+    which must coincide with it on a finite semigroup.
     """
     if which not in GREEN_NAMES:
         raise ValidationError(f"unknown Green relation {which!r}")
     rows = table.product_rows()
+    gens = table.generators
     m = table.size
+    left = [[rows[g][x] for g in gens] for x in range(m)]
+    right = [[rows[x][g] for g in gens] for x in range(m)]
+    both = [lx + rx for lx, rx in zip(left, right)]
     if which == "L":
-        return IndexPartition.from_keys([_left_ideal(rows, m, a) for a in range(m)])
+        return _components(left)
     if which == "R":
-        return IndexPartition.from_keys([_right_ideal(rows, m, a) for a in range(m)])
+        return _components(right)
     if which == "J":
-        return IndexPartition.from_keys([_two_sided_ideal(rows, m, a) for a in range(m)])
+        return _components(both)
+    lpart, rpart = _components(left), _components(right)
     if which == "H":
-        lkeys = [_left_ideal(rows, m, a) for a in range(m)]
-        rkeys = [_right_ideal(rows, m, a) for a in range(m)]
-        return IndexPartition.from_keys(list(zip(lkeys, rkeys)))
+        return IndexPartition.from_keys(list(zip(lpart.class_of, rpart.class_of)))
     # which == "D"
-    left = green(table, "L")
-    right = green(table, "R")
-    joined = _join(left, right, m)
-    if joined != green(table, "J"):
+    joined = _join(lpart, rpart, m)
+    if joined != _components(both):
         raise AssertionError("D and J disagree on a finite table; table is corrupt")
     return joined
 
 
-def _left_ideal(rows, m, a):
-    ideal = {rows[s][a] for s in range(m)}
-    ideal.add(a)
-    return frozenset(ideal)
-
-
-def _right_ideal(rows, m, a):
-    ideal = set(rows[a])
-    ideal.add(a)
-    return frozenset(ideal)
-
-
-def _two_sided_ideal(rows, m, a):
-    right = set(rows[a])
-    right.add(a)
-    out = set(right)
-    for y in right:
-        col = (rows[s][y] for s in range(m))
-        out.update(col)
-    return frozenset(out)
+def _components(successors):
+    """Strongly connected components of the graph x -> successors[x], by
+    Tarjan's algorithm with an explicit stack (no recursion)."""
+    m = len(successors)
+    order = [-1] * m  # visit number; m once x's component is closed
+    low = [0] * m
+    stack, groups, count = [], [], 0
+    for root in range(m):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    group = []
+                    while not group or group[-1] != v:
+                        w = stack.pop()
+                        order[w] = m
+                        group.append(w)
+                    groups.append(group)
+    return IndexPartition.from_groups(m, groups)
 
 
 def _join(p1, p2, m):

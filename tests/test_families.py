@@ -3,8 +3,9 @@
 from itertools import combinations, permutations
 
 import pytest
+from conftest import DIFFERENTIAL_SPECS, direct_rows
 
-from catalanlab import families, formulas, pinj
+from catalanlab import families, formulas, genrank, pinj
 from catalanlab.errors import (
     CapExceededError,
     ChainMismatchError,
@@ -125,6 +126,53 @@ def test_index_of_round_trips():
     table = families.enumerate_family(FamilySpec("ric", 4, 2))
     for i in range(1, table.size):
         assert table.index_of[table.element(i)] == i
+
+
+def test_cached_tables_are_frozen():
+    spec = FamilySpec("rq", 4, 2)
+    table = families.enumerate_family(spec)
+    rows = table.product_rows()
+    before = (list(table.elements), dict(table.index_of), [list(r) for r in rows])
+    el = table.element(1)
+    with pytest.raises(TypeError):
+        table.elements[1] = el
+    with pytest.raises(TypeError):
+        table.index_of[el] = 0
+    with pytest.raises(TypeError):
+        rows[1] = rows[0]
+    with pytest.raises(TypeError):
+        rows[1][1] = 0
+    again = families.enumerate_family(spec)
+    after = (list(again.elements), dict(again.index_of), [list(r) for r in again.product_rows()])
+    assert after == before
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_product_rows_match_direct_products(spec):
+    table = families.enumerate_family(spec)
+    assert table.product_rows() == direct_rows(table)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_generators_reach_every_element_and_hold_every_indecomposable(spec):
+    table = families.enumerate_family(spec)
+    gens = table.generators
+    assert isinstance(gens, tuple) and gens[0] == table.size - 1
+    # right Cayley graph search with direct products, not the rows
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = table.product(x, g)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert reached == set(range(table.size))
+    # any generating set holds every element that is no product of others
+    if spec.kind != "syminv":
+        assert genrank.is_jtrivial(table)
+        assert genrank.indecomposables(table) <= set(gens)
 
 
 def test_plain_product_is_composition():

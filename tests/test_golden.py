@@ -1,9 +1,11 @@
-"""Pinned bytes of the verification battery's output.
+"""Pinned bytes of the verification battery's output and of the
+product table dump.
 
-Each digest is the sha256 of the stdout of one `catalanlab verify` run.
-A change to any row's id, claim text, values, status or order, or to the
-human or csv rendering, changes a digest.  The n_max = 10 report is
-pinned in test_acceptance.py, whose module fixture already builds it.
+Each digest is the sha256 of the stdout of one `catalanlab verify` or
+`catalanlab enum --products` run.  A change to any row's id, claim text,
+values, status or order, to any product, or to the human, csv or json
+rendering, changes a digest.  The n_max = 10 report is pinned in
+test_acceptance.py, whose module fixture already builds it.
 """
 
 import hashlib
@@ -23,6 +25,16 @@ GOLDEN = [
 ]
 
 
+PRODUCTS_GOLDEN = [
+    ("icn", "3", None, "human", "a870c34ec504fc09e46ca5d6732df68044e4b614a41b2d9cf5e9fa8862a49ea5"),
+    ("icn", "3", None, "csv", "0ae65c973745518c39eca9d25ac9be3cdc3c516e042d5b705afd1411fdb8f09c"),
+    ("icn", "3", None, "json", "c9f21488fc030aa7ad8e0b1360a2e5ad122049d809639559717377c0df8522cc"),
+    ("rq", "4", "2", "human", "c6d0a8d7333cd5fbe7247fbd19889792533eda9c1a0d8d24e95afcd694570f48"),
+    ("rq", "4", "2", "csv", "65db91968de0bcbc10029555191d8fe7b2eb1a8ecbd37cd342c25df08374fb1e"),
+    ("rq", "4", "2", "json", "6641b8c81ef00e399619d1ef9c349434d112ff8c3fe7aa2cfab609e08739faa1"),
+]
+
+
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("CATALAN_LAB_MAX_N", raising=False)
@@ -31,5 +43,17 @@ def clean_env(monkeypatch):
 @pytest.mark.parametrize("fmt,n_max,digest", GOLDEN, ids=[f"{f}-{n}" for f, n, _ in GOLDEN])
 def test_verify_output_bytes_are_pinned(capsys, fmt, n_max, digest):
     assert cli.main(["verify", "--n-max", str(n_max), "--format", fmt]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "kind,n,p,fmt,digest", PRODUCTS_GOLDEN, ids=[f"{k}{n}-{f}" for k, n, _, f, _ in PRODUCTS_GOLDEN]
+)
+def test_product_table_bytes_are_pinned(capsys, kind, n, p, fmt, digest):
+    argv = ["enum", "--family", kind, "--n", n, "--products", "--format", fmt]
+    if p is not None:
+        argv += ["--p", p]
+    assert cli.main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest

@@ -9,7 +9,14 @@ adjoined if the table lacks one.  Same idea, transposed, for R*.
 from itertools import combinations
 
 import pytest
-from conftest import related_pairs, relation_compose, relation_pairs
+from conftest import (
+    DIFFERENTIAL_SPECS,
+    green_by_ideals,
+    related_pairs,
+    relation_compose,
+    relation_pairs,
+    transitive_closure_join,
+)
 
 from catalanlab import families, greens, pinj
 from catalanlab.errors import ValidationError
@@ -51,32 +58,6 @@ def oracle_agreement_pairs(table, a, transpose):
 def oracle_starred(table, transpose):
     keys = [oracle_agreement_pairs(table, a, transpose) for a in range(table.size)]
     return IndexPartition.from_keys(keys)
-
-
-def transitive_closure_join(p1, p2, size):
-    # plain BFS on the union of the two relations, no union-find
-    neighbors = [set() for _ in range(size)]
-    for part in (p1, p2):
-        for members in part.classes:
-            for a in members:
-                neighbors[a].update(members)
-    seen = [False] * size
-    groups = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        block = set()
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            if x in block:
-                continue
-            block.add(x)
-            frontier.extend(n for n in neighbors[x] if n not in block)
-        for x in block:
-            seen[x] = True
-        groups.append(block)
-    return IndexPartition.from_groups(size, groups)
 
 
 # ---------------------------------------------------------------- partitions
@@ -145,6 +126,24 @@ def test_green_rejects_unknown_relation():
         greens.green(table, "X")
     with pytest.raises(ValidationError):
         greens.starred(table, "L")
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_classical_relations_match_the_ideal_oracle(spec):
+    table = families.enumerate_family(spec)
+    for which, want in green_by_ideals(table).items():
+        assert greens.green(table, which) == want, which
+
+
+def test_components_of_a_long_path_and_cycle_need_no_recursion():
+    # 0 -> 1 -> ... -> m-1 is m singletons; closing the loop makes one class
+    m = 20_000
+    path = [[x + 1] for x in range(m - 1)] + [[]]
+    assert greens._components(path).is_identity
+    cycle = path[:-1] + [[0]]
+    assert greens._components(cycle).class_count == 1
+    # two 2-cycles joined by a one-way edge stay two classes
+    assert greens._components([[1], [0, 2], [3], [2]]).classes == ((0, 1), (2, 3))
 
 
 # ---------------------------------------------------------- starred relations
