@@ -77,12 +77,14 @@ def _family_spec(args):
 
 def _emit(args, payload, human_lines, csv_rows):
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        # Streamed chunk by chunk: the same bytes as json.dumps, without
+        # holding the whole document as one string.
+        sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(payload))
+        sys.stdout.write("\n")
     elif args.format == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
-        for line in human_lines:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in human_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +501,12 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does); that is not a
+        # failure.  Send what is still buffered to devnull, so the flush
+        # at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,16 @@ maps x -> ax and x -> bx induce the same kernel on the table with an
 identity formally adjoined (no adjunction when the table already has
 one).  Structural characterizations (same image, same domain, same
 height) are built with partition_by and compared by the battery and the
-tests, as the independent cross-check.
+tests, as the independent cross-check.  Each kernel signature is built by
+C builtins (a dict from value to first position, read back with map), and
+a column of the table is read with operator.itemgetter, never through an
+m x m transpose.
+
+The classical relations and L* and R* are computed once per table, and
+later calls return the same IndexPartition; H*, D* and J* are built from
+L* and R*, so they reuse it too.  The memo is keyed weakly by the table
+object, so it needs no attribute on the table and goes away with it;
+duck-typed tables work unchanged.
 
 Partitions index elements by table position; class ids are assigned by
 least member, so all outputs are deterministic.
@@ -20,12 +29,42 @@ least member, so all outputs are deterministic.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
+from operator import itemgetter
 
 from . import pinj
 from .errors import ValidationError
 
 GREEN_NAMES = ("L", "R", "H", "D", "J")
+
+# Relations already computed, per table: table -> {relation name: partition}.
+# Keys are held weakly, so a table's entry goes when the table does.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _memoized(table, name, build, *args):
+    """build(table, *args), computed once per table and then shared.
+
+    The memo is keyed by the table object, so a new table never sees an
+    earlier table's result.  A table that cannot be weakly referenced or
+    hashed is not memoized.
+    """
+    try:
+        per_table = _MEMO.get(table)
+        if per_table is None:
+            per_table = _MEMO[table] = {}
+    except TypeError:
+        return build(table, *args)
+    part = per_table.get(name)
+    if part is None:
+        part = build(table, *args)
+        # Equal relations share one object, so a table holds each distinct
+        # partition once: on a J-trivial table all five classical
+        # relations are the identity.
+        part = next((p for p in per_table.values() if p == part), part)
+        per_table[name] = part
+    return part
 
 
 class IndexPartition:
@@ -86,30 +125,34 @@ def green(table, which):
     L, R and J are the strongly connected components of the left, right
     and two-sided Cayley graphs over table.generators; H is the meet of L
     and R.  D is computed as the join of L and R and checked against J,
-    which must coincide with it on a finite semigroup.
+    which must coincide with it on a finite semigroup.  Each relation is
+    computed once per table; later calls return the same object.
     """
     if which not in GREEN_NAMES:
         raise ValidationError(f"unknown Green relation {which!r}")
-    rows = table.product_rows()
-    gens = table.generators
-    m = table.size
-    left = [[rows[g][x] for g in gens] for x in range(m)]
-    right = [[rows[x][g] for g in gens] for x in range(m)]
-    both = [lx + rx for lx, rx in zip(left, right)]
+    return _memoized(table, which, _green, which)
+
+
+def _green(table, which):
+    if which in ("H", "D"):
+        lpart = _memoized(table, "L", _green, "L")
+        rpart = _memoized(table, "R", _green, "R")
+        if which == "H":
+            return IndexPartition.from_keys(list(zip(lpart.class_of, rpart.class_of)))
+        joined = _join(lpart, rpart, table.size)
+        if joined != _memoized(table, "J", _green, "J"):
+            raise AssertionError("D and J disagree on a finite table; table is corrupt")
+        return joined
+    rows, gens = table.product_rows(), table.generators
+    xs = range(table.size)
     if which == "L":
-        return _components(left)
+        return _components([[rows[g][x] for g in gens] for x in xs])
     if which == "R":
-        return _components(right)
-    if which == "J":
-        return _components(both)
-    lpart, rpart = _components(left), _components(right)
-    if which == "H":
-        return IndexPartition.from_keys(list(zip(lpart.class_of, rpart.class_of)))
-    # which == "D"
-    joined = _join(lpart, rpart, m)
-    if joined != _components(both):
-        raise AssertionError("D and J disagree on a finite table; table is corrupt")
-    return joined
+        return _components([[rows[x][g] for g in gens] for x in xs])
+    # which == "J": the union of the two graphs
+    return _components([
+        [rows[g][x] for g in gens] + [rows[x][g] for g in gens] for x in xs
+    ])
 
 
 def _components(successors):
@@ -177,41 +220,41 @@ def _join(p1, p2, m):
 
 
 def _kernel_key(values):
-    """Canonical signature of the kernel induced by a value row."""
-    first_seen = {}
-    sig = []
-    for v in values:
-        sig.append(first_seen.setdefault(v, len(first_seen)))
-    return tuple(sig)
+    """Canonical signature of the kernel induced by a value row: position
+    i maps to the first position holding the same value, so two rows get
+    equal keys exactly when they induce the same kernel.  The work is done
+    by C builtins, with no Python-level loop."""
+    first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+    return tuple(map(first.__getitem__, values))
 
 
 def starred_L(table):
     """L*: equal kernels of x -> ax with x running over the table plus a
     formally adjoined identity when none is present."""
+    return _memoized(table, "Ls", _starred_L)
+
+
+def _starred_L(table):
     rows = table.product_rows()
-    m = table.size
-    adjoin = table.identity_index is None
-    keys = []
-    for a in range(m):
-        vals = list(rows[a])
-        if adjoin:
-            vals.append(a)
-        keys.append(_kernel_key(vals))
+    if table.identity_index is None:
+        keys = [_kernel_key((*row, a)) for a, row in enumerate(rows)]
+    else:
+        keys = [_kernel_key(row) for row in rows]
     return IndexPartition.from_keys(keys)
 
 
 def starred_R(table):
     """R*: the dual of L*, with kernels of x -> xa."""
+    return _memoized(table, "Rs", _starred_R)
+
+
+def _starred_R(table):
     rows = table.product_rows()
-    m = table.size
     adjoin = table.identity_index is None
-    cols = [[rows[x][a] for x in range(m)] for a in range(m)]
     keys = []
-    for a in range(m):
-        vals = cols[a]
-        if adjoin:
-            vals = vals + [a]
-        keys.append(_kernel_key(vals))
+    for a in range(table.size):
+        col = tuple(map(itemgetter(a), rows))
+        keys.append(_kernel_key((*col, a) if adjoin else col))
     return IndexPartition.from_keys(keys)
 
 
@@ -227,20 +270,19 @@ def starred_D(table):
     return _join(starred_L(table), starred_R(table), table.size)
 
 
-def star_ideal(table, a, _lstar=None, _rstar=None):
+def star_ideal(table, a):
     """The principal *-ideal of a: the least set containing a that is an
     ideal and a union of L*- and R*-classes."""
     rows = table.product_rows()
-    m = table.size
-    lstar = _lstar if _lstar is not None else starred_L(table)
-    rstar = _rstar if _rstar is not None else starred_R(table)
+    lstar = starred_L(table)
+    rstar = starred_R(table)
     current = {a}
     frontier = [a]
     while frontier:
         fresh = set()
         for s in frontier:
             fresh.update(rows[s])
-            fresh.update(rows[x][s] for x in range(m))
+            fresh.update(map(itemgetter(s), rows))
             fresh.update(lstar.class_members(s))
             fresh.update(rstar.class_members(s))
         fresh -= current
@@ -260,7 +302,7 @@ def starred_J(table):
     dstar = _join(lstar, rstar, table.size)
     ideal_groups = defaultdict(list)
     for members in dstar.classes:
-        ideal = star_ideal(table, members[0], _lstar=lstar, _rstar=rstar)
+        ideal = star_ideal(table, members[0])
         ideal_groups[ideal].extend(members)
     return IndexPartition.from_groups(table.size, ideal_groups.values())
 

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catalanlab
 from catalanlab import cli, pinj
 from catalanlab.errors import CapExceededError, ValidationError
 
@@ -69,6 +74,25 @@ def test_enum_products_csv(capsys):
     rows = parse_csv(out)
     assert rows[0] == ["i", "j", "k"]
     assert len(rows) == 1 + 5 * 5
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv"])
+def test_enum_products_into_a_closed_pipe_exits_zero(fmt):
+    # IC_6 has 17,424 products, far more than a pipe buffer holds, so the
+    # child is still writing when the reader closes after one line.
+    env = dict(os.environ, PYTHONPATH=str(Path(catalanlab.__file__).parents[1]))
+    argv = [sys.executable, "-m", "catalanlab.cli", "enum", "--family", "icn",
+            "--n", "6", "--products", "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert first == (b"0 0 0\n" if fmt == "human" else b"i,j,k\n")
+    assert b"Traceback" not in err
+    assert err == b""
+    assert code == 0
 
 
 def test_enum_json_full_listing(capsys):

@@ -6,6 +6,7 @@ hold for exactly the same pairs x, y over the table with an identity
 adjoined if the table lacks one.  Same idea, transposed, for R*.
 """
 
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
@@ -17,11 +18,12 @@ from conftest import (
     relation_pairs,
     transitive_closure_join,
 )
+from test_structure import FakeTable
 
 from catalanlab import families, greens, pinj
 from catalanlab.errors import ValidationError
 from catalanlab.families import KINDS, FamilySpec
-from catalanlab.greens import IndexPartition, partition_by
+from catalanlab.greens import GREEN_NAMES, IndexPartition, partition_by
 
 PLAIN_SPECS = [
     FamilySpec("icn", 3),
@@ -37,8 +39,9 @@ PLAIN_SPECS = [
 ]
 
 
-def oracle_agreement_pairs(table, a, transpose):
-    """All (x, y) with ax = ay (or xa = ya when transposed), over S^1."""
+def oracle_values(table, a, transpose):
+    """The values ax (xa when transposed) for x over S^1: one per table
+    position, then a itself for an adjoined identity if the table has none."""
     rows = table.product_rows()
     m = table.size
     if transpose:
@@ -47,6 +50,12 @@ def oracle_agreement_pairs(table, a, transpose):
         vals = list(rows[a])
     if table.identity_index is None:
         vals.append(a)
+    return vals
+
+
+def oracle_agreement_pairs(table, a, transpose):
+    """All (x, y) with ax = ay (or xa = ya when transposed), over S^1."""
+    vals = oracle_values(table, a, transpose)
     agree = set()
     for x in range(len(vals)):
         for y in range(x + 1, len(vals)):
@@ -55,8 +64,18 @@ def oracle_agreement_pairs(table, a, transpose):
     return frozenset(agree)
 
 
-def oracle_starred(table, transpose):
-    keys = [oracle_agreement_pairs(table, a, transpose) for a in range(table.size)]
+def oracle_kernel_blocks(table, a, transpose):
+    """The kernel of x -> ax (x -> xa when transposed) over S^1 as its set
+    of blocks.  Two elements have the same blocks exactly when they have
+    the same agreement pairs, at O(m) per element instead of O(m^2)."""
+    blocks = defaultdict(set)
+    for x, v in enumerate(oracle_values(table, a, transpose)):
+        blocks[v].add(x)
+    return frozenset(map(frozenset, blocks.values()))
+
+
+def oracle_starred(table, transpose, key=oracle_agreement_pairs):
+    keys = [key(table, a, transpose) for a in range(table.size)]
     return IndexPartition.from_keys(keys)
 
 
@@ -154,6 +173,71 @@ def test_starred_L_and_R_match_definitional_oracle():
         table = families.enumerate_family(spec)
         assert greens.starred_L(table) == oracle_starred(table, transpose=False), spec
         assert greens.starred_R(table) == oracle_starred(table, transpose=True), spec
+    # Agreement pairs cost O(m^3) per table; kernel blocks carry the same
+    # information and reach every differential table, Rees quotients and
+    # ideals included.
+    for spec in DIFFERENTIAL_SPECS:
+        table = families.enumerate_family(spec)
+        left = oracle_starred(table, transpose=False, key=oracle_kernel_blocks)
+        right = oracle_starred(table, transpose=True, key=oracle_kernel_blocks)
+        assert greens.starred_L(table) == left, spec
+        assert greens.starred_R(table) == right, spec
+
+
+def test_kernel_key_by_hand():
+    assert greens._kernel_key([]) == ()
+    assert greens._kernel_key((7,)) == (0,)
+    assert greens._kernel_key([5, 3, 5, 3, 9]) == (0, 1, 0, 1, 4)
+    assert greens._kernel_key((2, 2, 2)) == (0, 0, 0)
+    assert greens._kernel_key((4, 1, 2, 0)) == (0, 1, 2, 3)
+    # list and tuple rows give the same key; equal kernels, equal keys
+    assert greens._kernel_key([1, 0, 1]) == greens._kernel_key((1, 0, 1))
+    assert greens._kernel_key((8, 6, 8)) == greens._kernel_key((0, 9, 0))
+    assert greens._kernel_key((8, 6, 8)) != greens._kernel_key((8, 8, 6))
+
+
+def test_relations_are_computed_once_per_table():
+    table = families.enumerate_family(FamilySpec("rq", 4, 2))
+    for which in GREEN_NAMES:
+        assert greens.green(table, which) is greens.green(table, which), which
+    assert greens.starred_L(table) is greens.starred_L(table)
+    assert greens.starred_R(table) is greens.starred_R(table)
+    # I_3 is not J-trivial, so its L, R and H differ and stay apart
+    table = families.enumerate_family(FamilySpec("syminv", 3))
+    parts = {which: greens.green(table, which) for which in GREEN_NAMES}
+    assert parts["L"] != parts["R"] and parts["L"] != parts["H"]
+    assert parts["D"] is parts["J"]
+
+
+def test_a_fresh_duck_typed_table_gets_its_own_result():
+    left_zero = FakeTable([[0, 0], [1, 1]])  # xy = x
+    first = greens.starred_R(left_zero)
+    assert first.classes == ((0,), (1,))
+    assert greens.starred_R(left_zero) is first
+    # a new table with other rows, made after the first is gone
+    del left_zero
+    right_zero = FakeTable([[0, 1], [0, 1]])  # xy = y
+    assert greens.starred_R(right_zero) == oracle_starred(right_zero, transpose=True)
+    assert greens.starred_R(right_zero).classes == ((0, 1),)
+    assert greens.starred_L(right_zero).classes == ((0,), (1,))
+
+
+def test_tables_that_cannot_be_weakly_referenced_still_work():
+    class SlottedTable:
+        __slots__ = ("size", "identity_index", "rows")
+
+        def __init__(self, rows):
+            self.rows = rows
+            self.size = len(rows)
+            self.identity_index = None
+
+        def product_rows(self):
+            return self.rows
+
+    table = SlottedTable([[0, 0], [1, 1]])
+    assert greens.starred_L(table).classes == ((0, 1),)
+    assert greens.starred_R(table).classes == ((0,), (1,))
+    assert greens.starred_J(table).classes == ((0, 1),)
 
 
 def test_starred_H_is_the_meet():
