@@ -2,7 +2,8 @@
 factorizations, maximal subsemigroups, and the verification battery.
 
 Exit codes: 0 success, 1 a verification or property expectation failed,
-2 bad flags or invalid input, 3 a size cap refused the request.
+2 bad flags or invalid input, 3 a size cap refused the request, 4 an
+internal invariant failed (a defect in the program, not in the input).
 
 Output is deterministic: two runs with identical flags produce identical
 bytes.  Every command honors --format human|json|csv.
@@ -20,7 +21,7 @@ from itertools import chain
 
 from . import families, formulas, genrank, greens, pinj, structure
 from .battery import DEFAULT_STARRED_CAP, verification_report
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, InvariantError, ValidationError
 
 HARD_CEILING = 12
 DEFAULT_CLI_ENUM_CAP = 10
@@ -76,15 +77,24 @@ def _family_spec(args):
 
 
 def _emit(args, payload, human_lines, csv_rows):
-    if args.format == "json":
-        # Streamed chunk by chunk: the same bytes as json.dumps, without
-        # holding the whole document as one string.
-        sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(payload))
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
-    else:
-        sys.stdout.writelines(f"{line}\n" for line in human_lines)
+    """Write the payload in the chosen format.  Handlers compute their exit
+    code first and emit last, so a closed stdout cannot change the code."""
+    try:
+        if args.format == "json":
+            # Streamed chunk by chunk: the same bytes as json.dumps, without
+            # holding the whole document as one string.
+            sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(payload))
+            sys.stdout.write("\n")
+        elif args.format == "csv":
+            csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
+        else:
+            sys.stdout.writelines(f"{line}\n" for line in human_lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does); that is not a
+        # failure of its own.  Send what is still buffered to devnull, so
+        # the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +249,9 @@ def _cmd_check(args):
         human.append(line)
         rows.append((rep.property, rep.family, rep.holds, rep.witness or ""))
         ok = ok and rep.holds == expect
+    code = 0 if ok else 1
     _emit(args, payload, human, rows)
-    return 0 if ok else 1
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +335,7 @@ def _cmd_decompose(args):
     if factors:
         product = reduce(pinj.compose, factors)
         if product != alpha:
-            raise AssertionError("factorization failed to recompose; please report")
+            raise InvariantError("factorization failed to recompose; please report")
     texts = [pinj.canonical_text(f) for f in factors]
     payload = {
         "family": spec.label(),
@@ -394,8 +405,9 @@ def _cmd_verify(args):
     )
     columns = ("id", "claim", "family", "expected", "computed", "status")
     csv_rows = [columns] + [tuple(row[c] for c in columns) for row in report["rows"]]
+    code = 1 if s["fail"] else 0
     _emit(args, report, human, csv_rows)
-    return 1 if s["fail"] else 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +513,9 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout (as `| head` does); that is not a
-        # failure.  Send what is still buffered to devnull, so the flush
-        # at interpreter exit does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

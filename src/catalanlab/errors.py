@@ -49,3 +49,9 @@ class UnsupportedTableError(ValidationError):
 
 class CapExceededError(CatalanLabError, RuntimeError):
     """A size cap guarding an expensive computation was exceeded."""
+
+
+class InvariantError(CatalanLabError, AssertionError):
+    """A result broke an invariant the mathematics guarantees, such as a
+    table that is not closed under its product: a defect in the program,
+    never an answer about the input."""

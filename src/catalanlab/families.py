@@ -22,10 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 from types import MappingProxyType
 
 from . import pinj
-from .errors import CapExceededError, ChainMismatchError, FamilySpecError, ValidationError
+from .errors import (
+    CapExceededError,
+    ChainMismatchError,
+    FamilySpecError,
+    InvariantError,
+    ValidationError,
+)
 
 KIND_ICN = "icn"
 KIND_QPRIME = "qprime"
@@ -198,48 +205,76 @@ class SemigroupTable:
         """The full table as a tuple of row tuples; built once, then cached.
 
         A generating set A grows greedily: the highest unreached index
-        joins A and a breadth-first search over x -> x.g (g in A) extends
-        the reach, until every element is reached.  Each element y is
-        found as p.g, so a.y = (a.p).g fills every row in discovery order
-        from the m.|A| products x.g alone.
+        joins A and a breadth-first search over x -> g.x (g in A) extends
+        the reach, until every element is reached.  A generator's row is
+        composed directly on images; every other element y is found as
+        g.x, so its row is y.j = g.(x.j), the generator's row read at the
+        positions of x's row.  Such a y differs from the first generator,
+        so m >= 2 there and itemgetter over x's row returns a tuple.
         """
         if self._rows is not None:
             return self._rows
-        m = self.size
-        gens, cols, steps = [], [], []  # cols[k][x] = x.gens[k]
-        seen = [False] * m
+        m, n = self.size, self.family.n
+        # Images packed into bytes, 0 for a point outside the domain.  The
+        # Rees zero stands in as the empty map: the quotient collapses the
+        # whole lower ideal into it.
+        images = [
+            bytes(n) if el is REES_ZERO else bytes(a or 0 for a in el.img)
+            for el in self.elements
+        ]
+        index = dict(zip(images, range(m)))
+        # Each element as a bytes.translate table: point a goes to its image.
+        pad = bytes(255 - n)
+        maps = [b"\0" + img + pad for img in images]
+        rows = [None] * m  # rows[x] is set once x is reached
+        gens = []
         for top in range(m - 1, -1, -1):
-            if seen[top]:
+            if rows[top] is not None:
                 continue
-            col = [self.product(x, top) for x in range(m)]
             gens.append(top)
-            cols.append(col)
-            seen[top] = True
+            row_g = rows[top] = self._generator_row(top, images[top], maps, index)
             fresh = [top]
-            for x in range(m):  # reached elements times the new generator
-                y = col[x]
-                if seen[x] and not seen[y]:
-                    seen[y] = True
+            for x in range(m):  # the new generator times reached elements
+                y = row_g[x]
+                if rows[y] is None and rows[x] is not None:
+                    rows[y] = itemgetter(*rows[x])(row_g)
                     fresh.append(y)
-                    steps.append((y, x, col))
-            for x in fresh:  # new elements times every generator
-                for c in cols:
-                    y = c[x]
-                    if not seen[y]:
-                        seen[y] = True
+            for x in fresh:  # every generator times new elements
+                row_x = rows[x]
+                for g in gens:
+                    row_g = rows[g]
+                    y = row_g[x]
+                    if rows[y] is None:
+                        rows[y] = itemgetter(*row_x)(row_g)
                         fresh.append(y)
-                        steps.append((y, x, c))
-        rows = []
-        for a in range(m):
-            row = [0] * m
-            for g, col in zip(gens, cols):
-                row[g] = col[a]
-            for y, x, col in steps:
-                row[y] = col[row[x]]
-            rows.append(tuple(row))
         self._generators = tuple(gens)
         self._rows = tuple(rows)
         return self._rows
+
+    def _generator_row(self, g, image, maps, index):
+        """Row g.x for every x, composed on images: g's images, each sent
+        on through x, looked up in the image index."""
+        compose = image.translate
+        row = list(map(index.get, map(compose, maps)))
+        if None in row:
+            for x, k in enumerate(row):
+                if k is None:
+                    # A collapsed composite joins the index, so each
+                    # distinct one is checked once per table build.
+                    composite = compose(maps[x])
+                    row[x] = index[composite] = self._collapse(composite, g, x)
+        return tuple(row)
+
+    def _collapse(self, composite, i, j):
+        """Index of a composite missing from the image index: the Rees zero
+        when its height fell below p, else a closure failure."""
+        height = len(composite) - composite.count(0)
+        if self.family.is_rees and height < self.family.p:
+            return self.zero_index
+        raise InvariantError(
+            f"{self.family.label()} is not closed: the product of"
+            f" {self.text_of(i)} and {self.text_of(j)} is not in the table"
+        )
 
 
 def _images_for_domain(dom):

@@ -16,7 +16,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import families, formulas, greens, pinj, structure
-from .errors import ContractError, UnsupportedTableError, ValidationError
+from .errors import (
+    ContractError,
+    InvariantError,
+    UnsupportedTableError,
+    ValidationError,
+)
 
 
 def closure(table, generators):
@@ -163,7 +168,7 @@ def minimal_generating_set(table):
     if jt:
         gens = indecomposables(table)
         if closure(table, gens) != everything:
-            raise AssertionError(
+            raise InvariantError(
                 "indecomposables fail to generate a J-trivial table; table is corrupt"
             )
         greedy = False
@@ -306,7 +311,7 @@ def factor_requisite(alpha):
         beta_pairs.append((x, j + 2) if target < i else (x, target))
     beta = pinj.from_pairs(n, beta_pairs)
     if pinj.compose(beta, requisite) != alpha:
-        raise AssertionError("requisite split failed to recompose")
+        raise InvariantError("requisite split failed to recompose")
     return beta, requisite
 
 
@@ -359,10 +364,10 @@ def lift_height(alpha, kind):
         right_pairs = [(x, alpha.image_of(x)) for x in dom] + [(c, c)]
         right = pinj.from_pairs(n, right_pairs)
     if pinj.compose(left, right) != alpha:
-        raise AssertionError("height lift failed to recompose")
+        raise InvariantError("height lift failed to recompose")
     for part in (left, right):
         if pinj.height(part) != p + 1:
-            raise AssertionError("height lift produced a factor of wrong height")
+            raise InvariantError("height lift produced a factor of wrong height")
     return left, right
 
 
@@ -385,5 +390,5 @@ def maximal_subsemigroups(table):
     everything = frozenset(range(table.size))
     gens = indecomposables(table)
     if closure(table, gens) != everything:
-        raise AssertionError("indecomposables fail to generate; table is corrupt")
+        raise InvariantError("indecomposables fail to generate; table is corrupt")
     return sorted(gens)

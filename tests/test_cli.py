@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import catalanlab
-from catalanlab import cli, pinj
+from catalanlab import cli, families, genrank, pinj
 from catalanlab.errors import CapExceededError, ValidationError
 
 
@@ -93,6 +93,35 @@ def test_enum_products_into_a_closed_pipe_exits_zero(fmt):
     assert b"Traceback" not in err
     assert err == b""
     assert code == 0
+
+
+# A failing verify, with the battery replaced by one failed row.
+_FAILING_VERIFY = """
+import sys
+from catalanlab import cli
+row = dict(id="X", claim="c", family="F", expected=1, computed=2, status="fail")
+summary = {"pass": 0, "fail": 1, "paper-inconsistent": 0, "skipped": 0}
+cli.verification_report = lambda *args: {"rows": [row], "summary": summary}
+sys.exit(cli.main(["verify"]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["-m", "catalanlab.cli", "check", "--family", "qprime", "--n", "5",
+     "--property", "inverse-ideal", "--property", "right-inverse-ideal"],
+    ["-c", _FAILING_VERIFY],
+], ids=["check", "verify"])
+def test_a_closed_stdout_keeps_a_failing_exit_code(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(catalanlab.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, *argv], stdout=write_end,
+                               stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in child.stderr
+    assert child.returncode == 1
 
 
 def test_enum_json_full_listing(capsys):
@@ -531,3 +560,24 @@ def test_family_parameter_validation_maps_to_exit_two(capsys):
         capsys, "enum", "--family", "icn", "--n", "3", "--p", "2", "--count-only"
     )
     assert code == 2
+
+
+def test_an_internal_invariant_failure_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(genrank, "closure", lambda table, gens: frozenset())
+    code, out, err = run_cli(capsys, "rank", "--family", "icn", "--n", "3")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "error: internal invariant failed: indecomposables fail to generate"
+        " a J-trivial table; table is corrupt\n"
+    )
+
+
+def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):
+    full = families.enumerate_family(families.FamilySpec("icn", 2))
+    corrupt = families.SemigroupTable(full.family, full.elements[1:])  # no empty map
+    monkeypatch.setattr(families, "enumerate_family", lambda spec, cap: corrupt)
+    code, out, err = run_cli(capsys, "enum", "--family", "icn", "--n", "2", "--products")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal invariant failed: IC_2 is not closed")

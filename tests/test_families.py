@@ -1,5 +1,7 @@
 """Family enumeration, table construction, and the Rees product rule."""
 
+import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -10,6 +12,7 @@ from catalanlab.errors import (
     CapExceededError,
     ChainMismatchError,
     FamilySpecError,
+    InvariantError,
     ValidationError,
 )
 from catalanlab.families import REES_ZERO, FamilySpec, ReesZero
@@ -151,6 +154,33 @@ def test_cached_tables_are_frozen():
 def test_product_rows_match_direct_products(spec):
     table = families.enumerate_family(spec)
     assert table.product_rows() == direct_rows(table)
+
+
+def test_product_rows_of_i5_match_direct_products_on_a_sample():
+    # I_5 is not J-trivial and its left search is deep; its 2.4M direct
+    # products take seconds, so the generator rows, which are composed
+    # directly, are compared in full and the derived rows on a sample.
+    table = families.enumerate_family(FamilySpec("syminv", 5))
+    rows, m = table.product_rows(), table.size
+    assert m == 1546 and len(table.generators) == 4
+    for g in table.generators:
+        assert rows[g] == tuple(table.product(g, j) for j in range(m))
+    rng = random.Random(5)
+    for _ in range(20_000):
+        i, j = rng.randrange(m), rng.randrange(m)
+        assert rows[i][j] == table.product(i, j)
+
+
+@pytest.mark.parametrize("spec, dropped", [
+    (FamilySpec("icn", 2), "2:"),  # 2>1 . 2>1 is the empty map
+    (FamilySpec("ric", 3, 1), "3:3>1"),  # 3>2 . 2>1 is 3>1, of height p
+], ids=["plain", "rees"])
+def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped):
+    full = families.enumerate_family(spec)
+    kept = [el for i, el in enumerate(full.elements) if full.text_of(i) != dropped]
+    corrupt = families.SemigroupTable(spec, kept)
+    with pytest.raises(InvariantError, match=f"{re.escape(spec.label())} is not closed"):
+        corrupt.product_rows()
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
