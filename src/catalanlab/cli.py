@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 from functools import reduce
@@ -79,16 +80,20 @@ def _family_spec(args):
 def _emit(args, payload, human_lines, csv_rows):
     """Write the payload in the chosen format.  Handlers compute their exit
     code first and emit last, so a closed stdout cannot change the code."""
+    if args.format == "json":
+        # Streamed chunk by chunk: the same bytes as json.dumps, without
+        # holding the whole document as one string.
+        _write(chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]))
+    elif args.format == "csv":
+        _write(csv_rows, csv.writer(sys.stdout, lineterminator="\n").writerows)
+    else:
+        _write(f"{line}\n" for line in human_lines)
+
+
+def _write(chunks, write=None):
+    """Write chunks to stdout with write (default: writelines) and flush."""
     try:
-        if args.format == "json":
-            # Streamed chunk by chunk: the same bytes as json.dumps, without
-            # holding the whole document as one string.
-            sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(payload))
-            sys.stdout.write("\n")
-        elif args.format == "csv":
-            csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
-        else:
-            sys.stdout.writelines(f"{line}\n" for line in human_lines)
+        (write or sys.stdout.writelines)(chunks)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (as `| head` does); that is not a
@@ -116,8 +121,11 @@ def _cmd_enum(args):
             [("family", "order"), (label, table.size)],
         )
         return 0
+    if args.products and args.format == "csv":
+        _write(chain(["i,j,k\n"], _product_csv_text(table)))
+        return 0
     if args.products:
-        # Human and csv output stream row by row; only json holds the list.
+        # Human output streams row by row; only json holds the list.
         triples = families.product_csv_rows(table)
         if args.format == "json":
             triples = list(triples)
@@ -126,7 +134,7 @@ def _cmd_enum(args):
             args,
             payload,
             (f"{i} {j} {k}" for i, j, k in triples),
-            chain([("i", "j", "k")], triples),
+            (),
         )
         return 0
     payload = families.table_json(table)
@@ -140,6 +148,18 @@ def _cmd_enum(args):
         rows.append((i, table.text_of(i), "" if h is None else h))
     _emit(args, payload, human, rows)
     return 0
+
+
+def _product_csv_text(table):
+    """The csv lines "i,j,k" of the product table, joined per row i by C
+    builtins: the same bytes as csv.writer, which formats each triple in
+    Python."""
+    m = table.size
+    middles = [f",{j}," for j in range(m)]
+    ends = [f"{k}\n" for k in range(m)]
+    for i, row in enumerate(table.product_rows()):
+        first = str(i)
+        yield first + first.join(map(operator.add, middles, map(ends.__getitem__, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +292,6 @@ def _cmd_rank(args):
             f"  published value {report.formula}"
             f" ({'agrees' if report.agrees else 'DISAGREES'})"
         )
-    if report.greedy:
-        human.append("  warning: table is not J-trivial; greedy upper bound only")
     rows = [("family", "rank", "formula", "agrees", "kind", "text")]
     base = (
         report.family,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations, repeat
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -132,6 +132,7 @@ class SemigroupTable:
         self.identity_index = self._find_identity()
         self._rows = None
         self._generators = None
+        self._generator_rows = None
 
     def __len__(self):
         return self.size
@@ -194,76 +195,120 @@ class SemigroupTable:
 
     @property
     def generators(self):
-        """The generating set the rows were built from, as a tuple of
-        indices, chosen greedily from the highest index down.  No rank
-        theorem is assumed; it is any set that reaches every element."""
+        """The generating set A the Cayley graphs are built over, as a
+        tuple of indices, chosen greedily from the highest index down.  No
+        rank theorem is assumed; it is any set that reaches every element."""
         if self._generators is None:
-            self.product_rows()
+            self._left_graph()
         return self._generators
+
+    def generator_rows(self):
+        """The left Cayley graph: for each g in A, in the order of
+        self.generators, the row g.x for every x.  Built once, in
+        O(m |A|) compositions on packed images."""
+        if self._generator_rows is None:
+            self._left_graph()
+        return self._generator_rows
+
+    def generator_columns(self):
+        """The right Cayley graph: for each g in A, in the order of
+        self.generators, the column x.g for every x."""
+        return self.columns(self.generators)
+
+    def columns(self, indices):
+        """For each index a, the column x.a for every x.  Composed on each
+        call and not kept: the callers (R, J, closure) are memoized or run
+        once, and keeping columns cost more battery peak memory than
+        composing them again saves."""
+        return tuple(map(self._composer(left=False), indices))
 
     def product_rows(self):
         """The full table as a tuple of row tuples; built once, then cached.
 
-        A generating set A grows greedily: the highest unreached index
-        joins A and a breadth-first search over x -> g.x (g in A) extends
-        the reach, until every element is reached.  A generator's row is
-        composed directly on images; every other element y is found as
-        g.x, so its row is y.j = g.(x.j), the generator's row read at the
-        positions of x's row.  Such a y differs from the first generator,
-        so m >= 2 there and itemgetter over x's row returns a tuple.
+        Derived from the left Cayley graph: a breadth-first search from A
+        over x -> g.x reaches every element, and when y = g.x is first
+        reached its row is y.j = g.(x.j), g's row read at the positions of
+        x's row.  Such a y is not the first generator, so m >= 2 there
+        and itemgetter over x's row returns a tuple.  Only callers that
+        read whole rows need this; the Cayley graphs above hold O(m |A|)
+        entries instead of m^2.
         """
         if self._rows is not None:
             return self._rows
-        m, n = self.size, self.family.n
-        # Images packed into bytes, 0 for a point outside the domain.  The
-        # Rees zero stands in as the empty map: the quotient collapses the
-        # whole lower ideal into it.
+        rows = [None] * self.size
+        pairs = list(zip(self.generators, self.generator_rows()))
+        for g, row_g in pairs:
+            rows[g] = row_g
+        queue = list(self.generators)
+        for x in queue:
+            row_x = rows[x]
+            for g, row_g in pairs:
+                y = row_g[x]
+                if rows[y] is None:
+                    rows[y] = itemgetter(*row_x)(row_g)
+                    queue.append(y)
+        self._rows = tuple(rows)
+        return self._rows
+
+    def _left_graph(self):
+        """Choose A and compose its rows.  The highest unreached index joins
+        A, and a breadth-first search over x -> g.x (g in A) extends the
+        reach, until every element is reached."""
+        m = self.size
+        row_of = self._composer(left=True)
+        reached = bytearray(m)
+        gens, gen_rows = [], []
+        for top in range(m - 1, -1, -1):
+            if reached[top]:
+                continue
+            row_g = row_of(top)
+            gens.append(top)
+            gen_rows.append(row_g)
+            # The new generator and its products with everything reached so
+            # far, then every generator times each new element, level by level.
+            found = {top}.union(compress(row_g, reached))
+            while found:
+                fresh = [y for y in found if not reached[y]]
+                for y in fresh:
+                    reached[y] = 1
+                found = set().union(*(map(row.__getitem__, fresh) for row in gen_rows))
+        self._generators = tuple(gens)
+        self._generator_rows = tuple(gen_rows)
+
+    def _composer(self, left):
+        """A function from an index a to the row a.x (left) or the column
+        x.a for every x, composed on packed images.  Each element's images
+        are packed into bytes (0 for a point outside the domain); sending
+        one element's images on through another's translate table gives the
+        composite's images, which an index of the packed images turns into
+        a table index.  The Rees zero stands in as the empty map: the
+        quotient collapses the whole lower ideal into it.  The packing lives
+        only as long as the function."""
+        n = self.family.n
         images = [
             bytes(n) if el is REES_ZERO else bytes(a or 0 for a in el.img)
             for el in self.elements
         ]
-        index = dict(zip(images, range(m)))
-        # Each element as a bytes.translate table: point a goes to its image.
-        pad = bytes(255 - n)
-        maps = [b"\0" + img + pad for img in images]
-        rows = [None] * m  # rows[x] is set once x is reached
-        gens = []
-        for top in range(m - 1, -1, -1):
-            if rows[top] is not None:
-                continue
-            gens.append(top)
-            row_g = rows[top] = self._generator_row(top, images[top], maps, index)
-            fresh = [top]
-            for x in range(m):  # the new generator times reached elements
-                y = row_g[x]
-                if rows[y] is None and rows[x] is not None:
-                    rows[y] = itemgetter(*rows[x])(row_g)
-                    fresh.append(y)
-            for x in fresh:  # every generator times new elements
-                row_x = rows[x]
-                for g in gens:
-                    row_g = rows[g]
-                    y = row_g[x]
-                    if rows[y] is None:
-                        rows[y] = itemgetter(*row_x)(row_g)
-                        fresh.append(y)
-        self._generators = tuple(gens)
-        self._rows = tuple(rows)
-        return self._rows
+        index = dict(zip(images, range(self.size)))
+        maps = list(map(_translate_table, images)) if left else None
 
-    def _generator_row(self, g, image, maps, index):
-        """Row g.x for every x, composed on images: g's images, each sent
-        on through x, looked up in the image index."""
-        compose = image.translate
-        row = list(map(index.get, map(compose, maps)))
-        if None in row:
-            for x, k in enumerate(row):
-                if k is None:
-                    # A collapsed composite joins the index, so each
-                    # distinct one is checked once per table build.
-                    composite = compose(maps[x])
-                    row[x] = index[composite] = self._collapse(composite, g, x)
-        return tuple(row)
+        def compose(a):
+            if left:
+                composites = map(images[a].translate, maps)
+            else:
+                composites = map(bytes.translate, images, repeat(_translate_table(images[a])))
+            out = list(map(index.get, composites))
+            if None in out:
+                for x, found in enumerate(out):
+                    if found is None:
+                        # A collapsed composite joins the index, so each
+                        # distinct one is checked once per composer.
+                        i, j = (a, x) if left else (x, a)
+                        composite = images[i].translate(_translate_table(images[j]))
+                        out[x] = index[composite] = self._collapse(composite, i, j)
+            return tuple(out)
+
+        return compose
 
     def _collapse(self, composite, i, j):
         """Index of a composite missing from the image index: the Rees zero
@@ -275,6 +320,12 @@ class SemigroupTable:
             f"{self.family.label()} is not closed: the product of"
             f" {self.text_of(i)} and {self.text_of(j)} is not in the table"
         )
+
+
+def _translate_table(image):
+    """A packed image as a bytes.translate table: point a goes to its
+    image, so x's images sent through it are the images of x then a."""
+    return b"\0" + image + bytes(255 - len(image))
 
 
 def _images_for_domain(dom):

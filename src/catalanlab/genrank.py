@@ -1,4 +1,4 @@
-"""Generating sets, ranks, constructive factorizations, and maximal
+r"""Generating sets, ranks, constructive factorizations, and maximal
 subsemigroups.
 
 The rank computation rests on one fact about these tables: call an
@@ -7,13 +7,41 @@ different from it.  Any generating set must contain every indecomposable
 (a shortest product expression for a missing one would exhibit two
 smaller factors), and on a J-trivial table the indecomposables generate,
 so they form the unique minimum generating set.  Both halves are checked
-computationally, never assumed.
+computationally, never assumed: J-triviality by the strongly connected
+components of the Cayley graphs (greens), and generation by closure.
+
+Everything here reads the Cayley graphs over the table's generating set
+A (table.generators): the rows g.x and columns x.g for g in A, O(m |A|)
+entries for m elements.  The m x m product table is never built.
+
+Indecomposables from the generator rows.  Let S be J-trivial and
+generated by A.  Then a is indecomposable exactly when a is in A and no
+g in A \ {a} and x != a give g.x = a.
+
+  If a is not in A, a shortest word g_1 ... g_k for a over A has k >= 2,
+  and a = g_1 . (g_2 ... g_k) with g_1 != a (a is not in A) and
+  g_2 ... g_k != a (it has a shorter word), so a is decomposable.  If
+  a is indecomposable, no g.x = a has both factors different from a.
+  Conversely, let a in A be decomposable, a = b.c with b, c != a.  Both
+  factors lie J-above a, and strictly so, as S is J-trivial.  A word over
+  A for b that used a would put b J-below a, so b and c are products over
+  A \ {a}, and so is a.  A shortest such word h_1 ... h_k has k >= 2,
+  as a is not in A \ {a}; g = h_1 and x = h_2 ... h_k then give
+  g.x = a with g in A \ {a}, and x != a, as x has a shorter word.
+
+So the test reads each generator row once in C (a set intersection with
+A, then a count of each generator found), O(m |A|) in all; it assumes no
+rank formula from the paper.
+
+Costs, for m elements, generating set A and G the indices passed in:
+the Cayley graphs O(m |A|) compositions on packed images; the
+J-triviality check O(m |A|) (Tarjan); indecomposables O(m |A|);
+closure(G) O(m |G|) compositions plus O(|<G>| |G|) steps.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import families, formulas, greens, pinj, structure
 from .errors import (
@@ -25,47 +53,53 @@ from .errors import (
 
 
 def closure(table, generators):
-    """Indices of the subsemigroup generated by the given indices."""
-    rows = table.product_rows()
-    seen = [False] * table.size
-    start = []
+    """Indices of the subsemigroup generated by the given indices.
+
+    A breadth-first search from G over x -> x.g (g in G): every product
+    g_1 ... g_k is reached from g_1 by right multiplications.  G may be
+    any set of indices, not only generators of the table; each column
+    x.g is composed on packed images (table.columns), O(m) per element
+    of G, and the search takes O(|<G>| |G|) steps, not O(|<G>|^2).
+    """
+    seen = bytearray(table.size)
+    queue = []
     for g in generators:
         if not 0 <= g < table.size:
             raise ValidationError(f"generator index {g} out of range")
         if not seen[g]:
-            seen[g] = True
-            start.append(g)
-    queue = deque(start)
-    acc = []
-    while queue:
-        x = queue.popleft()
-        row_x = rows[x]
-        for y in acc:
-            for z in (row_x[y], rows[y][x]):
-                if not seen[z]:
-                    seen[z] = True
-                    queue.append(z)
-        z = row_x[x]
-        if not seen[z]:
-            seen[z] = True
-            queue.append(z)
-        acc.append(x)
-    return frozenset(i for i in range(table.size) if seen[i])
+            seen[g] = 1
+            queue.append(g)
+    columns = table.columns(queue)
+    for x in queue:
+        for col in columns:
+            y = col[x]
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+    return frozenset(queue)
 
 
 def indecomposables(table):
     """Elements that are not products of two others: a is decomposable
-    when a = b c with b != a and c != a (b = c allowed)."""
-    rows = table.product_rows()
-    m = table.size
-    decomposable = [False] * m
-    for i in range(m):
-        row = rows[i]
-        for j in range(m):
-            k = row[j]
-            if k != i and k != j:
-                decomposable[k] = True
-    return frozenset(i for i in range(m) if not decomposable[i])
+    when a = b c with b != a and c != a (b = c allowed).
+
+    On a J-trivial table these are the generators a in A such that no
+    row g.x of another generator g holds a at a position x != a (see the
+    module docstring for the proof).  A table that is not J-trivial is
+    refused.
+    """
+    if not is_jtrivial(table):
+        raise UnsupportedTableError("indecomposables need a J-trivial table")
+    gens = frozenset(table.generators)
+    # row.count(a) - (row[a] == a) counts the x != a with g.x = a; only
+    # the generators that occur in the row at all are counted.
+    decomposable = {
+        a
+        for g, row in zip(table.generators, table.generator_rows())
+        for a in gens.intersection(row)
+        if a != g and row.count(a) - (row[a] == a)
+    }
+    return gens - decomposable
 
 
 def is_jtrivial(table):
@@ -110,7 +144,6 @@ class GeneratorReport:
     formula: int | None = None
     agrees: bool | None = None
     jtrivial: bool = True
-    greedy: bool = False
 
     def as_dict(self):
         out = {
@@ -122,8 +155,6 @@ class GeneratorReport:
         if self.formula is not None:
             out["formula"] = self.formula
             out["agrees"] = self.agrees
-        if self.greedy:
-            out["greedy"] = True
         return out
 
 
@@ -146,35 +177,17 @@ def _group_generators(table, gens):
     return out
 
 
-def _greedy_minimize(table):
-    everything = frozenset(range(table.size))
-    gens = list(range(table.size))
-    for x in sorted(gens, reverse=True):
-        trial = [g for g in gens if g != x]
-        if closure(table, trial) == everything:
-            gens = trial
-    return frozenset(gens)
-
-
 def minimal_generating_set(table):
-    """Minimum generating set and rank.
-
-    On a J-trivial table this is exact: the indecomposables, verified to
-    generate.  Otherwise a greedy pass runs and the report carries the
-    greedy flag, since greedy results need not reach the true rank.
-    """
-    everything = frozenset(range(table.size))
-    jt = is_jtrivial(table)
-    if jt:
-        gens = indecomposables(table)
-        if closure(table, gens) != everything:
-            raise InvariantError(
-                "indecomposables fail to generate a J-trivial table; table is corrupt"
-            )
-        greedy = False
-    else:
-        gens = _greedy_minimize(table)
-        greedy = True
+    """Minimum generating set and rank of a J-trivial table: the
+    indecomposables, verified to generate.  A table that is not
+    J-trivial is refused, since no exact method for it is implemented."""
+    if not is_jtrivial(table):
+        raise UnsupportedTableError("rank computation needs a J-trivial table")
+    gens = indecomposables(table)
+    if closure(table, gens) != frozenset(range(table.size)):
+        raise InvariantError(
+            "indecomposables fail to generate a J-trivial table; table is corrupt"
+        )
     spec = getattr(table, "family", None)
     formula = formulas.rank_formula(spec) if isinstance(spec, families.FamilySpec) else None
     return GeneratorReport(
@@ -183,21 +196,13 @@ def minimal_generating_set(table):
         generators=_group_generators(table, gens),
         formula=formula,
         agrees=None if formula is None else (formula == len(gens)),
-        jtrivial=jt,
-        greedy=greedy,
     )
 
 
-def no_smaller_generating_set(table, max_size=60):
+def no_smaller_generating_set(table):
     """Certificate that dropping any single minimum generator loses
     elements.  Exhaustive over the indecomposables, which every
-    generating set must contain; guarded by a table-size cap."""
-    if table.size > max_size:
-        raise ValidationError(
-            f"certificate capped at {max_size} elements, table has {table.size}"
-        )
-    if not is_jtrivial(table):
-        raise UnsupportedTableError("certificate needs a J-trivial table")
+    generating set must contain."""
     everything = frozenset(range(table.size))
     gens = sorted(indecomposables(table))
     for g in gens:
@@ -376,8 +381,8 @@ def maximal_subsemigroups(table):
     indices whose complements they are.
 
     They are exactly the complements of single minimum generators.  Each
-    complement is closed because the indecomposables scan found no
-    product of two other elements equal to its removed element, and
+    complement is closed because its removed element is indecomposable,
+    no product of two other elements (see the module docstring), and
     maximal because it misses a single element.  No other maximal
     subsemigroup exists because the generation check below shows the
     indecomposables generate: any proper subsemigroup misses one of
@@ -387,8 +392,7 @@ def maximal_subsemigroups(table):
     """
     if not is_jtrivial(table):
         raise UnsupportedTableError("maximal subsemigroup search needs a J-trivial table")
-    everything = frozenset(range(table.size))
     gens = indecomposables(table)
-    if closure(table, gens) != everything:
+    if closure(table, gens) != frozenset(range(table.size)):
         raise InvariantError("indecomposables fail to generate; table is corrupt")
     return sorted(gens)

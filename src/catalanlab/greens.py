@@ -4,7 +4,9 @@ The classical relations come from the Cayley graphs over the table's
 generating set A: x -> xg is the right graph and x -> gx the left one
 (g in A).  xS^1 is what x reaches in the right graph, so R is its
 strongly connected components; L is those of the left graph and J those
-of the union of both.  Tarjan's algorithm finds them in O(m |A|).
+of the union of both.  Tarjan's algorithm finds them in O(m |A|).  The
+graphs are the table's generator rows and columns, composed on packed
+images; the classical relations never build the m x m product rows.
 
 The starred relations are computed from their defining witnesses, not
 from any structural shortcut: a and b are L*-related exactly when the
@@ -145,16 +147,13 @@ def _green(table, which):
         if joined != _memoized(table, "J", _green, "J"):
             raise InvariantError("D and J disagree on a finite table; table is corrupt")
         return joined
-    rows, gens = table.product_rows(), table.generators
-    xs = range(table.size)
+    # The successors of x are read across the generator rows or columns.
     if which == "L":
-        return _components([[rows[g][x] for g in gens] for x in xs])
+        return _components(list(zip(*table.generator_rows())))
     if which == "R":
-        return _components([[rows[x][g] for g in gens] for x in xs])
+        return _components(list(zip(*table.generator_columns())))
     # which == "J": the union of the two graphs
-    return _components([
-        [rows[g][x] for g in gens] + [rows[x][g] for g in gens] for x in xs
-    ])
+    return _components(list(zip(*table.generator_rows(), *table.generator_columns())))
 
 
 def _components(successors):

@@ -14,6 +14,15 @@ entry and Green's relations read off principal ideals as sets.  The
 library builds rows from a generating set and takes L, R and J as
 strongly connected components of Cayley graphs; these are the oracles
 for both, over DIFFERENTIAL_SPECS.
+
+oracle_closure and oracle_indecomposables read every pair of the direct
+table: a pairwise search and a scan of all m^2 products.  The library
+reads only the Cayley graphs over the generating set; these are the
+oracles it is checked against.
+
+row_builds makes enumerate_family return fresh, uncached tables and
+counts the full product tables built, for the tests that check which
+commands build none.
 """
 
 from collections import defaultdict
@@ -133,3 +142,50 @@ def transitive_closure_join(p1, p2, size):
             seen[x] = True
         groups.append(block)
     return IndexPartition.from_groups(size, groups)
+
+
+def oracle_closure(table, generators):
+    """The subsemigroup generated by the given indices, by a pairwise
+    search over the direct table: each new element is multiplied on both
+    sides by everything found so far."""
+    rows = direct_rows(table)
+    acc, queue = [], list(dict.fromkeys(generators))
+    seen = set(queue)
+    while queue:
+        x = queue.pop()
+        for y in acc + [x]:
+            for z in (rows[x][y], rows[y][x]):
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+        acc.append(x)
+    return frozenset(seen)
+
+
+def oracle_indecomposables(table):
+    """Elements that are not a product b c with b and c both different
+    from them, by a scan of every entry of the direct table."""
+    rows = direct_rows(table)
+    m = table.size
+    decomposable = {
+        rows[b][c] for b in range(m) for c in range(m)
+        if rows[b][c] not in (b, c)
+    }
+    return frozenset(range(m)) - decomposable
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """A list of the tables whose full product rows get built, while
+    enumerate_family returns a fresh table on every call."""
+    built = []
+    product_rows = families.SemigroupTable.product_rows
+
+    def counted(table):
+        if table._rows is None:
+            built.append(table)
+        return product_rows(table)
+
+    monkeypatch.setattr(families.SemigroupTable, "product_rows", counted)
+    monkeypatch.setattr(families, "_build_table", families._build_table.__wrapped__)
+    return built

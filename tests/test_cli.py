@@ -332,6 +332,36 @@ def test_rank_reports_the_disagreement_without_failing(capsys):
     assert "DISAGREES" in out
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_rank_refuses_a_table_that_is_not_jtrivial(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "rank", "--family", "syminv", "--n", "3", "--format", fmt
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank computation needs a J-trivial table\n"
+
+
+def test_rank_and_maximal_build_no_full_table(capsys, row_builds):
+    for argv in (
+        ("rank", "--family", "qprime", "--n", "6", "--show-generators"),
+        ("maximal", "--family", "icn", "--n", "6"),
+        ("greens", "--family", "rq", "--n", "6", "--p", "3", "--relation", "J"),
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert row_builds == []
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_enum_products_builds_the_table_once(capsys, row_builds, fmt):
+    code, out, _ = run_cli(
+        capsys, "enum", "--family", "qprime", "--n", "4", "--products", "--format", fmt
+    )
+    assert code == 0 and out
+    assert len(row_builds) == 1
+
+
 def test_rank_csv_with_generators(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -156,6 +156,19 @@ def test_product_rows_match_direct_products(spec):
     assert table.product_rows() == direct_rows(table)
 
 
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_cayley_graphs_match_direct_products(spec):
+    table = families.enumerate_family(spec)
+    want = direct_rows(table)
+    gens = table.generators
+    assert table.generator_rows() == tuple(want[g] for g in gens)
+    assert table.generator_columns() == tuple(
+        tuple(row[g] for row in want) for g in gens
+    )
+    # a column outside the generating set is composed the same way
+    assert table.columns(range(table.size)) == tuple(zip(*want))
+
+
 def test_product_rows_of_i5_match_direct_products_on_a_sample():
     # I_5 is not J-trivial and its left search is deep; its 2.4M direct
     # products take seconds, so the generator rows, which are composed

@@ -1,10 +1,16 @@
 """Generation, rank, factorizations, and maximal subsemigroups."""
 
+import random
 from functools import reduce
 
 import pytest
+from conftest import (
+    DIFFERENTIAL_SPECS,
+    oracle_closure,
+    oracle_indecomposables,
+)
 
-from catalanlab import families, genrank, pinj
+from catalanlab import families, genrank, greens, pinj
 from catalanlab.errors import (
     ContractError,
     UnsupportedTableError,
@@ -27,18 +33,6 @@ FAMILY_TABLES = [
 
 def table(kind, n, p=None):
     return families.enumerate_family(FamilySpec(kind, n, p))
-
-
-def oracle_indecomposables(t):
-    rows = t.product_rows()
-    m = t.size
-    decomposable = set()
-    for b in range(m):
-        for c in range(m):
-            a = rows[b][c]
-            if b != a and c != a:
-                decomposable.add(a)
-    return frozenset(set(range(m)) - decomposable)
 
 
 def brute_force_maximal(t):
@@ -207,7 +201,7 @@ def test_minimal_generating_set_report_shape():
     report = genrank.minimal_generating_set(table("icn", 2))
     assert report.family == "IC_2"
     assert report.rank == 4
-    assert report.jtrivial and not report.greedy
+    assert report.jtrivial
     assert report.generators == {
         "idempotents": ["2:1>1", "2:2>2"],
         "essentials": ["2:2>1"],
@@ -225,18 +219,24 @@ def test_identity_free_chain_four_rank_disagrees_with_the_formula():
     assert report.agrees is False
 
 
-def test_greedy_fallback_on_non_jtrivial_tables():
-    report = genrank.minimal_generating_set(table("syminv", 2))
-    assert report.greedy and not report.jtrivial
-    assert "formula" not in report.as_dict()
-    assert report.rank >= 1
+def test_tables_that_are_not_jtrivial_are_refused():
+    for n in (2, 4):
+        t = table("syminv", n)
+        for compute in (
+            genrank.minimal_generating_set,
+            genrank.indecomposables,
+            genrank.maximal_subsemigroups,
+            genrank.no_smaller_generating_set,
+        ):
+            with pytest.raises(UnsupportedTableError, match="needs? a J-trivial table"):
+                compute(t)
 
 
 def test_no_smaller_generating_set_certificates():
     assert genrank.no_smaller_generating_set(table("icn", 3))
     assert genrank.no_smaller_generating_set(table("qprime", 4))
-    with pytest.raises(ValidationError):
-        genrank.no_smaller_generating_set(table("icn", 5))
+    # no size cap: IC_5 has 132 elements
+    assert genrank.no_smaller_generating_set(table("icn", 5))
     with pytest.raises(UnsupportedTableError):
         genrank.no_smaller_generating_set(table("syminv", 2))
 
@@ -471,3 +471,44 @@ def test_maximal_subsemigroups_really_are_closed_and_maximal():
 def test_maximal_subsemigroups_needs_jtriviality():
     with pytest.raises(UnsupportedTableError):
         genrank.maximal_subsemigroups(table("syminv", 2))
+
+
+# ------------------------------------------- differential against the oracles
+
+JTRIVIAL_SPECS = [spec for spec in DIFFERENTIAL_SPECS if spec.kind != "syminv"]
+
+
+@pytest.mark.parametrize("spec", JTRIVIAL_SPECS, ids=lambda s: s.label())
+def test_rank_and_maximal_match_the_oracles(spec):
+    t = families.enumerate_family(spec)
+    want = oracle_indecomposables(t)
+    assert genrank.indecomposables(t) == want
+    assert genrank.maximal_subsemigroups(t) == sorted(want)
+    assert genrank.minimal_generating_set(t).rank == len(want)
+    assert oracle_closure(t, want) == frozenset(range(t.size))
+
+
+@pytest.mark.parametrize("spec", JTRIVIAL_SPECS, ids=lambda s: s.label())
+def test_closure_matches_the_oracle(spec):
+    t = families.enumerate_family(spec)
+    rng = random.Random(spec.n * 100 + (spec.p or 0))
+    layers = {}
+    for i in range(t.size):
+        layers.setdefault(t.height_of(i), []).append(i)
+    subsets = list(layers.values())
+    subsets += [rng.sample(range(t.size), min(k, t.size)) for k in (1, 2, 3, 5)]
+    for gens in subsets:
+        assert genrank.closure(t, gens) == oracle_closure(t, gens), gens
+
+
+def test_rank_maximal_generators_and_green_build_no_full_table(row_builds):
+    for spec in (FamilySpec("qprime", 6), FamilySpec("icn", 5), FamilySpec("rq", 5, 2)):
+        t = families.enumerate_family(spec)
+        assert t.generators
+        for which in greens.GREEN_NAMES:
+            greens.green(t, which)
+        genrank.minimal_generating_set(t)
+        genrank.maximal_subsemigroups(t)
+        genrank.no_smaller_generating_set(t)
+        genrank.closure(t, range(t.size))
+    assert row_builds == []
