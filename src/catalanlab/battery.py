@@ -21,7 +21,7 @@ from . import families, formulas, genrank, greens, pinj, structure
 from .errors import CapExceededError, ValidationError
 
 DEFAULT_STARRED_CAP = 5
-BATTERY_STARRED_CEILING = 6
+BATTERY_STARRED_CEILING = 7
 
 ICN, QPRIME, SYMINV = families.KIND_ICN, families.KIND_QPRIME, families.KIND_SYMINV
 K, M, RIC, RQ = families.KIND_K, families.KIND_M, families.KIND_RIC, families.KIND_RQ

@@ -90,6 +90,11 @@ def indecomposables(table):
     """
     if not is_jtrivial(table):
         raise UnsupportedTableError("indecomposables need a J-trivial table")
+    return _indecomposables(table)
+
+
+def _indecomposables(table):
+    """indecomposables on a table already checked to be J-trivial."""
     gens = frozenset(table.generators)
     # row.count(a) - (row[a] == a) counts the x != a with g.x = a; only
     # the generators that occur in the row at all are counted.
@@ -183,7 +188,7 @@ def minimal_generating_set(table):
     J-trivial is refused, since no exact method for it is implemented."""
     if not is_jtrivial(table):
         raise UnsupportedTableError("rank computation needs a J-trivial table")
-    gens = indecomposables(table)
+    gens = _indecomposables(table)
     if closure(table, gens) != frozenset(range(table.size)):
         raise InvariantError(
             "indecomposables fail to generate a J-trivial table; table is corrupt"
@@ -392,7 +397,7 @@ def maximal_subsemigroups(table):
     """
     if not is_jtrivial(table):
         raise UnsupportedTableError("maximal subsemigroup search needs a J-trivial table")
-    gens = indecomposables(table)
+    gens = _indecomposables(table)
     if closure(table, gens) != frozenset(range(table.size)):
         raise InvariantError("indecomposables fail to generate; table is corrupt")
     return sorted(gens)

@@ -14,12 +14,45 @@ maps x -> ax and x -> bx induce the same kernel on the table with an
 identity formally adjoined (no adjunction when the table already has
 one).  Structural characterizations (same image, same domain, same
 height) are built with partition_by and compared by the battery and the
-tests, as the independent cross-check.  Each kernel signature is built by
-C builtins (a dict from value to first position, read back with map).
-R* reads the columns lazily with zip(*rows), one column alive at a time:
-reading each one with operator.itemgetter instead measured several MB
-more peak RSS on Q'_7 and IC_7 for the same heap.  star_ideal reads the
-single column it needs with itemgetter.  No m x m transpose is built.
+tests, as the independent cross-check.
+
+Kernel keys.  Each row (for L*) and each column (for R*) is read once:
+its values are labelled in order of first occurrence (dict.fromkeys),
+and the labels, read back along the line (packed into bytes when there
+are at most 256), are its key.  The adjoined identity is a second key
+component, the label of a in line a (a.1 = a), or -1 when a does not
+occur in it; the line is never copied.  Elements are bucketed by key as
+the keys are made, so only one key per class is kept.  R* streams its
+columns with zip(*rows), one column alive at a time: no m x m transpose
+is built: holding one raised the peak RSS of the Q'_7 commands of the
+`tables` benchmark to 39.8 MB, above that workload's 35.3 MB peak.
+
+J* as strongly connected components.  Take the *-graph on S with edges
+x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
+each R*-class.  The principal *-ideal J*(a), the least set containing a
+that is an ideal of S and a union of L*- and R*-classes, is exactly the
+set of elements a reaches in this graph.
+
+  What a reaches contains a, is closed under left and right
+  multiplication by A, and so by all of S (every element is a product
+  over A), and it holds the whole L*- and R*-class of each of its
+  elements (the cycles); so it contains J*(a).  Conversely J*(a), being
+  an ideal and a union of L*- and R*-classes, has no edge leaving it, so
+  nothing a reaches lies outside it.
+
+So a J* b exactly when a and b reach each other: J* is the partition
+into strongly connected components.  L*-related elements lie on one
+cycle and so do R*-related ones, so every D*-class (the join of L* and
+R*) lies inside one component.  The components can therefore be found
+on the much smaller quotient graph whose nodes are the D*-classes: the
+cycles fall inside the nodes, and class C has an edge to the class of
+g.x and of x.g for each x in C.  Tarjan's routine above finds them.
+This reads O(m |A|) entries; saturating each ideal as a set, as
+star_ideal does, reads whole rows and columns per element reached.
+star_ideal stays as the definition-level oracle.  On every family table
+here J* equals D*, but not on every finite semigroup: the tests hold a
+33-element Rees quotient of a semigroup of partial maps where J* merges
+two D*-classes.
 
 The classical relations and L* and R* are computed once per table, and
 later calls return the same IndexPartition; H*, D* and J* are built from
@@ -35,6 +68,7 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
+from itertools import count
 from operator import itemgetter
 
 from . import pinj
@@ -220,13 +254,36 @@ def _join(p1, p2, m):
     return IndexPartition.from_groups(m, groups.values())
 
 
-def _kernel_key(values):
-    """Canonical signature of the kernel induced by a value row: position
-    i maps to the first position holding the same value, so two rows get
-    equal keys exactly when they induce the same kernel.  The work is done
-    by C builtins, with no Python-level loop."""
-    first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
-    return tuple(map(first.__getitem__, values))
+def _kernel_key(values, adjoined=None):
+    """Canonical signature of the kernel induced by a line of values (a
+    row a.x or a column x.a): each value is labelled in order of first
+    occurrence, so two lines get equal signatures exactly when they
+    induce the same kernel.  The labels are packed into bytes when they
+    fit, which hashes and stores faster; lines with equal kernels have
+    equally many labels, so they never differ in type.
+
+    With adjoined (the a of a.1 = 1.a = a for an identity formally
+    adjoined), the kernel also covers that extra position, which joins
+    the block of the positions holding adjoined: the key gains the label
+    of adjoined, or -1 when no position holds it.  The line is not
+    copied.  The work is done by C builtins, with no Python-level loop.
+    """
+    labels = dict(zip(dict.fromkeys(values), count()))
+    signature = map(labels.__getitem__, values)
+    signature = bytes(signature) if len(labels) <= 256 else tuple(signature)
+    if adjoined is None:
+        return signature
+    return signature, labels.get(adjoined, -1)
+
+
+def _kernel_partition(table, lines):
+    """Elements a with equal kernels of line a, over the table with an
+    identity adjoined when it has none; each line is read once."""
+    adjoin = table.identity_index is None
+    buckets = defaultdict(list)
+    for a, line in enumerate(lines):
+        buckets[_kernel_key(line, a if adjoin else None)].append(a)
+    return IndexPartition.from_groups(table.size, buckets.values())
 
 
 def starred_L(table):
@@ -236,12 +293,7 @@ def starred_L(table):
 
 
 def _starred_L(table):
-    rows = table.product_rows()
-    if table.identity_index is None:
-        keys = [_kernel_key((*row, a)) for a, row in enumerate(rows)]
-    else:
-        keys = [_kernel_key(row) for row in rows]
-    return IndexPartition.from_keys(keys)
+    return _kernel_partition(table, table.product_rows())
 
 
 def starred_R(table):
@@ -250,12 +302,8 @@ def starred_R(table):
 
 
 def _starred_R(table):
-    rows = table.product_rows()
-    adjoin = table.identity_index is None
-    keys = []
-    for a, col in enumerate(zip(*rows)):
-        keys.append(_kernel_key((*col, a) if adjoin else col))
-    return IndexPartition.from_keys(keys)
+    # zip(*rows) streams the columns, one alive at a time.
+    return _kernel_partition(table, zip(*table.product_rows()))
 
 
 def starred_H(table):
@@ -272,7 +320,10 @@ def starred_D(table):
 
 def star_ideal(table, a):
     """The principal *-ideal of a: the least set containing a that is an
-    ideal and a union of L*- and R*-classes."""
+    ideal and a union of L*- and R*-classes.
+
+    The definition, saturated set by set: the oracle starred_J is tested
+    against, which starred_J itself never calls."""
     rows = table.product_rows()
     lstar = starred_L(table)
     rstar = starred_R(table)
@@ -292,19 +343,29 @@ def star_ideal(table, a):
 
 
 def starred_J(table):
-    """J*: equality of principal *-ideals.
+    """J*: equality of principal *-ideals, as strongly connected
+    components (see the module docstring for the proof).
 
-    Elements joined by D* share their *-ideal, so one saturation per
-    D*-class suffices; classes with equal ideals are then merged.
+    The components are taken on the quotient graph of D*-classes: class
+    C has an edge to the D*-class of g.x and of x.g for every x in C and
+    g in A.  g.x is read from the generator rows and x.g off x's row, so
+    no column is composed.  A duck-typed table without generators uses
+    every element as A.
     """
-    lstar = starred_L(table)
-    rstar = starred_R(table)
-    dstar = _join(lstar, rstar, table.size)
-    ideal_groups = defaultdict(list)
-    for members in dstar.classes:
-        ideal = star_ideal(table, members[0])
-        ideal_groups[ideal].extend(members)
-    return IndexPartition.from_groups(table.size, ideal_groups.values())
+    rows = table.product_rows()
+    gens = getattr(table, "generators", range(table.size))
+    dstar = starred_D(table)
+    dclass = dstar.class_of
+    class_id = dclass.__getitem__
+    successors = [set() for _ in dstar.classes]
+    # zip(*generator rows) gives, for each x, the tuple of g.x over A.
+    lefts = zip(*map(rows.__getitem__, gens))
+    for c, row_x, left in zip(dclass, rows, lefts):
+        out = successors[c]
+        out.update(map(class_id, left))
+        out.update(map(class_id, map(row_x.__getitem__, gens)))
+    components = _components(successors).class_of
+    return IndexPartition.from_keys([components[c] for c in dclass])
 
 
 def starred(table, which):

@@ -8,6 +8,8 @@ product table, never just a bare False.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import getitem, itemgetter, ne, or_
 
 from . import greens
 from .errors import ValidationError
@@ -184,12 +186,63 @@ def _ample_leg_star(table, rows, lstar, star_of, a, e):
     return True, None
 
 
+def _per_element(part, per_class):
+    """The class-indexed idempotents of _unique_idempotent_map, per element:
+    the index for each element, or 0 where its class has none, plus a
+    flag per element marking those gaps."""
+    found = [per_class[c] for c in part.class_of]
+    return [i or 0 for i in found], [i is None for i in found]
+
+
+def _plus_failures(rows, rstar, plus_of):
+    """e -> flags over every a: whether ae = (ae)+ a fails at a, its
+    precondition gap included.  Read down the column of e, in C."""
+    plus, gap = _per_element(rstar, plus_of)
+    plus_rows = list(map(rows.__getitem__, plus))
+    everyone = range(len(rows))
+
+    def failures(e):
+        col = list(map(itemgetter(e), rows))  # ae for each a
+        got = map(getitem, map(plus_rows.__getitem__, col), everyone)  # (ae)+ a
+        return map(or_, map(gap.__getitem__, col), map(ne, got, col))
+
+    return failures
+
+
+def _star_failures(rows, lstar, star_of):
+    """e -> flags over every a: whether ea = a (ea)* fails at a, its
+    precondition gap included.  Read along the row of e, in C."""
+    star, gap = _per_element(lstar, star_of)
+
+    def failures(e):
+        row = rows[e]  # ea for each a
+        got = map(getitem, rows, map(star.__getitem__, row))  # a (ea)*
+        return map(or_, map(gap.__getitem__, row), map(ne, got, row))
+
+    return failures
+
+
+def _first_failure(size, idempotents, failures):
+    """The first (a, e) at which failures(e) flags a, ordered by a and then
+    by e in the order of idempotents; None when there is none.  Each e
+    scans only the a below the best found so far."""
+    best, limit = None, size
+    for e in idempotents:
+        a = next(compress(range(limit), failures(e)), None)
+        if a is not None:
+            best, limit = (a, e), a
+    return best
+
+
 def is_ample(table):
     """Adequate, plus both identities ea = a(ea)* and ae = (ae)+ a.
 
     (ea)* is the unique idempotent L*-related to ea, (ae)+ the unique
     idempotent R*-related to ae.  A class lacking a unique idempotent is
-    a precondition failure and is reported, not ignored.
+    a precondition failure and is reported, not ignored.  The witness is
+    the first failure over a, then e in the order of the idempotent set,
+    with the ea leg before the ae leg; the checks run one idempotent at
+    a time, down its row and column.
     """
     base = is_adequate(table)
     if not base.holds:
@@ -202,21 +255,26 @@ def is_ample(table):
     rstar = greens.starred_R(table)
     star_of = _unique_idempotent_map(lstar, idem_set)
     plus_of = _unique_idempotent_map(rstar, idem_set)
-    for a in range(table.size):
-        for e in idem_set:
-            for ok, witness in (
-                _ample_leg_star(table, rows, lstar, star_of, a, e),
-                _ample_leg_plus(table, rows, rstar, plus_of, a, e),
-            ):
-                if ok is not True:
-                    note = "precondition failure" if ok is None else None
-                    return PropertyReport("ample", _label(table), False, witness, note)
-    return PropertyReport("ample", _label(table), True)
+    star_failures = _star_failures(rows, lstar, star_of)
+    plus_failures = _plus_failures(rows, rstar, plus_of)
+    found = _first_failure(
+        table.size, idem_set, lambda e: map(or_, star_failures(e), plus_failures(e))
+    )
+    if found is None:
+        return PropertyReport("ample", _label(table), True)
+    legs = (
+        _ample_leg_star(table, rows, lstar, star_of, *found),
+        _ample_leg_plus(table, rows, rstar, plus_of, *found),
+    )
+    ok, witness = next(leg for leg in legs if leg[0] is not True)
+    note = "precondition failure" if ok is None else None
+    return PropertyReport("ample", _label(table), False, witness, note)
 
 
 def is_right_ample(table):
     """Right adequate, plus the one-sided identity ae = (ae)+ a for every
-    element a and idempotent e."""
+    element a and idempotent e; the first failure is reported as in
+    is_ample."""
     base = is_right_adequate(table)
     if not base.holds:
         return PropertyReport(
@@ -227,13 +285,12 @@ def is_right_ample(table):
     idem_set = set(idempotent_indices(table))
     rstar = greens.starred_R(table)
     plus_of = _unique_idempotent_map(rstar, idem_set)
-    for a in range(table.size):
-        for e in idem_set:
-            ok, witness = _ample_leg_plus(table, rows, rstar, plus_of, a, e)
-            if ok is not True:
-                note = "precondition failure" if ok is None else None
-                return PropertyReport("right-ample", _label(table), False, witness, note)
-    return PropertyReport("right-ample", _label(table), True)
+    found = _first_failure(table.size, idem_set, _plus_failures(rows, rstar, plus_of))
+    if found is None:
+        return PropertyReport("right-ample", _label(table), True)
+    ok, witness = _ample_leg_plus(table, rows, rstar, plus_of, *found)
+    note = "precondition failure" if ok is None else None
+    return PropertyReport("right-ample", _label(table), False, witness, note)
 
 
 def _inverse_ideal(sub, sup, require_left):

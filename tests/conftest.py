@@ -20,6 +20,13 @@ table: a pairwise search and a scan of all m^2 products.  The library
 reads only the Cayley graphs over the generating set; these are the
 oracles it is checked against.
 
+kernel_key and kernel_key_starred key each line by the first position of
+each value, over a copy of the line with a appended for an adjoined
+identity: a signature apart from the library's first-occurrence labels,
+which L* and R* are checked against.  star_ideal_J groups
+elements by greens.star_ideal, the saturated principal *-ideal, which is
+the oracle for J* as strongly connected components.
+
 row_builds makes enumerate_family return fresh, uncached tables and
 counts the full product tables built, for the tests that check which
 commands build none.
@@ -30,7 +37,7 @@ from functools import lru_cache
 
 import pytest
 
-from catalanlab import families
+from catalanlab import families, greens
 from catalanlab.families import KINDS_WITH_P, FamilySpec
 from catalanlab.greens import IndexPartition
 
@@ -172,6 +179,41 @@ def oracle_indecomposables(table):
         if rows[b][c] not in (b, c)
     }
     return frozenset(range(m)) - decomposable
+
+
+def kernel_key(values):
+    """Canonical signature of the kernel induced by a value row: position
+    i maps to the first position holding the same value, so two rows get
+    equal keys exactly when they induce the same kernel."""
+    first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+    return tuple(map(first.__getitem__, values))
+
+
+def kernel_key_starred(table, transpose):
+    """L* (R* when transposed) by kernel_key of each row (column), copied
+    with a appended when the table has no identity to stand for a.1."""
+    rows = table.product_rows()
+    lines = zip(*rows) if transpose else rows
+    if table.identity_index is None:
+        keys = [kernel_key((*line, a)) for a, line in enumerate(lines)]
+    else:
+        keys = [kernel_key(line) for line in lines]
+    return IndexPartition.from_keys(keys)
+
+
+def star_ideal_J(table, representatives=None):
+    """J* as the grouping of elements by their principal *-ideal,
+    saturated by greens.star_ideal.  With representatives (a D*-class
+    partition), one ideal is saturated per class, which D* lying inside
+    J* allows; the default saturates one per element."""
+    if representatives is None:
+        groups = [(a,) for a in range(table.size)]
+    else:
+        groups = representatives.classes
+    by_ideal = defaultdict(list)
+    for members in groups:
+        by_ideal[greens.star_ideal(table, members[0])].extend(members)
+    return IndexPartition.from_groups(table.size, by_ideal.values())
 
 
 @pytest.fixture

@@ -540,7 +540,7 @@ def test_verify_csv_header(capsys):
 def test_verify_validation_and_caps(capsys):
     code, _, _ = run_cli(capsys, "verify", "--n-max", "0")
     assert code == 2
-    code, _, _ = run_cli(capsys, "verify", "--n-max", "4", "--starred-n-max", "7")
+    code, _, _ = run_cli(capsys, "verify", "--n-max", "4", "--starred-n-max", "8")
     assert code == 3
 
 
@@ -552,7 +552,7 @@ def test_verification_report_direct_api():
     with pytest.raises(ValidationError):
         cli.verification_report(n_max=0)
     with pytest.raises(CapExceededError):
-        cli.verification_report(n_max=4, starred_n_max=7)
+        cli.verification_report(n_max=4, starred_n_max=8)
 
 
 # -------------------------------------------------------------- determinism

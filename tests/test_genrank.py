@@ -232,6 +232,35 @@ def test_tables_that_are_not_jtrivial_are_refused():
                 compute(t)
 
 
+def test_each_call_checks_j_triviality_once(monkeypatch):
+    asked = []
+    green = greens.green
+
+    def counted(table, which):
+        asked.append(which)
+        return green(table, which)
+
+    monkeypatch.setattr(greens, "green", counted)
+    t = table("qprime", 4)
+    for compute in (
+        genrank.minimal_generating_set,
+        genrank.maximal_subsemigroups,
+        genrank.indecomposables,
+    ):
+        asked.clear()
+        compute(t)
+        assert asked == ["J"], compute.__name__
+    # each refusal keeps its own message
+    i3 = table("syminv", 3)
+    for compute, message in (
+        (genrank.minimal_generating_set, "rank computation needs"),
+        (genrank.maximal_subsemigroups, "maximal subsemigroup search needs"),
+        (genrank.indecomposables, "indecomposables need"),
+    ):
+        with pytest.raises(UnsupportedTableError, match=message):
+            compute(i3)
+
+
 def test_no_smaller_generating_set_certificates():
     assert genrank.no_smaller_generating_set(table("icn", 3))
     assert genrank.no_smaller_generating_set(table("qprime", 4))

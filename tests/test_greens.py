@@ -6,6 +6,7 @@ hold for exactly the same pairs x, y over the table with an identity
 adjoined if the table lacks one.  Same idea, transposed, for R*.
 """
 
+import random
 from collections import defaultdict
 from itertools import combinations
 
@@ -13,9 +14,12 @@ import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
     green_by_ideals,
+    kernel_key,
+    kernel_key_starred,
     related_pairs,
     relation_compose,
     relation_pairs,
+    star_ideal_J,
     transitive_closure_join,
 )
 from test_structure import FakeTable
@@ -185,15 +189,145 @@ def test_starred_L_and_R_match_definitional_oracle():
 
 
 def test_kernel_key_by_hand():
-    assert greens._kernel_key([]) == ()
-    assert greens._kernel_key((7,)) == (0,)
-    assert greens._kernel_key([5, 3, 5, 3, 9]) == (0, 1, 0, 1, 4)
-    assert greens._kernel_key((2, 2, 2)) == (0, 0, 0)
-    assert greens._kernel_key((4, 1, 2, 0)) == (0, 1, 2, 3)
+    assert kernel_key([]) == ()
+    assert kernel_key((7,)) == (0,)
+    assert kernel_key([5, 3, 5, 3, 9]) == (0, 1, 0, 1, 4)
+    assert kernel_key((2, 2, 2)) == (0, 0, 0)
+    assert kernel_key((4, 1, 2, 0)) == (0, 1, 2, 3)
     # list and tuple rows give the same key; equal kernels, equal keys
-    assert greens._kernel_key([1, 0, 1]) == greens._kernel_key((1, 0, 1))
-    assert greens._kernel_key((8, 6, 8)) == greens._kernel_key((0, 9, 0))
-    assert greens._kernel_key((8, 6, 8)) != greens._kernel_key((8, 8, 6))
+    assert kernel_key([1, 0, 1]) == kernel_key((1, 0, 1))
+    assert kernel_key((8, 6, 8)) == kernel_key((0, 9, 0))
+    assert kernel_key((8, 6, 8)) != kernel_key((8, 8, 6))
+
+
+def test_first_occurrence_labels_by_hand():
+    key = greens._kernel_key
+    assert key([]) == b""
+    assert key((7,)) == b"\0"
+    assert key([5, 3, 5, 3, 9]) == bytes((0, 1, 0, 1, 2))
+    assert key((2, 2, 2)) == bytes(3)
+    # list and tuple rows give the same key; equal kernels, equal keys
+    assert key([1, 0, 1]) == key((1, 0, 1))
+    assert key((8, 6, 8)) == key((0, 9, 0))
+    assert key((8, 6, 8)) != key((8, 8, 6))
+    # more than 256 labels fall back to a tuple, with the same labels
+    assert key([*range(300, 0, -1), 300]) == (*range(300), 0)
+    # the adjoined position joins the block of the value it holds, or
+    # is a block of its own (-1) when no position holds that value
+    assert key([5, 3, 5], adjoined=3) == (bytes((0, 1, 0)), 1)
+    assert key([5, 3, 5], adjoined=4) == (bytes((0, 1, 0)), -1)
+    assert key([5, 3, 5], adjoined=4) == key([6, 1, 6], adjoined=2)
+    assert key([5, 3, 5], adjoined=3) != key([5, 3, 5], adjoined=5)
+
+
+def test_starred_L_and_R_match_the_old_kernel_key():
+    # Q'_n has no identity, so an identity is adjoined; IC_n and the
+    # ideals K_n(p) have one; the Rees quotients have a zero.
+    for spec in DIFFERENTIAL_SPECS + [FamilySpec("qprime", 7)]:
+        table = families.enumerate_family(spec)
+        assert greens.starred_L(table) == kernel_key_starred(table, False), spec
+        assert greens.starred_R(table) == kernel_key_starred(table, True), spec
+
+
+def test_starred_J_matches_the_saturated_star_ideals():
+    for spec in DIFFERENTIAL_SPECS + [FamilySpec("qprime", 7)]:
+        table = families.enumerate_family(spec)
+        if table.size <= 250:
+            want = star_ideal_J(table)
+        else:
+            # One saturation per D*-class, with D* from the oracles.
+            dstar = transitive_closure_join(
+                kernel_key_starred(table, False), kernel_key_starred(table, True),
+                table.size,
+            )
+            want = star_ideal_J(table, dstar)
+        assert greens.starred_J(table) == want, spec
+
+
+def test_starred_J_is_reachability_on_arbitrary_tables():
+    # On a duck-typed table every element serves as A, so the components
+    # are mutual reachability over whole rows and columns and the starred
+    # classes: exactly what star_ideal saturates, whether or not the
+    # product is associative.  Random tables have ideals that merge
+    # several D*-classes, which no family table here has; the next test
+    # has a semigroup that does.
+    rng = random.Random(5)
+    merged = 0
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        table = FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+        want = star_ideal_J(table)
+        assert greens.starred_J(table) == want
+        merged += want != greens.starred_D(table)
+    assert merged > 10
+
+
+def generated_table(gens, ideal_of):
+    """The semigroup of maps on 0..n generated by gens, with 0 a fixed
+    sink (a partial map sends its undefined points there) and products
+    composed left to right, taken modulo the principal ideal of the map
+    ideal_of: the ideal collapses into a zero, the last index.  The
+    images of gens are the table's generating set A."""
+    elements = list(dict.fromkeys(gens))
+    index = {x: i for i, x in enumerate(elements)}
+    for x in elements:  # grows as products are found
+        for g in gens:
+            xg = tuple(g[p] for p in x)
+            if xg not in index:
+                index[xg] = len(elements)
+                elements.append(xg)
+    rows = [[index[tuple(y[p] for p in x)] for y in elements] for x in elements]
+    top = index[ideal_of]
+    everything = range(len(rows))
+    # S^1 x S^1: x, then x.v, u.x and u.x.v for u, v in S
+    ideal = {top, *rows[top], *(rows[u][top] for u in everything)}
+    ideal |= {rows[u][xv] for u in everything for xv in rows[top]}
+    kept = [x for x in range(len(rows)) if x not in ideal]
+    new = {x: i for i, x in enumerate(kept)}
+    zero = len(kept)
+    table = FakeTable(
+        [[new.get(rows[x][y], zero) for y in kept] + [zero] for x in kept]
+        + [[zero] * (zero + 1)]
+    )
+    table.generators = tuple(dict.fromkeys(new.get(index[g], zero) for g in gens))
+    return table
+
+
+def test_starred_J_on_a_semigroup_where_it_differs_from_D_star():
+    # 72 maps on five points, modulo one principal ideal: J* merges two
+    # D*-classes here, so the components must come from the edges
+    # between classes, read over A.
+    table = generated_table(
+        [(0, 2, 4, 3, 0, 0), (0, 4, 0, 2, 1, 5), (0, 0, 1, 2, 4, 3)],
+        ideal_of=(0, 0, 4, 0, 1, 2),
+    )
+    rows = table.product_rows()
+    m = table.size
+    assert m == 33
+    assert all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(m) for b in range(m) for c in range(m)
+    )
+    want = star_ideal_J(table)
+    assert greens.starred_J(table) == want
+    assert (greens.starred_D(table).class_count, want.class_count) == (7, 6)
+    # The opposite semigroup swaps left and right, so both kinds of edge
+    # are needed between them; J* is the same partition.
+    opposite = FakeTable(list(zip(*rows)))
+    opposite.generators = table.generators
+    assert greens.starred_J(opposite) == star_ideal_J(opposite) == want
+
+
+def test_starred_J_calls_neither_green_nor_star_ideal(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("starred_J must read the table, not this")
+
+    monkeypatch.setattr(greens, "green", refuse)
+    monkeypatch.setattr(greens, "star_ideal", refuse)
+    for spec in (FamilySpec("qprime", 5), FamilySpec("syminv", 3), FamilySpec("rq", 5, 2)):
+        # A fresh table, so nothing is served from the per-table memo.
+        table = families._build_table.__wrapped__(spec)
+        assert greens.starred_J(table).class_count > 0
 
 
 def test_relations_are_computed_once_per_table():

@@ -1,8 +1,10 @@
 """Abundance, adequacy, ample identities, and inverse-ideal embeddings."""
 
+import random
+
 import pytest
 
-from catalanlab import families, pinj, structure
+from catalanlab import families, greens, pinj, structure
 from catalanlab.errors import ValidationError
 from catalanlab.families import REES_ZERO, FamilySpec
 
@@ -163,6 +165,88 @@ def test_right_ample_holds_on_the_collapsed_identity_free_quotient():
     # (zero)+ is zero
     assert structure.is_right_ample(table("rq", 3, 2)).holds
     assert structure.is_right_ample(table("m", 4, 2)).holds
+
+
+def scalar_ample_failure(t, one_sided):
+    """The first failing ample leg by the pairwise loop: a in order, then
+    e in the order of the idempotent set, the ea leg before the ae leg.
+    Returns (witness, note), or None when every identity holds."""
+    rows = t.product_rows()
+    idem_set = set(structure.idempotent_indices(t))
+    lstar = greens.starred_L(t)
+    rstar = greens.starred_R(t)
+    star_of = structure._unique_idempotent_map(lstar, idem_set)
+    plus_of = structure._unique_idempotent_map(rstar, idem_set)
+    for a in range(t.size):
+        for e in idem_set:
+            legs = [structure._ample_leg_plus(t, rows, rstar, plus_of, a, e)]
+            if not one_sided:
+                legs.insert(0, structure._ample_leg_star(t, rows, lstar, star_of, a, e))
+            for ok, witness in legs:
+                if ok is not True:
+                    return witness, "precondition failure" if ok is None else None
+    return None
+
+
+def perturbed_tables(seed, count):
+    """Product tables of small families with a few entries overwritten at
+    random, so that failures land at varied (a, e), then as many wholly
+    random small tables, where precondition gaps abound."""
+    rng = random.Random(seed)
+    bases = [table("icn", 3), table("icn", 4), table("qprime", 4), table("rq", 4, 2)]
+    for _ in range(count):
+        rows = [list(r) for r in rng.choice(bases).product_rows()]
+        m = len(rows)
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(m)][rng.randrange(m)] = rng.randrange(m)
+        yield FakeTable(rows)
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        yield FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+
+
+def pass_the_base_checks(monkeypatch):
+    """Make adequacy and right adequacy hold by fiat, so the ample
+    identities are checked on any table, precondition gaps included."""
+    def holds(_t):
+        return structure.PropertyReport("base", "fake", True)
+
+    monkeypatch.setattr(structure, "is_adequate", holds)
+    monkeypatch.setattr(structure, "is_right_adequate", holds)
+
+
+def test_ample_witnesses_match_the_pairwise_loop(monkeypatch):
+    pass_the_base_checks(monkeypatch)
+    seen = set()
+    for t in perturbed_tables(seed=7, count=300):
+        for check, one_sided in ((structure.is_ample, False), (structure.is_right_ample, True)):
+            report = check(t)
+            want = scalar_ample_failure(t, one_sided)
+            if want is None:
+                assert report.holds
+            else:
+                assert (report.holds, report.witness, report.note) == (False, *want)
+                seen.add(want[0].split(" ")[0])
+    # every kind of failure turned up: both identities and both gaps
+    assert seen == {"ea", "ae", "L*-class", "R*-class"}
+
+
+def test_first_ample_witnesses_pinned(monkeypatch):
+    # IC_3 with the product of e1 and e8 overwritten by e0.  Several
+    # (a, e) then fail; the first, in the order of a and then e, is
+    # reported, and it is the same as before the checks were vectorised.
+    rows = [list(r) for r in table("icn", 3).product_rows()]
+    rows[1][8] = 0
+    t = FakeTable(rows)
+    pass_the_base_checks(monkeypatch)
+    report = structure.is_right_ample(t)
+    assert (report.holds, report.witness, report.note) == (
+        False, "ae != (ae)+a for a=e8, e=e1", None,
+    )
+    report = structure.is_ample(t)
+    assert (report.holds, report.witness, report.note) == (
+        False, "L*-class of e2 lacks a unique idempotent", "precondition failure",
+    )
 
 
 def test_unique_idempotent_per_rstar_class():
