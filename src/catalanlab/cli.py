@@ -24,32 +24,32 @@ from . import families, formulas, genrank, greens, pinj, structure
 from .battery import DEFAULT_STARRED_CAP, verification_report
 from .errors import CapExceededError, InvariantError, ValidationError
 
-HARD_CEILING = 12
 DEFAULT_CLI_ENUM_CAP = 10
 DEFAULT_MAXIMAL_CAP = 6
 
 _STARRED_RELATIONS = ("Ls", "Rs", "Hs", "Ds", "Js")
-# Each property with the structure check that decides it.  The two
-# inverse-ideal checks also take the ambient partial injection monoid.
+# Each property with the structure check that decides it, and whether
+# that check reads the starred relations (which have a lower cap).  The
+# two inverse-ideal checks also take the ambient partial injection monoid.
 _PROPERTIES = {
-    "regular": "is_regular_semigroup",
-    "jtrivial": None,
-    "left-abundant": "is_left_abundant",
-    "right-abundant": "is_right_abundant",
-    "abundant": "is_abundant",
-    "semilattice": "is_semilattice_of_idempotents",
-    "adequate": "is_adequate",
-    "right-adequate": "is_right_adequate",
-    "ample": "is_ample",
-    "right-ample": "is_right_ample",
-    "inverse-ideal": "is_inverse_ideal",
-    "right-inverse-ideal": "is_right_inverse_ideal",
+    "regular": ("is_regular_semigroup", False),
+    "jtrivial": (None, False),
+    "left-abundant": ("is_left_abundant", True),
+    "right-abundant": ("is_right_abundant", True),
+    "abundant": ("is_abundant", True),
+    "semilattice": ("is_semilattice_of_idempotents", False),
+    "adequate": ("is_adequate", True),
+    "right-adequate": ("is_right_adequate", True),
+    "ample": ("is_ample", True),
+    "right-ample": ("is_right_ample", True),
+    "inverse-ideal": ("is_inverse_ideal", False),
+    "right-inverse-ideal": ("is_right_inverse_ideal", False),
 }
 
 
 def _cap_from(args, default):
     """Effective size cap: default, overridden by env, then by --max-n,
-    always clamped to the hard ceiling."""
+    always clamped to the hard ceiling families.DEFAULT_ENUM_CAP."""
     cap = default
     env = os.environ.get("CATALAN_LAB_MAX_N")
     if env is not None:
@@ -62,14 +62,14 @@ def _cap_from(args, default):
     max_n = getattr(args, "max_n", None)
     if max_n is not None:
         cap = max_n
-    return min(cap, HARD_CEILING)
+    return min(cap, families.DEFAULT_ENUM_CAP)
 
 
 def _check_cap(n, cap, what):
     if n > cap:
         raise CapExceededError(
             f"{what} is capped at n = {cap} (requested n = {n});"
-            f" --max-n raises soft caps up to the hard ceiling {HARD_CEILING}"
+            f" --max-n raises soft caps up to the hard ceiling {families.DEFAULT_ENUM_CAP}"
         )
 
 
@@ -108,9 +108,8 @@ def _write(chunks, write=None):
 
 def _cmd_enum(args):
     spec = _family_spec(args)
-    cap = _cap_from(args, DEFAULT_CLI_ENUM_CAP)
-    _check_cap(spec.n, cap, "enumeration")
-    table = families.enumerate_family(spec, cap=cap)
+    _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "enumeration")
+    table = families.enumerate_family(spec)
     label = spec.label()
     if args.count_only:
         payload = {"family": label, "order": table.size}
@@ -174,7 +173,7 @@ def _cmd_greens(args):
         _check_cap(spec.n, cap, "starred relation computation")
     else:
         _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "relation computation")
-    table = families.enumerate_family(spec, cap=HARD_CEILING)
+    table = families.enumerate_family(spec)
     if rel in _STARRED_RELATIONS:
         part = greens.starred(table, rel)
     else:
@@ -224,14 +223,12 @@ def _jtrivial_report(table):
     )
 
 
-def _property_report(name, spec, table, enum_cap):
+def _property_report(name, spec, table):
     if name == "jtrivial":
         return _jtrivial_report(table)
-    check = getattr(structure, _PROPERTIES[name])
+    check = getattr(structure, _PROPERTIES[name][0])
     if name.endswith("inverse-ideal"):
-        sup = families.enumerate_family(
-            families.FamilySpec(families.KIND_SYMINV, spec.n), cap=enum_cap
-        )
+        sup = families.enumerate_family(families.FamilySpec(families.KIND_SYMINV, spec.n))
         return check(table, sup)
     return check(table)
 
@@ -239,22 +236,12 @@ def _property_report(name, spec, table, enum_cap):
 def _cmd_check(args):
     spec = _family_spec(args)
     names = args.property
-    starred_needed = {
-        "left-abundant",
-        "right-abundant",
-        "abundant",
-        "adequate",
-        "right-adequate",
-        "ample",
-        "right-ample",
-    }
-    enum_cap = _cap_from(args, DEFAULT_CLI_ENUM_CAP)
-    if any(p in starred_needed for p in names):
+    if any(_PROPERTIES[name][1] for name in names):
         _check_cap(spec.n, _cap_from(args, DEFAULT_STARRED_CAP), "starred property check")
-    _check_cap(spec.n, enum_cap, "property check")
-    table = families.enumerate_family(spec, cap=enum_cap)
+    _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "property check")
+    table = families.enumerate_family(spec)
     expect = args.expect == "true"
-    reports = [_property_report(name, spec, table, enum_cap) for name in names]
+    reports = [_property_report(name, spec, table) for name in names]
     payload = {"family": spec.label(), "expect": expect, "properties": []}
     human = []
     rows = [("property", "family", "holds", "witness")]
@@ -281,7 +268,7 @@ def _cmd_check(args):
 def _cmd_rank(args):
     spec = _family_spec(args)
     _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "rank computation")
-    table = families.enumerate_family(spec, cap=HARD_CEILING)
+    table = families.enumerate_family(spec)
     report = genrank.minimal_generating_set(table)
     payload = report.as_dict()
     if not args.show_generators:
@@ -377,7 +364,7 @@ def _cmd_decompose(args):
 def _cmd_maximal(args):
     spec = _family_spec(args)
     _check_cap(spec.n, _cap_from(args, DEFAULT_MAXIMAL_CAP), "maximal subsemigroup search")
-    table = families.enumerate_family(spec, cap=HARD_CEILING)
+    table = families.enumerate_family(spec)
     results = genrank.maximal_subsemigroups(table)
     formula = formulas.count_formula("maximal", spec)
     payload = {

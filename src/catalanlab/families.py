@@ -47,6 +47,7 @@ KINDS_WITH_P = frozenset((KIND_K, KIND_M, KIND_RIC, KIND_RQ))
 REES_KINDS = frozenset((KIND_RIC, KIND_RQ))
 QPRIME_SIDE = frozenset((KIND_QPRIME, KIND_M, KIND_RQ))
 
+# The hard ceiling on the chain size: no cap, --max-n included, goes past it.
 DEFAULT_ENUM_CAP = 12
 
 
@@ -66,10 +67,10 @@ class FamilySpec:
         if self.kind in KINDS_WITH_P:
             if self.p is None:
                 raise FamilySpecError(f"family {self.kind!r} needs a height parameter p")
-            top = self.n if self.kind in (KIND_K, KIND_RIC) else self.n - 1
-            if not isinstance(self.p, int) or not 1 <= self.p <= top:
+            heights = _valid_heights(self.kind, self.n)
+            if not isinstance(self.p, int) or self.p not in heights:
                 raise FamilySpecError(
-                    f"family {self.kind!r} needs 1 <= p <= {top}, got p={self.p!r}"
+                    f"family {self.kind!r} needs 1 <= p <= {len(heights)}, got p={self.p!r}"
                 )
         elif self.p is not None:
             raise FamilySpecError(f"family {self.kind!r} takes no height parameter")
@@ -93,6 +94,15 @@ class FamilySpec:
             KIND_RIC: f"RIC_{n}({p})",
             KIND_RQ: f"RQ'_{n}({p})",
         }[self.kind]
+
+
+def _valid_heights(kind, n):
+    """The heights p a family of this kind takes on the n-chain: 1 to n
+    for k and ric, 1 to n - 1 for m and rq, and (None,) for the kinds
+    that take none."""
+    if kind not in KINDS_WITH_P:
+        return (None,)
+    return range(1, n + 1 if kind in (KIND_K, KIND_RIC) else n)
 
 
 class ReesZero:
@@ -137,10 +147,6 @@ class SemigroupTable:
     def __len__(self):
         return self.size
 
-    @property
-    def is_rees(self):
-        return self.family.is_rees
-
     def _find_zero(self):
         if self.family.is_rees:
             for i, el in enumerate(self.elements):
@@ -153,15 +159,13 @@ class SemigroupTable:
     def _find_identity(self):
         # A two-sided identity must act as the identity on every domain
         # and image point that occurs, so it can only be the partial
-        # identity on the union of all of them.
+        # identity on the union of all of them (the empty map when only
+        # the empty map is present).
         points = set()
         for el in self.elements:
             if isinstance(el, pinj.PartialInjection):
                 points.update(pinj.domain(el))
                 points.update(pinj.image(el))
-        if not points and not self.family.is_rees:
-            # Only the empty map is present; it is its own identity.
-            return self.index_of.get(pinj.empty_map(self.family.n))
         candidate = pinj.partial_identity(self.family.n, points)
         return self.index_of.get(candidate)
 
@@ -209,11 +213,6 @@ class SemigroupTable:
         if self._generator_rows is None:
             self._left_graph()
         return self._generator_rows
-
-    def generator_columns(self):
-        """The right Cayley graph: for each g in A, in the order of
-        self.generators, the column x.g for every x."""
-        return self.columns(self.generators)
 
     def columns(self, indices):
         """For each index a, the column x.a for every x.  Composed on each
@@ -414,27 +413,19 @@ def is_member(alpha, spec):
         raise ChainMismatchError(
             f"element lives on a {alpha.n}-chain, family on a {spec.n}-chain"
         )
-    kind = spec.kind
-    if kind == KIND_SYMINV:
+    if spec.kind == KIND_SYMINV:
         return True
-    ordered = pinj.is_isotone(alpha) and pinj.is_decreasing(alpha)
-    if not ordered:
+    if not (pinj.is_isotone(alpha) and pinj.is_decreasing(alpha)):
         return False
-    if kind == KIND_ICN:
+    # The same window _build_table enumerates: 1 outside the domain on the
+    # identity-free side, height at most p in an ideal, exactly p in a
+    # Rees quotient.
+    if spec.qprime_side and alpha.image_of(1) is not None:
+        return False
+    if spec.p is None:
         return True
     h = pinj.height(alpha)
-    no_one = alpha.image_of(1) is None
-    if kind == KIND_QPRIME:
-        return no_one
-    if kind == KIND_K:
-        return h <= spec.p
-    if kind == KIND_M:
-        return no_one and h <= spec.p
-    if kind == KIND_RIC:
-        return h == spec.p
-    if kind == KIND_RQ:
-        return no_one and h == spec.p
-    raise FamilySpecError(f"unknown family kind {kind!r}")  # pragma: no cover
+    return h == spec.p if spec.is_rees else h <= spec.p
 
 
 def table_json(table):

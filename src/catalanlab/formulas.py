@@ -158,22 +158,6 @@ A000245 = SequencePrefix(
 # n * 2^(n-1); the total essential count at chain size n is the n-1 term.
 A001787 = SequencePrefix("A001787", 0, (0, 1, 4, 12, 32, 80, 192, 448, 1024, 2304))
 
-# Pascal's triangle, rows 0..7 flattened.
-A007318 = SequencePrefix(
-    "A007318",
-    0,
-    (
-        1,
-        1, 1,
-        1, 2, 1,
-        1, 3, 3, 1,
-        1, 4, 6, 4, 1,
-        1, 5, 10, 10, 5, 1,
-        1, 6, 15, 20, 15, 6, 1,
-        1, 7, 21, 35, 35, 21, 7, 1,
-    ),
-)
-
 # Triangle T(r, c) = r * binomial(r-1, c-1), rows 1..6 flattened; the
 # essential census at chain size n, height p, is T(n-1, p).
 A003506 = SequencePrefix(
@@ -206,14 +190,6 @@ A103450 = SequencePrefix(
         1, 11, 35, 50, 35, 11, 1,
     ),
 )
-
-
-def pascal_row(r):
-    """Row r of the embedded Pascal prefix, as a tuple."""
-    if not 0 <= r <= 7:
-        raise ValidationError(f"embedded Pascal prefix stops at row 7, asked for {r}")
-    start = r * (r + 1) // 2
-    return A007318.terms[start : start + r + 1]
 
 
 def essential_triangle_row(r):

@@ -182,17 +182,25 @@ def _group_generators(table, gens):
     return out
 
 
-def minimal_generating_set(table):
-    """Minimum generating set and rank of a J-trivial table: the
-    indecomposables, verified to generate.  A table that is not
-    J-trivial is refused, since no exact method for it is implemented."""
+def _minimum_generators(table, what):
+    """The indecomposables of a J-trivial table, verified to generate: its
+    unique minimum generating set.  A table that is not J-trivial is
+    refused, in the words of what, the computation that needs it."""
     if not is_jtrivial(table):
-        raise UnsupportedTableError("rank computation needs a J-trivial table")
+        raise UnsupportedTableError(f"{what} needs a J-trivial table")
     gens = _indecomposables(table)
     if closure(table, gens) != frozenset(range(table.size)):
         raise InvariantError(
             "indecomposables fail to generate a J-trivial table; table is corrupt"
         )
+    return gens
+
+
+def minimal_generating_set(table):
+    """Minimum generating set and rank of a J-trivial table: the
+    indecomposables, verified to generate.  A table that is not
+    J-trivial is refused, since no exact method for it is implemented."""
+    gens = _minimum_generators(table, "rank computation")
     spec = getattr(table, "family", None)
     formula = formulas.rank_formula(spec) if isinstance(spec, families.FamilySpec) else None
     return GeneratorReport(
@@ -389,15 +397,10 @@ def maximal_subsemigroups(table):
     complement is closed because its removed element is indecomposable,
     no product of two other elements (see the module docstring), and
     maximal because it misses a single element.  No other maximal
-    subsemigroup exists because the generation check below shows the
-    indecomposables generate: any proper subsemigroup misses one of
-    them, so it sits inside one of these complements.  The tests compare
-    the result with a brute-force search over every subset of small
-    tables.
+    subsemigroup exists because the generation check of
+    _minimum_generators shows the indecomposables generate: any proper
+    subsemigroup misses one of them, so it sits inside one of these
+    complements.  The tests compare the result with a brute-force search
+    over every subset of small tables.
     """
-    if not is_jtrivial(table):
-        raise UnsupportedTableError("maximal subsemigroup search needs a J-trivial table")
-    gens = _indecomposables(table)
-    if closure(table, gens) != frozenset(range(table.size)):
-        raise InvariantError("indecomposables fail to generate; table is corrupt")
-    return sorted(gens)
+    return sorted(_minimum_generators(table, "maximal subsemigroup search"))

@@ -37,6 +37,8 @@ class PartialInjection:
     __slots__ = ("n", "img")
 
     def __init__(self, n, img):
+        # _check_chain_size, inline: every composite passes here, and the
+        # call made the elements benchmark 2% slower.
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"chain size must be a positive integer, got {n!r}")
         img = tuple(img)
@@ -77,11 +79,17 @@ class PartialInjection:
         return f"parse_text({canonical_text(self)!r})"
 
 
+def _check_chain_size(n):
+    """Refuse a chain size that is not a positive integer, before any
+    per-point storage is allocated."""
+    if not isinstance(n, int) or n < 1:
+        raise ValidationError(f"chain size must be a positive integer, got {n!r}")
+
+
 def from_pairs(n, pairs):
     """Build an element from (x, a) pairs; rejects duplicates and bad ranges."""
-    img = [None] * n if n >= 1 else []
-    if n < 1:
-        raise ValidationError(f"chain size must be a positive integer, got {n!r}")
+    _check_chain_size(n)
+    img = [None] * n
     for x, a in pairs:
         if not isinstance(x, int) or not 1 <= x <= n:
             raise RangeError(f"domain point {x!r} outside 1..{n}")
@@ -92,15 +100,18 @@ def from_pairs(n, pairs):
 
 
 def identity(n):
+    _check_chain_size(n)
     return PartialInjection(n, range(1, n + 1))
 
 
 def empty_map(n):
+    _check_chain_size(n)
     return PartialInjection(n, [None] * n)
 
 
 def partial_identity(n, points):
     """The identity restricted to the given set of points."""
+    _check_chain_size(n)
     img = [None] * n
     for x in points:
         if not isinstance(x, int) or not 1 <= x <= n:
@@ -118,15 +129,6 @@ def compose(alpha, beta):
     for i, a in enumerate(alpha.img):
         if a is not None:
             img[i] = bimg[a - 1]
-    return PartialInjection(alpha.n, img)
-
-
-def inverse(alpha):
-    """The inverse partial injection: a -> x whenever x -> a."""
-    img = [None] * alpha.n
-    for i, a in enumerate(alpha.img):
-        if a is not None:
-            img[a - 1] = i + 1
     return PartialInjection(alpha.n, img)
 
 
@@ -208,9 +210,6 @@ def is_requisite(alpha):
     if any(a != x - 1 for x, a in moved):
         return False
     return all(f > i_top for f in fixed_points(alpha))
-
-
-_KINDS = ("idempotent", "essential", "requisite", "quasi-idempotent-shift-1", "other")
 
 
 def classify(alpha):

@@ -8,6 +8,7 @@ product table, never just a bare False.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import compress
 from operator import getitem, itemgetter, ne, or_
 
@@ -234,63 +235,55 @@ def _first_failure(size, idempotents, failures):
     return best
 
 
-def is_ample(table):
-    """Adequate, plus both identities ea = a(ea)* and ae = (ae)+ a.
+# Each ample identity as (the starred relation it reads, the factory of
+# its failure flags, its witness), the ea leg first.
+_EA_LEG = ("starred_L", _star_failures, _ample_leg_star)
+_AE_LEG = ("starred_R", _plus_failures, _ample_leg_plus)
 
-    (ea)* is the unique idempotent L*-related to ea, (ae)+ the unique
-    idempotent R*-related to ae.  A class lacking a unique idempotent is
-    a precondition failure and is reported, not ignored.  The witness is
-    the first failure over a, then e in the order of the idempotent set,
-    with the ea leg before the ae leg; the checks run one idempotent at
-    a time, down its row and column.
+
+def _ample(table, name, base, note, legs):
+    """base(table), then the identities of legs for every element a and
+    idempotent e, each against the unique idempotent of a starred class.
+
+    A class lacking a unique idempotent is a precondition failure and is
+    reported, not ignored.  The witness is the first failure over a, then
+    e in the order of the idempotent set, then the legs in order; the
+    checks run one idempotent at a time, down its row and column.
     """
-    base = is_adequate(table)
-    if not base.holds:
-        return PropertyReport(
-            "ample", _label(table), False, witness=base.witness, note="not adequate"
-        )
+    report = base(table)
+    if not report.holds:
+        return PropertyReport(name, _label(table), False, witness=report.witness, note=note)
     rows = table.product_rows()
     idem_set = set(idempotent_indices(table))
-    lstar = greens.starred_L(table)
-    rstar = greens.starred_R(table)
-    star_of = _unique_idempotent_map(lstar, idem_set)
-    plus_of = _unique_idempotent_map(rstar, idem_set)
-    star_failures = _star_failures(rows, lstar, star_of)
-    plus_failures = _plus_failures(rows, rstar, plus_of)
+    flags, witnesses = [], []
+    for relation, failures, witness in legs:
+        part = getattr(greens, relation)(table)
+        per_class = _unique_idempotent_map(part, idem_set)
+        flags.append(failures(rows, part, per_class))
+        witnesses.append(partial(witness, table, rows, part, per_class))
+    # The legs' flags or-ed element by element (one leg's flags as they are).
     found = _first_failure(
-        table.size, idem_set, lambda e: map(or_, star_failures(e), plus_failures(e))
+        table.size, idem_set, lambda e: reduce(partial(map, or_), (f(e) for f in flags))
     )
     if found is None:
-        return PropertyReport("ample", _label(table), True)
-    legs = (
-        _ample_leg_star(table, rows, lstar, star_of, *found),
-        _ample_leg_plus(table, rows, rstar, plus_of, *found),
-    )
-    ok, witness = next(leg for leg in legs if leg[0] is not True)
+        return PropertyReport(name, _label(table), True)
+    ok, witness = next(leg for leg in (w(*found) for w in witnesses) if leg[0] is not True)
     note = "precondition failure" if ok is None else None
-    return PropertyReport("ample", _label(table), False, witness, note)
+    return PropertyReport(name, _label(table), False, witness, note)
+
+
+def is_ample(table):
+    """Adequate, plus both identities ea = a(ea)* and ae = (ae)+ a, where
+    (ea)* is the unique idempotent L*-related to ea and (ae)+ the unique
+    idempotent R*-related to ae; see _ample for the witness."""
+    return _ample(table, "ample", is_adequate, "not adequate", (_EA_LEG, _AE_LEG))
 
 
 def is_right_ample(table):
     """Right adequate, plus the one-sided identity ae = (ae)+ a for every
     element a and idempotent e; the first failure is reported as in
     is_ample."""
-    base = is_right_adequate(table)
-    if not base.holds:
-        return PropertyReport(
-            "right-ample", _label(table), False,
-            witness=base.witness, note="not right adequate",
-        )
-    rows = table.product_rows()
-    idem_set = set(idempotent_indices(table))
-    rstar = greens.starred_R(table)
-    plus_of = _unique_idempotent_map(rstar, idem_set)
-    found = _first_failure(table.size, idem_set, _plus_failures(rows, rstar, plus_of))
-    if found is None:
-        return PropertyReport("right-ample", _label(table), True)
-    ok, witness = _ample_leg_plus(table, rows, rstar, plus_of, *found)
-    note = "precondition failure" if ok is None else None
-    return PropertyReport("right-ample", _label(table), False, witness, note)
+    return _ample(table, "right-ample", is_right_adequate, "not right adequate", (_AE_LEG,))
 
 
 def _inverse_ideal(sub, sup, require_left):
@@ -356,13 +349,10 @@ def unique_idempotent_per_rstar_class(table):
 
 def idempotent_census(table):
     """Idempotent counts by height; the Rees zero is flagged, not counted."""
-    rows = table.product_rows()
     per_height = {}
     zero_idem = False
     total = 0
-    for i in range(table.size):
-        if rows[i][i] != i:
-            continue
+    for i in idempotent_indices(table):
         h = table.height_of(i)
         if h is None:
             zero_idem = True

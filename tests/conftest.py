@@ -38,15 +38,8 @@ from functools import lru_cache
 import pytest
 
 from catalanlab import families, greens
-from catalanlab.families import KINDS_WITH_P, FamilySpec
+from catalanlab.families import FamilySpec, _valid_heights
 from catalanlab.greens import IndexPartition
-
-
-def _valid_heights(kind, n):
-    if kind not in KINDS_WITH_P:
-        return [None]
-    top = n if kind in ("k", "ric") else n - 1
-    return list(range(1, top + 1))
 
 
 # Every kind and height with n <= 5, except I_5, whose 2.4M direct

@@ -161,6 +161,22 @@ def test_env_cap_must_be_an_integer(capsys, monkeypatch):
     assert "CATALAN_LAB_MAX_N" in err
 
 
+def test_only_the_starred_property_checks_take_the_starred_cap(capsys):
+    # at n = 6 the starred cap (5) refuses exactly the checks that read L*
+    # or R*; the inverse-ideal checks, which would build I_6, are left out
+    starred = {
+        "left-abundant", "right-abundant", "abundant", "adequate",
+        "right-adequate", "ample", "right-ample",
+    }
+    for name in ("regular", "jtrivial", "semilattice", *sorted(starred)):
+        code, _, err = run_cli(capsys, "check", "--family", "icn", "--n", "6", "--property", name)
+        if name in starred:
+            assert code == 3, name
+            assert err.startswith("error: starred property check is capped at n = 5"), name
+        else:
+            assert code in (0, 1), name
+
+
 def test_hard_ceiling_clamps_max_n(capsys):
     code, _, err = run_cli(
         capsys,
@@ -603,10 +619,21 @@ def test_an_internal_invariant_failure_exits_four(capsys, monkeypatch):
     )
 
 
+def test_maximal_reports_a_corrupt_table_in_the_words_of_rank(capsys, monkeypatch):
+    # rank and maximal share one generation check, and so one exit-4 text
+    monkeypatch.setattr(genrank, "closure", lambda table, gens: frozenset())
+    code, out, err = run_cli(capsys, "maximal", "--family", "icn", "--n", "3")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: internal invariant failed: indecomposables fail to generate"
+        " a J-trivial table; table is corrupt\n"
+    )
+
+
 def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):
     full = families.enumerate_family(families.FamilySpec("icn", 2))
     corrupt = families.SemigroupTable(full.family, full.elements[1:])  # no empty map
-    monkeypatch.setattr(families, "enumerate_family", lambda spec, cap: corrupt)
+    monkeypatch.setattr(families, "enumerate_family", lambda spec: corrupt)
     code, out, err = run_cli(capsys, "enum", "--family", "icn", "--n", "2", "--products")
     assert code == 4
     assert out == ""

@@ -162,7 +162,7 @@ def test_cayley_graphs_match_direct_products(spec):
     want = direct_rows(table)
     gens = table.generators
     assert table.generator_rows() == tuple(want[g] for g in gens)
-    assert table.generator_columns() == tuple(
+    assert table.columns(table.generators) == tuple(
         tuple(row[g] for row in want) for g in gens
     )
     # a column outside the generating set is composed the same way
@@ -343,6 +343,24 @@ def test_family_spec_validation():
     # top heights that are allowed
     FamilySpec("k", 3, 3)
     FamilySpec("m", 3, 2)
+
+
+def test_valid_heights_are_the_heights_a_spec_accepts():
+    # one statement of which p each kind takes, read by FamilySpec, the
+    # battery and the differential specs alike
+    for kind in families.KINDS:
+        for n in range(1, 7):
+            heights = families._valid_heights(kind, n)
+            for p in [None, *range(-2, n + 3)]:
+                try:
+                    FamilySpec(kind, n, p)
+                except FamilySpecError:
+                    assert p not in heights, (kind, n, p)
+                else:
+                    assert p in heights, (kind, n, p)
+    assert list(families._valid_heights("k", 3)) == [1, 2, 3]
+    assert list(families._valid_heights("rq", 3)) == [1, 2]
+    assert families._valid_heights("icn", 3) == (None,)
 
 
 def test_labels():

@@ -64,15 +64,6 @@ def test_a001787_is_n_times_two_to_n_minus_one():
         assert formulas.A001787.value(n) == n * 2 ** max(n - 1, 0)
 
 
-def test_pascal_rows_match_binomials():
-    for r in range(8):
-        assert formulas.pascal_row(r) == tuple(math.comb(r, k) for k in range(r + 1))
-    with pytest.raises(ValidationError):
-        formulas.pascal_row(8)
-    with pytest.raises(ValidationError):
-        formulas.pascal_row(-1)
-
-
 def test_essential_triangle_matches_its_closed_form():
     for r in range(1, 7):
         row = formulas.essential_triangle_row(r)
@@ -85,7 +76,7 @@ def test_generator_triangle_is_pascal_plus_padded_essentials():
     assert formulas.generator_triangle_row(1) == (1, 1)
     for r in range(2, 7):
         padded = (0, *formulas.essential_triangle_row(r - 1), 0)
-        pascal = formulas.pascal_row(r)
+        pascal = tuple(math.comb(r, k) for k in range(r + 1))
         want = tuple(a + b for a, b in zip(pascal, padded))
         assert formulas.generator_triangle_row(r) == want
     with pytest.raises(ValidationError):

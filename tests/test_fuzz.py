@@ -1,0 +1,125 @@
+"""Fixed-seed fuzz of the two places user input enters: the element text
+form and the command line.
+
+Malformed input must end in a library error, which the command line
+turns into exit 2, or a size-cap refusal (exit 3); never in a traceback.
+The seeds are fixed, so a failure names an input that reproduces it.
+"""
+
+import random
+
+import pytest
+
+from catalanlab import cli, families, greens, pinj
+from catalanlab.errors import ValidationError
+
+# Digits and the separators of the text form, a minus sign, a space, a
+# non-ASCII decimal digit (int() accepts it) and a superscript digit
+# (str.isdigit() accepts it, int() does not).
+TEXT_ALPHABET = "0123456789:>,- ٣²"
+
+COMMANDS = ("enum", "greens", "check", "rank", "decompose", "maximal", "verify")
+FORMATS = ("human", "json", "csv")
+RELATIONS = greens.GREEN_NAMES + cli._STARRED_RELATIONS
+INVERSE_PROPERTIES = ("inverse-ideal", "right-inverse-ideal")
+MODES = ("essentials", "requisite", "lift")
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    monkeypatch.delenv("CATALAN_LAB_MAX_N", raising=False)
+
+
+def random_text(rng):
+    return "".join(rng.choice(TEXT_ALPHABET) for _ in range(rng.randint(0, 12)))
+
+
+def random_element_text(rng, n):
+    """The canonical text of a random partial injection on the n-chain,
+    most often an isotone, order-decreasing one."""
+    for _ in range(5):
+        dom = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        img = sorted(rng.sample(range(1, n + 1), len(dom)))
+        if all(a <= x for x, a in zip(dom, img)):
+            break
+    if rng.random() < 0.2:
+        rng.shuffle(img)
+    return pinj.canonical_text(pinj.from_pairs(n, zip(dom, img)))
+
+
+def test_parse_text_raises_only_validation_errors():
+    rng = random.Random(20240611)
+    parsed = 0
+    for _ in range(20000):
+        text = random_text(rng)
+        try:
+            alpha = pinj.parse_text(text)
+        except ValidationError:
+            continue
+        parsed += 1
+        assert pinj.parse_text(pinj.canonical_text(alpha)) == alpha, text
+    assert parsed > 100  # the valid path is reached too
+
+
+def random_argv(rng):
+    """One argument vector: every subcommand, n and p from -2 to 6, with
+    --max-n, relations, properties, modes and formats drawn at random, and
+    now and then a required flag dropped or a value that is not a number.
+
+    Only requests whose tables build in well under a second are drawn:
+    I_n with n at most 4, as the checked family or as the ambient monoid
+    of the inverse-ideal checks.  I_5 takes seconds and I_6 (13,327
+    elements) would not fit in memory, and no cap refuses them yet."""
+    command = rng.choice(COMMANDS)
+    argv = [command]
+    if command == "verify":
+        argv += ["--n-max", str(rng.randint(-2, 6))]
+        if rng.random() < 0.5:
+            argv += ["--starred-n-max", str(rng.randint(-2, 6))]
+    else:
+        kind = rng.choice(families.KINDS)
+        n = rng.randint(-2, 4 if kind == families.KIND_SYMINV else 6)
+        argv += ["--family", kind, "--n", str(n)]
+        if rng.random() < (0.9 if kind in families.KINDS_WITH_P else 0.1):
+            argv += ["--p", str(rng.randint(-2, 6))]
+        if rng.random() < 0.4:
+            argv += ["--max-n", str(rng.randint(-2, 12))]
+        if command == "enum":
+            argv += rng.choice(([], ["--count-only"], ["--products"]))
+        elif command == "greens":
+            argv += ["--relation", rng.choice(RELATIONS)]
+        elif command == "check":
+            names = [p for p in cli._PROPERTIES if n <= 4 or p not in INVERSE_PROPERTIES]
+            for name in rng.sample(names, rng.randint(1, 3)):
+                argv += ["--property", name]
+            if rng.random() < 0.5:
+                argv += ["--expect", rng.choice(("true", "false"))]
+        elif command == "rank" and rng.random() < 0.5:
+            argv.append("--show-generators")
+        elif command == "decompose":
+            chain = n if n >= 1 and rng.random() < 0.8 else rng.randint(1, 6)
+            text = random_element_text(rng, chain) if rng.random() < 0.8 else random_text(rng)
+            argv += ["--element", text, "--mode", rng.choice(MODES)]
+    argv += ["--format", rng.choice(FORMATS)]
+    roll = rng.random()
+    if roll < 0.05:
+        del argv[rng.randrange(1, len(argv))]  # a flag or a value goes missing
+    elif roll < 0.1:
+        argv[rng.randrange(1, len(argv))] = rng.choice(("x", "", "1.5", "--n"))
+    return argv
+
+
+def test_random_command_lines_exit_0_to_3_without_a_traceback(capsys):
+    rng = random.Random(20240612)
+    codes = set()
+    for _ in range(300):
+        argv = random_argv(rng)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the flags: exit 2
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}

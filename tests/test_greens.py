@@ -384,12 +384,25 @@ def test_starred_H_is_the_meet():
 
 
 def test_starred_D_is_the_join():
-    for spec in (FamilySpec("icn", 3), FamilySpec("qprime", 4), FamilySpec("rq", 4, 2)):
+    for spec in DIFFERENTIAL_SPECS:
         table = families.enumerate_family(spec)
         want = transitive_closure_join(
             greens.starred_L(table), greens.starred_R(table), table.size
         )
         assert greens.starred_D(table) == want
+
+
+def test_join_is_the_transitive_closure_on_random_partitions():
+    # the components of the class cycles against a plain search over the
+    # union of the two relations, on partitions with classes of every size
+    rng = random.Random(11)
+    for _ in range(300):
+        size = rng.randint(1, 30)
+        p1, p2 = (
+            IndexPartition.from_keys([rng.randrange(classes) for _ in range(size)])
+            for classes in (rng.randint(1, size), rng.randint(1, size))
+        )
+        assert greens._join(p1, p2) == transitive_closure_join(p1, p2, size)
 
 
 def test_starred_dispatch_matches_direct_calls():
