@@ -269,12 +269,6 @@ def _elements(x):
     return [a for a in x.table.elements if isinstance(a, pinj.PartialInjection)]
 
 
-def _generator_kinds(x):
-    """Kinds the factorizations build from: idempotents and essentials,
-    plus requisites on the identity-free side."""
-    return ("idempotent", "essential") + (("requisite",) if x.spec.qprime_side else ())
-
-
 def _chain_factors_ok(x, alpha):
     qprime_side = x.spec.qprime_side
     factors = genrank.essential_factorization(alpha, qprime_side=qprime_side)
@@ -283,7 +277,7 @@ def _chain_factors_ok(x, alpha):
         return not factors
     return reduce(pinj.compose, factors) == alpha and all(
         pinj.height(f) == h
-        and pinj.classify(f) in _generator_kinds(x)
+        and pinj.classify(f) in genrank.generator_kinds(qprime_side)
         and not (qprime_side and f.image_of(1) is not None)
         for f in factors
     )
@@ -301,14 +295,15 @@ def _requisite_split_ok(alpha):
 
 
 def _lift_eligible(x):
-    """Generators the lift applies to: those up to height n-2, or n-3 on
-    the identity-free side."""
-    bound = x.n - 3 if x.spec.qprime_side else x.n - 2
+    """The elements lift_height takes: generator kinds up to its height
+    bound, both read from genrank."""
+    qprime_side = x.spec.qprime_side
+    kinds = genrank.generator_kinds(qprime_side)
+    bound = genrank.lift_bound(x.n, qprime_side)
     return [
         a
         for a in _elements(x)
-        if genrank.element_kind(a, x.spec.qprime_side) in _generator_kinds(x)
-        and pinj.height(a) <= bound
+        if genrank.element_kind(a, qprime_side) in kinds and pinj.height(a) <= bound
     ]
 
 

@@ -232,6 +232,36 @@ def _require_icn_member(alpha):
         )
 
 
+def _chain_steps(alpha):
+    """The steps of the chain split of alpha, as (fixed, x_i, a_i).
+
+    With domain x_1 < ... < x_p and x_j alpha = a_j, step i fixes
+    a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i to a_i.  fixed
+    is the image list of that fixed part (None elsewhere); one list is
+    updated in place between steps, so it must be copied, as _with_pair
+    does, before the next step is drawn.
+    """
+    fixed = [None if a is None else x for x, a in enumerate(alpha.img, 1)]
+    for x, a in enumerate(alpha.img, 1):
+        if a is not None:
+            fixed[x - 1] = None
+            yield fixed, x, a
+            fixed[a - 1] = a
+
+
+def _with_pair(fixed, x, a):
+    """The fixed part, given as an image list, extended by x -> a."""
+    img = fixed.copy()
+    img[x - 1] = a
+    return pinj.PartialInjection(len(img), img)
+
+
+def _walk_down(fixed, y, a):
+    """The essentials b + 1 -> b over the fixed part, for b from y - 1
+    down to a: composed in this order they carry y to a."""
+    return [_with_pair(fixed, b + 1, b) for b in range(y - 1, a - 1, -1)]
+
+
 def factor_idempotent_quasi_chain(alpha):
     """Write alpha of height p as a product of p height-p factors, the
     i-th fixing everything settled so far and moving only x_i to a_i.
@@ -240,17 +270,7 @@ def factor_idempotent_quasi_chain(alpha):
     quasi-idempotent.  The empty map factors as the empty product.
     """
     _require_icn_member(alpha)
-    n = alpha.n
-    dom = pinj.domain(alpha)
-    img = tuple(alpha.image_of(x) for x in dom)
-    p = len(dom)
-    out = []
-    for i in range(p):
-        pairs = [(img[j], img[j]) for j in range(i)]
-        pairs.append((dom[i], img[i]))
-        pairs.extend((dom[j], dom[j]) for j in range(i + 1, p))
-        out.append(pinj.from_pairs(n, pairs))
-    return out
+    return [_with_pair(fixed, x, a) for fixed, x, a in _chain_steps(alpha)]
 
 
 def expand_quasi_to_essentials(eps):
@@ -263,39 +283,50 @@ def expand_quasi_to_essentials(eps):
     _require_icn_member(eps)
     if pinj.shift(eps) != 1 or not pinj.is_quasi_idempotent(eps):
         raise ContractError("expected a quasi-idempotent with exactly one moved point")
-    (y, a), = (
-        (x, eps.image_of(x)) for x in pinj.domain(eps) if eps.image_of(x) != x
-    )
-    fixed = pinj.fixed_points(eps)
-    n = eps.n
-    out = []
-    for j in range(y - a, 0, -1):
-        pairs = [(f, f) for f in fixed]
-        pairs.append((a + j, a + j - 1))
-        out.append(pinj.from_pairs(n, pairs))
-    return out
+    (y, a), = ((x, b) for x, b in enumerate(eps.img, 1) if b is not None and b != x)
+    fixed = [b if b == x else None for x, b in enumerate(eps.img, 1)]
+    return _walk_down(fixed, y, a)
 
 
 def essential_factorization(alpha, qprime_side=False):
     """Height-preserving factorization into idempotents and essentials.
 
-    Runs the chain split with every quasi factor expanded.  On the
-    identity-free side an element whose image contains 1 is first split
-    off a requisite tail factor, which keeps every factor's domain away
-    from 1; the requisite is returned last, unexpanded.
+    The chain split with every quasi factor expanded, built in one pass
+    from the pairs x_i -> a_i of alpha (x_1 < ... < x_p).  Step i fixes
+    a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i to a_i.  Since
+    alpha is isotone and order-decreasing, a_{i-1} < a_i <= x_i < x_{i+1}:
+
+      The step is injective and isotone, as its points and their images
+      keep the order of that chain, and order-decreasing, as a_i <= x_i.
+      It is idempotent exactly when x_i = a_i: otherwise a_i lies outside
+      its domain (below x_i, and no fixed point equals it), so the square
+      is undefined at x_i.  A moving step is the product of the x_i - a_i
+      essentials a_i + j -> a_i + j - 1 over the same fixed part, for j
+      from x_i - a_i down to 1; none of the points a_i + j, a_i + j - 1
+      meets the fixed part, which lies below a_i or above x_i.  Steps
+      1, ..., i - 1 send x_j to a_j for j < i and fix x_i, ..., x_p, and
+      step i fixes those points but x_i, which it moves to a_i; so the
+      steps compose to alpha.
+
+    On the identity-free side an element whose image contains 1 is first
+    split off a requisite tail factor (_split_requisite); the rest, beta,
+    is again isotone and order-decreasing, with 1 in neither its domain
+    nor its image, so no factor's domain holds 1.  The requisite is
+    returned last, unexpanded.
     """
     if qprime_side and alpha.image_of(1) is not None:
         raise ContractError("element is outside the identity-free family")
+    _require_icn_member(alpha)
     tail = []
-    if qprime_side and 1 in pinj.image(alpha):
-        alpha, requisite = factor_requisite(alpha)
+    if qprime_side and 1 in alpha.img:
+        alpha, requisite = _split_requisite(alpha)
         tail = [requisite]
     out = []
-    for step in factor_idempotent_quasi_chain(alpha):
-        if pinj.is_idempotent(step):
-            out.append(step)
+    for fixed, x, a in _chain_steps(alpha):
+        if x == a:
+            out.append(_with_pair(fixed, x, a))
         else:
-            out.extend(expand_quasi_to_essentials(step))
+            out.extend(_walk_down(fixed, x, a))
     return out + tail
 
 
@@ -304,33 +335,36 @@ def factor_requisite(alpha):
     followed by a requisite with the same image.
 
     The requisite's moved block ends just below the least point missing
-    from the image; beta pushes the low part of the domain up by one so
-    the block can pull it back down.
+    from the image; beta raises the low part of the image by one so the
+    block can pull it back down.
     """
     _require_icn_member(alpha)
     if alpha.image_of(1) is not None:
         raise ContractError("expected an element whose domain omits 1")
-    img = pinj.image(alpha)
-    if 1 not in img:
+    if 1 not in alpha.img:
         raise ContractError("expected an element whose image contains 1")
-    n = alpha.n
-    imgset = set(img)
-    i = 1
-    while i + 1 in imgset:
-        i += 1
-    i += 1  # least point not in the image; the moved block is {2, ..., i}
-    tail = [a for a in img if a > i]
-    req_pairs = [(j, j - 1) for j in range(2, i + 1)] + [(a, a) for a in tail]
-    requisite = pinj.from_pairs(n, req_pairs)
-    dom = pinj.domain(alpha)
-    beta_pairs = []
-    for j, x in enumerate(dom):
-        target = alpha.image_of(x)
-        beta_pairs.append((x, j + 2) if target < i else (x, target))
-    beta = pinj.from_pairs(n, beta_pairs)
+    beta, requisite = _split_requisite(alpha)
     if pinj.compose(beta, requisite) != alpha:
         raise InvariantError("requisite split failed to recompose")
     return beta, requisite
+
+
+def _split_requisite(alpha):
+    """factor_requisite on an element already checked to meet its contract.
+
+    The image holds 1, ..., i - 1 and then points above i, i being the
+    least point it misses.  Isotone alpha sends the j-th domain point to j
+    for j < i, and that point is at least j + 1, as the domain omits 1;
+    so beta, which sends it to j + 1 instead, is again isotone and
+    order-decreasing, with 1 in neither its domain nor its image.
+    """
+    i = 2
+    while i in alpha.img:
+        i += 1  # the moved block of the requisite is {2, ..., i}
+    tail = [(a, a) for a in pinj.image(alpha) if a > i]
+    requisite = pinj.from_pairs(alpha.n, [(j, j - 1) for j in range(2, i + 1)] + tail)
+    beta = [a if a is None or a > i else a + 1 for a in alpha.img]
+    return pinj.PartialInjection(alpha.n, beta), requisite
 
 
 def _smallest_outside(n, used, count):
@@ -341,12 +375,26 @@ def _smallest_outside(n, used, count):
     return free[:count]
 
 
+def generator_kinds(qprime_side):
+    """Kinds the factorizations build from, which are also the kinds
+    lift_height takes: idempotents and essentials, plus requisites on the
+    identity-free side."""
+    return ("idempotent", "essential", "requisite")[: 3 if qprime_side else 2]
+
+
+def lift_bound(n, qprime_side):
+    """Greatest height lift_height takes on the n-chain: n - 2, or n - 3
+    on the identity-free side, whose constructed points avoid 1."""
+    return n - 3 if qprime_side else n - 2
+
+
 def lift_height(alpha, kind):
     """Write alpha as a product of two elements one height higher.
 
-    kind is "icn" (alpha idempotent or essential, height at most n-2) or
-    "qprime" (alpha idempotent, essential or requisite with the census
-    priority, height at most n-3; all constructed points avoid 1).
+    kind is "icn" or "qprime"; alpha must be of one of the
+    generator_kinds of its side (with the census priority) and of height
+    at most lift_bound (n - 2, or n - 3 on the identity-free side, where
+    all constructed points avoid 1).
     """
     if kind not in (families.KIND_ICN, families.KIND_QPRIME):
         raise ContractError("lift_height supports the icn and qprime families")
@@ -356,12 +404,11 @@ def lift_height(alpha, kind):
     qp = kind == families.KIND_QPRIME
     if qp and alpha.image_of(1) is not None:
         raise ContractError("element is outside the identity-free family")
-    bound = n - 3 if qp else n - 2
+    bound = lift_bound(n, qp)
     if p > bound:
         raise ContractError(f"lift needs height at most {bound}, got {p}")
     ekind = element_kind(alpha, qp)
-    allowed = ("idempotent", "essential", "requisite") if qp else ("idempotent", "essential")
-    if ekind not in allowed:
+    if ekind not in generator_kinds(qp):
         raise ContractError(f"no lift for elements of kind {ekind!r} in this family")
     dom = pinj.domain(alpha)
     img = pinj.image(alpha)

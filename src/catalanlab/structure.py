@@ -76,11 +76,17 @@ def is_regular_semigroup(table):
     return PropertyReport("regular", _label(table), True)
 
 
+def _class_idempotents(part, idem_set):
+    """The idempotents of each class of part, in class order and, within
+    a class, in member order."""
+    return [[i for i in members if i in idem_set] for members in part.classes]
+
+
 def _abundance(table, which):
     idem = set(idempotent_indices(table))
     part = greens.starred_L(table) if which == "left" else greens.starred_R(table)
-    for members in part.classes:
-        if not any(i in idem for i in members):
+    for members, found in zip(part.classes, _class_idempotents(part, idem)):
+        if not found:
             texts = ",".join(table.text_of(i) for i in members)
             return PropertyReport(
                 f"{which}-abundant", _label(table), False,
@@ -149,12 +155,9 @@ def is_right_adequate(table):
 
 
 def _unique_idempotent_map(part, idem_set):
-    """Map class id -> its unique idempotent; None marks a precondition gap."""
-    out = {}
-    for cid, members in enumerate(part.classes):
-        found = [i for i in members if i in idem_set]
-        out[cid] = found[0] if len(found) == 1 else None
-    return out
+    """Class id -> its unique idempotent; None marks a precondition gap."""
+    by_class = _class_idempotents(part, idem_set)
+    return [found[0] if len(found) == 1 else None for found in by_class]
 
 
 def _ample_leg_plus(table, rows, rstar, plus_of, a, e):
@@ -336,8 +339,7 @@ def is_right_inverse_ideal(sub, sup):
 def unique_idempotent_per_rstar_class(table):
     idem_set = set(idempotent_indices(table))
     rstar = greens.starred_R(table)
-    for members in rstar.classes:
-        found = [i for i in members if i in idem_set]
+    for members, found in zip(rstar.classes, _class_idempotents(rstar, idem_set)):
         if len(found) != 1:
             texts = ",".join(table.text_of(i) for i in members)
             return PropertyReport(

@@ -27,6 +27,13 @@ which L* and R* are checked against.  star_ideal_J groups
 elements by greens.star_ideal, the saturated principal *-ideal, which is
 the oracle for J* as strongly connected components.
 
+oracle_chain, oracle_expand and oracle_essential_factorization are the
+essential factorization by its earlier route: chain steps built from
+pairs, an is_idempotent test on each step, and each quasi step expanded
+after its moved point is found by search.  The library builds the same
+factors straight from the element's pairs; these are the oracle it is
+checked against.
+
 row_builds makes enumerate_family return fresh, uncached tables and
 counts the full product tables built, for the tests that check which
 commands build none.
@@ -37,7 +44,7 @@ from functools import lru_cache
 
 import pytest
 
-from catalanlab import families, greens
+from catalanlab import families, genrank, greens, pinj
 from catalanlab.families import FamilySpec, _valid_heights
 from catalanlab.greens import IndexPartition
 
@@ -207,6 +214,43 @@ def star_ideal_J(table, representatives=None):
     for members in groups:
         by_ideal[greens.star_ideal(table, members[0])].extend(members)
     return IndexPartition.from_groups(table.size, by_ideal.values())
+
+
+def oracle_chain(alpha):
+    """Step i fixes a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i
+    to a_i, each step built from its list of pairs."""
+    dom = pinj.domain(alpha)
+    img = tuple(alpha.image_of(x) for x in dom)
+    steps = []
+    for i in range(len(dom)):
+        pairs = [(img[j], img[j]) for j in range(i)]
+        pairs.append((dom[i], img[i]))
+        pairs.extend((dom[j], dom[j]) for j in range(i + 1, len(dom)))
+        steps.append(pinj.from_pairs(alpha.n, pairs))
+    return steps
+
+
+def oracle_expand(eps):
+    """The essentials that walk the one moved point y of eps down to its
+    image a over the fixed points, largest step first."""
+    (y, a), = ((x, eps.image_of(x)) for x in pinj.domain(eps) if eps.image_of(x) != x)
+    fixed = [(f, f) for f in pinj.fixed_points(eps)]
+    return [
+        pinj.from_pairs(eps.n, fixed + [(a + j, a + j - 1)]) for j in range(y - a, 0, -1)
+    ]
+
+
+def oracle_essential_factorization(alpha, qprime_side=False):
+    """Every chain step kept when idempotent and expanded otherwise, after
+    genrank.factor_requisite splits off the requisite tail."""
+    tail = []
+    if qprime_side and 1 in pinj.image(alpha):
+        alpha, requisite = genrank.factor_requisite(alpha)
+        tail = [requisite]
+    out = []
+    for step in oracle_chain(alpha):
+        out.extend([step] if pinj.is_idempotent(step) else oracle_expand(step))
+    return out + tail
 
 
 @pytest.fixture

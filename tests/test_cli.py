@@ -419,6 +419,42 @@ def test_decompose_essentials_round_trip(capsys):
     assert reduce(pinj.compose, factors) == pinj.parse_text("4:2>1,3>2")
 
 
+def test_decompose_essentials_pinned_output(capsys):
+    # The exact factor lists, not only their product: one IC_9 element,
+    # and one Q'_9 element whose image holds 1, so a requisite ends it.
+    code, out, _ = run_cli(
+        capsys,
+        "decompose", "--family", "icn", "--n", "9", "--element", "9:3>1,5>4,6>6,9>7",
+        "--mode", "essentials",
+    )
+    assert code == 0
+    assert out == (
+        "9:3>1,5>4,6>6,9>7 in IC_9 (essentials):\n"
+        "  1: 9:3>2,5>5,6>6,9>9\n"
+        "  2: 9:2>1,5>5,6>6,9>9\n"
+        "  3: 9:1>1,5>4,6>6,9>9\n"
+        "  4: 9:1>1,4>4,6>6,9>9\n"
+        "  5: 9:1>1,4>4,6>6,9>8\n"
+        "  6: 9:1>1,4>4,6>6,8>7\n"
+    )
+    code, out, _ = run_cli(
+        capsys,
+        "decompose", "--family", "qprime", "--n", "9", "--element", "9:2>1,3>2,5>3,8>6,9>9",
+        "--mode", "essentials",
+    )
+    assert code == 0
+    assert out == (
+        "9:2>1,3>2,5>3,8>6,9>9 in Q'_9 (essentials):\n"
+        "  1: 9:2>2,3>3,5>5,8>8,9>9\n"
+        "  2: 9:2>2,3>3,5>5,8>8,9>9\n"
+        "  3: 9:2>2,3>3,5>4,8>8,9>9\n"
+        "  4: 9:2>2,3>3,4>4,8>7,9>9\n"
+        "  5: 9:2>2,3>3,4>4,7>6,9>9\n"
+        "  6: 9:2>2,3>3,4>4,6>6,9>9\n"
+        "  7: 9:2>1,3>2,4>3,6>6,9>9\n"
+    )
+
+
 def test_decompose_requisite_mode(capsys):
     code, payload, _ = run_json(
         capsys,

@@ -6,7 +6,10 @@ from functools import reduce
 import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
+    oracle_chain,
     oracle_closure,
+    oracle_essential_factorization,
+    oracle_expand,
     oracle_indecomposables,
 )
 
@@ -355,6 +358,28 @@ def test_essential_factorization_identity_free_side_exhaustive():
                 assert pinj.height(f) == pinj.height(alpha)
 
 
+def images(factors):
+    return [f.img for f in factors]
+
+
+@pytest.mark.parametrize("kind", ["icn", "qprime"])
+def test_factorizations_match_the_oracle_route(kind):
+    # Every element of IC_n and Q'_n, n <= 7, each on its own side: the
+    # same factors, in the same order, as the route through chain steps,
+    # an idempotent test and quasi expansion.
+    qprime_side = kind == "qprime"
+    for n in range(1, 8):
+        for alpha in families.enumerate_family(FamilySpec(kind, n)).elements:
+            got = genrank.essential_factorization(alpha, qprime_side=qprime_side)
+            assert images(got) == images(oracle_essential_factorization(alpha, qprime_side))
+            chain = genrank.factor_idempotent_quasi_chain(alpha)
+            assert images(chain) == images(oracle_chain(alpha))
+            for step in chain:
+                if not pinj.is_idempotent(step):
+                    got = genrank.expand_quasi_to_essentials(step)
+                    assert images(got) == images(oracle_expand(step))
+
+
 def test_essential_factorization_rejects_outsiders_on_the_identity_free_side():
     with pytest.raises(ContractError):
         genrank.essential_factorization(pinj.identity(3), qprime_side=True)
@@ -414,32 +439,24 @@ def test_lift_height_pinned_examples():
 
 
 def test_lift_height_exhaustive_over_eligible_elements():
-    for n in (3, 4, 5):
-        t = table("icn", n)
-        for i in range(t.size):
-            alpha = t.element(i)
-            kind = genrank.element_kind(alpha, False)
-            if kind not in ("idempotent", "essential"):
+    # lift_height takes exactly the idempotents and essentials of height
+    # at most n - 2, and on the identity-free side also the requisites,
+    # up to n - 3: the rule genrank.generator_kinds and lift_bound state.
+    full = ("idempotent", "essential")
+    cases = [("icn", n, full, n - 2) for n in (3, 4, 5)]
+    cases += [("qprime", n, full + ("requisite",), n - 3) for n in (4, 5)]
+    for kind, n, kinds, bound in cases:
+        qprime_side = kind == "qprime"
+        assert genrank.generator_kinds(qprime_side) == kinds
+        assert genrank.lift_bound(n, qprime_side) == bound
+        spec = FamilySpec(kind, n)
+        for alpha in families.enumerate_family(spec).elements:
+            ekind = genrank.element_kind(alpha, qprime_side)
+            if ekind not in kinds or pinj.height(alpha) > bound:
+                with pytest.raises(ContractError):
+                    genrank.lift_height(alpha, kind)
                 continue
-            if pinj.height(alpha) > n - 2:
-                continue
-            left, right = genrank.lift_height(alpha, "icn")
-            assert pinj.compose(left, right) == alpha
-            assert pinj.height(left) == pinj.height(alpha) + 1
-            assert pinj.height(right) == pinj.height(alpha) + 1
-            assert families.is_member(left, FamilySpec("icn", n))
-            assert families.is_member(right, FamilySpec("icn", n))
-    for n in (4, 5):
-        spec = FamilySpec("qprime", n)
-        t = families.enumerate_family(spec)
-        for i in range(t.size):
-            alpha = t.element(i)
-            kind = genrank.element_kind(alpha, True)
-            if kind not in ("idempotent", "essential", "requisite"):
-                continue
-            if pinj.height(alpha) > n - 3:
-                continue
-            left, right = genrank.lift_height(alpha, "qprime")
+            left, right = genrank.lift_height(alpha, kind)
             assert pinj.compose(left, right) == alpha
             assert pinj.height(left) == pinj.height(alpha) + 1
             assert pinj.height(right) == pinj.height(alpha) + 1
