@@ -160,12 +160,12 @@ class SemigroupTable:
         # A two-sided identity must act as the identity on every domain
         # and image point that occurs, so it can only be the partial
         # identity on the union of all of them (the empty map when only
-        # the empty map is present).
-        points = set()
-        for el in self.elements:
-            if isinstance(el, pinj.PartialInjection):
-                points.update(pinj.domain(el))
-                points.update(pinj.image(el))
+        # the empty map is present).  A column of the image tuples holds
+        # a point (truthy) exactly when its position is in some domain.
+        imgs = [el.img for el in self.elements if el is not REES_ZERO]
+        points = set().union(*imgs)
+        points.discard(None)
+        points.update(compress(range(1, self.family.n + 1), map(any, zip(*imgs))))
         candidate = pinj.partial_identity(self.family.n, points)
         return self.index_of.get(candidate)
 
@@ -327,20 +327,23 @@ def _translate_table(image):
     return b"\0" + image + bytes(255 - len(image))
 
 
-def _images_for_domain(dom):
-    """Yield image tuples pairing isotonely with dom, never exceeding it."""
+def _images_for_domain(n, dom):
+    """Yield the image tuples on the n-chain of the maps with domain dom
+    that are isotone and never exceed the point they send.
+
+    The i-th point of dom gets a_i with a_{i-1} < a_i <= dom[i], so the
+    values are distinct points of 1..n and each tuple is a valid element.
+    """
     p = len(dom)
-    if p == 0:
-        yield ()
-        return
-    choice = [0] * p
+    img = [None] * n
 
     def walk(i, lo):
         if i == p:
-            yield tuple(choice)
+            yield tuple(img)
             return
-        for a in range(lo, dom[i] + 1):
-            choice[i] = a
+        x = dom[i]
+        for a in range(lo, x + 1):
+            img[x - 1] = a
             yield from walk(i + 1, a + 1)
 
     yield from walk(0, 1)
@@ -354,15 +357,20 @@ def _isotone_decreasing_maps(n, lowest_point=1, min_height=0, max_height=None):
     top_size = min(max_height, n - lowest_point + 1)
     for size in range(min_height, top_size + 1):
         for dom in combinations(range(lowest_point, n + 1), size):
-            for img in _images_for_domain(dom):
-                yield pinj.from_pairs(n, zip(dom, img))
+            for img in _images_for_domain(n, dom):
+                yield pinj._trusted(n, img)
 
 
 def _all_partial_injections(n):
+    """Every partial injection of the n-chain: each domain paired with
+    each arrangement of distinct values of 1..n, so each is valid."""
     for size in range(n + 1):
-        for dom in combinations(range(1, n + 1), size):
+        for dom in combinations(range(n), size):
             for vals in permutations(range(1, n + 1), size):
-                yield pinj.from_pairs(n, zip(dom, vals))
+                img = [None] * n
+                for slot, a in zip(dom, vals):
+                    img[slot] = a
+                yield pinj._trusted(n, tuple(img))
 
 
 def _sorted_elements(maps):

@@ -250,10 +250,14 @@ def _chain_steps(alpha):
 
 
 def _with_pair(fixed, x, a):
-    """The fixed part, given as an image list, extended by x -> a."""
+    """The fixed part, given as an image list, extended by x -> a.
+
+    Built unchecked: every caller passes a partial identity, a point x
+    outside its domain and a point a outside its image, so the result is
+    a partial injection (see essential_factorization for the proof)."""
     img = fixed.copy()
     img[x - 1] = a
-    return pinj.PartialInjection(len(img), img)
+    return pinj._trusted(len(img), tuple(img))
 
 
 def _walk_down(fixed, y, a):
@@ -306,7 +310,13 @@ def essential_factorization(alpha, qprime_side=False):
       meets the fixed part, which lies below a_i or above x_i.  Steps
       1, ..., i - 1 send x_j to a_j for j < i and fix x_i, ..., x_p, and
       step i fixes those points but x_i, which it moves to a_i; so the
-      steps compose to alpha.
+      steps compose to alpha.  So each factor extends a partial identity
+      by one pair x -> a, with x outside its domain and a outside its
+      image, which _with_pair builds unchecked.  That holds too for
+      factor_idempotent_quasi_chain, which keeps each step whole, and for
+      expand_quasi_to_essentials, whose input eps is isotone and
+      order-decreasing with one moved point y -> a: a fixed point f < y
+      has f = f eps < a, so none lies in a, ..., y.
 
     On the identity-free side an element whose image contains 1 is first
     split off a requisite tail factor (_split_requisite); the rest, beta,
@@ -356,7 +366,10 @@ def _split_requisite(alpha):
     least point it misses.  Isotone alpha sends the j-th domain point to j
     for j < i, and that point is at least j + 1, as the domain omits 1;
     so beta, which sends it to j + 1 instead, is again isotone and
-    order-decreasing, with 1 in neither its domain nor its image.
+    order-decreasing, with 1 in neither its domain nor its image.  Its
+    values are distinct points of 2..i and the images above i, and i <= n
+    since a domain omitting 1 holds at most n - 1 points; so beta is built
+    unchecked.
     """
     i = 2
     while i in alpha.img:
@@ -364,7 +377,7 @@ def _split_requisite(alpha):
     tail = [(a, a) for a in pinj.image(alpha) if a > i]
     requisite = pinj.from_pairs(alpha.n, [(j, j - 1) for j in range(2, i + 1)] + tail)
     beta = [a if a is None or a > i else a + 1 for a in alpha.img]
-    return pinj.PartialInjection(alpha.n, beta), requisite
+    return pinj._trusted(alpha.n, tuple(beta)), requisite
 
 
 def _smallest_outside(n, used, count):

@@ -14,6 +14,28 @@ Text form, used by the CLI and by fixtures:
 
 Pairs are sorted by x and carry no whitespace.  "3:2>1,3>3" is the map
 2 -> 1, 3 -> 3 on the 3-chain; "4:" is the empty map on the 4-chain.
+
+Validation happens once, where an element enters from outside: the
+PartialInjection constructor, from_pairs, partial_identity, identity,
+empty_map and parse_text refuse a chain size that is not a positive
+integer, a point or image value that is not an integer in 1..n, and an
+image value used twice; a bool counts as no integer here.  Every other
+element is built by _trusted, which checks nothing, at a site whose
+validity is proven:
+
+- compose: each image is an image of beta, so in 1..n, and two points
+  with one composite image have one image under alpha, as beta is
+  injective, so they are one point, as alpha is.
+- families enumeration: the isotone, order-decreasing maps place a
+  strictly increasing run a_1 < ... < a_p with a_i <= x_i on the domain,
+  and the partial injections place distinct values of 1..n.
+- genrank's chain steps and essentials (_with_pair) and the beta of its
+  requisite split: the proofs are in essential_factorization and
+  _split_requisite.
+
+The tests rebuild every enumerated element and every factor through the
+validating constructor and compare.  Elements cannot be changed after
+construction: assigning or deleting an attribute raises.
 """
 
 from __future__ import annotations
@@ -37,10 +59,7 @@ class PartialInjection:
     __slots__ = ("n", "img")
 
     def __init__(self, n, img):
-        # _check_chain_size, inline: every composite passes here, and the
-        # call made the elements benchmark 2% slower.
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"chain size must be a positive integer, got {n!r}")
+        _check_chain_size(n)
         img = tuple(img)
         if len(img) != n:
             raise ValidationError(f"image table has length {len(img)}, expected {n}")
@@ -48,13 +67,22 @@ class PartialInjection:
         for a in img:
             if a is None:
                 continue
-            if not isinstance(a, int) or not 1 <= a <= n:
+            if type(a) is bool or not isinstance(a, int) or not 1 <= a <= n:
                 raise RangeError(f"image value {a!r} outside 1..{n}")
             if seen[a]:
                 raise InjectivityError(f"image value {a} used twice")
             seen[a] = True
-        self.n = n
-        self.img = img
+        _set_n(self, n)
+        _set_img(self, img)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PartialInjection is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PartialInjection is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (PartialInjection, (self.n, self.img))
 
     def image_of(self, x):
         """Image of the point x, or None when x is outside the domain."""
@@ -79,10 +107,29 @@ class PartialInjection:
         return f"parse_text({canonical_text(self)!r})"
 
 
+# The slots are written through their descriptors, as __setattr__ refuses.
+_set_n = PartialInjection.n.__set__
+_set_img = PartialInjection.img.__set__
+_new = object.__new__
+
+
+def _trusted(n, img):
+    """The element with chain size n and image tuple img, unchecked.
+
+    Only for a site that proves img is a tuple of length n whose values
+    are None or distinct points of 1..n; the module docstring lists them.
+    """
+    alpha = _new(PartialInjection)
+    _set_n(alpha, n)
+    _set_img(alpha, img)
+    return alpha
+
+
 def _check_chain_size(n):
     """Refuse a chain size that is not a positive integer, before any
-    per-point storage is allocated."""
-    if not isinstance(n, int) or n < 1:
+    per-point storage is allocated.  A bool is an int to isinstance, so
+    it is refused by type here and for every point and image value."""
+    if type(n) is bool or not isinstance(n, int) or n < 1:
         raise ValidationError(f"chain size must be a positive integer, got {n!r}")
 
 
@@ -91,7 +138,7 @@ def from_pairs(n, pairs):
     _check_chain_size(n)
     img = [None] * n
     for x, a in pairs:
-        if not isinstance(x, int) or not 1 <= x <= n:
+        if type(x) is bool or not isinstance(x, int) or not 1 <= x <= n:
             raise RangeError(f"domain point {x!r} outside 1..{n}")
         if img[x - 1] is not None:
             raise InjectivityError(f"domain point {x} used twice")
@@ -114,7 +161,7 @@ def partial_identity(n, points):
     _check_chain_size(n)
     img = [None] * n
     for x in points:
-        if not isinstance(x, int) or not 1 <= x <= n:
+        if type(x) is bool or not isinstance(x, int) or not 1 <= x <= n:
             raise RangeError(f"point {x!r} outside 1..{n}")
         img[x - 1] = x
     return PartialInjection(n, img)
@@ -122,14 +169,11 @@ def partial_identity(n, points):
 
 def compose(alpha, beta):
     """Left-to-right composite: x -> (x alpha) beta where both sides are defined."""
-    if alpha.n != beta.n:
-        raise ChainMismatchError(f"cannot compose maps on chains {alpha.n} and {beta.n}")
-    bimg = beta.img
-    img = [None] * alpha.n
-    for i, a in enumerate(alpha.img):
-        if a is not None:
-            img[i] = bimg[a - 1]
-    return PartialInjection(alpha.n, img)
+    n = alpha.n
+    if n != beta.n:
+        raise ChainMismatchError(f"cannot compose maps on chains {n} and {beta.n}")
+    lookup = (None,) + beta.img
+    return _trusted(n, tuple([lookup[a or 0] for a in alpha.img]))
 
 
 def domain(alpha):
@@ -172,7 +216,10 @@ def is_decreasing(alpha):
 
 
 def is_idempotent(alpha):
-    return compose(alpha, alpha) == alpha
+    """True when alpha is a partial identity.  That is idempotence: if
+    x alpha = a, then a alpha = x alpha alpha = a, so x = a as alpha is
+    injective; and a partial identity is its own square."""
+    return all(a is None or a == x for x, a in enumerate(alpha.img, 1))
 
 
 def is_quasi_idempotent(alpha):

@@ -34,6 +34,13 @@ after its moved point is found by search.  The library builds the same
 factors straight from the element's pairs; these are the oracle it is
 checked against.
 
+loop_compose and loop_is_idempotent are the element kernel as it was
+before elements were built unchecked: a loop over the points, each
+composite passed through the validating constructor, and idempotence as
+compose(a, a) == a.  The library's compose and is_idempotent are checked
+against them, and assert_revalidates rebuilds an element that was built
+unchecked through the validating constructor.
+
 row_builds makes enumerate_family return fresh, uncached tables and
 counts the full product tables built, for the tests that check which
 commands build none.
@@ -45,6 +52,7 @@ from functools import lru_cache
 import pytest
 
 from catalanlab import families, genrank, greens, pinj
+from catalanlab.errors import ChainMismatchError
 from catalanlab.families import FamilySpec, _valid_heights
 from catalanlab.greens import IndexPartition
 
@@ -251,6 +259,28 @@ def oracle_essential_factorization(alpha, qprime_side=False):
     for step in oracle_chain(alpha):
         out.extend([step] if pinj.is_idempotent(step) else oracle_expand(step))
     return out + tail
+
+
+def loop_compose(alpha, beta):
+    """x -> (x alpha) beta, one point at a time, validated on construction."""
+    if alpha.n != beta.n:
+        raise ChainMismatchError(f"cannot compose maps on chains {alpha.n} and {beta.n}")
+    bimg = beta.img
+    img = [None] * alpha.n
+    for i, a in enumerate(alpha.img):
+        if a is not None:
+            img[i] = bimg[a - 1]
+    return pinj.PartialInjection(alpha.n, img)
+
+
+def loop_is_idempotent(alpha):
+    return loop_compose(alpha, alpha) == alpha
+
+
+def assert_revalidates(alpha):
+    """alpha has a tuple image and equals its validated rebuild."""
+    assert type(alpha.img) is tuple
+    assert alpha == pinj.PartialInjection(alpha.n, alpha.img)
 
 
 @pytest.fixture

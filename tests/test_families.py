@@ -1,11 +1,13 @@
 """Family enumeration, table construction, and the Rees product rule."""
 
+import copy
+import pickle
 import random
 import re
 from itertools import combinations, permutations
 
 import pytest
-from conftest import DIFFERENTIAL_SPECS, direct_rows
+from conftest import DIFFERENTIAL_SPECS, assert_revalidates, direct_rows
 
 from catalanlab import families, formulas, genrank, pinj
 from catalanlab.errors import (
@@ -125,6 +127,31 @@ def test_identity_index_per_family():
     assert k_full.element(k_full.identity_index) == pinj.identity(3)
 
 
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_identity_index_is_the_two_sided_identity(spec):
+    table = families.enumerate_family(spec)
+    rows = direct_rows(table)
+    everything = list(range(table.size))
+    found = [e for e in everything if list(rows[e]) == everything
+             and [row[e] for row in rows] == everything]
+    assert [table.identity_index] == (found or [None])
+
+
+def test_enumerated_elements_revalidate():
+    # Enumeration builds elements unchecked; each must equal its rebuild
+    # through the validating constructor.
+    specs = [FamilySpec("icn", 8), FamilySpec("qprime", 8)] + [
+        FamilySpec(kind, n, p)
+        for kind in families.KINDS
+        for n in range(1, 7)
+        for p in families._valid_heights(kind, n)
+    ]
+    for spec in specs:
+        for el in families.enumerate_family(spec).elements:
+            if el is not REES_ZERO:
+                assert_revalidates(el)
+
+
 def test_index_of_round_trips():
     table = families.enumerate_family(FamilySpec("ric", 4, 2))
     for i in range(1, table.size):
@@ -145,6 +172,15 @@ def test_cached_tables_are_frozen():
         rows[1] = rows[0]
     with pytest.raises(TypeError):
         rows[1][1] = 0
+    with pytest.raises(AttributeError):
+        el.img = (1, 1, 1, 1)
+    with pytest.raises(AttributeError):
+        el.n = 3
+    with pytest.raises(AttributeError):
+        del el.img
+    # copies and pickles are rebuilt through the validating constructor
+    assert copy.deepcopy(el) == el
+    assert pickle.loads(pickle.dumps(el)) == el
     again = families.enumerate_family(spec)
     after = (list(again.elements), dict(again.index_of), [list(r) for r in again.product_rows()])
     assert after == before

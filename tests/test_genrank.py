@@ -6,6 +6,7 @@ from functools import reduce
 import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
+    assert_revalidates,
     oracle_chain,
     oracle_closure,
     oracle_essential_factorization,
@@ -378,6 +379,25 @@ def test_factorizations_match_the_oracle_route(kind):
                 if not pinj.is_idempotent(step):
                     got = genrank.expand_quasi_to_essentials(step)
                     assert images(got) == images(oracle_expand(step))
+
+
+@pytest.mark.parametrize("kind", ["icn", "qprime"])
+def test_every_factor_revalidates(kind):
+    # The factor builders skip validation; every factor they return on
+    # IC_n and Q'_n, n <= 7, must equal its validated rebuild.
+    qprime_side = kind == "qprime"
+    for n in range(1, 8):
+        for alpha in families.enumerate_family(FamilySpec(kind, n)).elements:
+            factors = genrank.essential_factorization(alpha, qprime_side=qprime_side)
+            chain = genrank.factor_idempotent_quasi_chain(alpha)
+            factors += chain
+            for step in chain:
+                if not pinj.is_idempotent(step):
+                    factors += genrank.expand_quasi_to_essentials(step)
+            if qprime_side and 1 in alpha.img:
+                factors += genrank.factor_requisite(alpha)
+            for f in factors:
+                assert_revalidates(f)
 
 
 def test_essential_factorization_rejects_outsiders_on_the_identity_free_side():

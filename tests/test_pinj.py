@@ -1,6 +1,7 @@
 """Element-level behavior, cross-checked against dict-based oracles."""
 
 import pytest
+from conftest import loop_compose, loop_is_idempotent
 
 from catalanlab import families, pinj
 from catalanlab.errors import (
@@ -34,6 +35,26 @@ def test_compose_matches_pointwise_oracle_exhaustively():
             for b in els:
                 got = pinj.compose(a, b)
                 assert as_dict(got) == oracle_compose(as_dict(a), as_dict(b))
+
+
+@pytest.mark.parametrize("kind,n", [("syminv", 4), ("icn", 5), ("qprime", 5)])
+def test_compose_matches_the_loop_oracle_on_every_pair(kind, n):
+    els = all_elements(kind, n)
+    for a in els:
+        for b in els:
+            got = pinj.compose(a, b)
+            assert type(got.img) is tuple
+            assert got == loop_compose(a, b)
+
+
+@pytest.mark.parametrize("kind,n", [("syminv", 5), ("icn", 7), ("qprime", 7)])
+def test_idempotence_and_classify_match_the_compose_oracle(kind, n, monkeypatch):
+    els = all_elements(kind, n)
+    direct = [(pinj.is_idempotent(a), pinj.classify(a)) for a in els]
+    # classify as it was, with every idempotence test made by composing
+    monkeypatch.setattr(pinj, "compose", loop_compose)
+    monkeypatch.setattr(pinj, "is_idempotent", loop_is_idempotent)
+    assert direct == [(loop_is_idempotent(a), pinj.classify(a)) for a in els]
 
 
 def test_compose_is_associative_on_icn_3():
@@ -236,9 +257,26 @@ def test_chain_sizes_that_are_not_positive_integers_raise_validation_errors():
         lambda: pinj.identity("3"),
         lambda: pinj.identity(0),
         lambda: pinj.PartialInjection("3", [None] * 3),
+        lambda: pinj.PartialInjection(True, [1]),
+        lambda: pinj.from_pairs(True, []),
+        lambda: pinj.partial_identity(True, []),
+        lambda: pinj.identity(True),
+        lambda: pinj.empty_map(True),
     ):
         with pytest.raises(ValidationError, match="chain size must be a positive integer"):
             build()
+
+
+def test_booleans_are_not_points_or_image_values():
+    # True == 1 and False == 0 to int, but no element holds a bool
+    with pytest.raises(RangeError, match="image value True outside 1..2"):
+        pinj.from_pairs(2, [(1, True)])
+    with pytest.raises(RangeError, match="image value False outside 1..2"):
+        pinj.PartialInjection(2, [None, False])
+    with pytest.raises(RangeError, match="domain point True outside 1..2"):
+        pinj.from_pairs(2, [(True, 1)])
+    with pytest.raises(RangeError, match="point True outside 1..2"):
+        pinj.partial_identity(2, [True])
 
 
 def test_compose_rejects_mismatched_chains():
