@@ -200,8 +200,8 @@ class SemigroupTable:
     @property
     def generators(self):
         """The generating set A the Cayley graphs are built over, as a
-        tuple of indices, chosen greedily from the highest index down.  No
-        rank theorem is assumed; it is any set that reaches every element."""
+        tuple of indices in the order chosen.  On a J-trivial table it is
+        the unique minimum generating set (see _left_graph)."""
         if self._generators is None:
             self._left_graph()
         return self._generators
@@ -250,14 +250,53 @@ class SemigroupTable:
         return self._rows
 
     def _left_graph(self):
-        """Choose A and compose its rows.  The highest unreached index joins
-        A, and a breadth-first search over x -> g.x (g in A) extends the
-        reach, until every element is reached."""
+        """Choose A and compose its rows (Froidure and Pin's Cayley-graph
+        enumeration).  An element not yet reached joins A, and a
+        breadth-first search over x -> g.x (g in A) extends the reach to
+        <A>, until every element is reached.
+
+        Elements are visited in descending phi(x) = (height, sum im x -
+        sum dom x), the Rees zero last and the higher index first on ties.
+        For a nonzero product x = b.c, phi(b) > phi(x) unless b = x, and
+        phi(c) > phi(x) unless c = x:
+
+          Either the height drops, or dom x = dom b, and then x(i) =
+          c(b(i)) <= b(i), with some inequality strict, so sum im falls.
+          Either the height drops, or im x = im c, and then the preimage
+          under x of each point is at least its preimage under c, as b is
+          order-decreasing, with some inequality strict, so sum dom rises.
+
+        So these tables are J-trivial.  Call x irreducible when it is no
+        product b.c with b, c != x.  Each irreducible x lies in A: else a
+        shortest word g_1 ... g_k for it over A has k >= 2, and then
+        x = g_1 . (g_2 ... g_k) with both factors != x.  Only irreducibles
+        join A: if x = b.c with b, c != x, both factors come first (the
+        zero comes last, and its factors are nonzero), so both are
+        reached, and so is x.  So A is the unique minimum generating set.
+
+        I_n is visited in descending index order, height first.  Its
+        J-classes are its height layers, so a J-trivial I_n has one element
+        per height, that order is a J-order on it, and the argument holds.
+        """
         m = self.size
         row_of = self._composer(left=True)
         reached = bytearray(m)
         gens, gen_rows = [], []
-        for top in range(m - 1, -1, -1):
+        points = range(1, self.family.n + 1)
+
+        def phi(i):
+            el = self.elements[i]
+            if el is REES_ZERO:
+                return -1, 0, i
+            img = el.img
+            drift = sum(filter(None, img)) - sum(compress(points, img))
+            return len(img) - img.count(None), drift, i
+
+        if self.family.kind == KIND_SYMINV:
+            order = range(m - 1, -1, -1)
+        else:
+            order = sorted(range(m), key=phi, reverse=True)
+        for top in order:
             if reached[top]:
                 continue
             row_g = row_of(top)

@@ -1,49 +1,30 @@
 r"""Generating sets, ranks, constructive factorizations, and maximal
 subsemigroups.
 
-The rank computation rests on one fact about these tables: call an
-element indecomposable when it is not a product of two elements both
-different from it.  Any generating set must contain every indecomposable
-(a shortest product expression for a missing one would exhibit two
-smaller factors), and on a J-trivial table the indecomposables generate,
-so they form the unique minimum generating set.  Both halves are checked
-computationally, never assumed: J-triviality by the strongly connected
-components of the Cayley graphs (greens), and generation by closure.
+The rank computation rests on one fact: call an element indecomposable
+when it is not a product of two elements both different from it.  The
+table's generating set A (table.generators) is chosen in an order along
+which every proper factorization climbs, so every family but I_n is
+J-trivial and A is exactly its indecomposables, its unique minimum
+generating set.  families.SemigroupTable._left_graph holds the proof,
+which assumes no rank formula from the paper.  The rank, the minimum
+generating set and the maximal subsemigroups are read off A.  I_n is
+J-trivial only for n = 1; any other is refused, by the strongly
+connected components of its Cayley graphs (greens).
 
-Everything here reads the Cayley graphs over the table's generating set
-A (table.generators): the rows g.x and columns x.g for g in A, O(m |A|)
-entries for m elements.  The m x m product table is never built.
-
-Indecomposables from the generator rows.  Let S be J-trivial and
-generated by A.  Then a is indecomposable exactly when a is in A and no
-g in A \ {a} and x != a give g.x = a.
-
-  If a is not in A, a shortest word g_1 ... g_k for a over A has k >= 2,
-  and a = g_1 . (g_2 ... g_k) with g_1 != a (a is not in A) and
-  g_2 ... g_k != a (it has a shorter word), so a is decomposable.  If
-  a is indecomposable, no g.x = a has both factors different from a.
-  Conversely, let a in A be decomposable, a = b.c with b, c != a.  Both
-  factors lie J-above a, and strictly so, as S is J-trivial.  A word over
-  A for b that used a would put b J-below a, so b and c are products over
-  A \ {a}, and so is a.  A shortest such word h_1 ... h_k has k >= 2,
-  as a is not in A \ {a}; g = h_1 and x = h_2 ... h_k then give
-  g.x = a with g in A \ {a}, and x != a, as x has a shorter word.
-
-So the test reads each generator row once in C (a set intersection with
-A, then a count of each generator found), O(m |A|) in all; it assumes no
-rank formula from the paper.
-
-Costs, for m elements, generating set A and G the indices passed in:
-the Cayley graphs O(m |A|) compositions on packed images; the
-J-triviality check O(m |A|) (Tarjan); indecomposables O(m |A|);
-closure(G) O(m |G|) compositions plus O(|<G>| |G|) steps.
+Everything else reads the Cayley graphs over A, O(m |A|) entries for m
+elements; the m x m product table is never built.  Costs, for G the
+indices passed in: A and its rows O(m |A|) compositions on packed
+images, after an O(m log m) sort; the J-triviality check on I_n
+O(m |A|) (Tarjan); closure(G) O(m |G|) compositions plus O(|<G>| |G|)
+steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import families, formulas, greens, pinj, structure
+from . import families, formulas, greens, pinj
 from .errors import (
     ContractError,
     InvariantError,
@@ -83,28 +64,10 @@ def indecomposables(table):
     """Elements that are not products of two others: a is decomposable
     when a = b c with b != a and c != a (b = c allowed).
 
-    On a J-trivial table these are the generators a in A such that no
-    row g.x of another generator g holds a at a position x != a (see the
-    module docstring for the proof).  A table that is not J-trivial is
-    refused.
+    On a J-trivial table these are exactly table.generators (see the
+    module docstring).  A table that is not J-trivial is refused.
     """
-    if not is_jtrivial(table):
-        raise UnsupportedTableError("indecomposables need a J-trivial table")
-    return _indecomposables(table)
-
-
-def _indecomposables(table):
-    """indecomposables on a table already checked to be J-trivial."""
-    gens = frozenset(table.generators)
-    # row.count(a) - (row[a] == a) counts the x != a with g.x = a; only
-    # the generators that occur in the row at all are counted.
-    decomposable = {
-        a
-        for g, row in zip(table.generators, table.generator_rows())
-        for a in gens.intersection(row)
-        if a != g and row.count(a) - (row[a] == a)
-    }
-    return gens - decomposable
+    return _minimum_generators(table, "indecomposables need")
 
 
 def is_jtrivial(table):
@@ -182,29 +145,24 @@ def _group_generators(table, gens):
     return out
 
 
-def _minimum_generators(table, what):
-    """The indecomposables of a J-trivial table, verified to generate: its
-    unique minimum generating set.  A table that is not J-trivial is
-    refused, in the words of what, the computation that needs it."""
-    if not is_jtrivial(table):
-        raise UnsupportedTableError(f"{what} needs a J-trivial table")
-    gens = _indecomposables(table)
-    if closure(table, gens) != frozenset(range(table.size)):
-        raise InvariantError(
-            "indecomposables fail to generate a J-trivial table; table is corrupt"
-        )
-    return gens
+def _minimum_generators(table, refusal):
+    """table.generators as a set: on a J-trivial table its indecomposables
+    and unique minimum generating set.  Only an I_n can fail to be
+    J-trivial; it is refused in the words of refusal, the computation
+    that needs it."""
+    if table.family.kind == families.KIND_SYMINV and not is_jtrivial(table):
+        raise UnsupportedTableError(f"{refusal} a J-trivial table")
+    return frozenset(table.generators)
 
 
 def minimal_generating_set(table):
-    """Minimum generating set and rank of a J-trivial table: the
-    indecomposables, verified to generate.  A table that is not
-    J-trivial is refused, since no exact method for it is implemented."""
-    gens = _minimum_generators(table, "rank computation")
-    spec = getattr(table, "family", None)
-    formula = formulas.rank_formula(spec) if isinstance(spec, families.FamilySpec) else None
+    """Minimum generating set and rank of a J-trivial table: its
+    indecomposables.  A table that is not J-trivial is refused, since no
+    exact method for it is implemented."""
+    gens = _minimum_generators(table, "rank computation needs")
+    formula = formulas.rank_formula(table.family)
     return GeneratorReport(
-        family=structure._label(table),
+        family=table.family.label(),
         rank=len(gens),
         generators=_group_generators(table, gens),
         formula=formula,
@@ -455,12 +413,11 @@ def maximal_subsemigroups(table):
 
     They are exactly the complements of single minimum generators.  Each
     complement is closed because its removed element is indecomposable,
-    no product of two other elements (see the module docstring), and
-    maximal because it misses a single element.  No other maximal
-    subsemigroup exists because the generation check of
-    _minimum_generators shows the indecomposables generate: any proper
+    no product of two other elements, and maximal because it misses a
+    single element.  No other maximal subsemigroup exists because the
+    indecomposables generate (see the module docstring): any proper
     subsemigroup misses one of them, so it sits inside one of these
     complements.  The tests compare the result with a brute-force search
     over every subset of small tables.
     """
-    return sorted(_minimum_generators(table, "maximal subsemigroup search"))
+    return sorted(_minimum_generators(table, "maximal subsemigroup search needs"))

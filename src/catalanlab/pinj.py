@@ -134,7 +134,8 @@ def _check_chain_size(n):
 
 
 def from_pairs(n, pairs):
-    """Build an element from (x, a) pairs; rejects duplicates and bad ranges."""
+    """Build an element from (x, a) pairs; rejects duplicates, a None image
+    and bad ranges."""
     _check_chain_size(n)
     img = [None] * n
     for x, a in pairs:
@@ -142,6 +143,8 @@ def from_pairs(n, pairs):
             raise RangeError(f"domain point {x!r} outside 1..{n}")
         if img[x - 1] is not None:
             raise InjectivityError(f"domain point {x} used twice")
+        if a is None:
+            raise ValidationError(f"domain point {x} has no image")
         img[x - 1] = a
     return PartialInjection(n, img)
 

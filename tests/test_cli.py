@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import catalanlab
-from catalanlab import cli, families, genrank, pinj
+from catalanlab import cli, families, pinj
 from catalanlab.errors import CapExceededError, ValidationError
 
 
@@ -642,28 +642,6 @@ def test_family_parameter_validation_maps_to_exit_two(capsys):
         capsys, "enum", "--family", "icn", "--n", "3", "--p", "2", "--count-only"
     )
     assert code == 2
-
-
-def test_an_internal_invariant_failure_exits_four(capsys, monkeypatch):
-    monkeypatch.setattr(genrank, "closure", lambda table, gens: frozenset())
-    code, out, err = run_cli(capsys, "rank", "--family", "icn", "--n", "3")
-    assert code == 4
-    assert out == ""
-    assert err == (
-        "error: internal invariant failed: indecomposables fail to generate"
-        " a J-trivial table; table is corrupt\n"
-    )
-
-
-def test_maximal_reports_a_corrupt_table_in_the_words_of_rank(capsys, monkeypatch):
-    # rank and maximal share one generation check, and so one exit-4 text
-    monkeypatch.setattr(genrank, "closure", lambda table, gens: frozenset())
-    code, out, err = run_cli(capsys, "maximal", "--family", "icn", "--n", "3")
-    assert (code, out) == (4, "")
-    assert err == (
-        "error: internal invariant failed: indecomposables fail to generate"
-        " a J-trivial table; table is corrupt\n"
-    )
 
 
 def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):

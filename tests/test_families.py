@@ -7,7 +7,12 @@ import re
 from itertools import combinations, permutations
 
 import pytest
-from conftest import DIFFERENTIAL_SPECS, assert_revalidates, direct_rows
+from conftest import (
+    DIFFERENTIAL_SPECS,
+    assert_revalidates,
+    direct_rows,
+    oracle_indecomposables,
+)
 
 from catalanlab import families, formulas, genrank, pinj
 from catalanlab.errors import (
@@ -232,11 +237,33 @@ def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped):
         corrupt.product_rows()
 
 
+def phi(table, i):
+    """(height, sum of the image - sum of the domain), the Rees zero below
+    everything."""
+    el = table.element(i)
+    if el is REES_ZERO:
+        return (-1, 0)
+    return (pinj.height(el), sum(pinj.image(el)) - sum(pinj.domain(el)))
+
+
+def visit_key(table):
+    """The order the generating set is chosen in, descending: the index on
+    I_n, phi with the index as tie-break elsewhere."""
+    if table.family.kind == "syminv":
+        return lambda i: i
+    return lambda i: (phi(table, i), i)
+
+
+JTRIVIAL_SPECS = [spec for spec in DIFFERENTIAL_SPECS if spec.kind != "syminv"]
+
+
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
 def test_generators_reach_every_element_and_hold_every_indecomposable(spec):
     table = families.enumerate_family(spec)
     gens = table.generators
-    assert isinstance(gens, tuple) and gens[0] == table.size - 1
+    key = visit_key(table)
+    assert isinstance(gens, tuple) and gens[0] == max(range(table.size), key=key)
+    assert list(gens) == sorted(gens, key=key, reverse=True)
     # right Cayley graph search with direct products, not the rows
     reached = set(gens)
     frontier = list(gens)
@@ -248,10 +275,23 @@ def test_generators_reach_every_element_and_hold_every_indecomposable(spec):
                 reached.add(y)
                 frontier.append(y)
     assert reached == set(range(table.size))
-    # any generating set holds every element that is no product of others
+    # any generating set holds every element that is no product of others,
+    # and in a J-order A holds nothing else
     if spec.kind != "syminv":
         assert genrank.is_jtrivial(table)
-        assert genrank.indecomposables(table) <= set(gens)
+        assert frozenset(gens) == oracle_indecomposables(table)
+
+
+@pytest.mark.parametrize("spec", JTRIVIAL_SPECS, ids=lambda s: s.label())
+def test_phi_falls_strictly_along_every_proper_product(spec):
+    # x = b.c: phi(b) > phi(x) unless b = x, and phi(c) > phi(x) unless c = x
+    table = families.enumerate_family(spec)
+    rows = direct_rows(table)
+    phis = [phi(table, i) for i in range(table.size)]
+    for b, row in enumerate(rows):
+        for c, x in enumerate(row):
+            assert x == b or phis[b] > phis[x], (b, c)
+            assert x == c or phis[c] > phis[x], (b, c)
 
 
 def test_plain_product_is_composition():

@@ -237,6 +237,8 @@ def test_tables_that_are_not_jtrivial_are_refused():
 
 
 def test_each_call_checks_j_triviality_once(monkeypatch):
+    # at most once: a table outside I_n is J-trivial by the order its
+    # generating set is chosen in, and only an I_n is asked for J
     asked = []
     green = greens.green
 
@@ -245,24 +247,33 @@ def test_each_call_checks_j_triviality_once(monkeypatch):
         return green(table, which)
 
     monkeypatch.setattr(greens, "green", counted)
-    t = table("qprime", 4)
-    for compute in (
+    computes = (
         genrank.minimal_generating_set,
         genrank.maximal_subsemigroups,
         genrank.indecomposables,
-    ):
+    )
+    q4 = table("qprime", 4)
+    for compute in computes:
+        compute(q4)
+    assert asked == []
+    # the one J-trivial I_n, I_1, is read off its generating set too
+    i1 = table("syminv", 1)
+    for compute in computes:
         asked.clear()
-        compute(t)
+        compute(i1)
         assert asked == ["J"], compute.__name__
+    assert genrank.minimal_generating_set(i1).rank == 2
     # each refusal keeps its own message
     i3 = table("syminv", 3)
-    for compute, message in (
-        (genrank.minimal_generating_set, "rank computation needs"),
-        (genrank.maximal_subsemigroups, "maximal subsemigroup search needs"),
-        (genrank.indecomposables, "indecomposables need"),
-    ):
+    for compute, message in zip(computes, (
+        "rank computation needs",
+        "maximal subsemigroup search needs",
+        "indecomposables need",
+    )):
+        asked.clear()
         with pytest.raises(UnsupportedTableError, match=message):
             compute(i3)
+        assert asked == ["J"], compute.__name__
 
 
 def test_no_smaller_generating_set_certificates():

@@ -244,6 +244,10 @@ def test_from_pairs_validation():
         pinj.from_pairs(3, [(2, 1), (2, 2)])
     with pytest.raises(ValidationError):
         pinj.from_pairs(0, [])
+    # a None image would hide a repeated domain point or drop a pair
+    for pairs in ([(1, None), (1, 2)], [(1, None)]):
+        with pytest.raises(ValidationError, match="domain point 1 has no image"):
+            pinj.from_pairs(3, pairs)
 
 
 def test_chain_sizes_that_are_not_positive_integers_raise_validation_errors():
