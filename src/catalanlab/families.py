@@ -216,8 +216,8 @@ class SemigroupTable:
 
     def columns(self, indices):
         """For each index a, the column x.a for every x.  Composed on each
-        call and not kept: the callers (R, J, closure) are memoized or run
-        once, and keeping columns cost more battery peak memory than
+        call and not kept: the callers (R, J, R*, J*, closure) are memoized
+        or run once, and keeping columns cost more battery peak memory than
         composing them again saves."""
         return tuple(map(self._composer(left=False), indices))
 

@@ -20,16 +20,32 @@ one).  Structural characterizations (same image, same domain, same
 height) are built with partition_by and compared by the battery and the
 tests, as the independent cross-check.
 
-Kernel keys.  Each row (for L*) and each column (for R*) is read once:
-its values are labelled in order of first occurrence (dict.fromkeys),
-and the labels, read back along the line (packed into bytes when there
-are at most 256), are its key.  The adjoined identity is a second key
-component, the label of a in line a (a.1 = a), or -1 when a does not
-occur in it; the line is never copied.  Elements are bucketed by key as
-the keys are made, so only one key per class is kept.  R* streams its
-columns with zip(*rows), one column alive at a time: no m x m transpose
-is built: holding one raised the peak RSS of the Q'_7 commands of the
-`tables` benchmark to 39.8 MB, above that workload's 35.3 MB peak.
+Kernel keys.  A line (a row a.x for L*, a column x.a for R*) is keyed
+by labelling its values in order of first occurrence and reading the
+labels back along it, packed into bytes when there are at most 256.  The
+adjoined identity is a second key component, the label of a in line a
+(a.1 = a), or -1 when a does not occur in it.  No line but a generator's
+is ever built: the keys follow the Cayley graphs, by the recurrence
+product_rows also uses.  If y = g.x then row_y = row_g o row_x, and if
+y = x.g then col_y = col_g o col_x.  Let x's line have the distinct
+values d_0, d_1, ... in order of first occurrence, first at positions
+p_0 < p_1 < ....  Then y's line holds line_g[d_i] wherever x's holds
+d_i, so its values are line_g[d_0], line_g[d_1], ... with repeats
+dropped, and each first occurs at the p_i of its first d_i.  Those first
+positions increase, so the labels of y are that deduplicated order, and
+y's key is x's key sent through the relabelling i -> label of
+line_g[d_i]: one bytes.translate when x has at most 256 labels.  y never
+has more labels than x, as its kernel is coarser.  This holds in every
+semigroup, so it assumes no structural characterization.
+
+So each generator's line is keyed directly, and every other element
+once, from its parent in the breadth-first spanning tree over A, which
+is walked depth-first: only the keys on the current path are held.
+Elements are bucketed by key as the keys are made, so only one key per
+class is kept.  The work is O(m |A|) for the tree plus one translate of
+m bytes (or, past 256 labels, one itemgetter call) per element.  A
+duck-typed table without generator rows uses every element as A, each
+line read off its product rows.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
@@ -50,13 +66,13 @@ cycle and so do R*-related ones, so every D*-class (the join of L* and
 R*) lies inside one component.  The components can therefore be found
 on the much smaller quotient graph whose nodes are the D*-classes: the
 cycles fall inside the nodes, and class C has an edge to the class of
-g.x and of x.g for each x in C.  Tarjan's routine above finds them.
-This reads O(m |A|) entries; saturating each ideal as a set, as
-star_ideal does, reads whole rows and columns per element reached.
-star_ideal stays as the definition-level oracle.  On every family table
-here J* equals D*, but not on every finite semigroup: the tests hold a
-33-element Rees quotient of a semigroup of partial maps where J* merges
-two D*-classes.
+g.x and of x.g for each x in C, read off the generator rows and
+columns.  Tarjan's routine above finds them.  This reads O(m |A|)
+entries; saturating each ideal as a set, as star_ideal does, reads whole
+rows and columns per element reached.  star_ideal stays as the
+definition-level oracle.  On every family table here J* equals D*, but
+not on every finite semigroup: the tests hold a 33-element Rees quotient
+of a semigroup of partial maps where J* merges two D*-classes.
 
 The classical relations and L* and R* are computed once per table, and
 later calls return the same IndexPartition; H*, D* and J* are built from
@@ -252,56 +268,103 @@ def _join(p1, p2):
     return _components(successors)
 
 
-def _kernel_key(values, adjoined=None):
-    """Canonical signature of the kernel induced by a line of values (a
-    row a.x or a column x.a): each value is labelled in order of first
-    occurrence, so two lines get equal signatures exactly when they
-    induce the same kernel.  The labels are packed into bytes when they
-    fit, which hashes and stores faster; lines with equal kernels have
-    equally many labels, so they never differ in type.
-
-    With adjoined (the a of a.1 = 1.a = a for an identity formally
-    adjoined), the kernel also covers that extra position, which joins
-    the block of the positions holding adjoined: the key gains the label
-    of adjoined, or -1 when no position holds it.  The line is not
-    copied.  The work is done by C builtins, with no Python-level loop.
+def _kernel_key(values):
+    """First-occurrence labels of a line of values (a row a.x or a column
+    x.a): each value is labelled 0, 1, ... in order of first occurrence.
+    Returns the labels read back along the line, which is the line's kernel
+    signature, and the dict from each distinct value to its label, in that
+    order.  Two lines get equal signatures exactly when they induce the
+    same kernel.  The signature is packed into bytes when there are at most
+    256 labels, which hashes and stores faster; lines with equal kernels
+    have equally many labels, so they never differ in type.  The work is
+    done by C builtins, with no Python-level loop.
     """
     labels = dict(zip(dict.fromkeys(values), count()))
-    signature = map(labels.__getitem__, values)
-    signature = bytes(signature) if len(labels) <= 256 else tuple(signature)
-    if adjoined is None:
-        return signature
-    return signature, labels.get(adjoined, -1)
+    return _packed(map(labels.__getitem__, values), labels), labels
 
 
-def _kernel_partition(table, lines):
-    """Elements a with equal kernels of line a, over the table with an
-    identity adjoined when it has none; each line is read once."""
+def _packed(signature, labels):
+    """A signature as bytes when its labels fit in one, else as a tuple."""
+    return bytes(signature) if len(labels) <= 256 else tuple(signature)
+
+
+def _cayley_lines(table, left):
+    """A and the line of each g in A: the row g.x (left) or the column x.g
+    over every x, which is also the edge x -> g.x or x -> x.g of the left
+    or right Cayley graph.  A duck-typed table without generator rows uses
+    every element as A and reads its product rows."""
+    if hasattr(table, "generator_rows"):
+        gens = table.generators
+        return gens, table.generator_rows() if left else table.columns(gens)
+    rows = table.product_rows()
+    return range(table.size), rows if left else tuple(zip(*rows))
+
+
+def _kernel_partition(table, left):
+    """Elements a with equal kernels of line a (row for L*, column for
+    R*), over the table with an identity adjoined when it has none.
+
+    A breadth-first search from A over the Cayley graph gives a spanning
+    tree.  Each generator's line is keyed by _kernel_key; each other
+    element y = g.x (x.g for R*) gets the key of its tree parent x sent
+    through the relabelling of the module docstring.  The tree is walked
+    depth-first, so only the keys on the current path are held, and no
+    line other than a generator's is ever built.
+    """
+    gens, lines = _cayley_lines(table, left)
     adjoin = table.identity_index is None
+    children = _spanning_tree(table.size, gens, lines)
     buckets = defaultdict(list)
-    for a, line in enumerate(lines):
-        buckets[_kernel_key(line, a if adjoin else None)].append(a)
+    for root, line in zip(gens, lines):
+        stack = [(root, line, None, None)]
+        while stack:
+            y, line_g, signature, labels = stack.pop()
+            if labels is None:
+                signature, labels = _kernel_key(line_g)
+            else:
+                relabel, labels = _kernel_key(list(map(line_g.__getitem__, labels)))
+                if type(signature) is bytes:
+                    signature = signature.translate(relabel.ljust(256, b"\0"))
+                else:
+                    signature = _packed(itemgetter(*signature)(relabel), labels)
+            buckets[(signature, labels.get(y, -1)) if adjoin else signature].append(y)
+            stack.extend((z, line_h, signature, labels) for line_h, z in children.get(y, ()))
     return IndexPartition.from_groups(table.size, buckets.values())
+
+
+def _spanning_tree(m, gens, lines):
+    """The breadth-first spanning tree from A of the graph with an edge
+    x -> line[x] for each line of A, as a dict from x to the (line, y) of
+    each y first reached as line[x].  A tree path from a root has one
+    edge fewer than the shortest word over A for its end, which bounds
+    the path the key walk holds."""
+    reached = bytearray(m)
+    for g in gens:
+        reached[g] = 1
+    children = {}
+    queue = list(gens)
+    for x in queue:
+        kids = []
+        for line in lines:
+            y = line[x]
+            if not reached[y]:
+                reached[y] = 1
+                kids.append((line, y))
+        if kids:
+            children[x] = kids
+            queue.extend(y for _, y in kids)
+    return children
 
 
 def starred_L(table):
     """L*: equal kernels of x -> ax with x running over the table plus a
     formally adjoined identity when none is present."""
-    return _memoized(table, "Ls", _starred_L)
-
-
-def _starred_L(table):
-    return _kernel_partition(table, table.product_rows())
+    return _memoized(table, "Ls", _kernel_partition, True)
 
 
 def starred_R(table):
     """R*: the dual of L*, with kernels of x -> xa."""
-    return _memoized(table, "Rs", _starred_R)
-
-
-def _starred_R(table):
-    # zip(*rows) streams the columns, one alive at a time.
-    return _kernel_partition(table, zip(*table.product_rows()))
+    return _memoized(table, "Rs", _kernel_partition, False)
 
 
 def starred_H(table):
@@ -344,22 +407,18 @@ def starred_J(table):
 
     The components are taken on the quotient graph of D*-classes: class
     C has an edge to the D*-class of g.x and of x.g for every x in C and
-    g in A.  g.x is read from the generator rows and x.g off x's row, so
-    no column is composed.  A duck-typed table without generators uses
-    every element as A.
+    g in A, read from the generator rows and columns.  A duck-typed table
+    without generator rows uses every element as A.
     """
-    rows = table.product_rows()
-    gens = getattr(table, "generators", range(table.size))
+    _, lefts = _cayley_lines(table, left=True)
+    _, rights = _cayley_lines(table, left=False)
     dstar = starred_D(table)
     dclass = dstar.class_of
     class_id = dclass.__getitem__
     successors = [set() for _ in dstar.classes]
-    # zip(*generator rows) gives, for each x, the tuple of g.x over A.
-    lefts = zip(*map(rows.__getitem__, gens))
-    for c, row_x, left in zip(dclass, rows, lefts):
-        out = successors[c]
-        out.update(map(class_id, left))
-        out.update(map(class_id, map(row_x.__getitem__, gens)))
+    # zip(*lines) gives, for each x, the tuple of g.x and x.g over A.
+    for c, edges in zip(dclass, zip(*lefts, *rights)):
+        successors[c].update(map(class_id, edges))
     components = _components(successors).class_of
     return IndexPartition.from_keys([components[c] for c in dclass])
 

@@ -288,52 +288,74 @@ def canonical_text(alpha):
 
 
 def parse_text(text):
-    """Parse the element text form; raises ParseError with a position."""
+    """Parse the element text form; raises ParseError with a position.
+
+    The text is cut at its first ':', the rest at each ',' and each pair
+    at its first '>'; every number is checked with str.isdigit and read
+    with int().  Positions are counted only for a piece found bad, which
+    _number_at then reads point by point to name the first error in it.
+    Syntax errors come in reading order, an unsorted pair only after the
+    whole text has been read, and from_pairs' errors last.
+    """
     if not isinstance(text, str):
         raise ParseError("element text must be a string")
-    pos = 0
-
-    def read_int():
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a number", start)
-        try:
-            return int(text[start:pos])
-        except ValueError:  # a non-ASCII digit, or more digits than int() takes
-            raise ParseError("expected a decimal number", start) from None
-
-    n = read_int()
+    head, colon, body = text.partition(":")
+    try:
+        n = int(head) if colon and head.isdigit() else -1
+    except ValueError:  # a non-ASCII digit, or more digits than int() takes
+        n = -1
+    end = None
+    if n < 0:
+        n, end = _number_at(text, 0)
     if n > MAX_TEXT_CHAIN:
         raise ParseError(f"chain size {n} exceeds the limit {MAX_TEXT_CHAIN}", 0)
-    if pos >= len(text) or text[pos] != ":":
-        raise ParseError("expected ':' after the chain size", pos)
-    pos += 1
+    if end is not None:
+        raise ParseError("expected ':' after the chain size", end)
     pairs = []
-    if pos < len(text):
-        while True:
-            pair_start = pos
-            x = read_int()
-            if pos >= len(text) or text[pos] != ">":
-                raise ParseError("expected '>' inside a pair", pos)
-            pos += 1
-            a = read_int()
-            pairs.append((x, a, pair_start))
-            if pos == len(text):
-                break
-            if text[pos] != ",":
-                raise ParseError("expected ',' between pairs", pos)
-            pos += 1
-    last_x = 0
-    for x, a, at in pairs:
-        if x <= last_x:
-            raise ParseError(
-                "pairs must be sorted by strictly increasing domain point", at
-            )
-        last_x = x
+    if body:
+        chunks = body.split(",")
+        for i, chunk in enumerate(chunks):
+            x, gt, a = chunk.partition(">")
+            try:
+                if gt and x.isdigit() and a.isdigit():
+                    pairs.append((int(x), int(a)))
+                    continue
+            except ValueError:
+                pass
+            _, end = _number_at(text, _chunk_start(head, chunks, i))
+            if text[end:end + 1] != ">":
+                raise ParseError("expected '>' inside a pair", end)
+            _, end = _number_at(text, end + 1)
+            raise ParseError("expected ',' between pairs", end)
+        last_x = 0
+        for i, (x, _) in enumerate(pairs):
+            if x <= last_x:
+                raise ParseError(
+                    "pairs must be sorted by strictly increasing domain point",
+                    _chunk_start(head, chunks, i),
+                )
+            last_x = x
     try:
-        return from_pairs(n, [(x, a) for x, a, _ in pairs])
+        return from_pairs(n, pairs)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _chunk_start(head, chunks, i):
+    """The position in the text of the i-th pair: head, ':', then the
+    chunks before it, each followed by its ','."""
+    return len(head) + 1 + sum(map(len, chunks[:i])) + i
+
+
+def _number_at(text, start):
+    """The number whose digits start at text[start], and the position
+    after them; raises at start when there is none or int() refuses it."""
+    end = start
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    if end == start:
+        raise ParseError("expected a number", start)
+    try:
+        return int(text[start:end]), end
+    except ValueError:  # a non-ASCII digit, or more digits than int() takes
+        raise ParseError("expected a decimal number", start) from None

@@ -23,7 +23,10 @@ oracles it is checked against.
 kernel_key and kernel_key_starred key each line by the first position of
 each value, over a copy of the line with a appended for an adjoined
 identity: a signature apart from the library's first-occurrence labels,
-which L* and R* are checked against.  star_ideal_J groups
+which L* and R* are checked against.  line_kernel_partition is L* and R*
+as the library computed them before they followed the Cayley graphs:
+every row (column) of product_rows() keyed line by line with
+first-occurrence labels; the kernel recurrence is checked against it.  star_ideal_J groups
 elements by greens.star_ideal, the saturated principal *-ideal, which is
 the oracle for J* as strongly connected components.
 
@@ -41,6 +44,10 @@ compose(a, a) == a.  The library's compose and is_idempotent are checked
 against them, and assert_revalidates rebuilds an element that was built
 unchecked through the validating constructor.
 
+scanner_parse_text is the element text parser as a scanner over one
+position, character by character; pinj.parse_text cuts the text with str
+methods instead and is checked against it, exception by exception.
+
 row_builds makes enumerate_family return fresh, uncached tables and
 counts the full product tables built, for the tests that check which
 commands build none.
@@ -48,11 +55,12 @@ commands build none.
 
 from collections import defaultdict
 from functools import lru_cache
+from itertools import count
 
 import pytest
 
 from catalanlab import families, genrank, greens, pinj
-from catalanlab.errors import ChainMismatchError
+from catalanlab.errors import ChainMismatchError, ParseError, ValidationError
 from catalanlab.families import FamilySpec, _valid_heights
 from catalanlab.greens import IndexPartition
 
@@ -209,6 +217,29 @@ def kernel_key_starred(table, transpose):
     return IndexPartition.from_keys(keys)
 
 
+def line_kernel_key(values, adjoined=None):
+    """First-occurrence labels read back along a line, packed into bytes
+    when they fit; with adjoined, plus the label of adjoined, or -1."""
+    labels = dict(zip(dict.fromkeys(values), count()))
+    signature = map(labels.__getitem__, values)
+    signature = bytes(signature) if len(labels) <= 256 else tuple(signature)
+    if adjoined is None:
+        return signature
+    return signature, labels.get(adjoined, -1)
+
+
+def line_kernel_partition(table, transpose):
+    """L* (R* when transposed) by line_kernel_key of each row (column) of
+    product_rows(), with a's label adjoined when the table has no identity."""
+    rows = table.product_rows()
+    lines = zip(*rows) if transpose else rows
+    adjoin = table.identity_index is None
+    buckets = defaultdict(list)
+    for a, line in enumerate(lines):
+        buckets[line_kernel_key(line, a if adjoin else None)].append(a)
+    return IndexPartition.from_groups(table.size, buckets.values())
+
+
 def star_ideal_J(table, representatives=None):
     """J* as the grouping of elements by their principal *-ideal,
     saturated by greens.star_ideal.  With representatives (a D*-class
@@ -281,6 +312,59 @@ def assert_revalidates(alpha):
     """alpha has a tuple image and equals its validated rebuild."""
     assert type(alpha.img) is tuple
     assert alpha == pinj.PartialInjection(alpha.n, alpha.img)
+
+
+def scanner_parse_text(text):
+    """Parse the element text form one character at a time; raises
+    ParseError with a position."""
+    if not isinstance(text, str):
+        raise ParseError("element text must be a string")
+    pos = 0
+
+    def read_int():
+        nonlocal pos
+        start = pos
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        if pos == start:
+            raise ParseError("expected a number", start)
+        try:
+            return int(text[start:pos])
+        except ValueError:  # a non-ASCII digit, or more digits than int() takes
+            raise ParseError("expected a decimal number", start) from None
+
+    n = read_int()
+    if n > pinj.MAX_TEXT_CHAIN:
+        raise ParseError(f"chain size {n} exceeds the limit {pinj.MAX_TEXT_CHAIN}", 0)
+    if pos >= len(text) or text[pos] != ":":
+        raise ParseError("expected ':' after the chain size", pos)
+    pos += 1
+    pairs = []
+    if pos < len(text):
+        while True:
+            pair_start = pos
+            x = read_int()
+            if pos >= len(text) or text[pos] != ">":
+                raise ParseError("expected '>' inside a pair", pos)
+            pos += 1
+            a = read_int()
+            pairs.append((x, a, pair_start))
+            if pos == len(text):
+                break
+            if text[pos] != ",":
+                raise ParseError("expected ',' between pairs", pos)
+            pos += 1
+    last_x = 0
+    for x, a, at in pairs:
+        if x <= last_x:
+            raise ParseError(
+                "pairs must be sorted by strictly increasing domain point", at
+            )
+        last_x = x
+    try:
+        return pinj.from_pairs(n, [(x, a) for x, a, _ in pairs])
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 @pytest.fixture

@@ -369,6 +369,16 @@ def test_rank_and_maximal_build_no_full_table(capsys, row_builds):
     assert row_builds == []
 
 
+@pytest.mark.parametrize("relation", ["Ls", "Rs", "Hs", "Ds", "Js"])
+def test_starred_greens_build_no_full_table(capsys, row_builds, relation):
+    for family in (("icn", "--n", "6"), ("qprime", "--n", "5"), ("rq", "--n", "5", "--p", "2")):
+        code, out, _ = run_cli(
+            capsys, "greens", "--family", *family, "--max-n", "6", "--relation", relation,
+        )
+        assert code == 0 and out
+    assert row_builds == []
+
+
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 def test_enum_products_builds_the_table_once(capsys, row_builds, fmt):
     code, out, _ = run_cli(

@@ -9,6 +9,7 @@ The seeds are fixed, so a failure names an input that reproduces it.
 import random
 
 import pytest
+from conftest import scanner_parse_text
 
 from catalanlab import cli, families, greens, pinj
 from catalanlab.errors import ValidationError
@@ -59,6 +60,48 @@ def test_parse_text_raises_only_validation_errors():
         parsed += 1
         assert pinj.parse_text(pinj.canonical_text(alpha)) == alpha, text
     assert parsed > 100  # the valid path is reached too
+
+
+def parse_outcome(parse, text):
+    """The element parsed, or the exception's type, message and position."""
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def mutated_text(rng, text):
+    """text with a few characters deleted, doubled or replaced by one of
+    the fuzz alphabet."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and at < len(chars):
+            del chars[at]
+        elif edit == 1 and at < len(chars):
+            chars.insert(at, chars[at])
+        else:
+            chars[at:at + 1] = rng.choice(TEXT_ALPHABET)
+    return "".join(chars)
+
+
+def test_parse_text_matches_the_character_scanner():
+    rng = random.Random(20261018)
+    texts = [random_text(rng) for _ in range(20000)]
+    texts += [mutated_text(rng, random_element_text(rng, rng.randint(1, 9)))
+              for _ in range(10000)]
+    texts += [
+        "", ":", "3", "3:", "3:,", "3:1>1,", "3:1>1,,2>2", "3:>1", "3:1>", "3:1>>1",
+        "3:1>1:", "٣:1>1", "²:", "3:1>²", "3:0>1", "0:", "0:1>1", "3:2>1,1>1,x",
+        f"{pinj.MAX_TEXT_CHAIN}:", f"{pinj.MAX_TEXT_CHAIN + 1}", f"{pinj.MAX_TEXT_CHAIN + 1}:",
+        "1" * 5000 + ":", "3:2>" + "9" * 5000, "3:1>1,2>" + "9" * 5000 + "x",
+        " 3:", "3 :", "3:1 >1", "1_0:", "3:1>1,2>3,3>2", "3:3>3,2>1", "3:2>1,3>1",
+        None, b"3:", 3,
+    ]
+    for text in texts:
+        want = parse_outcome(scanner_parse_text, text)
+        assert parse_outcome(pinj.parse_text, text) == want, text
 
 
 def random_argv(rng):

@@ -16,6 +16,8 @@ from conftest import (
     green_by_ideals,
     kernel_key,
     kernel_key_starred,
+    line_kernel_key,
+    line_kernel_partition,
     related_pairs,
     relation_compose,
     relation_pairs,
@@ -202,22 +204,25 @@ def test_kernel_key_by_hand():
 
 def test_first_occurrence_labels_by_hand():
     key = greens._kernel_key
-    assert key([]) == b""
-    assert key((7,)) == b"\0"
-    assert key([5, 3, 5, 3, 9]) == bytes((0, 1, 0, 1, 2))
-    assert key((2, 2, 2)) == bytes(3)
-    # list and tuple rows give the same key; equal kernels, equal keys
+    assert key([]) == (b"", {})
+    assert key((7,)) == (b"\0", {7: 0})
+    assert key([5, 3, 5, 3, 9]) == (bytes((0, 1, 0, 1, 2)), {5: 0, 3: 1, 9: 2})
+    assert key((2, 2, 2))[0] == bytes(3)
+    # list and tuple rows give the same key; equal kernels, equal signatures
     assert key([1, 0, 1]) == key((1, 0, 1))
-    assert key((8, 6, 8)) == key((0, 9, 0))
-    assert key((8, 6, 8)) != key((8, 8, 6))
+    assert key((8, 6, 8))[0] == key((0, 9, 0))[0]
+    assert key((8, 6, 8))[0] != key((8, 8, 6))[0]
     # more than 256 labels fall back to a tuple, with the same labels
-    assert key([*range(300, 0, -1), 300]) == (*range(300), 0)
-    # the adjoined position joins the block of the value it holds, or
-    # is a block of its own (-1) when no position holds that value
-    assert key([5, 3, 5], adjoined=3) == (bytes((0, 1, 0)), 1)
-    assert key([5, 3, 5], adjoined=4) == (bytes((0, 1, 0)), -1)
-    assert key([5, 3, 5], adjoined=4) == key([6, 1, 6], adjoined=2)
-    assert key([5, 3, 5], adjoined=3) != key([5, 3, 5], adjoined=5)
+    assert key([*range(300, 0, -1), 300])[0] == (*range(300), 0)
+    # With no identity, the adjoined position of line a (a.1 = a) joins
+    # the block of the positions holding a, or is a block of its own when
+    # no position holds a.
+    left_zero = FakeTable([[0, 0], [1, 1]])  # xy = x: one block with a
+    assert greens.starred_L(left_zero).classes == ((0, 1),)
+    right_zero = FakeTable([[0, 1], [0, 1]])  # xy = y: a's block differs
+    assert greens.starred_L(right_zero).classes == ((0,), (1,))
+    null = FakeTable([[1, 1], [1, 1]])  # xy = 1: row 0 does not hold 0
+    assert greens.starred_L(null).classes == ((0,), (1,))
 
 
 def test_starred_L_and_R_match_the_old_kernel_key():
@@ -227,6 +232,45 @@ def test_starred_L_and_R_match_the_old_kernel_key():
         table = families.enumerate_family(spec)
         assert greens.starred_L(table) == kernel_key_starred(table, False), spec
         assert greens.starred_R(table) == kernel_key_starred(table, True), spec
+
+
+def test_starred_L_and_R_follow_the_cayley_graphs_as_the_line_keys_do():
+    # The keys derived along the spanning trees against every row and
+    # column keyed on its own.  IC_7 has rows with more than 256 labels,
+    # generator rows among them, and its empty map has one: some tree
+    # path switches from the tuple signatures back to bytes.
+    for spec in DIFFERENTIAL_SPECS + [FamilySpec("qprime", 7), FamilySpec("icn", 7)]:
+        table = families.enumerate_family(spec)
+        assert greens.starred_L(table) == line_kernel_partition(table, False), spec
+        assert greens.starred_R(table) == line_kernel_partition(table, True), spec
+    rows = table.product_rows()
+    wide = [a for a, row in enumerate(rows) if len(set(row)) > 256]
+    assert len(wide) == 128
+    assert set(wide) & set(table.generators)
+    assert type(line_kernel_key(rows[table.zero_index])) is bytes
+
+
+def test_starred_L_and_R_on_duck_typed_tables_match_the_line_keys():
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        table = FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+        assert greens.starred_L(table) == line_kernel_partition(table, False)
+        assert greens.starred_R(table) == line_kernel_partition(table, True)
+    table = star_table()
+    assert greens.starred_L(table) == line_kernel_partition(table, False)
+    assert greens.starred_R(table) == line_kernel_partition(table, True)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("icn", 5), FamilySpec("qprime", 6), FamilySpec("rq", 5, 2),
+    FamilySpec("k", 5, 3), FamilySpec("syminv", 3),
+], ids=lambda s: s.label())
+def test_starred_relations_build_no_full_table(row_builds, spec):
+    for which in ("Ls", "Rs", "Hs", "Ds", "Js"):
+        # A fresh table per relation, so nothing comes from the memo.
+        assert greens.starred(families.enumerate_family(spec), which).class_count
+    assert row_builds == []
 
 
 def test_starred_J_matches_the_saturated_star_ideals():
@@ -266,8 +310,8 @@ def generated_table(gens, ideal_of):
     """The semigroup of maps on 0..n generated by gens, with 0 a fixed
     sink (a partial map sends its undefined points there) and products
     composed left to right, taken modulo the principal ideal of the map
-    ideal_of: the ideal collapses into a zero, the last index.  The
-    images of gens are the table's generating set A."""
+    ideal_of: the ideal collapses into a zero, the last index.  It has no
+    generator rows, so the library uses every element as A."""
     elements = list(dict.fromkeys(gens))
     index = {x: i for i, x in enumerate(elements)}
     for x in elements:  # grows as products are found
@@ -285,22 +329,25 @@ def generated_table(gens, ideal_of):
     kept = [x for x in range(len(rows)) if x not in ideal]
     new = {x: i for i, x in enumerate(kept)}
     zero = len(kept)
-    table = FakeTable(
+    return FakeTable(
         [[new.get(rows[x][y], zero) for y in kept] + [zero] for x in kept]
         + [[zero] * (zero + 1)]
     )
-    table.generators = tuple(dict.fromkeys(new.get(index[g], zero) for g in gens))
-    return table
 
 
-def test_starred_J_on_a_semigroup_where_it_differs_from_D_star():
-    # 72 maps on five points, modulo one principal ideal: J* merges two
-    # D*-classes here, so the components must come from the edges
-    # between classes, read over A.
-    table = generated_table(
+def star_table():
+    """72 maps on five points, modulo one principal ideal: a 33-element
+    semigroup where J* merges two D*-classes."""
+    return generated_table(
         [(0, 2, 4, 3, 0, 0), (0, 4, 0, 2, 1, 5), (0, 0, 1, 2, 4, 3)],
         ideal_of=(0, 0, 4, 0, 1, 2),
     )
+
+
+def test_starred_J_on_a_semigroup_where_it_differs_from_D_star():
+    # J* merges two D*-classes here, so the components must come from the
+    # edges between classes.
+    table = star_table()
     rows = table.product_rows()
     m = table.size
     assert m == 33
@@ -314,7 +361,6 @@ def test_starred_J_on_a_semigroup_where_it_differs_from_D_star():
     # The opposite semigroup swaps left and right, so both kinds of edge
     # are needed between them; J* is the same partition.
     opposite = FakeTable(list(zip(*rows)))
-    opposite.generators = table.generators
     assert greens.starred_J(opposite) == star_ideal_J(opposite) == want
 
 
