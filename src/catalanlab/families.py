@@ -224,28 +224,21 @@ class SemigroupTable:
     def product_rows(self):
         """The full table as a tuple of row tuples; built once, then cached.
 
-        Derived from the left Cayley graph: a breadth-first search from A
-        over x -> g.x reaches every element, and when y = g.x is first
-        reached its row is y.j = g.(x.j), g's row read at the positions of
-        x's row.  Such a y is not the first generator, so m >= 2 there
-        and itemgetter over x's row returns a tuple.  Only callers that
-        read whole rows need this; the Cayley graphs above hold O(m |A|)
-        entries instead of m^2.
+        Derived from the left Cayley graph: along each edge y = g.x of
+        its spanning tree from A, y's row is y.j = g.(x.j), g's row read
+        at the positions of x's row.  Such a y is not the first
+        generator, so m >= 2 there and itemgetter over x's row returns a
+        tuple.  Only callers that read whole rows need this; the Cayley
+        graphs above hold O(m |A|) entries instead of m^2.
         """
         if self._rows is not None:
             return self._rows
+        gens, gen_rows = self.generators, self.generator_rows()
         rows = [None] * self.size
-        pairs = list(zip(self.generators, self.generator_rows()))
-        for g, row_g in pairs:
+        for g, row_g in zip(gens, gen_rows):
             rows[g] = row_g
-        queue = list(self.generators)
-        for x in queue:
-            row_x = rows[x]
-            for g, row_g in pairs:
-                y = row_g[x]
-                if rows[y] is None:
-                    rows[y] = itemgetter(*row_x)(row_g)
-                    queue.append(y)
+        for x, row_g, y in spanning_tree(self.size, gens, gen_rows):
+            rows[y] = itemgetter(*rows[x])(row_g)
         self._rows = tuple(rows)
         return self._rows
 
@@ -358,6 +351,26 @@ class SemigroupTable:
             f"{self.family.label()} is not closed: the product of"
             f" {self.text_of(i)} and {self.text_of(j)} is not in the table"
         )
+
+
+def spanning_tree(size, gens, lines):
+    """The breadth-first spanning tree from A of the graph on range(size)
+    with an edge x -> line[x] for each line of A (the rows g.x give the
+    left Cayley graph, the columns x.g the right one).  Yields each tree
+    edge (x, line, y), y first reached as line[x], in the order found, so
+    x is a generator or the end of an earlier edge.  A tree path from a
+    root has one edge fewer than the shortest word over A for its end."""
+    reached = bytearray(size)
+    for g in gens:
+        reached[g] = 1
+    queue = list(gens)
+    for x in queue:
+        for line in lines:
+            y = line[x]
+            if not reached[y]:
+                reached[y] = 1
+                queue.append(y)
+                yield x, line, y
 
 
 def _translate_table(image):

@@ -39,13 +39,12 @@ has more labels than x, as its kernel is coarser.  This holds in every
 semigroup, so it assumes no structural characterization.
 
 So each generator's line is keyed directly, and every other element
-once, from its parent in the breadth-first spanning tree over A, which
-is walked depth-first: only the keys on the current path are held.
+once, from its parent in the breadth-first spanning tree over A (the
+one product_rows walks), which is walked depth-first: only the keys on
+the current path are held.
 Elements are bucketed by key as the keys are made, so only one key per
 class is kept.  The work is O(m |A|) for the tree plus one translate of
-m bytes (or, past 256 labels, one itemgetter call) per element.  A
-duck-typed table without generator rows uses every element as A, each
-line read off its product rows.
+m bytes (or, past 256 labels, one itemgetter call) per element.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
@@ -91,7 +90,7 @@ from collections import defaultdict
 from itertools import count
 from operator import itemgetter
 
-from . import pinj
+from . import families, pinj
 from .errors import InvariantError, ValidationError
 
 GREEN_NAMES = ("L", "R", "H", "D", "J")
@@ -288,18 +287,6 @@ def _packed(signature, labels):
     return bytes(signature) if len(labels) <= 256 else tuple(signature)
 
 
-def _cayley_lines(table, left):
-    """A and the line of each g in A: the row g.x (left) or the column x.g
-    over every x, which is also the edge x -> g.x or x -> x.g of the left
-    or right Cayley graph.  A duck-typed table without generator rows uses
-    every element as A and reads its product rows."""
-    if hasattr(table, "generator_rows"):
-        gens = table.generators
-        return gens, table.generator_rows() if left else table.columns(gens)
-    rows = table.product_rows()
-    return range(table.size), rows if left else tuple(zip(*rows))
-
-
 def _kernel_partition(table, left):
     """Elements a with equal kernels of line a (row for L*, column for
     R*), over the table with an identity adjoined when it has none.
@@ -311,9 +298,12 @@ def _kernel_partition(table, left):
     depth-first, so only the keys on the current path are held, and no
     line other than a generator's is ever built.
     """
-    gens, lines = _cayley_lines(table, left)
+    gens = table.generators
+    lines = table.generator_rows() if left else table.columns(gens)
     adjoin = table.identity_index is None
-    children = _spanning_tree(table.size, gens, lines)
+    children = defaultdict(list)
+    for x, line, y in families.spanning_tree(table.size, gens, lines):
+        children[x].append((line, y))
     buckets = defaultdict(list)
     for root, line in zip(gens, lines):
         stack = [(root, line, None, None)]
@@ -330,30 +320,6 @@ def _kernel_partition(table, left):
             buckets[(signature, labels.get(y, -1)) if adjoin else signature].append(y)
             stack.extend((z, line_h, signature, labels) for line_h, z in children.get(y, ()))
     return IndexPartition.from_groups(table.size, buckets.values())
-
-
-def _spanning_tree(m, gens, lines):
-    """The breadth-first spanning tree from A of the graph with an edge
-    x -> line[x] for each line of A, as a dict from x to the (line, y) of
-    each y first reached as line[x].  A tree path from a root has one
-    edge fewer than the shortest word over A for its end, which bounds
-    the path the key walk holds."""
-    reached = bytearray(m)
-    for g in gens:
-        reached[g] = 1
-    children = {}
-    queue = list(gens)
-    for x in queue:
-        kids = []
-        for line in lines:
-            y = line[x]
-            if not reached[y]:
-                reached[y] = 1
-                kids.append((line, y))
-        if kids:
-            children[x] = kids
-            queue.extend(y for _, y in kids)
-    return children
 
 
 def starred_L(table):
@@ -407,11 +373,10 @@ def starred_J(table):
 
     The components are taken on the quotient graph of D*-classes: class
     C has an edge to the D*-class of g.x and of x.g for every x in C and
-    g in A, read from the generator rows and columns.  A duck-typed table
-    without generator rows uses every element as A.
+    g in A, read from the generator rows and columns.
     """
-    _, lefts = _cayley_lines(table, left=True)
-    _, rights = _cayley_lines(table, left=False)
+    lefts = table.generator_rows()
+    rights = table.columns(table.generators)
     dstar = starred_D(table)
     dclass = dstar.class_of
     class_id = dclass.__getitem__

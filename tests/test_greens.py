@@ -257,9 +257,16 @@ def test_starred_L_and_R_on_duck_typed_tables_match_the_line_keys():
         table = FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
         assert greens.starred_L(table) == line_kernel_partition(table, False)
         assert greens.starred_R(table) == line_kernel_partition(table, True)
+    # Random products need not associate, so those tables are generated
+    # by every element and each line is keyed as a root.  The 33-element
+    # semigroup and its opposite are generated by 3 elements, so 30 keys
+    # on each side come down the spanning tree.
     table = star_table()
-    assert greens.starred_L(table) == line_kernel_partition(table, False)
-    assert greens.starred_R(table) == line_kernel_partition(table, True)
+    opposite = FakeTable(list(zip(*table.product_rows())), generators=table.generators)
+    assert len(table.generators) == 3
+    for semigroup in (table, opposite):
+        assert greens.starred_L(semigroup) == line_kernel_partition(semigroup, False)
+        assert greens.starred_R(semigroup) == line_kernel_partition(semigroup, True)
 
 
 @pytest.mark.parametrize("spec", [
@@ -310,8 +317,8 @@ def generated_table(gens, ideal_of):
     """The semigroup of maps on 0..n generated by gens, with 0 a fixed
     sink (a partial map sends its undefined points there) and products
     composed left to right, taken modulo the principal ideal of the map
-    ideal_of: the ideal collapses into a zero, the last index.  It has no
-    generator rows, so the library uses every element as A."""
+    ideal_of: the ideal collapses into a zero, the last index.  The
+    images of gens are the table's generating set A."""
     elements = list(dict.fromkeys(gens))
     index = {x: i for i, x in enumerate(elements)}
     for x in elements:  # grows as products are found
@@ -331,7 +338,8 @@ def generated_table(gens, ideal_of):
     zero = len(kept)
     return FakeTable(
         [[new.get(rows[x][y], zero) for y in kept] + [zero] for x in kept]
-        + [[zero] * (zero + 1)]
+        + [[zero] * (zero + 1)],
+        generators=dict.fromkeys(new.get(index[g], zero) for g in gens),
     )
 
 
@@ -346,7 +354,7 @@ def star_table():
 
 def test_starred_J_on_a_semigroup_where_it_differs_from_D_star():
     # J* merges two D*-classes here, so the components must come from the
-    # edges between classes.
+    # edges between classes, read over A.
     table = star_table()
     rows = table.product_rows()
     m = table.size
@@ -360,7 +368,7 @@ def test_starred_J_on_a_semigroup_where_it_differs_from_D_star():
     assert (greens.starred_D(table).class_count, want.class_count) == (7, 6)
     # The opposite semigroup swaps left and right, so both kinds of edge
     # are needed between them; J* is the same partition.
-    opposite = FakeTable(list(zip(*rows)))
+    opposite = FakeTable(list(zip(*rows)), generators=table.generators)
     assert greens.starred_J(opposite) == star_ideal_J(opposite) == want
 
 
@@ -404,15 +412,22 @@ def test_a_fresh_duck_typed_table_gets_its_own_result():
 
 def test_tables_that_cannot_be_weakly_referenced_still_work():
     class SlottedTable:
-        __slots__ = ("size", "identity_index", "rows")
+        __slots__ = ("size", "identity_index", "rows", "generators")
 
         def __init__(self, rows):
             self.rows = rows
             self.size = len(rows)
             self.identity_index = None
+            self.generators = range(self.size)
 
         def product_rows(self):
             return self.rows
+
+        def generator_rows(self):
+            return self.rows
+
+        def columns(self, indices):
+            return [[row[a] for row in self.rows] for a in indices]
 
     table = SlottedTable([[0, 0], [1, 1]])
     assert greens.starred_L(table).classes == ((0, 1),)

@@ -10,16 +10,24 @@ from catalanlab.families import REES_ZERO, FamilySpec
 
 
 class FakeTable:
-    """Minimal stand-in table for hand-written product rows."""
+    """Minimal stand-in table for hand-written product rows, generated by
+    every element unless a generating set is given."""
 
-    def __init__(self, rows, identity_index=None):
+    def __init__(self, rows, identity_index=None, generators=None):
         self._rows = [list(r) for r in rows]
         self.size = len(rows)
         self.identity_index = identity_index
+        self.generators = range(self.size) if generators is None else tuple(generators)
         self.label = "fake"
 
     def product_rows(self):
         return self._rows
+
+    def generator_rows(self):
+        return [self._rows[g] for g in self.generators]
+
+    def columns(self, indices):
+        return [[row[a] for row in self._rows] for a in indices]
 
     def text_of(self, i):
         return f"e{i}"
