@@ -235,10 +235,11 @@ def _inside(kind):
 
 def _top_idempotent_is_left_identity(x):
     table = x.table
-    rows = table.product_rows()
     e = table.index_of[pinj.partial_identity(x.n, range(2, x.n + 1))]
-    left_identity = all(rows[e][y] == y for y in range(table.size))
-    right_identity = all(rows[y][e] == y for y in range(table.size))
+    (row_e,), (col_e,) = table.rows([e]), table.columns([e])
+    everyone = tuple(range(table.size))
+    left_identity = row_e == everyone
+    right_identity = col_e == everyone
     top_idems = [
         i for i in structure.idempotent_indices(table) if table.height_of(i) == x.n - 1
     ]

@@ -19,6 +19,7 @@ read-only: elements and rows are tuples, index_of a mapping proxy.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, permutations, repeat
@@ -214,22 +215,34 @@ class SemigroupTable:
             self._left_graph()
         return self._generator_rows
 
+    def rows(self, indices, at=None):
+        """For each index a, the row a.x for every x, or for the x in at
+        (in that order) when at is given, as an iterator: one composer
+        serves the pass, and each row is composed only when the iterator
+        reaches it.  Nothing is kept, so a caller that reads each row once
+        holds one row at a time; one that reads them again makes a tuple
+        of them."""
+        return map(self._composer(left=True, at=at), indices)
+
     def columns(self, indices):
-        """For each index a, the column x.a for every x.  Composed on each
-        call and not kept: the callers (R, J, R*, J*, closure) are memoized
-        or run once, and keeping columns cost more battery peak memory than
-        composing them again saves."""
-        return tuple(map(self._composer(left=False), indices))
+        """For each index a, the column x.a for every x, as an iterator, as
+        rows() does.  Composed on each call and not kept: the callers (R, J,
+        R*, J*, closure and the property checks) are memoized or run once,
+        and keeping columns cost more battery peak memory than composing
+        them again saves."""
+        return map(self._composer(left=False), indices)
 
     def product_rows(self):
         """The full table as a tuple of row tuples; built once, then cached.
 
         Derived from the left Cayley graph: along each edge y = g.x of
         its spanning tree from A, y's row is y.j = g.(x.j), g's row read
-        at the positions of x's row.  Such a y is not the first
-        generator, so m >= 2 there and itemgetter over x's row returns a
-        tuple.  Only callers that read whole rows need this; the Cayley
-        graphs above hold O(m |A|) entries instead of m^2.
+        at the positions of x's row (follow).  Only the callers that emit
+        or test every product read this: `enum --products` (through
+        product_csv_rows and the csv writer) and the star_ideal oracle.
+        The relations and property checks read the Cayley graphs, rows()
+        and columns() instead, which hold O(m |A|) or O(m) entries
+        instead of m^2.
         """
         if self._rows is not None:
             return self._rows
@@ -238,7 +251,7 @@ class SemigroupTable:
         for g, row_g in zip(gens, gen_rows):
             rows[g] = row_g
         for x, row_g, y in spanning_tree(self.size, gens, gen_rows):
-            rows[y] = itemgetter(*rows[x])(row_g)
+            rows[y] = follow(rows[x], row_g)
         self._rows = tuple(rows)
         return self._rows
 
@@ -306,37 +319,40 @@ class SemigroupTable:
         self._generators = tuple(gens)
         self._generator_rows = tuple(gen_rows)
 
-    def _composer(self, left):
+    def _composer(self, left, at=None):
         """A function from an index a to the row a.x (left) or the column
-        x.a for every x, composed on packed images.  Each element's images
-        are packed into bytes (0 for a point outside the domain); sending
-        one element's images on through another's translate table gives the
-        composite's images, which an index of the packed images turns into
-        a table index.  The Rees zero stands in as the empty map: the
-        quotient collapses the whole lower ideal into it.  The packing lives
-        only as long as the function."""
+        x.a, for every x in at (every x by default), composed on packed
+        images.  Each element's images are packed into bytes (0 for a point
+        outside the domain); sending one element's images on through
+        another's translate table gives the composite's images, which an
+        index of the packed images turns into a table index.  The Rees zero
+        stands in as the empty map: the quotient collapses the whole lower
+        ideal into it.  The packing lives only as long as the function."""
         n = self.family.n
+        byte = _POINT_BYTE.__getitem__
         images = [
-            bytes(n) if el is REES_ZERO else bytes(a or 0 for a in el.img)
+            bytes(n) if el is REES_ZERO else bytes(map(byte, el.img))
             for el in self.elements
         ]
         index = dict(zip(images, range(self.size)))
-        maps = list(map(_translate_table, images)) if left else None
+        at = range(self.size) if at is None else tuple(at)
+        others = list(map(images.__getitem__, at))
+        maps = list(map(_translate_table, others)) if left else None
 
         def compose(a):
             if left:
                 composites = map(images[a].translate, maps)
             else:
-                composites = map(bytes.translate, images, repeat(_translate_table(images[a])))
+                composites = map(bytes.translate, others, repeat(_translate_table(images[a])))
             out = list(map(index.get, composites))
             if None in out:
-                for x, found in enumerate(out):
+                for k, found in enumerate(out):
                     if found is None:
                         # A collapsed composite joins the index, so each
                         # distinct one is checked once per composer.
-                        i, j = (a, x) if left else (x, a)
+                        i, j = (a, at[k]) if left else (at[k], a)
                         composite = images[i].translate(_translate_table(images[j]))
-                        out[x] = index[composite] = self._collapse(composite, i, j)
+                        out[k] = index[composite] = self._collapse(composite, i, j)
             return tuple(out)
 
         return compose
@@ -371,6 +387,39 @@ def spanning_tree(size, gens, lines):
                 reached[y] = 1
                 queue.append(y)
                 yield x, line, y
+
+
+def tree_walk(size, gens, lines, root, step):
+    """Walk the spanning tree from A (spanning_tree) depth first and yield
+    (y, value) once for every element y: root(line) at a generator, and
+    step(value of x, line) at y = line[x] on a tree edge.  A value is
+    made when its element is reached and dropped once its children are,
+    so only the values on the current path are held.  lines is read
+    twice, so it must be a sequence; no value may be None."""
+    children = defaultdict(list)
+    for x, line, y in spanning_tree(size, gens, lines):
+        children[x].append((line, y))
+    for g, line in zip(gens, lines):
+        stack = [(g, line, None)]
+        while stack:
+            y, line, parent = stack.pop()
+            value = root(line) if parent is None else step(parent, line)
+            yield y, value
+            stack.extend((z, line_h, value) for line_h, z in children.get(y, ()))
+
+
+def follow(line_x, line_g):
+    """The line of y = g.x (rows) or y = x.g (columns) from those of x
+    and g: row_y[j] = g.(x.j) and col_y[j] = (j.x).g, so line_g read at
+    the entries of line_x.  A tree edge needs m >= 2 (its end is not a
+    generator), so itemgetter over line_x returns a tuple there."""
+    return itemgetter(*line_x)(line_g)
+
+
+# A point, or None outside the domain, as its byte in a packed image:
+# looked up by a C call per point, where a generator expression costs a
+# Python step per point.
+_POINT_BYTE = {None: 0, **{a: a for a in range(1, 256)}}
 
 
 def _translate_table(image):
@@ -500,7 +549,8 @@ def table_json(table):
 
 
 def product_csv_rows(table):
-    """Yield (i, j, k) index triples of the full product table."""
+    """Yield (i, j, k) index triples of the full product table: one of the
+    readers of product_rows, for `enum --products`."""
     rows = table.product_rows()
     for i in range(table.size):
         row = rows[i]

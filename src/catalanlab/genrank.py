@@ -50,7 +50,7 @@ def closure(table, generators):
         if not seen[g]:
             seen[g] = 1
             queue.append(g)
-    columns = table.columns(queue)
+    columns = tuple(table.columns(queue))
     for x in queue:
         for col in columns:
             y = col[x]

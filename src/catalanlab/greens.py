@@ -77,7 +77,8 @@ The classical relations and L* and R* are computed once per table, and
 later calls return the same IndexPartition; H*, D* and J* are built from
 L* and R*, so they reuse it too.  The memo is keyed weakly by the table
 object, so it needs no attribute on the table and goes away with it;
-duck-typed tables work unchanged.
+duck-typed tables work unchanged.  structure keeps each table's
+idempotents in it as well.
 
 Partitions index elements by table position; class ids are assigned by
 least member, so all outputs are deterministic.
@@ -95,12 +96,13 @@ from .errors import InvariantError, ValidationError
 
 GREEN_NAMES = ("L", "R", "H", "D", "J")
 
-# Relations already computed, per table: table -> {relation name: partition}.
+# Results already computed, per table: table -> {name: result}, the
+# results being relation partitions and structure's idempotent indices.
 # Keys are held weakly, so a table's entry goes when the table does.
 _MEMO = weakref.WeakKeyDictionary()
 
 
-def _memoized(table, name, build, *args):
+def memoized(table, name, build, *args):
     """build(table, *args), computed once per table and then shared.
 
     The memo is keyed by the table object, so a new table never sees an
@@ -187,17 +189,17 @@ def green(table, which):
     """
     if which not in GREEN_NAMES:
         raise ValidationError(f"unknown Green relation {which!r}")
-    return _memoized(table, which, _green, which)
+    return memoized(table, which, _green, which)
 
 
 def _green(table, which):
     if which in ("H", "D"):
-        lpart = _memoized(table, "L", _green, "L")
-        rpart = _memoized(table, "R", _green, "R")
+        lpart = memoized(table, "L", _green, "L")
+        rpart = memoized(table, "R", _green, "R")
         if which == "H":
             return _meet(lpart, rpart)
         joined = _join(lpart, rpart)
-        if joined != _memoized(table, "J", _green, "J"):
+        if joined != memoized(table, "J", _green, "J"):
             raise InvariantError("D and J disagree on a finite table; table is corrupt")
         return joined
     # The successors of x are read across the generator rows or columns.
@@ -291,46 +293,43 @@ def _kernel_partition(table, left):
     """Elements a with equal kernels of line a (row for L*, column for
     R*), over the table with an identity adjoined when it has none.
 
-    A breadth-first search from A over the Cayley graph gives a spanning
-    tree.  Each generator's line is keyed by _kernel_key; each other
-    element y = g.x (x.g for R*) gets the key of its tree parent x sent
-    through the relabelling of the module docstring.  The tree is walked
-    depth-first, so only the keys on the current path are held, and no
-    line other than a generator's is ever built.
+    Each generator's line is keyed by _kernel_key; each other element
+    y = g.x (x.g for R*) gets the key of its parent x in the spanning tree
+    from A, sent through the relabelling of the module docstring
+    (_relabel).  families.tree_walk walks the tree depth-first, so only
+    the keys on the current path are held, and no line other than a
+    generator's is ever built.
     """
     gens = table.generators
-    lines = table.generator_rows() if left else table.columns(gens)
+    lines = table.generator_rows() if left else tuple(table.columns(gens))
     adjoin = table.identity_index is None
-    children = defaultdict(list)
-    for x, line, y in families.spanning_tree(table.size, gens, lines):
-        children[x].append((line, y))
     buckets = defaultdict(list)
-    for root, line in zip(gens, lines):
-        stack = [(root, line, None, None)]
-        while stack:
-            y, line_g, signature, labels = stack.pop()
-            if labels is None:
-                signature, labels = _kernel_key(line_g)
-            else:
-                relabel, labels = _kernel_key(list(map(line_g.__getitem__, labels)))
-                if type(signature) is bytes:
-                    signature = signature.translate(relabel.ljust(256, b"\0"))
-                else:
-                    signature = _packed(itemgetter(*signature)(relabel), labels)
-            buckets[(signature, labels.get(y, -1)) if adjoin else signature].append(y)
-            stack.extend((z, line_h, signature, labels) for line_h, z in children.get(y, ()))
+    for y, (signature, labels) in families.tree_walk(
+        table.size, gens, lines, _kernel_key, _relabel
+    ):
+        buckets[(signature, labels.get(y, -1)) if adjoin else signature].append(y)
     return IndexPartition.from_groups(table.size, buckets.values())
+
+
+def _relabel(key, line_g):
+    """The key of y = g.x (x.g) from x's key: x's signature sent through
+    the labels that line_g gives x's distinct values, in their order."""
+    signature, labels = key
+    relabel, labels = _kernel_key(list(map(line_g.__getitem__, labels)))
+    if type(signature) is bytes:
+        return signature.translate(relabel.ljust(256, b"\0")), labels
+    return _packed(itemgetter(*signature)(relabel), labels), labels
 
 
 def starred_L(table):
     """L*: equal kernels of x -> ax with x running over the table plus a
     formally adjoined identity when none is present."""
-    return _memoized(table, "Ls", _kernel_partition, True)
+    return memoized(table, "Ls", _kernel_partition, True)
 
 
 def starred_R(table):
     """R*: the dual of L*, with kernels of x -> xa."""
-    return _memoized(table, "Rs", _kernel_partition, False)
+    return memoized(table, "Rs", _kernel_partition, False)
 
 
 def starred_H(table):

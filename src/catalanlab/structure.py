@@ -3,16 +3,38 @@
 Every checker returns a PropertyReport.  When the property fails, the
 report carries a witness that can be re-verified directly against the
 product table, never just a bare False.
+
+No check builds the m x m product table.  Each reads only the lines its
+predicate uses: rows a.x and columns x.a composed on packed images by
+table.rows and table.columns (one composer per pass), rows and columns
+derived along the spanning tree from A, or single products.  With m
+elements and E the idempotents:
+
+  idempotent_indices   the diagonal, i.i = i: m products, once per table
+                       (kept in greens' per-table memo).
+  regular_elements     every column, then every row, each made from its
+                       tree parent's by one itemgetter call, walked depth
+                       first (families.tree_walk): m^2 entries read, and
+                       only the lines on the current path held.
+  semilattice          the rows of the idempotents, composed only at the
+                       idempotents: |E|^2 compositions.
+  ample, right-ample   the rows and columns of the idempotents: 2 m |E|
+                       compositions, held while the legs are scanned, plus
+                       L* and R* (greens) and one placeholder line.
+  abundance, unique    L* or R* and the diagonal.
+  idempotent per R*
+  inverse ideals       the row and column of each u in the sub-table over
+                       the ambient table: 2 m compositions per element of
+                       the sub-table, one u at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import compress
-from operator import getitem, itemgetter, ne, or_
+from itertools import compress, repeat
+from operator import and_, eq, getitem, ne
 
-from . import greens
+from . import families, greens
 from .errors import ValidationError
 
 
@@ -49,20 +71,44 @@ def _label(table):
 
 
 def idempotent_indices(table):
-    rows = table.product_rows()
-    return [i for i in range(table.size) if rows[i][i] == i]
+    """Indices i with i.i = i, in index order, as a new list."""
+    return list(greens.memoized(table, "E", _diagonal_fixed_points))
+
+
+def _diagonal_fixed_points(table):
+    everyone = range(table.size)
+    return tuple(compress(everyone, map(eq, map(table.product, everyone, everyone), everyone)))
 
 
 def regular_elements(table):
-    """Indices of elements a with a b a = a for some b."""
-    rows = table.product_rows()
-    m = table.size
-    out = []
-    for a in range(m):
-        row_a = rows[a]
-        if any(rows[row_a[b]][a] == a for b in range(m)):
-            out.append(a)
-    return out
+    """Indices of elements a with a b a = a for some b.
+
+    Let Fix_a = {x : x.a = a}.  Then a b a = a exactly when a.b lies in
+    Fix_a, so a is regular iff Fix_a meets row a.  Fix_a is read off
+    column a; the columns are walked first and the rows after, each line
+    made from its tree parent's (families.follow), so only the lines on
+    the current path are held, with the Fix sets in between.
+    """
+    m, gens = table.size, table.generators
+    fixed = [None] * m
+    for a, col in families.tree_walk(m, gens, tuple(table.columns(gens)), tuple, families.follow):
+        fixed[a] = frozenset(_positions(col, a))
+    regular = bytearray(m)
+    for a, row in families.tree_walk(m, gens, table.generator_rows(), tuple, families.follow):
+        regular[a] = not fixed[a].isdisjoint(row)
+    return list(compress(range(m), regular))
+
+
+def _positions(line, value):
+    """The positions of value in line, found by line.index: one C scan
+    for the whole line, with a Python step only per position found."""
+    at = -1
+    try:
+        while True:
+            at = line.index(value, at + 1)
+            yield at
+    except ValueError:
+        return
 
 
 def is_regular_semigroup(table):
@@ -120,14 +166,16 @@ def is_abundant(table):
 
 
 def is_semilattice_of_idempotents(table):
-    """Idempotents closed under the product and commuting with each other."""
-    rows = table.product_rows()
+    """Idempotents closed under the product and commuting with each other.
+
+    The rows of the idempotents, composed only at the idempotents: the
+    |E| x |E| products ef, which also give each fe."""
     idem = idempotent_indices(table)
     idem_set = set(idem)
-    for e in idem:
-        for f in idem:
-            ef = rows[e][f]
-            if ef != rows[f][e]:
+    products = list(table.rows(idem, at=idem))
+    for e, efs, fes in zip(idem, products, zip(*products)):
+        for f, ef, fe in zip(idem, efs, fes):
+            if ef != fe:
                 return PropertyReport(
                     "semilattice-of-idempotents", _label(table), False,
                     witness=(
@@ -160,88 +208,43 @@ def _unique_idempotent_map(part, idem_set):
     return [found[0] if len(found) == 1 else None for found in by_class]
 
 
-def _ample_leg_plus(table, rows, rstar, plus_of, a, e):
+def _ample_leg_plus(table, rstar, plus_of, a, e):
     """Check ae = (ae)+ a; returns (ok, witness_or_None)."""
-    ae = rows[a][e]
+    ae = table.product(a, e)
     plus = plus_of[rstar.class_of[ae]]
     if plus is None:
         return None, (
             f"R*-class of {table.text_of(ae)} lacks a unique idempotent"
         )
-    if rows[plus][a] != ae:
+    if table.product(plus, a) != ae:
         return False, (
             f"ae != (ae)+a for a={table.text_of(a)}, e={table.text_of(e)}"
         )
     return True, None
 
 
-def _ample_leg_star(table, rows, lstar, star_of, a, e):
+def _ample_leg_star(table, lstar, star_of, a, e):
     """Check ea = a (ea)*; returns (ok, witness_or_None)."""
-    ea = rows[e][a]
+    ea = table.product(e, a)
     star = star_of[lstar.class_of[ea]]
     if star is None:
         return None, (
             f"L*-class of {table.text_of(ea)} lacks a unique idempotent"
         )
-    if rows[a][star] != ea:
+    if table.product(a, star) != ea:
         return False, (
             f"ea != a(ea)* for a={table.text_of(a)}, e={table.text_of(e)}"
         )
     return True, None
 
 
-def _per_element(part, per_class):
-    """The class-indexed idempotents of _unique_idempotent_map, per element:
-    the index for each element, or 0 where its class has none, plus a
-    flag per element marking those gaps."""
-    found = [per_class[c] for c in part.class_of]
-    return [i or 0 for i in found], [i is None for i in found]
-
-
-def _plus_failures(rows, rstar, plus_of):
-    """e -> flags over every a: whether ae = (ae)+ a fails at a, its
-    precondition gap included.  Read down the column of e, in C."""
-    plus, gap = _per_element(rstar, plus_of)
-    plus_rows = list(map(rows.__getitem__, plus))
-    everyone = range(len(rows))
-
-    def failures(e):
-        col = list(map(itemgetter(e), rows))  # ae for each a
-        got = map(getitem, map(plus_rows.__getitem__, col), everyone)  # (ae)+ a
-        return map(or_, map(gap.__getitem__, col), map(ne, got, col))
-
-    return failures
-
-
-def _star_failures(rows, lstar, star_of):
-    """e -> flags over every a: whether ea = a (ea)* fails at a, its
-    precondition gap included.  Read along the row of e, in C."""
-    star, gap = _per_element(lstar, star_of)
-
-    def failures(e):
-        row = rows[e]  # ea for each a
-        got = map(getitem, rows, map(star.__getitem__, row))  # a (ea)*
-        return map(or_, map(gap.__getitem__, row), map(ne, got, row))
-
-    return failures
-
-
-def _first_failure(size, idempotents, failures):
-    """The first (a, e) at which failures(e) flags a, ordered by a and then
-    by e in the order of idempotents; None when there is none.  Each e
-    scans only the a below the best found so far."""
-    best, limit = None, size
-    for e in idempotents:
-        a = next(compress(range(limit), failures(e)), None)
-        if a is not None:
-            best, limit = (a, e), a
-    return best
-
-
-# Each ample identity as (the starred relation it reads, the factory of
-# its failure flags, its witness), the ea leg first.
-_EA_LEG = ("starred_L", _star_failures, _ample_leg_star)
-_AE_LEG = ("starred_R", _plus_failures, _ample_leg_plus)
+# Each ample identity as (the starred relation it reads, whether it scans
+# the row of each idempotent e rather than its column, its witness), the
+# ea leg first.  The ea leg reads ea along the row of e and a (ea)* down
+# the column of (ea)*; the ae leg reads ae down the column of e and
+# (ae)+ a along the row of (ae)+.
+_EA_LEG = ("starred_L", True, _ample_leg_star)
+_AE_LEG = ("starred_R", False, _ample_leg_plus)
 
 
 def _ample(table, name, base, note, legs):
@@ -250,29 +253,50 @@ def _ample(table, name, base, note, legs):
 
     A class lacking a unique idempotent is a precondition failure and is
     reported, not ignored.  The witness is the first failure over a, then
-    e in the order of the idempotent set, then the legs in order; the
-    checks run one idempotent at a time, down its row and column.
+    e in the order of the idempotent set, then the legs in order.
+
+    Only the rows and columns of the idempotents are read.  A leg looks
+    up, for each x, the line of the idempotent its class holds (the row
+    of (ae)+, the column of (ea)*), or a placeholder line that matches no
+    product where the class lacks a unique one, so a gap is flagged as a
+    failure and told apart by the witness.  The lines a leg looks up are
+    held; the lines it scans, one per e, are held only when another leg
+    looks them up, and are otherwise composed as the scan reaches them.
+    Each leg scans, per e, only the a below its best failure so far.
     """
     report = base(table)
     if not report.holds:
         return PropertyReport(name, _label(table), False, witness=report.witness, note=note)
-    rows = table.product_rows()
     idem_set = set(idempotent_indices(table))
-    flags, witnesses = [], []
-    for relation, failures, witness in legs:
+    make = {True: table.rows, False: table.columns}
+    held = {
+        kind: dict(zip(idem_set, make[kind](idem_set)))
+        for kind in {not along_row for _, along_row, _ in legs}
+    }
+    placeholder = (-1,) * table.size
+    everyone = range(table.size)
+    best, reports = None, []
+    for k, (relation, along_row, witness) in enumerate(legs):
         part = getattr(greens, relation)(table)
         per_class = _unique_idempotent_map(part, idem_set)
-        flags.append(failures(rows, part, per_class))
-        witnesses.append(partial(witness, table, rows, part, per_class))
-    # The legs' flags or-ed element by element (one leg's flags as they are).
-    found = _first_failure(
-        table.size, idem_set, lambda e: reduce(partial(map, or_), (f(e) for f in flags))
-    )
-    if found is None:
+        reports.append((witness, part, per_class))
+        lookup = held[not along_row]
+        line_of = [lookup.get(per_class[c], placeholder) for c in part.class_of]
+        scans = held[along_row].values() if along_row in held else make[along_row](idem_set)
+        limit = table.size if best is None else best[0] + 1
+        for pos, line in enumerate(scans):
+            # line[a] is ea (or ae); got is a (ea)* (or (ae)+ a).
+            got = map(getitem, map(line_of.__getitem__, line), everyone)
+            a = next(compress(range(limit), map(ne, got, line)), None)
+            if a is not None and (best is None or (a, pos) < best[:2]):
+                best, limit = (a, pos, k), a
+    if best is None:
         return PropertyReport(name, _label(table), True)
-    ok, witness = next(leg for leg in (w(*found) for w in witnesses) if leg[0] is not True)
+    a, pos, k = best
+    witness, part, per_class = reports[k]
+    ok, text = witness(table, part, per_class, a, list(idem_set)[pos])
     note = "precondition failure" if ok is None else None
-    return PropertyReport(name, _label(table), False, witness, note)
+    return PropertyReport(name, _label(table), False, text, note)
 
 
 def is_ample(table):
@@ -302,28 +326,24 @@ def _inverse_ideal(sub, sup, require_left):
                 f"{sub.family.label()} is not a subset of {sup.family.label()}"
             )
         sup_index[el] = j
-    rows = sup.product_rows()
-    members = {sup_index[el] for el in sub.elements}
+    us = [sup_index[el] for el in sub.elements]
+    member = bytearray(sup.size)
+    for u in us:
+        member[u] = 1
     name = "inverse-ideal" if require_left else "right-inverse-ideal"
-    for el in sub.elements:
-        u = sup_index[el]
-        found = False
-        for v in range(sup.size):
-            uvu = rows[rows[u][v]][u]
-            if uvu != u:
-                continue
-            if rows[u][v] not in members:
-                continue
-            if require_left and rows[v][u] not in members:
-                continue
-            found = True
-            break
-        if not found:
+    label = f"{sub.family.label()} in {sup.family.label()}"
+    for u, row, col in zip(us, sup.rows(us), sup.columns(us)):
+        # uv = row[v], uvu = col[uv] and vu = col[v], for every v at once.
+        admissible = map(and_, map(eq, map(col.__getitem__, row), repeat(u)),
+                         map(member.__getitem__, row))
+        if require_left:
+            admissible = map(and_, admissible, map(member.__getitem__, col))
+        if not any(admissible):
             return PropertyReport(
-                name, f"{sub.family.label()} in {sup.family.label()}", False,
+                name, label, False,
                 witness=f"no admissible generalized inverse for {sup.text_of(u)}",
             )
-    return PropertyReport(name, f"{sub.family.label()} in {sup.family.label()}", True)
+    return PropertyReport(name, label, True)
 
 
 def is_inverse_ideal(sub, sup):

@@ -48,18 +48,28 @@ scanner_parse_text is the element text parser as a scanner over one
 position, character by character; pinj.parse_text cuts the text with str
 methods instead and is checked against it, exception by exception.
 
+oracle_idempotent_indices, oracle_regular_elements, oracle_semilattice,
+oracle_ample and oracle_inverse_ideal are the property checks as they
+were when they read the full product rows: the diagonal of every row, a
+scan of every b for each a, the idempotent rows at the idempotents, the
+ample legs down whole rows and columns with the legs' flags or-ed, and
+uvu over the whole ambient table for each u.  The library reads only the
+lines each predicate uses; its reports are checked against these field
+by field.
+
 row_builds makes enumerate_family return fresh, uncached tables and
 counts the full product tables built, for the tests that check which
 commands build none.
 """
 
 from collections import defaultdict
-from functools import lru_cache
-from itertools import count
+from functools import lru_cache, partial, reduce
+from itertools import compress, count
+from operator import getitem, itemgetter, ne, or_
 
 import pytest
 
-from catalanlab import families, genrank, greens, pinj
+from catalanlab import families, genrank, greens, pinj, structure
 from catalanlab.errors import ChainMismatchError, ParseError, ValidationError
 from catalanlab.families import FamilySpec, _valid_heights
 from catalanlab.greens import IndexPartition
@@ -365,6 +375,144 @@ def scanner_parse_text(text):
         return pinj.from_pairs(n, [(x, a) for x, a, _ in pairs])
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def oracle_idempotent_indices(table):
+    rows = table.product_rows()
+    return [i for i in range(table.size) if rows[i][i] == i]
+
+
+def oracle_regular_elements(table):
+    """Indices of elements a with a b a = a for some b."""
+    rows = table.product_rows()
+    m = table.size
+    return [a for a in range(m) if any(rows[rows[a][b]][a] == a for b in range(m))]
+
+
+def oracle_semilattice(table):
+    """is_semilattice_of_idempotents over the product rows."""
+    rows = table.product_rows()
+    idem = oracle_idempotent_indices(table)
+    idem_set = set(idem)
+    name, label = "semilattice-of-idempotents", structure._label(table)
+    for e in idem:
+        for f in idem:
+            ef = rows[e][f]
+            if ef != rows[f][e]:
+                witness = f"{table.text_of(e)} and {table.text_of(f)} do not commute"
+                return structure.PropertyReport(name, label, False, witness=witness)
+            if ef not in idem_set:
+                witness = f"product of {table.text_of(e)} and {table.text_of(f)} is not idempotent"
+                return structure.PropertyReport(name, label, False, witness=witness)
+    return structure.PropertyReport(name, label, True)
+
+
+def _oracle_leg_plus(table, rows, rstar, plus_of, a, e):
+    """Check ae = (ae)+ a; returns (ok, witness_or_None)."""
+    ae = rows[a][e]
+    plus = plus_of[rstar.class_of[ae]]
+    if plus is None:
+        return None, f"R*-class of {table.text_of(ae)} lacks a unique idempotent"
+    if rows[plus][a] != ae:
+        return False, f"ae != (ae)+a for a={table.text_of(a)}, e={table.text_of(e)}"
+    return True, None
+
+
+def _oracle_leg_star(table, rows, lstar, star_of, a, e):
+    """Check ea = a (ea)*; returns (ok, witness_or_None)."""
+    ea = rows[e][a]
+    star = star_of[lstar.class_of[ea]]
+    if star is None:
+        return None, f"L*-class of {table.text_of(ea)} lacks a unique idempotent"
+    if rows[a][star] != ea:
+        return False, f"ea != a(ea)* for a={table.text_of(a)}, e={table.text_of(e)}"
+    return True, None
+
+
+def _oracle_per_element(part, per_class):
+    found = [per_class[c] for c in part.class_of]
+    return [i or 0 for i in found], [i is None for i in found]
+
+
+def _oracle_plus_failures(rows, rstar, plus_of):
+    """e -> flags over every a: whether ae = (ae)+ a fails at a, down the
+    column of e."""
+    plus, gap = _oracle_per_element(rstar, plus_of)
+    plus_rows = list(map(rows.__getitem__, plus))
+    everyone = range(len(rows))
+
+    def failures(e):
+        col = list(map(itemgetter(e), rows))
+        got = map(getitem, map(plus_rows.__getitem__, col), everyone)
+        return map(or_, map(gap.__getitem__, col), map(ne, got, col))
+
+    return failures
+
+
+def _oracle_star_failures(rows, lstar, star_of):
+    """e -> flags over every a: whether ea = a (ea)* fails at a, along the
+    row of e."""
+    star, gap = _oracle_per_element(lstar, star_of)
+
+    def failures(e):
+        row = rows[e]
+        got = map(getitem, rows, map(star.__getitem__, row))
+        return map(or_, map(gap.__getitem__, row), map(ne, got, row))
+
+    return failures
+
+
+def oracle_ample(table, one_sided=False):
+    """is_ample (is_right_ample when one_sided) over the product rows: the
+    base check, then the first failure over a, then e in the order of
+    the idempotent set, of the legs' flags or-ed."""
+    name, note = ("right-ample", "not right adequate") if one_sided else ("ample", "not adequate")
+    base = structure.is_right_adequate if one_sided else structure.is_adequate
+    report = base(table)
+    if not report.holds:
+        return structure.PropertyReport(
+            name, structure._label(table), False, witness=report.witness, note=note
+        )
+    legs = [("starred_R", _oracle_plus_failures, _oracle_leg_plus)]
+    if not one_sided:
+        legs.insert(0, ("starred_L", _oracle_star_failures, _oracle_leg_star))
+    rows = table.product_rows()
+    idem_set = set(oracle_idempotent_indices(table))
+    flags, witnesses = [], []
+    for relation, failures, witness in legs:
+        part = getattr(greens, relation)(table)
+        per_class = structure._unique_idempotent_map(part, idem_set)
+        flags.append(failures(rows, part, per_class))
+        witnesses.append(partial(witness, table, rows, part, per_class))
+    best, limit = None, table.size
+    for e in idem_set:
+        a = next(compress(range(limit), reduce(partial(map, or_), (f(e) for f in flags))), None)
+        if a is not None:
+            best, limit = (a, e), a
+    if best is None:
+        return structure.PropertyReport(name, structure._label(table), True)
+    ok, witness = next(leg for leg in (w(*best) for w in witnesses) if leg[0] is not True)
+    note = "precondition failure" if ok is None else None
+    return structure.PropertyReport(name, structure._label(table), False, witness, note)
+
+
+def oracle_inverse_ideal(sub, sup, require_left):
+    """Every u in sub has v in sup with uvu = u, uv in sub and, when
+    require_left, vu in sub; v runs over the whole product rows of sup."""
+    rows = sup.product_rows()
+    members = {sup.index_of[el] for el in sub.elements}
+    name = "inverse-ideal" if require_left else "right-inverse-ideal"
+    label = f"{sub.family.label()} in {sup.family.label()}"
+    for el in sub.elements:
+        u = sup.index_of[el]
+        if not any(
+            rows[rows[u][v]][u] == u and rows[u][v] in members
+            and (not require_left or rows[v][u] in members)
+            for v in range(sup.size)
+        ):
+            witness = f"no admissible generalized inverse for {sup.text_of(u)}"
+            return structure.PropertyReport(name, label, False, witness=witness)
+    return structure.PropertyReport(name, label, True)
 
 
 @pytest.fixture

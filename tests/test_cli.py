@@ -379,6 +379,23 @@ def test_starred_greens_build_no_full_table(capsys, row_builds, relation):
     assert row_builds == []
 
 
+def test_verify_builds_no_full_table(capsys, row_builds):
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "5")
+    assert code == 0 and " 0 fail" in out.splitlines()[-1]
+    assert row_builds == []
+
+
+@pytest.mark.parametrize("prop", sorted(cli._PROPERTIES))
+def test_property_checks_build_no_full_table(capsys, row_builds, prop):
+    chosen = [("icn", "--n", "5"), ("qprime", "--n", "5")]
+    if not prop.endswith("inverse-ideal"):  # those refuse Rees tables
+        chosen.append(("rq", "--n", "5", "--p", "2"))
+    for family in chosen:
+        code, out, _ = run_cli(capsys, "check", "--family", *family, "--property", prop)
+        assert code in (0, 1) and out
+    assert row_builds == []
+
+
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 def test_enum_products_builds_the_table_once(capsys, row_builds, fmt):
     code, out, _ = run_cli(

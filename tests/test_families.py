@@ -203,11 +203,40 @@ def test_cayley_graphs_match_direct_products(spec):
     want = direct_rows(table)
     gens = table.generators
     assert table.generator_rows() == tuple(want[g] for g in gens)
-    assert table.columns(table.generators) == tuple(
+    assert tuple(table.columns(table.generators)) == tuple(
         tuple(row[g] for row in want) for g in gens
     )
-    # a column outside the generating set is composed the same way
-    assert table.columns(range(table.size)) == tuple(zip(*want))
+    # a line outside the generating set is composed the same way
+    assert tuple(table.columns(range(table.size))) == tuple(zip(*want))
+    assert tuple(table.rows(range(table.size))) == want
+    # rows read at some positions only, in their order, Rees collapses included
+    at = range(table.size - 1, -1, -2)
+    assert tuple(table.rows(range(table.size), at=at)) == tuple(
+        tuple(row[x] for x in at) for row in want
+    )
+
+
+def test_rows_and_columns_are_composed_as_they_are_read():
+    table = families.enumerate_family(FamilySpec("icn", 4))
+    want = direct_rows(table)
+    columns = tuple(zip(*want))
+    for lines, line_of in ((table.rows, want.__getitem__), (table.columns, columns.__getitem__)):
+        made = lines([5, 0, 5])
+        assert next(made) == line_of(5)
+        assert list(made) == [line_of(0), line_of(5)]
+        assert list(lines([])) == []
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_tree_walk_derives_every_line_from_its_tree_parent(spec):
+    table = families.enumerate_family(spec)
+    want = direct_rows(table)
+    gens = table.generators
+    for lines, transpose in ((table.generator_rows(), False), (tuple(table.columns(gens)), True)):
+        walked = list(families.tree_walk(table.size, gens, lines, tuple, families.follow))
+        assert sorted(a for a, _ in walked) == list(range(table.size))
+        for a, line in walked:
+            assert line == (tuple(r[a] for r in want) if transpose else want[a])
 
 
 def test_product_rows_of_i5_match_direct_products_on_a_sample():

@@ -3,6 +3,14 @@
 import random
 
 import pytest
+from conftest import (
+    DIFFERENTIAL_SPECS,
+    oracle_ample,
+    oracle_idempotent_indices,
+    oracle_inverse_ideal,
+    oracle_regular_elements,
+    oracle_semilattice,
+)
 
 from catalanlab import families, greens, pinj, structure
 from catalanlab.errors import ValidationError
@@ -23,8 +31,16 @@ class FakeTable:
     def product_rows(self):
         return self._rows
 
+    def product(self, i, j):
+        return self._rows[i][j]
+
     def generator_rows(self):
         return [self._rows[g] for g in self.generators]
+
+    def rows(self, indices, at=None):
+        if at is None:
+            return [self._rows[a] for a in indices]
+        return [[self._rows[a][x] for x in at] for a in indices]
 
     def columns(self, indices):
         return [[row[a] for row in self._rows] for a in indices]
@@ -39,16 +55,6 @@ RIGHT_ZERO = FakeTable([[0, 1], [0, 1]])  # xy = y
 
 def table(kind, n, p=None):
     return families.enumerate_family(FamilySpec(kind, n, p))
-
-
-def brute_regular(t):
-    rows = t.product_rows()
-    m = t.size
-    return [
-        a
-        for a in range(m)
-        if any(rows[rows[a][b]][a] == a for b in range(m))
-    ]
 
 
 def test_idempotent_indices_match_elementwise_check():
@@ -76,7 +82,7 @@ def test_regular_elements_are_exactly_the_idempotents_in_ordered_families():
     ):
         t = families.enumerate_family(spec)
         regular = structure.regular_elements(t)
-        assert regular == brute_regular(t)
+        assert regular == oracle_regular_elements(t)
         assert regular == structure.idempotent_indices(t)
 
 
@@ -179,7 +185,6 @@ def scalar_ample_failure(t, one_sided):
     """The first failing ample leg by the pairwise loop: a in order, then
     e in the order of the idempotent set, the ea leg before the ae leg.
     Returns (witness, note), or None when every identity holds."""
-    rows = t.product_rows()
     idem_set = set(structure.idempotent_indices(t))
     lstar = greens.starred_L(t)
     rstar = greens.starred_R(t)
@@ -187,9 +192,9 @@ def scalar_ample_failure(t, one_sided):
     plus_of = structure._unique_idempotent_map(rstar, idem_set)
     for a in range(t.size):
         for e in idem_set:
-            legs = [structure._ample_leg_plus(t, rows, rstar, plus_of, a, e)]
+            legs = [structure._ample_leg_plus(t, rstar, plus_of, a, e)]
             if not one_sided:
-                legs.insert(0, structure._ample_leg_star(t, rows, lstar, star_of, a, e))
+                legs.insert(0, structure._ample_leg_star(t, lstar, star_of, a, e))
             for ok, witness in legs:
                 if ok is not True:
                     return witness, "precondition failure" if ok is None else None
@@ -345,3 +350,69 @@ def test_property_report_as_dict():
     assert "witness" in data and "note" not in data
     clean = structure.is_abundant(table("icn", 3)).as_dict()
     assert "witness" not in clean
+
+
+ORACLE_SPECS = DIFFERENTIAL_SPECS + [FamilySpec("icn", 7), FamilySpec("qprime", 7)]
+
+
+def assert_checks_match_the_row_oracles(t):
+    """Every check that reads lines instead of rows gives the report (or
+    the indices) of its row-based oracle, field by field."""
+    assert structure.idempotent_indices(t) == oracle_idempotent_indices(t)
+    assert structure.regular_elements(t) == oracle_regular_elements(t)
+    assert structure.is_semilattice_of_idempotents(t) == oracle_semilattice(t)
+    assert structure.is_ample(t) == oracle_ample(t)
+    assert structure.is_right_ample(t) == oracle_ample(t, one_sided=True)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_property_checks_match_the_row_oracles(spec, monkeypatch):
+    t = families.enumerate_family(spec)
+    assert_checks_match_the_row_oracles(t)
+    # with the base checks passed by fiat, the legs run on every table,
+    # and fail on the identity-free side
+    pass_the_base_checks(monkeypatch)
+    assert structure.is_ample(t) == oracle_ample(t)
+    assert structure.is_right_ample(t) == oracle_ample(t, one_sided=True)
+
+
+def test_property_checks_on_stand_in_tables_match_the_row_oracles(monkeypatch):
+    tables = [LEFT_ZERO, RIGHT_ZERO, *perturbed_tables(seed=11, count=150)]
+    semilattice = set()
+    for t in tables:
+        assert_checks_match_the_row_oracles(t)
+        witness = structure.is_semilattice_of_idempotents(t).witness
+        semilattice.add(witness and witness.rsplit(" ", 1)[1])
+    pass_the_base_checks(monkeypatch)
+    for t in tables:
+        assert structure.is_ample(t) == oracle_ample(t)
+        assert structure.is_right_ample(t) == oracle_ample(t, one_sided=True)
+    # the semilattice held on some tables and failed both ways on others
+    assert semilattice == {None, "commute", "idempotent"}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverse_ideal_checks_match_the_row_oracle(n):
+    sup = table("syminv", n)
+    for kind in ("icn", "qprime"):
+        sub = table(kind, n)
+        assert structure.is_inverse_ideal(sub, sup) == oracle_inverse_ideal(sub, sup, True)
+        assert structure.is_right_inverse_ideal(sub, sup) == oracle_inverse_ideal(
+            sub, sup, False
+        )
+
+
+def test_idempotents_are_read_once_per_table():
+    # the diagonal is composed once; each call returns a list of its own
+    calls = []
+
+    class CountingTable(FakeTable):
+        def product(self, i, j):
+            calls.append((i, j))
+            return super().product(i, j)
+
+    t = CountingTable([[0, 0], [1, 1]])
+    first = structure.idempotent_indices(t)
+    first.append(99)
+    assert structure.idempotent_indices(t) == [0, 1]
+    assert calls == [(0, 0), (1, 1)]
