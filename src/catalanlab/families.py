@@ -12,16 +12,17 @@ Seven families over the chain {1, ..., n}:
     rq       the same construction on the qprime side
 
 Tables index elements by their sorted position (height first, then
-canonical text) and expose the product as an index function.  Rees
-tables put their zero sentinel at index 0.  Tables are cached and
-read-only: elements and rows are tuples, index_of a mapping proxy.
+canonical text) and expose the product as an index function, composed
+on images packed once per table.  Rees tables put their zero at index 0.
+Tables are cached and read-only: elements and rows are tuples, index_of
+a mapping proxy.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, compress, permutations, repeat
 from operator import itemgetter
 from types import MappingProxyType
@@ -63,13 +64,13 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise FamilySpecError(f"unknown family kind {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is bool or not isinstance(self.n, int) or self.n < 1:
             raise FamilySpecError(f"chain size must be a positive integer, got {self.n!r}")
         if self.kind in KINDS_WITH_P:
             if self.p is None:
                 raise FamilySpecError(f"family {self.kind!r} needs a height parameter p")
             heights = _valid_heights(self.kind, self.n)
-            if not isinstance(self.p, int) or self.p not in heights:
+            if type(self.p) is bool or not isinstance(self.p, int) or self.p not in heights:
                 raise FamilySpecError(
                     f"family {self.kind!r} needs 1 <= p <= {len(heights)}, got p={self.p!r}"
                 )
@@ -187,16 +188,13 @@ class SemigroupTable:
         return pinj.height(el)
 
     def product(self, i, j):
-        """Index of the product of elements i and j."""
-        z = self.zero_index
-        if self.family.is_rees:
-            if i == z or j == z:
-                return z
-            composite = pinj.compose(self.elements[i], self.elements[j])
-            if pinj.height(composite) == self.family.p:
-                return self.index_of[composite]
-            return z
-        return self.index_of[pinj.compose(self.elements[i], self.elements[j])]
+        """Index of the product of elements i and j: i's packed image sent
+        on through j's, looked up in the image index (_packing).  A
+        composite missing from it goes to _collapse."""
+        images, index = self._packing
+        composite = images[i].translate(_translate_table(images[j]))
+        found = index.get(composite)
+        return self._collapse(composite, i, j) if found is None else found
 
     @property
     def generators(self):
@@ -319,22 +317,26 @@ class SemigroupTable:
         self._generators = tuple(gens)
         self._generator_rows = tuple(gen_rows)
 
-    def _composer(self, left, at=None):
-        """A function from an index a to the row a.x (left) or the column
-        x.a, for every x in at (every x by default), composed on packed
-        images.  Each element's images are packed into bytes (0 for a point
-        outside the domain); sending one element's images on through
-        another's translate table gives the composite's images, which an
-        index of the packed images turns into a table index.  The Rees zero
-        stands in as the empty map: the quotient collapses the whole lower
-        ideal into it.  The packing lives only as long as the function."""
-        n = self.family.n
+    @cached_property
+    def _packing(self):
+        """Each element's images packed into bytes (0 outside the domain)
+        and the index from packed image to table index, built on first use
+        and kept.  x's images sent through y's translate table are x.y's.
+        The Rees zero packs as the empty map: the quotient collapses the
+        whole lower ideal into it."""
         byte = _POINT_BYTE.__getitem__
         images = [
-            bytes(n) if el is REES_ZERO else bytes(map(byte, el.img))
+            bytes(self.family.n) if el is REES_ZERO else bytes(map(byte, el.img))
             for el in self.elements
         ]
-        index = dict(zip(images, range(self.size)))
+        return images, dict(zip(images, range(self.size)))
+
+    def _composer(self, left, at=None):
+        """A function from an index a to the row a.x (left) or the column
+        x.a, for every x in at (every x by default), composed on the
+        table's packed images (_packing).  A composite missing from the
+        image index is left to product."""
+        images, index = self._packing
         at = range(self.size) if at is None else tuple(at)
         others = list(map(images.__getitem__, at))
         maps = list(map(_translate_table, others)) if left else None
@@ -348,20 +350,17 @@ class SemigroupTable:
             if None in out:
                 for k, found in enumerate(out):
                     if found is None:
-                        # A collapsed composite joins the index, so each
-                        # distinct one is checked once per composer.
-                        i, j = (a, at[k]) if left else (at[k], a)
-                        composite = images[i].translate(_translate_table(images[j]))
-                        out[k] = index[composite] = self._collapse(composite, i, j)
+                        out[k] = self.product(a, at[k]) if left else self.product(at[k], a)
             return tuple(out)
 
         return compose
 
     def _collapse(self, composite, i, j):
         """Index of a composite missing from the image index: the Rees zero
-        when its height fell below p, else a closure failure."""
-        height = len(composite) - composite.count(0)
-        if self.family.is_rees and height < self.family.p:
+        when its height fell below p, remembered in the index so that each
+        distinct one is checked once per table, else a closure failure."""
+        if self.family.is_rees and len(composite) - composite.count(0) < self.family.p:
+            self._packing[1][composite] = self.zero_index
             return self.zero_index
         raise InvariantError(
             f"{self.family.label()} is not closed: the product of"

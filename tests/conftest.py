@@ -9,11 +9,17 @@ relation composition.  The library composes on class ids instead
 (greens.related_sets); these stay here as the oracle it is checked
 against.
 
+direct_product is one product composed on the elements: pinj.compose,
+a lookup in index_of, and the Rees rule that a composite of height
+other than p is the zero.  The library composes on packed images
+instead, and collapses a composite only when it is missing from the
+table's image index; direct_product is the oracle for both.
+
 direct_rows and green_by_ideals are the product table composed entry by
-entry and Green's relations read off principal ideals as sets.  The
-library builds rows from a generating set and takes L, R and J as
-strongly connected components of Cayley graphs; these are the oracles
-for both, over DIFFERENTIAL_SPECS.
+entry with direct_product and Green's relations read off principal
+ideals as sets.  The library builds rows from a generating set and takes
+L, R and J as strongly connected components of Cayley graphs; these are
+the oracles for both, over DIFFERENTIAL_SPECS.
 
 oracle_closure and oracle_indecomposables read every pair of the direct
 table: a pairwise search and a scan of all m^2 products.  The library
@@ -125,11 +131,24 @@ def related_pairs(related):
     return {(a, b) for a, bs in enumerate(related) for b in bs}
 
 
+def direct_product(table, i, j):
+    """Index of the product of elements i and j, composed on the elements:
+    in a Rees quotient the zero absorbs everything, and so does every
+    composite whose height is not p."""
+    if table.family.is_rees:
+        z = table.zero_index
+        if i == z or j == z:
+            return z
+        composite = pinj.compose(table.element(i), table.element(j))
+        return table.index_of[composite] if pinj.height(composite) == table.family.p else z
+    return table.index_of[pinj.compose(table.element(i), table.element(j))]
+
+
 @lru_cache(maxsize=None)
 def direct_rows(table):
     """The product table with every entry composed directly, as tuples."""
     m = table.size
-    return tuple(tuple(table.product(i, j) for j in range(m)) for i in range(m))
+    return tuple(tuple(direct_product(table, i, j) for j in range(m)) for i in range(m))
 
 
 def green_by_ideals(table):

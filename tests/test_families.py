@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
     assert_revalidates,
+    direct_product,
     direct_rows,
     oracle_indecomposables,
 )
@@ -247,23 +248,49 @@ def test_product_rows_of_i5_match_direct_products_on_a_sample():
     rows, m = table.product_rows(), table.size
     assert m == 1546 and len(table.generators) == 4
     for g in table.generators:
-        assert rows[g] == tuple(table.product(g, j) for j in range(m))
+        assert rows[g] == tuple(direct_product(table, g, j) for j in range(m))
     rng = random.Random(5)
     for _ in range(20_000):
         i, j = rng.randrange(m), rng.randrange(m)
-        assert rows[i][j] == table.product(i, j)
+        assert rows[i][j] == direct_product(table, i, j)
 
 
-@pytest.mark.parametrize("spec, dropped", [
-    (FamilySpec("icn", 2), "2:"),  # 2>1 . 2>1 is the empty map
-    (FamilySpec("ric", 3, 1), "3:3>1"),  # 3>2 . 2>1 is 3>1, of height p
+@pytest.mark.parametrize("spec, dropped, factors", [
+    (FamilySpec("icn", 2), "2:", ("2:2>1", "2:2>1")),  # the empty map
+    (FamilySpec("ric", 3, 1), "3:3>1", ("3:3>2", "3:2>1")),  # of height p
 ], ids=["plain", "rees"])
-def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped):
+def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped, factors):
     full = families.enumerate_family(spec)
     kept = [el for i, el in enumerate(full.elements) if full.text_of(i) != dropped]
     corrupt = families.SemigroupTable(spec, kept)
-    with pytest.raises(InvariantError, match=f"{re.escape(spec.label())} is not closed"):
+    i, j = (corrupt.index_of[pinj.parse_text(text)] for text in factors)
+    not_closed = f"{re.escape(spec.label())} is not closed"
+    with pytest.raises(InvariantError, match=not_closed):
+        corrupt.product(i, j)
+    with pytest.raises(InvariantError, match=not_closed):
+        list(corrupt.rows([i]))
+    with pytest.raises(InvariantError, match=not_closed):
         corrupt.product_rows()
+
+
+def test_products_rows_and_columns_share_one_packing(monkeypatch):
+    # A fresh table packs its images once, on its first product, and then
+    # composes everything through them: no pinj.compose, no index_of.
+    spec = FamilySpec("rq", 4, 2)
+    cached = families.enumerate_family(spec)
+    want, m = direct_rows(cached), cached.size
+    table = families.SemigroupTable(spec, cached.elements)
+    packings = []
+    packing = families.SemigroupTable._packing
+    pack = packing.func
+    monkeypatch.setattr(packing, "func", lambda t: packings.append(t) or pack(t))
+    monkeypatch.setattr(pinj, "compose", None)
+    table.index_of = None
+    assert tuple(tuple(table.product(i, j) for j in range(m)) for i in range(m)) == want
+    assert tuple(table.rows(range(m))) == want
+    assert tuple(table.columns(range(m))) == tuple(zip(*want))
+    assert table.product_rows() == want
+    assert packings == [table]
 
 
 def phi(table, i):
@@ -299,7 +326,7 @@ def test_generators_reach_every_element_and_hold_every_indecomposable(spec):
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = table.product(x, g)
+            y = direct_product(table, x, g)
             if y not in reached:
                 reached.add(y)
                 frontier.append(y)
@@ -324,15 +351,20 @@ def test_phi_falls_strictly_along_every_proper_product(spec):
 
 
 def test_plain_product_is_composition():
-    table = families.enumerate_family(FamilySpec("icn", 4))
-    for i in range(table.size):
-        for j in range(table.size):
-            want = pinj.compose(table.element(i), table.element(j))
-            assert table.element(table.product(i, j)) == want
+    for spec in DIFFERENTIAL_SPECS:
+        if spec.is_rees:
+            continue
+        table = families.enumerate_family(spec)
+        for i in range(table.size):
+            for j in range(table.size):
+                want = pinj.compose(table.element(i), table.element(j))
+                assert table.element(table.product(i, j)) == want, (spec, i, j)
 
 
 def test_rees_product_collapses_height_drops():
-    for spec in (FamilySpec("ric", 4, 2), FamilySpec("rq", 4, 2)):
+    for spec in DIFFERENTIAL_SPECS:
+        if not spec.is_rees:
+            continue
         table = families.enumerate_family(spec)
         z = table.zero_index
         dropped = 0
@@ -344,11 +376,12 @@ def test_rees_product_collapses_height_drops():
                     continue
                 composite = pinj.compose(table.element(i), table.element(j))
                 if pinj.height(composite) == spec.p:
-                    assert table.element(got) == composite
+                    assert table.element(got) == composite, (spec, i, j)
                 else:
-                    assert got == z
+                    assert got == z, (spec, i, j)
                     dropped += 1
-        assert dropped > 0
+        # Only RIC_n(n), the identity and the zero, has no height drop.
+        assert (dropped > 0) == (spec.kind == "rq" or spec.p < spec.n), spec
 
 
 def test_rees_tables_are_closed_semigroups():
@@ -445,6 +478,11 @@ def test_family_spec_validation():
         FamilySpec("m", 3, 3)
     with pytest.raises(FamilySpecError):
         FamilySpec("rq", 3, 3)
+    # a bool is no integer: FamilySpec("k", 3, True) == FamilySpec("k", 3, 1)
+    # would let the table cache hand one's table out for the other
+    for kind, n, p in (("icn", True, None), ("k", 3, True), ("ric", 1, True)):
+        with pytest.raises(FamilySpecError):
+            FamilySpec(kind, n, p)
     # top heights that are allowed
     FamilySpec("k", 3, 3)
     FamilySpec("m", 3, 2)
@@ -495,7 +533,7 @@ def test_product_csv_rows_cover_the_table():
     triples = list(families.product_csv_rows(table))
     assert len(triples) == table.size**2
     for i, j, k in triples:
-        assert table.product(i, j) == k
+        assert direct_product(table, i, j) == k
 
 
 def test_rees_zero_is_a_singleton():
