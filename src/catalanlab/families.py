@@ -14,12 +14,14 @@ Seven families over the chain {1, ..., n}:
 Tables index elements by their sorted position (height first, then
 canonical text) and expose the product as an index function, composed
 on images packed once per table.  Rees tables put their zero at index 0.
-Tables are cached and read-only: elements and rows are tuples, index_of
-a mapping proxy.
+Tables are cached and read-only: elements and the Cayley-graph rows are
+tuples, index_of a mapping proxy, and the full product rows read-only
+memoryviews of 2-byte indices (4-byte past 65,536 elements).
 """
 
 from __future__ import annotations
 
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -231,12 +233,18 @@ class SemigroupTable:
         return map(self._composer(left=False), indices)
 
     def product_rows(self):
-        """The full table as a tuple of row tuples; built once, then cached.
+        """The full table as a tuple of m rows; built once, then cached.
 
-        Derived from the left Cayley graph: along each edge y = g.x of
-        its spanning tree from A, y's row is y.j = g.(x.j), g's row read
-        at the positions of x's row (follow).  Only the callers that emit
-        or test every product read this: `enum --products` (through
+        Row i is a read-only memoryview over its own bytes, of format "H"
+        (2 bytes an entry) when m <= 65,536, so that every index fits, and
+        "I" (4 bytes) above that (_index_typecode): row i's entry j is the
+        index of i.j, as an int, and the row takes 2m bytes where a tuple
+        takes 8m of pointers.  Derived from the left Cayley graph: along
+        each edge y = g.x of its spanning tree from A, y's row is
+        y.j = g.(x.j), g's row read at the positions of x's row (follow).
+        The walk holds the rows on its current path as tuples and packs
+        each row once, as it is reached.  Only the callers that emit or
+        test every product read this: `enum --products` (through
         product_csv_rows and the csv writer) and the star_ideal oracle.
         The relations and property checks read the Cayley graphs, rows()
         and columns() instead, which hold O(m |A|) or O(m) entries
@@ -244,12 +252,12 @@ class SemigroupTable:
         """
         if self._rows is not None:
             return self._rows
-        gens, gen_rows = self.generators, self.generator_rows()
+        code = _index_typecode(self.size)
+        pack = struct.Struct(f"{self.size}{code}").pack
         rows = [None] * self.size
-        for g, row_g in zip(gens, gen_rows):
-            rows[g] = row_g
-        for x, row_g, y in spanning_tree(self.size, gens, gen_rows):
-            rows[y] = follow(rows[x], row_g)
+        walk = tree_walk(self.size, self.generators, self.generator_rows(), tuple, follow)
+        for y, row in walk:
+            rows[y] = memoryview(pack(*row)).cast(code)
         self._rows = tuple(rows)
         return self._rows
 
@@ -419,6 +427,13 @@ def follow(line_x, line_g):
 # looked up by a C call per point, where a generator expression costs a
 # Python step per point.
 _POINT_BYTE = {None: 0, **{a: a for a in range(1, 256)}}
+
+
+def _index_typecode(m):
+    """The struct and memoryview format of a line of table indices below
+    m: "H" (2 bytes) while every index fits, that is m <= 65,536, else
+    "I" (4 bytes)."""
+    return "H" if m <= 1 << 16 else "I"
 
 
 def _translate_table(image):

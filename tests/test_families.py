@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import re
+import struct
 from itertools import combinations, permutations
 
 import pytest
@@ -195,7 +196,33 @@ def test_cached_tables_are_frozen():
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
 def test_product_rows_match_direct_products(spec):
     table = families.enumerate_family(spec)
-    assert table.product_rows() == direct_rows(table)
+    assert tuple(map(tuple, table.product_rows())) == direct_rows(table)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_product_rows_are_read_only_two_byte_rows(spec):
+    table = families.enumerate_family(spec)
+    rows, m = table.product_rows(), table.size
+    assert type(rows) is tuple and len(rows) == m
+    for row in rows:
+        assert isinstance(row, memoryview) and isinstance(row.obj, bytes)
+        assert row.readonly and row.format == "H"
+        assert len(row) == m and row.nbytes == 2 * m
+    with pytest.raises(TypeError):
+        rows[0][0] = rows[0][0]
+
+
+def test_index_typecode_switches_past_65536_and_round_trips():
+    # Synthetic lines: no table is built.  Indices run below m, so "H"
+    # holds them up to m = 65,536 and "I" takes over at 65,537.
+    assert families._index_typecode(1) == "H"
+    assert families._index_typecode(1 << 16) == "H"
+    assert families._index_typecode((1 << 16) + 1) == "I"
+    for m, largest in ((1 << 16, (1 << 16) - 1), ((1 << 16) + 1, (1 << 32) - 1)):
+        code = families._index_typecode(m)
+        line = (0, m - 1, largest)
+        packed = memoryview(struct.Struct(f"{len(line)}{code}").pack(*line)).cast(code)
+        assert packed.format == code and tuple(packed) == line
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
@@ -248,7 +275,7 @@ def test_product_rows_of_i5_match_direct_products_on_a_sample():
     rows, m = table.product_rows(), table.size
     assert m == 1546 and len(table.generators) == 4
     for g in table.generators:
-        assert rows[g] == tuple(direct_product(table, g, j) for j in range(m))
+        assert tuple(rows[g]) == tuple(direct_product(table, g, j) for j in range(m))
     rng = random.Random(5)
     for _ in range(20_000):
         i, j = rng.randrange(m), rng.randrange(m)
@@ -289,7 +316,7 @@ def test_products_rows_and_columns_share_one_packing(monkeypatch):
     assert tuple(tuple(table.product(i, j) for j in range(m)) for i in range(m)) == want
     assert tuple(table.rows(range(m))) == want
     assert tuple(table.columns(range(m))) == tuple(zip(*want))
-    assert table.product_rows() == want
+    assert tuple(map(tuple, table.product_rows())) == want
     assert packings == [table]
 
 
