@@ -449,6 +449,10 @@ CLAIMS = (
         Claim("green-trivial-{tag}", "all five classical relations are identity partitions",
               True, lambda x: all(
                   greens.green(x.table, rel).is_identity for rel in greens.GREEN_NAMES))),
+    # greens keys one line per image (domain), so "equal image gives L*"
+    # ("equal domain gives R*") holds by the lemma in its docstring; what
+    # these two rows still compute is that different images (domains) never
+    # share a key, which fails only on RQ'_n(p) with p >= 2.
     Section(ORDERED_KINDS, 1, BATTERY_STARRED_CEILING,
         Claim("lstar-image-{tag}", "the left starred relation is the equal-image partition",
               True, lambda x: x.lstar == greens.partition_by(x.table, pinj.image),

@@ -232,6 +232,26 @@ class SemigroupTable:
         them again saves."""
         return map(self._composer(left=False), indices)
 
+    def kernel_groups(self, left):
+        """The indices grouped by image (left) or by domain, each group in
+        index order and the groups in order of their first members.  Members
+        of a group induce one kernel of x -> a.x (left) or x -> x.a over
+        S^1, which the greens module docstring proves; greens keys one line
+        per group.  Read off the packed images (_packing): the sorted bytes
+        of an image name the image, as zeros fill the points outside the
+        domain, and the nonzero positions name the domain.  The Rees zero
+        packs as the empty map, which no other element of a quotient is,
+        so it is a group of its own."""
+        images = self._packing[0]
+        if left:
+            keys = map(bytes, map(sorted, images))
+        else:
+            keys = map(bytes.translate, images, repeat(_DOMAIN_BYTES))
+        groups = defaultdict(list)
+        for i, key in enumerate(keys):
+            groups[key].append(i)
+        return list(groups.values())
+
     def product_rows(self):
         """The full table as a tuple of m rows; built once, then cached.
 
@@ -427,6 +447,10 @@ def follow(line_x, line_g):
 # looked up by a C call per point, where a generator expression costs a
 # Python step per point.
 _POINT_BYTE = {None: 0, **{a: a for a in range(1, 256)}}
+
+# A bytes.translate table that sends a packed image to its domain: 1 at
+# each point in the domain, 0 elsewhere.
+_DOMAIN_BYTES = b"\0" + b"\1" * 255
 
 
 def _index_typecode(m):

@@ -13,38 +13,57 @@ R-class (D* likewise over L* and R*), so one routine does all the
 grouping.  H and H* are meets, read off pairs of class ids.
 
 The starred relations are computed from their defining witnesses, not
-from any structural shortcut: a and b are L*-related exactly when the
-maps x -> ax and x -> bx induce the same kernel on the table with an
+from the paper's characterizations: a and b are L*-related exactly when
+the maps x -> ax and x -> bx induce the same kernel on the table with an
 identity formally adjoined (no adjunction when the table already has
-one).  Structural characterizations (same image, same domain, same
-height) are built with partition_by and compared by the battery and the
-tests, as the independent cross-check.
+one).  The only structure used is the lemma below, which lets elements
+with one image (domain) share one computed kernel.  The characterizations
+(same image, same domain, same height) are built with partition_by and
+compared by the battery and the tests, as the independent cross-check.
 
 Kernel keys.  A line (a row a.x for L*, a column x.a for R*) is keyed
 by labelling its values in order of first occurrence and reading the
-labels back along it, packed into bytes when there are at most 256.  The
+labels back along it, packed into bytes: one byte a label while there
+are at most 256, two bytes up to 65,536 and four past that.  All lines of
+a table have m entries, so keys of different widths never collide.  The
 adjoined identity is a second key component, the label of a in line a
-(a.1 = a), or -1 when a does not occur in it.  No line but a generator's
-is ever built: the keys follow the Cayley graphs, by the recurrence
-product_rows also uses.  If y = g.x then row_y = row_g o row_x, and if
-y = x.g then col_y = col_g o col_x.  Let x's line have the distinct
-values d_0, d_1, ... in order of first occurrence, first at positions
-p_0 < p_1 < ....  Then y's line holds line_g[d_i] wherever x's holds
-d_i, so its values are line_g[d_0], line_g[d_1], ... with repeats
-dropped, and each first occurs at the p_i of its first d_i.  Those first
-positions increase, so the labels of y are that deduplicated order, and
-y's key is x's key sent through the relabelling i -> label of
-line_g[d_i]: one bytes.translate when x has at most 256 labels.  y never
-has more labels than x, as its kernel is coarser.  This holds in every
-semigroup, so it assumes no structural characterization.
+(a.1 = a), or -1 when a does not occur in it.
 
-So each generator's line is keyed directly, and every other element
-once, from its parent in the breadth-first spanning tree over A (the
-one product_rows walks), which is walked depth-first: only the keys on
-the current path are held.
-Elements are bucketed by key as the keys are made, so only one key per
-class is kept.  The work is O(m |A|) for the tree plus one translate of
-m bytes (or, past 256 labels, one itemgetter call) per element.
+One key per image and one per domain.  The table hands greens groups of
+indices proven to share a kernel (SemigroupTable.kernel_groups: equal
+image for L*, equal domain for R*; a duck-typed table gives singletons).
+Only each group's first member has its line composed and keyed; every
+other member takes that key.  Keys still decide which groups merge, so
+the partition is computed, not assumed: different images (domains) may
+share a kernel, and on RQ'_n(p) with p >= 2 they do.
+
+  Lemma.  In every family table, elements with equal image induce the
+  same kernel of x -> a.x over S^1, and elements with equal domain the
+  same kernel of x -> x.a.
+
+  Products compose left to right: (a.s)(i) = s(a(i)) for i in dom a with
+  a(i) in dom s.  Since a is a bijection from dom a onto im a, a.s is a
+  relabelled copy of s|im a, the restriction of s to im a, and a.s = a.t
+  exactly when s|im a = t|im a (Lawson, Inverse Semigroups, 1998, 1.1).
+  That condition names only im a.  The adjoined identity adds a.1 = a,
+  and a.s = a exactly when s fixes im a pointwise, again a condition on
+  im a.  In a Rees quotient of height p, a nonzero a has height p and
+  a.s is the zero exactly when |dom s n im a| < p, that is when s|im a
+  has fewer than p points; otherwise it is the product above.  The zero
+  s absorbs, and a.0 = a.t exactly when a.t collapses, which is read off
+  t|im a too.  So in every case which pairs of S^1 a identifies depends
+  only on im a.  The zero itself packs as the empty map, and is the only
+  element of its quotient with that image and domain (p >= 1), so it is
+  a group of its own.  Dually (s.a)(i) = a(s(i)) for s(i) in dom a, so
+  s.a is a relabelled copy of s cut down to the points it sends into
+  dom a; s.a = t.a, s.a = a (s fixes dom a pointwise) and the collapse
+  |im s n dom a| < p are all decided by dom a alone.
+
+This is composition in I_n, and it holds in every family, I_n included;
+it is not the paper's claim that L* is equal image, which fails on
+RQ'_n(p).  The work is one line of m compositions per distinct image or
+domain: 512 of IC_9's 16,796 elements for L* and 512 for R*, against the
+m |A| tree edges and m relabelled keys of a key per element.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
@@ -86,6 +105,7 @@ least member, so all outputs are deterministic.
 
 from __future__ import annotations
 
+import struct
 import weakref
 from collections import defaultdict
 from itertools import count
@@ -275,50 +295,41 @@ def _kernel_key(values):
     Returns the labels read back along the line, which is the line's kernel
     signature, and the dict from each distinct value to its label, in that
     order.  Two lines get equal signatures exactly when they induce the
-    same kernel.  The signature is packed into bytes when there are at most
-    256 labels, which hashes and stores faster; lines with equal kernels
-    have equally many labels, so they never differ in type.  The work is
-    done by C builtins, with no Python-level loop.
+    same kernel.  The signature is packed into bytes, one byte a label
+    while there are at most 256 and two or four past that (struct formats
+    "H" and "I", as product_rows packs indices).  Lines with equal kernels
+    have equally many labels, so they are packed alike, and the lines of
+    one table have one length, so keys of different widths differ in
+    length.  The work is done by C builtins, with no Python-level loop.
     """
     labels = dict(zip(dict.fromkeys(values), count()))
-    return _packed(map(labels.__getitem__, values), labels), labels
-
-
-def _packed(signature, labels):
-    """A signature as bytes when its labels fit in one, else as a tuple."""
-    return bytes(signature) if len(labels) <= 256 else tuple(signature)
+    signature = map(labels.__getitem__, values)
+    if len(labels) <= 256:
+        return bytes(signature), labels
+    code = families._index_typecode(len(labels))
+    return struct.pack(f"{len(values)}{code}", *signature), labels
 
 
 def _kernel_partition(table, left):
     """Elements a with equal kernels of line a (row for L*, column for
     R*), over the table with an identity adjoined when it has none.
 
-    Each generator's line is keyed by _kernel_key; each other element
-    y = g.x (x.g for R*) gets the key of its parent x in the spanning tree
-    from A, sent through the relabelling of the module docstring
-    (_relabel).  families.tree_walk walks the tree depth-first, so only
-    the keys on the current path are held, and no line other than a
-    generator's is ever built.
+    One line is composed and keyed per group the table proves to share a
+    kernel (kernel_groups, by image for L* and by domain for R*; singletons
+    on a duck-typed table without it), and the whole group takes its first
+    member's key; see the module docstring for the proof.  Groups whose
+    keys are equal merge.
     """
-    gens = table.generators
-    lines = table.generator_rows() if left else tuple(table.columns(gens))
+    groups = getattr(table, "kernel_groups", None)
+    groups = [(a,) for a in range(table.size)] if groups is None else groups(left)
+    firsts = [members[0] for members in groups]
+    lines = table.rows(firsts) if left else table.columns(firsts)
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
-    for y, (signature, labels) in families.tree_walk(
-        table.size, gens, lines, _kernel_key, _relabel
-    ):
-        buckets[(signature, labels.get(y, -1)) if adjoin else signature].append(y)
+    for a, members, line in zip(firsts, groups, lines):
+        signature, labels = _kernel_key(line)
+        buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(members)
     return IndexPartition.from_groups(table.size, buckets.values())
-
-
-def _relabel(key, line_g):
-    """The key of y = g.x (x.g) from x's key: x's signature sent through
-    the labels that line_g gives x's distinct values, in their order."""
-    signature, labels = key
-    relabel, labels = _kernel_key(list(map(line_g.__getitem__, labels)))
-    if type(signature) is bytes:
-        return signature.translate(relabel.ljust(256, b"\0")), labels
-    return _packed(itemgetter(*signature)(relabel), labels), labels
 
 
 def starred_L(table):

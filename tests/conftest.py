@@ -32,9 +32,13 @@ identity: a signature apart from the library's first-occurrence labels,
 which L* and R* are checked against.  line_kernel_partition is L* and R*
 as the library computed them before they followed the Cayley graphs:
 every row (column) of product_rows() keyed line by line with
-first-occurrence labels; the kernel recurrence is checked against it.  star_ideal_J groups
-elements by greens.star_ideal, the saturated principal *-ideal, which is
-the oracle for J* as strongly connected components.
+first-occurrence labels.  tree_kernel_partition is L* and R* as the
+library computed them before it keyed one line per image or domain: a key
+for every element, each derived from its spanning-tree parent's by the
+kernel recurrence, with no grouping; tree_starred builds all five starred
+relations on it, and the library is checked against both.  star_ideal_J
+groups elements by greens.star_ideal, the saturated principal *-ideal,
+which is the oracle for J* as strongly connected components.
 
 oracle_chain, oracle_expand and oracle_essential_factorization are the
 essential factorization by its earlier route: chain steps built from
@@ -267,6 +271,69 @@ def line_kernel_partition(table, transpose):
     for a, line in enumerate(lines):
         buckets[line_kernel_key(line, a if adjoin else None)].append(a)
     return IndexPartition.from_groups(table.size, buckets.values())
+
+
+def tree_kernel_key(values):
+    """First-occurrence labels of a line and the dict from each distinct
+    value to its label, the signature packed into bytes when there are at
+    most 256 labels and a tuple past that."""
+    labels = dict(zip(dict.fromkeys(values), count()))
+    return tree_packed(map(labels.__getitem__, values), labels), labels
+
+
+def tree_packed(signature, labels):
+    return bytes(signature) if len(labels) <= 256 else tuple(signature)
+
+
+def tree_relabel(key, line_g):
+    """The key of y = g.x (x.g) from x's key.  row_y = row_g o row_x (and
+    col_y = col_g o col_x), so y's line holds line_g[d] wherever x's holds
+    d; its first-occurrence labels are x's sent through the labels that
+    line_g gives x's distinct values, in their order."""
+    signature, labels = key
+    relabel, labels = tree_kernel_key(list(map(line_g.__getitem__, labels)))
+    if type(signature) is bytes:
+        return signature.translate(relabel.ljust(256, b"\0")), labels
+    return tree_packed(itemgetter(*signature)(relabel), labels), labels
+
+
+def tree_kernel_partition(table, left):
+    """L* (R* when not left) with a key for every element, each derived
+    along the breadth-first spanning tree from A: a generator's line keyed
+    directly, every other y = g.x (x.g) from its parent's key by
+    tree_relabel, with a's label adjoined when the table has no identity."""
+    gens = table.generators
+    lines = table.generator_rows() if left else tuple(table.columns(gens))
+    adjoin = table.identity_index is None
+    buckets = defaultdict(list)
+    for y, (signature, labels) in families.tree_walk(
+        table.size, gens, lines, tree_kernel_key, tree_relabel
+    ):
+        buckets[(signature, labels.get(y, -1)) if adjoin else signature].append(y)
+    return IndexPartition.from_groups(table.size, buckets.values())
+
+
+def tree_starred(table):
+    """Ls, Rs, Hs, Ds and Js by name, from tree_kernel_partition: H* is the
+    meet of its L* and R* and D* their join (transitive_closure_join); J*
+    is the strongly connected components of the *-graph on the elements,
+    x -> g.x and x -> x.g for g in A plus a cycle through each L*- and
+    R*-class, with no quotient by D*."""
+    lstar = tree_kernel_partition(table, True)
+    rstar = tree_kernel_partition(table, False)
+    gens = table.generators
+    successors = list(map(list, zip(*table.generator_rows(), *table.columns(gens))))
+    for part in (lstar, rstar):
+        for members in part.classes:
+            for a, b in zip(members, members[1:] + members[:1]):
+                successors[a].append(b)
+    return {
+        "Ls": lstar,
+        "Rs": rstar,
+        "Hs": IndexPartition.from_keys(list(zip(lstar.class_of, rstar.class_of))),
+        "Ds": transitive_closure_join(lstar, rstar, table.size),
+        "Js": greens._components(successors),
+    }
 
 
 def star_ideal_J(table, representatives=None):

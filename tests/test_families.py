@@ -267,6 +267,58 @@ def test_tree_walk_derives_every_line_from_its_tree_parent(spec):
             assert line == (tuple(r[a] for r in want) if transpose else want[a])
 
 
+def kernel_over_s1(table, a, left):
+    """The kernel of x -> a.x (left) or x -> x.a over S^1, as its set of
+    blocks: every product read through table.product, and one more
+    position, the adjoined identity, whose value is a itself."""
+    blocks = {}
+    for x in range(table.size):
+        value = table.product(a, x) if left else table.product(x, a)
+        blocks.setdefault(value, set()).add(x)
+    blocks.setdefault(a, set()).add("1")
+    return frozenset(map(frozenset, blocks.values()))
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_equal_image_or_domain_gives_one_kernel_over_s1(spec):
+    # The lemma greens keys L* and R* by, checked on the products alone:
+    # elements with one image induce one kernel of x -> a.x over S^1, and
+    # elements with one domain one kernel of x -> x.a.  The adjoined
+    # identity's position is kept on every table; the Rees zero is its
+    # own group.
+    table = families.enumerate_family(spec)
+    zero = REES_ZERO if spec.is_rees else None
+    for left, name in ((True, pinj.image), (False, pinj.domain)):
+        groups = {}
+        for a, el in enumerate(table.elements):
+            groups.setdefault(zero if el is REES_ZERO else name(el), []).append(a)
+        assert table.kernel_groups(left) == list(groups.values())
+        for members in groups.values():
+            kernels = {kernel_over_s1(table, a, left) for a in members}
+            assert len(kernels) == 1, (left, [table.text_of(a) for a in members])
+
+
+def test_the_kernel_lemma_reaches_the_collapse_and_the_adjoined_identity():
+    # Non-vacuity, on both sides of RQ'_5(2), which has no identity: some
+    # group of two or more elements has products that collapse to the zero
+    # for some x and not for others, and for some member the adjoined
+    # identity shares its block with an element of the table (a.s = a).
+    table = families.enumerate_family(FamilySpec("rq", 5, 2))
+    z = table.zero_index
+    assert table.identity_index is None
+    for left in (True, False):
+        shared = [g for g in table.kernel_groups(left) if len(g) > 1]
+        lines = [
+            {table.product(g[0], x) if left else table.product(x, g[0]) for x in range(table.size)}
+            for g in shared
+        ]
+        assert any(z in line and line - {z} for line in lines)
+        assert any(
+            len(next(b for b in kernel_over_s1(table, a, left) if "1" in b)) > 1
+            for g in shared for a in g
+        )
+
+
 def test_product_rows_of_i5_match_direct_products_on_a_sample():
     # I_5 is not J-trivial and its left search is deep; its 2.4M direct
     # products take seconds, so the generator rows, which are composed

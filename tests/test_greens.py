@@ -7,6 +7,7 @@ adjoined if the table lacks one.  Same idea, transposed, for R*.
 """
 
 import random
+from array import array
 from collections import defaultdict
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from conftest import (
     relation_pairs,
     star_ideal_J,
     transitive_closure_join,
+    tree_starred,
 )
 from test_structure import FakeTable
 
@@ -212,8 +214,11 @@ def test_first_occurrence_labels_by_hand():
     assert key([1, 0, 1]) == key((1, 0, 1))
     assert key((8, 6, 8))[0] == key((0, 9, 0))[0]
     assert key((8, 6, 8))[0] != key((8, 8, 6))[0]
-    # more than 256 labels fall back to a tuple, with the same labels
-    assert key([*range(300, 0, -1), 300])[0] == (*range(300), 0)
+    # past 256 labels the signature takes two bytes a label, past 65,536
+    # four, with the same labels
+    assert key([*range(300, 0, -1), 300])[0] == array("H", [*range(300), 0]).tobytes()
+    wide = [*range(70_000), 5]
+    assert key(wide)[0] == array("I", wide).tobytes()
     # With no identity, the adjoined position of line a (a.1 = a) joins
     # the block of the positions holding a, or is a block of its own when
     # no position holds a.
@@ -235,10 +240,10 @@ def test_starred_L_and_R_match_the_old_kernel_key():
 
 
 def test_starred_L_and_R_follow_the_cayley_graphs_as_the_line_keys_do():
-    # The keys derived along the spanning trees against every row and
-    # column keyed on its own.  IC_7 has rows with more than 256 labels,
-    # generator rows among them, and its empty map has one: some tree
-    # path switches from the tuple signatures back to bytes.
+    # The keys of one line per image or domain against every row and
+    # column keyed on its own.  IC_7 has 128 rows with more than 256
+    # labels, generator rows among them, so some keys take two bytes a
+    # label, and its empty map's row has one label.
     for spec in DIFFERENTIAL_SPECS + [FamilySpec("qprime", 7), FamilySpec("icn", 7)]:
         table = families.enumerate_family(spec)
         assert greens.starred_L(table) == line_kernel_partition(table, False), spec
@@ -251,22 +256,72 @@ def test_starred_L_and_R_follow_the_cayley_graphs_as_the_line_keys_do():
 
 
 def test_starred_L_and_R_on_duck_typed_tables_match_the_line_keys():
+    # A duck-typed table proves no kernels shared, so every line is keyed.
     rng = random.Random(5)
     for _ in range(300):
         m = rng.randint(1, 7)
         table = FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
         assert greens.starred_L(table) == line_kernel_partition(table, False)
         assert greens.starred_R(table) == line_kernel_partition(table, True)
+    table = star_table()
+    opposite = FakeTable(list(zip(*table.product_rows())), generators=table.generators)
+    for semigroup in (table, opposite):
+        assert greens.starred_L(semigroup) == line_kernel_partition(semigroup, False)
+        assert greens.starred_R(semigroup) == line_kernel_partition(semigroup, True)
+
+
+def assert_starred_match_the_tree_keys(table):
+    for which, want in tree_starred(table).items():
+        assert greens.starred(table, which) == want, which
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS + [
+    FamilySpec("icn", 8), FamilySpec("qprime", 8), FamilySpec("rq", 8, 4), FamilySpec("k", 8, 4),
+], ids=lambda s: s.label())
+def test_starred_relations_match_a_key_per_element(spec):
+    # The keys of one line per image or domain against a key for every
+    # element, each derived along the spanning tree from its parent's.
+    assert_starred_match_the_tree_keys(families.enumerate_family(spec))
+
+
+def test_starred_relations_match_a_key_per_element_on_duck_typed_tables():
     # Random products need not associate, so those tables are generated
-    # by every element and each line is keyed as a root.  The 33-element
-    # semigroup and its opposite are generated by 3 elements, so 30 keys
-    # on each side come down the spanning tree.
+    # by every element and each tree key is a root.  The 33-element
+    # semigroup where J* merges two D*-classes, and its opposite, are
+    # generated by 3 elements, so 30 tree keys on each side are derived.
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        assert_starred_match_the_tree_keys(
+            FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+        )
     table = star_table()
     opposite = FakeTable(list(zip(*table.product_rows())), generators=table.generators)
     assert len(table.generators) == 3
     for semigroup in (table, opposite):
-        assert greens.starred_L(semigroup) == line_kernel_partition(semigroup, False)
-        assert greens.starred_R(semigroup) == line_kernel_partition(semigroup, True)
+        assert_starred_match_the_tree_keys(semigroup)
+    assert greens.starred_D(table) != greens.starred_J(table)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("icn", 5), FamilySpec("qprime", 5), FamilySpec("rq", 5, 2), FamilySpec("syminv", 3),
+], ids=lambda s: s.label())
+def test_starred_L_and_R_key_one_line_per_image_and_per_domain(monkeypatch, spec):
+    keyed = []
+    kernel_key = greens._kernel_key
+
+    def counted(values):
+        keyed.append(values)
+        return kernel_key(values)
+
+    monkeypatch.setattr(greens, "_kernel_key", counted)
+    table = families._build_table.__wrapped__(spec)
+    for relation, name in ((greens.starred_L, pinj.image), (greens.starred_R, pinj.domain)):
+        keyed.clear()
+        relation(table)
+        # the Rees zero is one more group of its own
+        want = {name(el) for el in table.elements if el is not families.REES_ZERO}
+        assert len(keyed) == len(want) + spec.is_rees
 
 
 @pytest.mark.parametrize("spec", [
@@ -412,22 +467,25 @@ def test_a_fresh_duck_typed_table_gets_its_own_result():
 
 def test_tables_that_cannot_be_weakly_referenced_still_work():
     class SlottedTable:
-        __slots__ = ("size", "identity_index", "rows", "generators")
+        __slots__ = ("size", "identity_index", "_rows", "generators")
 
         def __init__(self, rows):
-            self.rows = rows
+            self._rows = rows
             self.size = len(rows)
             self.identity_index = None
             self.generators = range(self.size)
 
         def product_rows(self):
-            return self.rows
+            return self._rows
 
         def generator_rows(self):
-            return self.rows
+            return self._rows
+
+        def rows(self, indices):
+            return [self._rows[a] for a in indices]
 
         def columns(self, indices):
-            return [[row[a] for row in self.rows] for a in indices]
+            return [[row[a] for row in self._rows] for a in indices]
 
     table = SlottedTable([[0, 0], [1, 1]])
     assert greens.starred_L(table).classes == ((0, 1),)
