@@ -601,6 +601,10 @@ def verification_report(n_max=4, starred_n_max=None):
         raise ValidationError(f"the verification bound must be at least 1, got {n_max}")
     if starred_n_max is None:
         starred_n_max = min(n_max, DEFAULT_STARRED_CAP)
+    if starred_n_max < 1:
+        raise ValidationError(
+            f"the starred verification bound must be at least 1, got {starred_n_max}"
+        )
     if starred_n_max > BATTERY_STARRED_CEILING:
         raise CapExceededError(
             f"the starred battery is capped at n = {BATTERY_STARRED_CEILING}"

@@ -120,21 +120,8 @@ def _cmd_enum(args):
             [("family", "order"), (label, table.size)],
         )
         return 0
-    if args.products and args.format == "csv":
-        _write(chain(["i,j,k\n"], _product_csv_text(table)))
-        return 0
     if args.products:
-        # Human output streams row by row; only json holds the list.
-        triples = families.product_csv_rows(table)
-        if args.format == "json":
-            triples = list(triples)
-        payload = {"family": label, "order": table.size, "products": triples}
-        _emit(
-            args,
-            payload,
-            (f"{i} {j} {k}" for i, j, k in triples),
-            (),
-        )
+        _write(_product_text(table, args.format))
         return 0
     payload = families.table_json(table)
     human = [f"{label}: {table.size} elements"]
@@ -149,16 +136,42 @@ def _cmd_enum(args):
     return 0
 
 
-def _product_csv_text(table):
-    """The csv lines "i,j,k" of the product table, joined per row i by C
-    builtins: the same bytes as csv.writer, which formats each triple in
-    Python."""
+# How `enum --products` writes each triple (i, j, k) in each format:
+# open i sep j sep k close, with between separating consecutive triples.
+# The json separators are json.dumps's with indent=2, a triple sitting
+# two levels deep.
+_PRODUCT_SEPARATORS = {
+    "csv": ("", ",", "\n", ""),
+    "human": ("", " ", "\n", ""),
+    "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n"),
+}
+
+
+def _product_text(table, fmt):
+    """The product table as text, one chunk per row i and the format's
+    header and footer around them: the same bytes as csv.writer, as one
+    line "i j k" per triple, and as json.dumps of {"family", "order",
+    "products": [[i, j, k], ...]} with indent=2.  Each row is joined by C
+    builtins rather than formatted triple by triple in Python."""
+    open_, sep, close, between = _PRODUCT_SEPARATORS[fmt]
+    if fmt == "json":
+        # The document with one empty triple, cut at that triple.
+        doc = {"family": table.family.label(), "order": table.size, "products": [[]]}
+        header, footer = json.dumps(doc, indent=2).split("    []")
+        footer += "\n"
+    else:
+        header, footer = ("i,j,k\n" if fmt == "csv" else ""), ""
+    yield header
     m = table.size
-    middles = [f",{j}," for j in range(m)]
-    ends = [f"{k}\n" for k in range(m)]
+    middles = [f"{sep}{j}{sep}" for j in range(m)]
+    ends = [f"{k}{close}" for k in range(m)]
+    lead = open_
     for i, row in enumerate(table.product_rows()):
         first = str(i)
-        yield first + first.join(map(operator.add, middles, map(ends.__getitem__, row)))
+        joint = between + open_ + first
+        yield lead + first + joint.join(map(operator.add, middles, map(ends.__getitem__, row)))
+        lead = between + open_
+    yield footer
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,8 @@ class SemigroupTable:
         y.j = g.(x.j), g's row read at the positions of x's row (follow).
         The walk holds the rows on its current path as tuples and packs
         each row once, as it is reached.  Only the callers that emit or
-        test every product read this: `enum --products` (through
-        product_csv_rows and the csv writer) and the star_ideal oracle.
+        test every product read this: `enum --products` (cli._product_text,
+        for every format) and the greens.star_ideal oracle.
         The relations and property checks read the Cayley graphs, rows()
         and columns() instead, which hold O(m |A|) or O(m) entries
         instead of m^2.
@@ -585,12 +585,3 @@ def table_json(table):
     out["elements"] = [table.text_of(i) for i in range(table.size)]
     return out
 
-
-def product_csv_rows(table):
-    """Yield (i, j, k) index triples of the full product table: one of the
-    readers of product_rows, for `enum --products`."""
-    rows = table.product_rows()
-    for i in range(table.size):
-        row = rows[i]
-        for j in range(table.size):
-            yield (i, j, row[j])

@@ -170,19 +170,6 @@ def minimal_generating_set(table):
     )
 
 
-def no_smaller_generating_set(table):
-    """Certificate that dropping any single minimum generator loses
-    elements.  Exhaustive over the indecomposables, which every
-    generating set must contain."""
-    everything = frozenset(range(table.size))
-    gens = sorted(indecomposables(table))
-    for g in gens:
-        rest = [x for x in gens if x != g]
-        if closure(table, rest) == everything:
-            return False
-    return True
-
-
 def _require_icn_member(alpha):
     if not (pinj.is_isotone(alpha) and pinj.is_decreasing(alpha)):
         raise ContractError(

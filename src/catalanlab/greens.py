@@ -31,7 +31,7 @@ adjoined identity is a second key component, the label of a in line a
 
 One key per image and one per domain.  The table hands greens groups of
 indices proven to share a kernel (SemigroupTable.kernel_groups: equal
-image for L*, equal domain for R*; a duck-typed table gives singletons).
+image for L*, equal domain for R*).
 Only each group's first member has its line composed and keyed; every
 other member takes that key.  Keys still decide which groups merge, so
 the partition is computed, not assumed: different images (domains) may
@@ -315,13 +315,11 @@ def _kernel_partition(table, left):
     R*), over the table with an identity adjoined when it has none.
 
     One line is composed and keyed per group the table proves to share a
-    kernel (kernel_groups, by image for L* and by domain for R*; singletons
-    on a duck-typed table without it), and the whole group takes its first
-    member's key; see the module docstring for the proof.  Groups whose
-    keys are equal merge.
+    kernel (kernel_groups, by image for L* and by domain for R*), and the
+    whole group takes its first member's key; see the module docstring for
+    the proof.  Groups whose keys are equal merge.
     """
-    groups = getattr(table, "kernel_groups", None)
-    groups = [(a,) for a in range(table.size)] if groups is None else groups(left)
+    groups = table.kernel_groups(left)
     firsts = [members[0] for members in groups]
     lines = table.rows(firsts) if left else table.columns(firsts)
     adjoin = table.identity_index is None

@@ -55,14 +55,6 @@ class PropertyReport:
         return out
 
 
-@dataclass
-class IdempotentCensus:
-    family: str
-    per_height: dict
-    total: int
-    zero_is_idempotent: bool = False
-
-
 def _label(table):
     fam = getattr(table, "family", None)
     if fam is None:
@@ -368,17 +360,3 @@ def unique_idempotent_per_rstar_class(table):
             )
     return PropertyReport("unique-idempotent-per-Rstar-class", _label(table), True)
 
-
-def idempotent_census(table):
-    """Idempotent counts by height; the Rees zero is flagged, not counted."""
-    per_height = {}
-    zero_idem = False
-    total = 0
-    for i in idempotent_indices(table):
-        h = table.height_of(i)
-        if h is None:
-            zero_idem = True
-            continue
-        per_height[h] = per_height.get(h, 0) + 1
-        total += 1
-    return IdempotentCensus(_label(table), dict(sorted(per_height.items())), total, zero_idem)

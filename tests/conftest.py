@@ -26,6 +26,12 @@ table: a pairwise search and a scan of all m^2 products.  The library
 reads only the Cayley graphs over the generating set; these are the
 oracles it is checked against.
 
+no_smaller_generating_set certifies a minimum generating set by brute
+force: dropping any one indecomposable loses elements (C8).
+idempotent_census counts the diagonal idempotents i.i = i per height,
+composed directly; the battery's idempotent rows read
+genrank.kind_census instead, and are checked against it.
+
 kernel_key and kernel_key_starred key each line by the first position of
 each value, over a copy of the line with a appended for an adjoined
 identity: a signature apart from the library's first-occurrence labels,
@@ -73,6 +79,7 @@ commands build none.
 """
 
 from collections import defaultdict
+from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import compress, count
 from operator import getitem, itemgetter, ne, or_
@@ -228,6 +235,45 @@ def oracle_indecomposables(table):
         if rows[b][c] not in (b, c)
     }
     return frozenset(range(m)) - decomposable
+
+
+def no_smaller_generating_set(table):
+    """Certificate that dropping any single minimum generator loses
+    elements.  Exhaustive over the indecomposables, which every
+    generating set must contain."""
+    everything = frozenset(range(table.size))
+    gens = sorted(genrank.indecomposables(table))
+    for g in gens:
+        rest = [x for x in gens if x != g]
+        if genrank.closure(table, rest) == everything:
+            return False
+    return True
+
+
+@dataclass
+class IdempotentCensus:
+    family: str
+    per_height: dict
+    total: int
+    zero_is_idempotent: bool = False
+
+
+def idempotent_census(table):
+    """Idempotent counts by height, from the diagonal i.i = i composed
+    directly; the Rees zero is flagged, not counted."""
+    per_height = defaultdict(int)
+    zero_idem = False
+    for i in range(table.size):
+        if direct_product(table, i, i) != i:
+            continue
+        h = table.height_of(i)
+        if h is None:
+            zero_idem = True
+        else:
+            per_height[h] += 1
+    return IdempotentCensus(
+        table.family.label(), dict(sorted(per_height.items())), sum(per_height.values()), zero_idem
+    )
 
 
 def kernel_key(values):

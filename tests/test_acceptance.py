@@ -13,6 +13,7 @@ import math
 from functools import reduce
 
 import pytest
+from conftest import no_smaller_generating_set
 
 from catalanlab import cli, families, formulas, genrank, greens, pinj, structure
 from catalanlab.families import FamilySpec
@@ -286,7 +287,7 @@ def test_c8_ranks_where_self_consistent(announce):
     report = genrank.minimal_generating_set(table("qprime", 4))
     assert report.rank == 7
     assert report.formula == 8
-    assert genrank.no_smaller_generating_set(table("qprime", 4))
+    assert no_smaller_generating_set(table("qprime", 4))
     announce(
         "[C8] PASS ranks (asserted where self-consistent): IC_n = 2n"
         " (n <= 6), ideal and quotient formulas on both sides (n <= 6),"

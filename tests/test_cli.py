@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from conftest import DIFFERENTIAL_SPECS, direct_rows
 
 import catalanlab
 from catalanlab import cli, families, pinj
@@ -76,7 +78,31 @@ def test_enum_products_csv(capsys):
     assert len(rows) == 1 + 5 * 5
 
 
-@pytest.mark.parametrize("fmt", ["human", "csv"])
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_enum_products_are_the_direct_products_in_every_format(capsys, spec):
+    # One emitter writes all three formats; each must carry the m^2
+    # triples (i, j, i.j), composed here on the elements.
+    table = families.enumerate_family(spec)
+    rows = direct_rows(table)
+    triples = [[i, j, k] for i, row in enumerate(rows) for j, k in enumerate(row)]
+    argv = ["enum", "--family", spec.kind, "--n", str(spec.n), "--products"]
+    if spec.p is not None:
+        argv += ["--p", str(spec.p)]
+    out = {}
+    for fmt in ("json", "csv", "human"):
+        code, out[fmt], err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+    doc = {"family": spec.label(), "order": table.size, "products": triples}
+    assert out["json"] == json.dumps(doc, indent=2) + "\n"
+    header, *csv_lines = parse_csv(out["csv"])
+    assert header == ["i", "j", "k"]
+    human_lines = [line.split(" ") for line in out["human"].splitlines()]
+    for lines in (csv_lines, human_lines):
+        assert len(lines) == len(triples) and {len(line) for line in lines} == {3}
+        assert list(map(int, chain.from_iterable(lines))) == list(chain.from_iterable(triples))
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv", "json"])
 def test_enum_products_into_a_closed_pipe_exits_zero(fmt):
     # IC_6 has 17,424 products, far more than a pipe buffer holds, so the
     # child is still writing when the reader closes after one line.
@@ -89,7 +115,7 @@ def test_enum_products_into_a_closed_pipe_exits_zero(fmt):
         child.stdout.close()
         err = child.stderr.read()
         code = child.wait(timeout=60)
-    assert first == (b"0 0 0\n" if fmt == "human" else b"i,j,k\n")
+    assert first == {"human": b"0 0 0\n", "csv": b"i,j,k\n", "json": b"{\n"}[fmt]
     assert b"Traceback" not in err
     assert err == b""
     assert code == 0
@@ -623,6 +649,15 @@ def test_verify_validation_and_caps(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_verify_refuses_a_starred_bound_below_one(capsys, bound):
+    # Each starred section would be empty: refused, not a silent pass.
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--starred-n-max", bound)
+    assert code == 2
+    assert err == f"error: the starred verification bound must be at least 1, got {bound}\n"
+    assert out == ""
+
+
 def test_verification_report_direct_api():
     report = cli.verification_report(n_max=2)
     assert set(report) == {"n_max", "starred_n_max", "rows", "summary"}
@@ -630,6 +665,8 @@ def test_verification_report_direct_api():
         assert set(row) == {"id", "claim", "family", "expected", "computed", "status"}
     with pytest.raises(ValidationError):
         cli.verification_report(n_max=0)
+    with pytest.raises(ValidationError):
+        cli.verification_report(n_max=2, starred_n_max=0)
     with pytest.raises(CapExceededError):
         cli.verification_report(n_max=4, starred_n_max=8)
 

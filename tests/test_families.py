@@ -607,14 +607,6 @@ def test_table_json_shape():
     assert "p" not in plain
 
 
-def test_product_csv_rows_cover_the_table():
-    table = families.enumerate_family(FamilySpec("icn", 2))
-    triples = list(families.product_csv_rows(table))
-    assert len(triples) == table.size**2
-    for i, j, k in triples:
-        assert direct_product(table, i, j) == k
-
-
 def test_rees_zero_is_a_singleton():
     assert ReesZero() is REES_ZERO
     assert repr(REES_ZERO) == "0"

@@ -7,6 +7,8 @@ import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
     assert_revalidates,
+    idempotent_census,
+    no_smaller_generating_set,
     oracle_chain,
     oracle_closure,
     oracle_essential_factorization,
@@ -14,7 +16,7 @@ from conftest import (
     oracle_indecomposables,
 )
 
-from catalanlab import families, genrank, greens, pinj
+from catalanlab import families, genrank, greens, pinj, structure
 from catalanlab.errors import (
     ContractError,
     UnsupportedTableError,
@@ -189,6 +191,17 @@ def test_kind_census_respects_the_identity_free_overlap_rule():
     assert census["idempotent"] == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_kind_census_idempotents_are_the_diagonal_idempotents(spec):
+    # The battery's idem-* rows read the census's idempotent kind; here it
+    # is held to the elements with i.i = i, per height, composed directly.
+    t = families.enumerate_family(spec)
+    census = idempotent_census(t)
+    assert genrank.kind_census(t).get("idempotent", {}) == census.per_height
+    assert census.zero_is_idempotent == t.family.is_rees
+    assert census.total == len(structure.idempotent_indices(t)) - census.zero_is_idempotent
+
+
 # ----------------------------------------------------------------- rank
 
 
@@ -230,7 +243,6 @@ def test_tables_that_are_not_jtrivial_are_refused():
             genrank.minimal_generating_set,
             genrank.indecomposables,
             genrank.maximal_subsemigroups,
-            genrank.no_smaller_generating_set,
         ):
             with pytest.raises(UnsupportedTableError, match="needs? a J-trivial table"):
                 compute(t)
@@ -277,12 +289,12 @@ def test_each_call_checks_j_triviality_once(monkeypatch):
 
 
 def test_no_smaller_generating_set_certificates():
-    assert genrank.no_smaller_generating_set(table("icn", 3))
-    assert genrank.no_smaller_generating_set(table("qprime", 4))
+    assert no_smaller_generating_set(table("icn", 3))
+    assert no_smaller_generating_set(table("qprime", 4))
     # no size cap: IC_5 has 132 elements
-    assert genrank.no_smaller_generating_set(table("icn", 5))
+    assert no_smaller_generating_set(table("icn", 5))
     with pytest.raises(UnsupportedTableError):
-        genrank.no_smaller_generating_set(table("syminv", 2))
+        no_smaller_generating_set(table("syminv", 2))
 
 
 def test_is_jtrivial():
@@ -586,6 +598,5 @@ def test_rank_maximal_generators_and_green_build_no_full_table(row_builds):
             greens.green(t, which)
         genrank.minimal_generating_set(t)
         genrank.maximal_subsemigroups(t)
-        genrank.no_smaller_generating_set(t)
         genrank.closure(t, range(t.size))
     assert row_builds == []

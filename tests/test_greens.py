@@ -487,6 +487,9 @@ def test_tables_that_cannot_be_weakly_referenced_still_work():
         def columns(self, indices):
             return [[row[a] for row in self._rows] for a in indices]
 
+        def kernel_groups(self, left):
+            return [(a,) for a in range(self.size)]
+
     table = SlottedTable([[0, 0], [1, 1]])
     assert greens.starred_L(table).classes == ((0, 1),)
     assert greens.starred_R(table).classes == ((0,), (1,))

@@ -5,6 +5,7 @@ import random
 import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
+    idempotent_census,
     oracle_ample,
     oracle_idempotent_indices,
     oracle_inverse_ideal,
@@ -44,6 +45,10 @@ class FakeTable:
 
     def columns(self, indices):
         return [[row[a] for row in self._rows] for a in indices]
+
+    def kernel_groups(self, left):
+        # No element is proven to share a kernel with another.
+        return [(a,) for a in range(self.size)]
 
     def text_of(self, i):
         return f"e{i}"
@@ -325,16 +330,16 @@ def test_inverse_ideal_validation():
 
 
 def test_idempotent_census_counts():
-    census = structure.idempotent_census(table("icn", 4))
+    census = idempotent_census(table("icn", 4))
     assert census.total == 16
     assert census.per_height == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
     assert not census.zero_is_idempotent
 
-    census = structure.idempotent_census(table("qprime", 4))
+    census = idempotent_census(table("qprime", 4))
     assert census.total == 8
     assert census.per_height == {0: 1, 1: 3, 2: 3, 3: 1}
 
-    census = structure.idempotent_census(table("rq", 4, 2))
+    census = idempotent_census(table("rq", 4, 2))
     assert census.total == 3
     assert census.per_height == {2: 3}
     assert census.zero_is_idempotent
