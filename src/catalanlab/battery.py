@@ -204,7 +204,7 @@ def _dstar_is_threefold_composite(x):
 def _noncommute(x):
     """The published witness pair, the one-point identities on n - 1 and
     n, is in L* o R* but not in R* o L*."""
-    a, b = (x.table.index_of[pinj.partial_identity(x.n, (pt,))] for pt in (x.n - 1, x.n))
+    a, b = (x.table.index(pinj.partial_identity(x.n, (pt,))) for pt in (x.n - 1, x.n))
     return (
         b in greens.related_sets(x.lstar, x.rstar)[a]
         and b not in greens.related_sets(x.rstar, x.lstar)[a]
@@ -235,7 +235,7 @@ def _inside(kind):
 
 def _top_idempotent_is_left_identity(x):
     table = x.table
-    e = table.index_of[pinj.partial_identity(x.n, range(2, x.n + 1))]
+    e = table.index(pinj.partial_identity(x.n, range(2, x.n + 1)))
     (row_e,), (col_e,) = table.rows([e]), table.columns([e])
     everyone = tuple(range(table.size))
     left_identity = row_e == everyone
@@ -267,7 +267,7 @@ def _maximal_count(x):
 
 def _elements(x):
     """The instance's real elements, without a Rees zero."""
-    return [a for a in x.table.elements if isinstance(a, pinj.PartialInjection)]
+    return [a for a in map(x.table.element, range(x.table.size)) if a is not families.REES_ZERO]
 
 
 def _chain_factors_ok(x, alpha):
@@ -327,7 +327,7 @@ def _blocked_outside_top_closure(x):
 
 def _member_inside_top_closure(x):
     member = pinj.from_pairs(x.n, [(3, 2)] + [(j, j) for j in range(4, x.n + 1)])
-    return x.table.index_of[member] in genrank.closure(x.table, x.layer(x.n - 1))
+    return x.table.index(member) in genrank.closure(x.table, x.layer(x.n - 1))
 
 
 def _two_layers_generate(x):

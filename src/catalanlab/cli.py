@@ -49,19 +49,22 @@ _PROPERTIES = {
 
 def _cap_from(args, default):
     """Effective size cap: default, overridden by env, then by --max-n,
-    always clamped to the hard ceiling families.DEFAULT_ENUM_CAP."""
-    cap = default
+    always clamped to the hard ceiling families.DEFAULT_ENUM_CAP.  A cap
+    below 1 is refused, naming where it came from."""
+    cap, source = default, None
     env = os.environ.get("CATALAN_LAB_MAX_N")
     if env is not None:
         try:
-            cap = int(env)
+            cap, source = int(env), "CATALAN_LAB_MAX_N"
         except ValueError:
             raise ValidationError(
                 f"CATALAN_LAB_MAX_N must be an integer, got {env!r}"
             ) from None
     max_n = getattr(args, "max_n", None)
     if max_n is not None:
-        cap = max_n
+        cap, source = max_n, "--max-n"
+    if cap < 1:
+        raise ValidationError(f"{source} must be at least 1, got {cap}")
     return min(cap, families.DEFAULT_ENUM_CAP)
 
 

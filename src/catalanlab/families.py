@@ -12,11 +12,13 @@ Seven families over the chain {1, ..., n}:
     rq       the same construction on the qprime side
 
 Tables index elements by their sorted position (height first, then
-canonical text) and expose the product as an index function, composed
-on images packed once per table.  Rees tables put their zero at index 0.
-Tables are cached and read-only: elements and the Cayley-graph rows are
-tuples, index_of a mapping proxy, and the full product rows read-only
-memoryviews of 2-byte indices (4-byte past 65,536 elements).
+canonical text) and expose the product as an index function.  A table
+keeps its elements only as their images packed into bytes, one tuple of
+them and one dict from packed image to index, and composes every product
+on them.  Rees tables put their zero at index 0.  Tables are cached and
+read-only: the packed images and the Cayley-graph rows are tuples, and
+the full product rows read-only memoryviews of 2-byte indices (4-byte
+past 65,536 elements).
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from __future__ import annotations
 import struct
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, compress, permutations, repeat
 from operator import itemgetter
-from types import MappingProxyType
 
 from . import pinj
 from .errors import (
@@ -136,13 +137,18 @@ class SemigroupTable:
 
     def __init__(self, family, elements):
         self.family = family
-        self.elements = tuple(elements)
-        self.index_of = MappingProxyType({
-            el: i for i, el in enumerate(self.elements)
-            if isinstance(el, pinj.PartialInjection)
-        })
-        self.size = len(self.elements)
-        self.zero_index = self._find_zero()
+        n = family.n
+        # The Rees zero packs as the empty map: the quotient collapses the
+        # whole lower ideal, empty map included, into it.
+        self.images = tuple(bytes(n) if el is REES_ZERO else _pack(el) for el in elements)
+        self._index = dict(zip(self.images, range(len(self.images))))
+        self.size = len(self.images)
+        self.zero_index = self._index.get(bytes(n))
+        if family.is_rees and self.zero_index is None:
+            raise ValidationError("Rees table is missing its zero sentinel")
+        # The index of the Rees zero, which is no map; None in a table
+        # without one.
+        self._rees_zero = self.zero_index if family.is_rees else None
         self.identity_index = self._find_identity()
         self._rows = None
         self._generators = None
@@ -151,51 +157,53 @@ class SemigroupTable:
     def __len__(self):
         return self.size
 
-    def _find_zero(self):
-        if self.family.is_rees:
-            for i, el in enumerate(self.elements):
-                if el is REES_ZERO:
-                    return i
-            raise ValidationError("Rees table is missing its zero sentinel")
-        empty = pinj.empty_map(self.family.n)
-        return self.index_of.get(empty)
-
     def _find_identity(self):
         # A two-sided identity must act as the identity on every domain
         # and image point that occurs, so it can only be the partial
         # identity on the union of all of them (the empty map when only
-        # the empty map is present).  A column of the image tuples holds
-        # a point (truthy) exactly when its position is in some domain.
-        imgs = [el.img for el in self.elements if el is not REES_ZERO]
-        points = set().union(*imgs)
-        points.discard(None)
-        points.update(compress(range(1, self.family.n + 1), map(any, zip(*imgs))))
-        candidate = pinj.partial_identity(self.family.n, points)
-        return self.index_of.get(candidate)
+        # the empty map is present).  A column of the packed images holds
+        # a point (nonzero) exactly when its position is in some domain.
+        points = set().union(*self.images)
+        points.discard(0)
+        points.update(compress(range(1, self.family.n + 1), map(any, zip(*self.images))))
+        return self.locate(bytes(x if x in points else 0 for x in range(1, self.family.n + 1)))
 
     def element(self, i):
-        return self.elements[i]
+        """Element i, unpacked from its image bytes, or REES_ZERO."""
+        if i == self._rees_zero:
+            return REES_ZERO
+        image = self.images[i]
+        return pinj._trusted(len(image), tuple(map(_BYTE_POINT.__getitem__, image)))
+
+    def index(self, el):
+        """The index of el (a PartialInjection or REES_ZERO), or None when
+        el is not an element of the table."""
+        return self._rees_zero if el is REES_ZERO else self.locate(_pack(el))
+
+    def locate(self, image):
+        """The index of the element packed as image, or None.  The empty
+        map of a Rees quotient is no element, though its zero packs as it,
+        and neither is a composite that _collapse sent to the zero."""
+        i = self._index.get(image)
+        return None if i == self._rees_zero else i
 
     def text_of(self, i):
-        el = self.elements[i]
-        if el is REES_ZERO:
+        if i == self._rees_zero:
             return ZERO_TEXT
-        return pinj.canonical_text(el)
+        return pinj.text_of_images(self.family.n, self.images[i])
 
     def height_of(self, i):
         """Height of element i, or None for the Rees zero sentinel."""
-        el = self.elements[i]
-        if el is REES_ZERO:
+        if i == self._rees_zero:
             return None
-        return pinj.height(el)
+        return self.family.n - self.images[i].count(0)
 
     def product(self, i, j):
         """Index of the product of elements i and j: i's packed image sent
-        on through j's, looked up in the image index (_packing).  A
-        composite missing from it goes to _collapse."""
-        images, index = self._packing
-        composite = images[i].translate(_translate_table(images[j]))
-        found = index.get(composite)
+        on through j's, looked up in the image index.  A composite missing
+        from it goes to _collapse."""
+        composite = self.images[i].translate(_translate_table(self.images[j]))
+        found = self._index.get(composite)
         return self._collapse(composite, i, j) if found is None else found
 
     @property
@@ -237,16 +245,15 @@ class SemigroupTable:
         index order and the groups in order of their first members.  Members
         of a group induce one kernel of x -> a.x (left) or x -> x.a over
         S^1, which the greens module docstring proves; greens keys one line
-        per group.  Read off the packed images (_packing): the sorted bytes
+        per group.  Read off the packed images: the sorted bytes
         of an image name the image, as zeros fill the points outside the
         domain, and the nonzero positions name the domain.  The Rees zero
         packs as the empty map, which no other element of a quotient is,
         so it is a group of its own."""
-        images = self._packing[0]
         if left:
-            keys = map(bytes, map(sorted, images))
+            keys = map(bytes, map(sorted, self.images))
         else:
-            keys = map(bytes.translate, images, repeat(_DOMAIN_BYTES))
+            keys = map(bytes.translate, self.images, repeat(_DOMAIN_BYTES))
         groups = defaultdict(list)
         for i, key in enumerate(keys):
             groups[key].append(i)
@@ -310,19 +317,17 @@ class SemigroupTable:
         J-classes are its height layers, so a J-trivial I_n has one element
         per height, that order is a J-order on it, and the argument holds.
         """
-        m = self.size
+        m, n, images = self.size, self.family.n, self.images
         row_of = self._composer(left=True)
         reached = bytearray(m)
         gens, gen_rows = [], []
-        points = range(1, self.family.n + 1)
+        points = range(1, n + 1)
 
         def phi(i):
-            el = self.elements[i]
-            if el is REES_ZERO:
+            if i == self._rees_zero:
                 return -1, 0, i
-            img = el.img
-            drift = sum(filter(None, img)) - sum(compress(points, img))
-            return len(img) - img.count(None), drift, i
+            img = images[i]
+            return n - img.count(0), sum(img) - sum(compress(points, img)), i
 
         if self.family.kind == KIND_SYMINV:
             order = range(m - 1, -1, -1)
@@ -345,26 +350,12 @@ class SemigroupTable:
         self._generators = tuple(gens)
         self._generator_rows = tuple(gen_rows)
 
-    @cached_property
-    def _packing(self):
-        """Each element's images packed into bytes (0 outside the domain)
-        and the index from packed image to table index, built on first use
-        and kept.  x's images sent through y's translate table are x.y's.
-        The Rees zero packs as the empty map: the quotient collapses the
-        whole lower ideal into it."""
-        byte = _POINT_BYTE.__getitem__
-        images = [
-            bytes(self.family.n) if el is REES_ZERO else bytes(map(byte, el.img))
-            for el in self.elements
-        ]
-        return images, dict(zip(images, range(self.size)))
-
     def _composer(self, left, at=None):
         """A function from an index a to the row a.x (left) or the column
         x.a, for every x in at (every x by default), composed on the
-        table's packed images (_packing).  A composite missing from the
-        image index is left to product."""
-        images, index = self._packing
+        table's packed images.  A composite missing from the image index
+        is left to product."""
+        images, index = self.images, self._index
         at = range(self.size) if at is None else tuple(at)
         others = list(map(images.__getitem__, at))
         maps = list(map(_translate_table, others)) if left else None
@@ -386,9 +377,10 @@ class SemigroupTable:
     def _collapse(self, composite, i, j):
         """Index of a composite missing from the image index: the Rees zero
         when its height fell below p, remembered in the index so that each
-        distinct one is checked once per table, else a closure failure."""
+        distinct one is checked once per table, else a closure failure.
+        locate() refuses what is remembered here."""
         if self.family.is_rees and len(composite) - composite.count(0) < self.family.p:
-            self._packing[1][composite] = self.zero_index
+            self._index[composite] = self.zero_index
             return self.zero_index
         raise InvariantError(
             f"{self.family.label()} is not closed: the product of"
@@ -443,10 +435,11 @@ def follow(line_x, line_g):
     return itemgetter(*line_x)(line_g)
 
 
-# A point, or None outside the domain, as its byte in a packed image:
-# looked up by a C call per point, where a generator expression costs a
-# Python step per point.
+# A point, or None outside the domain, as its byte in a packed image, and
+# back: looked up by a C call per point, where a generator expression
+# costs a Python step per point.
 _POINT_BYTE = {None: 0, **{a: a for a in range(1, 256)}}
+_BYTE_POINT = (None, *range(1, 256))
 
 # A bytes.translate table that sends a packed image to its domain: 1 at
 # each point in the domain, 0 elsewhere.
@@ -458,6 +451,11 @@ def _index_typecode(m):
     m: "H" (2 bytes) while every index fits, that is m <= 65,536, else
     "I" (4 bytes)."""
     return "H" if m <= 1 << 16 else "I"
+
+
+def _pack(el):
+    """el's images as bytes, 0 outside the domain."""
+    return bytes(map(_POINT_BYTE.__getitem__, el.img))
 
 
 def _translate_table(image):
@@ -512,10 +510,6 @@ def _all_partial_injections(n):
                 yield pinj._trusted(n, tuple(img))
 
 
-def _sorted_elements(maps):
-    return sorted(maps, key=lambda a: (pinj.height(a), pinj.canonical_text(a)))
-
-
 @lru_cache(maxsize=None)
 def _build_table(spec):
     n, p = spec.n, spec.p
@@ -530,24 +524,27 @@ def _build_table(spec):
             min_height=p if spec.is_rees else 0,
             max_height=p,
         )
-    elements = _sorted_elements(maps)
+    # Sorted by (height, text), reversed and handed over from the end of
+    # the list, each element is dropped once the table has packed it, so
+    # the objects and their packed images are never all held at once.
+    elements = sorted(maps, key=lambda a: (pinj.height(a), pinj.canonical_text(a)))
+    elements.reverse()
     if spec.is_rees:
-        elements = [REES_ZERO] + elements
-    return SemigroupTable(spec, elements)
+        elements.append(REES_ZERO)
+    return SemigroupTable(spec, (elements.pop() for _ in range(len(elements))))
 
 
-def enumerate_family(spec, cap=DEFAULT_ENUM_CAP):
+def enumerate_family(spec):
     """Materialize the table for a family descriptor.
 
     Tables are cached per descriptor and must be treated as read-only.
-    The cap guards against accidental huge enumerations; raise it
-    explicitly when a bigger chain is really wanted.
+    No chain longer than DEFAULT_ENUM_CAP is enumerated.
     """
     if not isinstance(spec, FamilySpec):
         raise FamilySpecError(f"expected a FamilySpec, got {type(spec).__name__}")
-    if spec.n > cap:
+    if spec.n > DEFAULT_ENUM_CAP:
         raise CapExceededError(
-            f"enumeration of {spec.label()} needs n <= {cap}; got n = {spec.n}"
+            f"enumeration of {spec.label()} needs n <= {DEFAULT_ENUM_CAP}; got n = {spec.n}"
         )
     return _build_table(spec)
 

@@ -93,9 +93,8 @@ def kind_census(table):
     """Per-kind, per-height counts of the table's real elements."""
     qp = table.family.qprime_side
     out = {}
-    for i in range(table.size):
-        el = table.element(i)
-        if not isinstance(el, pinj.PartialInjection):
+    for el in map(table.element, range(table.size)):
+        if el is families.REES_ZERO:
             continue
         kind = element_kind(el, qp)
         h = pinj.height(el)
@@ -131,13 +130,11 @@ def _group_generators(table, gens):
     groups = {"idempotents": [], "essentials": [], "requisites": [], "other": []}
     identity_text = None
     for g in sorted(gens):
-        el = table.element(g)
         text = table.text_of(g)
-        if g == table.identity_index and isinstance(el, pinj.PartialInjection) \
-                and pinj.height(el) == spec.n:
+        if g == table.identity_index and table.height_of(g) == spec.n:
             identity_text = text
             continue
-        kind = element_kind(el, spec.qprime_side) + "s"
+        kind = element_kind(table.element(g), spec.qprime_side) + "s"
         groups[kind if kind in groups else "other"].append(text)
     out = {k: v for k, v in groups.items() if v}
     if identity_text is not None:

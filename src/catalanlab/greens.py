@@ -111,7 +111,7 @@ from collections import defaultdict
 from itertools import count
 from operator import itemgetter
 
-from . import families, pinj
+from . import families
 from .errors import InvariantError, ValidationError
 
 GREEN_NAMES = ("L", "R", "H", "D", "J")
@@ -413,14 +413,10 @@ def starred(table, which):
 def partition_by(table, key_fn):
     """The partition of a table by key_fn of each element; a Rees zero
     forms a class of its own."""
-    keys = []
-    for i in range(table.size):
-        el = table.element(i)
-        if isinstance(el, pinj.PartialInjection):
-            keys.append(("el", key_fn(el)))
-        else:
-            keys.append(("zero",))
-    return IndexPartition.from_keys(keys)
+    elements = map(table.element, range(table.size))
+    return IndexPartition.from_keys(
+        [("zero",) if el is families.REES_ZERO else ("el", key_fn(el)) for el in elements]
+    )
 
 
 def related_sets(*partitions):

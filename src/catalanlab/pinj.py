@@ -29,6 +29,10 @@ validity is proven:
 - families enumeration: the isotone, order-decreasing maps place a
   strictly increasing run a_1 < ... < a_p with a_i <= x_i on the domain,
   and the partial injections place distinct values of 1..n.
+- SemigroupTable.element: the table packed an element of the n-chain
+  into n bytes, a at a point sent to a and 0 elsewhere, and unpacking
+  the n bytes sends 0 back to None and a to a, so it rebuilds that
+  element's image tuple.
 - genrank's chain steps and essentials (_with_pair) and the beta of its
   requisite split: the proofs are in essential_factorization and
   _split_requisite.
@@ -281,10 +285,14 @@ def classify(alpha):
 
 
 def canonical_text(alpha):
-    pairs = ",".join(
-        f"{i + 1}>{a}" for i, a in enumerate(alpha.img) if a is not None
-    )
-    return f"{alpha.n}:{pairs}"
+    return text_of_images(alpha.n, alpha.img)
+
+
+def text_of_images(n, img):
+    """The text form of the map on the n-chain whose images are img: an
+    image tuple, or images packed into bytes with 0 outside the domain."""
+    pairs = ",".join(f"{x}>{a}" for x, a in enumerate(img, 1) if a)
+    return f"{n}:{pairs}"
 
 
 def parse_text(text):

@@ -310,15 +310,10 @@ def _inverse_ideal(sub, sup, require_left):
         raise ValidationError("inverse ideal checks need plain (non-Rees) tables")
     if sub.family.n != sup.family.n:
         raise ValidationError("tables live on different chains")
-    sup_index = {}
-    for el in sub.elements:
-        j = sup.index_of.get(el)
-        if j is None:
-            raise ValidationError(
-                f"{sub.family.label()} is not a subset of {sup.family.label()}"
-            )
-        sup_index[el] = j
-    us = [sup_index[el] for el in sub.elements]
+    # Both tables pack their elements alike on one chain.
+    us = list(map(sup.locate, sub.images))
+    if None in us:
+        raise ValidationError(f"{sub.family.label()} is not a subset of {sup.family.label()}")
     member = bytearray(sup.size)
     for u in us:
         member[u] = 1

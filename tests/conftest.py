@@ -10,7 +10,7 @@ relation composition.  The library composes on class ids instead
 against.
 
 direct_product is one product composed on the elements: pinj.compose,
-a lookup in index_of, and the Rees rule that a composite of height
+a lookup with SemigroupTable.index, and the Rees rule that a composite of height
 other than p is the zero.  The library composes on packed images
 instead, and collapses a composite only when it is missing from the
 table's image index; direct_product is the oracle for both.
@@ -142,6 +142,12 @@ def related_pairs(related):
     return {(a, b) for a, bs in enumerate(related) for b in bs}
 
 
+def elements_of(table):
+    """Every element of a table in index order, the Rees zero included,
+    each unpacked by SemigroupTable.element."""
+    return [table.element(i) for i in range(table.size)]
+
+
 def direct_product(table, i, j):
     """Index of the product of elements i and j, composed on the elements:
     in a Rees quotient the zero absorbs everything, and so does every
@@ -151,8 +157,8 @@ def direct_product(table, i, j):
         if i == z or j == z:
             return z
         composite = pinj.compose(table.element(i), table.element(j))
-        return table.index_of[composite] if pinj.height(composite) == table.family.p else z
-    return table.index_of[pinj.compose(table.element(i), table.element(j))]
+        return table.index(composite) if pinj.height(composite) == table.family.p else z
+    return table.index(pinj.compose(table.element(i), table.element(j)))
 
 
 @lru_cache(maxsize=None)
@@ -632,11 +638,11 @@ def oracle_inverse_ideal(sub, sup, require_left):
     """Every u in sub has v in sup with uvu = u, uv in sub and, when
     require_left, vu in sub; v runs over the whole product rows of sup."""
     rows = sup.product_rows()
-    members = {sup.index_of[el] for el in sub.elements}
+    members = {sup.index(el) for el in elements_of(sub)}
     name = "inverse-ideal" if require_left else "right-inverse-ideal"
     label = f"{sub.family.label()} in {sup.family.label()}"
-    for el in sub.elements:
-        u = sup.index_of[el]
+    for el in elements_of(sub):
+        u = sup.index(el)
         if not any(
             rows[rows[u][v]][u] == u and rows[u][v] in members
             and (not require_left or rows[v][u] in members)

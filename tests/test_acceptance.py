@@ -182,8 +182,8 @@ def test_c5_starred_characterizations_as_published(announce):
     # non-identity element to zero, so their kernels agree although
     # their images differ
     t = table("rq", 3, 2)
-    a = t.index_of[pinj.parse_text("3:2>1,3>2")]
-    b = t.index_of[pinj.parse_text("3:2>1,3>3")]
+    a = t.index(pinj.parse_text("3:2>1,3>2"))
+    b = t.index(pinj.parse_text("3:2>1,3>3"))
     assert oracle_kernel(t, a) == oracle_kernel(t, b)
     assert pinj.image(t.element(a)) != pinj.image(t.element(b))
     announce(
@@ -196,15 +196,15 @@ def test_c5_starred_characterizations_as_published(announce):
 
 def test_c6_composition_order_witnesses(announce):
     icn2 = table("icn", 2)
-    a = icn2.index_of[pinj.parse_text("2:1>1")]
-    b = icn2.index_of[pinj.parse_text("2:2>2")]
+    a = icn2.index(pinj.parse_text("2:1>1"))
+    b = icn2.index(pinj.parse_text("2:2>2"))
     lr = greens.related_sets(greens.starred_L(icn2), greens.starred_R(icn2))
     rl = greens.related_sets(greens.starred_R(icn2), greens.starred_L(icn2))
     assert b in lr[a] and b not in rl[a]
 
     q3 = table("qprime", 3)
-    a = q3.index_of[pinj.parse_text("3:2>2")]
-    b = q3.index_of[pinj.parse_text("3:3>3")]
+    a = q3.index(pinj.parse_text("3:2>2"))
+    b = q3.index(pinj.parse_text("3:3>3"))
     lr = greens.related_sets(greens.starred_L(q3), greens.starred_R(q3))
     rl = greens.related_sets(greens.starred_R(q3), greens.starred_L(q3))
     assert b in lr[a] and b not in rl[a]
@@ -436,7 +436,7 @@ def test_c12_generation_boundary(announce):
         alpha = pinj.from_pairs(
             n, [(3, 2)] + [(j, j) for j in range(4, n + 1)]
         )
-        assert t.index_of[alpha] in from_top
+        assert t.index(alpha) in from_top
         assert genrank.closure(t, top + below) == frozenset(range(t.size))
     announce(
         "[C12] PASS generation boundary: the top layer alone misses every"

@@ -10,7 +10,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from conftest import DIFFERENTIAL_SPECS, direct_rows
+from conftest import DIFFERENTIAL_SPECS, direct_rows, elements_of
 
 import catalanlab
 from catalanlab import cli, families, pinj
@@ -185,6 +185,18 @@ def test_env_cap_must_be_an_integer(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "enum", "--family", "icn", "--n", "3", "--count-only")
     assert code == 2
     assert "CATALAN_LAB_MAX_N" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_a_cap_below_one_is_refused_from_either_source(capsys, monkeypatch, value):
+    argv = ("enum", "--family", "icn", "--n", "3", "--count-only")
+    code, out, err = run_cli(capsys, *argv, "--max-n", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-n must be at least 1, got {value}\n"
+    monkeypatch.setenv("CATALAN_LAB_MAX_N", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: CATALAN_LAB_MAX_N must be at least 1, got {value}\n"
 
 
 def test_only_the_starred_property_checks_take_the_starred_cap(capsys):
@@ -710,7 +722,7 @@ def test_family_parameter_validation_maps_to_exit_two(capsys):
 
 def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):
     full = families.enumerate_family(families.FamilySpec("icn", 2))
-    corrupt = families.SemigroupTable(full.family, full.elements[1:])  # no empty map
+    corrupt = families.SemigroupTable(full.family, elements_of(full)[1:])  # no empty map
     monkeypatch.setattr(families, "enumerate_family", lambda spec: corrupt)
     code, out, err = run_cli(capsys, "enum", "--family", "icn", "--n", "2", "--products")
     assert code == 4

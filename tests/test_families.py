@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import struct
+from collections.abc import Mapping
 from itertools import combinations, permutations
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     assert_revalidates,
     direct_product,
     direct_rows,
+    elements_of,
     oracle_indecomposables,
 )
 
@@ -154,27 +156,72 @@ def test_enumerated_elements_revalidate():
         for p in families._valid_heights(kind, n)
     ]
     for spec in specs:
-        for el in families.enumerate_family(spec).elements:
+        for el in elements_of(families.enumerate_family(spec)):
             if el is not REES_ZERO:
                 assert_revalidates(el)
 
 
-def test_index_of_round_trips():
-    table = families.enumerate_family(FamilySpec("ric", 4, 2))
-    for i in range(1, table.size):
-        assert table.index_of[table.element(i)] == i
+def test_index_round_trips():
+    for spec in DIFFERENTIAL_SPECS:
+        table = families.enumerate_family(spec)
+        for i in range(table.size):
+            assert table.index(table.element(i)) == i, (spec.label(), i)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("rq", 5, 2), FamilySpec("ric", 4, 2), FamilySpec("qprime", 4), FamilySpec("icn", 4),
+], ids=lambda s: s.label())
+def test_index_answers_for_members_only(spec):
+    # Every partial injection of the chain is looked up after product_rows
+    # has sent the composites below height p to the Rees zero, which the
+    # image index remembers (and holds some of, on a quotient); only the
+    # table's own elements answer, and the maps below height p are none.
+    table = families._build_table.__wrapped__(spec)
+    table.product_rows()
+    everything = list(families._all_partial_injections(spec.n))
+    remembered = [
+        el for el in everything
+        if 0 < pinj.height(el) < (spec.p or 0) and bytes(a or 0 for a in el.img) in table._index
+    ]
+    assert bool(remembered) == spec.is_rees
+    position = {table.text_of(i): i for i in range(table.size)}
+    for el in everything:
+        want = position.get(pinj.canonical_text(el))
+        assert table.index(el) == want, pinj.canonical_text(el)
+        assert want is None or families.is_member(el, spec)
+    assert table.index(REES_ZERO) == (table.zero_index if spec.is_rees else None)
+    assert table.index(pinj.identity(spec.n + 1)) is None
+
+
+def test_a_table_holds_no_element_objects():
+    # A table keeps its elements packed: nothing it holds, looking one
+    # level into its tuples, lists and mappings, is a PartialInjection.
+    spec = FamilySpec("icn", 9)
+    table = families.SemigroupTable(spec, elements_of(families.enumerate_family(spec)))
+    table.product(0, 1)
+    assert table.generators and len(table) == 16_796
+
+    def one_level(value):
+        if isinstance(value, Mapping):
+            return [value, *value.keys(), *value.values()]
+        if isinstance(value, (tuple, list)):
+            return [value, *value]
+        return [value]
+
+    held = [v for value in vars(table).values() for v in one_level(value)]
+    assert not any(isinstance(v, pinj.PartialInjection) for v in held)
 
 
 def test_cached_tables_are_frozen():
     spec = FamilySpec("rq", 4, 2)
     table = families.enumerate_family(spec)
     rows = table.product_rows()
-    before = (list(table.elements), dict(table.index_of), [list(r) for r in rows])
+    before = (list(table.images), [list(r) for r in rows])
     el = table.element(1)
     with pytest.raises(TypeError):
-        table.elements[1] = el
+        table.images[1] = table.images[0]
     with pytest.raises(TypeError):
-        table.index_of[el] = 0
+        table.images[1][0] = 0
     with pytest.raises(TypeError):
         rows[1] = rows[0]
     with pytest.raises(TypeError):
@@ -189,7 +236,7 @@ def test_cached_tables_are_frozen():
     assert copy.deepcopy(el) == el
     assert pickle.loads(pickle.dumps(el)) == el
     again = families.enumerate_family(spec)
-    after = (list(again.elements), dict(again.index_of), [list(r) for r in again.product_rows()])
+    after = (list(again.images), [list(r) for r in again.product_rows()])
     assert after == before
 
 
@@ -290,7 +337,7 @@ def test_equal_image_or_domain_gives_one_kernel_over_s1(spec):
     zero = REES_ZERO if spec.is_rees else None
     for left, name in ((True, pinj.image), (False, pinj.domain)):
         groups = {}
-        for a, el in enumerate(table.elements):
+        for a, el in enumerate(elements_of(table)):
             groups.setdefault(zero if el is REES_ZERO else name(el), []).append(a)
         assert table.kernel_groups(left) == list(groups.values())
         for members in groups.values():
@@ -340,9 +387,9 @@ def test_product_rows_of_i5_match_direct_products_on_a_sample():
 ], ids=["plain", "rees"])
 def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped, factors):
     full = families.enumerate_family(spec)
-    kept = [el for i, el in enumerate(full.elements) if full.text_of(i) != dropped]
+    kept = [el for i, el in enumerate(elements_of(full)) if full.text_of(i) != dropped]
     corrupt = families.SemigroupTable(spec, kept)
-    i, j = (corrupt.index_of[pinj.parse_text(text)] for text in factors)
+    i, j = (corrupt.index(pinj.parse_text(text)) for text in factors)
     not_closed = f"{re.escape(spec.label())} is not closed"
     with pytest.raises(InvariantError, match=not_closed):
         corrupt.product(i, j)
@@ -353,23 +400,20 @@ def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped, fac
 
 
 def test_products_rows_and_columns_share_one_packing(monkeypatch):
-    # A fresh table packs its images once, on its first product, and then
-    # composes everything through them: no pinj.compose, no index_of.
+    # A table packs its images once, when it is built, and then composes
+    # everything through them: no pinj.compose, no element unpacked, and
+    # nothing packed again.
     spec = FamilySpec("rq", 4, 2)
     cached = families.enumerate_family(spec)
     want, m = direct_rows(cached), cached.size
-    table = families.SemigroupTable(spec, cached.elements)
-    packings = []
-    packing = families.SemigroupTable._packing
-    pack = packing.func
-    monkeypatch.setattr(packing, "func", lambda t: packings.append(t) or pack(t))
+    table = families.SemigroupTable(spec, elements_of(cached))
     monkeypatch.setattr(pinj, "compose", None)
-    table.index_of = None
+    monkeypatch.setattr(families, "_pack", None)
+    monkeypatch.setattr(families.SemigroupTable, "element", None)
     assert tuple(tuple(table.product(i, j) for j in range(m)) for i in range(m)) == want
     assert tuple(table.rows(range(m))) == want
     assert tuple(table.columns(range(m))) == tuple(zip(*want))
     assert tuple(map(tuple, table.product_rows())) == want
-    assert packings == [table]
 
 
 def phi(table, i):
@@ -534,8 +578,6 @@ def test_is_member_validation():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         families.enumerate_family(FamilySpec("icn", 13))
-    with pytest.raises(CapExceededError):
-        families.enumerate_family(FamilySpec("icn", 5), cap=4)
     with pytest.raises(FamilySpecError):
         families.enumerate_family("icn")
 

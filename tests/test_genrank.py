@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
     assert_revalidates,
+    elements_of,
     idempotent_census,
     no_smaller_generating_set,
     oracle_chain,
@@ -393,7 +394,7 @@ def test_factorizations_match_the_oracle_route(kind):
     # an idempotent test and quasi expansion.
     qprime_side = kind == "qprime"
     for n in range(1, 8):
-        for alpha in families.enumerate_family(FamilySpec(kind, n)).elements:
+        for alpha in elements_of(families.enumerate_family(FamilySpec(kind, n))):
             got = genrank.essential_factorization(alpha, qprime_side=qprime_side)
             assert images(got) == images(oracle_essential_factorization(alpha, qprime_side))
             chain = genrank.factor_idempotent_quasi_chain(alpha)
@@ -410,7 +411,7 @@ def test_every_factor_revalidates(kind):
     # IC_n and Q'_n, n <= 7, must equal its validated rebuild.
     qprime_side = kind == "qprime"
     for n in range(1, 8):
-        for alpha in families.enumerate_family(FamilySpec(kind, n)).elements:
+        for alpha in elements_of(families.enumerate_family(FamilySpec(kind, n))):
             factors = genrank.essential_factorization(alpha, qprime_side=qprime_side)
             chain = genrank.factor_idempotent_quasi_chain(alpha)
             factors += chain
@@ -493,7 +494,7 @@ def test_lift_height_exhaustive_over_eligible_elements():
         assert genrank.generator_kinds(qprime_side) == kinds
         assert genrank.lift_bound(n, qprime_side) == bound
         spec = FamilySpec(kind, n)
-        for alpha in families.enumerate_family(spec).elements:
+        for alpha in elements_of(families.enumerate_family(spec)):
             ekind = genrank.element_kind(alpha, qprime_side)
             if ekind not in kinds or pinj.height(alpha) > bound:
                 with pytest.raises(ContractError):

@@ -14,6 +14,7 @@ from itertools import combinations
 import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
+    elements_of,
     green_by_ideals,
     kernel_key,
     kernel_key_starred,
@@ -320,7 +321,7 @@ def test_starred_L_and_R_key_one_line_per_image_and_per_domain(monkeypatch, spec
         keyed.clear()
         relation(table)
         # the Rees zero is one more group of its own
-        want = {name(el) for el in table.elements if el is not families.REES_ZERO}
+        want = {name(el) for el in elements_of(table) if el is not families.REES_ZERO}
         assert len(keyed) == len(want) + spec.is_rees
 
 
@@ -631,8 +632,8 @@ def test_starred_composition_need_not_commute():
     # smallest witnesses on both sides: two one-point identities whose
     # L*- and R*-classes meet in opposite orders
     icn = families.enumerate_family(FamilySpec("icn", 2))
-    a = icn.index_of[pinj.from_pairs(2, [(1, 1)])]
-    b = icn.index_of[pinj.from_pairs(2, [(2, 2)])]
+    a = icn.index(pinj.from_pairs(2, [(1, 1)]))
+    b = icn.index(pinj.from_pairs(2, [(2, 2)]))
     lr = greens.related_sets(greens.starred_L(icn), greens.starred_R(icn))
     rl = greens.related_sets(greens.starred_R(icn), greens.starred_L(icn))
     assert b in lr[a] and b not in rl[a]
@@ -640,8 +641,8 @@ def test_starred_composition_need_not_commute():
     assert (a, b) not in relation_compose(greens.starred_R(icn), greens.starred_L(icn))
 
     q = families.enumerate_family(FamilySpec("qprime", 3))
-    a = q.index_of[pinj.from_pairs(3, [(2, 2)])]
-    b = q.index_of[pinj.from_pairs(3, [(3, 3)])]
+    a = q.index(pinj.from_pairs(3, [(2, 2)]))
+    b = q.index(pinj.from_pairs(3, [(3, 3)]))
     lr = greens.related_sets(greens.starred_L(q), greens.starred_R(q))
     rl = greens.related_sets(greens.starred_R(q), greens.starred_L(q))
     assert b in lr[a] and b not in rl[a]

@@ -5,6 +5,7 @@ import random
 import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
+    elements_of,
     idempotent_census,
     oracle_ample,
     oracle_idempotent_indices,
@@ -312,8 +313,8 @@ def test_inverse_ideal_witness_is_genuine():
     sup = table("syminv", 2)
     u = pinj.from_pairs(2, [(2, 1)])
     rows = sup.product_rows()
-    ui = sup.index_of[u]
-    members = {sup.index_of[el] for el in sub.elements}
+    ui = sup.index(u)
+    members = {sup.index(el) for el in elements_of(sub)}
     for v in range(sup.size):
         if rows[rows[ui][v]][ui] != ui:
             continue
