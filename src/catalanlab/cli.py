@@ -12,8 +12,6 @@ bytes.  Every command honors --format human|json|csv.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import operator
 import os
 import sys
@@ -83,11 +81,17 @@ def _family_spec(args):
 def _emit(args, payload, human_lines, csv_rows):
     """Write the payload in the chosen format.  Handlers compute their exit
     code first and emit last, so a closed stdout cannot change the code."""
+    # json and csv are imported only by the branches that write them: every
+    # command is a fresh process, and most write neither.
     if args.format == "json":
+        import json
+
         # Streamed chunk by chunk: the same bytes as json.dumps, without
         # holding the whole document as one string.
         _write(chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]))
     elif args.format == "csv":
+        import csv
+
         _write(csv_rows, csv.writer(sys.stdout, lineterminator="\n").writerows)
     else:
         _write(f"{line}\n" for line in human_lines)
@@ -158,6 +162,8 @@ def _product_text(table, fmt):
     builtins rather than formatted triple by triple in Python."""
     open_, sep, close, between = _PRODUCT_SEPARATORS[fmt]
     if fmt == "json":
+        import json
+
         # The document with one empty triple, cut at that triple.
         doc = {"family": table.family.label(), "order": table.size, "products": [[]]}
         header, footer = json.dumps(doc, indent=2).split("    []")

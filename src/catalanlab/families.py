@@ -13,9 +13,12 @@ Seven families over the chain {1, ..., n}:
 
 Tables index elements by their sorted position (height first, then
 canonical text) and expose the product as an index function.  A table
-keeps its elements only as their images packed into bytes, one tuple of
-them and one dict from packed image to index, and composes every product
-on them.  Rees tables put their zero at index 0.  Tables are cached and
+keeps its elements only as their images packed into bytes (0 outside the
+domain), one tuple of them and one dict from packed image to index, and
+composes every product on them.  Enumeration writes those bytes
+directly, point by point, and sorts them by height and text; no element
+object is built until element(i) unpacks one.  Rees tables put their
+zero, packed as the empty map, at index 0.  Tables are cached and
 read-only: the packed images and the Cayley-graph rows are tuples, and
 the full product rows read-only memoryviews of 2-byte indices (4-byte
 past 65,536 elements).
@@ -25,10 +28,9 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, compress, permutations, repeat
-from operator import itemgetter
+from functools import lru_cache, partial
+from itertools import compress, repeat
+from operator import add, itemgetter
 
 from . import pinj
 from .errors import (
@@ -56,29 +58,56 @@ QPRIME_SIDE = frozenset((KIND_QPRIME, KIND_M, KIND_RQ))
 DEFAULT_ENUM_CAP = 12
 
 
-@dataclass(frozen=True)
 class FamilySpec:
-    """A family descriptor: kind, chain size, and height parameter."""
+    """A family descriptor: kind, chain size, and height parameter.
 
-    kind: str
-    n: int
-    p: int | None = None
+    Immutable and validated on every route in: the constructor refuses a
+    bad spec, and copies and pickles are rebuilt through it.  Equal specs
+    hash alike, so they share one cached table.
+    """
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise FamilySpecError(f"unknown family kind {self.kind!r}")
-        if type(self.n) is bool or not isinstance(self.n, int) or self.n < 1:
-            raise FamilySpecError(f"chain size must be a positive integer, got {self.n!r}")
-        if self.kind in KINDS_WITH_P:
-            if self.p is None:
-                raise FamilySpecError(f"family {self.kind!r} needs a height parameter p")
-            heights = _valid_heights(self.kind, self.n)
-            if type(self.p) is bool or not isinstance(self.p, int) or self.p not in heights:
+    __slots__ = ("kind", "n", "p")
+
+    def __init__(self, kind, n, p=None):
+        if kind not in KINDS:
+            raise FamilySpecError(f"unknown family kind {kind!r}")
+        if type(n) is bool or not isinstance(n, int) or n < 1:
+            raise FamilySpecError(f"chain size must be a positive integer, got {n!r}")
+        if kind in KINDS_WITH_P:
+            heights = _valid_heights(kind, n)
+            if not heights:
+                raise FamilySpecError(f"family {kind!r} takes no valid p on the {n}-chain")
+            if p is None:
+                raise FamilySpecError(f"family {kind!r} needs a height parameter p")
+            if type(p) is bool or not isinstance(p, int) or p not in heights:
                 raise FamilySpecError(
-                    f"family {self.kind!r} needs 1 <= p <= {len(heights)}, got p={self.p!r}"
+                    f"family {kind!r} needs 1 <= p <= {len(heights)}, got p={p!r}"
                 )
-        elif self.p is not None:
-            raise FamilySpecError(f"family {self.kind!r} takes no height parameter")
+        elif p is not None:
+            raise FamilySpecError(f"family {kind!r} takes no height parameter")
+        _set_kind(self, kind)
+        _set_n(self, n)
+        _set_p(self, p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FamilySpec is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FamilySpec is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (FamilySpec, (self.kind, self.n, self.p))
+
+    def __eq__(self, other):
+        if type(other) is not FamilySpec:
+            return NotImplemented
+        return (self.kind, self.n, self.p) == (other.kind, other.n, other.p)
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.p))
+
+    def __repr__(self):
+        return f"FamilySpec(kind={self.kind!r}, n={self.n!r}, p={self.p!r})"
 
     @property
     def is_rees(self):
@@ -99,6 +128,12 @@ class FamilySpec:
             KIND_RIC: f"RIC_{n}({p})",
             KIND_RQ: f"RQ'_{n}({p})",
         }[self.kind]
+
+
+# The slots are written through their descriptors, as __setattr__ refuses.
+_set_kind = FamilySpec.kind.__set__
+_set_n = FamilySpec.n.__set__
+_set_p = FamilySpec.p.__set__
 
 
 def _valid_heights(kind, n):
@@ -135,12 +170,16 @@ ZERO_TEXT = "0"
 class SemigroupTable:
     """A finite multiplication table over an enumerated element family."""
 
-    def __init__(self, family, elements):
+    def __init__(self, family, images):
+        """The table of family over its elements' packed images, in index
+        order: n bytes each, a at a point sent to a and 0 outside the
+        domain, the Rees zero packed as the empty map.  The images are
+        trusted, not checked, as element() unpacks them unchecked; so the
+        only callers are _build_table, which enumerates them, and the
+        tests, which pack validated elements."""
         self.family = family
         n = family.n
-        # The Rees zero packs as the empty map: the quotient collapses the
-        # whole lower ideal, empty map included, into it.
-        self.images = tuple(bytes(n) if el is REES_ZERO else _pack(el) for el in elements)
+        self.images = tuple(images)
         self._index = dict(zip(self.images, range(len(self.images))))
         self.size = len(self.images)
         self.zero_index = self._index.get(bytes(n))
@@ -161,11 +200,12 @@ class SemigroupTable:
         # A two-sided identity must act as the identity on every domain
         # and image point that occurs, so it can only be the partial
         # identity on the union of all of them (the empty map when only
-        # the empty map is present).  A column of the packed images holds
-        # a point (nonzero) exactly when its position is in some domain.
+        # the empty map is present).  A position is a point of some domain
+        # exactly when one of the distinct domains, as 0/1 bytes, holds it.
         points = set().union(*self.images)
         points.discard(0)
-        points.update(compress(range(1, self.family.n + 1), map(any, zip(*self.images))))
+        domains = set(map(bytes.translate, self.images, repeat(_DOMAIN_BYTES)))
+        points.update(compress(range(1, self.family.n + 1), map(any, zip(*domains))))
         return self.locate(bytes(x if x in points else 0 for x in range(1, self.family.n + 1)))
 
     def element(self, i):
@@ -464,74 +504,73 @@ def _translate_table(image):
     return b"\0" + image + bytes(255 - len(image))
 
 
-def _images_for_domain(n, dom):
-    """Yield the image tuples on the n-chain of the maps with domain dom
-    that are isotone and never exceed the point they send.
+def _layers(n, heights, values):
+    """The packed images of n bytes written point by point, as one list for
+    each height in heights (a range), in ascending height.
 
-    The i-th point of dom gets a_i with a_{i-1} < a_i <= dom[i], so the
-    values are distinct points of 1..n and each tuple is a valid element.
+    A prefix's state is (height, memo), from (0, 0), and values(x, state)
+    lists the values point x may take after it, each with the state that
+    follows.  Each prefix gets 0 at x (x outside the domain) and each such
+    value.  Prefixes are grouped by state, as all of a group grow alike.
     """
-    p = len(dom)
-    img = [None] * n
-
-    def walk(i, lo):
-        if i == p:
-            yield tuple(img)
-            return
-        x = dom[i]
-        for a in range(lo, x + 1):
-            img[x - 1] = a
-            yield from walk(i + 1, a + 1)
-
-    yield from walk(0, 1)
-
-
-def _isotone_decreasing_maps(n, lowest_point=1, min_height=0, max_height=None):
-    """All isotone, order-decreasing partial injections with the given
-    domain restriction and height window."""
-    if max_height is None:
-        max_height = n
-    top_size = min(max_height, n - lowest_point + 1)
-    for size in range(min_height, top_size + 1):
-        for dom in combinations(range(lowest_point, n + 1), size):
-            for img in _images_for_domain(n, dom):
-                yield pinj._trusted(n, img)
+    groups = {(0, 0): [b""]}
+    for x in range(1, n + 1):
+        grown = defaultdict(list)
+        for state, prefixes in groups.items():
+            grown[state].extend(map(add, prefixes, repeat(b"\0")))
+            for a, after in values(x, state):
+                grown[after].extend(map(add, prefixes, repeat(bytes((a,)))))
+        groups = grown
+    layers = {h: [] for h in heights}
+    for (h, _), images in groups.items():
+        if h in layers:
+            layers[h].extend(images)
+    return layers.values()
 
 
-def _all_partial_injections(n):
-    """Every partial injection of the n-chain: each domain paired with
-    each arrangement of distinct values of 1..n, so each is valid."""
-    for size in range(n + 1):
-        for dom in combinations(range(n), size):
-            for vals in permutations(range(1, n + 1), size):
-                img = [None] * n
-                for slot, a in zip(dom, vals):
-                    img[slot] = a
-                yield pinj._trusted(n, tuple(img))
+def _isotone_decreasing_values(lowest_point, top, x, state):
+    """The values of an isotone, order-decreasing map at x after a prefix
+    of height h whose last value is `last`, state = (h, last): a with
+    last < a <= x, once x >= lowest_point and while h < top.  So the
+    values on the domain x_1 < ... < x_p are a_1 < ... < a_p with
+    a_i <= x_i, distinct points of 1..n, and each image is valid."""
+    h, last = state
+    if x < lowest_point or h == top:
+        return ()
+    return [(a, (h + 1, a)) for a in range(last + 1, x + 1)]
+
+
+def _partial_injection_values(n, x, state):
+    """The values of a partial injection at x after a prefix of height h
+    that wrote the values in the bit mask `used`, state = (h, used): each
+    point of 1..n not yet written, so the values are distinct and each
+    image is valid."""
+    h, used = state
+    return [(a, (h + 1, used | 1 << a)) for a in range(1, n + 1) if not used >> a & 1]
 
 
 @lru_cache(maxsize=None)
 def _build_table(spec):
+    """The table of spec, enumerated as packed images and sorted by
+    (height, canonical text), the Rees zero at index 0."""
     n, p = spec.n, spec.p
     if spec.kind == KIND_SYMINV:
-        maps = _all_partial_injections(n)
+        layers = _layers(n, range(n + 1), partial(_partial_injection_values, n))
     else:
         # The identity-free side omits 1 from every domain; the ideals cap
         # the height at p and the Rees quotients keep height p only.
-        maps = _isotone_decreasing_maps(
-            n,
-            lowest_point=2 if spec.qprime_side else 1,
-            min_height=p if spec.is_rees else 0,
-            max_height=p,
-        )
-    # Sorted by (height, text), reversed and handed over from the end of
-    # the list, each element is dropped once the table has packed it, so
-    # the objects and their packed images are never all held at once.
-    elements = sorted(maps, key=lambda a: (pinj.height(a), pinj.canonical_text(a)))
-    elements.reverse()
-    if spec.is_rees:
-        elements.append(REES_ZERO)
-    return SemigroupTable(spec, (elements.pop() for _ in range(len(elements))))
+        lowest = 2 if spec.qprime_side else 1
+        top = n - lowest + 1 if p is None else p
+        values = partial(_isotone_decreasing_values, lowest, top)
+        layers = _layers(n, range(p if spec.is_rees else 0, top + 1), values)
+    # The layers ascend in height, so sorting each by text sorts the table
+    # by (height, text).  The Rees zero packs as the empty map: the
+    # quotient collapses the whole lower ideal, empty map included, into it.
+    images = [bytes(n)] if spec.is_rees else []
+    text = partial(pinj.text_of_images, n)
+    for layer in layers:
+        images.extend(sorted(layer, key=text))
+    return SemigroupTable(spec, images)
 
 
 def enumerate_family(spec):

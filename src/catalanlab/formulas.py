@@ -9,7 +9,7 @@ in so nothing here touches the network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -135,8 +135,7 @@ def count_formula(kind, spec, p=None):
     raise ValidationError(f"unknown census kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class SequencePrefix:
+class SequencePrefix(NamedTuple):
     """A named integer sequence prefix with its starting offset."""
 
     name: str

@@ -22,7 +22,7 @@ steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import families, formulas, greens, pinj
 from .errors import (
@@ -103,8 +103,7 @@ def kind_census(table):
     return {k: dict(sorted(v.items())) for k, v in sorted(out.items())}
 
 
-@dataclass
-class GeneratorReport:
+class GeneratorReport(NamedTuple):
     family: str
     rank: int
     generators: dict

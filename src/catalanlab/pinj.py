@@ -26,19 +26,20 @@ validity is proven:
 - compose: each image is an image of beta, so in 1..n, and two points
   with one composite image have one image under alpha, as beta is
   injective, so they are one point, as alpha is.
-- families enumeration: the isotone, order-decreasing maps place a
-  strictly increasing run a_1 < ... < a_p with a_i <= x_i on the domain,
-  and the partial injections place distinct values of 1..n.
-- SemigroupTable.element: the table packed an element of the n-chain
-  into n bytes, a at a point sent to a and 0 elsewhere, and unpacking
-  the n bytes sends 0 back to None and a to a, so it rebuilds that
-  element's image tuple.
+- SemigroupTable.element: it unpacks n bytes, 0 to None and a to a, so
+  it rebuilds a valid image tuple whenever the bytes pack one: 0 outside
+  the domain and distinct points of 1..n on it.  The enumerator writes
+  exactly that into n <= 12 bytes: a_{i-1} < a_i <= x_i on the domain
+  x_1 < ... < x_p of an isotone, order-decreasing map, and distinct
+  values of 1..n on that of a partial injection.  The tests pack
+  validated elements the same way; the Rees zero is never unpacked.
 - genrank's chain steps and essentials (_with_pair) and the beta of its
   requisite split: the proofs are in essential_factorization and
   _split_requisite.
 
 The tests rebuild every enumerated element and every factor through the
-validating constructor and compare.  Elements cannot be changed after
+validating constructor and compare, and hold the enumerated images to
+the validated elements' packing.  Elements cannot be changed after
 construction: assigning or deleting an attribute raises.
 """
 

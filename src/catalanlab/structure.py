@@ -30,16 +30,15 @@ elements and E the idempotents:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_, eq, getitem, ne
+from typing import NamedTuple
 
 from . import families, greens
 from .errors import ValidationError
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     property: str
     family: str
     holds: bool

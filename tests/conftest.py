@@ -76,12 +76,20 @@ by field.
 row_builds makes enumerate_family return fresh, uncached tables and
 counts the full product tables built, for the tests that check which
 commands build none.
+
+oracle_elements and oracle_images are the enumeration as it was when
+tables were built from elements: every candidate through the validating
+constructor, kept when a member, sorted by (height, canonical text), then
+packed.  The library writes the packed images directly and is checked
+against them.  packed_table builds a table from elements, packed the
+same way, for the tests that build a table other than the enumerated
+one.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import compress, count
+from itertools import combinations, compress, count, permutations
 from operator import getitem, itemgetter, ne, or_
 
 import pytest
@@ -140,6 +148,45 @@ def relation_compose(r1, r2):
 def related_pairs(related):
     """The output of greens.related_sets as a set of pairs."""
     return {(a, b) for a, bs in enumerate(related) for b in bs}
+
+
+def pack(el, n):
+    """el's images as n bytes, 0 outside the domain; the Rees zero packs
+    as the empty map."""
+    return bytes(n) if el is families.REES_ZERO else bytes(a or 0 for a in el.img)
+
+
+def packed_table(spec, elements):
+    """The table of spec over the given elements, in that order, each
+    packed as SemigroupTable takes them."""
+    return families.SemigroupTable(spec, [pack(el, spec.n) for el in elements])
+
+
+def oracle_elements(spec):
+    """The elements of spec's table by the object path: each candidate
+    pairing of a domain with values (increasing values, or any
+    arrangement on I_n) built by pinj.from_pairs, kept when
+    families.is_member, and sorted by (height, canonical text); the Rees
+    zero is not included."""
+    n, points = spec.n, range(1, spec.n + 1)
+    arrange = permutations if spec.kind == "syminv" else combinations
+    sizes = range(n + 1 if spec.p is None else spec.p + 1)
+    candidates = (
+        pinj.from_pairs(n, zip(dom, vals))
+        for size in sizes
+        for dom in combinations(points, size)
+        for vals in arrange(points, size)
+    )
+    members = [el for el in candidates if families.is_member(el, spec)]
+    members.sort(key=lambda el: (pinj.height(el), pinj.canonical_text(el)))
+    return members
+
+
+def oracle_images(spec):
+    """The packed images of spec's table by the object path: the packed
+    oracle_elements, with the Rees zero first."""
+    zero = [families.REES_ZERO] if spec.is_rees else []
+    return tuple(pack(el, spec.n) for el in zero + oracle_elements(spec))
 
 
 def elements_of(table):

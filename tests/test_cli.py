@@ -10,7 +10,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from conftest import DIFFERENTIAL_SPECS, direct_rows, elements_of
+from conftest import DIFFERENTIAL_SPECS, direct_rows, elements_of, packed_table
 
 import catalanlab
 from catalanlab import cli, families, pinj
@@ -720,9 +720,33 @@ def test_family_parameter_validation_maps_to_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["m", "rq"])
+def test_no_height_on_the_one_chain_exits_two(capsys, family):
+    code, out, err = run_cli(capsys, "enum", "--family", family, "--n", "1", "--p", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: family '{family}' takes no valid p on the 1-chain\n"
+
+
+def test_a_cold_import_loads_no_dataclasses_inspect_json_or_csv():
+    # Every command is a fresh process, so what importing the package
+    # loads is paid on every call.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import catalanlab, catalanlab.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(catalanlab.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", probe], stdout=subprocess.PIPE,
+                           env=env, timeout=60, check=True)
+    loaded = set(child.stdout.decode().split())
+    assert "catalanlab.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "csv"}
+
+
 def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):
     full = families.enumerate_family(families.FamilySpec("icn", 2))
-    corrupt = families.SemigroupTable(full.family, elements_of(full)[1:])  # no empty map
+    corrupt = packed_table(full.family, elements_of(full)[1:])  # no empty map
     monkeypatch.setattr(families, "enumerate_family", lambda spec: corrupt)
     code, out, err = run_cli(capsys, "enum", "--family", "icn", "--n", "2", "--products")
     assert code == 4

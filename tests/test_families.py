@@ -15,7 +15,11 @@ from conftest import (
     direct_product,
     direct_rows,
     elements_of,
+    oracle_elements,
+    oracle_images,
     oracle_indecomposables,
+    pack,
+    packed_table,
 )
 
 from catalanlab import families, formulas, genrank, pinj
@@ -161,6 +165,35 @@ def test_enumerated_elements_revalidate():
                 assert_revalidates(el)
 
 
+# The n = 10 tables order two-digit texts as strings:
+# 10:10>1 < 10:10>10 < 10:10>2.
+TWO_DIGIT_SPECS = [FamilySpec(kind, 10, 2) for kind in ("k", "m", "ric", "rq")]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS + TWO_DIGIT_SPECS, ids=lambda s: s.label())
+def test_enumeration_writes_the_object_paths_images_in_its_order(spec):
+    assert families.enumerate_family(spec).images == oracle_images(spec)
+
+
+def test_two_digit_texts_sort_as_strings():
+    table = families.enumerate_family(FamilySpec("k", 10, 2))
+    assert table.size == 881
+    positions = [table.index(pinj.parse_text(t)) for t in ("10:10>1", "10:10>10", "10:10>2")]
+    assert positions == sorted(positions)
+
+
+def test_a_build_makes_no_element_objects(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a table build must write packed images only")
+
+    specs = (FamilySpec("icn", 6), FamilySpec("rq", 6, 3), FamilySpec("syminv", 4))
+    want = [oracle_images(spec) for spec in specs]
+    monkeypatch.setattr(pinj, "_trusted", refuse)
+    monkeypatch.setattr(pinj.PartialInjection, "__init__", refuse)
+    monkeypatch.setattr(families, "_pack", refuse)
+    assert [families._build_table.__wrapped__(spec).images for spec in specs] == want
+
+
 def test_index_round_trips():
     for spec in DIFFERENTIAL_SPECS:
         table = families.enumerate_family(spec)
@@ -178,10 +211,10 @@ def test_index_answers_for_members_only(spec):
     # table's own elements answer, and the maps below height p are none.
     table = families._build_table.__wrapped__(spec)
     table.product_rows()
-    everything = list(families._all_partial_injections(spec.n))
+    everything = oracle_elements(FamilySpec("syminv", spec.n))
     remembered = [
         el for el in everything
-        if 0 < pinj.height(el) < (spec.p or 0) and bytes(a or 0 for a in el.img) in table._index
+        if 0 < pinj.height(el) < (spec.p or 0) and pack(el, spec.n) in table._index
     ]
     assert bool(remembered) == spec.is_rees
     position = {table.text_of(i): i for i in range(table.size)}
@@ -197,7 +230,7 @@ def test_a_table_holds_no_element_objects():
     # A table keeps its elements packed: nothing it holds, looking one
     # level into its tuples, lists and mappings, is a PartialInjection.
     spec = FamilySpec("icn", 9)
-    table = families.SemigroupTable(spec, elements_of(families.enumerate_family(spec)))
+    table = packed_table(spec, elements_of(families.enumerate_family(spec)))
     table.product(0, 1)
     assert table.generators and len(table) == 16_796
 
@@ -388,7 +421,7 @@ def test_product_rows_of_i5_match_direct_products_on_a_sample():
 def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped, factors):
     full = families.enumerate_family(spec)
     kept = [el for i, el in enumerate(elements_of(full)) if full.text_of(i) != dropped]
-    corrupt = families.SemigroupTable(spec, kept)
+    corrupt = packed_table(spec, kept)
     i, j = (corrupt.index(pinj.parse_text(text)) for text in factors)
     not_closed = f"{re.escape(spec.label())} is not closed"
     with pytest.raises(InvariantError, match=not_closed):
@@ -406,7 +439,7 @@ def test_products_rows_and_columns_share_one_packing(monkeypatch):
     spec = FamilySpec("rq", 4, 2)
     cached = families.enumerate_family(spec)
     want, m = direct_rows(cached), cached.size
-    table = families.SemigroupTable(spec, elements_of(cached))
+    table = packed_table(spec, elements_of(cached))
     monkeypatch.setattr(pinj, "compose", None)
     monkeypatch.setattr(families, "_pack", None)
     monkeypatch.setattr(families.SemigroupTable, "element", None)
@@ -607,6 +640,75 @@ def test_family_spec_validation():
     # top heights that are allowed
     FamilySpec("k", 3, 3)
     FamilySpec("m", 3, 2)
+
+
+@pytest.mark.parametrize("kind", ["m", "rq"])
+@pytest.mark.parametrize("p", [None, 1])
+def test_the_identity_free_ideals_take_no_p_on_the_one_chain(kind, p):
+    # p would need 1 <= p <= 0: say that no p is valid, not that range
+    with pytest.raises(FamilySpecError, match=f"^family '{kind}' takes no valid p on the 1-chain$"):
+        FamilySpec(kind, 1, p)
+
+
+# Every refusal FamilySpec makes, as (kind, n, p).
+REFUSED_SPECS = [
+    ("unknown", 3, None), ("icn", 0, None), ("icn", 3, 1), ("k", 3, None), ("k", 3, 0),
+    ("k", 3, 4), ("m", 3, 3), ("rq", 3, 3), ("m", 1, 1), ("rq", 1, None),
+    ("icn", True, None), ("k", 3, True), ("ric", 1, True), ("k", 3, 2.0), ("icn", 3.0, None),
+]
+
+
+@pytest.mark.parametrize("bad", REFUSED_SPECS, ids=repr)
+def test_every_refusal_holds_on_every_route_to_a_spec(bad):
+    kind, n, p = bad
+    valid = FamilySpec("k", 3, 2)
+    with pytest.raises(FamilySpecError):
+        FamilySpec(kind, n, p)
+    with pytest.raises(FamilySpecError):
+        FamilySpec(kind=kind, n=n, p=p)
+    if hasattr(FamilySpec, "_make"):
+        with pytest.raises(FamilySpecError):
+            FamilySpec._make(bad)
+    if hasattr(FamilySpec, "_replace"):
+        with pytest.raises(FamilySpecError):
+            valid._replace(kind=kind, n=n, p=p)
+    # copies and pickles are rebuilt by the callable __reduce_ex__ names,
+    # which refuses the same
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        rebuild, args = valid.__reduce_ex__(protocol)[:2]
+        assert rebuild(*args) == valid
+        with pytest.raises(FamilySpecError):
+            rebuild(kind, n, p)
+
+
+def test_a_tampered_pickle_is_refused():
+    # K(3,3) pickled and relabelled M(3,3), whose p is out of range
+    data = pickle.dumps(FamilySpec("k", 3, 3), protocol=2)
+    kind = b"X\x01\x00\x00\x00k"  # BINUNICODE, length 1, "k"
+    assert data.count(kind) == 1
+    tampered = data.replace(kind, b"X\x01\x00\x00\x00m")
+    with pytest.raises(FamilySpecError, match="needs 1 <= p <= 2"):
+        pickle.loads(tampered)
+
+
+def test_a_spec_is_immutable_and_equal_specs_share_one_table():
+    spec = FamilySpec("rq", 4, 2)
+    for name in ("kind", "n", "p", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    assert (spec.kind, spec.n, spec.p) == ("rq", 4, 2)
+    same = [FamilySpec("rq", 4, 2), FamilySpec(kind="rq", n=4, p=2),
+            copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))]
+    table = families.enumerate_family(spec)
+    for other in same:
+        assert other == spec and hash(other) == hash(spec) and type(other) is FamilySpec
+        assert families.enumerate_family(other) is table
+    for other in (FamilySpec("ric", 4, 2), FamilySpec("rq", 4, 1), FamilySpec("rq", 5, 2)):
+        assert other != spec
+        assert families.enumerate_family(other) is not table
+    assert repr(spec) == "FamilySpec(kind='rq', n=4, p=2)"
 
 
 def test_valid_heights_are_the_heights_a_spec_accepts():
