@@ -279,7 +279,7 @@ def _chain_factors_ok(x, alpha):
     return reduce(pinj.compose, factors) == alpha and all(
         pinj.height(f) == h
         and pinj.classify(f) in genrank.generator_kinds(qprime_side)
-        and not (qprime_side and f.image_of(1) is not None)
+        and not (qprime_side and f.img[0] is not None)
         for f in factors
     )
 
@@ -320,7 +320,7 @@ def _blocked_outside_top_closure(x):
         i
         for i in x.layer(x.n - 2)
         if genrank.element_kind(x.table.element(i), True) == "essential"
-        and x.table.element(i).image_of(2) is not None
+        and x.table.element(i).img[1] is not None
     ]
     return bool(blocked) and all(i not in closure for i in blocked)
 

@@ -598,12 +598,12 @@ def is_member(alpha, spec):
         )
     if spec.kind == KIND_SYMINV:
         return True
-    if not (pinj.is_isotone(alpha) and pinj.is_decreasing(alpha)):
+    if not pinj.is_isotone_decreasing(alpha):
         return False
     # The same window _build_table enumerates: 1 outside the domain on the
     # identity-free side, height at most p in an ideal, exactly p in a
     # Rees quotient.
-    if spec.qprime_side and alpha.image_of(1) is not None:
+    if spec.qprime_side and alpha.img[0] is not None:
         return False
     if spec.p is None:
         return True

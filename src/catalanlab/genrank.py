@@ -167,44 +167,43 @@ def minimal_generating_set(table):
 
 
 def _require_icn_member(alpha):
-    if not (pinj.is_isotone(alpha) and pinj.is_decreasing(alpha)):
+    if not pinj.is_isotone_decreasing(alpha):
         raise ContractError(
             "factorizations are defined for isotone, order-decreasing elements"
         )
 
 
-def _chain_steps(alpha):
-    """The steps of the chain split of alpha, as (fixed, x_i, a_i).
+def _factor_walk(alpha, expand):
+    """The factors of the chain split of alpha, in one walk over its pairs.
 
     With domain x_1 < ... < x_p and x_j alpha = a_j, step i fixes
     a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i to a_i.  fixed
-    is the image list of that fixed part (None elsewhere); one list is
-    updated in place between steps, so it must be copied, as _with_pair
-    does, before the next step is drawn.
+    is the image list of that fixed part (None elsewhere), updated in
+    place between steps.  A step is kept whole, or with expand, a moving
+    step is written as its essentials b + 1 -> b over the same fixed
+    part, for b from x_i - 1 down to a_i.  Each factor extends a copy of
+    fixed by one pair and is built unchecked; the proof is in
+    essential_factorization.
     """
-    fixed = [None if a is None else x for x, a in enumerate(alpha.img, 1)]
-    for x, a in enumerate(alpha.img, 1):
-        if a is not None:
-            fixed[x - 1] = None
-            yield fixed, x, a
-            fixed[a - 1] = a
-
-
-def _with_pair(fixed, x, a):
-    """The fixed part, given as an image list, extended by x -> a.
-
-    Built unchecked: every caller passes a partial identity, a point x
-    outside its domain and a point a outside its image, so the result is
-    a partial injection (see essential_factorization for the proof)."""
-    img = fixed.copy()
-    img[x - 1] = a
-    return pinj._trusted(len(img), tuple(img))
-
-
-def _walk_down(fixed, y, a):
-    """The essentials b + 1 -> b over the fixed part, for b from y - 1
-    down to a: composed in this order they carry y to a."""
-    return [_with_pair(fixed, b + 1, b) for b in range(y - 1, a - 1, -1)]
+    n, img = alpha.n, alpha.img
+    trusted = pinj._trusted
+    fixed = [None if a is None else x for x, a in enumerate(img, 1)]
+    out = []
+    for x, a in enumerate(img, 1):
+        if a is None:
+            continue
+        fixed[x - 1] = None
+        if expand and a != x:
+            for b in range(x - 1, a - 1, -1):
+                step = fixed.copy()
+                step[b] = b
+                out.append(trusted(n, tuple(step)))
+        else:
+            step = fixed.copy()
+            step[x - 1] = a
+            out.append(trusted(n, tuple(step)))
+        fixed[a - 1] = a
+    return out
 
 
 def factor_idempotent_quasi_chain(alpha):
@@ -215,7 +214,7 @@ def factor_idempotent_quasi_chain(alpha):
     quasi-idempotent.  The empty map factors as the empty product.
     """
     _require_icn_member(alpha)
-    return [_with_pair(fixed, x, a) for fixed, x, a in _chain_steps(alpha)]
+    return _factor_walk(alpha, expand=False)
 
 
 def expand_quasi_to_essentials(eps):
@@ -223,23 +222,26 @@ def expand_quasi_to_essentials(eps):
 
     The moved point y with image y - s walks down one step at a time;
     the factors fix the fixed part throughout and compose in the order
-    returned (largest step first).
+    returned (largest step first).  Every shift-one element is
+    quasi-idempotent (see pinj.classify), so only the shift is checked.
+    The walk of eps keeps a partial identity for each fixed point, and at
+    y its fixed part is every fixed point of eps; its other factors are
+    the essentials.
     """
     _require_icn_member(eps)
-    if pinj.shift(eps) != 1 or not pinj.is_quasi_idempotent(eps):
+    if pinj.shift(eps) != 1:
         raise ContractError("expected a quasi-idempotent with exactly one moved point")
-    (y, a), = ((x, b) for x, b in enumerate(eps.img, 1) if b is not None and b != x)
-    fixed = [b if b == x else None for x, b in enumerate(eps.img, 1)]
-    return _walk_down(fixed, y, a)
+    return [f for f in _factor_walk(eps, expand=True) if not pinj.is_idempotent(f)]
 
 
 def essential_factorization(alpha, qprime_side=False):
     """Height-preserving factorization into idempotents and essentials.
 
-    The chain split with every quasi factor expanded, built in one pass
-    from the pairs x_i -> a_i of alpha (x_1 < ... < x_p).  Step i fixes
-    a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i to a_i.  Since
-    alpha is isotone and order-decreasing, a_{i-1} < a_i <= x_i < x_{i+1}:
+    The chain split with every quasi factor expanded, built in one walk
+    over the pairs x_i -> a_i of alpha (x_1 < ... < x_p), _factor_walk.
+    Step i fixes a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i to
+    a_i.  Since alpha is isotone and order-decreasing,
+    a_{i-1} < a_i <= x_i < x_{i+1}:
 
       The step is injective and isotone, as its points and their images
       keep the order of that chain, and order-decreasing, as a_i <= x_i.
@@ -253,11 +255,10 @@ def essential_factorization(alpha, qprime_side=False):
       step i fixes those points but x_i, which it moves to a_i; so the
       steps compose to alpha.  So each factor extends a partial identity
       by one pair x -> a, with x outside its domain and a outside its
-      image, which _with_pair builds unchecked.  That holds too for
+      image, which the walk builds unchecked.  That holds too for
       factor_idempotent_quasi_chain, which keeps each step whole, and for
-      expand_quasi_to_essentials, whose input eps is isotone and
-      order-decreasing with one moved point y -> a: a fixed point f < y
-      has f = f eps < a, so none lies in a, ..., y.
+      expand_quasi_to_essentials, which walks its isotone,
+      order-decreasing input the same way.
 
     On the identity-free side an element whose image contains 1 is first
     split off a requisite tail factor (_split_requisite); the rest, beta,
@@ -265,20 +266,15 @@ def essential_factorization(alpha, qprime_side=False):
     nor its image, so no factor's domain holds 1.  The requisite is
     returned last, unexpanded.
     """
-    if qprime_side and alpha.image_of(1) is not None:
+    if qprime_side and alpha.img[0] is not None:
         raise ContractError("element is outside the identity-free family")
     _require_icn_member(alpha)
-    tail = []
     if qprime_side and 1 in alpha.img:
-        alpha, requisite = _split_requisite(alpha)
-        tail = [requisite]
-    out = []
-    for fixed, x, a in _chain_steps(alpha):
-        if x == a:
-            out.append(_with_pair(fixed, x, a))
-        else:
-            out.extend(_walk_down(fixed, x, a))
-    return out + tail
+        beta, requisite = _split_requisite(alpha)
+        out = _factor_walk(beta, expand=True)
+        out.append(requisite)
+        return out
+    return _factor_walk(alpha, expand=True)
 
 
 def factor_requisite(alpha):
@@ -290,7 +286,7 @@ def factor_requisite(alpha):
     block can pull it back down.
     """
     _require_icn_member(alpha)
-    if alpha.image_of(1) is not None:
+    if alpha.img[0] is not None:
         raise ContractError("expected an element whose domain omits 1")
     if 1 not in alpha.img:
         raise ContractError("expected an element whose image contains 1")
@@ -356,7 +352,7 @@ def lift_height(alpha, kind):
     n = alpha.n
     p = pinj.height(alpha)
     qp = kind == families.KIND_QPRIME
-    if qp and alpha.image_of(1) is not None:
+    if qp and alpha.img[0] is not None:
         raise ContractError("element is outside the identity-free family")
     bound = lift_bound(n, qp)
     if p > bound:
@@ -372,15 +368,15 @@ def lift_height(alpha, kind):
         left = pinj.partial_identity(n, dom + (c,))
         right = pinj.partial_identity(n, dom + (d,))
     elif ekind == "essential":
-        (y,) = (x for x in dom if alpha.image_of(x) != x)
+        (y,) = (x for x in dom if alpha.img[x - 1] != x)
         (d,) = _smallest_outside(n, set(dom) | set(img) | reserved, 1)
-        left_pairs = [(x, alpha.image_of(x)) for x in dom] + [(d, d)]
+        left_pairs = [(x, alpha.img[x - 1]) for x in dom] + [(d, d)]
         left = pinj.from_pairs(n, left_pairs)
         right = pinj.partial_identity(n, dom + (y - 1,))
     else:
         d, c = _smallest_outside(n, set(dom) | set(img) | reserved, 2)
         left = pinj.partial_identity(n, dom + (d,))
-        right_pairs = [(x, alpha.image_of(x)) for x in dom] + [(c, c)]
+        right_pairs = [(x, alpha.img[x - 1]) for x in dom] + [(c, c)]
         right = pinj.from_pairs(n, right_pairs)
     if pinj.compose(left, right) != alpha:
         raise InvariantError("height lift failed to recompose")

@@ -33,9 +33,12 @@ validity is proven:
   x_1 < ... < x_p of an isotone, order-decreasing map, and distinct
   values of 1..n on that of a partial injection.  The tests pack
   validated elements the same way; the Rees zero is never unpacked.
-- genrank's chain steps and essentials (_with_pair) and the beta of its
-  requisite split: the proofs are in essential_factorization and
-  _split_requisite.
+- parse_text: its first pass writes each image only after checking that
+  the pair's point follows the last one and lies in 1..n, and that its
+  image lies in 1..n and was not written before.
+- genrank's factor walk (_factor_walk), which builds every chain step
+  and essential, and the beta of its requisite split: the proofs are in
+  essential_factorization and _split_requisite.
 
 The tests rebuild every enumerated element and every factor through the
 validating constructor and compare, and hold the enumerated images to
@@ -44,6 +47,10 @@ construction: assigning or deleting an attribute raises.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import compress
+from operator import getitem
 
 from .errors import (
     ChainMismatchError,
@@ -90,9 +97,12 @@ class PartialInjection:
         return (PartialInjection, (self.n, self.img))
 
     def image_of(self, x):
-        """Image of the point x, or None when x is outside the domain."""
-        if not 1 <= x <= self.n:
-            raise RangeError(f"point {x} outside 1..{self.n}")
+        """Image of the point x, or None when x is outside the domain.
+
+        x must be an integer in 1..n, as for every other entry point; the
+        library's own hot paths read img directly instead."""
+        if type(x) is bool or not isinstance(x, int) or not 1 <= x <= self.n:
+            raise RangeError(f"point {x!r} outside 1..{self.n}")
         return self.img[x - 1]
 
     def __eq__(self, other):
@@ -181,7 +191,7 @@ def compose(alpha, beta):
     if n != beta.n:
         raise ChainMismatchError(f"cannot compose maps on chains {n} and {beta.n}")
     lookup = (None,) + beta.img
-    return _trusted(n, tuple([lookup[a or 0] for a in alpha.img]))
+    return _trusted(n, tuple([lookup[a] if a else None for a in alpha.img]))
 
 
 def domain(alpha):
@@ -203,7 +213,12 @@ def fixed_points(alpha):
 
 def shift(alpha):
     """Number of domain points the map moves."""
-    return sum(1 for i, a in enumerate(alpha.img) if a is not None and a != i + 1)
+    return len(_moved(alpha.img))
+
+
+def _moved(img):
+    """The moved pairs (x, x alpha) of the image tuple img, by increasing x."""
+    return [(x, a) for x, a in enumerate(img, 1) if a is not None and a != x]
 
 
 def is_isotone(alpha):
@@ -221,6 +236,18 @@ def is_isotone(alpha):
 def is_decreasing(alpha):
     """Order decreasing: x alpha <= x for every domain point x."""
     return all(a is None or a <= i + 1 for i, a in enumerate(alpha.img))
+
+
+def is_isotone_decreasing(alpha):
+    """is_isotone and is_decreasing in one pass: a_{i-1} < a_i <= x_i on
+    the domain x_1 < ... < x_p, with a_0 = 0."""
+    prev = 0
+    for x, a in enumerate(alpha.img, 1):
+        if a is not None:
+            if not prev < a <= x:
+                return False
+            prev = a
+    return True
 
 
 def is_idempotent(alpha):
@@ -241,30 +268,23 @@ def is_essential(alpha):
     Meaningful for isotone, order-decreasing inputs, where this matches
     the shift-one quasi-idempotents whose moved point has gap one.
     """
-    moved = [(i + 1, a) for i, a in enumerate(alpha.img) if a is not None and a != i + 1]
-    if len(moved) != 1:
-        return False
-    y, a = moved[0]
-    return a == y - 1
+    moved = _moved(alpha.img)
+    return len(moved) == 1 and moved[0][1] == moved[0][0] - 1
 
 
 def is_requisite(alpha):
     """Moved points form a block {2, ..., i} shifted down by one, with every
     fixed point above i.  The fixed part may be empty."""
-    moved = [
-        (i + 1, a)
-        for i, a in enumerate(alpha.img)
-        if a is not None and a != i + 1
-    ]
-    if not moved:
-        return False
-    xs = [x for x, _ in moved]
-    i_top = xs[-1]
-    if xs != list(range(2, i_top + 1)):
-        return False
-    if any(a != x - 1 for x, a in moved):
-        return False
-    return all(f > i_top for f in fixed_points(alpha))
+    return _is_requisite_block(_moved(alpha.img))
+
+
+def _is_requisite_block(moved):
+    """is_requisite read off the moved pairs: they are 2 -> 1, ..., i -> i - 1.
+
+    No fixed point f <= i is left to refuse: 2, ..., i are moved, and 1
+    is no fixed point, as 1 alpha = 1 = 2 alpha would break injectivity.
+    """
+    return bool(moved) and moved == [(x, x - 1) for x in range(2, len(moved) + 2)]
 
 
 def classify(alpha):
@@ -273,27 +293,62 @@ def classify(alpha):
     Kinds are checked in priority order: idempotent, essential, requisite,
     quasi-idempotent-shift-1, other.  An element that is both essential and
     requisite (moved pair 2 -> 1 with a fixed tail) reports as essential.
+    All are read off the moved pairs, found once.
+
+    Every partial injection with exactly one moved pair y -> a is
+    quasi-idempotent, so that kind needs no composite.  The point a is
+    not y, and it is no fixed point, as f alpha = f = a = y alpha would
+    put two points on one image; so a lies outside the domain.  Hence
+    alpha^2 is undefined at y and fixes every fixed point, the rest being
+    outside the domain: alpha^2 is a partial identity, so idempotent.
+    One moved pair that is not essential is not requisite either, as the
+    only one-pair requisite block is 2 -> 1.
     """
-    if is_idempotent(alpha):
+    moved = _moved(alpha.img)
+    if not moved:
         return "idempotent"
-    if is_essential(alpha):
-        return "essential"
-    if is_requisite(alpha):
-        return "requisite"
-    if shift(alpha) == 1 and is_quasi_idempotent(alpha):
-        return "quasi-idempotent-shift-1"
-    return "other"
+    if len(moved) == 1:
+        y, a = moved[0]
+        return "essential" if a == y - 1 else "quasi-idempotent-shift-1"
+    return "requisite" if _is_requisite_block(moved) else "other"
 
 
 def canonical_text(alpha):
     return text_of_images(alpha.n, alpha.img)
 
 
+# Chains up to this size get a table of their pair texts on first use.
+# Above it, where no table can be enumerated anyway, the n(n + 1) texts
+# would cost more than the few elements that are written.
+_TABLED_TEXT_CHAIN = 64
+
+
 def text_of_images(n, img):
     """The text form of the map on the n-chain whose images are img: an
-    image tuple, or images packed into bytes with 0 outside the domain."""
-    pairs = ",".join(f"{x}>{a}" for x, a in enumerate(img, 1) if a)
-    return f"{n}:{pairs}"
+    image tuple, or images packed into bytes with 0 outside the domain.
+
+    The pair texts come from a table per n: compress keeps the rows of
+    the domain points and filter their images, and the join runs in C.
+    """
+    texts = _pair_texts(n)
+    if texts is None:
+        pairs = ",".join(f"{x}>{a}" for x, a in enumerate(img, 1) if a)
+        return f"{n}:{pairs}"
+    head, rows = texts
+    return head + ",".join(map(getitem, compress(rows, img), filter(None, img)))
+
+
+@lru_cache(maxsize=None)
+def _pair_texts(n):
+    """The head "n:" and, for each point x of the n-chain, the texts
+    "x>a" indexed by a in 0..n ("" at 0); None above _TABLED_TEXT_CHAIN.
+    Built on the first text written for each n."""
+    if n > _TABLED_TEXT_CHAIN:
+        return None
+    rows = tuple(
+        ("",) + tuple(f"{x}>{a}" for a in range(1, n + 1)) for x in range(1, n + 1)
+    )
+    return f"{n}:", rows
 
 
 def parse_text(text):
@@ -305,6 +360,12 @@ def parse_text(text):
     _number_at then reads point by point to name the first error in it.
     Syntax errors come in reading order, an unsorted pair only after the
     whole text has been read, and from_pairs' errors last.
+
+    A well-formed text is first read in one pass that checks each pair as
+    it writes its image: sorted, in range, and no image used twice, which
+    is what _trusted needs.  That pass stops at the first pair it refuses,
+    and the text is then read again by the checks in the order above, so
+    the first error in that order is raised, whichever pair holds it.
     """
     if not isinstance(text, str):
         raise ParseError("element text must be a string")
@@ -320,6 +381,26 @@ def parse_text(text):
         raise ParseError(f"chain size {n} exceeds the limit {MAX_TEXT_CHAIN}", 0)
     if end is not None:
         raise ParseError("expected ':' after the chain size", end)
+    if n:
+        img = [None] * n
+        used = bytearray(n + 1)
+        last_x = 0
+        try:
+            for chunk in body.split(",") if body else ():
+                x, gt, a = chunk.partition(">")
+                if not (gt and x.isdigit() and a.isdigit()):
+                    break
+                x = int(x)
+                a = int(a)
+                if not (last_x < x <= n and 0 < a <= n) or used[a]:
+                    break
+                img[x - 1] = a
+                used[a] = 1
+                last_x = x
+            else:
+                return _trusted(n, tuple(img))
+        except ValueError:  # a non-ASCII digit, or more digits than int() takes
+            pass
     pairs = []
     if body:
         chunks = body.split(",")

@@ -53,6 +53,15 @@ after its moved point is found by search.  The library builds the same
 factors straight from the element's pairs; these are the oracle it is
 checked against.
 
+chain_steps, with_pair and walk_down are the essential factorization
+as the library built it before its one straight-line walk: a generator
+of chain steps over one shared fixed list, a helper that copies it per
+factor, and a helper per essential walk.  stepwise_chain,
+stepwise_expand and stepwise_essential_factorization put them together
+as genrank's three factorizations did; each factor passes the
+validating constructor.  The library's factor walk is checked against
+them.
+
 loop_compose and loop_is_idempotent are the element kernel as it was
 before elements were built unchecked: a loop over the points, each
 composite passed through the validating constructor, and idempotence as
@@ -484,6 +493,55 @@ def oracle_essential_factorization(alpha, qprime_side=False):
     out = []
     for step in oracle_chain(alpha):
         out.extend([step] if pinj.is_idempotent(step) else oracle_expand(step))
+    return out + tail
+
+
+def chain_steps(alpha):
+    """The steps of the chain split of alpha, as (fixed, x_i, a_i): step i
+    fixes a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i to a_i.
+    fixed is updated in place between steps, so with_pair copies it."""
+    fixed = [None if a is None else x for x, a in enumerate(alpha.img, 1)]
+    for x, a in enumerate(alpha.img, 1):
+        if a is not None:
+            fixed[x - 1] = None
+            yield fixed, x, a
+            fixed[a - 1] = a
+
+
+def with_pair(fixed, x, a):
+    """The fixed part, given as an image list, extended by x -> a."""
+    img = fixed.copy()
+    img[x - 1] = a
+    return pinj.PartialInjection(len(img), img)
+
+
+def walk_down(fixed, y, a):
+    """The essentials b + 1 -> b over the fixed part, for b from y - 1
+    down to a."""
+    return [with_pair(fixed, b + 1, b) for b in range(y - 1, a - 1, -1)]
+
+
+def stepwise_chain(alpha):
+    return [with_pair(fixed, x, a) for fixed, x, a in chain_steps(alpha)]
+
+
+def stepwise_expand(eps):
+    (y, a), = ((x, b) for x, b in enumerate(eps.img, 1) if b is not None and b != x)
+    fixed = [b if b == x else None for x, b in enumerate(eps.img, 1)]
+    return walk_down(fixed, y, a)
+
+
+def stepwise_essential_factorization(alpha, qprime_side=False):
+    tail = []
+    if qprime_side and 1 in alpha.img:
+        alpha, requisite = genrank.factor_requisite(alpha)
+        tail = [requisite]
+    out = []
+    for fixed, x, a in chain_steps(alpha):
+        if x == a:
+            out.append(with_pair(fixed, x, a))
+        else:
+            out.extend(walk_down(fixed, x, a))
     return out + tail
 
 

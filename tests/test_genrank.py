@@ -15,6 +15,9 @@ from conftest import (
     oracle_essential_factorization,
     oracle_expand,
     oracle_indecomposables,
+    stepwise_chain,
+    stepwise_essential_factorization,
+    stepwise_expand,
 )
 
 from catalanlab import families, genrank, greens, pinj, structure
@@ -403,6 +406,24 @@ def test_factorizations_match_the_oracle_route(kind):
                 if not pinj.is_idempotent(step):
                     got = genrank.expand_quasi_to_essentials(step)
                     assert images(got) == images(oracle_expand(step))
+
+
+@pytest.mark.parametrize("kind", ["icn", "qprime"])
+def test_the_factor_walk_matches_the_stepwise_route(kind):
+    # Every element of IC_n and Q'_n, n <= 7, each on its own side: the
+    # straight-line walk gives the factors of the route through a step
+    # generator and a helper per factor, in the same order.
+    qprime_side = kind == "qprime"
+    for n in range(1, 8):
+        for alpha in elements_of(families.enumerate_family(FamilySpec(kind, n))):
+            got = genrank.essential_factorization(alpha, qprime_side=qprime_side)
+            assert images(got) == images(stepwise_essential_factorization(alpha, qprime_side))
+            chain = genrank.factor_idempotent_quasi_chain(alpha)
+            assert images(chain) == images(stepwise_chain(alpha))
+            for step in chain:
+                if pinj.shift(step) == 1:
+                    got = genrank.expand_quasi_to_essentials(step)
+                    assert images(got) == images(stepwise_expand(step))
 
 
 @pytest.mark.parametrize("kind", ["icn", "qprime"])

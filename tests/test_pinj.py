@@ -1,5 +1,12 @@
 """Element-level behavior, cross-checked against dict-based oracles."""
 
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import loop_compose, loop_is_idempotent
 
@@ -115,9 +122,53 @@ def test_quasi_idempotent_matches_fourth_power_oracle():
 
 
 def test_every_shift_one_element_is_quasi_idempotent():
-    for alpha in all_elements("icn", 5):
+    # classify reads this kind off the moved pairs with no composite, on
+    # the proof that it holds for every partial injection, so I_5 too.
+    for alpha in all_elements("icn", 5) + all_elements("syminv", 5):
         if pinj.shift(alpha) == 1:
             assert pinj.is_quasi_idempotent(alpha)
+
+
+def oracle_classify(alpha):
+    """classify as the chain of public predicates, quasi-idempotence by
+    composing."""
+    if pinj.is_idempotent(alpha):
+        return "idempotent"
+    if pinj.is_essential(alpha):
+        return "essential"
+    if oracle_is_requisite(alpha):
+        return "requisite"
+    if pinj.shift(alpha) == 1 and pinj.is_quasi_idempotent(alpha):
+        return "quasi-idempotent-shift-1"
+    return "other"
+
+
+def oracle_is_requisite(alpha):
+    """The requisite shape as stated: a moved block {2, ..., i}, each point
+    one down, and every fixed point above i."""
+    moved = [(x, a) for x, a in enumerate(alpha.img, 1) if a is not None and a != x]
+    if not moved:
+        return False
+    top = moved[-1][0]
+    return (
+        [x for x, _ in moved] == list(range(2, top + 1))
+        and all(a == x - 1 for x, a in moved)
+        and all(f > top for f in pinj.fixed_points(alpha))
+    )
+
+
+def test_classify_and_its_predicates_match_the_oracles_on_every_partial_injection():
+    for n in range(1, 6):
+        for alpha in all_elements("syminv", n):
+            assert pinj.classify(alpha) == oracle_classify(alpha)
+            assert pinj.is_requisite(alpha) == oracle_is_requisite(alpha)
+
+
+def test_the_one_pass_member_test_matches_isotone_and_decreasing():
+    for n in range(1, 6):
+        for alpha in all_elements("syminv", n):
+            want = pinj.is_isotone(alpha) and pinj.is_decreasing(alpha)
+            assert pinj.is_isotone_decreasing(alpha) == want
 
 
 def test_domain_image_height_shift_fixed_points():
@@ -281,6 +332,62 @@ def test_booleans_are_not_points_or_image_values():
         pinj.from_pairs(2, [(True, 1)])
     with pytest.raises(RangeError, match="point True outside 1..2"):
         pinj.partial_identity(2, [True])
+
+
+def test_image_of_refuses_what_is_no_point_of_the_chain():
+    # True == 1 to a comparison, and 1.5 has no slot; both are refused
+    # like any point outside 1..n, not answered or left to a TypeError.
+    alpha = pinj.from_pairs(2, [(2, 1)])
+    assert alpha.image_of(1) is None
+    assert alpha.image_of(2) == 1
+    for x in (True, False, 1.5, 2.0, "1", None, 0, 3):
+        with pytest.raises(RangeError, match=re.escape(f"point {x!r} outside 1..2")):
+            alpha.image_of(x)
+
+
+def oracle_text(n, img):
+    """The text form, one f-string per pair."""
+    pairs = ",".join(f"{x}>{a}" for x, a in enumerate(img, 1) if a)
+    return f"{n}:{pairs}"
+
+
+def random_images(rng, n):
+    """The image tuple of a random partial injection on the n-chain."""
+    img = [None] * n
+    dom = rng.sample(range(1, n + 1), rng.randint(0, n))
+    for x, a in zip(dom, rng.sample(range(1, n + 1), len(dom))):
+        img[x - 1] = a
+    return tuple(img)
+
+
+def test_text_of_images_matches_the_f_string_oracle():
+    # Tuples and packed bytes, every partial injection up to n = 4 and
+    # random ones up to n = 12, plus a chain too long for a pair table.
+    rng = random.Random(20261018)
+    cases = [alpha.img for n in range(1, 5) for alpha in all_elements("syminv", n)]
+    cases += [random_images(rng, n) for n in range(1, 13) for _ in range(300)]
+    cases += [tuple(range(1, 13)), (None,) * 12, random_images(rng, 100)]
+    for img in cases:
+        n = len(img)
+        want = oracle_text(n, img)
+        assert pinj.text_of_images(n, img) == want
+        assert pinj.text_of_images(n, bytes(a or 0 for a in img)) == want
+
+
+def test_a_cold_import_builds_no_pair_text_table():
+    # The tables are built per chain size on first use, so a command
+    # pays only for the chains it writes.
+    probe = (
+        "import catalanlab, catalanlab.cli\n"
+        "from catalanlab import pinj\n"
+        "print(pinj._pair_texts.cache_info().currsize)\n"
+        "pinj.canonical_text(pinj.identity(3))\n"
+        "print(pinj._pair_texts.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pinj.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", probe], stdout=subprocess.PIPE,
+                           env=env, timeout=60, check=True)
+    assert child.stdout.decode().split() == ["0", "1"]
 
 
 def test_compose_rejects_mismatched_chains():
