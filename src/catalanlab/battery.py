@@ -284,11 +284,12 @@ def _chain_factors_ok(x, alpha):
     )
 
 
-def _requisite_split_ok(alpha):
-    # factor_requisite checks the recomposition itself (exit 4)
+def _requisite_split_ok(x, alpha):
     beta, req = genrank.factor_requisite(alpha)
     return (
-        pinj.is_requisite(req)
+        pinj.compose(beta, req) == alpha
+        and families.is_member(beta, x.spec)
+        and pinj.is_requisite(req)
         and pinj.image(req) == pinj.image(alpha)
         and pinj.domain(beta) == pinj.domain(alpha)
         and 1 not in pinj.image(beta)
@@ -309,9 +310,11 @@ def _lift_eligible(x):
 
 
 def _lift_ok(x, alpha):
-    # lift_height checks the product and both heights itself (exit 4)
     left, right = genrank.lift_height(alpha, x.spec.kind)
-    return families.is_member(left, x.spec) and families.is_member(right, x.spec)
+    h = pinj.height(alpha) + 1
+    return pinj.compose(left, right) == alpha and all(
+        pinj.height(f) == h and families.is_member(f, x.spec) for f in (left, right)
+    )
 
 
 def _blocked_outside_top_closure(x):
@@ -577,7 +580,7 @@ CLAIMS = (
               "every element whose image contains 1 splits into a domain"
               " preserving left factor and the requisite with its image",
               0, lambda x: sum(
-                  not _requisite_split_ok(a) for a in _elements(x) if 1 in pinj.image(a)))),
+                  not _requisite_split_ok(x, a) for a in _elements(x) if 1 in pinj.image(a)))),
     Section((ICN,), 2, 5, _LIFT),
     Section((QPRIME,), 3, 5, _LIFT),
     Section((QPRIME,), 4, 5,

@@ -15,7 +15,6 @@ import argparse
 import operator
 import os
 import sys
-from functools import reduce
 from itertools import chain
 
 from . import families, formulas, genrank, greens, pinj, structure
@@ -359,10 +358,6 @@ def _cmd_decompose(args):
                 "decompose --mode lift supports the icn and qprime families"
             )
         factors = list(genrank.lift_height(alpha, spec.kind))
-    if factors:
-        product = reduce(pinj.compose, factors)
-        if product != alpha:
-            raise InvariantError("factorization failed to recompose; please report")
     texts = [pinj.canonical_text(f) for f in factors]
     payload = {
         "family": spec.label(),

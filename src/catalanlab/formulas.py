@@ -2,8 +2,8 @@
 
 All arithmetic is exact (Python integers, math.comb), so overflow cannot
 occur silently.  Where two published closed forms describe the same
-quantity, both are evaluated and compared.  Sequence prefixes are baked
-in so nothing here touches the network.
+quantity, one is evaluated and the tests hold the other to it.  Sequence
+prefixes are baked in so nothing here touches the network.
 """
 
 from __future__ import annotations
@@ -25,25 +25,18 @@ def catalan(n):
     """Catalan number c_n = binomial(2n, n-1) / n, defined for n >= 1."""
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"catalan(n) needs an integer n >= 1, got {n!r}")
-    q, r = divmod(math.comb(2 * n, n - 1), n)
-    if r:
-        raise ArithmeticError(f"binomial(2*{n}, {n}-1) is not divisible by {n}")
-    return q
+    return math.comb(2 * n, n - 1) // n
 
 
 def t(n):
     """Order of the identity-free part: t_n = c_(n+1) - c_n.
 
-    The difference form and the closed form 3/(n+2) * binomial(2n, n-1)
-    are both evaluated and must agree.
+    It equals the closed form 3/(n+2) * binomial(2n, n-1); the tests hold
+    the two equal.
     """
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"t(n) needs an integer n >= 1, got {n!r}")
-    diff = catalan(n + 1) - catalan(n)
-    q, r = divmod(3 * math.comb(2 * n, n - 1), n + 2)
-    if r or q != diff:
-        raise ArithmeticError(f"the two closed forms for t({n}) disagree")
-    return diff
+    return catalan(n + 1) - catalan(n)
 
 
 def syminv_order(n):

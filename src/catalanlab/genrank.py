@@ -25,12 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import families, formulas, greens, pinj
-from .errors import (
-    ContractError,
-    InvariantError,
-    UnsupportedTableError,
-    ValidationError,
-)
+from .errors import ContractError, UnsupportedTableError, ValidationError
 
 
 def closure(table, generators):
@@ -290,10 +285,7 @@ def factor_requisite(alpha):
         raise ContractError("expected an element whose domain omits 1")
     if 1 not in alpha.img:
         raise ContractError("expected an element whose image contains 1")
-    beta, requisite = _split_requisite(alpha)
-    if pinj.compose(beta, requisite) != alpha:
-        raise InvariantError("requisite split failed to recompose")
-    return beta, requisite
+    return _split_requisite(alpha)
 
 
 def _split_requisite(alpha):
@@ -307,6 +299,12 @@ def _split_requisite(alpha):
     values are distinct points of 2..i and the images above i, and i <= n
     since a domain omitting 1 holds at most n - 1 points; so beta is built
     unchecked.
+
+    The requisite sends j to j - 1 for 2 <= j <= i and fixes each image
+    point above i.  A point x with x alpha < i goes under beta to
+    x alpha + 1, a point of 2..i, which the requisite sends back to
+    x alpha; one with x alpha > i goes under beta to x alpha, which the
+    requisite fixes.  So beta followed by the requisite is alpha.
     """
     i = 2
     while i in alpha.img:
@@ -345,6 +343,21 @@ def lift_height(alpha, kind):
     generator_kinds of its side (with the census priority) and of height
     at most lift_bound (n - 2, or n - 3 on the identity-free side, where
     all constructed points avoid 1).
+
+    Let D be the domain of alpha, of size p.  Each factor extends a map
+    of height p by one fixed point outside its domain and its image, so
+    both factors are injective and of height p + 1.  In each kind the
+    product is alpha:
+
+      Idempotent: left fixes D + {c} and right D + {d}, for c != d
+      outside D; the product fixes what both fix, D.
+      Essential: alpha fixes D but y, sent to y - 1, which is not in D
+      (alpha would be two-to-one on it).  left is alpha with d fixed, d
+      outside D and the image of alpha; right fixes D + {y - 1}, which
+      holds that image, so it keeps every value of left on D and drops d.
+      Requisite: left fixes D + {d}, passing D unchanged to right, which
+      is alpha with c != d fixed, c and d outside D and the image of
+      alpha; right drops d.
     """
     if kind not in (families.KIND_ICN, families.KIND_QPRIME):
         raise ContractError("lift_height supports the icn and qprime families")
@@ -378,11 +391,6 @@ def lift_height(alpha, kind):
         left = pinj.partial_identity(n, dom + (d,))
         right_pairs = [(x, alpha.img[x - 1]) for x in dom] + [(c, c)]
         right = pinj.from_pairs(n, right_pairs)
-    if pinj.compose(left, right) != alpha:
-        raise InvariantError("height lift failed to recompose")
-    for part in (left, right):
-        if pinj.height(part) != p + 1:
-            raise InvariantError("height lift produced a factor of wrong height")
     return left, right
 
 

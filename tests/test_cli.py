@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache, reduce
 from itertools import chain
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from conftest import DIFFERENTIAL_SPECS, direct_rows, elements_of, packed_table
 
 import catalanlab
-from catalanlab import cli, families, pinj
+from catalanlab import cli, families, genrank, pinj
 from catalanlab.errors import CapExceededError, ValidationError
 
 
@@ -476,10 +477,6 @@ def test_decompose_essentials_round_trip(capsys):
     assert payload["element"] == "4:2>1,3>2"
     assert payload["factors"]
     # recompose independently
-    from functools import reduce
-
-    from catalanlab import pinj
-
     factors = [pinj.parse_text(t) for t in payload["factors"]]
     assert reduce(pinj.compose, factors) == pinj.parse_text("4:2>1,3>2")
 
@@ -578,6 +575,38 @@ def test_decompose_rejects_an_oversized_chain_before_allocating(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("kind,want_runs", [("icn", 837), ("qprime", 763)])
+def test_decompose_output_recomposes_in_every_mode(capsys, monkeypatch, kind, want_runs):
+    # decompose does not recompose its factors; this holds every factor
+    # list it prints to the element, read back from the printed text.
+    # Building the parser is most of a call, so it is built once.
+    monkeypatch.setattr(cli, "build_parser", lru_cache(cli.build_parser))
+    qprime_side = kind == "qprime"
+    kinds = genrank.generator_kinds(qprime_side)
+    runs = 0
+    for n in range(1, 7):
+        bound = genrank.lift_bound(n, qprime_side)
+        empty = pinj.empty_map(n)
+        for alpha in elements_of(families.enumerate_family(families.FamilySpec(kind, n))):
+            modes = ["essentials"]
+            if qprime_side and 1 in pinj.image(alpha):
+                modes.append("requisite")
+            if genrank.element_kind(alpha, qprime_side) in kinds and pinj.height(alpha) <= bound:
+                modes.append("lift")
+            text = pinj.canonical_text(alpha)
+            for mode in modes:
+                code, payload, _ = run_json(
+                    capsys, "decompose", "--family", kind, "--n", str(n),
+                    "--element", text, "--mode", mode,
+                )
+                assert code == 0, (text, mode)
+                factors = [pinj.parse_text(f) for f in payload["factors"]]
+                product = reduce(pinj.compose, factors) if factors else empty
+                assert product == alpha, (text, mode)
+                runs += 1
+    assert runs == want_runs
 
 
 def test_decompose_mode_family_pairing(capsys):

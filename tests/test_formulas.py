@@ -34,7 +34,7 @@ def test_t_pinned_values():
 
 
 def test_t_two_closed_forms_agree():
-    for n in range(1, 21):
+    for n in range(1, 41):
         diff = formulas.catalan(n + 1) - formulas.catalan(n)
         assert formulas.t(n) == diff
         assert formulas.t(n) * (n + 2) == 3 * math.comb(2 * n, n - 1)

@@ -20,7 +20,7 @@ from conftest import (
     stepwise_expand,
 )
 
-from catalanlab import families, genrank, greens, pinj, structure
+from catalanlab import battery, families, genrank, greens, pinj, structure
 from catalanlab.errors import (
     ContractError,
     UnsupportedTableError,
@@ -463,12 +463,16 @@ def test_factor_requisite_examples():
 
 
 def test_factor_requisite_properties_exhaustive():
-    for n in (3, 4, 5):
+    # factor_requisite does not recompose its split: this test and the
+    # factor-requisite battery claim do, on every element of IC_n, which
+    # holds every element of Q'_n.
+    for n in range(1, 8):
         spec = FamilySpec("qprime", n)
-        t = families.enumerate_family(spec)
-        for i in range(t.size):
-            alpha = t.element(i)
-            if 1 not in pinj.image(alpha):
+        instance = battery.Instance(spec)
+        for alpha in elements_of(families.enumerate_family(FamilySpec("icn", n))):
+            if alpha.img[0] is not None or 1 not in pinj.image(alpha):
+                with pytest.raises(ContractError):
+                    genrank.factor_requisite(alpha)
                 continue
             beta, req = genrank.factor_requisite(alpha)
             assert pinj.compose(beta, req) == alpha
@@ -477,6 +481,7 @@ def test_factor_requisite_properties_exhaustive():
             assert pinj.domain(beta) == pinj.domain(alpha)
             assert 1 not in pinj.image(beta)
             assert families.is_member(beta, spec)
+            assert battery._requisite_split_ok(instance, alpha)
 
 
 def test_factor_requisite_preconditions():
@@ -507,14 +512,17 @@ def test_lift_height_exhaustive_over_eligible_elements():
     # lift_height takes exactly the idempotents and essentials of height
     # at most n - 2, and on the identity-free side also the requisites,
     # up to n - 3: the rule genrank.generator_kinds and lift_bound state.
+    # lift_height does not recompose its factors: this test and the lift
+    # battery claim do, on every element of IC_n and Q'_n.
     full = ("idempotent", "essential")
-    cases = [("icn", n, full, n - 2) for n in (3, 4, 5)]
-    cases += [("qprime", n, full + ("requisite",), n - 3) for n in (4, 5)]
+    cases = [("icn", n, full, n - 2) for n in range(1, 8)]
+    cases += [("qprime", n, full + ("requisite",), n - 3) for n in range(1, 8)]
     for kind, n, kinds, bound in cases:
         qprime_side = kind == "qprime"
         assert genrank.generator_kinds(qprime_side) == kinds
         assert genrank.lift_bound(n, qprime_side) == bound
         spec = FamilySpec(kind, n)
+        instance = battery.Instance(spec)
         for alpha in elements_of(families.enumerate_family(spec)):
             ekind = genrank.element_kind(alpha, qprime_side)
             if ekind not in kinds or pinj.height(alpha) > bound:
@@ -527,6 +535,7 @@ def test_lift_height_exhaustive_over_eligible_elements():
             assert pinj.height(right) == pinj.height(alpha) + 1
             assert families.is_member(left, spec)
             assert families.is_member(right, spec)
+            assert battery._lift_ok(instance, alpha)
 
 
 def test_lift_height_preconditions():

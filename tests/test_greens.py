@@ -163,6 +163,19 @@ def test_classical_relations_match_the_ideal_oracle(spec):
         assert greens.green(table, which) == want, which
 
 
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_D_is_J(spec):
+    # D is computed as the join of L and R and never compared with J at
+    # run time; D = J on a finite semigroup, and this holds the two equal.
+    # Each is asked of its own fresh table, so no memo relates them.
+    build = families._build_table.__wrapped__
+    d, j = greens.green(build(spec), "D"), greens.green(build(spec), "J")
+    assert d == j
+    if spec.kind == "syminv" and spec.n >= 2:
+        # I_n's D-classes are its height layers, so the check is not vacuous.
+        assert d.class_count == spec.n + 1 < len(d.class_of)
+
+
 def test_components_of_a_long_path_and_cycle_need_no_recursion():
     # 0 -> 1 -> ... -> m-1 is m singletons; closing the loop makes one class
     m = 20_000
@@ -446,8 +459,10 @@ def test_relations_are_computed_once_per_table():
         assert greens.green(table, which) is greens.green(table, which), which
     assert greens.starred_L(table) is greens.starred_L(table)
     assert greens.starred_R(table) is greens.starred_R(table)
-    # I_3 is not J-trivial, so its L, R and H differ and stay apart
-    table = families.enumerate_family(FamilySpec("syminv", 3))
+    # I_3 is not J-trivial, so its L, R and H differ and stay apart.  A
+    # fresh table, so D is computed before J here; J, equal to D, then
+    # shares D's object through the memo.
+    table = families._build_table.__wrapped__(FamilySpec("syminv", 3))
     parts = {which: greens.green(table, which) for which in GREEN_NAMES}
     assert parts["L"] != parts["R"] and parts["L"] != parts["H"]
     assert parts["D"] is parts["J"]
