@@ -12,10 +12,10 @@ bytes.  Every command honors --format human|json|csv.
 from __future__ import annotations
 
 import argparse
-import operator
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 from . import families, formulas, genrank, greens, pinj, structure
 from .battery import DEFAULT_STARRED_CAP, verification_report
@@ -157,8 +157,14 @@ def _product_text(table, fmt):
     """The product table as text, one chunk per row i and the format's
     header and footer around them: the same bytes as csv.writer, as one
     line "i j k" per triple, and as json.dumps of {"family", "order",
-    "products": [[i, j, k], ...]} with indent=2.  Each row is joined by C
-    builtins rather than formatted triple by triple in Python."""
+    "products": [[i, j, k], ...]} with indent=2.
+
+    A row is one join over a slot list of 3m strings, made once per
+    table: slot 3j holds "between open i" (with no "between" before the
+    table's first triple), slot 3j+1 the fixed "sep j sep" and slot 3j+2
+    "k close" for k = i.j.  Each row refills the first and last kind of
+    slot by slice assignment from per-index strings, so it makes no
+    string per triple."""
     open_, sep, close, between = _PRODUCT_SEPARATORS[fmt]
     if fmt == "json":
         import json
@@ -171,13 +177,17 @@ def _product_text(table, fmt):
         header, footer = ("i,j,k\n" if fmt == "csv" else ""), ""
     yield header
     m = table.size
-    middles = [f"{sep}{j}{sep}" for j in range(m)]
     ends = [f"{k}{close}" for k in range(m)]
+    slots = [None] * (3 * m)
+    slots[1::3] = [f"{sep}{j}{sep}" for j in range(m)]
     lead = open_
     for i, row in enumerate(table.product_rows()):
         first = str(i)
-        joint = between + open_ + first
-        yield lead + first + joint.join(map(operator.add, middles, map(ends.__getitem__, row)))
+        slots[::3] = repeat(between + open_ + first, m)
+        slots[0] = lead + first
+        # itemgetter of one index returns the item, not a 1-tuple.
+        slots[2::3] = itemgetter(*row)(ends) if m > 1 else [ends[row[0]]]
+        yield "".join(slots)
         lead = between + open_
     yield footer
 
@@ -453,7 +463,83 @@ def _add_format_arg(sub):
     )
 
 
-def build_parser():
+def _enum_args(sub):
+    _add_family_args(sub)
+    _add_format_arg(sub)
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--count-only", action="store_true")
+    group.add_argument(
+        "--products", action="store_true", help="dump the product table as index triples"
+    )
+
+
+def _greens_args(sub):
+    _add_family_args(sub)
+    _add_format_arg(sub)
+    sub.add_argument(
+        "--relation",
+        required=True,
+        choices=greens.GREEN_NAMES + _STARRED_RELATIONS,
+    )
+
+
+def _check_args(sub):
+    _add_family_args(sub)
+    _add_format_arg(sub)
+    sub.add_argument(
+        "--property",
+        required=True,
+        action="append",
+        choices=_PROPERTIES,
+        help="repeatable",
+    )
+    sub.add_argument("--expect", choices=("true", "false"), default="true")
+
+
+def _rank_args(sub):
+    _add_family_args(sub)
+    _add_format_arg(sub)
+    sub.add_argument("--show-generators", action="store_true")
+
+
+def _decompose_args(sub):
+    _add_family_args(sub)
+    _add_format_arg(sub)
+    sub.add_argument("--element", required=True, help="element text, e.g. 3:2>1,3>3")
+    sub.add_argument(
+        "--mode", required=True, choices=("essentials", "requisite", "lift")
+    )
+
+
+def _maximal_args(sub):
+    _add_family_args(sub)
+    _add_format_arg(sub)
+
+
+def _verify_args(sub):
+    _add_format_arg(sub)
+    sub.add_argument("--n-max", type=int, default=4)
+    sub.add_argument("--starred-n-max", type=int, default=None)
+
+
+# Each subcommand: its help line, its handler and the adder of its arguments.
+_COMMANDS = {
+    "enum": ("list a family or count it", _cmd_enum, _enum_args),
+    "greens": ("classical or starred relation classes", _cmd_greens, _greens_args),
+    "check": ("decide structural properties", _cmd_check, _check_args),
+    "rank": ("minimum generating set and rank", _cmd_rank, _rank_args),
+    "decompose": ("factor one element", _cmd_decompose, _decompose_args),
+    "maximal": ("maximal subsemigroups", _cmd_maximal, _maximal_args),
+    "verify": ("run the verification battery", _cmd_verify, _verify_args),
+}
+
+
+def build_parser(command=None):
+    """The argument parser.  Every subcommand is registered with its help
+    line, so top-level help and errors read the same whatever is built,
+    but only `command`'s arguments are added when it is given: every CLI
+    call is a fresh process that runs one subcommand.  With no command,
+    every subcommand's arguments are added."""
     parser = argparse.ArgumentParser(
         prog="catalanlab",
         description="Exact computation over isotone order-decreasing partial"
@@ -461,71 +547,21 @@ def build_parser():
         " verification battery.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    enum = commands.add_parser("enum", help="list a family or count it")
-    _add_family_args(enum)
-    _add_format_arg(enum)
-    group = enum.add_mutually_exclusive_group()
-    group.add_argument("--count-only", action="store_true")
-    group.add_argument(
-        "--products", action="store_true", help="dump the product table as index triples"
-    )
-    enum.set_defaults(handler=_cmd_enum)
-
-    gr = commands.add_parser("greens", help="classical or starred relation classes")
-    _add_family_args(gr)
-    _add_format_arg(gr)
-    gr.add_argument(
-        "--relation",
-        required=True,
-        choices=greens.GREEN_NAMES + _STARRED_RELATIONS,
-    )
-    gr.set_defaults(handler=_cmd_greens)
-
-    check = commands.add_parser("check", help="decide structural properties")
-    _add_family_args(check)
-    _add_format_arg(check)
-    check.add_argument(
-        "--property",
-        required=True,
-        action="append",
-        choices=_PROPERTIES,
-        help="repeatable",
-    )
-    check.add_argument("--expect", choices=("true", "false"), default="true")
-    check.set_defaults(handler=_cmd_check)
-
-    rank = commands.add_parser("rank", help="minimum generating set and rank")
-    _add_family_args(rank)
-    _add_format_arg(rank)
-    rank.add_argument("--show-generators", action="store_true")
-    rank.set_defaults(handler=_cmd_rank)
-
-    dec = commands.add_parser("decompose", help="factor one element")
-    _add_family_args(dec)
-    _add_format_arg(dec)
-    dec.add_argument("--element", required=True, help="element text, e.g. 3:2>1,3>3")
-    dec.add_argument(
-        "--mode", required=True, choices=("essentials", "requisite", "lift")
-    )
-    dec.set_defaults(handler=_cmd_decompose)
-
-    mx = commands.add_parser("maximal", help="maximal subsemigroups")
-    _add_family_args(mx)
-    _add_format_arg(mx)
-    mx.set_defaults(handler=_cmd_maximal)
-
-    ver = commands.add_parser("verify", help="run the verification battery")
-    _add_format_arg(ver)
-    ver.add_argument("--n-max", type=int, default=4)
-    ver.add_argument("--starred-n-max", type=int, default=None)
-    ver.set_defaults(handler=_cmd_verify)
-
+    for name, (help_, handler, add_args) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_)
+        sub.set_defaults(handler=handler)
+        if command in (None, name):
+            add_args(sub)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option with a value, so a subcommand
+    # argparse runs is the first argument not starting with "-"; any other
+    # first positional is refused by the top-level parser alone.
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(named if named in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

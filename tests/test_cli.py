@@ -93,6 +93,11 @@ def test_enum_products_are_the_direct_products_in_every_format(capsys, spec):
     for fmt in ("json", "csv", "human"):
         code, out[fmt], err = run_cli(capsys, *argv, "--format", fmt)
         assert (code, err) == (0, "")
+        # Streamed as the header, one chunk per row and the footer, so the
+        # text of the whole table is never held at once.
+        chunks = list(cli._product_text(table, fmt))
+        assert len(chunks) == table.size + 2
+        assert "".join(chunks) == out[fmt]
     doc = {"family": spec.label(), "order": table.size, "products": triples}
     assert out["json"] == json.dumps(doc, indent=2) + "\n"
     header, *csv_lines = parse_csv(out["csv"])
@@ -105,7 +110,7 @@ def test_enum_products_are_the_direct_products_in_every_format(capsys, spec):
 
 @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
 def test_enum_products_into_a_closed_pipe_exits_zero(fmt):
-    # IC_6 has 17,424 products, far more than a pipe buffer holds, so the
+    # IC_6 has 184,041 products, far more than a pipe buffer holds, so the
     # child is still writing when the reader closes after one line.
     env = dict(os.environ, PYTHONPATH=str(Path(catalanlab.__file__).parents[1]))
     argv = [sys.executable, "-m", "catalanlab.cli", "enum", "--family", "icn",
@@ -730,6 +735,36 @@ def test_output_is_deterministic(capsys):
 
 
 # ------------------------------------------------------------------- parsing
+
+
+@pytest.mark.parametrize("argv,named", [
+    ([], None), (["--help"], None), (["--help", "enum"], "enum"), (["bogus"], None),
+    (["-1", "enum"], "enum"),
+    *(([name, "--help"], name) for name in cli._COMMANDS),
+    (["enum", "--family", "bogus", "--n", "3"], "enum"),
+    (["--bogus", "rank", "--family", "icn", "--n", "2"], "rank"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv, named):
+    # main adds only the named subcommand's arguments; help, usage and
+    # errors must still read as with every subcommand's arguments added.
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    full = outcome(cli.build_parser().parse_args)
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    assert outcome(cli.main) == full
+    assert built == [named]
+
+
+def test_a_named_subcommand_has_only_its_own_arguments():
+    parser = cli.build_parser("rank")
+    assert parser.parse_args(["rank", "--family", "icn", "--n", "2"]).handler is cli._cmd_rank
+    with pytest.raises(SystemExit):
+        parser.parse_args(["enum", "--family", "icn", "--n", "2"])
 
 
 def test_argparse_rejects_unknown_family(capsys):
