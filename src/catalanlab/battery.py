@@ -615,12 +615,17 @@ def verification_report(n_max=4, starred_n_max=None):
     both = min(n_max, starred_n_max)
     bounds = {"n_max": n_max, "starred_n_max": starred_n_max, "both": both}
     rows = []
+    # One instance per spec, shared by every section that names it.
+    instances = {}
     for section in CLAIMS:
         top = min(section.n_hi, bounds[section.bound])
         for kind in section.kinds:
             for n in range(section.n_lo, top + 1):
                 for p in families._valid_heights(kind, n):
-                    x = Instance(families.FamilySpec(kind, n, p))
+                    spec = families.FamilySpec(kind, n, p)
+                    x = instances.get(spec)
+                    if x is None:
+                        x = instances[spec] = Instance(spec)
                     rows.extend(
                         _row(x, claim)
                         for claim in section.claims

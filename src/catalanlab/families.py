@@ -22,6 +22,14 @@ zero, packed as the empty map, at index 0.  Tables are cached and
 read-only: the packed images and the Cayley-graph rows are tuples, and
 the full product rows read-only memoryviews of 2-byte indices (4-byte
 past 65,536 elements).
+
+One table per semigroup.  The ideal K(n,n) holds every element of IC_n,
+and M(n,n-1) every element of Q'_n, enumerated in the same order; so
+their tables are those of IC_n and Q'_n renamed (SemigroupTable.renamed):
+the same image tuple and index, generators, Cayley rows, product rows and
+greens memo, under the ideal's own FamilySpec and label.  The lower
+heights K(n,p) and M(n,p) and the Rees quotients are other semigroups,
+with tables of their own.
 """
 
 from __future__ import annotations
@@ -192,6 +200,9 @@ class SemigroupTable:
         self._rows = None
         self._generators = None
         self._generator_rows = None
+        # The table this one was renamed from, which builds the Cayley
+        # graphs and product rows for both; None for a table of its own.
+        self._shared = None
 
     def __len__(self):
         return self.size
@@ -207,6 +218,25 @@ class SemigroupTable:
         domains = set(map(bytes.translate, self.images, repeat(_DOMAIN_BYTES)))
         points.update(compress(range(1, self.family.n + 1), map(any, zip(*domains))))
         return self.locate(bytes(x if x in points else 0 for x in range(1, self.family.n + 1)))
+
+    def renamed(self, family):
+        """This table under the spec of an ideal that is the whole
+        semigroup (K(n,n) for IC_n, M(n,n-1) for Q'_n): a table of its
+        own, with family as its spec and label, that holds this one's
+        images and index and reads its Cayley graphs, product rows and
+        greens memo from this one (see semigroup), whichever of the two
+        is asked for them first."""
+        twin = object.__new__(SemigroupTable)
+        twin.__dict__.update(self.__dict__)
+        twin.family = family
+        twin._shared = self.semigroup
+        return twin
+
+    @property
+    def semigroup(self):
+        """The table that holds this one's Cayley graphs, product rows and
+        greens memo: itself, or the table it was renamed from."""
+        return self if self._shared is None else self._shared
 
     def element(self, i):
         """Element i, unpacked from its image bytes, or REES_ZERO."""
@@ -319,6 +349,9 @@ class SemigroupTable:
         """
         if self._rows is not None:
             return self._rows
+        if self._shared is not None:
+            self._rows = self._shared.product_rows()
+            return self._rows
         code = _index_typecode(self.size)
         pack = struct.Struct(f"{self.size}{code}").pack
         rows = [None] * self.size
@@ -357,6 +390,10 @@ class SemigroupTable:
         J-classes are its height layers, so a J-trivial I_n has one element
         per height, that order is a J-order on it, and the argument holds.
         """
+        if self._shared is not None:
+            self._generators = self._shared.generators
+            self._generator_rows = self._shared.generator_rows()
+            return
         m, n, images = self.size, self.family.n, self.images
         row_of = self._composer(left=True)
         reached = bytearray(m)
@@ -468,10 +505,12 @@ def tree_walk(size, gens, lines, root, step):
 
 
 def follow(line_x, line_g):
-    """The line of y = g.x (rows) or y = x.g (columns) from those of x
-    and g: row_y[j] = g.(x.j) and col_y[j] = (j.x).g, so line_g read at
-    the entries of line_x.  A tree edge needs m >= 2 (its end is not a
-    generator), so itemgetter over line_x returns a tuple there."""
+    """line_g read at the entries of line_x: the line of y = g.x (rows)
+    or y = x.g (columns) from those of x and g, as row_y[j] = g.(x.j)
+    and col_y[j] = (j.x).g.  greens reads it the other way round, the
+    row of a.g as follow(row_g, row_a).  A tree edge needs m >= 2 (its
+    end is not a generator), so itemgetter over line_x returns a tuple
+    there."""
     return itemgetter(*line_x)(line_g)
 
 
@@ -549,11 +588,21 @@ def _partial_injection_values(n, x, state):
     return [(a, (h + 1, used | 1 << a)) for a in range(1, n + 1) if not used >> a & 1]
 
 
+# The ideals that are the whole semigroup at their top height: K(n,n) is
+# IC_n and M(n,n-1) is Q'_n.
+_WHOLE_KINDS = {KIND_K: KIND_ICN, KIND_M: KIND_QPRIME}
+
+
 @lru_cache(maxsize=None)
 def _build_table(spec):
     """The table of spec, enumerated as packed images and sorted by
-    (height, canonical text), the Rees zero at index 0."""
+    (height, canonical text), the Rees zero at index 0.  K(n,n) and
+    M(n,n-1) enumerate what IC_n and Q'_n do, in the same order, so they
+    are those tables renamed."""
     n, p = spec.n, spec.p
+    whole = _WHOLE_KINDS.get(spec.kind)
+    if whole is not None and p == _valid_heights(spec.kind, n)[-1]:
+        return _build_table(FamilySpec(whole, n)).renamed(spec)
     if spec.kind == KIND_SYMINV:
         layers = _layers(n, range(n + 1), partial(_partial_injection_values, n))
     else:

@@ -17,7 +17,8 @@ from the paper's characterizations: a and b are L*-related exactly when
 the maps x -> ax and x -> bx induce the same kernel on the table with an
 identity formally adjoined (no adjunction when the table already has
 one).  The only structure used is the lemma below, which lets elements
-with one image (domain) share one computed kernel.  The characterizations
+with one image (domain) share one computed kernel, and the Cayley graph,
+along which each such group's line is gathered.  The characterizations
 (same image, same domain, same height) are built with partition_by and
 compared by the battery and the tests, as the independent cross-check.
 
@@ -31,9 +32,8 @@ adjoined identity is a second key component, the label of a in line a
 
 One key per image and one per domain.  The table hands greens groups of
 indices proven to share a kernel (SemigroupTable.kernel_groups: equal
-image for L*, equal domain for R*).
-Only each group's first member has its line composed and keyed; every
-other member takes that key.  Keys still decide which groups merge, so
+image for L*, equal domain for R*).  One line per group is keyed, and
+every member takes that key.  Keys still decide which groups merge, so
 the partition is computed, not assumed: different images (domains) may
 share a kernel, and on RQ'_n(p) with p >= 2 they do.
 
@@ -61,9 +61,36 @@ share a kernel, and on RQ'_n(p) with p >= 2 they do.
 
 This is composition in I_n, and it holds in every family, I_n included;
 it is not the paper's claim that L* is equal image, which fails on
-RQ'_n(p).  The work is one line of m compositions per distinct image or
-domain: 512 of IC_9's 16,796 elements for L* and 512 for R*, against the
-m |A| tree edges and m relabelled keys of a key per element.
+RQ'_n(p).
+
+Lines from the Cayley graph.  No group's line is composed (Froidure and
+Pin, 1997): _group_lines starts from the generators' lines, the rows g.x
+for L*, which the table already holds, and the |A| columns x.g for R*,
+and gathers every other line from one it has.  The successor of a under
+g in A is a.g = row_a[g], and row_{a.g}[x] = a.(g.x) = row_a[row_g[x]]:
+a's row read at the entries of g's row (families.follow).  Dually
+g.a = col_a[g] and col_{g.a}[x] = (x.g).a = col_a[col_g[x]].  A gather
+rests on associativity; the tests' random tables, which need not
+associate, are generated by all their elements and gather nothing.
+
+  The walk reaches every group.  Take L*.  A nonzero a.g has image
+  (im a n dom g)g, and in a Rees quotient of height p, a.g is the zero
+  exactly when |im a n dom g| < p; both depend only on im a, and the
+  zero times g is the zero.  So the group of a.g is fixed by g and the
+  group of a.  Every element is a word g_1 ... g_k over A.  The group of
+  g_1 is a root; if the walk entered the group of g_1 ... g_(k-1)
+  through b, then b.g_k lies in the group of g_1 ... g_k, and the walk
+  tries every successor of every element it enters, so it enters that
+  group too.  By the lemma every member has the key of the element its
+  group was entered through.  For R*, g.a has domain
+  (im g n dom a)g^-1 and collapses exactly when |im g n dom a| < p,
+  both fixed by dom a, and the induction reads the word from its end.
+
+The walk is depth first, enters each group once and holds only the lines
+on its current path.  The work is one gather of m entries per group past
+A's, 512 of IC_9's 16,796 elements for L* and 512 for R*, each read at C
+speed where the line it replaces took m compositions and m hash lookups;
+keying each line, m labels, is what remains.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
@@ -85,19 +112,22 @@ R*) lies inside one component.  The components can therefore be found
 on the much smaller quotient graph whose nodes are the D*-classes: the
 cycles fall inside the nodes, and class C has an edge to the class of
 g.x and of x.g for each x in C, read off the generator rows and
-columns.  Tarjan's routine above finds them.  This reads O(m |A|)
+columns.  D* comes from the memo, so a table that was asked for D* joins
+L* and R* once.  Tarjan's routine above finds them.  This reads O(m |A|)
 entries; saturating each ideal as a set, as star_ideal does, reads whole
 rows and columns per element reached.  star_ideal stays as the
 definition-level oracle.  On every family table here J* equals D*, but
 not on every finite semigroup: the tests hold a 33-element Rees quotient
 of a semigroup of partial maps where J* merges two D*-classes.
 
-The classical relations and L* and R* are computed once per table, and
-later calls return the same IndexPartition; H*, D* and J* are built from
-L* and R*, so they reuse it too.  The memo is keyed weakly by the table
-object, so it needs no attribute on the table and goes away with it;
-duck-typed tables work unchanged.  structure keeps each table's
-idempotents in it as well.
+The classical relations, L*, R* and D* are computed once per table, and
+later calls return the same IndexPartition; H* and J* are built from them
+afresh on each call.  The memo is keyed weakly by the table's semigroup
+(families.SemigroupTable.semigroup): K(n,n) is IC_n and M(n,n-1) is
+Q'_n, and their tables read one memo with those.  A table without that
+attribute, a duck-typed one, is its own key.  The memo needs nothing
+stored on the table and goes away with it.  structure keeps each
+table's idempotents in it as well.
 
 Partitions index elements by table position; class ids are assigned by
 least member, so all outputs are deterministic.
@@ -116,8 +146,8 @@ from .errors import ValidationError
 
 GREEN_NAMES = ("L", "R", "H", "D", "J")
 
-# Results already computed, per table: table -> {name: result}, the
-# results being relation partitions and structure's idempotent indices.
+# Results already computed, per table: table.semigroup -> {name: result},
+# the results being relation partitions and structure's idempotent indices.
 # Keys are held weakly, so a table's entry goes when the table does.
 _MEMO = weakref.WeakKeyDictionary()
 
@@ -125,14 +155,16 @@ _MEMO = weakref.WeakKeyDictionary()
 def memoized(table, name, build, *args):
     """build(table, *args), computed once per table and then shared.
 
-    The memo is keyed by the table object, so a new table never sees an
-    earlier table's result.  A table that cannot be weakly referenced or
-    hashed is not memoized.
+    The memo is keyed by table.semigroup, or by the table object when it
+    has no such attribute, so a new table never sees an earlier table's
+    result, and a table renamed from another shares that one's.  A table
+    that cannot be weakly referenced or hashed is not memoized.
     """
+    owner = getattr(table, "semigroup", table)
     try:
-        per_table = _MEMO.get(table)
+        per_table = _MEMO.get(owner)
         if per_table is None:
-            per_table = _MEMO[table] = {}
+            per_table = _MEMO[owner] = {}
     except TypeError:
         return build(table, *args)
     part = per_table.get(name)
@@ -311,20 +343,60 @@ def _kernel_partition(table, left):
     """Elements a with equal kernels of line a (row for L*, column for
     R*), over the table with an identity adjoined when it has none.
 
-    One line is composed and keyed per group the table proves to share a
-    kernel (kernel_groups, by image for L* and by domain for R*), and the
-    whole group takes its first member's key; see the module docstring for
-    the proof.  Groups whose keys are equal merge.
+    One line is keyed per group the table proves to share a kernel
+    (kernel_groups, by image for L* and by domain for R*), and the whole
+    group takes that key; the lines come from _group_lines, and the
+    module docstring proves both steps.  Groups whose keys are equal
+    merge.
     """
     groups = table.kernel_groups(left)
-    firsts = [members[0] for members in groups]
-    lines = table.rows(firsts) if left else table.columns(firsts)
+    group_of = [0] * table.size
+    for gid, members in enumerate(groups):
+        for a in members:
+            group_of[a] = gid
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
-    for a, members, line in zip(firsts, groups, lines):
+    for a, line in _group_lines(table, left, group_of, len(groups)):
         signature, labels = _kernel_key(line)
-        buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(members)
+        buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
+            groups[group_of[a]]
+        )
     return IndexPartition.from_groups(table.size, buckets.values())
+
+
+def _group_lines(table, left, group_of, group_count):
+    """One (a, line a) per kernel group, group_of[a] naming a's group:
+    the generators' rows (for L*) or columns first, then the walk along
+    the Cayley graph from them.  The successor of a under g in A is a.g =
+    row_a[g] (for R*, g.a = col_a[g]), and its line is a's line gathered
+    at g's: row_{a.g}[x] = a.(g.x) and col_{g.a}[x] = (x.g).a.  A group
+    is entered once, through the first successor found in it.  The walk
+    is depth first and holds only the lines on its current path."""
+    gens = table.generators
+    lines = table.generator_rows() if left else tuple(table.columns(gens))
+    reached = bytearray(group_count)
+    roots = []
+    for g, line in zip(gens, lines):
+        if not reached[group_of[g]]:
+            reached[group_of[g]] = 1
+            roots.append(line)
+            yield g, line
+    edges = tuple(zip(gens, lines))
+    for line in roots:
+        path = [(line, iter(edges))]
+        while path:
+            line, successors = path[-1]
+            for g, line_g in successors:
+                b = line[g]
+                if not reached[group_of[b]]:
+                    reached[group_of[b]] = 1
+                    # b is no generator, so m >= 2 and follow gives a tuple.
+                    line = families.follow(line_g, line)
+                    yield b, line
+                    path.append((line, iter(edges)))
+                    break
+            else:
+                path.pop()
 
 
 def starred_L(table):
@@ -344,7 +416,12 @@ def starred_H(table):
 
 
 def starred_D(table):
-    """D*: the join (transitive closure) of L* and R*."""
+    """D*: the join (transitive closure) of L* and R*, computed once per
+    table, as J* reads it too."""
+    return memoized(table, "Ds", _starred_join)
+
+
+def _starred_join(table):
     return _join(starred_L(table), starred_R(table))
 
 

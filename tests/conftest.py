@@ -42,9 +42,14 @@ first-occurrence labels.  tree_kernel_partition is L* and R* as the
 library computed them before it keyed one line per image or domain: a key
 for every element, each derived from its spanning-tree parent's by the
 kernel recurrence, with no grouping; tree_starred builds all five starred
-relations on it, and the library is checked against both.  star_ideal_J
-groups elements by greens.star_ideal, the saturated principal *-ideal,
-which is the oracle for J* as strongly connected components.
+relations on it, and the library is checked against both.
+oracle_kernel_partition is L* and R* as the library computed them before
+it walked the kernel groups along the Cayley graph: the first member of
+each group has its row (column) composed by table.rows (table.columns)
+and keyed by greens._kernel_key, and the whole group takes that key.
+star_ideal_J groups elements by greens.star_ideal, the saturated
+principal *-ideal, which is the oracle for J* as strongly connected
+components.
 
 oracle_chain, oracle_expand and oracle_essential_factorization are the
 essential factorization by its earlier route: chain steps built from
@@ -378,6 +383,22 @@ def line_kernel_partition(table, transpose):
     buckets = defaultdict(list)
     for a, line in enumerate(lines):
         buckets[line_kernel_key(line, a if adjoin else None)].append(a)
+    return IndexPartition.from_groups(table.size, buckets.values())
+
+
+def oracle_kernel_partition(table, left):
+    """L* (R* when not left) by one composed line per kernel group: the
+    first member's row (column) keyed by greens._kernel_key, with its
+    label adjoined when the table has no identity, for the whole group;
+    groups whose keys are equal merge."""
+    groups = table.kernel_groups(left)
+    firsts = [members[0] for members in groups]
+    lines = table.rows(firsts) if left else table.columns(firsts)
+    adjoin = table.identity_index is None
+    buckets = defaultdict(list)
+    for a, members, line in zip(firsts, groups, lines):
+        signature, labels = greens._kernel_key(line)
+        buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(members)
     return IndexPartition.from_groups(table.size, buckets.values())
 
 

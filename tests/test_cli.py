@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, caps, and determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -816,3 +817,44 @@ def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: internal invariant failed: IC_2 is not closed")
+
+
+# stdout sha256 of rank, maximal, greens --relation Js and check (every
+# property but the inverse ideals) on the two ideals that are the whole
+# semigroup, in human format; recorded before K(n,n) and M(n,n-1) shared
+# the tables of IC_n and Q'_n.
+WHOLE_IDEAL_OUTPUTS = {
+    ("k", "5", "rank"): "0d75671fb67aba4f04a3eb04854d12cc41d0d6d63513beebbd1cdb4667e6f915",
+    ("k", "5", "maximal"): "c0c2d202386f2af48a873a4c3dacc41f3ddda6357a3c56bcf6708f61beb60083",
+    ("k", "5", "greens"): "f95f50184e2adfc708d4c1cd95b10d7d2f60e6310f2a695afc01e84d38a80c14",
+    ("k", "5", "check"): "2271774744d35a4a7923408d20b8f46b912dd59f5cd499c25972c799eed4b06b",
+    ("m", "4", "rank"): "2d0d9cc53cab2de457eb3137581930d5be59dd0faa2d78885a3e7f9e5aacfa5f",
+    ("m", "4", "maximal"): "c7cf9609e8e97ad28d7d9158981230c645943b077b3bda61f1f5f146e5947fa5",
+    ("m", "4", "greens"): "c9d28d89598046789788fa4b61da11981647518b9d3ca7aab3c13b42273baf96",
+    ("m", "4", "check"): "b699b2ef6a2ff8bb5e7bce12f352617ea279016ea2e9026d57b2ffc4cc990dda",
+}
+WHOLE_IDEAL_PROPERTIES = (
+    "regular", "jtrivial", "left-abundant", "right-abundant", "abundant", "semilattice",
+    "adequate", "right-adequate", "ample", "right-ample",
+)
+
+
+@pytest.mark.parametrize(
+    "kind, p, command", list(WHOLE_IDEAL_OUTPUTS), ids=["-".join(k) for k in WHOLE_IDEAL_OUTPUTS]
+)
+def test_whole_ideals_print_their_own_labels(capsys, kind, p, command):
+    # The semigroup's own table is asked first, so the ideal's run reads
+    # the shared Cayley graphs and relations, and still prints its label.
+    whole = {"k": "icn", "m": "qprime"}[kind]
+    args = {
+        "rank": (),
+        "maximal": (),
+        "greens": ("--relation", "Js"),
+        "check": tuple(x for prop in WHOLE_IDEAL_PROPERTIES for x in ("--property", prop)),
+    }[command]
+    run_cli(capsys, command, "--family", whole, "--n", "5", *args)
+    code, out, err = run_cli(capsys, command, "--family", kind, "--n", "5", "--p", p, *args)
+    assert (code, err) == ((1, "") if command == "check" else (0, ""))
+    label = f"K(5,{p})" if kind == "k" else f"M(5,{p})"
+    assert label in out and "IC_5" not in out and "Q'_5" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == WHOLE_IDEAL_OUTPUTS[kind, p, command]

@@ -22,7 +22,7 @@ from conftest import (
     packed_table,
 )
 
-from catalanlab import families, formulas, genrank, pinj
+from catalanlab import families, formulas, genrank, greens, pinj
 from catalanlab.errors import (
     CapExceededError,
     ChainMismatchError,
@@ -376,6 +376,26 @@ def test_equal_image_or_domain_gives_one_kernel_over_s1(spec):
         for members in groups.values():
             kernels = {kernel_over_s1(table, a, left) for a in members}
             assert len(kernels) == 1, (left, [table.text_of(a) for a in members])
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_kernel_groups_move_together_along_the_cayley_graph(spec):
+    # What greens' walk over the groups rests on, checked on the products
+    # alone: the members of an image group times g in A land in one image
+    # group, and g times the members of a domain group in one domain
+    # group, so a group's successors are read off any one member.
+    table = families.enumerate_family(spec)
+    for left in (True, False):
+        group_of = {}
+        for gid, members in enumerate(table.kernel_groups(left)):
+            group_of.update(dict.fromkeys(members, gid))
+        for members in table.kernel_groups(left):
+            for g in table.generators:
+                landed = {
+                    group_of[table.product(a, g) if left else table.product(g, a)]
+                    for a in members
+                }
+                assert len(landed) == 1, (left, table.text_of(members[0]), table.text_of(g))
 
 
 def test_the_kernel_lemma_reaches_the_collapse_and_the_adjoined_identity():
@@ -754,3 +774,49 @@ def test_table_json_shape():
 def test_rees_zero_is_a_singleton():
     assert ReesZero() is REES_ZERO
     assert repr(REES_ZERO) == "0"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_whole_ideals_share_the_semigroup_table(n):
+    # K(n,n) is IC_n and M(n,n-1) is Q'_n: one image tuple, one set of
+    # Cayley graphs and one greens memo, under the ideal's own spec.
+    pairs = [(FamilySpec("k", n, n), FamilySpec("icn", n))]
+    if n >= 2:
+        pairs.append((FamilySpec("m", n, n - 1), FamilySpec("qprime", n)))
+    for ideal_spec, whole_spec in pairs:
+        ideal = families.enumerate_family(ideal_spec)
+        whole = families.enumerate_family(whole_spec)
+        assert ideal is not whole and ideal.semigroup is whole
+        assert ideal.family == ideal_spec and whole.family == whole_spec
+        assert ideal.images is whole.images
+        assert ideal.generators is whole.generators
+        assert ideal.generator_rows() is whole.generator_rows()
+        assert greens.starred_L(ideal) is greens.starred_L(whole)
+        assert greens.starred_R(ideal) is greens.starred_R(whole)
+        for which in greens.GREEN_NAMES:
+            assert greens.green(ideal, which) is greens.green(whole, which), which
+    # The lower heights and the Rees quotients are tables of their own.
+    whole = families.enumerate_family(FamilySpec("icn", n))
+    others = [FamilySpec("k", n, p) for p in range(1, n)]
+    others += [FamilySpec("ric", n, p) for p in range(1, n + 1)]
+    others += [FamilySpec("rq", n, p) for p in range(1, n)]
+    for spec in others:
+        table = families.enumerate_family(spec)
+        assert table.semigroup is table
+        assert table.images is not whole.images
+        assert greens.starred_L(table) is not greens.starred_L(whole)
+
+
+def test_a_renamed_table_reads_what_its_semigroup_builds_later():
+    # Built fresh and in either order, the ideal's Cayley graphs and
+    # product rows are the whole semigroup's objects.
+    for first in ("ideal", "whole"):
+        whole = families._build_table.__wrapped__(FamilySpec("icn", 4))
+        ideal = whole.renamed(FamilySpec("k", 4, 4))
+        tables = (ideal, whole) if first == "ideal" else (whole, ideal)
+        for table in tables:
+            table.product_rows()
+        assert ideal.generators is whole.generators
+        assert ideal.generator_rows() is whole.generator_rows()
+        assert ideal.product_rows() is whole.product_rows()
+        assert ideal.family.label() == "K(4,4)" and whole.family.label() == "IC_4"

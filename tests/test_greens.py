@@ -20,6 +20,7 @@ from conftest import (
     kernel_key_starred,
     line_kernel_key,
     line_kernel_partition,
+    oracle_kernel_partition,
     related_pairs,
     relation_compose,
     relation_pairs,
@@ -27,7 +28,7 @@ from conftest import (
     transitive_closure_join,
     tree_starred,
 )
-from test_structure import FakeTable
+from test_structure import LEFT_ZERO, RIGHT_ZERO, FakeTable, perturbed_tables
 
 from catalanlab import families, greens, pinj
 from catalanlab.errors import ValidationError
@@ -284,6 +285,61 @@ def test_starred_L_and_R_on_duck_typed_tables_match_the_line_keys():
         assert greens.starred_R(semigroup) == line_kernel_partition(semigroup, True)
 
 
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_starred_L_and_R_match_the_composed_line_route(spec):
+    # The lines walked along the Cayley graph against one line composed
+    # for each kernel group's first member.
+    table = families.enumerate_family(spec)
+    assert greens.starred_L(table) == oracle_kernel_partition(table, True)
+    assert greens.starred_R(table) == oracle_kernel_partition(table, False)
+
+
+def test_starred_L_and_R_match_the_composed_line_route_on_duck_typed_tables():
+    # Random and perturbed products need not associate; those tables are
+    # generated by every element, so every line is a generator's.  The
+    # 33-element semigroup and its opposite are walked from 3 generators.
+    rng = random.Random(5)
+    tables = [
+        FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+        for m in (rng.randint(1, 7) for _ in range(300))
+    ]
+    table = star_table()
+    opposite = FakeTable(list(zip(*table.product_rows())), generators=table.generators)
+    tables += [table, opposite, LEFT_ZERO, RIGHT_ZERO, FakeTable([[1, 1], [1, 1]])]
+    tables += perturbed_tables(seed=7, count=100)
+    for table in tables:
+        assert greens.starred_L(table) == oracle_kernel_partition(table, True)
+        assert greens.starred_R(table) == oracle_kernel_partition(table, False)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("icn", 5), FamilySpec("qprime", 5), FamilySpec("rq", 5, 2), FamilySpec("k", 5, 3),
+    FamilySpec("syminv", 3),
+], ids=lambda s: s.label())
+def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
+    # L* reads the generator rows the table already holds and R* composes
+    # the generator columns, once each; every other line is gathered.
+    table = families._build_table.__wrapped__(spec)
+    table.generator_rows()
+    asked = []
+    columns = table.columns
+
+    def counted(indices):
+        indices = tuple(indices)
+        asked.append(indices)
+        return columns(indices)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("L* and R* compose no row")
+
+    monkeypatch.setattr(table, "rows", refuse)
+    monkeypatch.setattr(table, "columns", counted)
+    greens.starred_L(table)
+    assert asked == []
+    greens.starred_R(table)
+    assert asked == [table.generators]
+
+
 def assert_starred_match_the_tree_keys(table):
     for which, want in tree_starred(table).items():
         assert greens.starred(table, which) == want, which
@@ -459,6 +515,8 @@ def test_relations_are_computed_once_per_table():
         assert greens.green(table, which) is greens.green(table, which), which
     assert greens.starred_L(table) is greens.starred_L(table)
     assert greens.starred_R(table) is greens.starred_R(table)
+    # D* too, as J* reads it; H* and J* are built afresh on each call.
+    assert greens.starred_D(table) is greens.starred_D(table)
     # I_3 is not J-trivial, so its L, R and H differ and stay apart.  A
     # fresh table, so D is computed before J here; J, equal to D, then
     # shares D's object through the memo.
