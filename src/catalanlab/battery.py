@@ -15,6 +15,7 @@ those attributes see every call the battery makes.
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from operator import methodcaller
 from typing import Callable, NamedTuple
 
 from . import families, formulas, genrank, greens, pinj, structure
@@ -57,6 +58,18 @@ class Instance:
     @cached_property
     def census(self):
         return genrank.kind_census(self.table)
+
+    @cached_property
+    def lift_eligible(self):
+        """The elements lift_height takes, by genrank's kinds and bound."""
+        qprime_side = self.spec.qprime_side
+        kinds = genrank.generator_kinds(qprime_side)
+        bound = genrank.lift_bound(self.n, qprime_side)
+        return [
+            a
+            for a in _elements(self)
+            if genrank.element_kind(a, qprime_side) in kinds and pinj.height(a) <= bound
+        ]
 
     def total(self, *kinds):
         """Number of real elements of the given census kinds."""
@@ -188,8 +201,18 @@ def _starred_counts(x):
     return f"{domains + 1},{formulas._comb(x.n, x.spec.p) + 1}"
 
 
+# partition_by's readings of a packed image, apart from the kernel_groups
+# they check: its set of bytes names the image (0 is in it exactly when
+# the map is partial), its nonzero pattern the domain, its zeros the height.
+_zeros = methodcaller("count", 0)
+
+
+def _domain(image):
+    return bytes(map(bool, image))
+
+
 def _dstar_and_jstar_are_height(x):
-    height = greens.partition_by(x.table, pinj.height)
+    height = greens.partition_by(x.table, _zeros)
     return x.dstar == height and greens.starred_J(x.table) == height
 
 
@@ -238,12 +261,8 @@ def _top_idempotent_is_left_identity(x):
     e = table.index(pinj.partial_identity(x.n, range(2, x.n + 1)))
     (row_e,), (col_e,) = table.rows([e]), table.columns([e])
     everyone = tuple(range(table.size))
-    left_identity = row_e == everyone
-    right_identity = col_e == everyone
-    top_idems = [
-        i for i in structure.idempotent_indices(table) if table.height_of(i) == x.n - 1
-    ]
-    return left_identity and not right_identity and top_idems == [e]
+    top_idems = [i for i in structure.idempotent_indices(table) if table.height_of(i) == x.n - 1]
+    return row_e == everyone and col_e != everyone and top_idems == [e]
 
 
 def _top_layer_classes(x):
@@ -294,19 +313,6 @@ def _requisite_split_ok(x, alpha):
         and pinj.domain(beta) == pinj.domain(alpha)
         and 1 not in pinj.image(beta)
     )
-
-
-def _lift_eligible(x):
-    """The elements lift_height takes: generator kinds up to its height
-    bound, both read from genrank."""
-    qprime_side = x.spec.qprime_side
-    kinds = genrank.generator_kinds(qprime_side)
-    bound = genrank.lift_bound(x.n, qprime_side)
-    return [
-        a
-        for a in _elements(x)
-        if genrank.element_kind(a, qprime_side) in kinds and pinj.height(a) <= bound
-    ]
 
 
 def _lift_ok(x, alpha):
@@ -382,9 +388,9 @@ _NONCOMMUTE = Claim(
     True, _noncommute)
 _LIFT = Claim(
     "lift-{tag}",
-    lambda x: f"all {len(_lift_eligible(x))} eligible generators split into two"
+    lambda x: f"all {len(x.lift_eligible)} eligible generators split into two"
     " in-family factors one height up",
-    0, lambda x: sum(not _lift_ok(x, a) for a in _lift_eligible(x)))
+    0, lambda x: sum(not _lift_ok(x, a) for a in x.lift_eligible))
 
 CLAIMS = (
     # orders
@@ -458,11 +464,11 @@ CLAIMS = (
     # share a key, which fails only on RQ'_n(p) with p >= 2.
     Section(ORDERED_KINDS, 1, BATTERY_STARRED_CEILING,
         Claim("lstar-image-{tag}", "the left starred relation is the equal-image partition",
-              True, lambda x: x.lstar == greens.partition_by(x.table, pinj.image),
+              True, lambda x: x.lstar == greens.partition_by(x.table, frozenset),
               _reported_on_rq),
         Claim("rstar-domain-{tag}",
               "the right starred relation is the equal-domain partition",
-              True, lambda x: x.rstar == greens.partition_by(x.table, pinj.domain)),
+              True, lambda x: x.rstar == greens.partition_by(x.table, _domain)),
         Claim("hstar-identity-{tag}", "the starred meet relation is the identity partition",
               True, lambda x: greens.starred_H(x.table).is_identity, _reported_on_rq),
         Claim("starcount-{tag}",

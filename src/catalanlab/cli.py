@@ -205,10 +205,7 @@ def _cmd_greens(args):
     else:
         _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "relation computation")
     table = families.enumerate_family(spec)
-    if rel in _STARRED_RELATIONS:
-        part = greens.starred(table, rel)
-    else:
-        part = greens.green(table, rel)
+    part = (greens.starred if rel in _STARRED_RELATIONS else greens.green)(table, rel)
     classes = [
         [table.text_of(i) for i in members] for members in part.classes
     ]

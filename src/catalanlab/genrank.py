@@ -22,6 +22,7 @@ steps.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from typing import NamedTuple
 
 from . import families, formulas, greens, pinj
@@ -87,14 +88,10 @@ def element_kind(element, qprime_side):
 def kind_census(table):
     """Per-kind, per-height counts of the table's real elements."""
     qp = table.family.qprime_side
-    out = {}
+    out = defaultdict(Counter)
     for el in map(table.element, range(table.size)):
-        if el is families.REES_ZERO:
-            continue
-        kind = element_kind(el, qp)
-        h = pinj.height(el)
-        out.setdefault(kind, {})
-        out[kind][h] = out[kind].get(h, 0) + 1
+        if el is not families.REES_ZERO:
+            out[element_kind(el, qp)][pinj.height(el)] += 1
     return {k: dict(sorted(v.items())) for k, v in sorted(out.items())}
 
 

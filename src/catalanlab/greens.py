@@ -19,8 +19,8 @@ identity formally adjoined (no adjunction when the table already has
 one).  The only structure used is the lemma below, which lets elements
 with one image (domain) share one computed kernel, and the Cayley graph,
 along which each such group's line is gathered.  The characterizations
-(same image, same domain, same height) are built with partition_by and
-compared by the battery and the tests, as the independent cross-check.
+(same image, domain, height) are read off packed images by partition_by
+and compared by the battery and the tests, as the independent check.
 
 Kernel keys.  A line (a row a.x for L*, a column x.a for R*) is keyed
 by labelling its values in order of first occurrence and reading the
@@ -484,13 +484,13 @@ def starred(table, which):
     return fn(table)
 
 
-def partition_by(table, key_fn):
-    """The partition of a table by key_fn of each element; a Rees zero
-    forms a class of its own."""
-    elements = map(table.element, range(table.size))
-    return IndexPartition.from_keys(
-        [("zero",) if el is families.REES_ZERO else ("el", key_fn(el)) for el in elements]
-    )
+def partition_by(table, key):
+    """The partition of a table by key of each packed image, with no
+    element unpacked; a Rees zero forms a class of its own."""
+    keys = list(map(key, table.images))
+    if table.family.is_rees:
+        keys[table.zero_index] = families.REES_ZERO
+    return IndexPartition.from_keys(keys)
 
 
 def related_sets(*partitions):

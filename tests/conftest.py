@@ -91,6 +91,12 @@ row_builds makes enumerate_family return fresh, uncached tables and
 counts the full product tables built, for the tests that check which
 commands build none.
 
+oracle_partition_by is the partition of a table by a key of each
+element, as greens.partition_by took it before it read the packed images:
+every element unpacked and keyed by pinj.image, pinj.domain, pinj.height
+or any other function of it.  The library's partition_by under the
+battery's readings of packed bytes is checked against it.
+
 oracle_elements and oracle_images are the enumeration as it was when
 tables were built from elements: every candidate through the validating
 constructor, kept when a member, sorted by (height, canonical text), then
@@ -207,6 +213,14 @@ def elements_of(table):
     """Every element of a table in index order, the Rees zero included,
     each unpacked by SemigroupTable.element."""
     return [table.element(i) for i in range(table.size)]
+
+
+def oracle_partition_by(table, key_fn):
+    """The partition of a table by key_fn of each element, unpacked by
+    SemigroupTable.element; a Rees zero forms a class of its own."""
+    return IndexPartition.from_keys(
+        [("zero",) if el is families.REES_ZERO else ("el", key_fn(el)) for el in elements_of(table)]
+    )
 
 
 def direct_product(table, i, j):

@@ -13,11 +13,10 @@ import math
 from functools import reduce
 
 import pytest
-from conftest import no_smaller_generating_set
+from conftest import no_smaller_generating_set, oracle_partition_by
 
 from catalanlab import cli, families, formulas, genrank, greens, pinj, structure
 from catalanlab.families import FamilySpec
-from catalanlab.greens import partition_by
 
 
 def table(kind, n, p=None):
@@ -152,12 +151,12 @@ def test_c5_starred_characterizations_attainable_part(announce):
     ]
     for spec in uncollapsed:
         t = families.enumerate_family(spec)
-        assert greens.starred_L(t) == partition_by(t, pinj.image), spec
+        assert greens.starred_L(t) == oracle_partition_by(t, pinj.image), spec
         assert greens.starred_H(t).is_identity, spec
     for spec in all_specs(5):
         t = families.enumerate_family(spec)
-        assert greens.starred_R(t) == partition_by(t, pinj.domain), spec
-        by_height = partition_by(t, pinj.height)
+        assert greens.starred_R(t) == oracle_partition_by(t, pinj.domain), spec
+        by_height = oracle_partition_by(t, pinj.height)
         dstar = greens.starred_D(t)
         assert dstar == by_height, spec
         assert greens.starred_J(t) == by_height, spec
@@ -191,7 +190,7 @@ def test_c5_starred_characterizations_as_published(announce):
         " p >= 2; witness 3:2>1,3>2 ~L* 3:2>1,3>3 in RQ'_3(2) despite"
         " different images, so H* is not trivial there either"
     )
-    assert greens.starred_L(t) == partition_by(t, pinj.image)
+    assert greens.starred_L(t) == oracle_partition_by(t, pinj.image)
 
 
 def test_c6_composition_order_witnesses(announce):

@@ -21,6 +21,7 @@ from conftest import (
     line_kernel_key,
     line_kernel_partition,
     oracle_kernel_partition,
+    oracle_partition_by,
     related_pairs,
     relation_compose,
     relation_pairs,
@@ -30,10 +31,10 @@ from conftest import (
 )
 from test_structure import LEFT_ZERO, RIGHT_ZERO, FakeTable, perturbed_tables
 
-from catalanlab import families, greens, pinj
+from catalanlab import battery, families, greens, pinj
 from catalanlab.errors import ValidationError
-from catalanlab.families import KINDS, FamilySpec
-from catalanlab.greens import GREEN_NAMES, IndexPartition, partition_by
+from catalanlab.families import KINDS, FamilySpec, _valid_heights
+from catalanlab.greens import GREEN_NAMES, IndexPartition
 
 PLAIN_SPECS = [
     FamilySpec("icn", 3),
@@ -134,9 +135,9 @@ def test_plain_relations_on_unrestricted_injections():
     # the classic characterization: L by image, R by domain, D = J by height
     for n in (2, 3):
         table = families.enumerate_family(FamilySpec("syminv", n))
-        by_image = partition_by(table, lambda a: pinj.image(a))
-        by_domain = partition_by(table, lambda a: pinj.domain(a))
-        by_height = partition_by(table, lambda a: pinj.height(a))
+        by_image = oracle_partition_by(table, lambda a: pinj.image(a))
+        by_domain = oracle_partition_by(table, lambda a: pinj.domain(a))
+        by_height = oracle_partition_by(table, lambda a: pinj.height(a))
         assert greens.green(table, "L") == by_image
         assert greens.green(table, "R") == by_domain
         assert greens.green(table, "D") == by_height
@@ -610,6 +611,63 @@ def test_starred_dispatch_matches_direct_calls():
     assert greens.starred(table, "Js") == greens.starred_J(table)
 
 
+# The battery's readings of a packed image, each with the element-level
+# key it stands for.
+CHARACTERIZATIONS = (
+    ("image", frozenset, pinj.image),
+    ("domain", battery._domain, pinj.domain),
+    ("height", battery._zeros, pinj.height),
+)
+COLLAPSED_SPECS = [FamilySpec("rq", n, p) for n in range(1, 7) for p in _valid_heights("rq", n)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    dict.fromkeys(
+        DIFFERENTIAL_SPECS + [FamilySpec("icn", 7), FamilySpec("qprime", 7)] + COLLAPSED_SPECS
+    ),
+    ids=lambda s: s.label(),
+)
+def test_packed_characterizations_match_the_element_oracle(spec):
+    table = families.enumerate_family(spec)
+    for name, reading, key_fn in CHARACTERIZATIONS:
+        got = greens.partition_by(table, reading)
+        assert got == oracle_partition_by(table, key_fn), (spec, name)
+        if spec.is_rees:
+            assert got.class_members(table.zero_index) == (table.zero_index,), (spec, name)
+
+
+def test_packed_partition_by_unpacks_no_element(monkeypatch):
+    table = families.enumerate_family(FamilySpec("rq", 5, 2))
+
+    def refuse(self, i):
+        raise AssertionError("partition_by unpacked an element")
+
+    monkeypatch.setattr(families.SemigroupTable, "element", refuse)
+    for _, reading, _ in CHARACTERIZATIONS:
+        assert greens.partition_by(table, reading).class_count > 1
+
+
+def test_characterizations_do_not_read_kernel_groups(monkeypatch):
+    # The characterization rows are a check on L* and R*, which greens
+    # keys through kernel_groups; they must compute without it.
+    def refuse(self, left):
+        raise AssertionError("kernel_groups was called")
+
+    monkeypatch.setattr(families.SemigroupTable, "kernel_groups", refuse)
+    for spec in (FamilySpec("icn", 5), FamilySpec("qprime", 5), FamilySpec("rq", 5, 2),
+                 FamilySpec("ric", 5, 3), FamilySpec("k", 4, 2), FamilySpec("m", 4, 2)):
+        table = families.enumerate_family(spec)
+        for name, reading, key_fn in CHARACTERIZATIONS:
+            assert greens.partition_by(table, reading) == oracle_partition_by(table, key_fn), (
+                spec, name)
+        # the patch bites: a table of the same images, with no memo yet,
+        # cannot key L*
+        fresh = families.SemigroupTable(spec, table.images)
+        with pytest.raises(AssertionError, match="kernel_groups"):
+            greens.starred_L(fresh)
+
+
 def test_starred_characterizations_away_from_collapsed_quotients():
     specs = [
         FamilySpec("icn", 4),
@@ -622,10 +680,10 @@ def test_starred_characterizations_away_from_collapsed_quotients():
     ]
     for spec in specs:
         table = families.enumerate_family(spec)
-        assert greens.starred_L(table) == partition_by(table, pinj.image), spec
-        assert greens.starred_R(table) == partition_by(table, pinj.domain), spec
+        assert greens.starred_L(table) == oracle_partition_by(table, pinj.image), spec
+        assert greens.starred_R(table) == oracle_partition_by(table, pinj.domain), spec
         assert greens.starred_H(table).is_identity, spec
-        by_height = partition_by(table, pinj.height)
+        by_height = oracle_partition_by(table, pinj.height)
         assert greens.starred_D(table) == by_height, spec
         assert greens.starred_J(table) == by_height, spec
 
@@ -642,14 +700,14 @@ def test_starred_L_merges_image_one_elements_in_collapsed_quotients():
             img = pinj.image(el)
             return "ones" if 1 in img else img
 
-        want = partition_by(table, true_key)
+        want = oracle_partition_by(table, true_key)
         got = greens.starred_L(table)
         assert got == want, (n, p)
         if p >= 2:
-            assert got != partition_by(table, pinj.image), (n, p)
+            assert got != oracle_partition_by(table, pinj.image), (n, p)
         # R* is untouched by the collapse
-        assert greens.starred_R(table) == partition_by(table, pinj.domain)
-        by_height = partition_by(table, pinj.height)
+        assert greens.starred_R(table) == oracle_partition_by(table, pinj.domain)
+        by_height = oracle_partition_by(table, pinj.height)
         assert greens.starred_D(table) == by_height
         assert greens.starred_J(table) == by_height
 
