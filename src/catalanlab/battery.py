@@ -60,6 +60,12 @@ class Instance:
         return genrank.kind_census(self.table)
 
     @cached_property
+    def elements(self):
+        """The real elements, without a Rees zero, unpacked once."""
+        table = self.table
+        return [a for a in map(table.element, range(table.size)) if a is not families.REES_ZERO]
+
+    @cached_property
     def lift_eligible(self):
         """The elements lift_height takes, by genrank's kinds and bound."""
         qprime_side = self.spec.qprime_side
@@ -67,7 +73,7 @@ class Instance:
         bound = genrank.lift_bound(self.n, qprime_side)
         return [
             a
-            for a in _elements(self)
+            for a in self.elements
             if genrank.element_kind(a, qprime_side) in kinds and pinj.height(a) <= bound
         ]
 
@@ -284,11 +290,6 @@ def _maximal_count(x):
     return len(genrank.maximal_subsemigroups(x.table))
 
 
-def _elements(x):
-    """The instance's real elements, without a Rees zero."""
-    return [a for a in map(x.table.element, range(x.table.size)) if a is not families.REES_ZERO]
-
-
 def _chain_factors_ok(x, alpha):
     qprime_side = x.spec.qprime_side
     factors = genrank.essential_factorization(alpha, qprime_side=qprime_side)
@@ -325,11 +326,11 @@ def _lift_ok(x, alpha):
 
 def _blocked_outside_top_closure(x):
     closure = genrank.closure(x.table, x.layer(x.n - 1))
+    layer = x.layer(x.n - 2)
     blocked = [
         i
-        for i in x.layer(x.n - 2)
-        if genrank.element_kind(x.table.element(i), True) == "essential"
-        and x.table.element(i).img[1] is not None
+        for i, a in zip(layer, map(x.table.element, layer))
+        if genrank.element_kind(a, True) == "essential" and a.img[1] is not None
     ]
     return bool(blocked) and all(i not in closure for i in blocked)
 
@@ -576,17 +577,17 @@ CLAIMS = (
         Claim("factor-chain-{tag}",
               "every element recomposes from idempotent or essential"
               " factors of its own height",
-              0, lambda x: sum(not _chain_factors_ok(x, a) for a in _elements(x)))),
+              0, lambda x: sum(not _chain_factors_ok(x, a) for a in x.elements))),
     Section((QPRIME,), 2, 5,
         Claim("factor-chain-{tag}",
               "every element recomposes from in-family idempotent,"
               " essential or requisite factors of its own height",
-              0, lambda x: sum(not _chain_factors_ok(x, a) for a in _elements(x))),
+              0, lambda x: sum(not _chain_factors_ok(x, a) for a in x.elements)),
         Claim("factor-requisite-{tag}",
               "every element whose image contains 1 splits into a domain"
               " preserving left factor and the requisite with its image",
               0, lambda x: sum(
-                  not _requisite_split_ok(x, a) for a in _elements(x) if 1 in pinj.image(a)))),
+                  not _requisite_split_ok(x, a) for a in x.elements if 1 in pinj.image(a)))),
     Section((ICN,), 2, 5, _LIFT),
     Section((QPRIME,), 3, 5, _LIFT),
     Section((QPRIME,), 4, 5,

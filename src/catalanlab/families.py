@@ -23,13 +23,15 @@ read-only: the packed images and the Cayley-graph rows are tuples, and
 the full product rows read-only memoryviews of 2-byte indices (4-byte
 past 65,536 elements).
 
-One table per semigroup.  The ideal K(n,n) holds every element of IC_n,
-and M(n,n-1) every element of Q'_n, enumerated in the same order; so
-their tables are those of IC_n and Q'_n renamed (SemigroupTable.renamed):
-the same image tuple and index, generators, Cayley rows, product rows and
-greens memo, under the ideal's own FamilySpec and label.  The lower
-heights K(n,p) and M(n,p) and the Rees quotients are other semigroups,
-with tables of their own.
+One store per table.  What a table computes once, its generators and
+left Cayley graph, product rows, relation partitions and idempotents, is
+kept in one dict on the table (memoized), and goes when the table does.
+The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
+of Q'_n, enumerated in the same order; so their tables are those of IC_n
+and Q'_n renamed (SemigroupTable.renamed): the same image tuple, index
+and store, under the ideal's own FamilySpec and label, so either table
+reads what the other built.  The lower heights K(n,p) and M(n,p) and the
+Rees quotients are other semigroups, with tables of their own.
 """
 
 from __future__ import annotations
@@ -197,12 +199,8 @@ class SemigroupTable:
         # without one.
         self._rees_zero = self.zero_index if family.is_rees else None
         self.identity_index = self._find_identity()
-        self._rows = None
-        self._generators = None
-        self._generator_rows = None
-        # The table this one was renamed from, which builds the Cayley
-        # graphs and product rows for both; None for a table of its own.
-        self._shared = None
+        # What the table computes once (see memoized), shared by renamed.
+        self._memo = {}
 
     def __len__(self):
         return self.size
@@ -223,20 +221,12 @@ class SemigroupTable:
         """This table under the spec of an ideal that is the whole
         semigroup (K(n,n) for IC_n, M(n,n-1) for Q'_n): a table of its
         own, with family as its spec and label, that holds this one's
-        images and index and reads its Cayley graphs, product rows and
-        greens memo from this one (see semigroup), whichever of the two
-        is asked for them first."""
+        images, index and store, so whichever of the two is asked first
+        builds a result for both."""
         twin = object.__new__(SemigroupTable)
         twin.__dict__.update(self.__dict__)
         twin.family = family
-        twin._shared = self.semigroup
         return twin
-
-    @property
-    def semigroup(self):
-        """The table that holds this one's Cayley graphs, product rows and
-        greens memo: itself, or the table it was renamed from."""
-        return self if self._shared is None else self._shared
 
     def element(self, i):
         """Element i, unpacked from its image bytes, or REES_ZERO."""
@@ -281,17 +271,13 @@ class SemigroupTable:
         """The generating set A the Cayley graphs are built over, as a
         tuple of indices in the order chosen.  On a J-trivial table it is
         the unique minimum generating set (see _left_graph)."""
-        if self._generators is None:
-            self._left_graph()
-        return self._generators
+        return memoized(self, "A", SemigroupTable._left_graph)[0]
 
     def generator_rows(self):
         """The left Cayley graph: for each g in A, in the order of
         self.generators, the row g.x for every x.  Built once, in
         O(m |A|) compositions on packed images."""
-        if self._generator_rows is None:
-            self._left_graph()
-        return self._generator_rows
+        return memoized(self, "A", SemigroupTable._left_graph)[1]
 
     def rows(self, indices, at=None):
         """For each index a, the row a.x for every x, or for the x in at
@@ -347,23 +333,20 @@ class SemigroupTable:
         and columns() instead, which hold O(m |A|) or O(m) entries
         instead of m^2.
         """
-        if self._rows is not None:
-            return self._rows
-        if self._shared is not None:
-            self._rows = self._shared.product_rows()
-            return self._rows
+        return memoized(self, "rows", SemigroupTable._product_rows)
+
+    def _product_rows(self):
         code = _index_typecode(self.size)
         pack = struct.Struct(f"{self.size}{code}").pack
         rows = [None] * self.size
         walk = tree_walk(self.size, self.generators, self.generator_rows(), tuple, follow)
         for y, row in walk:
             rows[y] = memoryview(pack(*row)).cast(code)
-        self._rows = tuple(rows)
-        return self._rows
+        return tuple(rows)
 
     def _left_graph(self):
-        """Choose A and compose its rows (Froidure and Pin's Cayley-graph
-        enumeration).  An element not yet reached joins A, and a
+        """A and its rows, chosen and composed (Froidure and Pin's
+        Cayley-graph enumeration).  An element not yet reached joins A, and a
         breadth-first search over x -> g.x (g in A) extends the reach to
         <A>, until every element is reached.
 
@@ -390,10 +373,6 @@ class SemigroupTable:
         J-classes are its height layers, so a J-trivial I_n has one element
         per height, that order is a J-order on it, and the argument holds.
         """
-        if self._shared is not None:
-            self._generators = self._shared.generators
-            self._generator_rows = self._shared.generator_rows()
-            return
         m, n, images = self.size, self.family.n, self.images
         row_of = self._composer(left=True)
         reached = bytearray(m)
@@ -424,8 +403,7 @@ class SemigroupTable:
                 for y in fresh:
                     reached[y] = 1
                 found = set().union(*(map(row.__getitem__, fresh) for row in gen_rows))
-        self._generators = tuple(gens)
-        self._generator_rows = tuple(gen_rows)
+        return tuple(gens), tuple(gen_rows)
 
     def _composer(self, left, at=None):
         """A function from an index a to the row a.x (left) or the column
@@ -463,6 +441,26 @@ class SemigroupTable:
             f"{self.family.label()} is not closed: the product of"
             f" {self.text_of(i)} and {self.text_of(j)} is not in the table"
         )
+
+
+def memoized(table, name, build, *args):
+    """build(table, *args), computed once per semigroup and then kept
+    under name in table._memo, the one store of what a table derives:
+    its generators and left Cayley graph, product rows, relation
+    partitions (greens) and idempotents (structure).  A table renamed
+    from another holds that one's store.  A result equal to one already
+    stored is replaced by it, so equal relations share one object: on a
+    J-trivial table all five classical relations are the identity.  A
+    table without a store, a test double, computes afresh on each call.
+    """
+    memo = getattr(table, "_memo", None)
+    if memo is None:
+        return build(table, *args)
+    found = memo.get(name)
+    if found is None:
+        found = build(table, *args)
+        found = memo[name] = next((kept for kept in memo.values() if kept == found), found)
+    return found
 
 
 def spanning_tree(size, gens, lines):

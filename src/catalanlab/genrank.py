@@ -32,28 +32,19 @@ from .errors import ContractError, UnsupportedTableError, ValidationError
 def closure(table, generators):
     """Indices of the subsemigroup generated by the given indices.
 
-    A breadth-first search from G over x -> x.g (g in G): every product
-    g_1 ... g_k is reached from g_1 by right multiplications.  G may be
-    any set of indices, not only generators of the table; each column
-    x.g is composed on packed images (table.columns), O(m) per element
-    of G, and the search takes O(|<G>| |G|) steps, not O(|<G>|^2).
+    G and the ends of the breadth-first spanning tree from G over
+    x -> x.g (g in G, families.spanning_tree): every product g_1 ... g_k
+    is reached from g_1 by right multiplications.  G may be any set of
+    indices, not only generators of the table; each column x.g is
+    composed on packed images (table.columns), O(m) per element of G,
+    and the search takes O(|<G>| |G|) steps, not O(|<G>|^2).
     """
-    seen = bytearray(table.size)
-    queue = []
-    for g in generators:
+    gens = list(dict.fromkeys(generators))
+    for g in gens:
         if not 0 <= g < table.size:
             raise ValidationError(f"generator index {g} out of range")
-        if not seen[g]:
-            seen[g] = 1
-            queue.append(g)
-    columns = tuple(table.columns(queue))
-    for x in queue:
-        for col in columns:
-            y = col[x]
-            if not seen[y]:
-                seen[y] = 1
-                queue.append(y)
-    return frozenset(queue)
+    tree = families.spanning_tree(table.size, gens, tuple(table.columns(gens)))
+    return frozenset(gens).union(y for _, _, y in tree)
 
 
 def indecomposables(table):

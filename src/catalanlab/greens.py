@@ -112,7 +112,7 @@ R*) lies inside one component.  The components can therefore be found
 on the much smaller quotient graph whose nodes are the D*-classes: the
 cycles fall inside the nodes, and class C has an edge to the class of
 g.x and of x.g for each x in C, read off the generator rows and
-columns.  D* comes from the memo, so a table that was asked for D* joins
+columns.  D* comes from the store, so a table that was asked for D* joins
 L* and R* once.  Tarjan's routine above finds them.  This reads O(m |A|)
 entries; saturating each ideal as a set, as star_ideal does, reads whole
 rows and columns per element reached.  star_ideal stays as the
@@ -122,12 +122,9 @@ of a semigroup of partial maps where J* merges two D*-classes.
 
 The classical relations, L*, R* and D* are computed once per table, and
 later calls return the same IndexPartition; H* and J* are built from them
-afresh on each call.  The memo is keyed weakly by the table's semigroup
-(families.SemigroupTable.semigroup): K(n,n) is IC_n and M(n,n-1) is
-Q'_n, and their tables read one memo with those.  A table without that
-attribute, a duck-typed one, is its own key.  The memo needs nothing
-stored on the table and goes away with it.  structure keeps each
-table's idempotents in it as well.
+afresh on each call.  They are kept in the table's store
+(families.memoized), which K(n,n) shares with IC_n and M(n,n-1) with
+Q'_n, and which goes when the table does.
 
 Partitions index elements by table position; class ids are assigned by
 least member, so all outputs are deterministic.
@@ -136,47 +133,14 @@ least member, so all outputs are deterministic.
 from __future__ import annotations
 
 import struct
-import weakref
 from collections import defaultdict
 from itertools import count
 from operator import itemgetter
 
 from . import families
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 
 GREEN_NAMES = ("L", "R", "H", "D", "J")
-
-# Results already computed, per table: table.semigroup -> {name: result},
-# the results being relation partitions and structure's idempotent indices.
-# Keys are held weakly, so a table's entry goes when the table does.
-_MEMO = weakref.WeakKeyDictionary()
-
-
-def memoized(table, name, build, *args):
-    """build(table, *args), computed once per table and then shared.
-
-    The memo is keyed by table.semigroup, or by the table object when it
-    has no such attribute, so a new table never sees an earlier table's
-    result, and a table renamed from another shares that one's.  A table
-    that cannot be weakly referenced or hashed is not memoized.
-    """
-    owner = getattr(table, "semigroup", table)
-    try:
-        per_table = _MEMO.get(owner)
-        if per_table is None:
-            per_table = _MEMO[owner] = {}
-    except TypeError:
-        return build(table, *args)
-    part = per_table.get(name)
-    if part is None:
-        part = build(table, *args)
-        # Equal relations share one object, so a table holds each distinct
-        # partition once: on a J-trivial table all five classical
-        # relations are the identity.
-        part = next((p for p in per_table.values() if p == part), part)
-        per_table[name] = part
-    return part
-
 
 class IndexPartition:
     """A partition of table indices with deterministic class ids."""
@@ -241,13 +205,13 @@ def green(table, which):
     """
     if which not in GREEN_NAMES:
         raise ValidationError(f"unknown Green relation {which!r}")
-    return memoized(table, which, _green, which)
+    return families.memoized(table, which, _green, which)
 
 
 def _green(table, which):
     if which in ("H", "D"):
-        lpart = memoized(table, "L", _green, "L")
-        rpart = memoized(table, "R", _green, "R")
+        lpart = families.memoized(table, "L", _green, "L")
+        rpart = families.memoized(table, "R", _green, "R")
         if which == "H":
             return _meet(lpart, rpart)
         return _join(lpart, rpart)
@@ -361,7 +325,11 @@ def _kernel_partition(table, left):
         buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
             groups[group_of[a]]
         )
-    return IndexPartition.from_groups(table.size, buckets.values())
+    try:
+        return IndexPartition.from_groups(table.size, buckets.values())
+    except ValidationError as exc:
+        # The groups come from the table, not the input: a gap is a defect.
+        raise InvariantError(f"{'L*' if left else 'R*'} kernel {exc}") from exc
 
 
 def _group_lines(table, left, group_of, group_count):
@@ -402,12 +370,12 @@ def _group_lines(table, left, group_of, group_count):
 def starred_L(table):
     """L*: equal kernels of x -> ax with x running over the table plus a
     formally adjoined identity when none is present."""
-    return memoized(table, "Ls", _kernel_partition, True)
+    return families.memoized(table, "Ls", _kernel_partition, True)
 
 
 def starred_R(table):
     """R*: the dual of L*, with kernels of x -> xa."""
-    return memoized(table, "Rs", _kernel_partition, False)
+    return families.memoized(table, "Rs", _kernel_partition, False)
 
 
 def starred_H(table):
@@ -418,7 +386,7 @@ def starred_H(table):
 def starred_D(table):
     """D*: the join (transitive closure) of L* and R*, computed once per
     table, as J* reads it too."""
-    return memoized(table, "Ds", _starred_join)
+    return families.memoized(table, "Ds", _starred_join)
 
 
 def _starred_join(table):

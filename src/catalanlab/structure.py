@@ -11,7 +11,7 @@ derived along the spanning tree from A, or single products.  With m
 elements and E the idempotents:
 
   idempotent_indices   the diagonal, i.i = i: m products, once per table
-                       (kept in greens' per-table memo).
+                       (kept in the table's store, families.memoized).
   regular_elements     every column, then every row, each made from its
                        tree parent's by one itemgetter call, walked depth
                        first (families.tree_walk): m^2 entries read, and
@@ -63,7 +63,7 @@ def _label(table):
 
 def idempotent_indices(table):
     """Indices i with i.i = i, in index order, as a new list."""
-    return list(greens.memoized(table, "E", _diagonal_fixed_points))
+    return list(families.memoized(table, "E", _diagonal_fixed_points))
 
 
 def _diagonal_fixed_points(table):

@@ -798,13 +798,12 @@ def row_builds(monkeypatch):
     """A list of the tables whose full product rows get built, while
     enumerate_family returns a fresh table on every call."""
     built = []
-    product_rows = families.SemigroupTable.product_rows
+    build = families.SemigroupTable._product_rows
 
     def counted(table):
-        if table._rows is None:
-            built.append(table)
-        return product_rows(table)
+        built.append(table)
+        return build(table)
 
-    monkeypatch.setattr(families.SemigroupTable, "product_rows", counted)
+    monkeypatch.setattr(families.SemigroupTable, "_product_rows", counted)
     monkeypatch.setattr(families, "_build_table", families._build_table.__wrapped__)
     return built

@@ -819,6 +819,24 @@ def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):
     assert err.startswith("error: internal invariant failed: IC_2 is not closed")
 
 
+@pytest.mark.parametrize("relation", ["Ls", "Rs"])
+def test_a_gap_in_the_kernel_groups_exits_four(capsys, monkeypatch, relation):
+    # The groups come from the table, so one missing is a defect, not bad input.
+    kernel_groups = families.SemigroupTable.kernel_groups
+    monkeypatch.setattr(
+        families.SemigroupTable, "kernel_groups", lambda t, left: kernel_groups(t, left)[:-1]
+    )
+    monkeypatch.setattr(families, "_build_table", families._build_table.__wrapped__)
+    args = ("greens", "--family", "icn", "--n", "3", "--relation", relation)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"error: internal invariant failed: {relation[0]}* kernel groups"
+        " do not cover every index\n"
+    )
+
+
 # stdout sha256 of rank, maximal, greens --relation Js and check (every
 # property but the inverse ideals) on the two ideals that are the whole
 # semigroup, in human format; recorded before K(n,n) and M(n,n-1) shared

@@ -1,10 +1,12 @@
 """Family enumeration, table construction, and the Rees product rule."""
 
 import copy
+import gc
 import pickle
 import random
 import re
 import struct
+import weakref
 from collections.abc import Mapping
 from itertools import combinations, permutations
 
@@ -22,7 +24,7 @@ from conftest import (
     packed_table,
 )
 
-from catalanlab import families, formulas, genrank, greens, pinj
+from catalanlab import families, formulas, genrank, greens, pinj, structure
 from catalanlab.errors import (
     CapExceededError,
     ChainMismatchError,
@@ -778,15 +780,15 @@ def test_rees_zero_is_a_singleton():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_the_whole_ideals_share_the_semigroup_table(n):
-    # K(n,n) is IC_n and M(n,n-1) is Q'_n: one image tuple, one set of
-    # Cayley graphs and one greens memo, under the ideal's own spec.
+    # K(n,n) is IC_n and M(n,n-1) is Q'_n: one image tuple and one store,
+    # so one set of Cayley graphs and relations, under the ideal's own spec.
     pairs = [(FamilySpec("k", n, n), FamilySpec("icn", n))]
     if n >= 2:
         pairs.append((FamilySpec("m", n, n - 1), FamilySpec("qprime", n)))
     for ideal_spec, whole_spec in pairs:
         ideal = families.enumerate_family(ideal_spec)
         whole = families.enumerate_family(whole_spec)
-        assert ideal is not whole and ideal.semigroup is whole
+        assert ideal is not whole and ideal._memo is whole._memo
         assert ideal.family == ideal_spec and whole.family == whole_spec
         assert ideal.images is whole.images
         assert ideal.generators is whole.generators
@@ -802,21 +804,54 @@ def test_the_whole_ideals_share_the_semigroup_table(n):
     others += [FamilySpec("rq", n, p) for p in range(1, n)]
     for spec in others:
         table = families.enumerate_family(spec)
-        assert table.semigroup is table
+        assert table._memo is not whole._memo
         assert table.images is not whole.images
         assert greens.starred_L(table) is not greens.starred_L(whole)
 
 
 def test_a_renamed_table_reads_what_its_semigroup_builds_later():
-    # Built fresh and in either order, the ideal's Cayley graphs and
-    # product rows are the whole semigroup's objects.
-    for first in ("ideal", "whole"):
-        whole = families._build_table.__wrapped__(FamilySpec("icn", 4))
-        ideal = whole.renamed(FamilySpec("k", 4, 4))
-        tables = (ideal, whole) if first == "ideal" else (whole, ideal)
-        for table in tables:
-            table.product_rows()
-        assert ideal.generators is whole.generators
-        assert ideal.generator_rows() is whole.generator_rows()
-        assert ideal.product_rows() is whole.product_rows()
-        assert ideal.family.label() == "K(4,4)" and whole.family.label() == "IC_4"
+    # Built fresh and in either order, everything the ideal computes once
+    # is the whole semigroup's object: Cayley graphs, product rows,
+    # relations and idempotents.
+    results = {
+        "generators": lambda t: t.generators,
+        "generator_rows": lambda t: t.generator_rows(),
+        "product_rows": lambda t: t.product_rows(),
+        **{which: lambda t, w=which: greens.green(t, w) for which in ("L", "R", "J")},
+        **{which: lambda t, w=which: greens.starred(t, w) for which in ("Ls", "Rs", "Ds")},
+        "idempotents": structure.idempotent_indices,
+    }
+    for ideal_spec, whole_spec in (
+        (FamilySpec("k", 4, 4), FamilySpec("icn", 4)),
+        (FamilySpec("m", 4, 3), FamilySpec("qprime", 4)),
+    ):
+        for first in ("ideal", "whole"):
+            whole = families._build_table.__wrapped__(whole_spec)
+            ideal = whole.renamed(ideal_spec)
+            tables = (ideal, whole) if first == "ideal" else (whole, ideal)
+            built = {name: result(tables[0]) for name, result in results.items()}
+            for name, result in results.items():
+                if name == "idempotents":
+                    # a new list on each call, read from the one stored tuple
+                    assert result(tables[1]) == built[name]
+                else:
+                    assert result(tables[1]) is built[name], (ideal_spec, first, name)
+            assert ideal._memo is whole._memo
+            assert ideal.family == ideal_spec and whole.family == whole_spec
+
+
+def test_no_global_holds_a_table():
+    # Everything a table derives lives in its own store, so a table built
+    # outside the cache goes once its last reference does.
+    table = families._build_table.__wrapped__(FamilySpec("rq", 5, 2))
+    table.product_rows()
+    for which in greens.GREEN_NAMES:
+        greens.green(table, which)
+    for which in ("Ls", "Rs", "Hs", "Ds", "Js"):
+        greens.starred(table, which)
+    structure.idempotent_indices(table)
+    assert {"A", "rows", "L", "Ls", "Ds", "E"} <= set(table._memo)
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    assert ref() is None

@@ -505,7 +505,7 @@ def test_starred_J_calls_neither_green_nor_star_ideal(monkeypatch):
     monkeypatch.setattr(greens, "green", refuse)
     monkeypatch.setattr(greens, "star_ideal", refuse)
     for spec in (FamilySpec("qprime", 5), FamilySpec("syminv", 3), FamilySpec("rq", 5, 2)):
-        # A fresh table, so nothing is served from the per-table memo.
+        # A fresh table, so nothing is served from the table's store.
         table = families._build_table.__wrapped__(spec)
         assert greens.starred_J(table).class_count > 0
 
@@ -565,7 +565,9 @@ def test_tables_that_cannot_be_weakly_referenced_still_work():
         def kernel_groups(self, left):
             return [(a,) for a in range(self.size)]
 
+    # No store: each call computes its result afresh.
     table = SlottedTable([[0, 0], [1, 1]])
+    assert greens.starred_L(table) is not greens.starred_L(table)
     assert greens.starred_L(table).classes == ((0, 1),)
     assert greens.starred_R(table).classes == ((0,), (1,))
     assert greens.starred_J(table).classes == ((0, 1),)

@@ -21,9 +21,11 @@ from catalanlab.families import REES_ZERO, FamilySpec
 
 class FakeTable:
     """Minimal stand-in table for hand-written product rows, generated by
-    every element unless a generating set is given."""
+    every element unless a generating set is given, with a store of its
+    own for families.memoized."""
 
     def __init__(self, rows, identity_index=None, generators=None):
+        self._memo = {}
         self._rows = [list(r) for r in rows]
         self.size = len(rows)
         self.identity_index = identity_index
