@@ -522,16 +522,16 @@ CLAIMS = (
         Claim("inverse-ideal-icn-{n}",
               "every element has a generalized inverse in the ambient monoid"
               " with both products falling back inside",
-              True, lambda x: _shown(structure.is_inverse_ideal(_sub(ICN, x), x.table)),
+              True, lambda x: _shown(structure.is_inverse_ideal(_sub(ICN, x))),
               family=_inside(ICN)),
         Claim("right-inverse-ideal-qprime-{n}",
               "every element has a generalized inverse in the ambient monoid"
               " with the right product falling back inside",
               True,
-              lambda x: _shown(structure.is_right_inverse_ideal(_sub(QPRIME, x), x.table)),
+              lambda x: _shown(structure.is_right_inverse_ideal(_sub(QPRIME, x))),
               family=_inside(QPRIME)),
         Claim("not-inverse-ideal-qprime-{n}", "the two-sided fallback fails for some element",
-              False, lambda x: structure.is_inverse_ideal(_sub(QPRIME, x), x.table).holds,
+              False, lambda x: structure.is_inverse_ideal(_sub(QPRIME, x)).holds,
               when=_from(2), family=_inside(QPRIME))),
     Section((QPRIME,), 2, 5,
         Claim("left-identity-{tag}",

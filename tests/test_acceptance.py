@@ -247,11 +247,10 @@ def test_c7_structural_battery(announce):
         t = families.enumerate_family(spec)
         assert structure.unique_idempotent_per_rstar_class(t).holds, spec
     for n in range(1, 5):
-        sup = table("syminv", n)
-        assert structure.is_inverse_ideal(table("icn", n), sup).holds
-        assert structure.is_right_inverse_ideal(table("qprime", n), sup).holds
+        assert structure.is_inverse_ideal(table("icn", n)).holds
+        assert structure.is_right_inverse_ideal(table("qprime", n)).holds
         if n >= 2:
-            assert not structure.is_inverse_ideal(table("qprime", n), sup).holds
+            assert not structure.is_inverse_ideal(table("qprime", n)).holds
     announce(
         "[C7] PASS structure: full side abundant/adequate/ample and an"
         " inverse ideal; identity-free side right-ample, right inverse"

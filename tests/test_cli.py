@@ -15,7 +15,7 @@ import pytest
 from conftest import DIFFERENTIAL_SPECS, direct_rows, elements_of, packed_table
 
 import catalanlab
-from catalanlab import cli, families, genrank, pinj
+from catalanlab import cli, families, genrank, pinj, structure
 from catalanlab.errors import CapExceededError, ValidationError
 
 
@@ -208,12 +208,13 @@ def test_a_cap_below_one_is_refused_from_either_source(capsys, monkeypatch, valu
 
 def test_only_the_starred_property_checks_take_the_starred_cap(capsys):
     # at n = 6 the starred cap (5) refuses exactly the checks that read L*
-    # or R*; the inverse-ideal checks, which would build I_6, are left out
+    # or R*
     starred = {
         "left-abundant", "right-abundant", "abundant", "adequate",
         "right-adequate", "ample", "right-ample",
     }
-    for name in ("regular", "jtrivial", "semilattice", *sorted(starred)):
+    unstarred = ("regular", "jtrivial", "semilattice", "inverse-ideal", "right-inverse-ideal")
+    for name in (*unstarred, *sorted(starred)):
         code, _, err = run_cli(capsys, "check", "--family", "icn", "--n", "6", "--property", name)
         if name in starred:
             assert code == 3, name
@@ -343,6 +344,33 @@ def test_check_inverse_ideal_properties(capsys):
         "--expect", "false",
     )
     assert code == 0
+
+
+def test_inverse_ideal_checks_enumerate_no_syminv_table(capsys, monkeypatch):
+    # the same bytes and exit codes as when the checks searched all of I_6
+    enumerate_family = families.enumerate_family
+
+    def refuse_syminv(spec):
+        assert spec.kind != families.KIND_SYMINV, spec
+        return enumerate_family(spec)
+
+    monkeypatch.setattr(families, "enumerate_family", refuse_syminv)
+    argv = ("check", "--n", "6", "--property", "inverse-ideal", "--property", "right-inverse-ideal")
+    assert run_cli(capsys, *argv, "--family", "icn") == (0, (
+        "inverse-ideal on IC_6 in I_6: True [ok]\n"
+        "right-inverse-ideal on IC_6 in I_6: True [ok]\n"
+    ), "")
+    assert run_cli(capsys, *argv, "--family", "qprime") == (1, (
+        "inverse-ideal on Q'_6 in I_6: False [MISMATCH]"
+        " witness: no admissible generalized inverse for 6:2>1\n"
+        "right-inverse-ideal on Q'_6 in I_6: True [ok]\n"
+    ), "")
+    qprime = families.enumerate_family(families.FamilySpec("qprime", 6))
+    assert structure.is_inverse_ideal(qprime) == structure.PropertyReport(
+        "inverse-ideal", "Q'_6 in I_6", False,
+        witness="no admissible generalized inverse for 6:2>1",
+    )
+    assert structure.is_right_inverse_ideal(qprime).holds
 
 
 def test_check_jtrivial_both_ways(capsys):

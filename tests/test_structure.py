@@ -293,17 +293,15 @@ def test_right_zero_pair_has_a_doubled_idempotent_class():
 
 def test_full_side_is_an_inverse_ideal_of_the_unrestricted_monoid():
     for n in range(1, 5):
-        sup = table("syminv", n)
-        report = structure.is_inverse_ideal(table("icn", n), sup)
+        report = structure.is_inverse_ideal(table("icn", n))
         assert report.holds, n
 
 
 def test_identity_free_side_is_only_a_right_inverse_ideal():
     for n in range(2, 5):
         sub = table("qprime", n)
-        sup = table("syminv", n)
-        assert structure.is_right_inverse_ideal(sub, sup).holds, n
-        full = structure.is_inverse_ideal(sub, sup)
+        assert structure.is_right_inverse_ideal(sub).holds, n
+        full = structure.is_inverse_ideal(sub)
         assert not full.holds, n
         assert "no admissible generalized inverse" in full.witness
 
@@ -324,12 +322,12 @@ def test_inverse_ideal_witness_is_genuine():
 
 
 def test_inverse_ideal_validation():
-    with pytest.raises(ValidationError):
-        structure.is_inverse_ideal(table("ric", 3, 2), table("syminv", 3))
-    with pytest.raises(ValidationError):
-        structure.is_inverse_ideal(table("icn", 3), table("syminv", 4))
-    with pytest.raises(ValidationError):
-        structure.is_inverse_ideal(table("syminv", 3), table("icn", 3))
+    # a Rees quotient is no subset of I_n: its zero is no partial map
+    for kind in ("ric", "rq"):
+        with pytest.raises(ValidationError):
+            structure.is_inverse_ideal(table(kind, 3, 2))
+        with pytest.raises(ValidationError):
+            structure.is_right_inverse_ideal(table(kind, 3, 2))
 
 
 def test_idempotent_census_counts():
@@ -401,13 +399,18 @@ def test_property_checks_on_stand_in_tables_match_the_row_oracles(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_inverse_ideal_checks_match_the_row_oracle(n):
+    # IC_n, Q'_n, I_n, K(n,p) at every p and M(n,p) at every p < n, each
+    # against the search over every v in I_n
     sup = table("syminv", n)
-    for kind in ("icn", "qprime"):
-        sub = table(kind, n)
-        assert structure.is_inverse_ideal(sub, sup) == oracle_inverse_ideal(sub, sup, True)
-        assert structure.is_right_inverse_ideal(sub, sup) == oracle_inverse_ideal(
+    specs = [FamilySpec(kind, n) for kind in ("icn", "qprime", "syminv")]
+    for kind in ("k", "m"):
+        specs += [FamilySpec(kind, n, p) for p in families._valid_heights(kind, n)]
+    for spec in specs:
+        sub = families.enumerate_family(spec)
+        assert structure.is_inverse_ideal(sub) == oracle_inverse_ideal(sub, sup, True), spec
+        assert structure.is_right_inverse_ideal(sub) == oracle_inverse_ideal(
             sub, sup, False
-        )
+        ), spec
 
 
 def test_idempotents_are_read_once_per_table():
