@@ -71,8 +71,8 @@ def element_kind(element, qprime_side):
     if not isinstance(element, pinj.PartialInjection):
         return "other"
     kind = pinj.classify(element)
-    if qprime_side and kind == "essential" and pinj.is_requisite(element):
-        return "requisite"
+    if qprime_side and kind == "essential" and element.img[1] == 1:
+        return "requisite"  # the one moved pair is 2 -> 1
     return kind
 
 
@@ -164,9 +164,9 @@ def _factor_walk(alpha, expand):
     is the image list of that fixed part (None elsewhere), updated in
     place between steps.  A step is kept whole, or with expand, a moving
     step is written as its essentials b + 1 -> b over the same fixed
-    part, for b from x_i - 1 down to a_i.  Each factor extends a copy of
-    fixed by one pair and is built unchecked; the proof is in
-    essential_factorization.
+    part, for b from x_i - 1 down to a_i.  Each factor writes its one
+    pair into an empty slot of fixed, is frozen from it unchecked, and
+    the slot is emptied again; the proof is in essential_factorization.
     """
     n, img = alpha.n, alpha.img
     trusted = pinj._trusted
@@ -178,13 +178,13 @@ def _factor_walk(alpha, expand):
         fixed[x - 1] = None
         if expand and a != x:
             for b in range(x - 1, a - 1, -1):
-                step = fixed.copy()
-                step[b] = b
-                out.append(trusted(n, tuple(step)))
+                fixed[b] = b
+                out.append(trusted(n, tuple(fixed)))
+                fixed[b] = None
         else:
-            step = fixed.copy()
-            step[x - 1] = a
-            out.append(trusted(n, tuple(step)))
+            fixed[x - 1] = a
+            out.append(trusted(n, tuple(fixed)))
+            fixed[x - 1] = None
         fixed[a - 1] = a
     return out
 
@@ -292,15 +292,21 @@ def _split_requisite(alpha):
     point above i.  A point x with x alpha < i goes under beta to
     x alpha + 1, a point of 2..i, which the requisite sends back to
     x alpha; one with x alpha > i goes under beta to x alpha, which the
-    requisite fixes.  So beta followed by the requisite is alpha.
+    requisite fixes.  So beta followed by the requisite is alpha.  The
+    requisite's values, 1..i - 1 on 2..i and distinct points above i on
+    themselves, are distinct points of 1..n, so it too is built
+    unchecked.
     """
+    n, img = alpha.n, alpha.img
     i = 2
-    while i in alpha.img:
+    while i in img:
         i += 1  # the moved block of the requisite is {2, ..., i}
-    tail = [(a, a) for a in pinj.image(alpha) if a > i]
-    requisite = pinj.from_pairs(alpha.n, [(j, j - 1) for j in range(2, i + 1)] + tail)
-    beta = [a if a is None or a > i else a + 1 for a in alpha.img]
-    return pinj._trusted(alpha.n, tuple(beta)), requisite
+    requisite = [None, *range(1, i)] + [None] * (n - i)
+    for a in img:
+        if a is not None and a > i:
+            requisite[a - 1] = a
+    beta = [a if a is None or a > i else a + 1 for a in img]
+    return pinj._trusted(n, tuple(beta)), pinj._trusted(n, tuple(requisite))
 
 
 def _smallest_outside(n, used, count):
@@ -334,8 +340,8 @@ def lift_height(alpha, kind):
 
     Let D be the domain of alpha, of size p.  Each factor extends a map
     of height p by one fixed point outside its domain and its image, so
-    both factors are injective and of height p + 1.  In each kind the
-    product is alpha:
+    both factors are injective and of height p + 1, and are built
+    unchecked (_fixing).  In each kind the product is alpha:
 
       Idempotent: left fixes D + {c} and right D + {d}, for c != d
       outside D; the product fixes what both fix, D.
@@ -362,24 +368,26 @@ def lift_height(alpha, kind):
     if ekind not in generator_kinds(qp):
         raise ContractError(f"no lift for elements of kind {ekind!r} in this family")
     dom = pinj.domain(alpha)
-    img = pinj.image(alpha)
+    img = alpha.img
+    fixes_dom = [None if a is None else x for x, a in enumerate(img, 1)]
     reserved = {1} if qp else set()
     if ekind == "idempotent":
         c, d = _smallest_outside(n, set(dom) | reserved, 2)
-        left = pinj.partial_identity(n, dom + (c,))
-        right = pinj.partial_identity(n, dom + (d,))
-    elif ekind == "essential":
-        (y,) = (x for x in dom if alpha.img[x - 1] != x)
+        return _fixing(img, c), _fixing(img, d)
+    if ekind == "essential":
+        (y,) = (x for x in dom if img[x - 1] != x)
         (d,) = _smallest_outside(n, set(dom) | set(img) | reserved, 1)
-        left_pairs = [(x, alpha.img[x - 1]) for x in dom] + [(d, d)]
-        left = pinj.from_pairs(n, left_pairs)
-        right = pinj.partial_identity(n, dom + (y - 1,))
-    else:
-        d, c = _smallest_outside(n, set(dom) | set(img) | reserved, 2)
-        left = pinj.partial_identity(n, dom + (d,))
-        right_pairs = [(x, alpha.img[x - 1]) for x in dom] + [(c, c)]
-        right = pinj.from_pairs(n, right_pairs)
-    return left, right
+        return _fixing(img, d), _fixing(fixes_dom, y - 1)
+    d, c = _smallest_outside(n, set(dom) | set(img) | reserved, 2)
+    return _fixing(fixes_dom, d), _fixing(img, c)
+
+
+def _fixing(img, point):
+    """The map with images img (tuple or list) and point fixed, unchecked:
+    lift_height proves point lies outside its domain and its image."""
+    out = list(img)
+    out[point - 1] = point
+    return pinj._trusted(len(out), tuple(out))
 
 
 def maximal_subsemigroups(table):

@@ -37,8 +37,9 @@ validity is proven:
   the pair's point follows the last one and lies in 1..n, and that its
   image lies in 1..n and was not written before.
 - genrank's factor walk (_factor_walk), which builds every chain step
-  and essential, and the beta of its requisite split: the proofs are in
-  essential_factorization and _split_requisite.
+  and essential, both factors of its requisite split, and both factors
+  of lift_height: the proofs are in essential_factorization,
+  _split_requisite and lift_height.
 
 The tests rebuild every enumerated element and every factor through the
 validating constructor and compare, and hold the enumerated images to
@@ -204,7 +205,7 @@ def image(alpha):
 
 def height(alpha):
     """Size of the image (equivalently, of the domain)."""
-    return sum(1 for a in alpha.img if a is not None)
+    return alpha.n - alpha.img.count(None)
 
 
 def fixed_points(alpha):
@@ -334,21 +335,23 @@ def text_of_images(n, img):
     if texts is None:
         pairs = ",".join(f"{x}>{a}" for x, a in enumerate(img, 1) if a)
         return f"{n}:{pairs}"
-    head, rows = texts
+    head, rows, _ = texts
     return head + ",".join(map(getitem, compress(rows, img), filter(None, img)))
 
 
 @lru_cache(maxsize=None)
 def _pair_texts(n):
-    """The head "n:" and, for each point x of the n-chain, the texts
-    "x>a" indexed by a in 0..n ("" at 0); None above _TABLED_TEXT_CHAIN.
-    Built on the first text written for each n."""
+    """The head "n:", for each point x of the n-chain the texts "x>a"
+    indexed by a in 0..n ("" at 0), and the inverse map from each text
+    "x>a" to (x, a); None above _TABLED_TEXT_CHAIN.  Built on the first
+    text written or read for each n."""
     if n > _TABLED_TEXT_CHAIN:
         return None
     rows = tuple(
         ("",) + tuple(f"{x}>{a}" for a in range(1, n + 1)) for x in range(1, n + 1)
     )
-    return f"{n}:", rows
+    pairs = {row[a]: (x, a) for x, row in enumerate(rows, 1) for a in range(1, n + 1)}
+    return f"{n}:", rows, pairs
 
 
 def parse_text(text):
@@ -363,9 +366,11 @@ def parse_text(text):
 
     A well-formed text is first read in one pass that checks each pair as
     it writes its image: sorted, in range, and no image used twice, which
-    is what _trusted needs.  That pass stops at the first pair it refuses,
-    and the text is then read again by the checks in the order above, so
-    the first error in that order is raised, whichever pair holds it.
+    is what _trusted needs.  A pair written canonically is looked up in
+    the inverse table of _pair_texts, whose pairs are in range; any other
+    is read as above.  That pass stops at the first pair it refuses, and
+    the text is then read again by the checks in the order above, so the
+    first error in that order is raised, whichever pair holds it.
     """
     if not isinstance(text, str):
         raise ParseError("element text must be a string")
@@ -385,14 +390,21 @@ def parse_text(text):
         img = [None] * n
         used = bytearray(n + 1)
         last_x = 0
+        texts = _pair_texts(n)
+        pair_of = texts[2] if texts else {}
         try:
             for chunk in body.split(",") if body else ():
-                x, gt, a = chunk.partition(">")
-                if not (gt and x.isdigit() and a.isdigit()):
-                    break
-                x = int(x)
-                a = int(a)
-                if not (last_x < x <= n and 0 < a <= n) or used[a]:
+                if chunk in pair_of:
+                    x, a = pair_of[chunk]
+                else:
+                    x, gt, a = chunk.partition(">")
+                    if not (gt and x.isdigit() and a.isdigit()):
+                        break
+                    x = int(x)
+                    a = int(a)
+                    if not (x <= n and 0 < a <= n):
+                        break
+                if x <= last_x or used[a]:
                     break
                 img[x - 1] = a
                 used[a] = 1

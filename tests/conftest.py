@@ -76,7 +76,12 @@ unchecked through the validating constructor.
 
 scanner_parse_text is the element text parser as a scanner over one
 position, character by character; pinj.parse_text cuts the text with str
-methods instead and is checked against it, exception by exception.
+methods and looks canonical pairs up in a table instead, and is checked
+against it, exception by exception.
+
+oracle_element_kind is genrank.element_kind as it was before it read
+the essential/requisite overlap off one image: classify, then
+pinj.is_requisite for an essential on the identity-free side.
 
 oracle_idempotent_indices, oracle_regular_elements, oracle_semilattice,
 oracle_ample and oracle_inverse_ideal are the property checks as they
@@ -600,6 +605,15 @@ def assert_revalidates(alpha):
     """alpha has a tuple image and equals its validated rebuild."""
     assert type(alpha.img) is tuple
     assert alpha == pinj.PartialInjection(alpha.n, alpha.img)
+
+
+def oracle_element_kind(element, qprime_side):
+    if not isinstance(element, pinj.PartialInjection):
+        return "other"
+    kind = pinj.classify(element)
+    if qprime_side and kind == "essential" and pinj.is_requisite(element):
+        return "requisite"
+    return kind
 
 
 def scanner_parse_text(text):

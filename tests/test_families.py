@@ -533,10 +533,11 @@ def test_plain_product_is_composition():
         if spec.is_rees:
             continue
         table = families.enumerate_family(spec)
+        els = [table.element(i) for i in range(table.size)]
         for i in range(table.size):
             for j in range(table.size):
-                want = pinj.compose(table.element(i), table.element(j))
-                assert table.element(table.product(i, j)) == want, (spec, i, j)
+                want = pinj.compose(els[i], els[j])
+                assert els[table.product(i, j)] == want, (spec, i, j)
 
 
 def test_rees_product_collapses_height_drops():
@@ -545,6 +546,7 @@ def test_rees_product_collapses_height_drops():
             continue
         table = families.enumerate_family(spec)
         z = table.zero_index
+        els = [table.element(i) for i in range(table.size)]
         dropped = 0
         for i in range(table.size):
             for j in range(table.size):
@@ -552,9 +554,9 @@ def test_rees_product_collapses_height_drops():
                 if i == z or j == z:
                     assert got == z
                     continue
-                composite = pinj.compose(table.element(i), table.element(j))
+                composite = pinj.compose(els[i], els[j])
                 if pinj.height(composite) == spec.p:
-                    assert table.element(got) == composite, (spec, i, j)
+                    assert els[got] == composite, (spec, i, j)
                 else:
                     assert got == z, (spec, i, j)
                     dropped += 1

@@ -86,16 +86,28 @@ def mutated_text(rng, text):
 
 
 def test_parse_text_matches_the_character_scanner():
+    # parse_text reads a canonical pair by one lookup in the pair table of
+    # its chain size (n <= 64) and any other chunk digit by digit: every
+    # canonical text of I_n (n <= 5), IC_n and Q'_n (n <= 7), texts on
+    # either side of the table's edge, and chunks that miss it.
     rng = random.Random(20261018)
     texts = [random_text(rng) for _ in range(20000)]
     texts += [mutated_text(rng, random_element_text(rng, rng.randint(1, 9)))
               for _ in range(10000)]
+    for kind, n_max in (("syminv", 5), ("icn", 7), ("qprime", 7)):
+        for n in range(1, n_max + 1):
+            table = families.enumerate_family(families.FamilySpec(kind, n))
+            texts += map(table.text_of, range(table.size))
+    for n in (64, 65):
+        texts += [f"{n}:{n}>1", f"{n}:1>{n}", f"{n}:{n}>{n + 1}", f"{n}:{n + 1}>1"]
+        texts += [random_element_text(rng, n) for _ in range(50)]
     texts += [
         "", ":", "3", "3:", "3:,", "3:1>1,", "3:1>1,,2>2", "3:>1", "3:1>", "3:1>>1",
         "3:1>1:", "٣:1>1", "²:", "3:1>²", "3:0>1", "0:", "0:1>1", "3:2>1,1>1,x",
         f"{pinj.MAX_TEXT_CHAIN}:", f"{pinj.MAX_TEXT_CHAIN + 1}", f"{pinj.MAX_TEXT_CHAIN + 1}:",
         "1" * 5000 + ":", "3:2>" + "9" * 5000, "3:1>1,2>" + "9" * 5000 + "x",
         " 3:", "3 :", "3:1 >1", "1_0:", "3:1>1,2>3,3>2", "3:3>3,2>1", "3:2>1,3>1",
+        "3:02>1", "3:2>01", "3:2>١", "3:4>1", "3:2>0", "3:3>1,2>1", "3:2>1,02>1",
         None, b"3:", 3,
     ]
     for text in texts:

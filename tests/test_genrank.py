@@ -12,6 +12,7 @@ from conftest import (
     no_smaller_generating_set,
     oracle_chain,
     oracle_closure,
+    oracle_element_kind,
     oracle_essential_factorization,
     oracle_expand,
     oracle_indecomposables,
@@ -176,6 +177,16 @@ def test_element_kind_is_family_aware():
     pure = pinj.from_pairs(3, [(3, 2)])
     assert genrank.element_kind(pure, qprime_side=True) == "essential"
     assert genrank.element_kind(families.REES_ZERO, qprime_side=False) == "other"
+
+
+def test_element_kind_matches_the_classify_oracle():
+    specs = [FamilySpec(kind, n) for kind in ("icn", "qprime") for n in range(1, 8)]
+    specs.append(FamilySpec("syminv", 4))
+    for spec in specs:
+        for alpha in elements_of(families.enumerate_family(spec)):
+            for qprime_side in (False, True):
+                want = oracle_element_kind(alpha, qprime_side)
+                assert genrank.element_kind(alpha, qprime_side) == want, alpha
 
 
 def test_kind_census_small_case():
@@ -429,9 +440,11 @@ def test_the_factor_walk_matches_the_stepwise_route(kind):
 @pytest.mark.parametrize("kind", ["icn", "qprime"])
 def test_every_factor_revalidates(kind):
     # The factor builders skip validation; every factor they return on
-    # IC_n and Q'_n, n <= 7, must equal its validated rebuild.
+    # IC_n and Q'_n, n <= 7, lift factors included, must equal its
+    # validated rebuild.
     qprime_side = kind == "qprime"
     for n in range(1, 8):
+        bound = genrank.lift_bound(n, qprime_side)
         for alpha in elements_of(families.enumerate_family(FamilySpec(kind, n))):
             factors = genrank.essential_factorization(alpha, qprime_side=qprime_side)
             chain = genrank.factor_idempotent_quasi_chain(alpha)
@@ -441,6 +454,9 @@ def test_every_factor_revalidates(kind):
                     factors += genrank.expand_quasi_to_essentials(step)
             if qprime_side and 1 in alpha.img:
                 factors += genrank.factor_requisite(alpha)
+            if (genrank.element_kind(alpha, qprime_side) in genrank.generator_kinds(qprime_side)
+                    and pinj.height(alpha) <= bound):
+                factors += genrank.lift_height(alpha, kind)
             for f in factors:
                 assert_revalidates(f)
 
