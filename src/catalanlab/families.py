@@ -322,9 +322,8 @@ class SemigroupTable:
         (2 bytes an entry) when m <= 65,536, so that every index fits, and
         "I" (4 bytes) above that (_index_typecode): row i's entry j is the
         index of i.j, as an int, and the row takes 2m bytes where a tuple
-        takes 8m of pointers.  Derived from the left Cayley graph: along
-        each edge y = g.x of its spanning tree from A, y's row is
-        y.j = g.(x.j), g's row read at the positions of x's row (follow).
+        takes 8m of pointers.  Derived from A's rows by gather: the row
+        of a.g is a's row read at the entries of g's, (a.g).j = a.(g.j).
         The walk holds the rows on its current path as tuples and packs
         each row once, as it is reached.  Only the callers that emit or
         test every product read this: `enum --products` (cli._product_text,
@@ -339,9 +338,8 @@ class SemigroupTable:
         code = _index_typecode(self.size)
         pack = struct.Struct(f"{self.size}{code}").pack
         rows = [None] * self.size
-        walk = tree_walk(self.size, self.generators, self.generator_rows(), tuple, follow)
-        for y, row in walk:
-            rows[y] = memoryview(pack(*row)).cast(code)
+        for a, row in gather(self.generators, self.generator_rows()):
+            rows[a] = memoryview(pack(*row)).cast(code)
         return tuple(rows)
 
     def _left_graph(self):
@@ -397,12 +395,7 @@ class SemigroupTable:
             gen_rows.append(row_g)
             # The new generator and its products with everything reached so
             # far, then every generator times each new element, level by level.
-            found = {top}.union(compress(row_g, reached))
-            while found:
-                fresh = [y for y in found if not reached[y]]
-                for y in fresh:
-                    reached[y] = 1
-                found = set().union(*(map(row.__getitem__, fresh) for row in gen_rows))
+            reach(gen_rows, {top}.union(compress(row_g, reached)), reached)
         return tuple(gens), tuple(gen_rows)
 
     def _composer(self, left, at=None):
@@ -463,53 +456,68 @@ def memoized(table, name, build, *args):
     return found
 
 
-def spanning_tree(size, gens, lines):
-    """The breadth-first spanning tree from A of the graph on range(size)
-    with an edge x -> line[x] for each line of A (the rows g.x give the
-    left Cayley graph, the columns x.g the right one).  Yields each tree
-    edge (x, line, y), y first reached as line[x], in the order found, so
-    x is a generator or the end of an earlier edge.  A tree path from a
-    root has one edge fewer than the shortest word over A for its end."""
-    reached = bytearray(size)
-    for g in gens:
-        reached[g] = 1
-    queue = list(gens)
-    for x in queue:
-        for line in lines:
-            y = line[x]
-            if not reached[y]:
-                reached[y] = 1
-                queue.append(y)
-                yield x, line, y
+def gather(gens, lines, node_of=None):
+    """Walk a Cayley graph from A depth first and yield (a, line a) once
+    per node: the generators' own lines first, in A order, then the line
+    of each node entered.  Along A's rows g.x the successor of a under g
+    is a.g = row_a[g], with row_{a.g}[x] = a.(g.x) = row_a[row_g[x]];
+    along A's columns x.g it is g.a = col_a[g], with col_{g.a}[x] =
+    (x.g).a = col_a[col_g[x]]: by associativity, a's line read at the
+    entries of g's, one itemgetter call.  A node entered past A holds no
+    generator, so m >= 2 and itemgetter gives a tuple.
+
+    A node is an element when node_of is None, else node_of[a], a number
+    below m.  Each node is entered once, through the first of its elements
+    the walk reaches, and only the lines on the current path are held.
+    On a J-trivial table each step of a path goes strictly down the
+    J-order, so a path is no longer than a chain of J-classes; on I_n it
+    can run through a whole J-class.
+
+    Every node is entered when the node of a.g (g.a) depends only on g
+    and the node of a.  Every element is a word g_1 ... g_k over A.  The
+    node of g_1 is a root; if the walk entered the node of g_1 ...
+    g_(k-1) through b, then b.g_k lies in the node of g_1 ... g_k, and
+    the walk tries every successor of every element it enters, so it
+    enters that node too.  Along the columns the induction reads the
+    word from its end.
+    """
+    edges = tuple(zip(gens, lines))
+    if node_of is None:
+        node_of = range(len(edges[0][1]))
+    reached = bytearray(len(node_of))
+    roots = []
+    for g, line in edges:
+        if not reached[node_of[g]]:
+            reached[node_of[g]] = 1
+            roots.append(line)
+            yield g, line
+    for line in roots:
+        path = [(line, iter(edges))]
+        while path:
+            line, successors = path[-1]
+            for g, line_g in successors:
+                b = line[g]
+                if not reached[node_of[b]]:
+                    reached[node_of[b]] = 1
+                    line = itemgetter(*line_g)(line)
+                    yield b, line
+                    path.append((line, iter(edges)))
+                    break
+            else:
+                path.pop()
 
 
-def tree_walk(size, gens, lines, root, step):
-    """Walk the spanning tree from A (spanning_tree) depth first and yield
-    (y, value) once for every element y: root(line) at a generator, and
-    step(value of x, line) at y = line[x] on a tree edge.  A value is
-    made when its element is reached and dropped once its children are,
-    so only the values on the current path are held.  lines is read
-    twice, so it must be a sequence; no value may be None."""
-    children = defaultdict(list)
-    for x, line, y in spanning_tree(size, gens, lines):
-        children[x].append((line, y))
-    for g, line in zip(gens, lines):
-        stack = [(g, line, None)]
-        while stack:
-            y, line, parent = stack.pop()
-            value = root(line) if parent is None else step(parent, line)
-            yield y, value
-            stack.extend((z, line_h, value) for line_h, z in children.get(y, ()))
-
-
-def follow(line_x, line_g):
-    """line_g read at the entries of line_x: the line of y = g.x (rows)
-    or y = x.g (columns) from those of x and g, as row_y[j] = g.(x.j)
-    and col_y[j] = (j.x).g.  greens reads it the other way round, the
-    row of a.g as follow(row_g, row_a).  A tree edge needs m >= 2 (its
-    end is not a generator), so itemgetter over line_x returns a tuple
-    there."""
-    return itemgetter(*line_x)(line_g)
+def reach(lines, found, reached):
+    """Mark in reached, a bytearray over the elements, everything in found
+    and everything it reaches along x -> line[x] for the lines given, level
+    by level: each level marks what it found unmarked, and the next level
+    is their successors.  lines is read once a level, so it must be a
+    sequence."""
+    while found:
+        fresh = [y for y in found if not reached[y]]
+        for y in fresh:
+            reached[y] = 1
+        found = set().union(*(map(line.__getitem__, fresh) for line in lines))
 
 
 # A point, or None outside the domain, as its byte in a packed image, and

@@ -23,6 +23,7 @@ steps.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import compress
 from typing import NamedTuple
 
 from . import families, formulas, greens, pinj
@@ -32,19 +33,22 @@ from .errors import ContractError, UnsupportedTableError, ValidationError
 def closure(table, generators):
     """Indices of the subsemigroup generated by the given indices.
 
-    G and the ends of the breadth-first spanning tree from G over
-    x -> x.g (g in G, families.spanning_tree): every product g_1 ... g_k
-    is reached from g_1 by right multiplications.  G may be any set of
-    indices, not only generators of the table; each column x.g is
-    composed on packed images (table.columns), O(m) per element of G,
-    and the search takes O(|<G>| |G|) steps, not O(|<G>|^2).
+    G and everything it reaches over x -> x.g (g in G, families.reach):
+    every product g_1 ... g_k is reached from g_1 by right
+    multiplications.  G may be any set of indices, not only generators of
+    the table; each column x.g is composed on packed images
+    (table.columns), O(m) per element of G, and the search takes
+    O(|<G>| |G|) steps, not O(|<G>|^2).
     """
-    gens = list(dict.fromkeys(generators))
+    gens = list(generators)
     for g in gens:
+        if type(g) is bool or not isinstance(g, int):
+            raise ValidationError(f"generator index must be an integer, got {g!r}")
         if not 0 <= g < table.size:
             raise ValidationError(f"generator index {g} out of range")
-    tree = families.spanning_tree(table.size, gens, tuple(table.columns(gens)))
-    return frozenset(gens).union(y for _, _, y in tree)
+    reached = bytearray(table.size)
+    families.reach(tuple(table.columns(dict.fromkeys(gens))), gens, reached)
+    return frozenset(compress(range(table.size), reached))
 
 
 def indecomposables(table):

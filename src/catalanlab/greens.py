@@ -64,33 +64,23 @@ it is not the paper's claim that L* is equal image, which fails on
 RQ'_n(p).
 
 Lines from the Cayley graph.  No group's line is composed (Froidure and
-Pin, 1997): _group_lines starts from the generators' lines, the rows g.x
-for L*, which the table already holds, and the |A| columns x.g for R*,
-and gathers every other line from one it has.  The successor of a under
-g in A is a.g = row_a[g], and row_{a.g}[x] = a.(g.x) = row_a[row_g[x]]:
-a's row read at the entries of g's row (families.follow).  Dually
-g.a = col_a[g] and col_{g.a}[x] = (x.g).a = col_a[col_g[x]].  A gather
-rests on associativity; the tests' random tables, which need not
-associate, are generated by all their elements and gather nothing.
+Pin, 1997): families.gather reads every line off one it has, from the
+generators' rows g.x for L*, which the table holds, or the |A| columns
+x.g for R*, with a node per group.  It enters every group, as the group
+of a.g (g.a for R*) is fixed by g and the group of a:
 
-  The walk reaches every group.  Take L*.  A nonzero a.g has image
-  (im a n dom g)g, and in a Rees quotient of height p, a.g is the zero
-  exactly when |im a n dom g| < p; both depend only on im a, and the
-  zero times g is the zero.  So the group of a.g is fixed by g and the
-  group of a.  Every element is a word g_1 ... g_k over A.  The group of
-  g_1 is a root; if the walk entered the group of g_1 ... g_(k-1)
-  through b, then b.g_k lies in the group of g_1 ... g_k, and the walk
-  tries every successor of every element it enters, so it enters that
-  group too.  By the lemma every member has the key of the element its
-  group was entered through.  For R*, g.a has domain
-  (im g n dom a)g^-1 and collapses exactly when |im g n dom a| < p,
-  both fixed by dom a, and the induction reads the word from its end.
+  Take L*.  A nonzero a.g has image (im a n dom g)g, and in a Rees
+  quotient of height p, a.g is the zero exactly when |im a n dom g| < p;
+  both depend only on im a, and the zero times g is the zero.  For R*,
+  g.a has domain (im g n dom a)g^-1 and collapses exactly when
+  |im g n dom a| < p, both fixed by dom a.
 
-The walk is depth first, enters each group once and holds only the lines
-on its current path.  The work is one gather of m entries per group past
-A's, 512 of IC_9's 16,796 elements for L* and 512 for R*, each read at C
-speed where the line it replaces took m compositions and m hash lookups;
-keying each line, m labels, is what remains.
+By the lemma every member of a group has the key of the element the
+group was entered through.  The tests' random tables, which need not
+associate, are generated by all their elements and gather nothing.  The
+work is one gather of m entries per group past A's, 512 of IC_9's 16,796
+elements for L* and 512 for R*, where a composed line takes m
+compositions and m hash lookups; keying each line, m labels, remains.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
@@ -309,7 +299,7 @@ def _kernel_partition(table, left):
 
     One line is keyed per group the table proves to share a kernel
     (kernel_groups, by image for L* and by domain for R*), and the whole
-    group takes that key; the lines come from _group_lines, and the
+    group takes that key; the lines come from families.gather, and the
     module docstring proves both steps.  Groups whose keys are equal
     merge.
     """
@@ -320,7 +310,10 @@ def _kernel_partition(table, left):
             group_of[a] = gid
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
-    for a, line in _group_lines(table, left, group_of, len(groups)):
+    gens = table.generators
+    for a, line in families.gather(
+        gens, table.generator_rows() if left else tuple(table.columns(gens)), group_of
+    ):
         signature, labels = _kernel_key(line)
         buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
             groups[group_of[a]]
@@ -330,41 +323,6 @@ def _kernel_partition(table, left):
     except ValidationError as exc:
         # The groups come from the table, not the input: a gap is a defect.
         raise InvariantError(f"{'L*' if left else 'R*'} kernel {exc}") from exc
-
-
-def _group_lines(table, left, group_of, group_count):
-    """One (a, line a) per kernel group, group_of[a] naming a's group:
-    the generators' rows (for L*) or columns first, then the walk along
-    the Cayley graph from them.  The successor of a under g in A is a.g =
-    row_a[g] (for R*, g.a = col_a[g]), and its line is a's line gathered
-    at g's: row_{a.g}[x] = a.(g.x) and col_{g.a}[x] = (x.g).a.  A group
-    is entered once, through the first successor found in it.  The walk
-    is depth first and holds only the lines on its current path."""
-    gens = table.generators
-    lines = table.generator_rows() if left else tuple(table.columns(gens))
-    reached = bytearray(group_count)
-    roots = []
-    for g, line in zip(gens, lines):
-        if not reached[group_of[g]]:
-            reached[group_of[g]] = 1
-            roots.append(line)
-            yield g, line
-    edges = tuple(zip(gens, lines))
-    for line in roots:
-        path = [(line, iter(edges))]
-        while path:
-            line, successors = path[-1]
-            for g, line_g in successors:
-                b = line[g]
-                if not reached[group_of[b]]:
-                    reached[group_of[b]] = 1
-                    # b is no generator, so m >= 2 and follow gives a tuple.
-                    line = families.follow(line_g, line)
-                    yield b, line
-                    path.append((line, iter(edges)))
-                    break
-            else:
-                path.pop()
 
 
 def starred_L(table):

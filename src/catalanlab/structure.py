@@ -7,14 +7,14 @@ product table, never just a bare False.
 No check builds the m x m product table.  Each reads only the lines its
 predicate uses: rows a.x and columns x.a composed on packed images by
 table.rows and table.columns (one composer per pass), rows and columns
-derived along the spanning tree from A, or single products.  With m
-elements and E the idempotents:
+gathered along the Cayley graphs from A (families.gather), or single
+products.  With m elements and E the idempotents:
 
   idempotent_indices   the diagonal, i.i = i: m products, once per table
                        (kept in the table's store, families.memoized).
-  regular_elements     every column, then every row, each made from its
-                       tree parent's by one itemgetter call, walked depth
-                       first (families.tree_walk): m^2 entries read, and
+  regular_elements     every column, then every row, each read off its
+                       parent's by one itemgetter call, walked depth
+                       first (families.gather): m^2 entries read, and
                        only the lines on the current path held.
   semilattice          the rows of the idempotents, composed only at the
                        idempotents: |E|^2 compositions.
@@ -84,16 +84,16 @@ def regular_elements(table):
 
     Let Fix_a = {x : x.a = a}.  Then a b a = a exactly when a.b lies in
     Fix_a, so a is regular iff Fix_a meets row a.  Fix_a is read off
-    column a; the columns are walked first and the rows after, each line
-    made from its tree parent's (families.follow), so only the lines on
-    the current path are held, with the Fix sets in between.
+    column a; the columns are gathered first and the rows after
+    (families.gather), so only the lines on the current path are held,
+    with the Fix sets in between.
     """
     m, gens = table.size, table.generators
     fixed = [None] * m
-    for a, col in families.tree_walk(m, gens, tuple(table.columns(gens)), tuple, families.follow):
+    for a, col in families.gather(gens, tuple(table.columns(gens))):
         fixed[a] = frozenset(_positions(col, a))
     regular = bytearray(m)
-    for a, row in families.tree_walk(m, gens, table.generator_rows(), tuple, families.follow):
+    for a, row in families.gather(gens, table.generator_rows()):
         regular[a] = not fixed[a].isdisjoint(row)
     return list(compress(range(m), regular))
 

@@ -40,9 +40,11 @@ as the library computed them before they followed the Cayley graphs:
 every row (column) of product_rows() keyed line by line with
 first-occurrence labels.  tree_kernel_partition is L* and R* as the
 library computed them before it keyed one line per image or domain: a key
-for every element, each derived from its spanning-tree parent's by the
-kernel recurrence, with no grouping; tree_starred builds all five starred
-relations on it, and the library is checked against both.
+for every element, each derived from its parent's by the kernel
+recurrence along the breadth-first spanning tree from A (spanning_tree,
+walked depth first by tree_walk), with no grouping; tree_starred builds
+all five starred relations on it, and the library is checked against
+both.
 oracle_kernel_partition is L* and R* as the library computed them before
 it walked the kernel groups along the Cayley graph: the first member of
 each group has its row (column) composed by table.rows (table.columns)
@@ -445,6 +447,42 @@ def tree_relabel(key, line_g):
     return tree_packed(itemgetter(*signature)(relabel), labels), labels
 
 
+def spanning_tree(size, gens, lines):
+    """The breadth-first spanning tree from A of the graph on range(size)
+    with an edge x -> line[x] for each line of A (the rows g.x give the
+    left Cayley graph, the columns x.g the right one).  Yields each tree
+    edge (x, line, y), y first reached as line[x], in the order found, so
+    x is a generator or the end of an earlier edge."""
+    reached = bytearray(size)
+    for g in gens:
+        reached[g] = 1
+    queue = list(gens)
+    for x in queue:
+        for line in lines:
+            y = line[x]
+            if not reached[y]:
+                reached[y] = 1
+                queue.append(y)
+                yield x, line, y
+
+
+def tree_walk(size, gens, lines, root, step):
+    """Walk the spanning tree from A (spanning_tree) depth first and yield
+    (y, value) once for every element y: root(line) at a generator, and
+    step(value of x, line) at y = line[x] on a tree edge.  lines is read
+    twice, so it must be a sequence."""
+    children = defaultdict(list)
+    for x, line, y in spanning_tree(size, gens, lines):
+        children[x].append((line, y))
+    for g, line in zip(gens, lines):
+        stack = [(g, line, None)]
+        while stack:
+            y, line, parent = stack.pop()
+            value = root(line) if parent is None else step(parent, line)
+            yield y, value
+            stack.extend((z, line_h, value) for line_h, z in children.get(y, ()))
+
+
 def tree_kernel_partition(table, left):
     """L* (R* when not left) with a key for every element, each derived
     along the breadth-first spanning tree from A: a generator's line keyed
@@ -454,9 +492,8 @@ def tree_kernel_partition(table, left):
     lines = table.generator_rows() if left else tuple(table.columns(gens))
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
-    for y, (signature, labels) in families.tree_walk(
-        table.size, gens, lines, tree_kernel_key, tree_relabel
-    ):
+    walk = tree_walk(table.size, gens, lines, tree_kernel_key, tree_relabel)
+    for y, (signature, labels) in walk:
         buckets[(signature, labels.get(y, -1)) if adjoin else signature].append(y)
     return IndexPartition.from_groups(table.size, buckets.values())
 

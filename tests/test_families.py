@@ -9,6 +9,7 @@ import struct
 import weakref
 from collections.abc import Mapping
 from itertools import combinations, permutations
+from operator import itemgetter
 
 import pytest
 from conftest import (
@@ -22,6 +23,7 @@ from conftest import (
     oracle_indecomposables,
     pack,
     packed_table,
+    tree_walk,
 )
 
 from catalanlab import families, formulas, genrank, greens, pinj, structure
@@ -339,14 +341,48 @@ def test_rows_and_columns_are_composed_as_they_are_read():
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
 def test_tree_walk_derives_every_line_from_its_tree_parent(spec):
+    # The walk of the tree_kernel_partition oracle: y = g.x (x.g) on a
+    # tree edge has x's line read through g's.
     table = families.enumerate_family(spec)
     want = direct_rows(table)
     gens = table.generators
+
+    def step(line_x, line_g):
+        return itemgetter(*line_x)(line_g)
+
     for lines, transpose in ((table.generator_rows(), False), (tuple(table.columns(gens)), True)):
-        walked = list(families.tree_walk(table.size, gens, lines, tuple, families.follow))
+        walked = list(tree_walk(table.size, gens, lines, tuple, step))
         assert sorted(a for a, _ in walked) == list(range(table.size))
         for a, line in walked:
             assert line == (tuple(r[a] for r in want) if transpose else want[a])
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_gather_enters_each_node_once_with_its_line(spec):
+    # Rows and columns, over elements and over the kernel groups: every
+    # node entered exactly once, the generators' nodes first in A order,
+    # and every line the composed one.
+    table = families.enumerate_family(spec)
+    want = direct_rows(table)
+    gens = table.generators
+    for left, line_of in ((True, want), (False, tuple(zip(*want)))):
+        groups = table.kernel_groups(left)
+        group_of = [None] * table.size
+        for gid, members in enumerate(groups):
+            for a in members:
+                group_of[a] = gid
+        for node_of in (None, group_of):
+            lines = table.generator_rows() if left else table.columns(gens)
+            walked = list(families.gather(gens, lines, node_of))
+            node = range(table.size) if node_of is None else node_of
+            entered = [node[a] for a, _ in walked]
+            assert sorted(entered) == list(range(max(node) + 1))
+            roots = {}
+            for g in gens:
+                roots.setdefault(node[g], g)
+            assert [a for a, _ in walked[: len(roots)]] == list(roots.values())
+            for a, line in walked:
+                assert tuple(line) == line_of[a]
 
 
 def kernel_over_s1(table, a, left):

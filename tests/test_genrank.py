@@ -86,6 +86,10 @@ def test_closure_basics():
     assert genrank.closure(t, range(t.size)) == frozenset(range(t.size))
     with pytest.raises(ValidationError):
         genrank.closure(t, [t.size])
+    # an index is an int, as a chain size is: no bool, no float
+    for bad in ([True], [1, True], [1.0]):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            genrank.closure(t, bad)
 
 
 def test_closure_is_product_closed_and_minimal():
