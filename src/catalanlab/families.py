@@ -322,9 +322,8 @@ class SemigroupTable:
         (2 bytes an entry) when m <= 65,536, so that every index fits, and
         "I" (4 bytes) above that (_index_typecode): row i's entry j is the
         index of i.j, as an int, and the row takes 2m bytes where a tuple
-        takes 8m of pointers.  Derived from A's rows by gather: the row
-        of a.g is a's row read at the entries of g's, (a.g).j = a.(g.j).
-        The walk holds the rows on its current path as tuples and packs
+        takes 8m of pointers.  Derived from A's rows by gather, (a.g).j =
+        a.(g.j), holding the rows on one tree path as tuples and packing
         each row once, as it is reached.  Only the callers that emit or
         test every product read this: `enum --products` (cli._product_text,
         for every format) and the greens.star_ideal oracle.
@@ -338,7 +337,8 @@ class SemigroupTable:
         code = _index_typecode(self.size)
         pack = struct.Struct(f"{self.size}{code}").pack
         rows = [None] * self.size
-        for a, row in gather(self.generators, self.generator_rows()):
+        gens = self.generators
+        for a, row in gather(gens, self.generator_rows(), tuple(self.columns(gens))):
             rows[a] = memoryview(pack(*row)).cast(code)
         return tuple(rows)
 
@@ -456,55 +456,58 @@ def memoized(table, name, build, *args):
     return found
 
 
-def gather(gens, lines, node_of=None):
-    """Walk a Cayley graph from A depth first and yield (a, line a) once
-    per node: the generators' own lines first, in A order, then the line
-    of each node entered.  Along A's rows g.x the successor of a under g
-    is a.g = row_a[g], with row_{a.g}[x] = a.(g.x) = row_a[row_g[x]];
-    along A's columns x.g it is g.a = col_a[g], with col_{g.a}[x] =
-    (x.g).a = col_a[col_g[x]]: by associativity, a's line read at the
-    entries of g's, one itemgetter call.  A node entered past A holds no
-    generator, so m >= 2 and itemgetter gives a tuple.
+def gather(gens, lines, steps, node_of=None):
+    """Yield (a, line a) once per node of a Cayley graph: the generators'
+    own lines first, in A order, then the rest.  lines are A's rows g.x
+    and steps its columns, for the successors a.g = col_g[a], or the other
+    way round, for g.a = row_g[a].  By associativity a successor's line is
+    a's read at the entries of g's, one itemgetter call: row_{a.g}[x] =
+    row_a[row_g[x]], col_{g.a}[x] = col_a[col_g[x]].  A node past A holds
+    no generator, so m >= 2 and itemgetter gives a tuple.
 
-    A node is an element when node_of is None, else node_of[a], a number
-    below m.  Each node is entered once, through the first of its elements
-    the walk reaches, and only the lines on the current path are held.
-    On a J-trivial table each step of a path goes strictly down the
-    J-order, so a path is no longer than a chain of J-classes; on I_n it
-    can run through a whole J-class.
+    A node is an element when node_of is None, else node_of[a] < m.  The
+    steps first give the breadth-first tree over the nodes from A, each
+    node entered through the first of its elements found; the lines are
+    then gathered depth first along it, so only one tree path of lines is
+    held, no longer than a shortest word over A.  (Depth first along the
+    lines alone, a path runs through whole J-classes: 1,052 rows on I_6.)
 
     Every node is entered when the node of a.g (g.a) depends only on g
     and the node of a.  Every element is a word g_1 ... g_k over A.  The
-    node of g_1 is a root; if the walk entered the node of g_1 ...
+    node of g_1 is a root; if the search entered the node of g_1 ...
     g_(k-1) through b, then b.g_k lies in the node of g_1 ... g_k, and
-    the walk tries every successor of every element it enters, so it
-    enters that node too.  Along the columns the induction reads the
-    word from its end.
+    the search tries every successor of every element it enters, so it
+    enters that node too.  Along the columns the induction reads the word
+    from its end.
     """
-    edges = tuple(zip(gens, lines))
     if node_of is None:
-        node_of = range(len(edges[0][1]))
+        node_of = range(len(steps[0]))
     reached = bytearray(len(node_of))
-    roots = []
-    for g, line in edges:
+    entered, via = [], []
+    for g, line in zip(gens, lines):
         if not reached[node_of[g]]:
             reached[node_of[g]] = 1
-            roots.append(line)
+            entered.append(g)
+            via.append(line)
             yield g, line
-    for line in roots:
-        path = [(line, iter(edges))]
-        while path:
-            line, successors = path[-1]
-            for g, line_g in successors:
-                b = line[g]
-                if not reached[node_of[b]]:
-                    reached[node_of[b]] = 1
-                    line = itemgetter(*line_g)(line)
-                    yield b, line
-                    path.append((line, iter(edges)))
-                    break
-            else:
-                path.pop()
+    # Breadth first: entered[j] for j in range(ends[i], ends[i + 1]) was
+    # found from entered[i], along via[j]; ends[0] counts the roots.
+    edges = tuple(zip(lines, steps))
+    ends = [len(entered)]
+    for a in entered:
+        for line, step in edges:
+            b = step[a]
+            if not reached[node_of[b]]:
+                reached[node_of[b]] = 1
+                entered.append(b)
+                via.append(line)
+        ends.append(len(entered))
+    stack = [(j, via[i]) for i in range(ends[0]) for j in range(ends[i], ends[i + 1])]
+    while stack:
+        i, line = stack.pop()
+        line = itemgetter(*via[i])(line)
+        yield entered[i], line
+        stack.extend(zip(range(ends[i], ends[i + 1]), repeat(line)))
 
 
 def reach(lines, found, reached):

@@ -65,9 +65,10 @@ RQ'_n(p).
 
 Lines from the Cayley graph.  No group's line is composed (Froidure and
 Pin, 1997): families.gather reads every line off one it has, from the
-generators' rows g.x for L*, which the table holds, or the |A| columns
-x.g for R*, with a node per group.  It enters every group, as the group
-of a.g (g.a for R*) is fixed by g and the group of a:
+generators' rows g.x for L* or their columns x.g for R*, along the
+breadth-first tree that the other lines of A give, with a node per
+group.  It enters every group, as the group of a.g (g.a for R*) is fixed
+by g and the group of a:
 
   Take L*.  A nonzero a.g has image (im a n dom g)g, and in a Rees
   quotient of height p, a.g is the zero exactly when |im a n dom g| < p;
@@ -310,10 +311,13 @@ def _kernel_partition(table, left):
             group_of[a] = gid
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
-    gens = table.generators
-    for a, line in families.gather(
-        gens, table.generator_rows() if left else tuple(table.columns(gens)), group_of
-    ):
+    gens, rows = table.generators, table.generator_rows()
+    # The walk alone holds A's columns, which die with it.
+    if left:
+        walk = families.gather(gens, rows, tuple(table.columns(gens)), group_of)
+    else:
+        walk = families.gather(gens, tuple(table.columns(gens)), rows, group_of)
+    for a, line in walk:
         signature, labels = _kernel_key(line)
         buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
             groups[group_of[a]]

@@ -13,9 +13,10 @@ products.  With m elements and E the idempotents:
   idempotent_indices   the diagonal, i.i = i: m products, once per table
                        (kept in the table's store, families.memoized).
   regular_elements     every column, then every row, each read off its
-                       parent's by one itemgetter call, walked depth
-                       first (families.gather): m^2 entries read, and
-                       only the lines on the current path held.
+                       tree parent's by one itemgetter call, depth first
+                       along the breadth-first tree from A
+                       (families.gather): m^2 entries read, and only the
+                       lines on one tree path held.
   semilattice          the rows of the idempotents, composed only at the
                        idempotents: |E|^2 compositions.
   ample, right-ample   the rows and columns of the idempotents: 2 m |E|
@@ -85,15 +86,16 @@ def regular_elements(table):
     Let Fix_a = {x : x.a = a}.  Then a b a = a exactly when a.b lies in
     Fix_a, so a is regular iff Fix_a meets row a.  Fix_a is read off
     column a; the columns are gathered first and the rows after
-    (families.gather), so only the lines on the current path are held,
+    (families.gather), so only the lines on one tree path are held,
     with the Fix sets in between.
     """
     m, gens = table.size, table.generators
+    rows, columns = table.generator_rows(), tuple(table.columns(gens))
     fixed = [None] * m
-    for a, col in families.gather(gens, tuple(table.columns(gens))):
+    for a, col in families.gather(gens, columns, rows):
         fixed[a] = frozenset(_positions(col, a))
     regular = bytearray(m)
-    for a, row in families.gather(gens, table.generator_rows()):
+    for a, row in families.gather(gens, rows, columns):
         regular[a] = not fixed[a].isdisjoint(row)
     return list(compress(range(m), regular))
 

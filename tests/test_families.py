@@ -6,6 +6,8 @@ import pickle
 import random
 import re
 import struct
+import sys
+import tracemalloc
 import weakref
 from collections.abc import Mapping
 from itertools import combinations, permutations
@@ -371,9 +373,9 @@ def test_gather_enters_each_node_once_with_its_line(spec):
         for gid, members in enumerate(groups):
             for a in members:
                 group_of[a] = gid
+        lines = (table.generator_rows(), tuple(table.columns(gens)))
         for node_of in (None, group_of):
-            lines = table.generator_rows() if left else table.columns(gens)
-            walked = list(families.gather(gens, lines, node_of))
+            walked = list(families.gather(gens, *(lines if left else lines[::-1]), node_of))
             node = range(table.size) if node_of is None else node_of
             entered = [node[a] for a, _ in walked]
             assert sorted(entered) == list(range(max(node) + 1))
@@ -383,6 +385,40 @@ def test_gather_enters_each_node_once_with_its_line(spec):
             assert [a for a, _ in walked[: len(roots)]] == list(roots.values())
             for a, line in walked:
                 assert tuple(line) == line_of[a]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_gather_holds_one_tree_path_of_lines(n):
+    # I_n is not J-trivial, so a depth-first walk along the lines alone
+    # holds a path through whole J-classes (52 rows on I_4, 146 on I_5).
+    # Along the breadth-first tree the walk holds at most one line per
+    # level, plus its few bytes of bookkeeping per element.
+    table = families.enumerate_family(FamilySpec("syminv", n))
+    gens, m = table.generators, table.size
+    rows, columns = table.generator_rows(), tuple(table.columns(gens))
+    line_bytes = sys.getsizeof(rows[0])
+    for left, lines, steps in ((True, rows, columns), (False, columns, rows)):
+        depth = dict.fromkeys(gens, 0)
+        queue = list(depth)
+        for a in queue:
+            for b in (step[a] for step in steps):
+                if b not in depth:
+                    depth[b] = depth[a] + 1
+                    queue.append(b)
+        group_of = [None] * m
+        for gid, members in enumerate(table.kernel_groups(left)):
+            for a in members:
+                group_of[a] = gid
+        for node_of in (None, group_of):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                for _ in families.gather(gens, lines, steps, node_of):
+                    pass
+                held = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert held < (max(depth.values()) + 1) * line_bytes + 64 * m
 
 
 def kernel_over_s1(table, a, left):

@@ -318,8 +318,9 @@ def test_starred_L_and_R_match_the_composed_line_route_on_duck_typed_tables():
     FamilySpec("syminv", 3),
 ], ids=lambda s: s.label())
 def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
-    # L* reads the generator rows the table already holds and R* composes
-    # the generator columns, once each; every other line is gathered.
+    # L* and R* each read the generator rows the table already holds and
+    # compose the generator columns once, the one to gather along and the
+    # other to step along; every other line is gathered.
     table = families._build_table.__wrapped__(spec)
     table.generator_rows()
     asked = []
@@ -336,9 +337,9 @@ def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
     monkeypatch.setattr(table, "rows", refuse)
     monkeypatch.setattr(table, "columns", counted)
     greens.starred_L(table)
-    assert asked == []
-    greens.starred_R(table)
     assert asked == [table.generators]
+    greens.starred_R(table)
+    assert asked == [table.generators] * 2
 
 
 def assert_starred_match_the_tree_keys(table):
