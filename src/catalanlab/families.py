@@ -458,56 +458,59 @@ def memoized(table, name, build, *args):
 
 def gather(gens, lines, steps, node_of=None):
     """Yield (a, line a) once per node of a Cayley graph: the generators'
-    own lines first, in A order, then the rest.  lines are A's rows g.x
-    and steps its columns, for the successors a.g = col_g[a], or the other
-    way round, for g.a = row_g[a].  By associativity a successor's line is
-    a's read at the entries of g's, one itemgetter call: row_{a.g}[x] =
-    row_a[row_g[x]], col_{g.a}[x] = col_a[col_g[x]].  A node past A holds
-    no generator, so m >= 2 and itemgetter gives a tuple.
+    own lines first, in A order, then the rest.  lines are A's rows g.x,
+    walked along a -> a.g = row_a[g], or its columns x.g, along a -> g.a =
+    col_a[g].  By associativity a successor's line is a's read at the
+    entries of g's, one itemgetter call: row_{a.g}[x] = row_a[row_g[x]],
+    col_{g.a}[x] = col_a[col_g[x]].  A node past A holds no generator, so
+    m >= 2 and itemgetter gives a tuple.
 
-    A node is an element when node_of is None, else node_of[a] < m.  The
-    steps first give the breadth-first tree over the nodes from A, each
-    node entered through the first of its elements found; the lines are
-    then gathered depth first along it, so only one tree path of lines is
-    held, no longer than a shortest word over A.  (Depth first along the
-    lines alone, a path runs through whole J-classes: 1,052 rows on I_6.)
+    A node is an element when node_of is None, else node_of[a].  steps[k]
+    maps each node to the node the k-th generator takes it to: A's columns
+    (a.g = col_g[a]) or rows (g.a = row_g[a]) when the nodes are the
+    elements.  The steps first give the breadth-first tree over the nodes
+    from A; the lines are then gathered depth first along it, so only one
+    tree path of lines is held, no longer than a shortest word over A.
+    (Depth first along the lines alone, a path runs through whole
+    J-classes: 1,052 rows on I_6.)
 
-    Every node is entered when the node of a.g (g.a) depends only on g
-    and the node of a.  Every element is a word g_1 ... g_k over A.  The
-    node of g_1 is a root; if the search entered the node of g_1 ...
-    g_(k-1) through b, then b.g_k lies in the node of g_1 ... g_k, and
-    the search tries every successor of every element it enters, so it
-    enters that node too.  Along the columns the induction reads the word
-    from its end.
+    Every node is entered, and every element yielded lies in the node its
+    tree edge leads to, when the node of a.g (g.a) depends only on g and
+    the node of a, so that a step read at one member holds for all.  Every
+    element is a word g_1 ... g_k over A.  The node of g_1 is a root; if
+    the search entered the node of g_1 ... g_(k-1), its step along g_k is
+    the node of g_1 ... g_k, and the search takes every step from every
+    node it enters, so it enters that node too.  Along the columns the
+    induction reads the word from its end.
     """
     if node_of is None:
-        node_of = range(len(steps[0]))
-    reached = bytearray(len(node_of))
-    entered, via = [], []
-    for g, line in zip(gens, lines):
+        node_of = range(len(lines[0]))
+    reached = bytearray(len(steps[0]))
+    nodes, via = [], []
+    for k, g in enumerate(gens):
         if not reached[node_of[g]]:
             reached[node_of[g]] = 1
-            entered.append(g)
-            via.append(line)
-            yield g, line
-    # Breadth first: entered[j] for j in range(ends[i], ends[i + 1]) was
-    # found from entered[i], along via[j]; ends[0] counts the roots.
-    edges = tuple(zip(lines, steps))
-    ends = [len(entered)]
-    for a in entered:
-        for line, step in edges:
-            b = step[a]
-            if not reached[node_of[b]]:
-                reached[node_of[b]] = 1
-                entered.append(b)
-                via.append(line)
-        ends.append(len(entered))
-    stack = [(j, via[i]) for i in range(ends[0]) for j in range(ends[i], ends[i + 1])]
+            nodes.append(node_of[g])
+            via.append(k)
+            yield g, lines[k]
+    # Breadth first: nodes[j] for j in range(ends[i], ends[i + 1]) was
+    # found from nodes[i] along generator via[j]; ends[0] counts the roots.
+    ends = [len(nodes)]
+    for v in nodes:
+        for k, step in enumerate(steps):
+            w = step[v]
+            if not reached[w]:
+                reached[w] = 1
+                nodes.append(w)
+                via.append(k)
+        ends.append(len(nodes))
+    stack = [(j, lines[via[i]]) for i in range(ends[0]) for j in range(ends[i], ends[i + 1])]
     while stack:
-        i, line = stack.pop()
-        line = itemgetter(*via[i])(line)
-        yield entered[i], line
-        stack.extend(zip(range(ends[i], ends[i + 1]), repeat(line)))
+        j, line = stack.pop()
+        k = via[j]
+        a, line = line[gens[k]], itemgetter(*lines[k])(line)
+        yield a, line
+        stack.extend(zip(range(ends[j], ends[j + 1]), repeat(line)))
 
 
 def reach(lines, found, reached):

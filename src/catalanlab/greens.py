@@ -65,10 +65,10 @@ RQ'_n(p).
 
 Lines from the Cayley graph.  No group's line is composed (Froidure and
 Pin, 1997): families.gather reads every line off one it has, from the
-generators' rows g.x for L* or their columns x.g for R*, along the
-breadth-first tree that the other lines of A give, with a node per
-group.  It enters every group, as the group of a.g (g.a for R*) is fixed
-by g and the group of a:
+generators' rows g.x for L* or their columns x.g for R*, with a node per
+group, along the breadth-first tree over the groups.  Its steps are read
+at one member of each group, as the group of a.g (g.a for R*) is fixed
+by g and the group of a, and so it enters every group:
 
   Take L*.  A nonzero a.g has image (im a n dom g)g, and in a Rees
   quotient of height p, a.g is the zero exactly when |im a n dom g| < p;
@@ -311,12 +311,16 @@ def _kernel_partition(table, left):
             group_of[a] = gid
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
+    # The steps between groups, read at each group's first member: a.g
+    # off its row at A for L*, g.a off A's rows for R*.
     gens, rows = table.generators, table.generator_rows()
-    # The walk alone holds A's columns, which die with it.
+    firsts = [members[0] for members in groups]
     if left:
-        walk = families.gather(gens, rows, tuple(table.columns(gens)), group_of)
+        steps = tuple(zip(*(map(group_of.__getitem__, r) for r in table.rows(firsts, at=gens))))
+        walk = families.gather(gens, rows, steps, group_of)
     else:
-        walk = families.gather(gens, tuple(table.columns(gens)), rows, group_of)
+        steps = [[group_of[row[a]] for a in firsts] for row in rows]
+        walk = families.gather(gens, tuple(table.columns(gens)), steps, group_of)
     for a, line in walk:
         signature, labels = _kernel_key(line)
         buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(

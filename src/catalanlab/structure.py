@@ -90,12 +90,14 @@ def regular_elements(table):
     with the Fix sets in between.
     """
     m, gens = table.size, table.generators
-    rows, columns = table.generator_rows(), tuple(table.columns(gens))
+    rows = table.generator_rows()
+    # Each walk composes A's columns for itself: held across both, beside
+    # the Fix sets, they raised the battery's peak RSS.
     fixed = [None] * m
-    for a, col in families.gather(gens, columns, rows):
+    for a, col in families.gather(gens, tuple(table.columns(gens)), rows):
         fixed[a] = frozenset(_positions(col, a))
     regular = bytearray(m)
-    for a, row in families.gather(gens, rows, columns):
+    for a, row in families.gather(gens, rows, tuple(table.columns(gens))):
         regular[a] = not fixed[a].isdisjoint(row)
     return list(compress(range(m), regular))
 

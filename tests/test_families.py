@@ -359,6 +359,21 @@ def test_tree_walk_derives_every_line_from_its_tree_parent(spec):
             assert line == (tuple(r[a] for r in want) if transpose else want[a])
 
 
+def gather_walks(table, left):
+    """gather's inputs for the rows (left) or the columns of a table, as
+    (lines, steps, node_of): over the elements, and over the kernel groups
+    with each step read at a group's first member."""
+    rows, columns = table.generator_rows(), tuple(table.columns(table.generators))
+    lines, steps = (rows, columns) if left else (columns, rows)
+    groups = table.kernel_groups(left)
+    group_of = [None] * table.size
+    for gid, members in enumerate(groups):
+        for a in members:
+            group_of[a] = gid
+    group_steps = [[group_of[step[members[0]]] for members in groups] for step in steps]
+    return [(lines, steps, None), (lines, group_steps, group_of)]
+
+
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
 def test_gather_enters_each_node_once_with_its_line(spec):
     # Rows and columns, over elements and over the kernel groups: every
@@ -368,17 +383,11 @@ def test_gather_enters_each_node_once_with_its_line(spec):
     want = direct_rows(table)
     gens = table.generators
     for left, line_of in ((True, want), (False, tuple(zip(*want)))):
-        groups = table.kernel_groups(left)
-        group_of = [None] * table.size
-        for gid, members in enumerate(groups):
-            for a in members:
-                group_of[a] = gid
-        lines = (table.generator_rows(), tuple(table.columns(gens)))
-        for node_of in (None, group_of):
-            walked = list(families.gather(gens, *(lines if left else lines[::-1]), node_of))
+        for lines, steps, node_of in gather_walks(table, left):
+            walked = list(families.gather(gens, lines, steps, node_of))
             node = range(table.size) if node_of is None else node_of
             entered = [node[a] for a, _ in walked]
-            assert sorted(entered) == list(range(max(node) + 1))
+            assert sorted(entered) == list(range(len(steps[0])))
             roots = {}
             for g in gens:
                 roots.setdefault(node[g], g)
@@ -395,21 +404,17 @@ def test_gather_holds_one_tree_path_of_lines(n):
     # level, plus its few bytes of bookkeeping per element.
     table = families.enumerate_family(FamilySpec("syminv", n))
     gens, m = table.generators, table.size
-    rows, columns = table.generator_rows(), tuple(table.columns(gens))
-    line_bytes = sys.getsizeof(rows[0])
-    for left, lines, steps in ((True, rows, columns), (False, columns, rows)):
+    line_bytes = sys.getsizeof(table.generator_rows()[0])
+    for left in (True, False):
+        walks = gather_walks(table, left)
         depth = dict.fromkeys(gens, 0)
         queue = list(depth)
         for a in queue:
-            for b in (step[a] for step in steps):
+            for b in (step[a] for step in walks[0][1]):
                 if b not in depth:
                     depth[b] = depth[a] + 1
                     queue.append(b)
-        group_of = [None] * m
-        for gid, members in enumerate(table.kernel_groups(left)):
-            for a in members:
-                group_of[a] = gid
-        for node_of in (None, group_of):
+        for lines, steps, node_of in walks:
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]

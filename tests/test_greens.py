@@ -318,9 +318,9 @@ def test_starred_L_and_R_match_the_composed_line_route_on_duck_typed_tables():
     FamilySpec("syminv", 3),
 ], ids=lambda s: s.label())
 def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
-    # L* and R* each read the generator rows the table already holds and
-    # compose the generator columns once, the one to gather along and the
-    # other to step along; every other line is gathered.
+    # L* and R* read the generator rows the table already holds, R*
+    # composes the generator columns, and L* composes its first members'
+    # products with A for its steps; every other line is gathered.
     table = families._build_table.__wrapped__(spec)
     table.generator_rows()
     asked = []
@@ -331,15 +331,20 @@ def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
         asked.append(indices)
         return columns(indices)
 
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("L* and R* compose no row")
+    rows = table.rows
 
-    monkeypatch.setattr(table, "rows", refuse)
+    def at_the_generators(indices, at=None):
+        assert at == table.generators, "L* and R* compose no whole row"
+        indices = tuple(indices)
+        asked.append(indices)
+        return rows(indices, at)
+
+    monkeypatch.setattr(table, "rows", at_the_generators)
     monkeypatch.setattr(table, "columns", counted)
     greens.starred_L(table)
-    assert asked == [table.generators]
+    assert asked == [tuple(members[0] for members in table.kernel_groups(True))]
     greens.starred_R(table)
-    assert asked == [table.generators] * 2
+    assert asked[1:] == [table.generators]
 
 
 def assert_starred_match_the_tree_keys(table):
@@ -557,8 +562,8 @@ def test_tables_that_cannot_be_weakly_referenced_still_work():
         def generator_rows(self):
             return self._rows
 
-        def rows(self, indices):
-            return [self._rows[a] for a in indices]
+        def rows(self, indices, at=None):
+            return [[self._rows[a][x] for x in at or range(self.size)] for a in indices]
 
         def columns(self, indices):
             return [[row[a] for row in self._rows] for a in indices]
