@@ -81,7 +81,8 @@ group was entered through.  The tests' random tables, which need not
 associate, are generated by all their elements and gather nothing.  The
 work is one gather of m entries per group past A's, 512 of IC_9's 16,796
 elements for L* and 512 for R*, where a composed line takes m
-compositions and m hash lookups; keying each line, m labels, remains.
+compositions and m hash lookups, and for L*'s steps |A| compositions per
+group; keying each line, m labels, remains.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
