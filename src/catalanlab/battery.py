@@ -7,6 +7,13 @@ verification_report walks the table once and turns each (instance,
 claim) pair into one row.  Row ids, claim strings and values are part of
 the output contract.
 
+Rows are evaluated one store group at a time (families.store_group: IC_n
+with K(n,n), Q'_n with M(n,n-1), any other spec alone), each kept with
+its position, and then put back in CLAIMS order.  A group's instances,
+and so its tables, go when its last row is done.  A row reads only its
+own instance, and another table only for the moment of its claim (the
+inverse-ideal rows' IC_n and Q'_n), so no value depends on the order.
+
 Other modules are always called through their module attributes
 (greens.starred_L(...), never a from-import), so wrappers installed on
 those attributes see every call the battery makes.
@@ -14,8 +21,10 @@ those attributes see every call the battery makes.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property, reduce
-from operator import methodcaller
+from itertools import count
+from operator import itemgetter, methodcaller
 from typing import Callable, NamedTuple
 
 from . import families, formulas, genrank, greens, pinj, structure
@@ -605,6 +614,31 @@ CLAIMS = (
 )
 
 
+def _pending_rows(bounds):
+    """Every row of CLAIMS under the bounds, as (position in row order,
+    instance, claim), listed by store group (families.store_group) in
+    order of first row.  One instance per spec, shared by every section
+    that names it; no table is built here."""
+    pending = defaultdict(list)
+    instances = {}
+    positions = count()
+    for section in CLAIMS:
+        top = min(section.n_hi, bounds[section.bound])
+        for kind in section.kinds:
+            for n in range(section.n_lo, top + 1):
+                for p in families._valid_heights(kind, n):
+                    spec = families.FamilySpec(kind, n, p)
+                    x = instances.get(spec)
+                    if x is None:
+                        x = instances[spec] = Instance(spec)
+                    pending[families.store_group(spec)].extend(
+                        (next(positions), x, claim)
+                        for claim in section.claims
+                        if claim.when is None or claim.when(x)
+                    )
+    return pending
+
+
 def verification_report(n_max=4, starred_n_max=None):
     """Run the whole claim battery and return rows plus summary counts."""
     if n_max < 1:
@@ -621,23 +655,13 @@ def verification_report(n_max=4, starred_n_max=None):
         )
     both = min(n_max, starred_n_max)
     bounds = {"n_max": n_max, "starred_n_max": starred_n_max, "both": both}
+    pending = _pending_rows(bounds)
+    # One group at a time: its list, and with it its instances and their
+    # tables, goes once its rows are made.
     rows = []
-    # One instance per spec, shared by every section that names it.
-    instances = {}
-    for section in CLAIMS:
-        top = min(section.n_hi, bounds[section.bound])
-        for kind in section.kinds:
-            for n in range(section.n_lo, top + 1):
-                for p in families._valid_heights(kind, n):
-                    spec = families.FamilySpec(kind, n, p)
-                    x = instances.get(spec)
-                    if x is None:
-                        x = instances[spec] = Instance(spec)
-                    rows.extend(
-                        _row(x, claim)
-                        for claim in section.claims
-                        if claim.when is None or claim.when(x)
-                    )
+    for group in list(pending):
+        rows.extend((position, _row(x, claim)) for position, x, claim in pending.pop(group))
+    rows = [row for _, row in sorted(rows, key=itemgetter(0))]
     summary = {"pass": 0, "fail": 0, "paper-inconsistent": 0, "skipped": 0}
     for row in rows:
         summary[row["status"]] += 1

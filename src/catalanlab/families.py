@@ -18,27 +18,34 @@ domain), one tuple of them and one dict from packed image to index, and
 composes every product on them.  Enumeration writes those bytes
 directly, point by point, and sorts them by height and text; no element
 object is built until element(i) unpacks one.  Rees tables put their
-zero, packed as the empty map, at index 0.  Tables are cached and
-read-only: the packed images and the Cayley-graph rows are tuples, and
-the full product rows read-only memoryviews of 2-byte indices (4-byte
-past 65,536 elements).
+zero, packed as the empty map, at index 0.  Tables are read-only: the
+packed images and the Cayley-graph rows are tuples, and the full product
+rows read-only memoryviews of 2-byte indices (4-byte past 65,536
+elements).
+
+A table is cached while it is held: enumerate_family keeps it in a weak
+dictionary keyed by FamilySpec, so a request gets the table some caller
+still holds, and a table nobody holds goes.  There is no size to set and
+nothing to evict; a caller that wants a table kept holds it.
 
 One store per table.  What a table computes once, its generators and
 left Cayley graph, product rows, relation partitions and idempotents, is
 kept in one dict on the table (memoized), and goes when the table does.
 The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
-of Q'_n, enumerated in the same order; so their tables are those of IC_n
-and Q'_n renamed (SemigroupTable.renamed): the same image tuple, index
-and store, under the ideal's own FamilySpec and label, so either table
-reads what the other built.  The lower heights K(n,p) and M(n,p) and the
-Rees quotients are other semigroups, with tables of their own.
+of Q'_n, enumerated in the same order; so while one of the two tables
+is held, the other is it renamed (SemigroupTable.renamed): the same
+image tuple, index and store, under its own FamilySpec and label, so
+either table reads what the other built.  store_group names these
+twins.  The lower heights K(n,p) and M(n,p) and the Rees quotients are
+other semigroups, with tables and stores of their own.
 """
 
 from __future__ import annotations
 
 import struct
+import weakref
 from collections import defaultdict
-from functools import lru_cache, partial
+from functools import partial
 from itertools import compress, repeat
 from operator import add, itemgetter
 
@@ -73,7 +80,7 @@ class FamilySpec:
 
     Immutable and validated on every route in: the constructor refuses a
     bad spec, and copies and pickles are rebuilt through it.  Equal specs
-    hash alike, so they share one cached table.
+    hash alike, so they share one cached table while it is held.
     """
 
     __slots__ = ("kind", "n", "p")
@@ -185,7 +192,7 @@ class SemigroupTable:
         order: n bytes each, a at a point sent to a and 0 outside the
         domain, the Rees zero packed as the empty map.  The images are
         trusted, not checked, as element() unpacks them unchecked; so the
-        only callers are _build_table, which enumerates them, and the
+        only callers are _enumerate_table, which enumerates them, and the
         tests, which pack validated elements."""
         self.family = family
         n = family.n
@@ -218,11 +225,11 @@ class SemigroupTable:
         return self.locate(bytes(x if x in points else 0 for x in range(1, self.family.n + 1)))
 
     def renamed(self, family):
-        """This table under the spec of an ideal that is the whole
-        semigroup (K(n,n) for IC_n, M(n,n-1) for Q'_n): a table of its
-        own, with family as its spec and label, that holds this one's
-        images, index and store, so whichever of the two is asked first
-        builds a result for both."""
+        """This table under the spec of its twin in store_group (K(n,n)
+        for IC_n, M(n,n-1) for Q'_n, and the other way round): a table
+        of its own, with family as its spec and label, that holds this
+        one's images, index and store, so whichever of the two is asked
+        first builds a result for both."""
         twin = object.__new__(SemigroupTable)
         twin.__dict__.update(self.__dict__)
         twin.family = family
@@ -600,21 +607,48 @@ def _partial_injection_values(n, x, state):
     return [(a, (h + 1, used | 1 << a)) for a in range(1, n + 1) if not used >> a & 1]
 
 
-# The ideals that are the whole semigroup at their top height: K(n,n) is
-# IC_n and M(n,n-1) is Q'_n.
+# The ideals that are the whole semigroup at their top height, K(n,n) of
+# IC_n and M(n,n-1) of Q'_n, by kind, and the other way round.
 _WHOLE_KINDS = {KIND_K: KIND_ICN, KIND_M: KIND_QPRIME}
+_WHOLE_IDEALS = {whole: ideal for ideal, whole in _WHOLE_KINDS.items()}
+
+# The tables some caller holds, by spec; an entry goes with its table.
+_TABLES = weakref.WeakValueDictionary()
 
 
-@lru_cache(maxsize=None)
+def store_group(spec):
+    """The specs whose tables share one store with spec's, spec among
+    them: a semigroup and the ideal that is all of it, (IC_n, K(n,n)) or
+    (Q'_n, M(n,n-1)), in that order; any other spec alone.  The two
+    enumerate the same elements in the same order, so one table serves
+    both under two names (SemigroupTable.renamed)."""
+    kind, n = spec.kind, spec.n
+    if kind in _WHOLE_KINDS:
+        if spec.p == _valid_heights(kind, n)[-1]:
+            return FamilySpec(_WHOLE_KINDS[kind], n), spec
+    elif kind in _WHOLE_IDEALS:
+        heights = _valid_heights(_WHOLE_IDEALS[kind], n)
+        if heights:  # Q'_1 has no ideal M(1,p)
+            return spec, FamilySpec(_WHOLE_IDEALS[kind], n, heights[-1])
+    return (spec,)
+
+
 def _build_table(spec):
+    """The table of spec: the one a caller still holds, else its store
+    twin's renamed, else a new one (_enumerate_table).  Kept in _TABLES
+    while some caller holds it."""
+    table = _TABLES.get(spec)
+    if table is None:
+        twin = next((t for t in map(_TABLES.get, store_group(spec)) if t is not None), None)
+        table = _TABLES[spec] = _enumerate_table(spec) if twin is None else twin.renamed(spec)
+    return table
+
+
+def _enumerate_table(spec):
     """The table of spec, enumerated as packed images and sorted by
-    (height, canonical text), the Rees zero at index 0.  K(n,n) and
-    M(n,n-1) enumerate what IC_n and Q'_n do, in the same order, so they
-    are those tables renamed."""
+    (height, canonical text), the Rees zero at index 0, with a store of
+    its own.  Not cached."""
     n, p = spec.n, spec.p
-    whole = _WHOLE_KINDS.get(spec.kind)
-    if whole is not None and p == _valid_heights(spec.kind, n)[-1]:
-        return _build_table(FamilySpec(whole, n)).renamed(spec)
     if spec.kind == KIND_SYMINV:
         layers = _layers(n, range(n + 1), partial(_partial_injection_values, n))
     else:
@@ -637,8 +671,10 @@ def _build_table(spec):
 def enumerate_family(spec):
     """Materialize the table for a family descriptor.
 
-    Tables are cached per descriptor and must be treated as read-only.
-    No chain longer than DEFAULT_ENUM_CAP is enumerated.
+    Tables are cached while held: a request answers with the table some
+    caller still holds for the descriptor, or for its twin in
+    store_group, and builds one otherwise.  Tables must be treated as
+    read-only.  No chain longer than DEFAULT_ENUM_CAP is enumerated.
     """
     if not isinstance(spec, FamilySpec):
         raise FamilySpecError(f"expected a FamilySpec, got {type(spec).__name__}")
@@ -661,8 +697,8 @@ def is_member(alpha, spec):
         return True
     if not pinj.is_isotone_decreasing(alpha):
         return False
-    # The same window _build_table enumerates: 1 outside the domain on the
-    # identity-free side, height at most p in an ideal, exactly p in a
+    # The same window _enumerate_table enumerates: 1 outside the domain on
+    # the identity-free side, height at most p in an ideal, exactly p in a
     # Rees quotient.
     if spec.qprime_side and alpha.img[0] is not None:
         return False

@@ -51,7 +51,14 @@ each group has its row (column) composed by table.rows (table.columns)
 and keyed by greens._kernel_key, and the whole group takes that key.
 star_ideal_J groups elements by greens.star_ideal, the saturated
 principal *-ideal, which is the oracle for J* as strongly connected
-components.
+components.  per_element_J is J* as the library computed it before it
+stepped between kernel groups: the components of the D*-class graph
+with an edge for every element x and g in A, g.x off the generator rows
+and x.g off the generator columns.
+
+oracle_related_sets is greens.related_sets as it was before it expanded
+class ids: each first class's members expanded through the classes of
+each later partition as sets of elements, one frozenset per class.
 
 oracle_chain, oracle_expand and oracle_essential_factorization are the
 essential factorization by its earlier route: chain steps built from
@@ -115,7 +122,7 @@ one.
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import combinations, compress, count, permutations
 from operator import getitem, itemgetter, ne, or_
 
@@ -243,11 +250,21 @@ def direct_product(table, i, j):
     return table.index(pinj.compose(table.element(i), table.element(j)))
 
 
-@lru_cache(maxsize=None)
+# direct_rows by spec and packed images, which fix every product: keyed
+# by the table, the cache would hold every table a test composed.
+_DIRECT_ROWS = {}
+
+
 def direct_rows(table):
     """The product table with every entry composed directly, as tuples."""
-    m = table.size
-    return tuple(tuple(direct_product(table, i, j) for j in range(m)) for i in range(m))
+    key = table.family, table.images
+    rows = _DIRECT_ROWS.get(key)
+    if rows is None:
+        m = table.size
+        rows = _DIRECT_ROWS[key] = tuple(
+            tuple(direct_product(table, i, j) for j in range(m)) for i in range(m)
+        )
+    return rows
 
 
 def green_by_ideals(table):
@@ -534,6 +551,32 @@ def star_ideal_J(table, representatives=None):
     for members in groups:
         by_ideal[greens.star_ideal(table, members[0])].extend(members)
     return IndexPartition.from_groups(table.size, by_ideal.values())
+
+
+def per_element_J(table):
+    """J* with one edge set per element: class C of D* has an edge to the
+    D*-class of g.x and of x.g for every x in C and g in A."""
+    dstar = greens.starred_D(table)
+    dclass = dstar.class_of
+    successors = [set() for _ in dstar.classes]
+    edges = zip(*table.generator_rows(), *table.columns(table.generators))
+    for c, targets in zip(dclass, edges):
+        successors[c].update(map(dclass.__getitem__, targets))
+    components = greens._components(successors).class_of
+    return IndexPartition.from_keys([components[c] for c in dclass])
+
+
+def oracle_related_sets(*partitions):
+    """P1 o ... o Pk as a tuple of frozensets, expanded member by member."""
+    first, *rest = partitions
+    per_class = []
+    for members in first.classes:
+        reach = set(members)
+        for part in rest:
+            ids = {part.class_of[b] for b in reach}
+            reach = {b for c in ids for b in part.classes[c]}
+        per_class.append(frozenset(reach))
+    return tuple(per_class[c] for c in first.class_of)
 
 
 def oracle_chain(alpha):
@@ -856,5 +899,5 @@ def row_builds(monkeypatch):
         return build(table)
 
     monkeypatch.setattr(families.SemigroupTable, "_product_rows", counted)
-    monkeypatch.setattr(families, "_build_table", families._build_table.__wrapped__)
+    monkeypatch.setattr(families, "_build_table", families._enumerate_table)
     return built

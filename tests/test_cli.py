@@ -746,6 +746,48 @@ def test_verification_report_direct_api():
         cli.verification_report(n_max=4, starred_n_max=8)
 
 
+def test_the_battery_holds_one_store_group_at_a_time():
+    # Checked in a fresh interpreter, where nothing else holds a table:
+    # before, during and after each row, and whenever a table is asked
+    # for, every table alive is one of the row's store group, but for the
+    # IC_n and Q'_n that the inverse-ideal rows read for the moment of
+    # their claim.
+    probe = (
+        "import json\n"
+        "from catalanlab import battery, families\n"
+        "allowed, bad, most = set(), [], [0]\n"
+        "def check(where):\n"
+        "    live = set(families._TABLES.keys())\n"
+        "    most[0] = max(most[0], len(live))\n"
+        "    if not live <= allowed:\n"
+        "        bad.append((where, sorted(s.label() for s in live - allowed)))\n"
+        "row, enumerate_family = battery._row, families.enumerate_family\n"
+        "def checked_row(x, claim):\n"
+        "    allowed.clear()\n"
+        "    allowed.update(families.store_group(x.spec))\n"
+        "    if 'inverse-ideal' in claim.id:\n"
+        "        allowed.update(families.FamilySpec(k, x.n) for k in ('icn', 'qprime'))\n"
+        "    check(claim.id.format(tag=x.tag, n=x.n))\n"
+        "    out = row(x, claim)\n"
+        "    check(out['id'])\n"
+        "    return out\n"
+        "def checked_enumerate(spec):\n"
+        "    table = enumerate_family(spec)\n"
+        "    check(spec.label())\n"
+        "    return table\n"
+        "battery._row, families.enumerate_family = checked_row, checked_enumerate\n"
+        "report = battery.verification_report(6, 6)\n"
+        "print(json.dumps([len(report['rows']), bad[:5], most[0], len(families._TABLES)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(catalanlab.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", probe], stdout=subprocess.PIPE,
+                           env=env, timeout=120, check=True)
+    rows, bad, most, left = json.loads(child.stdout)
+    assert rows == 1020 and bad == []
+    # IC_n and K(n,n) are alive together, and nothing is left at the end.
+    assert most == 2 and left == 0
+
+
 # -------------------------------------------------------------- determinism
 
 
@@ -854,7 +896,7 @@ def test_a_gap_in_the_kernel_groups_exits_four(capsys, monkeypatch, relation):
     monkeypatch.setattr(
         families.SemigroupTable, "kernel_groups", lambda t, left: kernel_groups(t, left)[:-1]
     )
-    monkeypatch.setattr(families, "_build_table", families._build_table.__wrapped__)
+    monkeypatch.setattr(families, "_build_table", families._enumerate_table)
     args = ("greens", "--family", "icn", "--n", "3", "--relation", relation)
     code, out, err = run_cli(capsys, *args)
     assert code == 4
@@ -889,8 +931,10 @@ WHOLE_IDEAL_PROPERTIES = (
     "kind, p, command", list(WHOLE_IDEAL_OUTPUTS), ids=["-".join(k) for k in WHOLE_IDEAL_OUTPUTS]
 )
 def test_whole_ideals_print_their_own_labels(capsys, kind, p, command):
-    # The semigroup's own table is asked first, so the ideal's run reads
-    # the shared Cayley graphs and relations, and still prints its label.
+    # The semigroup's own table is asked first and held across both runs,
+    # as the cache keeps a table only while it is held, so the ideal's run
+    # reads the shared Cayley graphs and relations, and still prints its
+    # label.
     whole = {"k": "icn", "m": "qprime"}[kind]
     args = {
         "rank": (),
@@ -898,9 +942,12 @@ def test_whole_ideals_print_their_own_labels(capsys, kind, p, command):
         "greens": ("--relation", "Js"),
         "check": tuple(x for prop in WHOLE_IDEAL_PROPERTIES for x in ("--property", prop)),
     }[command]
+    semigroup = families.enumerate_family(families.FamilySpec(whole, 5))
     run_cli(capsys, command, "--family", whole, "--n", "5", *args)
     code, out, err = run_cli(capsys, command, "--family", kind, "--n", "5", "--p", p, *args)
     assert (code, err) == ((1, "") if command == "check" else (0, ""))
     label = f"K(5,{p})" if kind == "k" else f"M(5,{p})"
     assert label in out and "IC_5" not in out and "Q'_5" not in out
     assert hashlib.sha256(out.encode()).hexdigest() == WHOLE_IDEAL_OUTPUTS[kind, p, command]
+    ideal = families.enumerate_family(families.FamilySpec(kind, 5, int(p)))
+    assert ideal._memo is semigroup._memo and "A" in ideal._memo

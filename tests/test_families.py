@@ -197,7 +197,7 @@ def test_a_build_makes_no_element_objects(monkeypatch):
     monkeypatch.setattr(pinj, "_trusted", refuse)
     monkeypatch.setattr(pinj.PartialInjection, "__init__", refuse)
     monkeypatch.setattr(families, "_pack", refuse)
-    assert [families._build_table.__wrapped__(spec).images for spec in specs] == want
+    assert [families._enumerate_table(spec).images for spec in specs] == want
 
 
 def test_index_round_trips():
@@ -215,7 +215,7 @@ def test_index_answers_for_members_only(spec):
     # has sent the composites below height p to the Rees zero, which the
     # image index remembers (and holds some of, on a quotient); only the
     # table's own elements answer, and the maps below height p are none.
-    table = families._build_table.__wrapped__(spec)
+    table = families._enumerate_table(spec)
     table.product_rows()
     everything = oracle_elements(FamilySpec("syminv", spec.n))
     remembered = [
@@ -905,7 +905,7 @@ def test_a_renamed_table_reads_what_its_semigroup_builds_later():
         (FamilySpec("m", 4, 3), FamilySpec("qprime", 4)),
     ):
         for first in ("ideal", "whole"):
-            whole = families._build_table.__wrapped__(whole_spec)
+            whole = families._enumerate_table(whole_spec)
             ideal = whole.renamed(ideal_spec)
             tables = (ideal, whole) if first == "ideal" else (whole, ideal)
             built = {name: result(tables[0]) for name, result in results.items()}
@@ -919,10 +919,10 @@ def test_a_renamed_table_reads_what_its_semigroup_builds_later():
             assert ideal.family == ideal_spec and whole.family == whole_spec
 
 
-def test_no_global_holds_a_table():
-    # Everything a table derives lives in its own store, so a table built
-    # outside the cache goes once its last reference does.
-    table = families._build_table.__wrapped__(FamilySpec("rq", 5, 2))
+def ask_everything(table):
+    """Ask table for all it computes once: generators, product rows, every
+    relation and its idempotents."""
+    assert table.generators
     table.product_rows()
     for which in greens.GREEN_NAMES:
         greens.green(table, which)
@@ -930,7 +930,82 @@ def test_no_global_holds_a_table():
         greens.starred(table, which)
     structure.idempotent_indices(table)
     assert {"A", "rows", "L", "Ls", "Ds", "E"} <= set(table._memo)
+
+
+def test_no_global_holds_a_table():
+    # Everything a table derives lives in its own store, so a table built
+    # outside the cache goes once its last reference does.
+    table = families._enumerate_table(FamilySpec("rq", 5, 2))
+    ask_everything(table)
     ref = weakref.ref(table)
     del table
     gc.collect()
     assert ref() is None
+
+
+@pytest.fixture
+def no_collector():
+    """The cyclic garbage collector off for one test: what goes, goes by
+    reference counting alone."""
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("specs", [
+    (FamilySpec("rq", 5, 2),),
+    (FamilySpec("icn", 4), FamilySpec("k", 4, 4)),
+    (FamilySpec("m", 4, 3), FamilySpec("qprime", 4)),
+], ids=lambda specs: "-".join(spec.label() for spec in specs))
+def test_a_cached_table_goes_with_its_last_holder(no_collector, specs):
+    # The cache holds a table only while a caller does, and a table's
+    # store holds no cycle back to it, so tables asked for everything they
+    # compute go once dropped, twins included, with no collection.
+    assert not set(specs) & set(families._TABLES.keys()), "held elsewhere"
+    tables = [families.enumerate_family(spec) for spec in specs]
+    for table in tables:
+        ask_everything(table)
+    refs = [weakref.ref(table) for table in tables]
+    del table, tables
+    assert [ref() for ref in refs] == [None] * len(specs)
+    assert not set(specs) & set(families._TABLES.keys())
+
+
+@pytest.mark.parametrize("whole, ideal", [
+    (FamilySpec("icn", 4), FamilySpec("k", 4, 4)),
+    (FamilySpec("qprime", 4), FamilySpec("m", 4, 3)),
+], ids=lambda spec: spec.label())
+@pytest.mark.parametrize("first", ["whole", "ideal"])
+def test_twins_share_one_store_while_either_is_held(whole, ideal, first):
+    one, other = (whole, ideal) if first == "whole" else (ideal, whole)
+    assert families.store_group(one) == families.store_group(other) == (whole, ideal)
+    held = families.enumerate_family(one)
+    assert held.generators
+    twin = families.enumerate_family(other)
+    assert twin.family == other and held.family == one
+    assert twin._memo is held._memo and twin.images is held.images
+    # The first dropped, the second still hands its store to the first.
+    memo = held._memo
+    del held
+    assert families.enumerate_family(one)._memo is memo
+    # Both dropped: the next request builds a new table and store.
+    del twin
+    assert not {one, other} & set(families._TABLES.keys())
+    assert "A" not in families.enumerate_family(one)._memo
+
+
+def test_store_groups_pair_each_semigroup_with_its_whole_ideal():
+    for n in range(1, 8):
+        for kind, ideal in (("icn", "k"), ("qprime", "m")):
+            heights = families._valid_heights(ideal, n)
+            if not heights:  # Q'_1 has no ideal M(1,p)
+                assert families.store_group(FamilySpec(kind, n)) == (FamilySpec(kind, n),)
+                continue
+            group = (FamilySpec(kind, n), FamilySpec(ideal, n, heights[-1]))
+            assert families.store_group(group[0]) == families.store_group(group[1]) == group
+            for p in heights[:-1]:
+                assert families.store_group(FamilySpec(ideal, n, p)) == (FamilySpec(ideal, n, p),)
+        for kind in ("ric", "rq"):
+            for p in families._valid_heights(kind, n):
+                assert families.store_group(FamilySpec(kind, n, p)) == (FamilySpec(kind, n, p),)
+        assert families.store_group(FamilySpec("syminv", n)) == (FamilySpec("syminv", n),)

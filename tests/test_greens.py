@@ -22,6 +22,8 @@ from conftest import (
     line_kernel_partition,
     oracle_kernel_partition,
     oracle_partition_by,
+    oracle_related_sets,
+    per_element_J,
     related_pairs,
     relation_compose,
     relation_pairs,
@@ -170,7 +172,7 @@ def test_D_is_J(spec):
     # D is computed as the join of L and R and never compared with J at
     # run time; D = J on a finite semigroup, and this holds the two equal.
     # Each is asked of its own fresh table, so no memo relates them.
-    build = families._build_table.__wrapped__
+    build = families._enumerate_table
     d, j = greens.green(build(spec), "D"), greens.green(build(spec), "J")
     assert d == j
     if spec.kind == "syminv" and spec.n >= 2:
@@ -321,7 +323,7 @@ def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
     # L* and R* read the generator rows the table already holds, R*
     # composes the generator columns, and L* composes its first members'
     # products with A for its steps; every other line is gathered.
-    table = families._build_table.__wrapped__(spec)
+    table = families._enumerate_table(spec)
     table.generator_rows()
     asked = []
     columns = table.columns
@@ -392,7 +394,7 @@ def test_starred_L_and_R_key_one_line_per_image_and_per_domain(monkeypatch, spec
         return kernel_key(values)
 
     monkeypatch.setattr(greens, "_kernel_key", counted)
-    table = families._build_table.__wrapped__(spec)
+    table = families._enumerate_table(spec)
     for relation, name in ((greens.starred_L, pinj.image), (greens.starred_R, pinj.domain)):
         keyed.clear()
         relation(table)
@@ -425,6 +427,38 @@ def test_starred_J_matches_the_saturated_star_ideals():
             )
             want = star_ideal_J(table, dstar)
         assert greens.starred_J(table) == want, spec
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_starred_J_matches_the_per_element_edges(monkeypatch, spec):
+    # One edge set per kernel group against one per element; with D*
+    # known, J* composes no generator column.
+    table = families._enumerate_table(spec)
+    greens.starred_D(table)
+    want = per_element_J(table)
+
+    def refuse(_indices):
+        raise AssertionError("J* reads g.x off A's rows and x.g at image groups")
+
+    monkeypatch.setattr(table, "columns", refuse)
+    assert greens.starred_J(table) == want
+
+
+def test_starred_J_matches_the_per_element_edges_on_duck_typed_tables():
+    # A duck-typed table's kernel groups are singletons, so its steps are
+    # every element's own edges; the 33-element semigroup and its opposite
+    # have J* != D*.
+    rng = random.Random(5)
+    tables = [
+        FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+        for m in (rng.randint(1, 7) for _ in range(300))
+    ]
+    table = star_table()
+    opposite = FakeTable(list(zip(*table.product_rows())), generators=table.generators)
+    tables += [table, opposite, LEFT_ZERO, RIGHT_ZERO]
+    for table in tables:
+        assert greens.starred_J(table) == per_element_J(table)
+    assert greens.starred_J(opposite) != greens.starred_D(opposite)
 
 
 def test_starred_J_is_reachability_on_arbitrary_tables():
@@ -512,7 +546,7 @@ def test_starred_J_calls_neither_green_nor_star_ideal(monkeypatch):
     monkeypatch.setattr(greens, "star_ideal", refuse)
     for spec in (FamilySpec("qprime", 5), FamilySpec("syminv", 3), FamilySpec("rq", 5, 2)):
         # A fresh table, so nothing is served from the table's store.
-        table = families._build_table.__wrapped__(spec)
+        table = families._enumerate_table(spec)
         assert greens.starred_J(table).class_count > 0
 
 
@@ -527,7 +561,7 @@ def test_relations_are_computed_once_per_table():
     # I_3 is not J-trivial, so its L, R and H differ and stay apart.  A
     # fresh table, so D is computed before J here; J, equal to D, then
     # shares D's object through the memo.
-    table = families._build_table.__wrapped__(FamilySpec("syminv", 3))
+    table = families._enumerate_table(FamilySpec("syminv", 3))
     parts = {which: greens.green(table, which) for which in GREEN_NAMES}
     assert parts["L"] != parts["R"] and parts["L"] != parts["H"]
     assert parts["D"] is parts["J"]
@@ -854,6 +888,22 @@ def test_related_sets_match_the_pair_set_oracle():
                         want = relation_compose(want, part)
                     got = related_pairs(greens.related_sets(*chain))
                     assert got == want, (kind, n, p, len(chain))
+
+
+def test_related_sets_match_the_member_expansion_on_random_partitions():
+    # Class ids expanded through each pair's adjacency against members
+    # expanded through whole classes, on one to four partitions with
+    # classes of every size; classes that reach alike share one set.
+    rng = random.Random(13)
+    for _ in range(300):
+        size = rng.randint(1, 30)
+        parts = [
+            IndexPartition.from_keys([rng.randrange(classes) for _ in range(size)])
+            for classes in (rng.randint(1, size) for _ in range(rng.randint(1, 4)))
+        ]
+        got = greens.related_sets(*parts)
+        assert got == oracle_related_sets(*parts)
+        assert len(set(map(id, got))) == len(set(got))
 
 
 def test_related_sets_have_no_element_cap():
