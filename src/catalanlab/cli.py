@@ -417,19 +417,22 @@ def _cmd_maximal(args):
 
 def _cmd_verify(args):
     report = verification_report(args.n_max, args.starred_n_max)
-    human = []
-    for row in report["rows"]:
-        human.append(
+    rows, s = report["rows"], report["summary"]
+    # The human lines and csv rows are generators: only the chosen
+    # format's are made, one at a time as they are written.
+    human = chain(
+        (
             f"[{row['status']}] {row['id']} ({row['family']}): {row['claim']}"
             f" | expected {row['expected']} | computed {row['computed']}"
-        )
-    s = report["summary"]
-    human.append(
-        f"summary: {s['pass']} pass, {s['fail']} fail,"
-        f" {s['paper-inconsistent']} paper-inconsistent, {s['skipped']} skipped"
+            for row in rows
+        ),
+        [
+            f"summary: {s['pass']} pass, {s['fail']} fail,"
+            f" {s['paper-inconsistent']} paper-inconsistent, {s['skipped']} skipped"
+        ],
     )
     columns = ("id", "claim", "family", "expected", "computed", "status")
-    csv_rows = [columns] + [tuple(row[c] for c in columns) for row in report["rows"]]
+    csv_rows = chain([columns], (tuple(map(row.__getitem__, columns)) for row in rows))
     code = 1 if s["fail"] else 0
     _emit(args, report, human, csv_rows)
     return code

@@ -29,8 +29,9 @@ still holds, and a table nobody holds goes.  There is no size to set and
 nothing to evict; a caller that wants a table kept holds it.
 
 One store per table.  What a table computes once, its generators and
-left Cayley graph, product rows, relation partitions and idempotents, is
-kept in one dict on the table (memoized), and goes when the table does.
+both Cayley graphs (A's rows and, by generator_columns, A's columns),
+product rows, relation partitions and idempotents, is kept in one dict on
+the table (memoized), and goes when the table does.
 The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
 of Q'_n, enumerated in the same order; so while one of the two tables
 is held, the other is it renamed (SemigroupTable.renamed): the same
@@ -297,10 +298,10 @@ class SemigroupTable:
 
     def columns(self, indices):
         """For each index a, the column x.a for every x, as an iterator, as
-        rows() does.  Composed on each call and not kept: the callers (R, J,
-        R*, J*, closure and the property checks) are memoized or run once,
-        and keeping columns cost more battery peak memory than composing
-        them again saves."""
+        rows() does.  Composed on each call and not kept.  A's columns are
+        kept, composed once by generator_columns, the one caller that asks
+        for them; the other callers (closure's index sets, the ample
+        checks' idempotents, one battery row) ask for other columns."""
         return map(self._composer(left=False), indices)
 
     def kernel_groups(self, left):
@@ -344,8 +345,7 @@ class SemigroupTable:
         code = _index_typecode(self.size)
         pack = struct.Struct(f"{self.size}{code}").pack
         rows = [None] * self.size
-        gens = self.generators
-        for a, row in gather(gens, self.generator_rows(), tuple(self.columns(gens))):
+        for a, row in gather(self.generators, self.generator_rows(), generator_columns(self)):
             rows[a] = memoryview(pack(*row)).cast(code)
         return tuple(rows)
 
@@ -446,8 +446,9 @@ class SemigroupTable:
 def memoized(table, name, build, *args):
     """build(table, *args), computed once per semigroup and then kept
     under name in table._memo, the one store of what a table derives:
-    its generators and left Cayley graph, product rows, relation
-    partitions (greens) and idempotents (structure).  A table renamed
+    its generators and both Cayley graphs, product rows, relation
+    partitions and the steps between kernel groups (greens) and
+    idempotents (structure).  A table renamed
     from another holds that one's store.  A result equal to one already
     stored is replaced by it, so equal relations share one object: on a
     J-trivial table all five classical relations are the identity.  A
@@ -461,6 +462,21 @@ def memoized(table, name, build, *args):
         found = build(table, *args)
         found = memo[name] = next((kept for kept in memo.values() if kept == found), found)
     return found
+
+
+def generator_columns(table):
+    """The right Cayley graph: for each g in A, in the order of
+    table.generators, the column x.g for every x, composed once per
+    semigroup and kept in the table's store (memoized) beside A's rows.
+    The one place A's columns are composed: the classical R and J, R*'s
+    lines, L*'s group steps, regular_elements and product_rows read them
+    here.  A function of any table with generators and columns(), not a
+    method, so that the tests' stand-in tables serve too."""
+    return memoized(table, "columns", _compose_generator_columns)
+
+
+def _compose_generator_columns(table):
+    return tuple(table.columns(table.generators))
 
 
 def gather(gens, lines, steps, node_of=None):

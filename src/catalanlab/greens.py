@@ -5,8 +5,9 @@ generating set A: x -> xg is the right graph and x -> gx the left one
 (g in A).  xS^1 is what x reaches in the right graph, so R is its
 strongly connected components; L is those of the left graph and J those
 of the union of both.  Tarjan's algorithm finds them in O(m |A|).  The
-graphs are the table's generator rows and columns, composed on packed
-images; the classical relations never build the m x m product rows.
+graphs are A's rows and columns (families.generator_columns), each
+composed once per semigroup on packed images and held in the table's
+store; the classical relations never build the m x m product rows.
 Joins are components too: D is the partition into the strongly connected
 components of the graph with a cycle through each L-class and each
 R-class (D* likewise over L* and R*), so one routine does all the
@@ -81,8 +82,9 @@ group was entered through.  The tests' random tables, which need not
 associate, are generated by all their elements and gather nothing.  The
 work is one gather of m entries per group past A's, 512 of IC_9's 16,796
 elements for L* and 512 for R*, where a composed line takes m
-compositions and m hash lookups, and for L*'s steps |A| compositions per
-group; keying each line, m labels, remains.
+compositions and m hash lookups; the steps are |A| lookups per group in
+A's held columns (L*) or rows (R*), with no composition.  Keying each
+line, m labels, remains.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
@@ -108,8 +110,9 @@ that was asked for D* joins L* and R* once.  Tarjan's routine above finds
 the components.
 
 Those edges are read once per kernel group, along the group steps that
-L* and R* walk (one helper gives both): x.g at the first member of each
-image group, g.x at the first member of each domain group.
+L* and R* walk, which the store keeps one side each (one helper gives
+both): x.g at the first member of each image group, g.x at the first
+member of each domain group.
 
   Take x.g.  By "Lines from the Cayley graph" the image group of x.g
   depends only on g and the image group of x, so every x of a group
@@ -119,10 +122,12 @@ image group, g.x at the first member of each domain group.
   member.  The edges read at one member per group are all the edges.
   Dually for g.x, with domain groups inside R*-classes.
 
-So J* composes |A| products per image group and reads g.x off A's rows,
-with no generator column: on IC_9, 512 groups a side with 18 edges each
-instead of 16,796 elements and 18 composed columns, 79 → 21 ms of CPU
-once D* is known (Python 3.11, 2-core VM).  A duck-typed table's groups
+So J* composes nothing: it reads the groups and steps that L* and R*
+left in the store, x.g off A's held columns and g.x off A's rows.  On
+IC_9 that is 512 groups a side with 18 edges each, instead of 16,796
+elements and 18 composed columns: once D* is known, 79 ms of CPU with an
+edge per element, 21 ms with the steps composed again, 3 ms reading the
+stored ones (Python 3.11, 2-core VM).  A duck-typed table's groups
 are singletons, so there every element steps alone.  Saturating each
 ideal as a set, as star_ideal does, reads whole rows and columns per
 element reached; star_ideal stays as the definition-level oracle.  On
@@ -131,10 +136,11 @@ semigroup: the tests hold a 33-element Rees quotient of a semigroup of
 partial maps where J* merges two D*-classes.
 
 The classical relations, L*, R* and D* are computed once per table, and
-later calls return the same IndexPartition; H* and J* are built from them
-afresh on each call.  They are kept in the table's store
-(families.memoized), which K(n,n) shares with IC_n and M(n,n-1) with
-Q'_n while both are held, and which goes when the table does.
+later calls return the same IndexPartition; so are each side's kernel
+groups and steps.  H* and J* are built from them afresh on each call.
+They are kept in the table's store (families.memoized), which K(n,n)
+shares with IC_n and M(n,n-1) with Q'_n while both are held, and which
+goes when the table does.
 
 Partitions index elements by table position; class ids are assigned by
 least member, so all outputs are deterministic.
@@ -163,13 +169,28 @@ class IndexPartition:
 
     @classmethod
     def from_groups(cls, size, groups):
-        classes = sorted((tuple(sorted(g)) for g in groups), key=lambda c: c[0])
+        """The partition of range(size) into the given groups, which must
+        be nonempty, disjoint and cover range(size); ValidationError
+        otherwise.  Each class is sorted, and the classes sort by least
+        member, which for disjoint groups is tuple order: an empty group
+        sorts first, and classes[0][0] is the least index of all.  Once
+        the one pass over the members has written class_of, with every
+        index in range and none left out, the groups overlap exactly when
+        they hold more than size indices."""
+        classes = sorted(map(tuple, map(sorted, groups)))
+        if classes and (not classes[0] or classes[0][0] < 0):
+            raise ValidationError("groups hold an empty group or a negative index")
         class_of = [None] * size
-        for cid, members in enumerate(classes):
-            for i in members:
-                class_of[i] = cid
-        if any(c is None for c in class_of):
+        try:
+            for cid, members in enumerate(classes):
+                for i in members:
+                    class_of[i] = cid
+        except IndexError:
+            raise ValidationError(f"groups hold an index past {size - 1}") from None
+        if None in class_of:
             raise ValidationError("groups do not cover every index")
+        if sum(map(len, classes)) != size:
+            raise ValidationError("groups overlap")
         return cls(class_of, classes)
 
     @classmethod
@@ -225,15 +246,14 @@ def _green(table, which):
         if which == "H":
             return _meet(lpart, rpart)
         return _join(lpart, rpart)
-    # The successors of x are read across the generator rows or columns.
-    # The columns are not held in a local, which would keep them alive
-    # through Tarjan's pass (0.8 MB more battery peak RSS).
+    # The successors of x are read across A's rows or columns, both held
+    # in the table's store.
     if which == "L":
         return _components(list(zip(*table.generator_rows())))
     if which == "R":
-        return _components(list(zip(*table.columns(table.generators))))
+        return _components(list(zip(*families.generator_columns(table))))
     # which == "J": the union of the two graphs
-    return _components(list(zip(*table.generator_rows(), *table.columns(table.generators))))
+    return _components(list(zip(*table.generator_rows(), *families.generator_columns(table))))
 
 
 def _components(successors):
@@ -317,20 +337,23 @@ def _group_steps(table, left):
     """The kernel groups (table.kernel_groups: by image when left, else by
     domain), the group of each index, and the steps between groups: for
     the k-th generator g, the group that each group's a.g (left) or g.a
-    lies in, read at the group's first member, off its row at A for a.g
-    and off A's rows for g.a.  The module docstring ("Lines from the
-    Cayley graph") proves that every member steps to that group."""
+    lies in, read at the group's first member off A's held lines, a.g =
+    col_g[a] and g.a = row_g[a].  The module docstring ("Lines from the
+    Cayley graph") proves that every member steps to that group.  Kept in
+    the table's store, one entry a side, so J* reads what L* and R*
+    walked."""
+    return families.memoized(table, "Ls steps" if left else "Rs steps", _read_group_steps, left)
+
+
+def _read_group_steps(table, left):
     groups = table.kernel_groups(left)
     group_of = [0] * table.size
     for gid, members in enumerate(groups):
         for a in members:
             group_of[a] = gid
-    gens = table.generators
     firsts = [members[0] for members in groups]
-    if left:
-        steps = tuple(zip(*(map(group_of.__getitem__, r) for r in table.rows(firsts, at=gens))))
-    else:
-        steps = [[group_of[row[a]] for a in firsts] for row in table.generator_rows()]
+    lines = families.generator_columns(table) if left else table.generator_rows()
+    steps = [list(map(group_of.__getitem__, map(line.__getitem__, firsts))) for line in lines]
     return groups, group_of, steps
 
 
@@ -347,9 +370,8 @@ def _kernel_partition(table, left):
     groups, group_of, steps = _group_steps(table, left)
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
-    gens = table.generators
-    lines = table.generator_rows() if left else tuple(table.columns(gens))
-    for a, line in families.gather(gens, lines, steps, group_of):
+    lines = table.generator_rows() if left else families.generator_columns(table)
+    for a, line in families.gather(table.generators, lines, steps, group_of):
         signature, labels = _kernel_key(line)
         buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
             groups[group_of[a]]

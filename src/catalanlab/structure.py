@@ -7,16 +7,19 @@ product table, never just a bare False.
 No check builds the m x m product table.  Each reads only the lines its
 predicate uses: rows a.x and columns x.a composed on packed images by
 table.rows and table.columns (one composer per pass), rows and columns
-gathered along the Cayley graphs from A (families.gather), or single
-products.  With m elements and E the idempotents:
+gathered along the Cayley graphs from A (families.gather) off A's rows
+and columns, which the table holds (generator_rows,
+families.generator_columns), or single products.  With m elements and E
+the idempotents:
 
   idempotent_indices   the diagonal, i.i = i: m products, once per table
                        (kept in the table's store, families.memoized).
   regular_elements     every column, then every row, each read off its
                        tree parent's by one itemgetter call, depth first
                        along the breadth-first tree from A
-                       (families.gather): m^2 entries read, and only the
-                       lines on one tree path held.
+                       (families.gather): m^2 entries read, no line
+                       composed past A's held rows and columns, and only
+                       the lines on one tree path held.
   semilattice          the rows of the idempotents, composed only at the
                        idempotents: |E|^2 compositions.
   ample, right-ample   the rows and columns of the idempotents: 2 m |E|
@@ -90,14 +93,12 @@ def regular_elements(table):
     with the Fix sets in between.
     """
     m, gens = table.size, table.generators
-    rows = table.generator_rows()
-    # Each walk composes A's columns for itself: held across both, beside
-    # the Fix sets, they raised the battery's peak RSS.
+    rows, columns = table.generator_rows(), families.generator_columns(table)
     fixed = [None] * m
-    for a, col in families.gather(gens, tuple(table.columns(gens)), rows):
+    for a, col in families.gather(gens, columns, rows):
         fixed[a] = frozenset(_positions(col, a))
     regular = bytearray(m)
-    for a, row in families.gather(gens, rows, tuple(table.columns(gens))):
+    for a, row in families.gather(gens, rows, columns):
         regular[a] = not fixed[a].isdisjoint(row)
     return list(compress(range(m), regular))
 

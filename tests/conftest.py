@@ -49,6 +49,11 @@ oracle_kernel_partition is L* and R* as the library computed them before
 it walked the kernel groups along the Cayley graph: the first member of
 each group has its row (column) composed by table.rows (table.columns)
 and keyed by greens._kernel_key, and the whole group takes that key.
+composed_group_steps is greens._group_steps as it was before the table
+held A's columns: L*'s steps composed as the products of each image
+group's first member with A (table.rows(firsts, at=A)), R*'s read off
+A's rows.  The library reads L*'s steps off A's held columns and is
+checked against it.
 star_ideal_J groups elements by greens.star_ideal, the saturated
 principal *-ideal, which is the oracle for J* as strongly connected
 components.  per_element_J is J* as the library computed it before it
@@ -438,6 +443,24 @@ def oracle_kernel_partition(table, left):
         signature, labels = greens._kernel_key(line)
         buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(members)
     return IndexPartition.from_groups(table.size, buckets.values())
+
+
+def composed_group_steps(table, left):
+    """The kernel groups, the group of each index and, for the k-th
+    generator g, the group of each group's a.g (left) or g.a, read at its
+    first member: a.g composed by table.rows at A, g.a off A's rows."""
+    groups = table.kernel_groups(left)
+    group_of = [0] * table.size
+    for gid, members in enumerate(groups):
+        for a in members:
+            group_of[a] = gid
+    gens = table.generators
+    firsts = [members[0] for members in groups]
+    if left:
+        steps = tuple(zip(*(map(group_of.__getitem__, r) for r in table.rows(firsts, at=gens))))
+    else:
+        steps = [[group_of[row[a]] for a in firsts] for row in table.generator_rows()]
+    return groups, group_of, steps
 
 
 def tree_kernel_key(values):

@@ -907,6 +907,24 @@ def test_a_gap_in_the_kernel_groups_exits_four(capsys, monkeypatch, relation):
     )
 
 
+@pytest.mark.parametrize("relation", ["Ls", "Rs"])
+def test_an_overlap_in_the_kernel_groups_exits_four(capsys, monkeypatch, relation):
+    # The first group also takes the last group's members.
+    kernel_groups = families.SemigroupTable.kernel_groups
+
+    def overlapping(table, left):
+        groups = kernel_groups(table, left)
+        return [groups[0] + groups[-1]] + groups[1:]
+
+    monkeypatch.setattr(families.SemigroupTable, "kernel_groups", overlapping)
+    monkeypatch.setattr(families, "_build_table", families._enumerate_table)
+    args = ("greens", "--family", "icn", "--n", "3", "--relation", relation)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: internal invariant failed: {relation[0]}* kernel groups overlap\n"
+
+
 # stdout sha256 of rank, maximal, greens --relation Js and check (every
 # property but the inverse ideals) on the two ideals that are the whole
 # semigroup, in human format; recorded before K(n,n) and M(n,n-1) shared

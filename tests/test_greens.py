@@ -14,6 +14,7 @@ from itertools import combinations
 import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
+    composed_group_steps,
     elements_of,
     green_by_ideals,
     kernel_key,
@@ -33,7 +34,7 @@ from conftest import (
 )
 from test_structure import LEFT_ZERO, RIGHT_ZERO, FakeTable, perturbed_tables
 
-from catalanlab import battery, families, greens, pinj
+from catalanlab import battery, families, greens, pinj, structure
 from catalanlab.errors import ValidationError
 from catalanlab.families import KINDS, FamilySpec, _valid_heights
 from catalanlab.greens import GREEN_NAMES, IndexPartition
@@ -121,6 +122,22 @@ def test_index_partition_from_keys_and_equality():
 def test_index_partition_rejects_non_cover():
     with pytest.raises(ValidationError):
         IndexPartition.from_groups(3, [(0, 1)])
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([(0, 1), (1, 2)], "overlap"),
+    ([(0, 1, 1), (2,)], "overlap"),
+    ([(0, 1), (2, 3)], "index past 2"),
+    ([(0, 1), (2,), (3,)], "index past 2"),
+    ([(-1, 0, 1)], "negative index"),
+    ([(0, 1), (-1,)], "negative index"),
+    ([(0, 1, 2), ()], "empty group"),
+])
+def test_index_partition_rejects_groups_that_do_not_partition(groups, message):
+    # Each of these once gave an inconsistent partition, a bare
+    # IndexError, or a class_of wrapped round by a negative index.
+    with pytest.raises(ValidationError, match=message):
+        IndexPartition.from_groups(3, groups)
 
 
 # ------------------------------------------------------------ plain relations
@@ -320,33 +337,53 @@ def test_starred_L_and_R_match_the_composed_line_route_on_duck_typed_tables():
     FamilySpec("syminv", 3),
 ], ids=lambda s: s.label())
 def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
-    # L* and R* read the generator rows the table already holds, R*
-    # composes the generator columns, and L* composes its first members'
-    # products with A for its steps; every other line is gathered.
+    # Every reader of A's lines reads the rows the table holds and the
+    # columns generator_columns composed: A's columns are asked for once,
+    # no row is composed, and every other line is gathered.  J* reads the
+    # kernel groups and steps that L* and R* walked.
     table = families._enumerate_table(spec)
     table.generator_rows()
     asked = []
-    columns = table.columns
+    columns, rows, kernel_groups = table.columns, table.rows, table.kernel_groups
 
-    def counted(indices):
+    def counted_columns(indices):
         indices = tuple(indices)
-        asked.append(indices)
+        asked.append(("columns", indices))
         return columns(indices)
 
-    rows = table.rows
-
-    def at_the_generators(indices, at=None):
-        assert at == table.generators, "L* and R* compose no whole row"
+    def counted_rows(indices, at=None):
         indices = tuple(indices)
-        asked.append(indices)
+        asked.append(("rows", indices, at))
         return rows(indices, at)
 
-    monkeypatch.setattr(table, "rows", at_the_generators)
-    monkeypatch.setattr(table, "columns", counted)
-    greens.starred_L(table)
-    assert asked == [tuple(members[0] for members in table.kernel_groups(True))]
-    greens.starred_R(table)
-    assert asked[1:] == [table.generators]
+    def counted_groups(left):
+        asked.append(("kernel_groups", left))
+        return kernel_groups(left)
+
+    monkeypatch.setattr(table, "columns", counted_columns)
+    monkeypatch.setattr(table, "rows", counted_rows)
+    monkeypatch.setattr(table, "kernel_groups", counted_groups)
+    for which in ("Ls", "Rs", "Ds", "Hs", "Js"):
+        greens.starred(table, which)
+    for which in ("R", "J"):
+        greens.green(table, which)
+    structure.regular_elements(table)
+    table.product_rows()
+    assert asked == [
+        ("kernel_groups", True), ("columns", table.generators), ("kernel_groups", False),
+    ]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_group_steps_off_the_held_lines_match_the_composed_products(spec):
+    # L*'s steps read a.g off A's held columns, against the products of
+    # each image group's first member with A; R*'s read g.a off A's rows.
+    table = families.enumerate_family(spec)
+    for left in (True, False):
+        groups, group_of, steps = greens._group_steps(table, left)
+        want_groups, want_group_of, want_steps = composed_group_steps(table, left)
+        assert (groups, group_of) == (want_groups, want_group_of)
+        assert list(map(list, steps)) == list(map(list, want_steps))
 
 
 def assert_starred_match_the_tree_keys(table):
