@@ -129,15 +129,20 @@ def _cmd_enum(args):
     if args.products:
         _write(_product_text(table, args.format))
         return 0
-    payload = families.table_json(table)
-    human = [f"{label}: {table.size} elements"]
-    human.extend(
-        f"{i}\t{table.text_of(i)}" for i in range(table.size)
+    # The json payload, human lines and csv rows are made only for the
+    # chosen format, the lines one at a time as they are written.
+    payload = families.table_json(table) if args.format == "json" else None
+    human = chain(
+        [f"{label}: {table.size} elements"],
+        (f"{i}\t{table.text_of(i)}" for i in range(table.size)),
     )
-    rows = [("index", "text", "height")]
-    for i in range(table.size):
-        h = table.height_of(i)
-        rows.append((i, table.text_of(i), "" if h is None else h))
+    rows = chain(
+        [("index", "text", "height")],
+        (
+            (i, table.text_of(i), "" if h is None else h)
+            for i, h in enumerate(map(table.height_of, range(table.size)))
+        ),
+    )
     _emit(args, payload, human, rows)
     return 0
 
@@ -206,6 +211,8 @@ def _cmd_greens(args):
         _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "relation computation")
     table = families.enumerate_family(spec)
     part = (greens.starred if rel in _STARRED_RELATIONS else greens.green)(table, rel)
+    # Each text is made once, for every format; the human lines and csv
+    # rows are made only for the chosen format, as they are written.
     classes = [
         [table.text_of(i) for i in members] for members in part.classes
     ]
@@ -217,16 +224,22 @@ def _cmd_greens(args):
         "trivial": part.is_identity,
         "classes": classes,
     }
-    human = [
-        f"{spec.label()} {rel}: {part.class_count} classes,"
-        f" largest {part.max_class_size},"
-        f" {'trivial' if part.is_identity else 'non-trivial'}"
-    ]
-    human.extend(f"  class {c}: {' '.join(members)}" for c, members in enumerate(classes))
-    rows = [("class", "index", "text")]
-    for c, members in enumerate(part.classes):
-        for i in members:
-            rows.append((c, i, table.text_of(i)))
+    human = chain(
+        [
+            f"{spec.label()} {rel}: {part.class_count} classes,"
+            f" largest {part.max_class_size},"
+            f" {'trivial' if part.is_identity else 'non-trivial'}"
+        ],
+        (f"  class {c}: {' '.join(texts)}" for c, texts in enumerate(classes)),
+    )
+    rows = chain(
+        [("class", "index", "text")],
+        (
+            (c, i, text)
+            for c, (members, texts) in enumerate(zip(part.classes, classes))
+            for i, text in zip(members, texts)
+        ),
+    )
     _emit(args, payload, human, rows)
     return 0
 

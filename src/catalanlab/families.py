@@ -29,9 +29,11 @@ still holds, and a table nobody holds goes.  There is no size to set and
 nothing to evict; a caller that wants a table kept holds it.
 
 One store per table.  What a table computes once, its generators and
-both Cayley graphs (A's rows and, by generator_columns, A's columns),
-product rows, relation partitions and idempotents, is kept in one dict on
-the table (memoized), and goes when the table does.
+both Cayley graphs, product rows, relation partitions and idempotents, is
+kept in one dict on the table (memoized), and goes when the table does.
+A is chosen on the right graph, with its columns (generator_columns);
+A's rows are composed only when a reader first asks (generator_rows), so
+rank and maximal compose no row.
 The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
 of Q'_n, enumerated in the same order; so while one of the two tables
 is held, the other is it renamed (SemigroupTable.renamed): the same
@@ -48,7 +50,7 @@ import weakref
 from collections import defaultdict
 from functools import partial
 from itertools import compress, repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, ne
 
 from . import pinj
 from .errors import (
@@ -278,14 +280,16 @@ class SemigroupTable:
     def generators(self):
         """The generating set A the Cayley graphs are built over, as a
         tuple of indices in the order chosen.  On a J-trivial table it is
-        the unique minimum generating set (see _left_graph)."""
-        return memoized(self, "A", SemigroupTable._left_graph)[0]
+        the unique minimum generating set (see _right_graph)."""
+        return memoized(self, "A", SemigroupTable._right_graph)[0]
 
     def generator_rows(self):
         """The left Cayley graph: for each g in A, in the order of
-        self.generators, the row g.x for every x.  Built once, in
-        O(m |A|) compositions on packed images."""
-        return memoized(self, "A", SemigroupTable._left_graph)[1]
+        self.generators, the row g.x for every x.  Composed when a reader
+        first asks, in O(m |A|) compositions on packed images, and then
+        kept in the store; choosing A composes none (rank and maximal
+        read no row)."""
+        return memoized(self, "A rows", _compose_generator_rows)
 
     def rows(self, indices, at=None):
         """For each index a, the row a.x for every x, or for the x in at
@@ -299,9 +303,9 @@ class SemigroupTable:
     def columns(self, indices):
         """For each index a, the column x.a for every x, as an iterator, as
         rows() does.  Composed on each call and not kept.  A's columns are
-        kept, composed once by generator_columns, the one caller that asks
-        for them; the other callers (closure's index sets, the ample
-        checks' idempotents, one battery row) ask for other columns."""
+        composed as A is chosen (_right_graph) and kept with it
+        (generator_columns); the callers here (closure's index sets, the
+        ample checks' idempotents, one battery row) ask for other columns."""
         return map(self._composer(left=False), indices)
 
     def kernel_groups(self, left):
@@ -349,11 +353,12 @@ class SemigroupTable:
             rows[a] = memoryview(pack(*row)).cast(code)
         return tuple(rows)
 
-    def _left_graph(self):
-        """A and its rows, chosen and composed (Froidure and Pin's
-        Cayley-graph enumeration).  An element not yet reached joins A, and a
-        breadth-first search over x -> g.x (g in A) extends the reach to
-        <A>, until every element is reached.
+    def _right_graph(self):
+        """A and its columns, chosen and composed (Froidure and Pin's
+        Cayley-graph enumeration).  Each element is visited once: one that
+        no mark has reached joins A and has its column x.g composed, and
+        every entry x.g != x of that column is then marked.  No row is
+        composed.
 
         Elements are visited in descending phi(x) = (height, sum im x -
         sum dom x), the Rees zero last and the higher index first on ties.
@@ -367,22 +372,44 @@ class SemigroupTable:
           order-decreasing, with some inequality strict, so sum dom rises.
 
         So these tables are J-trivial.  Call x irreducible when it is no
-        product b.c with b, c != x.  Each irreducible x lies in A: else a
-        shortest word g_1 ... g_k for it over A has k >= 2, and then
-        x = g_1 . (g_2 ... g_k) with both factors != x.  Only irreducibles
-        join A: if x = b.c with b, c != x, both factors come first (the
-        zero comes last, and its factors are nonzero), so both are
-        reached, and so is x.  So A is the unique minimum generating set.
+        product b.c with b, c != x.  Every generating set holds every
+        irreducible x: else a shortest word g_1 ... g_k for x over it has
+        k >= 2, and x = g_1 . (g_2 ... g_k) with both factors != x.  The
+        irreducibles generate, as both factors of a reducible element come
+        before it in the visit (the zero comes last, and its factors are
+        nonzero).  So they are the unique minimum generating set, and by
+        the lemma A is exactly them.
 
-        I_n is visited in descending index order, height first.  Its
-        J-classes are its height layers, so a J-trivial I_n has one element
-        per height, that order is a J-order on it, and the argument holds.
+        Lemma: x is reducible exactly when x = y.g for a generator g
+        chosen before x is visited and some y != x, so exactly when a
+        mark reached x before its visit.  If x = y.g with y != x, then
+        g != x, as g was visited first, and x is reducible.  Conversely
+        let x = b.c with b, c != x.  Every element visited before x lies
+        in the semigroup generated by the generators chosen so far, by
+        induction along the visit: it is a generator, or marked, so a
+        product of two factors != it, and both come earlier.  c comes
+        before x, so c is a word over those generators; write c = w.h
+        with h its last letter.  If w is empty, x = b.h with b != x.
+        Else x = (b.w).h: done if b.w != x.  If b.w = x, then w != x, as
+        w = x would give c = x.h and x = b.c, so x J c and c = x by
+        J-triviality (for the zero, w = 0 would give c = 0).  Then
+        x = b.w with b, w != x, and w is a shorter word.
+
+        I_n is visited in descending index order, height first, and is not
+        J-trivial once n >= 2, so there the marks are the reach instead: a
+        search over x -> x.g (g in A, reach) from the new generator and its
+        products with everything reached extends the reach to <A>, as in
+        closure.  Only an element outside <A> joins A, so A generates.  A
+        J-trivial I_n (n = 1) has one element per height, so that order
+        visits both factors of a reducible element first, and A is again
+        its irreducibles.
         """
         m, n, images = self.size, self.family.n, self.images
-        row_of = self._composer(left=True)
-        reached = bytearray(m)
-        gens, gen_rows = [], []
+        column_of = self._composer(left=False)
+        marked = bytearray(m)
+        gens, gen_columns = [], []
         points = range(1, n + 1)
+        syminv = self.family.kind == KIND_SYMINV
 
         def phi(i):
             if i == self._rees_zero:
@@ -390,20 +417,21 @@ class SemigroupTable:
             img = images[i]
             return n - img.count(0), sum(img) - sum(compress(points, img)), i
 
-        if self.family.kind == KIND_SYMINV:
-            order = range(m - 1, -1, -1)
-        else:
-            order = sorted(range(m), key=phi, reverse=True)
+        order = range(m - 1, -1, -1) if syminv else sorted(range(m), key=phi, reverse=True)
         for top in order:
-            if reached[top]:
+            if marked[top]:
                 continue
-            row_g = row_of(top)
+            col_g = column_of(top)
             gens.append(top)
-            gen_rows.append(row_g)
-            # The new generator and its products with everything reached so
-            # far, then every generator times each new element, level by level.
-            reach(gen_rows, {top}.union(compress(row_g, reached)), reached)
-        return tuple(gens), tuple(gen_rows)
+            gen_columns.append(col_g)
+            if syminv:
+                # The new generator and everything reached times it, then
+                # each new element times every generator, level by level.
+                reach(gen_columns, {top}.union(compress(col_g, marked)), marked)
+            else:
+                for x in compress(col_g, map(ne, col_g, range(m))):
+                    marked[x] = 1
+        return tuple(gens), tuple(gen_columns)
 
     def _composer(self, left, at=None):
         """A function from an index a to the row a.x (left) or the column
@@ -466,17 +494,23 @@ def memoized(table, name, build, *args):
 
 def generator_columns(table):
     """The right Cayley graph: for each g in A, in the order of
-    table.generators, the column x.g for every x, composed once per
-    semigroup and kept in the table's store (memoized) beside A's rows.
-    The one place A's columns are composed: the classical R and J, R*'s
-    lines, L*'s group steps, regular_elements and product_rows read them
-    here.  A function of any table with generators and columns(), not a
+    table.generators, the column x.g for every x.  A SemigroupTable
+    composes them as it chooses A (_right_graph) and keeps them with A in
+    its store; a stand-in table that names its own generators has them
+    composed here once, by columns(), and kept in its store when it has
+    one (memoized).  The classical R and J, R*'s lines, L*'s group steps,
+    regular_elements and product_rows read them here.  A function, not a
     method, so that the tests' stand-in tables serve too."""
-    return memoized(table, "columns", _compose_generator_columns)
+    gens = table.generators
+    return memoized(table, "A", _generators_and_columns, gens)[1]
 
 
-def _compose_generator_columns(table):
-    return tuple(table.columns(table.generators))
+def _generators_and_columns(table, gens):
+    return gens, tuple(table.columns(gens))
+
+
+def _compose_generator_rows(table):
+    return tuple(table.rows(table.generators))
 
 
 def gather(gens, lines, steps, node_of=None):

@@ -6,7 +6,7 @@ when it is not a product of two elements both different from it.  The
 table's generating set A (table.generators) is chosen in an order along
 which every proper factorization climbs, so every family but I_n is
 J-trivial and A is exactly its indecomposables, its unique minimum
-generating set.  families.SemigroupTable._left_graph holds the proof,
+generating set.  families.SemigroupTable._right_graph holds the proof,
 which assumes no rank formula from the paper.  The rank, the minimum
 generating set and the maximal subsemigroups are read off A.  I_n is
 J-trivial only for n = 1; any other is refused, by the strongly
@@ -14,10 +14,10 @@ connected components of its Cayley graphs (greens).
 
 Everything else reads the Cayley graphs over A, O(m |A|) entries for m
 elements; the m x m product table is never built.  Costs, for G the
-indices passed in: A and its rows O(m |A|) compositions on packed
-images, after an O(m log m) sort; the J-triviality check on I_n
-O(m |A|) (Tarjan); closure(G) O(m |G|) compositions plus O(|<G>| |G|)
-steps.
+indices passed in: A and its columns O(m |A|) compositions on packed
+images, after an O(m log m) sort, with no row composed; the
+J-triviality check on I_n O(m |A|) (Tarjan), over A's rows as well;
+closure(G) O(m |G|) compositions plus O(|<G>| |G|) steps.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ No check builds the m x m product table.  Each reads only the lines its
 predicate uses: rows a.x and columns x.a composed on packed images by
 table.rows and table.columns (one composer per pass), rows and columns
 gathered along the Cayley graphs from A (families.gather) off A's rows
-and columns, which the table holds (generator_rows,
-families.generator_columns), or single products.  With m elements and E
+and columns, which the table holds (A's columns from when A was chosen,
+families.generator_columns, and A's rows from when a check first asked,
+generator_rows), or single products.  With m elements and E
 the idempotents:
 
   idempotent_indices   the diagonal, i.i = i: m products, once per table

@@ -32,6 +32,14 @@ idempotent_census counts the diagonal idempotents i.i = i per height,
 composed directly; the battery's idempotent rows read
 genrank.kind_census instead, and are checked against it.
 
+oracle_left_graph is A and its rows as the library chose them before it
+chose A on the right graph: in the same visit order, an element not yet
+reached joins A, its row g.x is composed, and a breadth-first search over
+x -> g.x (g in A) extends the reach to the subsemigroup generated so far.
+The library marks x.g != x along A's columns instead, with the search
+along the columns kept only for I_n; its A, in order, and A's rows and
+columns are checked against these.
+
 kernel_key and kernel_key_starred key each line by the first position of
 each value, over a copy of the line with a appended for an adjoined
 identity: a signature apart from the library's first-occurrence labels,
@@ -345,6 +353,43 @@ def oracle_indecomposables(table):
         if rows[b][c] not in (b, c)
     }
     return frozenset(range(m)) - decomposable
+
+
+def oracle_left_graph(table):
+    """A and A's rows, chosen by a reach along the left Cayley graph: in
+    descending index on I_n, else descending (height, sum im - sum dom,
+    index) with the Rees zero last, an element not yet reached joins A,
+    its row is composed, and the reach grows level by level over x -> g.x
+    to everything A generates."""
+    m, n, images = table.size, table.family.n, table.images
+    zero = table.zero_index if table.family.is_rees else None
+    points = range(1, n + 1)
+
+    def phi(i):
+        if i == zero:
+            return -1, 0, i
+        img = images[i]
+        return n - img.count(0), sum(img) - sum(compress(points, img)), i
+
+    if table.family.kind == "syminv":
+        order = range(m - 1, -1, -1)
+    else:
+        order = sorted(range(m), key=phi, reverse=True)
+    reached = bytearray(m)
+    gens, gen_rows = [], []
+    for top in order:
+        if reached[top]:
+            continue
+        row_g = next(iter(table.rows([top])))
+        gens.append(top)
+        gen_rows.append(row_g)
+        found = {top}.union(compress(row_g, reached))
+        while found:
+            fresh = [y for y in found if not reached[y]]
+            for y in fresh:
+                reached[y] = 1
+            found = {row[y] for row in gen_rows for y in fresh}
+    return tuple(gens), tuple(gen_rows)
 
 
 def no_smaller_generating_set(table):

@@ -470,6 +470,28 @@ def test_property_checks_build_no_full_table(capsys, row_builds, prop):
 
 
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("spec, argv", [
+    (families.FamilySpec("rq", 4, 2), ("enum", "--family", "rq", "--n", "4", "--p", "2")),
+    (families.FamilySpec("qprime", 4),
+     ("greens", "--family", "qprime", "--n", "4", "--relation", "Ls")),
+], ids=["enum", "greens"])
+def test_listings_make_each_text_once_in_the_chosen_format(capsys, monkeypatch, spec, argv, fmt):
+    # The payload, the human lines and the csv rows are made only for the
+    # format written, so each element's text is made once.
+    made = []
+    text_of = families.SemigroupTable.text_of
+
+    def counted(table, i):
+        made.append(i)
+        return text_of(table, i)
+
+    monkeypatch.setattr(families.SemigroupTable, "text_of", counted)
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    assert sorted(made) == list(range(len(families.enumerate_family(spec))))
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 def test_enum_products_builds_the_table_once(capsys, row_builds, fmt):
     code, out, _ = run_cli(
         capsys, "enum", "--family", "qprime", "--n", "4", "--products", "--format", fmt

@@ -23,6 +23,7 @@ from conftest import (
     oracle_elements,
     oracle_images,
     oracle_indecomposables,
+    oracle_left_graph,
     pack,
     packed_table,
     tree_walk,
@@ -36,7 +37,7 @@ from catalanlab.errors import (
     InvariantError,
     ValidationError,
 )
-from catalanlab.families import REES_ZERO, FamilySpec, ReesZero
+from catalanlab.families import REES_ZERO, FamilySpec, ReesZero, _valid_heights
 
 
 def brute_partial_injection_count(n):
@@ -591,6 +592,54 @@ def test_generators_reach_every_element_and_hold_every_indecomposable(spec):
     if spec.kind != "syminv":
         assert genrank.is_jtrivial(table)
         assert frozenset(gens) == oracle_indecomposables(table)
+
+
+# Every ideal and Rees quotient at n = 6 and 7, and the monoids to n = 8,
+# beyond DIFFERENTIAL_SPECS.
+RIGHT_GRAPH_SPECS = DIFFERENTIAL_SPECS + [
+    FamilySpec(kind, n, p)
+    for kind in ("k", "m", "ric", "rq")
+    for n in (6, 7)
+    for p in _valid_heights(kind, n)
+] + [FamilySpec(kind, n) for n in (7, 8) for kind in ("icn", "qprime")]
+
+
+@pytest.mark.parametrize("spec", RIGHT_GRAPH_SPECS, ids=lambda s: s.label())
+def test_right_graph_chooses_the_left_graphs_generators_and_lines(spec):
+    # A chosen by marks along the columns (a reach along them on I_n)
+    # against A chosen by a reach along the rows: the same A in the same
+    # order, and the same rows and columns, each column against single
+    # products.
+    table = families._enumerate_table(spec)
+    gens, rows = oracle_left_graph(table)
+    assert table.generators == gens
+    assert table.generator_rows() == rows
+    assert families.generator_columns(table) == tuple(
+        tuple(table.product(x, g) for x in range(table.size)) for g in gens
+    )
+
+
+@pytest.mark.parametrize("spec", JTRIVIAL_SPECS + [FamilySpec("qprime", 7)],
+                         ids=lambda s: s.label())
+def test_rank_and_maximal_compose_no_row(monkeypatch, spec):
+    # Choosing A composes columns only: no row, so no translate table per
+    # element, for the commands that read A alone.
+    composer = families.SemigroupTable._composer
+
+    def columns_only(table, left, at=None):
+        assert not left, "a row was composed"
+        return composer(table, left, at)
+
+    def no_rows(table, indices, at=None):
+        raise AssertionError("a row was composed")
+
+    monkeypatch.setattr(families.SemigroupTable, "_composer", columns_only)
+    monkeypatch.setattr(families.SemigroupTable, "rows", no_rows)
+    table = families._enumerate_table(spec)
+    report = genrank.minimal_generating_set(table)
+    assert genrank.maximal_subsemigroups(table) == sorted(table.generators)
+    assert report.rank == len(table.generators)
+    assert "A rows" not in table._memo
 
 
 @pytest.mark.parametrize("spec", JTRIVIAL_SPECS, ids=lambda s: s.label())
