@@ -50,7 +50,7 @@ import weakref
 from collections import defaultdict
 from functools import partial
 from itertools import compress, repeat
-from operator import add, itemgetter, ne
+from operator import add, itemgetter
 
 from . import pinj
 from .errors import (
@@ -355,10 +355,13 @@ class SemigroupTable:
 
     def _right_graph(self):
         """A and its columns, chosen and composed (Froidure and Pin's
-        Cayley-graph enumeration).  Each element is visited once: one that
-        no mark has reached joins A and has its column x.g composed, and
-        every entry x.g != x of that column is then marked.  No row is
-        composed.
+        Cayley-graph enumeration).  Each element is visited once: one
+        outside <A>, the subsemigroup the generators chosen so far
+        generate, joins A and has its column x.g composed.  A search over
+        x -> x.g (g in A, reach) from the new generator and its products
+        with everything reached then extends the reach to <A>, as in
+        closure.  No row is composed.  Only an element outside <A> joins
+        A, so A generates.
 
         Elements are visited in descending phi(x) = (height, sum im x -
         sum dom x), the Rees zero last and the higher index first on ties.
@@ -374,42 +377,23 @@ class SemigroupTable:
         So these tables are J-trivial.  Call x irreducible when it is no
         product b.c with b, c != x.  Every generating set holds every
         irreducible x: else a shortest word g_1 ... g_k for x over it has
-        k >= 2, and x = g_1 . (g_2 ... g_k) with both factors != x.  The
-        irreducibles generate, as both factors of a reducible element come
-        before it in the visit (the zero comes last, and its factors are
-        nonzero).  So they are the unique minimum generating set, and by
-        the lemma A is exactly them.
-
-        Lemma: x is reducible exactly when x = y.g for a generator g
-        chosen before x is visited and some y != x, so exactly when a
-        mark reached x before its visit.  If x = y.g with y != x, then
-        g != x, as g was visited first, and x is reducible.  Conversely
-        let x = b.c with b, c != x.  Every element visited before x lies
-        in the semigroup generated by the generators chosen so far, by
-        induction along the visit: it is a generator, or marked, so a
-        product of two factors != it, and both come earlier.  c comes
-        before x, so c is a word over those generators; write c = w.h
-        with h its last letter.  If w is empty, x = b.h with b != x.
-        Else x = (b.w).h: done if b.w != x.  If b.w = x, then w != x, as
-        w = x would give c = x.h and x = b.c, so x J c and c = x by
-        J-triviality (for the zero, w = 0 would give c = 0).  Then
-        x = b.w with b, w != x, and w is a shorter word.
+        k >= 2, and x = g_1 . (g_2 ... g_k) with both factors != x.  Both
+        factors of a reducible element come before it in the visit (the
+        zero comes last, and its factors are nonzero), so by induction
+        they lie in <A> when it is visited, and so does it.  A is thus
+        exactly the irreducibles, the unique minimum generating set.
 
         I_n is visited in descending index order, height first, and is not
-        J-trivial once n >= 2, so there the marks are the reach instead: a
-        search over x -> x.g (g in A, reach) from the new generator and its
-        products with everything reached extends the reach to <A>, as in
-        closure.  Only an element outside <A> joins A, so A generates.  A
-        J-trivial I_n (n = 1) has one element per height, so that order
+        J-trivial once n >= 2; there A generates but need not be minimum.
+        A J-trivial I_n (n = 1) has one element per height, so that order
         visits both factors of a reducible element first, and A is again
         its irreducibles.
         """
         m, n, images = self.size, self.family.n, self.images
         column_of = self._composer(left=False)
-        marked = bytearray(m)
+        reached = bytearray(m)
         gens, gen_columns = [], []
         points = range(1, n + 1)
-        syminv = self.family.kind == KIND_SYMINV
 
         def phi(i):
             if i == self._rees_zero:
@@ -417,20 +401,19 @@ class SemigroupTable:
             img = images[i]
             return n - img.count(0), sum(img) - sum(compress(points, img)), i
 
-        order = range(m - 1, -1, -1) if syminv else sorted(range(m), key=phi, reverse=True)
+        if self.family.kind == KIND_SYMINV:
+            order = range(m - 1, -1, -1)
+        else:
+            order = sorted(range(m), key=phi, reverse=True)
         for top in order:
-            if marked[top]:
+            if reached[top]:
                 continue
             col_g = column_of(top)
             gens.append(top)
             gen_columns.append(col_g)
-            if syminv:
-                # The new generator and everything reached times it, then
-                # each new element times every generator, level by level.
-                reach(gen_columns, {top}.union(compress(col_g, marked)), marked)
-            else:
-                for x in compress(col_g, map(ne, col_g, range(m))):
-                    marked[x] = 1
+            # The new generator and everything reached times it, then
+            # each new element times every generator, level by level.
+            reach(gen_columns, {top}.union(compress(col_g, reached)), reached)
         return tuple(gens), tuple(gen_columns)
 
     def _composer(self, left, at=None):

@@ -15,7 +15,8 @@ connected components of its Cayley graphs (greens).
 Everything else reads the Cayley graphs over A, O(m |A|) entries for m
 elements; the m x m product table is never built.  Costs, for G the
 indices passed in: A and its columns O(m |A|) compositions on packed
-images, after an O(m log m) sort, with no row composed; the
+images, after an O(m log m) sort, plus an O(m |A|) search along the
+columns, with no row composed; the
 J-triviality check on I_n O(m |A|) (Tarjan), over A's rows as well;
 closure(G) O(m |G|) compositions plus O(|<G>| |G|) steps.
 """
