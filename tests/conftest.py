@@ -36,9 +36,8 @@ oracle_left_graph is A and its rows as the library chose them before it
 chose A on the right graph: in the same visit order, an element not yet
 reached joins A, its row g.x is composed, and a breadth-first search over
 x -> g.x (g in A) extends the reach to the subsemigroup generated so far.
-The library marks x.g != x along A's columns instead, with the search
-along the columns kept only for I_n; its A, in order, and A's rows and
-columns are checked against these.
+The library composes A's columns instead and searches along them; its A,
+in order, and A's rows and columns are checked against these.
 
 kernel_key and kernel_key_starred key each line by the first position of
 each value, over a copy of the line with a appended for an adjoined

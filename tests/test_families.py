@@ -606,8 +606,8 @@ RIGHT_GRAPH_SPECS = DIFFERENTIAL_SPECS + [
 
 @pytest.mark.parametrize("spec", RIGHT_GRAPH_SPECS, ids=lambda s: s.label())
 def test_right_graph_chooses_the_left_graphs_generators_and_lines(spec):
-    # A chosen by marks along the columns (a reach along them on I_n)
-    # against A chosen by a reach along the rows: the same A in the same
+    # A chosen by a reach along the columns against A chosen by a reach
+    # along the rows: the same A in the same
     # order, and the same rows and columns, each column against single
     # products.
     table = families._enumerate_table(spec)
