@@ -274,7 +274,7 @@ def _inside(kind):
 def _top_idempotent_is_left_identity(x):
     table = x.table
     e = table.index(pinj.partial_identity(x.n, range(2, x.n + 1)))
-    (row_e,), (col_e,) = table.rows([e]), table.columns([e])
+    (row_e,), (col_e,) = table.lines([e], True), table.lines([e], False)
     everyone = tuple(range(table.size))
     top_idems = [i for i in structure.idempotent_indices(table) if table.height_of(i) == x.n - 1]
     return row_e == everyone and col_e != everyone and top_idems == [e]

@@ -31,9 +31,9 @@ nothing to evict; a caller that wants a table kept holds it.
 One store per table.  What a table computes once, its generators and
 both Cayley graphs, product rows, relation partitions and idempotents, is
 kept in one dict on the table (memoized), and goes when the table does.
-A is chosen on the right graph, with its columns (generator_columns);
-A's rows are composed only when a reader first asks (generator_rows), so
-rank and maximal compose no row.
+A is chosen on the right graph, with its columns; A's rows are composed
+only when a reader first asks, and both are read through one accessor,
+generator_lines(left), so rank and maximal compose no row.
 The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
 of Q'_n, enumerated in the same order; so while one of the two tables
 is held, the other is it renamed (SemigroupTable.renamed): the same
@@ -283,30 +283,26 @@ class SemigroupTable:
         the unique minimum generating set (see _right_graph)."""
         return memoized(self, "A", SemigroupTable._right_graph)[0]
 
-    def generator_rows(self):
-        """The left Cayley graph: for each g in A, in the order of
-        self.generators, the row g.x for every x.  Composed when a reader
-        first asks, in O(m |A|) compositions on packed images, and then
-        kept in the store; choosing A composes none (rank and maximal
-        read no row)."""
-        return memoized(self, "A rows", _compose_generator_rows)
+    def generator_lines(self, left):
+        """A Cayley graph: for each g in A, in the order of
+        self.generators, the row g.x (left) or the column x.g for every x.
+        The columns are composed as A is chosen (_right_graph) and kept
+        with it; the rows are composed when a reader first asks, in
+        O(m |A|) compositions on packed images, and then kept in the store
+        under "A rows", so rank and maximal compose no row."""
+        if left:
+            return memoized(self, "A rows", lambda t: tuple(t.lines(t.generators, True)))
+        return memoized(self, "A", SemigroupTable._right_graph)[1]
 
-    def rows(self, indices, at=None):
-        """For each index a, the row a.x for every x, or for the x in at
-        (in that order) when at is given, as an iterator: one composer
-        serves the pass, and each row is composed only when the iterator
-        reaches it.  Nothing is kept, so a caller that reads each row once
-        holds one row at a time; one that reads them again makes a tuple
-        of them."""
-        return map(self._composer(left=True, at=at), indices)
-
-    def columns(self, indices):
-        """For each index a, the column x.a for every x, as an iterator, as
-        rows() does.  Composed on each call and not kept.  A's columns are
-        composed as A is chosen (_right_graph) and kept with it
-        (generator_columns); the callers here (closure's index sets, the
-        ample checks' idempotents, one battery row) ask for other columns."""
-        return map(self._composer(left=False), indices)
+    def lines(self, indices, left, at=None):
+        """For each index a, the row a.x (left) or the column x.a, for every
+        x or for the x in at (in that order) when at is given, as an
+        iterator: one composer serves the pass, and each line is composed
+        only when the iterator reaches it.  Nothing is kept, so a caller
+        that reads each line once holds one line at a time; one that reads
+        them again makes a tuple of them.  A's lines are held
+        (generator_lines); the callers here ask for other lines."""
+        return map(self._composer(left, at), indices)
 
     def kernel_groups(self, left):
         """The indices grouped by image (left) or by domain, each group in
@@ -339,8 +335,8 @@ class SemigroupTable:
         each row once, as it is reached.  Only the callers that emit or
         test every product read this: `enum --products` (cli._product_text,
         for every format) and the greens.star_ideal oracle.
-        The relations and property checks read the Cayley graphs, rows()
-        and columns() instead, which hold O(m |A|) or O(m) entries
+        The relations and property checks read the Cayley graphs and
+        lines() instead, which hold O(m |A|) or O(m) entries
         instead of m^2.
         """
         return memoized(self, "rows", SemigroupTable._product_rows)
@@ -349,7 +345,8 @@ class SemigroupTable:
         code = _index_typecode(self.size)
         pack = struct.Struct(f"{self.size}{code}").pack
         rows = [None] * self.size
-        for a, row in gather(self.generators, self.generator_rows(), generator_columns(self)):
+        graphs = self.generator_lines(True), self.generator_lines(False)
+        for a, row in gather(self.generators, *graphs):
             rows[a] = memoryview(pack(*row)).cast(code)
         return tuple(rows)
 
@@ -473,27 +470,6 @@ def memoized(table, name, build, *args):
         found = build(table, *args)
         found = memo[name] = next((kept for kept in memo.values() if kept == found), found)
     return found
-
-
-def generator_columns(table):
-    """The right Cayley graph: for each g in A, in the order of
-    table.generators, the column x.g for every x.  A SemigroupTable
-    composes them as it chooses A (_right_graph) and keeps them with A in
-    its store; a stand-in table that names its own generators has them
-    composed here once, by columns(), and kept in its store when it has
-    one (memoized).  The classical R and J, R*'s lines, L*'s group steps,
-    regular_elements and product_rows read them here.  A function, not a
-    method, so that the tests' stand-in tables serve too."""
-    gens = table.generators
-    return memoized(table, "A", _generators_and_columns, gens)[1]
-
-
-def _generators_and_columns(table, gens):
-    return gens, tuple(table.columns(gens))
-
-
-def _compose_generator_rows(table):
-    return tuple(table.rows(table.generators))
 
 
 def gather(gens, lines, steps, node_of=None):

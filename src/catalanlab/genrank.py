@@ -38,7 +38,7 @@ def closure(table, generators):
     every product g_1 ... g_k is reached from g_1 by right
     multiplications.  G may be any set of indices, not only generators of
     the table; each column x.g is composed on packed images
-    (table.columns), O(m) per element of G, and the search takes
+    (table.lines), O(m) per element of G, and the search takes
     O(|<G>| |G|) steps, not O(|<G>|^2).
     """
     gens = list(generators)
@@ -48,7 +48,7 @@ def closure(table, generators):
         if not 0 <= g < table.size:
             raise ValidationError(f"generator index {g} out of range")
     reached = bytearray(table.size)
-    families.reach(tuple(table.columns(dict.fromkeys(gens))), gens, reached)
+    families.reach(tuple(table.lines(dict.fromkeys(gens), False)), gens, reached)
     return frozenset(compress(range(table.size), reached))
 
 

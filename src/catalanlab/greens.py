@@ -5,11 +5,11 @@ generating set A: x -> xg is the right graph and x -> gx the left one
 (g in A).  xS^1 is what x reaches in the right graph, so R is its
 strongly connected components; L is those of the left graph and J those
 of the union of both.  Tarjan's algorithm finds them in O(m |A|).  The
-graphs are A's columns, composed as A is chosen
-(families.generator_columns), and A's rows (generator_rows), composed
-when first asked for, so R composes no row; each is composed once per
-semigroup on packed images and held in the table's store, and the
-classical relations never build the m x m product rows.
+graphs are table.generator_lines(left): A's columns, composed as A is
+chosen, and A's rows, composed when first asked for, so R composes no
+row; each is composed once per semigroup on packed images and held in
+the table's store, and the classical relations never build the m x m
+product rows.
 Joins are components too: D is the partition into the strongly connected
 components of the graph with a cycle through each L-class and each
 R-class (D* likewise over L* and R*), so one routine does all the
@@ -248,14 +248,10 @@ def _green(table, which):
         if which == "H":
             return _meet(lpart, rpart)
         return _join(lpart, rpart)
-    # The successors of x are read across A's rows or columns, both held
-    # in the table's store.
-    if which == "L":
-        return _components(list(zip(*table.generator_rows())))
-    if which == "R":
-        return _components(list(zip(*families.generator_columns(table))))
-    # which == "J": the union of the two graphs
-    return _components(list(zip(*table.generator_rows(), *families.generator_columns(table))))
+    # The successors of x are read across A's rows (L), columns (R) or
+    # both (J), held in the table's store.
+    sides = {"L": (True,), "R": (False,), "J": (True, False)}[which]
+    return _components(list(zip(*chain.from_iterable(map(table.generator_lines, sides)))))
 
 
 def _components(successors):
@@ -354,7 +350,7 @@ def _read_group_steps(table, left):
         for a in members:
             group_of[a] = gid
     firsts = [members[0] for members in groups]
-    lines = families.generator_columns(table) if left else table.generator_rows()
+    lines = table.generator_lines(not left)
     steps = [list(map(group_of.__getitem__, map(line.__getitem__, firsts))) for line in lines]
     return groups, group_of, steps
 
@@ -372,8 +368,7 @@ def _kernel_partition(table, left):
     groups, group_of, steps = _group_steps(table, left)
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
-    lines = table.generator_rows() if left else families.generator_columns(table)
-    for a, line in families.gather(table.generators, lines, steps, group_of):
+    for a, line in families.gather(table.generators, table.generator_lines(left), steps, group_of):
         signature, labels = _kernel_key(line)
         buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
             groups[group_of[a]]

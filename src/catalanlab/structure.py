@@ -6,12 +6,11 @@ product table, never just a bare False.
 
 No check builds the m x m product table.  Each reads only the lines its
 predicate uses: rows a.x and columns x.a composed on packed images by
-table.rows and table.columns (one composer per pass), rows and columns
-gathered along the Cayley graphs from A (families.gather) off A's rows
-and columns, which the table holds (A's columns from when A was chosen,
-families.generator_columns, and A's rows from when a check first asked,
-generator_rows), or single products.  With m elements and E
-the idempotents:
+table.lines (one composer per pass), rows and columns gathered along the
+Cayley graphs from A (families.gather) off A's rows and columns, which
+the table holds (table.generator_lines: A's columns from when A was
+chosen, A's rows from when a check first asked), or single products.
+With m elements and E the idempotents:
 
   idempotent_indices   the diagonal, i.i = i: m products, once per table
                        (kept in the table's store, families.memoized).
@@ -94,7 +93,7 @@ def regular_elements(table):
     with the Fix sets in between.
     """
     m, gens = table.size, table.generators
-    rows, columns = table.generator_rows(), families.generator_columns(table)
+    rows, columns = table.generator_lines(True), table.generator_lines(False)
     fixed = [None] * m
     for a, col in families.gather(gens, columns, rows):
         fixed[a] = frozenset(_positions(col, a))
@@ -177,7 +176,7 @@ def is_semilattice_of_idempotents(table):
     |E| x |E| products ef, which also give each fe."""
     idem = idempotent_indices(table)
     idem_set = set(idem)
-    products = list(table.rows(idem, at=idem))
+    products = list(table.lines(idem, True, at=idem))
     for e, efs, fes in zip(idem, products, zip(*products)):
         for f, ef, fe in zip(idem, efs, fes):
             if ef != fe:
@@ -258,7 +257,7 @@ def _ample(table, name, base, note, legs):
 
     A class lacking a unique idempotent is a precondition failure and is
     reported, not ignored.  The witness is the first failure over a, then
-    e in the order of the idempotent set, then the legs in order.
+    e in index order, then the legs in order.
 
     Only the rows and columns of the idempotents are read.  A leg looks
     up, for each x, the line of the idempotent its class holds (the row
@@ -272,11 +271,11 @@ def _ample(table, name, base, note, legs):
     report = base(table)
     if not report.holds:
         return PropertyReport(name, _label(table), False, witness=report.witness, note=note)
-    idem_set = set(idempotent_indices(table))
-    make = {True: table.rows, False: table.columns}
+    idem = idempotent_indices(table)
+    idem_set = set(idem)
     held = {
-        kind: dict(zip(idem_set, make[kind](idem_set)))
-        for kind in {not along_row for _, along_row, _ in legs}
+        left: dict(zip(idem, table.lines(idem, left)))
+        for left in {not along_row for _, along_row, _ in legs}
     }
     placeholder = (-1,) * table.size
     everyone = range(table.size)
@@ -287,7 +286,7 @@ def _ample(table, name, base, note, legs):
         reports.append((witness, part, per_class))
         lookup = held[not along_row]
         line_of = [lookup.get(per_class[c], placeholder) for c in part.class_of]
-        scans = held[along_row].values() if along_row in held else make[along_row](idem_set)
+        scans = held[along_row].values() if along_row in held else table.lines(idem, along_row)
         limit = table.size if best is None else best[0] + 1
         for pos, line in enumerate(scans):
             # line[a] is ea (or ae); got is a (ea)* (or (ae)+ a).
@@ -299,7 +298,7 @@ def _ample(table, name, base, note, legs):
         return PropertyReport(name, _label(table), True)
     a, pos, k = best
     witness, part, per_class = reports[k]
-    ok, text = witness(table, part, per_class, a, list(idem_set)[pos])
+    ok, text = witness(table, part, per_class, a, idem[pos])
     note = "precondition failure" if ok is None else None
     return PropertyReport(name, _label(table), False, text, note)
 

@@ -54,11 +54,11 @@ all five starred relations on it, and the library is checked against
 both.
 oracle_kernel_partition is L* and R* as the library computed them before
 it walked the kernel groups along the Cayley graph: the first member of
-each group has its row (column) composed by table.rows (table.columns)
+each group has its row (column) composed by table.lines
 and keyed by greens._kernel_key, and the whole group takes that key.
 composed_group_steps is greens._group_steps as it was before the table
 held A's columns: L*'s steps composed as the products of each image
-group's first member with A (table.rows(firsts, at=A)), R*'s read off
+group's first member with A (table.lines(firsts, True, at=A)), R*'s read off
 A's rows.  The library reads L*'s steps off A's held columns and is
 checked against it.
 star_ideal_J groups elements by greens.star_ideal, the saturated
@@ -379,7 +379,7 @@ def oracle_left_graph(table):
     for top in order:
         if reached[top]:
             continue
-        row_g = next(iter(table.rows([top])))
+        row_g = next(iter(table.lines([top], True)))
         gens.append(top)
         gen_rows.append(row_g)
         found = {top}.union(compress(row_g, reached))
@@ -480,7 +480,7 @@ def oracle_kernel_partition(table, left):
     groups whose keys are equal merge."""
     groups = table.kernel_groups(left)
     firsts = [members[0] for members in groups]
-    lines = table.rows(firsts) if left else table.columns(firsts)
+    lines = table.lines(firsts, left)
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
     for a, members, line in zip(firsts, groups, lines):
@@ -492,7 +492,7 @@ def oracle_kernel_partition(table, left):
 def composed_group_steps(table, left):
     """The kernel groups, the group of each index and, for the k-th
     generator g, the group of each group's a.g (left) or g.a, read at its
-    first member: a.g composed by table.rows at A, g.a off A's rows."""
+    first member: a.g composed by table.lines at A, g.a off A's rows."""
     groups = table.kernel_groups(left)
     group_of = [0] * table.size
     for gid, members in enumerate(groups):
@@ -501,9 +501,9 @@ def composed_group_steps(table, left):
     gens = table.generators
     firsts = [members[0] for members in groups]
     if left:
-        steps = tuple(zip(*(map(group_of.__getitem__, r) for r in table.rows(firsts, at=gens))))
+        steps = tuple(zip(*(map(group_of.__getitem__, r) for r in table.lines(firsts, True, gens))))
     else:
-        steps = [[group_of[row[a]] for a in firsts] for row in table.generator_rows()]
+        steps = [[group_of[row[a]] for a in firsts] for row in table.generator_lines(True)]
     return groups, group_of, steps
 
 
@@ -573,7 +573,7 @@ def tree_kernel_partition(table, left):
     directly, every other y = g.x (x.g) from its parent's key by
     tree_relabel, with a's label adjoined when the table has no identity."""
     gens = table.generators
-    lines = table.generator_rows() if left else tuple(table.columns(gens))
+    lines = tuple(table.lines(gens, left))
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
     walk = tree_walk(table.size, gens, lines, tree_kernel_key, tree_relabel)
@@ -591,7 +591,7 @@ def tree_starred(table):
     lstar = tree_kernel_partition(table, True)
     rstar = tree_kernel_partition(table, False)
     gens = table.generators
-    successors = list(map(list, zip(*table.generator_rows(), *table.columns(gens))))
+    successors = list(map(list, zip(*table.generator_lines(True), *table.lines(gens, False))))
     for part in (lstar, rstar):
         for members in part.classes:
             for a, b in zip(members, members[1:] + members[:1]):
@@ -626,7 +626,7 @@ def per_element_J(table):
     dstar = greens.starred_D(table)
     dclass = dstar.class_of
     successors = [set() for _ in dstar.classes]
-    edges = zip(*table.generator_rows(), *table.columns(table.generators))
+    edges = zip(*table.generator_lines(True), *table.lines(table.generators, False))
     for c, targets in zip(dclass, edges):
         successors[c].update(map(dclass.__getitem__, targets))
     components = greens._components(successors).class_of
@@ -903,8 +903,8 @@ def _oracle_star_failures(rows, lstar, star_of):
 
 def oracle_ample(table, one_sided=False):
     """is_ample (is_right_ample when one_sided) over the product rows: the
-    base check, then the first failure over a, then e in the order of
-    the idempotent set, of the legs' flags or-ed."""
+    base check, then the first failure over a, then e in index order, of
+    the legs' flags or-ed."""
     name, note = ("right-ample", "not right adequate") if one_sided else ("ample", "not adequate")
     base = structure.is_right_adequate if one_sided else structure.is_adequate
     report = base(table)
@@ -916,7 +916,8 @@ def oracle_ample(table, one_sided=False):
     if not one_sided:
         legs.insert(0, ("starred_L", _oracle_star_failures, _oracle_leg_star))
     rows = table.product_rows()
-    idem_set = set(oracle_idempotent_indices(table))
+    idem = oracle_idempotent_indices(table)
+    idem_set = set(idem)
     flags, witnesses = [], []
     for relation, failures, witness in legs:
         part = getattr(greens, relation)(table)
@@ -924,7 +925,7 @@ def oracle_ample(table, one_sided=False):
         flags.append(failures(rows, part, per_class))
         witnesses.append(partial(witness, table, rows, part, per_class))
     best, limit = None, table.size
-    for e in idem_set:
+    for e in idem:
         a = next(compress(range(limit), reduce(partial(map, or_), (f(e) for f in flags))), None)
         if a is not None:
             best, limit = (a, e), a

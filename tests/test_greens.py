@@ -342,26 +342,20 @@ def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
     # composed, and every other line is gathered.  J* reads the kernel
     # groups and steps that L* and R* walked.
     table = families._enumerate_table(spec)
-    table.generator_rows()
+    table.generator_lines(True)
     asked = []
-    columns, rows, kernel_groups = table.columns, table.rows, table.kernel_groups
+    lines, kernel_groups = table.lines, table.kernel_groups
 
-    def counted_columns(indices):
+    def counted_lines(indices, left, at=None):
         indices = tuple(indices)
-        asked.append(("columns", indices))
-        return columns(indices)
-
-    def counted_rows(indices, at=None):
-        indices = tuple(indices)
-        asked.append(("rows", indices, at))
-        return rows(indices, at)
+        asked.append(("lines", indices, left, at))
+        return lines(indices, left, at)
 
     def counted_groups(left):
         asked.append(("kernel_groups", left))
         return kernel_groups(left)
 
-    monkeypatch.setattr(table, "columns", counted_columns)
-    monkeypatch.setattr(table, "rows", counted_rows)
+    monkeypatch.setattr(table, "lines", counted_lines)
     monkeypatch.setattr(table, "kernel_groups", counted_groups)
     for which in ("Ls", "Rs", "Ds", "Hs", "Js"):
         greens.starred(table, which)
@@ -472,10 +466,10 @@ def test_starred_J_matches_the_per_element_edges(monkeypatch, spec):
     greens.starred_D(table)
     want = per_element_J(table)
 
-    def refuse(_indices):
+    def refuse(_indices, _left, _at=None):
         raise AssertionError("J* reads g.x off A's rows and x.g at image groups")
 
-    monkeypatch.setattr(table, "columns", refuse)
+    monkeypatch.setattr(table, "lines", refuse)
     assert greens.starred_J(table) == want
 
 
@@ -628,13 +622,12 @@ def test_tables_that_cannot_be_weakly_referenced_still_work():
         def product_rows(self):
             return self._rows
 
-        def generator_rows(self):
-            return self._rows
+        def generator_lines(self, left):
+            return self.lines(self.generators, left)
 
-        def rows(self, indices, at=None):
-            return [[self._rows[a][x] for x in at or range(self.size)] for a in indices]
-
-        def columns(self, indices):
+        def lines(self, indices, left, at=None):
+            if left:
+                return [[self._rows[a][x] for x in at or range(self.size)] for a in indices]
             return [[row[a] for row in self._rows] for a in indices]
 
         def kernel_groups(self, left):

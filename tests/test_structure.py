@@ -38,16 +38,15 @@ class FakeTable:
     def product(self, i, j):
         return self._rows[i][j]
 
-    def generator_rows(self):
-        return [self._rows[g] for g in self.generators]
+    def generator_lines(self, left):
+        return self.lines(self.generators, left)
 
-    def rows(self, indices, at=None):
+    def lines(self, indices, left, at=None):
+        if not left:
+            return [[row[a] for row in self._rows] for a in indices]
         if at is None:
             return [self._rows[a] for a in indices]
         return [[self._rows[a][x] for x in at] for a in indices]
-
-    def columns(self, indices):
-        return [[row[a] for row in self._rows] for a in indices]
 
     def kernel_groups(self, left):
         # No element is proven to share a kernel with another.
@@ -191,15 +190,16 @@ def test_right_ample_holds_on_the_collapsed_identity_free_quotient():
 
 def scalar_ample_failure(t, one_sided):
     """The first failing ample leg by the pairwise loop: a in order, then
-    e in the order of the idempotent set, the ea leg before the ae leg.
-    Returns (witness, note), or None when every identity holds."""
-    idem_set = set(structure.idempotent_indices(t))
+    e in index order, the ea leg before the ae leg.  Returns (witness,
+    note), or None when every identity holds."""
+    idem = structure.idempotent_indices(t)
+    idem_set = set(idem)
     lstar = greens.starred_L(t)
     rstar = greens.starred_R(t)
     star_of = structure._unique_idempotent_map(lstar, idem_set)
     plus_of = structure._unique_idempotent_map(rstar, idem_set)
     for a in range(t.size):
-        for e in idem_set:
+        for e in idem:
             legs = [structure._ample_leg_plus(t, rstar, plus_of, a, e)]
             if not one_sided:
                 legs.insert(0, structure._ample_leg_star(t, lstar, star_of, a, e))
