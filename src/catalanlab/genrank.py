@@ -8,16 +8,18 @@ which every proper factorization climbs, so every family but I_n is
 J-trivial and A is exactly its indecomposables, its unique minimum
 generating set.  families.SemigroupTable._right_graph holds the proof,
 which assumes no rank formula from the paper.  The rank, the minimum
-generating set and the maximal subsemigroups are read off A.  I_n is
-J-trivial only for n = 1; any other is refused, by the strongly
-connected components of its Cayley graphs (greens).
+generating set and the maximal subsemigroups are read off A, and
+maximal_subsemigroups checks off A's columns that each a in A is
+indecomposable.  I_n is J-trivial only for n = 1; any other is refused,
+by the strongly connected components of its Cayley graphs (greens).
 
 Everything else reads the Cayley graphs over A, O(m |A|) entries for m
 elements; the m x m product table is never built.  Costs, for G the
 indices passed in: A and its columns O(m |A|) compositions on packed
 images, after an O(m log m) sort, plus an O(m |A|) search along the
-columns, with no row composed; the
+columns, with no row composed (table.generator_lines); the
 J-triviality check on I_n O(m |A|) (Tarjan), over A's rows as well;
+maximal's check of A one scan of each held column, O(m |A|) reads;
 closure(G) O(m |G|) compositions plus O(|<G>| |G|) steps.
 """
 
@@ -28,7 +30,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from . import families, formulas, greens, pinj
-from .errors import ContractError, UnsupportedTableError, ValidationError
+from .errors import ContractError, InvariantError, UnsupportedTableError, ValidationError
 
 
 def closure(table, generators):
@@ -407,5 +409,27 @@ def maximal_subsemigroups(table):
     subsemigroup misses one of them, so it sits inside one of these
     complements.  The tests compare the result with a brute-force search
     over every subset of small tables.
+
+    That each a in A is indecomposable is checked, not taken from the
+    order A was chosen in: no a is y.h with h in A, y != a and h != a, read
+    off A's held columns (col_h[y] = y.h), one scan of each for the
+    entries that lie in A; InvariantError otherwise.  On a J-trivial table
+    generated by A this is exactly indecomposability.  Such a y.h is a
+    product of two elements other than a.  Conversely let a = b.c with
+    b, c != a, and write c = w.h with h in A and w in S^1.  h = a or w = a
+    would put c in S^1 a S^1 and a = b.c in S^1 c S^1, so c = a, which it
+    is not.  So y = b.w serves, unless b.w = a; then a = b.w, with w != a
+    a word shorter than c's, and by induction on that length some y and h
+    serve (w the adjoined identity would make a = b).
     """
-    return sorted(_minimum_generators(table, "maximal subsemigroup search needs"))
+    gens = _minimum_generators(table, "maximal subsemigroup search needs")
+    in_gens = gens.__contains__
+    for h, column in zip(table.generators, table.generator_lines(False)):
+        for y in compress(range(table.size), map(in_gens, column)):
+            a = column[y]
+            if a != y and a != h:
+                raise InvariantError(
+                    f"{table.family.label()}: generator {table.text_of(a)} is the product"
+                    f" of {table.text_of(y)} and {table.text_of(h)}"
+                )
+    return sorted(gens)

@@ -947,6 +947,26 @@ def test_an_overlap_in_the_kernel_groups_exits_four(capsys, monkeypatch, relatio
     assert err == f"error: internal invariant failed: {relation[0]}* kernel groups overlap\n"
 
 
+def test_a_generator_that_is_a_product_exits_four(capsys, monkeypatch):
+    # One held column entry rewritten, y.h = a for generators a != h and
+    # y != a, so that a generator is a product: maximal refuses to call
+    # its complements maximal.
+    table = families._enumerate_table(families.FamilySpec("qprime", 4))
+    gens, columns = table.generators, table.generator_lines(False)
+    a, h, y = gens[:3]
+    column = list(columns[1])
+    column[y] = a
+    table._memo["A"] = gens, (columns[0], tuple(column), *columns[2:])
+    monkeypatch.setattr(families, "_build_table", lambda spec: table)
+    code, out, err = run_cli(capsys, "maximal", "--family", "qprime", "--n", "4")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"error: internal invariant failed: Q'_4: generator {table.text_of(a)} is the"
+        f" product of {table.text_of(y)} and {table.text_of(h)}\n"
+    )
+
+
 # stdout sha256 of rank, maximal, greens --relation Js and check (every
 # property but the inverse ideals) on the two ideals that are the whole
 # semigroup, in human format; recorded before K(n,n) and M(n,n-1) shared
