@@ -416,11 +416,12 @@ def maximal_subsemigroups(table):
     entries that lie in A; InvariantError otherwise.  On a J-trivial table
     generated by A this is exactly indecomposability.  Such a y.h is a
     product of two elements other than a.  Conversely let a = b.c with
-    b, c != a, and write c = w.h with h in A and w in S^1.  h = a or w = a
-    would put c in S^1 a S^1 and a = b.c in S^1 c S^1, so c = a, which it
-    is not.  So y = b.w serves, unless b.w = a; then a = b.w, with w != a
-    a word shorter than c's, and by induction on that length some y and h
-    serve (w the adjoined identity would make a = b).
+    b, c != a, h the last letter of a word for c over A, and c = w.h with
+    w in S^1.  h = a or w = a would put c in S^1 a S^1, and a = b.c is in
+    S^1 c S^1, so c = a by J-triviality; so h, w != a.  Then y = b.w
+    serves unless b.w = a, and then a = b.w with b, w != a (w = 1 would
+    make a = b) and w a word one letter shorter than c's: induct on that
+    length.
     """
     gens = _minimum_generators(table, "maximal subsemigroup search needs")
     in_gens = gens.__contains__
