@@ -22,9 +22,10 @@ With m elements and E the idempotents:
                        the lines on one tree path held.
   semilattice          the rows of the idempotents, composed only at the
                        idempotents: |E|^2 compositions.
-  ample, right-ample   the rows and columns of the idempotents: 2 m |E|
-                       compositions, held while the legs are scanned, plus
-                       L* and R* (greens) and one placeholder line.
+  ample, right-ample   each element's row and column, composed only at the
+                       idempotents and held only while that element is
+                       checked: 2 m |E| compositions, plus L* and R*
+                       (greens).
   abundance, unique    L* or R* and the diagonal.
   idempotent per R*
   inverse ideals       uv, uvu and vu for v = u^-1 alone, made from u's
@@ -43,7 +44,7 @@ Inverse Semigroups, 1998, 1.1).
 from __future__ import annotations
 
 from itertools import compress
-from operator import eq, getitem, ne
+from operator import eq, ne
 from typing import NamedTuple
 
 from . import families, greens
@@ -212,109 +213,84 @@ def _unique_idempotent_map(part, idem_set):
     return [found[0] if len(found) == 1 else None for found in by_class]
 
 
-def _ample_leg_plus(table, rstar, plus_of, a, e):
-    """Check ae = (ae)+ a; returns (ok, witness_or_None)."""
-    ae = table.product(a, e)
-    plus = plus_of[rstar.class_of[ae]]
-    if plus is None:
-        return None, (
-            f"R*-class of {table.text_of(ae)} lacks a unique idempotent"
-        )
-    if table.product(plus, a) != ae:
-        return False, (
-            f"ae != (ae)+a for a={table.text_of(a)}, e={table.text_of(e)}"
-        )
-    return True, None
-
-
-def _ample_leg_star(table, lstar, star_of, a, e):
-    """Check ea = a (ea)*; returns (ok, witness_or_None)."""
-    ea = table.product(e, a)
-    star = star_of[lstar.class_of[ea]]
+def _ample_leg(table, part, per_class, ea_leg, a, e):
+    """Check ea = a (ea)* against L* (ea_leg) or ae = (ae)+ a against R*,
+    with per_class giving each class of part its unique idempotent;
+    returns (ok, witness_or_None), ok None for a precondition gap.  The
+    ae leg is the ea leg of the opposite semigroup, x, y -> y.x."""
+    if ea_leg:
+        product, relation, identity = table.product, "L*", "ea != a(ea)*"
+    else:
+        product, relation, identity = (lambda x, y: table.product(y, x)), "R*", "ae != (ae)+a"
+    ea = product(e, a)
+    star = per_class[part.class_of[ea]]
     if star is None:
-        return None, (
-            f"L*-class of {table.text_of(ea)} lacks a unique idempotent"
-        )
-    if table.product(a, star) != ea:
-        return False, (
-            f"ea != a(ea)* for a={table.text_of(a)}, e={table.text_of(e)}"
-        )
+        return None, f"{relation}-class of {table.text_of(ea)} lacks a unique idempotent"
+    if product(a, star) != ea:
+        return False, f"{identity} for a={table.text_of(a)}, e={table.text_of(e)}"
     return True, None
 
 
-# Each ample identity as (the starred relation it reads, whether it scans
-# the row of each idempotent e rather than its column, its witness), the
-# ea leg first.  The ea leg reads ea along the row of e and a (ea)* down
-# the column of (ea)*; the ae leg reads ae down the column of e and
-# (ae)+ a along the row of (ae)+.
-_EA_LEG = ("starred_L", True, _ample_leg_star)
-_AE_LEG = ("starred_R", False, _ample_leg_plus)
+def _ample(table, name, base, note, ea_legs):
+    """base(table), then for every element a and idempotent e each leg of
+    ea_legs: ea = a (ea)* for True, ae = (ae)+ a for False, each against
+    the unique idempotent of a starred class.
 
-
-def _ample(table, name, base, note, legs):
-    """base(table), then the identities of legs for every element a and
-    idempotent e, each against the unique idempotent of a starred class.
-
-    A class lacking a unique idempotent is a precondition failure and is
-    reported, not ignored.  The witness is the first failure over a, then
-    e in index order, then the legs in order.
-
-    Only the rows and columns of the idempotents are read.  A leg looks
-    up, for each x, the line of the idempotent its class holds (the row
-    of (ae)+, the column of (ea)*), or a placeholder line that matches no
-    product where the class lacks a unique one, so a gap is flagged as a
-    failure and told apart by the witness.  The lines a leg looks up are
-    held; the lines it scans, one per e, are held only when another leg
-    looks them up, and are otherwise composed as the scan reaches them.
-    Each leg scans, per e, only the a below its best failure so far.
+    (ea)* and (ae)+ are idempotents, so both identities read only the
+    products of a with the idempotents.  One pass over a, in index order,
+    composes a's row and a's column at the idempotents alone, row[k] =
+    a.e_k and col[k] = e_k.a (2 m |E| compositions, no line held past its
+    a).  The ea leg scans col and looks a (ea)* up in row, at the slot of
+    (ea)*; the ae leg scans row and looks (ae)+ a up in col.  A class
+    lacking a unique idempotent has the slot past the last, a -1 appended
+    to both lines that matches no product, so a precondition gap is
+    flagged as a failure, reported and told apart by the witness.  The
+    witness is the first failing a, then the least failing e in index
+    order, then the first leg.
     """
     report = base(table)
     if not report.holds:
         return PropertyReport(name, _label(table), False, witness=report.witness, note=note)
     idem = idempotent_indices(table)
-    idem_set = set(idem)
-    held = {
-        left: dict(zip(idem, table.lines(idem, left)))
-        for left in {not along_row for _, along_row, _ in legs}
-    }
-    placeholder = (-1,) * table.size
-    everyone = range(table.size)
-    best, reports = None, []
-    for k, (relation, along_row, witness) in enumerate(legs):
-        part = getattr(greens, relation)(table)
+    idem_set, gap = set(idem), len(idem)
+    slot = dict(zip(idem, range(gap)))
+    legs = []
+    for ea_leg in ea_legs:
+        part = greens.starred_L(table) if ea_leg else greens.starred_R(table)
         per_class = _unique_idempotent_map(part, idem_set)
-        reports.append((witness, part, per_class))
-        lookup = held[not along_row]
-        line_of = [lookup.get(per_class[c], placeholder) for c in part.class_of]
-        scans = held[along_row].values() if along_row in held else table.lines(idem, along_row)
-        limit = table.size if best is None else best[0] + 1
-        for pos, line in enumerate(scans):
-            # line[a] is ea (or ae); got is a (ea)* (or (ae)+ a).
-            got = map(getitem, map(line_of.__getitem__, line), everyone)
-            a = next(compress(range(limit), map(ne, got, line)), None)
-            if a is not None and (best is None or (a, pos) < best[:2]):
-                best, limit = (a, pos, k), a
-    if best is None:
-        return PropertyReport(name, _label(table), True)
-    a, pos, k = best
-    witness, part, per_class = reports[k]
-    ok, text = witness(table, part, per_class, a, idem[pos])
-    note = "precondition failure" if ok is None else None
-    return PropertyReport(name, _label(table), False, text, note)
+        # A gap's None is no idempotent, so it takes the gap slot.
+        slot_of = [slot.get(per_class[c], gap) for c in part.class_of]
+        legs.append((ea_leg, part, per_class, slot_of.__getitem__))
+    everyone, slots, pad = range(table.size), range(gap), (-1,)
+    rows, cols = table.lines(everyone, True, at=idem), table.lines(everyone, False, at=idem)
+    for a, row, col in zip(everyone, rows, cols):
+        row, col = row + pad, col + pad
+        firsts = []
+        for ea_leg, _, _, slot_of in legs:
+            scanned, looked_up = (col, row) if ea_leg else (row, col)
+            got = map(looked_up.__getitem__, map(slot_of, scanned))
+            firsts.append(next(compress(slots, map(ne, got, scanned)), gap))
+        k = min(firsts)
+        if k < gap:
+            ea_leg, part, per_class, _ = legs[firsts.index(k)]
+            ok, text = _ample_leg(table, part, per_class, ea_leg, a, idem[k])
+            note = "precondition failure" if ok is None else None
+            return PropertyReport(name, _label(table), False, text, note)
+    return PropertyReport(name, _label(table), True)
 
 
 def is_ample(table):
     """Adequate, plus both identities ea = a(ea)* and ae = (ae)+ a, where
     (ea)* is the unique idempotent L*-related to ea and (ae)+ the unique
     idempotent R*-related to ae; see _ample for the witness."""
-    return _ample(table, "ample", is_adequate, "not adequate", (_EA_LEG, _AE_LEG))
+    return _ample(table, "ample", is_adequate, "not adequate", (True, False))
 
 
 def is_right_ample(table):
     """Right adequate, plus the one-sided identity ae = (ae)+ a for every
     element a and idempotent e; the first failure is reported as in
     is_ample."""
-    return _ample(table, "right-ample", is_right_adequate, "not right adequate", (_AE_LEG,))
+    return _ample(table, "right-ample", is_right_adequate, "not right adequate", (False,))
 
 
 def _inverse_ideal(sub, require_left):

@@ -626,9 +626,10 @@ def test_tables_that_cannot_be_weakly_referenced_still_work():
             return self.lines(self.generators, left)
 
         def lines(self, indices, left, at=None):
+            at = range(self.size) if at is None else tuple(at)
             if left:
-                return [[self._rows[a][x] for x in at or range(self.size)] for a in indices]
-            return [[row[a] for row in self._rows] for a in indices]
+                return [tuple(self._rows[a][x] for x in at) for a in indices]
+            return [tuple(self._rows[x][a] for x in at) for a in indices]
 
         def kernel_groups(self, left):
             return [(a,) for a in range(self.size)]
