@@ -58,7 +58,7 @@ class Instance:
 
     @cached_property
     def elements(self):
-        """The real elements, without a Rees zero, unpacked once."""
+        """The real elements, without a Rees zero, made once."""
         table = self.table
         return [a for a in map(table.element, range(table.size)) if a is not families.REES_ZERO]
 
@@ -303,7 +303,7 @@ def _chain_factors_ok(x, alpha):
     return reduce(pinj.compose, factors) == alpha and all(
         pinj.height(f) == h
         and pinj.classify(f) in genrank.generator_kinds(qprime_side)
-        and not (qprime_side and f.img[0] is not None)
+        and not (qprime_side and f.img[0])
         for f in factors
     )
 
@@ -334,7 +334,7 @@ def _blocked_outside_top_closure(x):
     blocked = [
         i
         for i, a in zip(layer, map(x.table.element, layer))
-        if genrank.element_kind(a, True) == "essential" and a.img[1] is not None
+        if genrank.element_kind(a, True) == "essential" and a.img[1]
     ]
     return bool(blocked) and all(i not in closure for i in blocked)
 

@@ -17,11 +17,11 @@ keeps its elements only as their images packed into bytes (0 outside the
 domain), one tuple of them and one dict from packed image to index, and
 composes every product on them.  Enumeration writes those bytes
 directly, point by point, and sorts them by height and text; no element
-object is built until element(i) unpacks one.  Rees tables put their
-zero, packed as the empty map, at index 0.  Tables are read-only: the
-packed images and the Cayley-graph rows are tuples, and the full product
-rows read-only memoryviews of 2-byte indices (4-byte past 65,536
-elements).
+object is built until element(i) wraps one's image.  Rees tables put
+their zero, packed as the empty map, at index 0.  Tables are read-only:
+the packed images and the Cayley-graph rows are tuples, and the full
+product rows read-only memoryviews of 2-byte indices (4-byte past
+65,536 elements).
 
 A table is cached while it is held: enumerate_family keeps it in a weak
 dictionary keyed by FamilySpec, so a request gets the table some caller
@@ -194,7 +194,7 @@ class SemigroupTable:
         """The table of family over its elements' packed images, in index
         order: n bytes each, a at a point sent to a and 0 outside the
         domain, the Rees zero packed as the empty map.  The images are
-        trusted, not checked, as element() unpacks them unchecked; so the
+        trusted, not checked, as element() wraps them unchecked; so the
         only callers are _enumerate_table, which enumerates them, and the
         tests, which pack validated elements."""
         self.family = family
@@ -239,16 +239,15 @@ class SemigroupTable:
         return twin
 
     def element(self, i):
-        """Element i, unpacked from its image bytes, or REES_ZERO."""
+        """Element i, which holds its packed image, or REES_ZERO."""
         if i == self._rees_zero:
             return REES_ZERO
-        image = self.images[i]
-        return pinj._trusted(len(image), tuple(map(_BYTE_POINT.__getitem__, image)))
+        return pinj._trusted(self.family.n, self.images[i])
 
     def index(self, el):
         """The index of el (a PartialInjection or REES_ZERO), or None when
         el is not an element of the table."""
-        return self._rees_zero if el is REES_ZERO else self.locate(_pack(el))
+        return self._rees_zero if el is REES_ZERO else self.locate(el.img)
 
     def locate(self, image):
         """The index of the element packed as image, or None.  The empty
@@ -272,7 +271,7 @@ class SemigroupTable:
         """Index of the product of elements i and j: i's packed image sent
         on through j's, looked up in the image index.  A composite missing
         from it goes to _collapse."""
-        composite = self.images[i].translate(_translate_table(self.images[j]))
+        composite = self.images[i].translate(pinj._translate_table(self.images[j]))
         found = self._index.get(composite)
         return self._collapse(composite, i, j) if found is None else found
 
@@ -421,13 +420,13 @@ class SemigroupTable:
         images, index = self.images, self._index
         at = range(self.size) if at is None else tuple(at)
         others = list(map(images.__getitem__, at))
-        maps = list(map(_translate_table, others)) if left else None
+        maps = list(map(pinj._translate_table, others)) if left else None
 
         def compose(a):
             if left:
                 composites = map(images[a].translate, maps)
             else:
-                composites = map(bytes.translate, others, repeat(_translate_table(images[a])))
+                composites = map(bytes.translate, others, repeat(pinj._translate_table(images[a])))
             out = list(map(index.get, composites))
             if None in out:
                 for k, found in enumerate(out):
@@ -542,12 +541,6 @@ def reach(lines, found, reached):
         found = set().union(*(map(line.__getitem__, fresh) for line in lines))
 
 
-# A point, or None outside the domain, as its byte in a packed image, and
-# back: looked up by a C call per point, where a generator expression
-# costs a Python step per point.
-_POINT_BYTE = {None: 0, **{a: a for a in range(1, 256)}}
-_BYTE_POINT = (None, *range(1, 256))
-
 # A bytes.translate table that sends a packed image to its domain: 1 at
 # each point in the domain, 0 elsewhere.
 _DOMAIN_BYTES = b"\0" + b"\1" * 255
@@ -558,17 +551,6 @@ def _index_typecode(m):
     m: "H" (2 bytes) while every index fits, that is m <= 65,536, else
     "I" (4 bytes)."""
     return "H" if m <= 1 << 16 else "I"
-
-
-def _pack(el):
-    """el's images as bytes, 0 outside the domain."""
-    return bytes(map(_POINT_BYTE.__getitem__, el.img))
-
-
-def _translate_table(image):
-    """A packed image as a bytes.translate table: point a goes to its
-    image, so x's images sent through it are the images of x then a."""
-    return b"\0" + image + bytes(255 - len(image))
 
 
 def _layers(n, heights, values):
@@ -709,7 +691,7 @@ def is_member(alpha, spec):
     # The same window _enumerate_table enumerates: 1 outside the domain on
     # the identity-free side, height at most p in an ideal, exactly p in a
     # Rees quotient.
-    if spec.qprime_side and alpha.img[0] is not None:
+    if spec.qprime_side and alpha.img[0]:
         return False
     if spec.p is None:
         return True

@@ -30,7 +30,13 @@ from itertools import compress
 from typing import NamedTuple
 
 from . import families, formulas, greens, pinj
-from .errors import ContractError, InvariantError, UnsupportedTableError, ValidationError
+from .errors import (
+    ContractError,
+    InvariantError,
+    RangeError,
+    UnsupportedTableError,
+    ValidationError,
+)
 
 
 def closure(table, generators):
@@ -161,6 +167,12 @@ def _require_icn_member(alpha):
         raise ContractError(
             "factorizations are defined for isotone, order-decreasing elements"
         )
+    if alpha.n > pinj.MAX_IMAGE:
+        # A factor may fix or move to any point of the chain, and an image
+        # value is stored in one byte.
+        raise RangeError(
+            f"factorizations take chains of at most {pinj.MAX_IMAGE} points, got {alpha.n}"
+        )
 
 
 def _factor_walk(alpha, expand):
@@ -168,30 +180,32 @@ def _factor_walk(alpha, expand):
 
     With domain x_1 < ... < x_p and x_j alpha = a_j, step i fixes
     a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i to a_i.  fixed
-    is the image list of that fixed part (None elsewhere), updated in
+    is the packed image of that fixed part (0 elsewhere), updated in
     place between steps.  A step is kept whole, or with expand, a moving
     step is written as its essentials b + 1 -> b over the same fixed
     part, for b from x_i - 1 down to a_i.  Each factor writes its one
-    pair into an empty slot of fixed, is frozen from it unchecked, and
-    the slot is emptied again; the proof is in essential_factorization.
+    pair into an empty slot of fixed, is frozen from it unchecked (a
+    memoryview's tobytes, the cheapest copy of a bytearray), and the
+    slot is emptied again; the proof is in essential_factorization.
     """
     n, img = alpha.n, alpha.img
     trusted = pinj._trusted
-    fixed = [None if a is None else x for x, a in enumerate(img, 1)]
+    fixed = bytearray(n)
+    for x in compress(range(1, n + 1), img):
+        fixed[x - 1] = x
+    freeze = memoryview(fixed).tobytes
     out = []
-    for x, a in enumerate(img, 1):
-        if a is None:
-            continue
-        fixed[x - 1] = None
+    for x, a in compress(enumerate(img, 1), img):
+        fixed[x - 1] = 0
         if expand and a != x:
             for b in range(x - 1, a - 1, -1):
                 fixed[b] = b
-                out.append(trusted(n, tuple(fixed)))
-                fixed[b] = None
+                out.append(trusted(n, freeze()))
+                fixed[b] = 0
         else:
             fixed[x - 1] = a
-            out.append(trusted(n, tuple(fixed)))
-            fixed[x - 1] = None
+            out.append(trusted(n, freeze()))
+            fixed[x - 1] = 0
         fixed[a - 1] = a
     return out
 
@@ -256,7 +270,7 @@ def essential_factorization(alpha, qprime_side=False):
     nor its image, so no factor's domain holds 1.  The requisite is
     returned last, unexpanded.
     """
-    if qprime_side and alpha.img[0] is not None:
+    if qprime_side and alpha.img[0]:
         raise ContractError("element is outside the identity-free family")
     _require_icn_member(alpha)
     if qprime_side and 1 in alpha.img:
@@ -276,7 +290,7 @@ def factor_requisite(alpha):
     block can pull it back down.
     """
     _require_icn_member(alpha)
-    if alpha.img[0] is not None:
+    if alpha.img[0]:
         raise ContractError("expected an element whose domain omits 1")
     if 1 not in alpha.img:
         raise ContractError("expected an element whose image contains 1")
@@ -308,12 +322,13 @@ def _split_requisite(alpha):
     i = 2
     while i in img:
         i += 1  # the moved block of the requisite is {2, ..., i}
-    requisite = [None, *range(1, i)] + [None] * (n - i)
+    requisite = bytearray(n)
+    requisite[1:i] = range(1, i)
     for a in img:
-        if a is not None and a > i:
+        if a > i:
             requisite[a - 1] = a
-    beta = [a if a is None or a > i else a + 1 for a in img]
-    return pinj._trusted(n, tuple(beta)), pinj._trusted(n, tuple(requisite))
+    beta = bytes([a + 1 if 0 < a < i else a for a in img])
+    return pinj._trusted(n, beta), pinj._trusted(n, bytes(requisite))
 
 
 def _smallest_outside(n, used, count):
@@ -366,7 +381,7 @@ def lift_height(alpha, kind):
     n = alpha.n
     p = pinj.height(alpha)
     qp = kind == families.KIND_QPRIME
-    if qp and alpha.img[0] is not None:
+    if qp and alpha.img[0]:
         raise ContractError("element is outside the identity-free family")
     bound = lift_bound(n, qp)
     if p > bound:
@@ -376,7 +391,7 @@ def lift_height(alpha, kind):
         raise ContractError(f"no lift for elements of kind {ekind!r} in this family")
     dom = pinj.domain(alpha)
     img = alpha.img
-    fixes_dom = [None if a is None else x for x, a in enumerate(img, 1)]
+    fixes_dom = bytes(x if a else 0 for x, a in enumerate(img, 1))
     reserved = {1} if qp else set()
     if ekind == "idempotent":
         c, d = _smallest_outside(n, set(dom) | reserved, 2)
@@ -390,11 +405,11 @@ def lift_height(alpha, kind):
 
 
 def _fixing(img, point):
-    """The map with images img (tuple or list) and point fixed, unchecked:
+    """The map with packed image img and point fixed, unchecked:
     lift_height proves point lies outside its domain and its image."""
-    out = list(img)
+    out = bytearray(img)
     out[point - 1] = point
-    return pinj._trusted(len(out), tuple(out))
+    return pinj._trusted(len(out), bytes(out))
 
 
 def maximal_subsemigroups(table):

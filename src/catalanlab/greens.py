@@ -469,7 +469,7 @@ def starred(table, which):
 
 def partition_by(table, key):
     """The partition of a table by key of each packed image, with no
-    element unpacked; a Rees zero forms a class of its own."""
+    element made; a Rees zero forms a class of its own."""
     keys = list(map(key, table.images))
     if table.family.is_rees:
         keys[table.zero_index] = families.REES_ZERO

@@ -1,9 +1,14 @@
 """Partial injective transformations of the chain {1, ..., n}.
 
 An element is an injective partial map written on the right: x maps to
-image_of(x).  Storage is a fixed-length tuple whose slot x-1 holds the
-image of x, or None when x is outside the domain.  Everything in the
-public interface is 1-based; the 0-based slot arithmetic stays in here.
+image_of(x).  Storage is the packed image the product tables use: n
+bytes whose byte x-1 holds the image of x, or 0 when x is outside the
+domain.  So an image value is at most MAX_IMAGE = 255, the largest a
+byte holds; the chain itself may be longer (up to MAX_TEXT_CHAIN in the
+text form), its points above 255 lying outside the image.  image_of
+reads None outside the domain, and the constructors take None there.
+Everything in the public interface is 1-based; the 0-based slot
+arithmetic stays in here.
 
 Elements are immutable and hashable.  Composition is left to right:
 x (a * b) = (x a) b.
@@ -18,28 +23,35 @@ Pairs are sorted by x and carry no whitespace.  "3:2>1,3>3" is the map
 Validation happens once, where an element enters from outside: the
 PartialInjection constructor, from_pairs, partial_identity, identity,
 empty_map and parse_text refuse a chain size that is not a positive
-integer, a point or image value that is not an integer in 1..n, and an
-image value used twice; a bool counts as no integer here.  Every other
-element is built by _trusted, which checks nothing, at a site whose
-validity is proven:
+integer, a point or image value that is not an integer in 1..n, an
+image value above MAX_IMAGE (RangeError), and an image value used
+twice; a bool counts as no integer here.  Every other element is built
+by _trusted, which checks nothing, at a site whose validity is proven:
 
-- compose: each image is an image of beta, so in 1..n, and two points
-  with one composite image have one image under alpha, as beta is
-  injective, so they are one point, as alpha is.
-- SemigroupTable.element: it unpacks n bytes, 0 to None and a to a, so
-  it rebuilds a valid image tuple whenever the bytes pack one: 0 outside
-  the domain and distinct points of 1..n on it.  The enumerator writes
-  exactly that into n <= 12 bytes: a_{i-1} < a_i <= x_i on the domain
-  x_1 < ... < x_p of an isotone, order-decreasing map, and distinct
-  values of 1..n on that of a partial injection.  The tests pack
-  validated elements the same way; the Rees zero is never unpacked.
+- compose: alpha's packed image sent through a translate table of
+  beta's (_translate_table), which sends each point a in 1..255 to
+  a beta and 0 to 0.  Each image of alpha is such a point, so each
+  composite value is an image of beta, in 1..n and at most 255, or 0
+  where x alpha beta is undefined; two points with one composite image
+  have one image under alpha, as beta is injective, so they are one
+  point, as alpha is.
+- SemigroupTable.element: it wraps the table's packed image as it is,
+  with no copy, so it is valid whenever the bytes are one: n bytes, 0
+  outside the domain and distinct points of 1..n on it.  The
+  enumerator writes exactly that into n <= 12 bytes: a_{i-1} < a_i <=
+  x_i on the domain x_1 < ... < x_p of an isotone, order-decreasing
+  map, and distinct values of 1..n on that of a partial injection.
+  The tests pack validated elements the same way; the Rees zero is
+  never wrapped.
 - parse_text: its first pass writes each image only after checking that
   the pair's point follows the last one and lies in 1..n, and that its
-  image lies in 1..n and was not written before.
+  image lies in 1..n and was not written before; the bytearray it writes
+  into refuses an image above MAX_IMAGE.
 - genrank's factor walk (_factor_walk), which builds every chain step
   and essential, both factors of its requisite split, and both factors
   of lift_height: the proofs are in essential_factorization,
-  _split_requisite and lift_height.
+  _split_requisite and lift_height.  They take chains of at most
+  MAX_IMAGE points, so every point they write fits in a byte.
 
 The tests rebuild every enumerated element and every factor through the
 validating constructor and compare, and hold the enumerated images to
@@ -65,6 +77,9 @@ from .errors import (
 # be enumerated, and checked before any per-point storage is allocated.
 MAX_TEXT_CHAIN = 1000
 
+# Largest image value: an image is stored as one byte per point.
+MAX_IMAGE = 255
+
 
 class PartialInjection:
     """One injective partial self-map of {1, ..., n}."""
@@ -72,21 +87,27 @@ class PartialInjection:
     __slots__ = ("n", "img")
 
     def __init__(self, n, img):
+        """img lists the image of each point 1..n in turn, None outside
+        the domain; it is stored packed."""
         _check_chain_size(n)
         img = tuple(img)
         if len(img) != n:
             raise ValidationError(f"image table has length {len(img)}, expected {n}")
-        seen = [False] * (n + 1)
-        for a in img:
+        packed = bytearray(n)
+        seen = bytearray(MAX_IMAGE + 1)
+        for x, a in enumerate(img):
             if a is None:
                 continue
             if type(a) is bool or not isinstance(a, int) or not 1 <= a <= n:
                 raise RangeError(f"image value {a!r} outside 1..{n}")
+            if a > MAX_IMAGE:
+                raise RangeError(f"image value {a} above {MAX_IMAGE}, the largest one stored")
             if seen[a]:
                 raise InjectivityError(f"image value {a} used twice")
-            seen[a] = True
+            seen[a] = 1
+            packed[x] = a
         _set_n(self, n)
-        _set_img(self, img)
+        _set_img(self, bytes(packed))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PartialInjection is immutable; cannot set {name!r}")
@@ -95,7 +116,7 @@ class PartialInjection:
         raise AttributeError(f"PartialInjection is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return (PartialInjection, (self.n, self.img))
+        return (PartialInjection, (self.n, tuple(a or None for a in self.img)))
 
     def image_of(self, x):
         """Image of the point x, or None when x is outside the domain.
@@ -104,7 +125,7 @@ class PartialInjection:
         library's own hot paths read img directly instead."""
         if type(x) is bool or not isinstance(x, int) or not 1 <= x <= self.n:
             raise RangeError(f"point {x!r} outside 1..{self.n}")
-        return self.img[x - 1]
+        return self.img[x - 1] or None
 
     def __eq__(self, other):
         return (
@@ -130,10 +151,10 @@ _new = object.__new__
 
 
 def _trusted(n, img):
-    """The element with chain size n and image tuple img, unchecked.
+    """The element with chain size n and packed image img, unchecked.
 
-    Only for a site that proves img is a tuple of length n whose values
-    are None or distinct points of 1..n; the module docstring lists them.
+    Only for a site that proves img is bytes of length n whose values are
+    0 or distinct points of 1..n; the module docstring lists them.
     """
     alpha = _new(PartialInjection)
     _set_n(alpha, n)
@@ -191,21 +212,29 @@ def compose(alpha, beta):
     n = alpha.n
     if n != beta.n:
         raise ChainMismatchError(f"cannot compose maps on chains {n} and {beta.n}")
-    lookup = (None,) + beta.img
-    return _trusted(n, tuple([lookup[a] if a else None for a in alpha.img]))
+    return _trusted(n, alpha.img.translate(_translate_table(beta.img)))
+
+
+def _translate_table(image):
+    """A packed image as a bytes.translate table: 0 goes to 0 and each
+    point a in 1..255 to its image (0 outside the domain and past the
+    chain), so a packed image sent through it is that map followed by
+    this one.  Points above 255 are left out: no image value, so no byte
+    sent through the table, exceeds 255."""
+    return (b"\0" + image[:MAX_IMAGE]).ljust(256, b"\0")
 
 
 def domain(alpha):
-    return tuple(i + 1 for i, a in enumerate(alpha.img) if a is not None)
+    return tuple(compress(range(1, alpha.n + 1), alpha.img))
 
 
 def image(alpha):
-    return tuple(sorted(a for a in alpha.img if a is not None))
+    return tuple(sorted(filter(None, alpha.img)))
 
 
 def height(alpha):
     """Size of the image (equivalently, of the domain)."""
-    return alpha.n - alpha.img.count(None)
+    return alpha.n - alpha.img.count(0)
 
 
 def fixed_points(alpha):
@@ -218,16 +247,14 @@ def shift(alpha):
 
 
 def _moved(img):
-    """The moved pairs (x, x alpha) of the image tuple img, by increasing x."""
-    return [(x, a) for x, a in enumerate(img, 1) if a is not None and a != x]
+    """The moved pairs (x, x alpha) of the packed image img, by increasing x."""
+    return [(x, a) for x, a in enumerate(img, 1) if a and a != x]
 
 
 def is_isotone(alpha):
     """Order preserving: x <= y implies x alpha <= y alpha on the domain."""
     prev = 0
-    for a in alpha.img:
-        if a is None:
-            continue
+    for a in filter(None, alpha.img):
         if a <= prev:
             return False
         prev = a
@@ -235,8 +262,9 @@ def is_isotone(alpha):
 
 
 def is_decreasing(alpha):
-    """Order decreasing: x alpha <= x for every domain point x."""
-    return all(a is None or a <= i + 1 for i, a in enumerate(alpha.img))
+    """Order decreasing: x alpha <= x for every domain point x (0, read
+    outside the domain, is below every point)."""
+    return all(a <= x for x, a in enumerate(alpha.img, 1))
 
 
 def is_isotone_decreasing(alpha):
@@ -244,7 +272,7 @@ def is_isotone_decreasing(alpha):
     the domain x_1 < ... < x_p, with a_0 = 0."""
     prev = 0
     for x, a in enumerate(alpha.img, 1):
-        if a is not None:
+        if a:
             if not prev < a <= x:
                 return False
             prev = a
@@ -255,7 +283,7 @@ def is_idempotent(alpha):
     """True when alpha is a partial identity.  That is idempotence: if
     x alpha = a, then a alpha = x alpha alpha = a, so x = a as alpha is
     injective; and a partial identity is its own square."""
-    return all(a is None or a == x for x, a in enumerate(alpha.img, 1))
+    return all(a == x for x, a in enumerate(alpha.img, 1) if a)
 
 
 def is_quasi_idempotent(alpha):
@@ -325,8 +353,9 @@ _TABLED_TEXT_CHAIN = 64
 
 
 def text_of_images(n, img):
-    """The text form of the map on the n-chain whose images are img: an
-    image tuple, or images packed into bytes with 0 outside the domain.
+    """The text form of the map on the n-chain whose images are img: a
+    packed image, or any sequence with a false value (0 or None) outside
+    the domain.
 
     The pair texts come from a table per n: compress keeps the rows of
     the domain points and filter their images, and the join runs in C.
@@ -366,8 +395,9 @@ def parse_text(text):
 
     A well-formed text is first read in one pass that checks each pair as
     it writes its image: sorted, in range, and no image used twice, which
-    is what _trusted needs.  A pair written canonically is looked up in
-    the inverse table of _pair_texts, whose pairs are in range; any other
+    is what _trusted needs; the images are written into a bytearray and
+    frozen.  A pair written canonically is looked up in the inverse
+    table of _pair_texts, whose pairs are in range; any other
     is read as above.  That pass stops at the first pair it refuses, and
     the text is then read again by the checks in the order above, so the
     first error in that order is raised, whichever pair holds it.
@@ -387,7 +417,7 @@ def parse_text(text):
     if end is not None:
         raise ParseError("expected ':' after the chain size", end)
     if n:
-        img = [None] * n
+        img = bytearray(n)
         used = bytearray(n + 1)
         last_x = 0
         texts = _pair_texts(n)
@@ -410,8 +440,10 @@ def parse_text(text):
                 used[a] = 1
                 last_x = x
             else:
-                return _trusted(n, tuple(img))
-        except ValueError:  # a non-ASCII digit, or more digits than int() takes
+                return _trusted(n, bytes(img))
+        except ValueError:
+            # A non-ASCII digit, more digits than int() takes, or an image
+            # above MAX_IMAGE, which the bytearray refuses to store.
             pass
     pairs = []
     if body:

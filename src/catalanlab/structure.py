@@ -47,7 +47,7 @@ from itertools import compress
 from operator import eq, ne
 from typing import NamedTuple
 
-from . import families, greens
+from . import families, greens, pinj
 from .errors import ValidationError
 
 
@@ -301,7 +301,7 @@ def _inverse_ideal(sub, require_left):
         raise ValidationError("inverse ideal checks need plain (non-Rees) tables")
     name = "inverse-ideal" if require_left else "right-inverse-ideal"
     label = f"{spec.label()} in {families.FamilySpec(families.KIND_SYMINV, spec.n).label()}"
-    points, through = range(1, spec.n + 1), families._translate_table
+    points, through = range(1, spec.n + 1), pinj._translate_table
     for u, image in enumerate(sub.images):
         # find gives the position of y in u's image, -1 when y is no image.
         inverse = bytes([image.find(y) + 1 for y in points])

@@ -93,7 +93,9 @@ before elements were built unchecked: a loop over the points, each
 composite passed through the validating constructor, and idempotence as
 compose(a, a) == a.  The library's compose and is_idempotent are checked
 against them, and assert_revalidates rebuilds an element that was built
-unchecked through the validating constructor.
+unchecked through the validating constructor.  These oracles, pack and
+the stepwise route read an element's points through points (image_of,
+None outside the domain), never its packed storage.
 
 scanner_parse_text is the element text parser as a scanner over one
 position, character by character; pinj.parse_text cuts the text with str
@@ -119,7 +121,7 @@ commands build none.
 
 oracle_partition_by is the partition of a table by a key of each
 element, as greens.partition_by took it before it read the packed images:
-every element unpacked and keyed by pinj.image, pinj.domain, pinj.height
+every element made and keyed by pinj.image, pinj.domain, pinj.height
 or any other function of it.  The library's partition_by under the
 battery's readings of packed bytes is checked against it.
 
@@ -196,10 +198,16 @@ def related_pairs(related):
     return {(a, b) for a, bs in enumerate(related) for b in bs}
 
 
+def points(alpha):
+    """alpha's image of each point 1..n in turn, None outside the domain,
+    read point by point through image_of rather than from its storage."""
+    return [alpha.image_of(x) for x in range(1, alpha.n + 1)]
+
+
 def pack(el, n):
     """el's images as n bytes, 0 outside the domain; the Rees zero packs
     as the empty map."""
-    return bytes(n) if el is families.REES_ZERO else bytes(a or 0 for a in el.img)
+    return bytes(n) if el is families.REES_ZERO else bytes(a or 0 for a in points(el))
 
 
 def packed_table(spec, elements):
@@ -237,12 +245,12 @@ def oracle_images(spec):
 
 def elements_of(table):
     """Every element of a table in index order, the Rees zero included,
-    each unpacked by SemigroupTable.element."""
+    each made by SemigroupTable.element."""
     return [table.element(i) for i in range(table.size)]
 
 
 def oracle_partition_by(table, key_fn):
-    """The partition of a table by key_fn of each element, unpacked by
+    """The partition of a table by key_fn of each element, made by
     SemigroupTable.element; a Rees zero forms a class of its own."""
     return IndexPartition.from_keys(
         [("zero",) if el is families.REES_ZERO else ("el", key_fn(el)) for el in elements_of(table)]
@@ -687,8 +695,9 @@ def chain_steps(alpha):
     """The steps of the chain split of alpha, as (fixed, x_i, a_i): step i
     fixes a_1, ..., a_{i-1} and x_{i+1}, ..., x_p and moves x_i to a_i.
     fixed is updated in place between steps, so with_pair copies it."""
-    fixed = [None if a is None else x for x, a in enumerate(alpha.img, 1)]
-    for x, a in enumerate(alpha.img, 1):
+    img = points(alpha)
+    fixed = [None if a is None else x for x, a in enumerate(img, 1)]
+    for x, a in enumerate(img, 1):
         if a is not None:
             fixed[x - 1] = None
             yield fixed, x, a
@@ -713,14 +722,15 @@ def stepwise_chain(alpha):
 
 
 def stepwise_expand(eps):
-    (y, a), = ((x, b) for x, b in enumerate(eps.img, 1) if b is not None and b != x)
-    fixed = [b if b == x else None for x, b in enumerate(eps.img, 1)]
+    img = points(eps)
+    (y, a), = ((x, b) for x, b in enumerate(img, 1) if b is not None and b != x)
+    fixed = [b if b == x else None for x, b in enumerate(img, 1)]
     return walk_down(fixed, y, a)
 
 
 def stepwise_essential_factorization(alpha, qprime_side=False):
     tail = []
-    if qprime_side and 1 in alpha.img:
+    if qprime_side and 1 in points(alpha):
         alpha, requisite = genrank.factor_requisite(alpha)
         tail = [requisite]
     out = []
@@ -736,9 +746,9 @@ def loop_compose(alpha, beta):
     """x -> (x alpha) beta, one point at a time, validated on construction."""
     if alpha.n != beta.n:
         raise ChainMismatchError(f"cannot compose maps on chains {alpha.n} and {beta.n}")
-    bimg = beta.img
+    bimg = points(beta)
     img = [None] * alpha.n
-    for i, a in enumerate(alpha.img):
+    for i, a in enumerate(points(alpha)):
         if a is not None:
             img[i] = bimg[a - 1]
     return pinj.PartialInjection(alpha.n, img)
@@ -749,9 +759,9 @@ def loop_is_idempotent(alpha):
 
 
 def assert_revalidates(alpha):
-    """alpha has a tuple image and equals its validated rebuild."""
-    assert type(alpha.img) is tuple
-    assert alpha == pinj.PartialInjection(alpha.n, alpha.img)
+    """alpha has a packed image and equals its validated rebuild."""
+    assert type(alpha.img) is bytes
+    assert alpha == pinj.PartialInjection(alpha.n, points(alpha))
 
 
 def oracle_element_kind(element, qprime_side):

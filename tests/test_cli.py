@@ -633,6 +633,17 @@ def test_decompose_rejects_an_oversized_chain_before_allocating(capsys):
     assert err.startswith("error: ") and "exceeds the limit" in err
 
 
+def test_decompose_refuses_an_image_above_255(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "decompose", "--family", "icn", "--n", "3", "--element", "300:299>256",
+        "--mode", "essentials",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "image value 256 above 255" in err
+
+
 @pytest.mark.parametrize("kind,want_runs", [("icn", 837), ("qprime", 763)])
 def test_decompose_output_recomposes_in_every_mode(capsys, monkeypatch, kind, want_runs):
     # decompose does not recompose its factors; this holds every factor

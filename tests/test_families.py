@@ -167,9 +167,12 @@ def test_enumerated_elements_revalidate():
         for p in families._valid_heights(kind, n)
     ]
     for spec in specs:
-        for el in elements_of(families.enumerate_family(spec)):
+        table = families.enumerate_family(spec)
+        for i, el in enumerate(elements_of(table)):
             if el is not REES_ZERO:
                 assert_revalidates(el)
+                # the element holds the table's image itself, not a copy
+                assert el.img is table.images[i]
 
 
 # The n = 10 tables order two-digit texts as strings:
@@ -197,7 +200,6 @@ def test_a_build_makes_no_element_objects(monkeypatch):
     want = [oracle_images(spec) for spec in specs]
     monkeypatch.setattr(pinj, "_trusted", refuse)
     monkeypatch.setattr(pinj.PartialInjection, "__init__", refuse)
-    monkeypatch.setattr(families, "_pack", refuse)
     assert [families._enumerate_table(spec).images for spec in specs] == want
 
 
@@ -535,14 +537,12 @@ def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped, fac
 
 def test_products_rows_and_columns_share_one_packing(monkeypatch):
     # A table packs its images once, when it is built, and then composes
-    # everything through them: no pinj.compose, no element unpacked, and
-    # nothing packed again.
+    # everything through them: no pinj.compose and no element made.
     spec = FamilySpec("rq", 4, 2)
     cached = families.enumerate_family(spec)
     want, m = direct_rows(cached), cached.size
     table = packed_table(spec, elements_of(cached))
     monkeypatch.setattr(pinj, "compose", None)
-    monkeypatch.setattr(families, "_pack", None)
     monkeypatch.setattr(families.SemigroupTable, "element", None)
     assert tuple(tuple(table.product(i, j) for j in range(m)) for i in range(m)) == want
     assert tuple(table.lines(range(m), True)) == want

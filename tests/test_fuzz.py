@@ -109,6 +109,8 @@ def test_parse_text_matches_the_character_scanner():
         " 3:", "3 :", "3:1 >1", "1_0:", "3:1>1,2>3,3>2", "3:3>3,2>1", "3:2>1,3>1",
         "3:02>1", "3:2>01", "3:2>١", "3:4>1", "3:2>0", "3:3>1,2>1", "3:2>1,02>1",
         None, b"3:", 3,
+        # images fit in a byte on a chain of any length
+        "256:256>255", "256:256>256", "300:299>1", "300:1>255,2>256", "300:2>256,1>1",
     ]
     for text in texts:
         want = parse_outcome(scanner_parse_text, text)

@@ -16,6 +16,7 @@ from conftest import (
     oracle_essential_factorization,
     oracle_expand,
     oracle_indecomposables,
+    points,
     stepwise_chain,
     stepwise_essential_factorization,
     stepwise_expand,
@@ -24,6 +25,7 @@ from conftest import (
 from catalanlab import battery, families, genrank, greens, pinj, structure
 from catalanlab.errors import (
     ContractError,
+    RangeError,
     UnsupportedTableError,
     ValidationError,
 )
@@ -402,7 +404,7 @@ def test_essential_factorization_identity_free_side_exhaustive():
 
 
 def images(factors):
-    return [f.img for f in factors]
+    return [points(f) for f in factors]
 
 
 @pytest.mark.parametrize("kind", ["icn", "qprime"])
@@ -456,13 +458,30 @@ def test_every_factor_revalidates(kind):
             for step in chain:
                 if not pinj.is_idempotent(step):
                     factors += genrank.expand_quasi_to_essentials(step)
-            if qprime_side and 1 in alpha.img:
+            if qprime_side and 1 in points(alpha):
                 factors += genrank.factor_requisite(alpha)
             if (genrank.element_kind(alpha, qprime_side) in genrank.generator_kinds(qprime_side)
                     and pinj.height(alpha) <= bound):
                 factors += genrank.lift_height(alpha, kind)
             for f in factors:
                 assert_revalidates(f)
+
+
+def test_factorizations_refuse_chains_past_255_points():
+    # Their factors fix or move to points anywhere on the chain, which a
+    # byte cannot hold past 255.
+    alpha = pinj.parse_text("300:2>1")
+    calls = [
+        lambda: genrank.essential_factorization(alpha),
+        lambda: genrank.essential_factorization(alpha, qprime_side=True),
+        lambda: genrank.factor_idempotent_quasi_chain(alpha),
+        lambda: genrank.expand_quasi_to_essentials(alpha),
+        lambda: genrank.factor_requisite(alpha),
+        lambda: genrank.lift_height(alpha, "icn"),
+    ]
+    for call in calls:
+        with pytest.raises(RangeError, match="at most 255 points, got 300"):
+            call()
 
 
 def test_essential_factorization_rejects_outsiders_on_the_identity_free_side():
@@ -490,7 +509,7 @@ def test_factor_requisite_properties_exhaustive():
         spec = FamilySpec("qprime", n)
         instance = battery.Instance(spec)
         for alpha in elements_of(families.enumerate_family(FamilySpec("icn", n))):
-            if alpha.img[0] is not None or 1 not in pinj.image(alpha):
+            if points(alpha)[0] is not None or 1 not in pinj.image(alpha):
                 with pytest.raises(ContractError):
                     genrank.factor_requisite(alpha)
                 continue

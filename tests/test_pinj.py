@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import loop_compose, loop_is_idempotent
+from conftest import loop_compose, loop_is_idempotent, points
 
 from catalanlab import families, pinj
 from catalanlab.errors import (
@@ -50,7 +50,7 @@ def test_compose_matches_the_loop_oracle_on_every_pair(kind, n):
     for a in els:
         for b in els:
             got = pinj.compose(a, b)
-            assert type(got.img) is tuple
+            assert type(got.img) is bytes
             assert got == loop_compose(a, b)
 
 
@@ -146,7 +146,7 @@ def oracle_classify(alpha):
 def oracle_is_requisite(alpha):
     """The requisite shape as stated: a moved block {2, ..., i}, each point
     one down, and every fixed point above i."""
-    moved = [(x, a) for x, a in enumerate(alpha.img, 1) if a is not None and a != x]
+    moved = [(x, a) for x, a in enumerate(points(alpha), 1) if a is not None and a != x]
     if not moved:
         return False
     top = moved[-1][0]
@@ -268,6 +268,70 @@ def test_parse_text_accepts_the_largest_chain():
     assert pinj.parse_text(f"{pinj.MAX_TEXT_CHAIN}:").n == pinj.MAX_TEXT_CHAIN
 
 
+def long_chain_elements(rng, n, count):
+    """count random partial injections on the n-chain whose images fit in
+    a byte, with their domain points anywhere on the chain."""
+    out = []
+    for _ in range(count):
+        height = rng.randint(0, 6)
+        dom = rng.sample(range(1, n + 1), height)
+        out.append(pinj.from_pairs(n, zip(dom, rng.sample(range(1, pinj.MAX_IMAGE + 1), height))))
+    return out
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_compose_on_chains_past_255_points_matches_the_loop_oracle(n):
+    # An image value fits in a byte, but the chain may be longer: its
+    # points above 255 lie outside every image, and compose's translate
+    # table reads none of them.
+    rng = random.Random(n)
+    edge = [
+        pinj.from_pairs(n, [(n - 1, 1)]),
+        pinj.from_pairs(n, [(1, 1)]),
+        pinj.from_pairs(n, [(n, 255), (1, 2)]),
+        pinj.from_pairs(n, [(255, 7), (2, 255)]),
+        pinj.partial_identity(n, (1, 2, 255)),
+        pinj.empty_map(n),
+    ]
+    els = edge + long_chain_elements(rng, n, 40)
+    for a in els:
+        for b in els:
+            got = pinj.compose(a, b)
+            assert type(got.img) is bytes
+            assert got == loop_compose(a, b)
+    got = pinj.compose(pinj.parse_text("300:299>1"), pinj.parse_text("300:1>1"))
+    assert pinj.canonical_text(got) == "300:299>1"
+
+
+def test_texts_on_chains_past_255_points_round_trip():
+    for text in ("300:299>1", "256:1>255,256>1", f"{pinj.MAX_TEXT_CHAIN}:1000>255"):
+        assert pinj.canonical_text(pinj.parse_text(text)) == text
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pinj.PartialInjection(256, [None] * 255 + [256]),
+        lambda: pinj.from_pairs(300, [(1, 256)]),
+        lambda: pinj.partial_identity(300, (2, 256)),
+        lambda: pinj.identity(256),
+    ],
+    ids=["constructor", "from_pairs", "partial_identity", "identity"],
+)
+def test_every_validating_entry_point_refuses_an_image_above_255(build):
+    with pytest.raises(RangeError, match="image value 256 above 255"):
+        build()
+
+
+def test_parse_text_refuses_an_image_above_255_as_a_range_error():
+    # parse_text reports the constructor's refusal as a ParseError, as it
+    # does every other one, caused by the RangeError.
+    for text in ("300:1>256", "300:1>1,2>300", "256:256>256"):
+        with pytest.raises(ParseError, match="above 255") as err:
+            pinj.parse_text(text)
+        assert isinstance(err.value.__cause__, RangeError)
+
+
 def test_parse_text_rejects_unsorted_or_repeated_domain():
     with pytest.raises(ParseError):
         pinj.parse_text("3:3>3,2>1")
@@ -364,7 +428,7 @@ def test_text_of_images_matches_the_f_string_oracle():
     # Tuples and packed bytes, every partial injection up to n = 4 and
     # random ones up to n = 12, plus a chain too long for a pair table.
     rng = random.Random(20261018)
-    cases = [alpha.img for n in range(1, 5) for alpha in all_elements("syminv", n)]
+    cases = [points(alpha) for n in range(1, 5) for alpha in all_elements("syminv", n)]
     cases += [random_images(rng, n) for n in range(1, 13) for _ in range(300)]
     cases += [tuple(range(1, 13)), (None,) * 12, random_images(rng, 100)]
     for img in cases:
