@@ -181,12 +181,15 @@ def _product_text(table, fmt):
     else:
         header, footer = ("i,j,k\n" if fmt == "csv" else ""), ""
     yield header
+    # The rows first: they build the image index, and the strings below
+    # are not yet held while they do.
+    rows = table.product_rows()
     m = table.size
     ends = [f"{k}{close}" for k in range(m)]
     slots = [None] * (3 * m)
     slots[1::3] = [f"{sep}{j}{sep}" for j in range(m)]
     lead = open_
-    for i, row in enumerate(table.product_rows()):
+    for i, row in enumerate(rows):
         first = str(i)
         slots[::3] = repeat(between + open_ + first, m)
         slots[0] = lead + first

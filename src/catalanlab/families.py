@@ -14,10 +14,10 @@ Seven families over the chain {1, ..., n}:
 Tables index elements by their sorted position (height first, then
 canonical text) and expose the product as an index function.  A table
 keeps its elements only as their images packed into bytes (0 outside the
-domain), one tuple of them and one dict from packed image to index, and
-composes every product on them.  Enumeration writes those bytes
-directly, point by point, and sorts them by height and text; no element
-object is built until element(i) wraps one's image.  Rees tables put
+domain), one tuple of them and, from the first lookup on, one dict from
+packed image to index, and composes every product on them.  Enumeration
+writes those bytes directly, point by point, and sorts them by height and
+text; no element object is built until element(i) wraps one's image.  Rees tables put
 their zero, packed as the empty map, at index 0.  Tables are read-only:
 the packed images and the Cayley-graph rows are tuples, and the full
 product rows read-only memoryviews of 2-byte indices (4-byte past
@@ -28,16 +28,18 @@ dictionary keyed by FamilySpec, so a request gets the table some caller
 still holds, and a table nobody holds goes.  There is no size to set and
 nothing to evict; a caller that wants a table kept holds it.
 
-One store per table.  What a table computes once, its generators and
-both Cayley graphs, product rows, relation partitions and idempotents, is
-kept in one dict on the table (memoized), and goes when the table does.
+One store per table.  What a table computes once, its image index and
+identity, its generators and both Cayley graphs, product rows, relation
+partitions and idempotents, is kept in one dict on the table (memoized),
+and goes when the table does; a table only walked element by element
+builds none of it.
 A is chosen on the right graph, with its columns; A's rows are composed
 only when a reader first asks, and both are read through one accessor,
 generator_lines(left), so rank and maximal compose no row.
 The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
 of Q'_n, enumerated in the same order; so while one of the two tables
 is held, the other is it renamed (SemigroupTable.renamed): the same
-image tuple, index and store, under its own FamilySpec and label, so
+image tuple and store, under its own FamilySpec and label, so
 either table reads what the other built.  store_group names these
 twins.  The lower heights K(n,p) and M(n,p) and the Rees quotients are
 other semigroups, with tables and stores of their own.
@@ -196,24 +198,49 @@ class SemigroupTable:
         domain, the Rees zero packed as the empty map.  The images are
         trusted, not checked, as element() wraps them unchecked; so the
         only callers are _enumerate_table, which enumerates them, and the
-        tests, which pack validated elements."""
+        tests, which pack validated elements.  Only the images, the size
+        and the zero are found here: the image index and the identity are
+        built on first read and kept in the store, so a table that is only
+        walked builds neither."""
         self.family = family
-        n = family.n
         self.images = tuple(images)
-        self._index = dict(zip(self.images, range(len(self.images))))
         self.size = len(self.images)
-        self.zero_index = self._index.get(bytes(n))
+        empty = bytes(family.n)
+        self.zero_index = self.images.index(empty) if empty in self.images else None
         if family.is_rees and self.zero_index is None:
             raise ValidationError("Rees table is missing its zero sentinel")
         # The index of the Rees zero, which is no map; None in a table
         # without one.
         self._rees_zero = self.zero_index if family.is_rees else None
-        self.identity_index = self._find_identity()
         # What the table computes once (see memoized), shared by renamed.
         self._memo = {}
 
     def __len__(self):
         return self.size
+
+    # The image index until the first lookup builds it (_indexed); then
+    # each table holds it as a plain attribute, so that product and locate
+    # read it with no call.  _collapse runs only after product's lookup.
+    _index = None
+
+    def _indexed(self):
+        """The dict from each packed image to its index: built on the
+        first lookup (locate, index, product, a composer) and kept in the
+        store, where a renamed twin finds it whichever of the two asks
+        first.  _collapse adds to it the composites it sends to the Rees
+        zero."""
+        self._index = memoized(self, "index", SemigroupTable._image_index)
+        return self._index
+
+    @property
+    def identity_index(self):
+        """The index of the two-sided identity, or None when the table has
+        none (Q'_n and every proper ideal): searched for on the first read
+        and kept in the store, None included."""
+        return memoized(self, "identity", SemigroupTable._find_identity)
+
+    def _image_index(self):
+        return dict(zip(self.images, range(self.size)))
 
     def _find_identity(self):
         # A two-sided identity must act as the identity on every domain
@@ -231,8 +258,8 @@ class SemigroupTable:
         """This table under the spec of its twin in store_group (K(n,n)
         for IC_n, M(n,n-1) for Q'_n, and the other way round): a table
         of its own, with family as its spec and label, that holds this
-        one's images, index and store, so whichever of the two is asked
-        first builds a result for both."""
+        one's images and store, so whichever of the two is asked first
+        builds a result, the image index and identity included, for both."""
         twin = object.__new__(SemigroupTable)
         twin.__dict__.update(self.__dict__)
         twin.family = family
@@ -250,10 +277,12 @@ class SemigroupTable:
         return self._rees_zero if el is REES_ZERO else self.locate(el.img)
 
     def locate(self, image):
-        """The index of the element packed as image, or None.  The empty
-        map of a Rees quotient is no element, though its zero packs as it,
-        and neither is a composite that _collapse sent to the zero."""
-        i = self._index.get(image)
+        """The index of the element packed as image, or None, read from the
+        image index, which the first lookup builds and keeps in the store.
+        The empty map of a Rees quotient is no element, though its zero
+        packs as it, and neither is a composite that _collapse sent to the
+        zero."""
+        i = (self._index or self._indexed()).get(image)
         return None if i == self._rees_zero else i
 
     def text_of(self, i):
@@ -272,7 +301,7 @@ class SemigroupTable:
         on through j's, looked up in the image index.  A composite missing
         from it goes to _collapse."""
         composite = self.images[i].translate(pinj._translate_table(self.images[j]))
-        found = self._index.get(composite)
+        found = (self._index or self._indexed()).get(composite)
         return self._collapse(composite, i, j) if found is None else found
 
     @property
@@ -417,7 +446,7 @@ class SemigroupTable:
         x.a, for every x in at (every x by default), composed on the
         table's packed images.  A composite missing from the image index
         is left to product."""
-        images, index = self.images, self._index
+        images, index = self.images, self._index or self._indexed()
         at = range(self.size) if at is None else tuple(at)
         others = list(map(images.__getitem__, at))
         maps = list(map(pinj._translate_table, others)) if left else None
@@ -450,12 +479,17 @@ class SemigroupTable:
         )
 
 
+# What memoized finds under a name not yet built; None is a result it keeps.
+_UNBUILT = object()
+
+
 def memoized(table, name, build, *args):
     """build(table, *args), computed once per semigroup and then kept
     under name in table._memo, the one store of what a table derives:
-    its generators and both Cayley graphs, product rows, relation
-    partitions and the steps between kernel groups (greens) and
-    idempotents (structure).  A table renamed
+    its image index and identity, its generators and both Cayley graphs,
+    product rows, relation partitions and the steps between kernel groups
+    (greens) and idempotents (structure).  A None result is kept too, so
+    a table with no identity searches once.  A table renamed
     from another holds that one's store.  A result equal to one already
     stored is replaced by it, so equal relations share one object: on a
     J-trivial table all five classical relations are the identity.  A
@@ -464,8 +498,8 @@ def memoized(table, name, build, *args):
     memo = getattr(table, "_memo", None)
     if memo is None:
         return build(table, *args)
-    found = memo.get(name)
-    if found is None:
+    found = memo.get(name, _UNBUILT)
+    if found is _UNBUILT:
         found = build(table, *args)
         found = memo[name] = next((kept for kept in memo.values() if kept == found), found)
     return found

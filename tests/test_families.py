@@ -1017,6 +1017,76 @@ def test_a_cached_table_goes_with_its_last_holder(no_collector, specs):
     assert not set(specs) & set(families._TABLES.keys())
 
 
+def counting(monkeypatch, name):
+    """Patch SemigroupTable's builder name to count its calls; returns the
+    list it appends each call's table to."""
+    calls = []
+    build = getattr(families.SemigroupTable, name)
+
+    def counted(table):
+        calls.append(table)
+        return build(table)
+
+    monkeypatch.setattr(families.SemigroupTable, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("icn", 6), FamilySpec("qprime", 6), FamilySpec("rq", 5, 2),
+], ids=lambda s: s.label())
+def test_a_walked_table_builds_neither_index_nor_identity(spec):
+    # Walking the elements reads the images alone: no image index and no
+    # identity search.
+    table = families._enumerate_table(spec)
+    assert len(table) == table.size
+    for i in range(table.size):
+        table.element(i), table.text_of(i), table.height_of(i)
+    assert table.zero_index == 0
+    assert genrank.kind_census(table)
+    assert "index" not in table._memo and "identity" not in table._memo
+    assert table._index is None
+
+
+def test_the_first_lookup_builds_the_index_once(monkeypatch):
+    calls = counting(monkeypatch, "_image_index")
+    table = families._enumerate_table(FamilySpec("rq", 5, 2))
+    assert table.locate(table.images[3]) == 3
+    assert calls == [table]
+    index = table._memo["index"]
+    assert table._index is index
+    assert table.index(table.element(4)) == 4 and table.product(3, 4) is not None
+    table.product_rows()
+    assert table.locate(bytes(5)) is None
+    assert calls == [table] and table._memo["index"] is index
+
+
+@pytest.mark.parametrize("first", ["whole", "ideal"])
+def test_twins_renamed_before_and_after_the_index_share_it(monkeypatch, first):
+    # The index lives in the store, so a twin renamed before it was built
+    # finds the same dict as one renamed after, whichever twin asks first.
+    calls = counting(monkeypatch, "_image_index")
+    whole = families._enumerate_table(FamilySpec("icn", 4))
+    before = whole.renamed(FamilySpec("k", 4, 4))
+    asker = whole if first == "whole" else before
+    assert asker.locate(asker.images[5]) == 5
+    after = whole.renamed(FamilySpec("k", 4, 4))
+    for table in (whole, before, after):
+        assert table.locate(table.images[7]) == 7
+    assert len(calls) == 1
+    assert before._index is whole._index and after._index is whole._index
+    assert whole._memo["index"] is whole._index
+
+
+def test_a_missing_identity_is_searched_for_once(monkeypatch):
+    calls = counting(monkeypatch, "_find_identity")
+    table = families._enumerate_table(FamilySpec("qprime", 3))
+    twin = table.renamed(FamilySpec("m", 3, 2))
+    assert table.identity_index is None
+    assert table.identity_index is None
+    assert twin.identity_index is None
+    assert calls == [table] and table._memo["identity"] is None
+
+
 @pytest.mark.parametrize("whole, ideal", [
     (FamilySpec("icn", 4), FamilySpec("k", 4, 4)),
     (FamilySpec("qprime", 4), FamilySpec("m", 4, 3)),
