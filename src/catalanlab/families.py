@@ -17,11 +17,11 @@ keeps its elements only as their images packed into bytes (0 outside the
 domain), one tuple of them and, from the first lookup on, one dict from
 packed image to index, and composes every product on them.  Enumeration
 writes those bytes directly, point by point, and sorts them by height and
-text; no element object is built until element(i) wraps one's image.  Rees tables put
-their zero, packed as the empty map, at index 0.  Tables are read-only:
-the packed images and the Cayley-graph rows are tuples, and the full
-product rows read-only memoryviews of 2-byte indices (4-byte past
-65,536 elements).
+text; no element object is built until element(i) wraps one's image.
+Rees tables put their zero, packed as the empty map, at index 0.  Tables
+are read-only: the packed images and the Cayley-graph rows are tuples,
+and the full product rows read-only memoryviews of 2-byte indices
+(4-byte past 65,536 elements).
 
 A table is cached while it is held: enumerate_family keeps it in a weak
 dictionary keyed by FamilySpec, so a request gets the table some caller
