@@ -45,23 +45,12 @@ _PROPERTIES = {
 
 
 def _cap_from(args, default):
-    """Effective size cap: default, overridden by env, then by --max-n,
-    always clamped to the hard ceiling families.DEFAULT_ENUM_CAP.  A cap
-    below 1 is refused, naming where it came from."""
-    cap, source = default, None
-    env = os.environ.get("CATALAN_LAB_MAX_N")
-    if env is not None:
-        try:
-            cap, source = int(env), "CATALAN_LAB_MAX_N"
-        except ValueError:
-            raise ValidationError(
-                f"CATALAN_LAB_MAX_N must be an integer, got {env!r}"
-            ) from None
-    max_n = getattr(args, "max_n", None)
-    if max_n is not None:
-        cap, source = max_n, "--max-n"
+    """Effective size cap: default, or --max-n when it is given, always
+    clamped to the hard ceiling families.DEFAULT_ENUM_CAP.  A --max-n
+    below 1 is refused."""
+    cap = default if args.max_n is None else args.max_n
     if cap < 1:
-        raise ValidationError(f"{source} must be at least 1, got {cap}")
+        raise ValidationError(f"--max-n must be at least 1, got {cap}")
     return min(cap, families.DEFAULT_ENUM_CAP)
 
 
@@ -277,8 +266,10 @@ def _cmd_check(args):
     spec = _family_spec(args)
     names = args.property
     if any(_PROPERTIES[name][1] for name in names):
-        _check_cap(spec.n, _cap_from(args, DEFAULT_STARRED_CAP), "starred property check")
-    _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "property check")
+        default, what = DEFAULT_STARRED_CAP, "starred property check"
+    else:
+        default, what = DEFAULT_CLI_ENUM_CAP, "property check"
+    _check_cap(spec.n, _cap_from(args, default), what)
     table = families.enumerate_family(spec)
     expect = args.expect == "true"
     reports = [_property_report(name, table) for name in names]

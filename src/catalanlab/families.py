@@ -492,12 +492,10 @@ def memoized(table, name, build, *args):
     a table with no identity searches once.  A table renamed
     from another holds that one's store.  A result equal to one already
     stored is replaced by it, so equal relations share one object: on a
-    J-trivial table all five classical relations are the identity.  A
-    table without a store, a test double, computes afresh on each call.
+    J-trivial table all five classical relations are the identity.  Every
+    table has a store, the tests' stand-in tables too.
     """
-    memo = getattr(table, "_memo", None)
-    if memo is None:
-        return build(table, *args)
+    memo = table._memo
     found = memo.get(name, _UNBUILT)
     if found is _UNBUILT:
         found = build(table, *args)

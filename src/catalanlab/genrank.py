@@ -384,6 +384,8 @@ def lift_height(alpha, kind):
     if qp and alpha.img[0]:
         raise ContractError("element is outside the identity-free family")
     bound = lift_bound(n, qp)
+    if bound < 0:
+        raise ContractError(f"no element lifts on the {n}-chain in this family")
     if p > bound:
         raise ContractError(f"lift needs height at most {bound}, got {p}")
     ekind = element_kind(alpha, qp)

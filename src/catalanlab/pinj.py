@@ -43,10 +43,11 @@ by _trusted, which checks nothing, at a site whose validity is proven:
   map, and distinct values of 1..n on that of a partial injection.
   The tests pack validated elements the same way; the Rees zero is
   never wrapped.
-- parse_text: its first pass writes each image only after checking that
-  the pair's point follows the last one and lies in 1..n, and that its
-  image lies in 1..n and was not written before; the bytearray it writes
-  into refuses an image above MAX_IMAGE.
+- parse_text: its first pass takes each pair from the table of the
+  canonical pair texts of the n-chain, n <= 64, so its point and image
+  lie in 1..n and below MAX_IMAGE, and writes the image only after
+  checking that the point follows the last one and that the image was
+  not written before.
 - genrank's factor walk (_factor_walk), which builds every chain step
   and essential, both factors of its requisite split, and both factors
   of lift_height: the proofs are in essential_factorization,
@@ -237,10 +238,6 @@ def height(alpha):
     return alpha.n - alpha.img.count(0)
 
 
-def fixed_points(alpha):
-    return tuple(i + 1 for i, a in enumerate(alpha.img) if a == i + 1)
-
-
 def shift(alpha):
     """Number of domain points the map moves."""
     return len(_moved(alpha.img))
@@ -251,25 +248,9 @@ def _moved(img):
     return [(x, a) for x, a in enumerate(img, 1) if a and a != x]
 
 
-def is_isotone(alpha):
-    """Order preserving: x <= y implies x alpha <= y alpha on the domain."""
-    prev = 0
-    for a in filter(None, alpha.img):
-        if a <= prev:
-            return False
-        prev = a
-    return True
-
-
-def is_decreasing(alpha):
-    """Order decreasing: x alpha <= x for every domain point x (0, read
-    outside the domain, is below every point)."""
-    return all(a <= x for x, a in enumerate(alpha.img, 1))
-
-
 def is_isotone_decreasing(alpha):
-    """is_isotone and is_decreasing in one pass: a_{i-1} < a_i <= x_i on
-    the domain x_1 < ... < x_p, with a_0 = 0."""
+    """Isotone (order preserving) and order decreasing, in one pass:
+    a_{i-1} < a_i <= x_i on the domain x_1 < ... < x_p, with a_0 = 0."""
     prev = 0
     for x, a in enumerate(alpha.img, 1):
         if a:
@@ -284,21 +265,6 @@ def is_idempotent(alpha):
     x alpha = a, then a alpha = x alpha alpha = a, so x = a as alpha is
     injective; and a partial identity is its own square."""
     return all(a == x for x, a in enumerate(alpha.img, 1) if a)
-
-
-def is_quasi_idempotent(alpha):
-    """True when the square is idempotent, i.e. alpha^4 = alpha^2."""
-    return is_idempotent(compose(alpha, alpha))
-
-
-def is_essential(alpha):
-    """Exactly one moved point, and it drops by exactly one.
-
-    Meaningful for isotone, order-decreasing inputs, where this matches
-    the shift-one quasi-idempotents whose moved point has gap one.
-    """
-    moved = _moved(alpha.img)
-    return len(moved) == 1 and moved[0][1] == moved[0][0] - 1
 
 
 def is_requisite(alpha):
@@ -393,14 +359,15 @@ def parse_text(text):
     Syntax errors come in reading order, an unsorted pair only after the
     whole text has been read, and from_pairs' errors last.
 
-    A well-formed text is first read in one pass that checks each pair as
-    it writes its image: sorted, in range, and no image used twice, which
-    is what _trusted needs; the images are written into a bytearray and
-    frozen.  A pair written canonically is looked up in the inverse
-    table of _pair_texts, whose pairs are in range; any other
-    is read as above.  That pass stops at the first pair it refuses, and
+    A text whose pairs are all written canonically, on a chain of at most
+    _TABLED_TEXT_CHAIN points, is first read in one pass that looks each
+    pair up in the inverse table of _pair_texts, whose pairs are in range,
+    and checks that it is sorted and uses no image twice, which is what
+    _trusted needs; the images are written into a bytearray and frozen.
+    That pass stops at the first pair it does not find or refuses, and
     the text is then read again by the checks in the order above, so the
-    first error in that order is raised, whichever pair holds it.
+    first error in that order is raised, whichever pair holds it.  Pairs
+    with other digits, and every pair on a longer chain, are read there.
     """
     if not isinstance(text, str):
         raise ParseError("element text must be a string")
@@ -422,29 +389,17 @@ def parse_text(text):
         last_x = 0
         texts = _pair_texts(n)
         pair_of = texts[2] if texts else {}
-        try:
-            for chunk in body.split(",") if body else ():
-                if chunk in pair_of:
-                    x, a = pair_of[chunk]
-                else:
-                    x, gt, a = chunk.partition(">")
-                    if not (gt and x.isdigit() and a.isdigit()):
-                        break
-                    x = int(x)
-                    a = int(a)
-                    if not (x <= n and 0 < a <= n):
-                        break
-                if x <= last_x or used[a]:
-                    break
-                img[x - 1] = a
-                used[a] = 1
-                last_x = x
-            else:
-                return _trusted(n, bytes(img))
-        except ValueError:
-            # A non-ASCII digit, more digits than int() takes, or an image
-            # above MAX_IMAGE, which the bytearray refuses to store.
-            pass
+        for chunk in body.split(",") if body else ():
+            if chunk not in pair_of:
+                break
+            x, a = pair_of[chunk]
+            if x <= last_x or used[a]:
+                break
+            img[x - 1] = a
+            used[a] = 1
+            last_x = x
+        else:
+            return _trusted(n, bytes(img))
     pairs = []
     if body:
         chunks = body.split(",")

@@ -213,24 +213,6 @@ def _unique_idempotent_map(part, idem_set):
     return [found[0] if len(found) == 1 else None for found in by_class]
 
 
-def _ample_leg(table, part, per_class, ea_leg, a, e):
-    """Check ea = a (ea)* against L* (ea_leg) or ae = (ae)+ a against R*,
-    with per_class giving each class of part its unique idempotent;
-    returns (ok, witness_or_None), ok None for a precondition gap.  The
-    ae leg is the ea leg of the opposite semigroup, x, y -> y.x."""
-    if ea_leg:
-        product, relation, identity = table.product, "L*", "ea != a(ea)*"
-    else:
-        product, relation, identity = (lambda x, y: table.product(y, x)), "R*", "ae != (ae)+a"
-    ea = product(e, a)
-    star = per_class[part.class_of[ea]]
-    if star is None:
-        return None, f"{relation}-class of {table.text_of(ea)} lacks a unique idempotent"
-    if product(a, star) != ea:
-        return False, f"{identity} for a={table.text_of(a)}, e={table.text_of(e)}"
-    return True, None
-
-
 def _ample(table, name, base, note, ea_legs):
     """base(table), then for every element a and idempotent e each leg of
     ea_legs: ea = a (ea)* for True, ae = (ae)+ a for False, each against
@@ -244,9 +226,11 @@ def _ample(table, name, base, note, ea_legs):
     (ea)*; the ae leg scans row and looks (ae)+ a up in col.  A class
     lacking a unique idempotent has the slot past the last, a -1 appended
     to both lines that matches no product, so a precondition gap is
-    flagged as a failure, reported and told apart by the witness.  The
-    witness is the first failing a, then the least failing e in index
-    order, then the first leg.
+    flagged as a failure.  The witness is the first failing a, then the
+    least failing e in index order, then the first leg, and it is written
+    from the scan: the failing product is the scanned line's entry at e,
+    and the failure is a precondition gap exactly when that product's
+    slot is the gap.
     """
     report = base(table)
     if not report.holds:
@@ -260,22 +244,27 @@ def _ample(table, name, base, note, ea_legs):
         per_class = _unique_idempotent_map(part, idem_set)
         # A gap's None is no idempotent, so it takes the gap slot.
         slot_of = [slot.get(per_class[c], gap) for c in part.class_of]
-        legs.append((ea_leg, part, per_class, slot_of.__getitem__))
+        legs.append((ea_leg, slot_of.__getitem__))
     everyone, slots, pad = range(table.size), range(gap), (-1,)
     rows, cols = table.lines(everyone, True, at=idem), table.lines(everyone, False, at=idem)
     for a, row, col in zip(everyone, rows, cols):
         row, col = row + pad, col + pad
         firsts = []
-        for ea_leg, _, _, slot_of in legs:
+        for ea_leg, slot_of in legs:
             scanned, looked_up = (col, row) if ea_leg else (row, col)
             got = map(looked_up.__getitem__, map(slot_of, scanned))
             firsts.append(next(compress(slots, map(ne, got, scanned)), gap))
         k = min(firsts)
         if k < gap:
-            ea_leg, part, per_class, _ = legs[firsts.index(k)]
-            ok, text = _ample_leg(table, part, per_class, ea_leg, a, idem[k])
-            note = "precondition failure" if ok is None else None
-            return PropertyReport(name, _label(table), False, text, note)
+            ea_leg, slot_of = legs[firsts.index(k)]
+            product = (col if ea_leg else row)[k]
+            if slot_of(product) == gap:
+                relation = "L*" if ea_leg else "R*"
+                text = f"{relation}-class of {table.text_of(product)} lacks a unique idempotent"
+                return PropertyReport(name, _label(table), False, text, "precondition failure")
+            identity = "ea != a(ea)*" if ea_leg else "ae != (ae)+a"
+            text = f"{identity} for a={table.text_of(a)}, e={table.text_of(idem[k])}"
+            return PropertyReport(name, _label(table), False, text)
     return PropertyReport(name, _label(table), True)
 
 

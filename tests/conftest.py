@@ -79,6 +79,11 @@ after its moved point is found by search.  The library builds the same
 factors straight from the element's pairs; these are the oracle it is
 checked against.
 
+fixed_points, is_quasi_idempotent and is_essential are the element
+predicates that pinj.classify replaced, read point by point and
+quasi-idempotence by composing; classify and the factorizations are
+checked against them.
+
 chain_steps, with_pair and walk_down are the essential factorization
 as the library built it before its one straight-line walk: a generator
 of chain steps over one shared fixed list, a helper that copies it per
@@ -672,7 +677,7 @@ def oracle_expand(eps):
     """The essentials that walk the one moved point y of eps down to its
     image a over the fixed points, largest step first."""
     (y, a), = ((x, eps.image_of(x)) for x in pinj.domain(eps) if eps.image_of(x) != x)
-    fixed = [(f, f) for f in pinj.fixed_points(eps)]
+    fixed = [(f, f) for f in fixed_points(eps)]
     return [
         pinj.from_pairs(eps.n, fixed + [(a + j, a + j - 1)]) for j in range(y - a, 0, -1)
     ]
@@ -756,6 +761,22 @@ def loop_compose(alpha, beta):
 
 def loop_is_idempotent(alpha):
     return loop_compose(alpha, alpha) == alpha
+
+
+def fixed_points(alpha):
+    """The points alpha fixes, in increasing order."""
+    return tuple(x for x, a in enumerate(points(alpha), 1) if a == x)
+
+
+def is_quasi_idempotent(alpha):
+    """The square is idempotent, i.e. alpha^4 = alpha^2, by composing."""
+    return loop_is_idempotent(loop_compose(alpha, alpha))
+
+
+def is_essential(alpha):
+    """Exactly one moved point, and it drops by exactly one."""
+    moved = [(x, a) for x, a in enumerate(points(alpha), 1) if a is not None and a != x]
+    return len(moved) == 1 and moved[0][1] == moved[0][0] - 1
 
 
 def assert_revalidates(alpha):

@@ -19,11 +19,6 @@ from catalanlab import cli, families, genrank, pinj, structure
 from catalanlab.errors import CapExceededError, ValidationError
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("CATALAN_LAB_MAX_N", raising=False)
-
-
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -175,35 +170,21 @@ def test_enum_default_cap_refuses_eleven(capsys):
     assert "capped" in err
 
 
-def test_env_cap_then_flag_override(capsys, monkeypatch):
-    monkeypatch.setenv("CATALAN_LAB_MAX_N", "3")
-    code, _, _ = run_cli(capsys, "enum", "--family", "icn", "--n", "4", "--count-only")
+def test_max_n_lowers_and_raises_the_soft_cap(capsys):
+    argv = ("enum", "--family", "icn", "--n", "4", "--count-only")
+    code, _, _ = run_cli(capsys, *argv, "--max-n", "3")
     assert code == 3
-    code, out, _ = run_cli(
-        capsys,
-        "enum", "--family", "icn", "--n", "4", "--count-only", "--max-n", "4",
-    )
+    code, out, _ = run_cli(capsys, *argv, "--max-n", "4")
     assert code == 0
     assert "42" in out
 
 
-def test_env_cap_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("CATALAN_LAB_MAX_N", "plenty")
-    code, _, err = run_cli(capsys, "enum", "--family", "icn", "--n", "3", "--count-only")
-    assert code == 2
-    assert "CATALAN_LAB_MAX_N" in err
-
-
 @pytest.mark.parametrize("value", ["-1", "0"])
-def test_a_cap_below_one_is_refused_from_either_source(capsys, monkeypatch, value):
+def test_a_cap_below_one_is_refused_from_either_source(capsys, value):
     argv = ("enum", "--family", "icn", "--n", "3", "--count-only")
     code, out, err = run_cli(capsys, *argv, "--max-n", value)
     assert (code, out) == (2, "")
     assert err == f"error: --max-n must be at least 1, got {value}\n"
-    monkeypatch.setenv("CATALAN_LAB_MAX_N", value)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: CATALAN_LAB_MAX_N must be at least 1, got {value}\n"
 
 
 def test_only_the_starred_property_checks_take_the_starred_cap(capsys):
@@ -591,6 +572,20 @@ def test_decompose_lift_mode(capsys):
     )
     assert code == 0
     assert payload["factors"] == ["3:1>1,2>2", "3:1>1,3>3"]
+
+
+@pytest.mark.parametrize(
+    "family,n,element", [("icn", 1, "1:"), ("qprime", 1, "1:"), ("qprime", 2, "2:2>1")]
+)
+def test_decompose_lift_refuses_a_chain_where_nothing_lifts(capsys, family, n, element):
+    # IC_1, Q'_1 and Q'_2 have no room for the fixed points a lift adds.
+    code, out, err = run_cli(
+        capsys,
+        "decompose", "--family", family, "--n", str(n), "--element", element,
+        "--mode", "lift",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: no element lifts on the {n}-chain in this family\n"
 
 
 def test_decompose_empty_product(capsys):

@@ -8,7 +8,6 @@ The seeds are fixed, so a failure names an input that reproduces it.
 
 import random
 
-import pytest
 from conftest import scanner_parse_text
 
 from catalanlab import cli, families, greens, pinj
@@ -23,11 +22,6 @@ COMMANDS = ("enum", "greens", "check", "rank", "decompose", "maximal", "verify")
 FORMATS = ("human", "json", "csv")
 RELATIONS = greens.GREEN_NAMES + cli._STARRED_RELATIONS
 MODES = ("essentials", "requisite", "lift")
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("CATALAN_LAB_MAX_N", raising=False)
 
 
 def random_text(rng):
@@ -87,9 +81,9 @@ def mutated_text(rng, text):
 
 def test_parse_text_matches_the_character_scanner():
     # parse_text reads a canonical pair by one lookup in the pair table of
-    # its chain size (n <= 64) and any other chunk digit by digit: every
-    # canonical text of I_n (n <= 5), IC_n and Q'_n (n <= 7), texts on
-    # either side of the table's edge, and chunks that miss it.
+    # its chain size (n <= 64), and any other text only in its checking
+    # pass: every canonical text of I_n (n <= 5), IC_n and Q'_n (n <= 7),
+    # texts on either side of the table's edge, and chunks that miss it.
     rng = random.Random(20261018)
     texts = [random_text(rng) for _ in range(20000)]
     texts += [mutated_text(rng, random_element_text(rng, rng.randint(1, 9)))
@@ -111,6 +105,10 @@ def test_parse_text_matches_the_character_scanner():
         None, b"3:", 3,
         # images fit in a byte on a chain of any length
         "256:256>255", "256:256>256", "300:299>1", "300:1>255,2>256", "300:2>256,1>1",
+        # valid texts that miss the pair table, so only the checking pass
+        # reads them: a leading zero, a non-ASCII digit, the table's last
+        # chain, and a chain past it
+        "9:02>1,03>2", "9:2>1,3>٢", "64:02>1", "65:2>1,3>2,40>30,64>64,65>65",
     ]
     for text in texts:
         want = parse_outcome(scanner_parse_text, text)

@@ -35,11 +35,6 @@ PRODUCTS_GOLDEN = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("CATALAN_LAB_MAX_N", raising=False)
-
-
 @pytest.mark.parametrize("fmt,n_max,digest", GOLDEN, ids=[f"{f}-{n}" for f, n, _ in GOLDEN])
 def test_verify_output_bytes_are_pinned(capsys, fmt, n_max, digest):
     assert cli.main(["verify", "--n-max", str(n_max), "--format", fmt]) == 0

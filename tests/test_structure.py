@@ -5,6 +5,8 @@ import random
 import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
+    _oracle_leg_plus,
+    _oracle_leg_star,
     elements_of,
     idempotent_census,
     oracle_ample,
@@ -189,8 +191,10 @@ def test_right_ample_holds_on_the_collapsed_identity_free_quotient():
 
 def scalar_ample_failure(t, one_sided):
     """The first failing ample leg by the pairwise loop: a in order, then
-    e in index order, the ea leg before the ae leg.  Returns (witness,
-    note), or None when every identity holds."""
+    e in index order, the ea leg before the ae leg, each read off the
+    product rows.  Returns (witness, note), or None when every identity
+    holds."""
+    rows = t.product_rows()
     idem = structure.idempotent_indices(t)
     idem_set = set(idem)
     lstar = greens.starred_L(t)
@@ -199,9 +203,9 @@ def scalar_ample_failure(t, one_sided):
     plus_of = structure._unique_idempotent_map(rstar, idem_set)
     for a in range(t.size):
         for e in idem:
-            legs = [structure._ample_leg(t, rstar, plus_of, False, a, e)]
+            legs = [_oracle_leg_plus(t, rows, rstar, plus_of, a, e)]
             if not one_sided:
-                legs.insert(0, structure._ample_leg(t, lstar, star_of, True, a, e))
+                legs.insert(0, _oracle_leg_star(t, rows, lstar, star_of, a, e))
             for ok, witness in legs:
                 if ok is not True:
                     return witness, "precondition failure" if ok is None else None
