@@ -24,37 +24,33 @@ from .errors import CapExceededError, InvariantError, ValidationError
 DEFAULT_CLI_ENUM_CAP = 10
 DEFAULT_MAXIMAL_CAP = 6
 
-_STARRED_RELATIONS = ("Ls", "Rs", "Hs", "Ds", "Js")
 # Each property with the structure check that decides it, and whether
 # that check reads the starred relations (which have a lower cap).  The
 # inverse-ideal checks test the table inside I_n, never enumerating I_n.
 _PROPERTIES = {
-    "regular": ("is_regular_semigroup", False),
-    "jtrivial": (None, False),
-    "left-abundant": ("is_left_abundant", True),
-    "right-abundant": ("is_right_abundant", True),
-    "abundant": ("is_abundant", True),
-    "semilattice": ("is_semilattice_of_idempotents", False),
-    "adequate": ("is_adequate", True),
-    "right-adequate": ("is_right_adequate", True),
-    "ample": ("is_ample", True),
-    "right-ample": ("is_right_ample", True),
-    "inverse-ideal": ("is_inverse_ideal", False),
-    "right-inverse-ideal": ("is_right_inverse_ideal", False),
+    "regular": (structure.is_regular_semigroup, False),
+    "jtrivial": (structure.is_jtrivial, False),
+    "left-abundant": (structure.is_left_abundant, True),
+    "right-abundant": (structure.is_right_abundant, True),
+    "abundant": (structure.is_abundant, True),
+    "semilattice": (structure.is_semilattice_of_idempotents, False),
+    "adequate": (structure.is_adequate, True),
+    "right-adequate": (structure.is_right_adequate, True),
+    "ample": (structure.is_ample, True),
+    "right-ample": (structure.is_right_ample, True),
+    "inverse-ideal": (structure.is_inverse_ideal, False),
+    "right-inverse-ideal": (structure.is_right_inverse_ideal, False),
 }
 
 
-def _cap_from(args, default):
-    """Effective size cap: default, or --max-n when it is given, always
-    clamped to the hard ceiling families.DEFAULT_ENUM_CAP.  A --max-n
-    below 1 is refused."""
+def _check_cap(args, n, default, what):
+    """Refuse n above the size cap: default, or --max-n when it is given,
+    always clamped to the hard ceiling families.DEFAULT_ENUM_CAP.  A
+    --max-n below 1 is refused."""
     cap = default if args.max_n is None else args.max_n
     if cap < 1:
         raise ValidationError(f"--max-n must be at least 1, got {cap}")
-    return min(cap, families.DEFAULT_ENUM_CAP)
-
-
-def _check_cap(n, cap, what):
+    cap = min(cap, families.DEFAULT_ENUM_CAP)
     if n > cap:
         raise CapExceededError(
             f"{what} is capped at n = {cap} (requested n = {n});"
@@ -62,8 +58,20 @@ def _check_cap(n, cap, what):
         )
 
 
-def _family_spec(args):
-    return families.FamilySpec(args.family, args.n, args.p)
+def _table(args, default, what):
+    """The family the arguments name and its table, once its n passes
+    the cap."""
+    spec = families.FamilySpec(args.family, args.n, args.p)
+    _check_cap(args, spec.n, default, what)
+    return spec, families.enumerate_family(spec)
+
+
+def _published(formula, agrees):
+    """The line setting the published value beside the computed one, or
+    none when no value is published."""
+    if formula is None:
+        return []
+    return [f"  published value {formula} ({'agrees' if agrees else 'DISAGREES'})"]
 
 
 def _emit(args, payload, human_lines, csv_rows):
@@ -102,9 +110,7 @@ def _write(chunks, write=None):
 
 
 def _cmd_enum(args):
-    spec = _family_spec(args)
-    _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "enumeration")
-    table = families.enumerate_family(spec)
+    spec, table = _table(args, DEFAULT_CLI_ENUM_CAP, "enumeration")
     label = spec.label()
     if args.count_only:
         payload = {"family": label, "order": table.size}
@@ -194,15 +200,13 @@ def _product_text(table, fmt):
 
 
 def _cmd_greens(args):
-    spec = _family_spec(args)
     rel = args.relation
-    if rel in _STARRED_RELATIONS:
-        cap = _cap_from(args, DEFAULT_STARRED_CAP)
-        _check_cap(spec.n, cap, "starred relation computation")
+    if rel in greens.STARRED_NAMES:
+        spec, table = _table(args, DEFAULT_STARRED_CAP, "starred relation computation")
+        part = greens.starred(table, rel)
     else:
-        _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "relation computation")
-    table = families.enumerate_family(spec)
-    part = (greens.starred if rel in _STARRED_RELATIONS else greens.green)(table, rel)
+        spec, table = _table(args, DEFAULT_CLI_ENUM_CAP, "relation computation")
+        part = greens.green(table, rel)
     # Each text is made once, for every format; the human lines and csv
     # rows are made only for the chosen format, as they are written.
     classes = [
@@ -240,39 +244,14 @@ def _cmd_greens(args):
 # check
 
 
-def _jtrivial_report(table):
-    part = greens.green(table, "J")
-    witness = None
-    if not part.is_identity:
-        for members in part.classes:
-            if len(members) > 1:
-                witness = ", ".join(table.text_of(i) for i in members)
-                break
-    return structure.PropertyReport(
-        property="jtrivial",
-        family=table.family.label(),
-        holds=part.is_identity,
-        witness=witness,
-    )
-
-
-def _property_report(name, table):
-    if name == "jtrivial":
-        return _jtrivial_report(table)
-    return getattr(structure, _PROPERTIES[name][0])(table)
-
-
 def _cmd_check(args):
-    spec = _family_spec(args)
     names = args.property
     if any(_PROPERTIES[name][1] for name in names):
-        default, what = DEFAULT_STARRED_CAP, "starred property check"
+        spec, table = _table(args, DEFAULT_STARRED_CAP, "starred property check")
     else:
-        default, what = DEFAULT_CLI_ENUM_CAP, "property check"
-    _check_cap(spec.n, _cap_from(args, default), what)
-    table = families.enumerate_family(spec)
+        spec, table = _table(args, DEFAULT_CLI_ENUM_CAP, "property check")
     expect = args.expect == "true"
-    reports = [_property_report(name, table) for name in names]
+    reports = [_PROPERTIES[name][0](table) for name in names]
     payload = {"family": spec.label(), "expect": expect, "properties": []}
     human = []
     rows = [("property", "family", "holds", "witness")]
@@ -297,19 +276,12 @@ def _cmd_check(args):
 
 
 def _cmd_rank(args):
-    spec = _family_spec(args)
-    _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "rank computation")
-    table = families.enumerate_family(spec)
+    _, table = _table(args, DEFAULT_CLI_ENUM_CAP, "rank computation")
     report = genrank.minimal_generating_set(table)
     payload = report.as_dict()
     if not args.show_generators:
         payload.pop("generators", None)
-    human = [f"{report.family}: rank {report.rank}"]
-    if report.formula is not None:
-        human.append(
-            f"  published value {report.formula}"
-            f" ({'agrees' if report.agrees else 'DISAGREES'})"
-        )
+    human = [f"{report.family}: rank {report.rank}", *_published(report.formula, report.agrees)]
     rows = [("family", "rank", "formula", "agrees", "kind", "text")]
     base = (
         report.family,
@@ -339,35 +311,35 @@ def _cmd_rank(args):
 # decompose
 
 
+# Each decompose mode: the families it supports and its factorizer of
+# an element of the family spec.
+_MODES = {
+    "essentials": (
+        (families.KIND_ICN, families.KIND_QPRIME),
+        lambda alpha, spec: genrank.essential_factorization(alpha, spec.qprime_side),
+    ),
+    "requisite": ((families.KIND_QPRIME,), lambda alpha, spec: genrank.factor_requisite(alpha)),
+    "lift": (
+        (families.KIND_ICN, families.KIND_QPRIME),
+        lambda alpha, spec: genrank.lift_height(alpha, spec.kind),
+    ),
+}
+
+
 def _cmd_decompose(args):
-    spec = _family_spec(args)
-    _check_cap(spec.n, _cap_from(args, DEFAULT_CLI_ENUM_CAP), "decomposition")
+    spec = families.FamilySpec(args.family, args.n, args.p)
+    _check_cap(args, spec.n, DEFAULT_CLI_ENUM_CAP, "decomposition")
     alpha = pinj.parse_text(args.element)
     if not families.is_member(alpha, spec):
         raise ValidationError(
             f"element {pinj.canonical_text(alpha)} is not a member of {spec.label()}"
         )
     mode = args.mode
-    if mode == "essentials":
-        if spec.kind not in (families.KIND_ICN, families.KIND_QPRIME):
-            raise ValidationError(
-                "decompose --mode essentials supports the icn and qprime families"
-            )
-        factors = genrank.essential_factorization(
-            alpha, qprime_side=spec.qprime_side
-        )
-    elif mode == "requisite":
-        if spec.kind != families.KIND_QPRIME:
-            raise ValidationError(
-                "decompose --mode requisite supports the qprime family"
-            )
-        factors = list(genrank.factor_requisite(alpha))
-    else:
-        if spec.kind not in (families.KIND_ICN, families.KIND_QPRIME):
-            raise ValidationError(
-                "decompose --mode lift supports the icn and qprime families"
-            )
-        factors = list(genrank.lift_height(alpha, spec.kind))
+    kinds, factorize = _MODES[mode]
+    if spec.kind not in kinds:
+        noun = "family" if len(kinds) == 1 else "families"
+        raise ValidationError(f"decompose --mode {mode} supports the {' and '.join(kinds)} {noun}")
+    factors = factorize(alpha, spec)
     texts = [pinj.canonical_text(f) for f in factors]
     payload = {
         "family": spec.label(),
@@ -389,11 +361,10 @@ def _cmd_decompose(args):
 
 
 def _cmd_maximal(args):
-    spec = _family_spec(args)
-    _check_cap(spec.n, _cap_from(args, DEFAULT_MAXIMAL_CAP), "maximal subsemigroup search")
-    table = families.enumerate_family(spec)
+    spec, table = _table(args, DEFAULT_MAXIMAL_CAP, "maximal subsemigroup search")
     results = genrank.maximal_subsemigroups(table)
     formula = formulas.count_formula("maximal", spec)
+    agrees = formula == len(results)
     payload = {
         "family": spec.label(),
         "count": len(results),
@@ -404,13 +375,8 @@ def _cmd_maximal(args):
     }
     if formula is not None:
         payload["formula"] = formula
-        payload["agrees"] = formula == len(results)
-    human = [f"{spec.label()}: {len(results)} maximal subsemigroups"]
-    if formula is not None:
-        human.append(
-            f"  published value {formula}"
-            f" ({'agrees' if formula == len(results) else 'DISAGREES'})"
-        )
+        payload["agrees"] = agrees
+    human = [f"{spec.label()}: {len(results)} maximal subsemigroups", *_published(formula, agrees)]
     human.extend(f"  remove {table.text_of(g)}: verified" for g in results)
     rows = [("family", "removed", "verified")]
     rows.extend((spec.label(), table.text_of(g), True) for g in results)
@@ -460,15 +426,7 @@ def _add_family_args(sub):
     )
 
 
-def _add_format_arg(sub):
-    sub.add_argument(
-        "--format", choices=("human", "json", "csv"), default="human"
-    )
-
-
 def _enum_args(sub):
-    _add_family_args(sub)
-    _add_format_arg(sub)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--count-only", action="store_true")
     group.add_argument(
@@ -477,18 +435,14 @@ def _enum_args(sub):
 
 
 def _greens_args(sub):
-    _add_family_args(sub)
-    _add_format_arg(sub)
     sub.add_argument(
         "--relation",
         required=True,
-        choices=greens.GREEN_NAMES + _STARRED_RELATIONS,
+        choices=greens.GREEN_NAMES + greens.STARRED_NAMES,
     )
 
 
 def _check_args(sub):
-    _add_family_args(sub)
-    _add_format_arg(sub)
     sub.add_argument(
         "--property",
         required=True,
@@ -500,39 +454,29 @@ def _check_args(sub):
 
 
 def _rank_args(sub):
-    _add_family_args(sub)
-    _add_format_arg(sub)
     sub.add_argument("--show-generators", action="store_true")
 
 
 def _decompose_args(sub):
-    _add_family_args(sub)
-    _add_format_arg(sub)
     sub.add_argument("--element", required=True, help="element text, e.g. 3:2>1,3>3")
-    sub.add_argument(
-        "--mode", required=True, choices=("essentials", "requisite", "lift")
-    )
-
-
-def _maximal_args(sub):
-    _add_family_args(sub)
-    _add_format_arg(sub)
+    sub.add_argument("--mode", required=True, choices=_MODES)
 
 
 def _verify_args(sub):
-    _add_format_arg(sub)
     sub.add_argument("--n-max", type=int, default=4)
     sub.add_argument("--starred-n-max", type=int, default=None)
 
 
-# Each subcommand: its help line, its handler and the adder of its arguments.
+# Each subcommand: its help line, its handler and the adder of its own
+# arguments, which build_parser adds after the family arguments (every
+# subcommand but verify) and --format.
 _COMMANDS = {
     "enum": ("list a family or count it", _cmd_enum, _enum_args),
     "greens": ("classical or starred relation classes", _cmd_greens, _greens_args),
     "check": ("decide structural properties", _cmd_check, _check_args),
     "rank": ("minimum generating set and rank", _cmd_rank, _rank_args),
     "decompose": ("factor one element", _cmd_decompose, _decompose_args),
-    "maximal": ("maximal subsemigroups", _cmd_maximal, _maximal_args),
+    "maximal": ("maximal subsemigroups", _cmd_maximal, None),
     "verify": ("run the verification battery", _cmd_verify, _verify_args),
 }
 
@@ -554,7 +498,11 @@ def build_parser(command=None):
         sub = commands.add_parser(name, help=help_)
         sub.set_defaults(handler=handler)
         if command in (None, name):
-            add_args(sub)
+            if name != "verify":
+                _add_family_args(sub)
+            sub.add_argument("--format", choices=("human", "json", "csv"), default="human")
+            if add_args:
+                add_args(sub)
     return parser
 
 

@@ -408,11 +408,8 @@ class SemigroupTable:
         they lie in <A> when it is visited, and so does it.  A is thus
         exactly the irreducibles, the unique minimum generating set.
 
-        I_n is visited in descending index order, height first, and is not
-        J-trivial once n >= 2; there A generates but need not be minimum.
-        A J-trivial I_n (n = 1) has one element per height, so that order
-        visits both factors of a reducible element first, and A is again
-        its irreducibles.
+        I_n (n >= 2) holds maps that move points up and is not J-trivial;
+        there A generates but need not be minimum.
         """
         m, n, images = self.size, self.family.n, self.images
         column_of = self._composer(left=False)
@@ -426,11 +423,7 @@ class SemigroupTable:
             img = images[i]
             return n - img.count(0), sum(img) - sum(compress(points, img)), i
 
-        if self.family.kind == KIND_SYMINV:
-            order = range(m - 1, -1, -1)
-        else:
-            order = sorted(range(m), key=phi, reverse=True)
-        for top in order:
+        for top in sorted(range(m), key=phi, reverse=True):
             if reached[top]:
                 continue
             col_g = column_of(top)

@@ -22,8 +22,9 @@ def _comb(n, k):
 
 
 def catalan(n):
-    """Catalan number c_n = binomial(2n, n-1) / n, defined for n >= 1."""
-    if not isinstance(n, int) or n < 1:
+    """Catalan number c_n = binomial(2n, n-1) / n, defined for n >= 1.
+    A bool counts as no integer."""
+    if type(n) is bool or not isinstance(n, int) or n < 1:
         raise ValidationError(f"catalan(n) needs an integer n >= 1, got {n!r}")
     return math.comb(2 * n, n - 1) // n
 
@@ -34,7 +35,7 @@ def t(n):
     It equals the closed form 3/(n+2) * binomial(2n, n-1); the tests hold
     the two equal.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is bool or not isinstance(n, int) or n < 1:
         raise ValidationError(f"t(n) needs an integer n >= 1, got {n!r}")
     return catalan(n + 1) - catalan(n)
 

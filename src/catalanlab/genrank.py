@@ -29,7 +29,7 @@ from collections import Counter, defaultdict
 from itertools import compress
 from typing import NamedTuple
 
-from . import families, formulas, greens, pinj
+from . import families, formulas, pinj, structure
 from .errors import (
     ContractError,
     InvariantError,
@@ -68,10 +68,6 @@ def indecomposables(table):
     module docstring).  A table that is not J-trivial is refused.
     """
     return _minimum_generators(table, "indecomposables need")
-
-
-def is_jtrivial(table):
-    return greens.green(table, "J").is_identity
 
 
 def element_kind(element, qprime_side):
@@ -142,7 +138,7 @@ def _minimum_generators(table, refusal):
     and unique minimum generating set.  Only an I_n can fail to be
     J-trivial; it is refused in the words of refusal, the computation
     that needs it."""
-    if table.family.kind == families.KIND_SYMINV and not is_jtrivial(table):
+    if table.family.kind == families.KIND_SYMINV and not structure.is_jtrivial(table).holds:
         raise UnsupportedTableError(f"{refusal} a J-trivial table")
     return frozenset(table.generators)
 

@@ -159,6 +159,7 @@ from . import families
 from .errors import InvariantError, ValidationError
 
 GREEN_NAMES = ("L", "R", "H", "D", "J")
+STARRED_NAMES = ("Ls", "Rs", "Hs", "Ds", "Js")
 
 class IndexPartition:
     """A partition of table indices with deterministic class ids."""

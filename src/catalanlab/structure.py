@@ -127,6 +127,16 @@ def is_regular_semigroup(table):
     return PropertyReport("regular", _label(table), True)
 
 
+def is_jtrivial(table):
+    """Every J-class a single element; the witness is the first J-class
+    with more than one member."""
+    for members in greens.green(table, "J").classes:
+        if len(members) > 1:
+            witness = ", ".join(map(table.text_of, members))
+            return PropertyReport("jtrivial", _label(table), False, witness=witness)
+    return PropertyReport("jtrivial", _label(table), True)
+
+
 def _class_idempotents(part, idem_set):
     """The idempotents of each class of part, in class order and, within
     a class, in member order."""

@@ -369,10 +369,9 @@ def oracle_indecomposables(table):
 
 def oracle_left_graph(table):
     """A and A's rows, chosen by a reach along the left Cayley graph: in
-    descending index on I_n, else descending (height, sum im - sum dom,
-    index) with the Rees zero last, an element not yet reached joins A,
-    its row is composed, and the reach grows level by level over x -> g.x
-    to everything A generates."""
+    descending (height, sum im - sum dom, index) with the Rees zero last,
+    an element not yet reached joins A, its row is composed, and the reach
+    grows level by level over x -> g.x to everything A generates."""
     m, n, images = table.size, table.family.n, table.images
     zero = table.zero_index if table.family.is_rees else None
     points = range(1, n + 1)
@@ -383,13 +382,9 @@ def oracle_left_graph(table):
         img = images[i]
         return n - img.count(0), sum(img) - sum(compress(points, img)), i
 
-    if table.family.kind == "syminv":
-        order = range(m - 1, -1, -1)
-    else:
-        order = sorted(range(m), key=phi, reverse=True)
     reached = bytearray(m)
     gens, gen_rows = [], []
-    for top in order:
+    for top in sorted(range(m), key=phi, reverse=True):
         if reached[top]:
             continue
         row_g = next(iter(table.lines([top], True)))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from functools import lru_cache, reduce
@@ -686,6 +687,19 @@ def test_decompose_mode_family_pairing(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "k", "--n", "3", "--p", "2", "--element", "3:2>1", "--mode", "essentials"],
+     "decompose --mode essentials supports the icn and qprime families"),
+    (["--family", "icn", "--n", "3", "--element", "3:2>1", "--mode", "requisite"],
+     "decompose --mode requisite supports the qprime family"),
+    (["--family", "rq", "--n", "3", "--p", "2", "--element", "3:2>1,3>2", "--mode", "lift"],
+     "decompose --mode lift supports the icn and qprime families"),
+], ids=["essentials-k", "requisite-icn", "lift-rq"])
+def test_decompose_refuses_a_mode_outside_its_families(capsys, argv, message):
+    # Each element is a member, so the refusal is the mode's own.
+    assert run_cli(capsys, "decompose", *argv) == (2, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------------------- maximal
 
 
@@ -864,6 +878,107 @@ def test_a_named_subcommand_has_only_its_own_arguments():
     assert parser.parse_args(["rank", "--family", "icn", "--n", "2"]).handler is cli._cmd_rank
     with pytest.raises(SystemExit):
         parser.parse_args(["enum", "--family", "icn", "--n", "2"])
+
+
+_FAMILY_ACTIONS = [
+    (("--family",), True, None, families.KINDS),
+    (("--n",), True, None, None),
+    (("--p",), False, None, None),
+    (("--max-n",), False, None, None),
+]
+_FORMAT_ACTION = (("--format",), False, "human", ("human", "json", "csv"))
+_HELP_ACTION = (("-h", "--help"), False, "==SUPPRESS==", None)
+
+# Every subcommand's actions in order: option strings, required, default
+# and choices.  A --help digest would change with the argparse version.
+SUBCOMMAND_ACTIONS = {
+    "enum": [
+        (("--count-only",), False, False, None),
+        (("--products",), False, False, None),
+    ],
+    "greens": [
+        (("--relation",), True, None,
+         ("L", "R", "H", "D", "J", "Ls", "Rs", "Hs", "Ds", "Js")),
+    ],
+    "check": [
+        (("--property",), True, None,
+         ("regular", "jtrivial", "left-abundant", "right-abundant", "abundant",
+          "semilattice", "adequate", "right-adequate", "ample", "right-ample",
+          "inverse-ideal", "right-inverse-ideal")),
+        (("--expect",), False, "true", ("true", "false")),
+    ],
+    "rank": [(("--show-generators",), False, False, None)],
+    "decompose": [
+        (("--element",), True, None, None),
+        (("--mode",), True, None, ("essentials", "requisite", "lift")),
+    ],
+    "maximal": [],
+}
+
+
+def test_every_subcommand_keeps_its_arguments_in_order():
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    got = {
+        name: [
+            (tuple(a.option_strings), a.required, a.default,
+             None if a.choices is None else tuple(a.choices))
+            for a in sub._actions
+        ]
+        for name, sub in subcommands.items()
+    }
+    want = {
+        name: [_HELP_ACTION, *_FAMILY_ACTIONS, _FORMAT_ACTION, *own]
+        for name, own in SUBCOMMAND_ACTIONS.items()
+    }
+    want["verify"] = [
+        _HELP_ACTION, _FORMAT_ACTION,
+        (("--n-max",), False, 4, None),
+        (("--starred-n-max",), False, None, None),
+    ]
+    assert list(got) == list(cli._COMMANDS)
+    assert got == want
+
+
+def _readme_examples():
+    """Each `$ catalanlab` command in the README's fenced blocks, with the
+    lines shown after it up to the next command or the end of the block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples, shown, fenced = [], None, False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced, shown = not fenced, None
+        elif fenced and line.startswith("$ catalanlab "):
+            shown = []
+            examples.append((line[len("$ catalanlab "):], shown))
+        elif shown is not None:
+            shown.append(line)
+    return [(command, "\n".join(shown).strip("\n").split("\n")) for command, shown in examples]
+
+
+def _matches(shown, got):
+    """True when the lines got match shown, a "..." line in shown
+    standing for any run of lines."""
+    if not shown:
+        return not got
+    if shown[0] == "...":
+        return any(_matches(shown[1:], got[k:]) for k in range(len(got) + 1))
+    return bool(got) and shown[0] == got[0] and _matches(shown[1:], got[1:])
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_the_readme_shows_its_examples():
+    assert len(README_EXAMPLES) == 10
+
+
+@pytest.mark.parametrize("command, shown", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example_runs(capsys, command, shown):
+    # The README shows the listing's tabs as spaces; an error line is
+    # read from stderr.
+    _, out, err = run_cli(capsys, *shlex.split(command))
+    got = (err if shown[0].startswith("error:") else out).expandtabs().splitlines()
+    assert _matches(shown, got)
 
 
 def test_argparse_rejects_unknown_family(capsys):

@@ -22,7 +22,7 @@ def test_catalan_closed_form_divides_exactly_far_out():
         assert formulas.catalan(n) * n == math.comb(2 * n, n - 1)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.0, "3", None])
+@pytest.mark.parametrize("bad", [0, -1, 2.0, "3", None, True])
 def test_catalan_rejects_bad_input(bad):
     with pytest.raises(ValidationError):
         formulas.catalan(bad)
@@ -40,9 +40,10 @@ def test_t_two_closed_forms_agree():
         assert formulas.t(n) * (n + 2) == 3 * math.comb(2 * n, n - 1)
 
 
-def test_t_rejects_bad_input():
+@pytest.mark.parametrize("bad", [0, -1, 2.0, "3", None, True])
+def test_t_rejects_bad_input(bad):
     with pytest.raises(ValidationError):
-        formulas.t(0)
+        formulas.t(bad)
 
 
 def test_t_matches_embedded_prefix():

@@ -20,7 +20,7 @@ TEXT_ALPHABET = "0123456789:>,- ٣²"
 
 COMMANDS = ("enum", "greens", "check", "rank", "decompose", "maximal", "verify")
 FORMATS = ("human", "json", "csv")
-RELATIONS = greens.GREEN_NAMES + cli._STARRED_RELATIONS
+RELATIONS = greens.GREEN_NAMES + greens.STARRED_NAMES
 MODES = ("essentials", "requisite", "lift")
 
 

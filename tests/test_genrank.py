@@ -320,9 +320,12 @@ def test_no_smaller_generating_set_certificates():
 
 
 def test_is_jtrivial():
-    assert genrank.is_jtrivial(table("icn", 3))
-    assert genrank.is_jtrivial(table("rq", 4, 2))
-    assert not genrank.is_jtrivial(table("syminv", 2))
+    assert structure.is_jtrivial(table("icn", 3)).holds
+    assert structure.is_jtrivial(table("rq", 4, 2)).holds
+    # The witness is the first J-class of several: on I_2, height 1.
+    assert structure.is_jtrivial(table("syminv", 2)) == structure.PropertyReport(
+        "jtrivial", "I_2", False, "2:1>1, 2:1>2, 2:2>1, 2:2>2"
+    )
 
 
 # -------------------------------------------------------------- chain factors
