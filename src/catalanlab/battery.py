@@ -636,13 +636,13 @@ def _pending_rows(bounds):
 
 def verification_report(n_max=4, starred_n_max=None):
     """Run the whole claim battery and return rows plus summary counts."""
-    if n_max < 1:
-        raise ValidationError(f"the verification bound must be at least 1, got {n_max}")
+    if type(n_max) is bool or not isinstance(n_max, int) or n_max < 1:
+        raise ValidationError(f"the verification bound must be at least 1, got {n_max!r}")
     if starred_n_max is None:
         starred_n_max = min(n_max, DEFAULT_STARRED_CAP)
-    if starred_n_max < 1:
+    if type(starred_n_max) is bool or not isinstance(starred_n_max, int) or starred_n_max < 1:
         raise ValidationError(
-            f"the starred verification bound must be at least 1, got {starred_n_max}"
+            f"the starred verification bound must be at least 1, got {starred_n_max!r}"
         )
     if starred_n_max > BATTERY_STARRED_CEILING:
         raise CapExceededError(

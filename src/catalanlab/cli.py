@@ -126,7 +126,12 @@ def _cmd_enum(args):
         return 0
     # The json payload, human lines and csv rows are made only for the
     # chosen format, the lines one at a time as they are written.
-    payload = families.table_json(table) if args.format == "json" else None
+    payload = None
+    if args.format == "json":
+        payload = {"family": spec.kind, "n": spec.n, "p": spec.p, "order": table.size}
+        if spec.p is None:
+            del payload["p"]
+        payload["elements"] = list(map(table.text_of, range(table.size)))
     human = chain(
         [f"{label}: {table.size} elements"],
         (f"{i}\t{table.text_of(i)}" for i in range(table.size)),
@@ -290,11 +295,8 @@ def _cmd_rank(args):
         "" if report.agrees is None else report.agrees,
     )
     if args.show_generators:
-        for kind in ("idempotents", "essentials", "requisites", "other"):
-            for text in report.generators.get(kind, ()):
-                rows.append(base + (kind, text))
-        if "identity" in report.generators:
-            rows.append(base + ("identity", report.generators["identity"]))
+        for kind, got in report.generators.items():
+            rows.extend(base + (kind, text) for text in ([got] if kind == "identity" else got))
         for kind in ("idempotents", "essentials", "requisites", "identity", "other"):
             got = report.generators.get(kind)
             if not got:

@@ -218,20 +218,6 @@ class SemigroupTable:
     def __len__(self):
         return self.size
 
-    # The image index until the first lookup builds it (_indexed); then
-    # each table holds it as a plain attribute, so that product and locate
-    # read it with no call.  _collapse runs only after product's lookup.
-    _index = None
-
-    def _indexed(self):
-        """The dict from each packed image to its index: built on the
-        first lookup (locate, index, product, a composer) and kept in the
-        store, where a renamed twin finds it whichever of the two asks
-        first.  _collapse adds to it the composites it sends to the Rees
-        zero."""
-        self._index = memoized(self, "index", SemigroupTable._image_index)
-        return self._index
-
     @property
     def identity_index(self):
         """The index of the two-sided identity, or None when the table has
@@ -240,6 +226,10 @@ class SemigroupTable:
         return memoized(self, "identity", SemigroupTable._find_identity)
 
     def _image_index(self):
+        """The dict from each packed image to its index, built by the first
+        lookup (locate, index, product, a composer) and kept in the store
+        under "index", for a renamed twin too.  _collapse adds to it the
+        composites it sends to the Rees zero."""
         return dict(zip(self.images, range(self.size)))
 
     def _find_identity(self):
@@ -282,7 +272,7 @@ class SemigroupTable:
         The empty map of a Rees quotient is no element, though its zero
         packs as it, and neither is a composite that _collapse sent to the
         zero."""
-        i = (self._index or self._indexed()).get(image)
+        i = memoized(self, "index", SemigroupTable._image_index).get(image)
         return None if i == self._rees_zero else i
 
     def text_of(self, i):
@@ -301,7 +291,7 @@ class SemigroupTable:
         on through j's, looked up in the image index.  A composite missing
         from it goes to _collapse."""
         composite = self.images[i].translate(pinj._translate_table(self.images[j]))
-        found = (self._index or self._indexed()).get(composite)
+        found = memoized(self, "index", SemigroupTable._image_index).get(composite)
         return self._collapse(composite, i, j) if found is None else found
 
     @property
@@ -389,7 +379,9 @@ class SemigroupTable:
         A, so A generates.
 
         Elements are visited in descending phi(x) = (height, sum im x -
-        sum dom x), the Rees zero last and the higher index first on ties.
+        sum dom x), the higher index first on ties.  The Rees zero packs as
+        the empty map, with phi = (0, 0), and every other element of a
+        quotient has height p >= 1, so the zero comes last.
         For a nonzero product x = b.c, phi(b) > phi(x) unless b = x, and
         phi(c) > phi(x) unless c = x:
 
@@ -418,8 +410,6 @@ class SemigroupTable:
         points = range(1, n + 1)
 
         def phi(i):
-            if i == self._rees_zero:
-                return -1, 0, i
             img = images[i]
             return n - img.count(0), sum(img) - sum(compress(points, img)), i
 
@@ -439,7 +429,7 @@ class SemigroupTable:
         x.a, for every x in at (every x by default), composed on the
         table's packed images.  A composite missing from the image index
         is left to product."""
-        images, index = self.images, self._index or self._indexed()
+        images, index = self.images, memoized(self, "index", SemigroupTable._image_index)
         at = range(self.size) if at is None else tuple(at)
         others = list(map(images.__getitem__, at))
         maps = list(map(pinj._translate_table, others)) if left else None
@@ -464,7 +454,7 @@ class SemigroupTable:
         distinct one is checked once per table, else a closure failure.
         locate() refuses what is remembered here."""
         if self.family.is_rees and len(composite) - composite.count(0) < self.family.p:
-            self._index[composite] = self.zero_index
+            self._memo["index"][composite] = self.zero_index
             return self.zero_index
         raise InvariantError(
             f"{self.family.label()} is not closed: the product of"
@@ -483,16 +473,14 @@ def memoized(table, name, build, *args):
     product rows, relation partitions and the steps between kernel groups
     (greens) and idempotents (structure).  A None result is kept too, so
     a table with no identity searches once.  A table renamed
-    from another holds that one's store.  A result equal to one already
-    stored is replaced by it, so equal relations share one object: on a
-    J-trivial table all five classical relations are the identity.  Every
-    table has a store, the tests' stand-in tables too.
+    from another holds that one's store.  Each result is kept as built,
+    even when it equals one already stored.  Every table has a store, the
+    tests' stand-in tables too.
     """
     memo = table._memo
     found = memo.get(name, _UNBUILT)
     if found is _UNBUILT:
-        found = build(table, *args)
-        found = memo[name] = next((kept for kept in memo.values() if kept == found), found)
+        found = memo[name] = build(table, *args)
     return found
 
 
@@ -722,15 +710,3 @@ def is_member(alpha, spec):
         return True
     h = pinj.height(alpha)
     return h == spec.p if spec.is_rees else h <= spec.p
-
-
-def table_json(table):
-    """Plain dict form of a table: family, sizes, and element texts."""
-    spec = table.family
-    out = {"family": spec.kind, "n": spec.n}
-    if spec.p is not None:
-        out["p"] = spec.p
-    out["order"] = table.size
-    out["elements"] = [table.text_of(i) for i in range(table.size)]
-    return out
-

@@ -4,6 +4,14 @@ All arithmetic is exact (Python integers, math.comb), so overflow cannot
 occur silently.  Where two published closed forms describe the same
 quantity, one is evaluated and the tests hold the other to it.  Sequence
 prefixes are baked in so nothing here touches the network.
+
+Each closed form is evaluated in one function: catalan, t and
+syminv_order give the orders; _per_height the height-p idempotents,
+essentials and requisites of IC_n and Q'_n, which RIC_n(p) and RQ'_n(p)
+read at their p, and the generators of RIC_n(p) and RQ'_n(p), also the
+ranks of K, M, RIC and RQ'; rank_formula the ranks of IC_n and Q'_n;
+count_formula the totals over all heights.  The embedded prefixes check
+them independently.
 """
 
 from __future__ import annotations
@@ -43,7 +51,30 @@ def t(n):
 def syminv_order(n):
     """Order of the monoid of all partial injections of an n-chain:
     the sum over k of binomial(n, k)^2 k!."""
+    n = _integer(n, "syminv_order's n")
     return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+
+
+def _integer(value, what):
+    """value, or ValidationError when it is no integer (a bool is none)."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _per_height(kind, qprime_side, n, p):
+    """The published count of the height-p idempotents, essentials or
+    requisites (kind) of IC_n, or of Q'_n on the identity-free side (None
+    for requisites on the full side, which counts none), or of the
+    generators of the height-p Rees quotient: binomial(n, p) plus the
+    height-p essentials, also the rank of the quotient and of the ideal."""
+    if kind == "idempotents":
+        return _comb(n - 1, p) if qprime_side else _comb(n, p)
+    if kind == "essentials":
+        return (n - 2) * _comb(n - 3, p - 1) if qprime_side else (n - 1) * _comb(n - 2, p - 1)
+    if kind == "generators":
+        return _comb(n, p) + _per_height("essentials", qprime_side, n, p)
+    return _comb(n - 1, p - 1) if qprime_side else None
 
 
 def rank_formula(spec):
@@ -51,28 +82,17 @@ def rank_formula(spec):
 
     Ranges follow the statements that are actually backed by proofs:
     the ideal/Rees formulas on the full side for 1 <= p <= n-1, on the
-    identity-free side for 1 <= p <= n-2 (ideal) and 1 <= p <= n-1
-    (Rees quotient, where p = 1 is the permitted extension).
+    identity-free side for 1 <= p <= n-2 (ideal) and every p FamilySpec
+    takes, 1 <= p <= n-1 (Rees quotient, p = 1 the permitted extension).
     """
-    n, p = spec.n, spec.p
-    kind = spec.kind
+    n, p, kind = spec.n, spec.p, spec.kind
     if kind == "icn":
         return 2 * n
     if kind == "qprime":
         return n * n - 3 * n + 4 if n > 1 else None
-    if kind in ("k", "ric"):
-        if 1 <= p <= n - 1:
-            return (n - 1) * _comb(n - 2, p - 1) + _comb(n, p)
+    if p is None or p > (n - 2 if kind == "m" else n - 1):
         return None
-    if kind == "m":
-        if 1 <= p <= n - 2:
-            return _comb(n, p) + (n - 2) * _comb(n - 3, p - 1)
-        return None
-    if kind == "rq":
-        if 1 <= p <= n - 1:
-            return _comb(n, p) + (n - 2) * _comb(n - 3, p - 1)
-        return None
-    return None
+    return _per_height("generators", spec.qprime_side, n, p)
 
 
 def count_formula(kind, spec, p=None):
@@ -83,50 +103,27 @@ def count_formula(kind, spec, p=None):
     the cases where a total is stated.  For the Rees families the zero is
     not counted and p, when given, must be the family's height.
     """
-    n = spec.n
-    fam = spec.kind
-    if kind == "idempotents":
-        if fam == "icn":
-            return 2**n if p is None else _comb(n, p)
-        if fam == "qprime":
-            return 2 ** (n - 1) if p is None else _comb(n - 1, p)
-        if fam == "ric":
-            return _comb(n, spec.p if p is None else p)
-        if fam == "rq":
-            return _comb(n - 1, spec.p if p is None else p)
-        return None
-    if kind == "essentials":
-        if fam == "icn":
-            if p is None:
-                return (n - 1) * 2 ** (n - 2) if n >= 2 else 0
-            return (n - 1) * _comb(n - 2, p - 1)
-        if fam == "qprime":
-            if p is None:
-                return None
-            return (n - 2) * _comb(n - 3, p - 1)
-        if fam == "ric":
-            return (n - 1) * _comb(n - 2, (spec.p if p is None else p) - 1)
-        if fam == "rq":
-            return (n - 2) * _comb(n - 3, (spec.p if p is None else p) - 1)
-        return None
-    if kind == "requisites":
-        if fam in ("qprime", "rq"):
-            if fam == "qprime" and p is None:
-                return None
-            return _comb(n - 1, (spec.p if p is None else p) - 1)
-        return None
+    if kind not in ("idempotents", "essentials", "requisites", "maximal", "generators"):
+        raise ValidationError(f"unknown census kind {kind!r}")
+    if p is not None:
+        _integer(p, "the census height p")
+    n, fam = spec.n, spec.kind
     if kind == "maximal":
         # On these J-trivial monoids the maximal subsemigroups are the
         # complements of the minimum generators, so the count is the rank.
         return rank_formula(spec) if fam in ("icn", "qprime") else None
-    if kind == "generators":
-        q = spec.p if p is None else p
-        if fam == "ric":
-            return (n - 1) * _comb(n - 2, q - 1) + _comb(n, q)
-        if fam == "rq":
-            return _comb(n, q) + (n - 2) * _comb(n - 3, q - 1)
+    if fam in ("ric", "rq"):
+        return _per_height(kind, spec.qprime_side, n, spec.p if p is None else p)
+    if fam not in ("icn", "qprime") or kind == "generators":
         return None
-    raise ValidationError(f"unknown census kind {kind!r}")
+    if p is not None:
+        return _per_height(kind, fam == "qprime", n, p)
+    # The totals over all heights that are stated.
+    if kind == "idempotents":
+        return 2 ** (n - 1) if fam == "qprime" else 2**n
+    if kind == "essentials" and fam == "icn":
+        return (n - 1) * 2 ** (n - 2) if n >= 2 else 0
+    return None
 
 
 class SequencePrefix(NamedTuple):
@@ -137,7 +134,7 @@ class SequencePrefix(NamedTuple):
     terms: tuple
 
     def value(self, n):
-        i = n - self.offset
+        i = _integer(n, f"a {self.name} index") - self.offset
         if not 0 <= i < len(self.terms):
             raise ValidationError(f"{self.name} prefix holds no term for n={n}")
         return self.terms[i]
@@ -187,7 +184,7 @@ A103450 = SequencePrefix(
 
 def essential_triangle_row(r):
     """Row r (1-based) of the embedded A003506 prefix, as a tuple."""
-    if not 1 <= r <= 6:
+    if not 1 <= _integer(r, "an A003506 row") <= 6:
         raise ValidationError(f"embedded A003506 prefix stops at row 6, asked for {r}")
     start = r * (r - 1) // 2
     return A003506.terms[start : start + r]
@@ -195,7 +192,7 @@ def essential_triangle_row(r):
 
 def generator_triangle_row(r):
     """Row r (1-based) of the embedded A103450 prefix, as a tuple."""
-    if not 1 <= r <= 6:
+    if not 1 <= _integer(r, "an A103450 row") <= 6:
         raise ValidationError(f"embedded A103450 prefix stops at row 6, asked for {r}")
     start = (r - 1) * (r + 2) // 2
     return A103450.terms[start : start + r + 1]

@@ -328,10 +328,11 @@ def _split_requisite(alpha):
 
 
 def _smallest_outside(n, used, count):
-    """The count smallest points of the chain outside used."""
+    """The count smallest points of the chain outside used; lift_bound
+    leaves room for them, so a shortfall is a defect."""
     free = [x for x in range(1, n + 1) if x not in used]
     if len(free) < count:
-        raise ContractError("no room left on the chain for the lift")
+        raise InvariantError("no room left on the chain for the lift")
     return free[:count]
 
 

@@ -338,18 +338,16 @@ def _group_steps(table, left):
     the k-th generator g, the group that each group's a.g (left) or g.a
     lies in, read at the group's first member off A's held lines, a.g =
     col_g[a] and g.a = row_g[a].  The module docstring ("Lines from the
-    Cayley graph") proves that every member steps to that group.  Kept in
-    the table's store, one entry a side, so J* reads what L* and R*
+    Cayley graph") proves that every member steps to that group.  The
+    groups are checked to partition the table (IndexPartition.from_groups)
+    and kept in its store, one entry a side, so J* reads what L* and R*
     walked."""
     return families.memoized(table, "Ls steps" if left else "Rs steps", _read_group_steps, left)
 
 
 def _read_group_steps(table, left):
-    groups = table.kernel_groups(left)
-    group_of = [0] * table.size
-    for gid, members in enumerate(groups):
-        for a in members:
-            group_of[a] = gid
+    part = IndexPartition.from_groups(table.size, table.kernel_groups(left))
+    groups, group_of = part.classes, part.class_of
     firsts = [members[0] for members in groups]
     lines = table.generator_lines(not left)
     steps = [list(map(group_of.__getitem__, map(line.__getitem__, firsts))) for line in lines]
@@ -366,18 +364,19 @@ def _kernel_partition(table, left):
     group steps, and the module docstring proves both steps.  Groups
     whose keys are equal merge.
     """
-    groups, group_of, steps = _group_steps(table, left)
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
-    for a, line in families.gather(table.generators, table.generator_lines(left), steps, group_of):
-        signature, labels = _kernel_key(line)
-        buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
-            groups[group_of[a]]
-        )
     try:
+        groups, group_of, steps = _group_steps(table, left)
+        gens, lines = table.generators, table.generator_lines(left)
+        for a, line in families.gather(gens, lines, steps, group_of):
+            signature, labels = _kernel_key(line)
+            buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
+                groups[group_of[a]]
+            )
         return IndexPartition.from_groups(table.size, buckets.values())
     except ValidationError as exc:
-        # The groups come from the table, not the input: a gap is a defect.
+        # The groups come from the table, not the input: a flaw is a defect.
         raise InvariantError(f"{'L*' if left else 'R*'} kernel {exc}") from exc
 
 

@@ -137,16 +137,17 @@ def is_jtrivial(table):
     return PropertyReport("jtrivial", _label(table), True)
 
 
-def _class_idempotents(part, idem_set):
-    """The idempotents of each class of part, in class order and, within
-    a class, in member order."""
-    return [[i for i in members if i in idem_set] for members in part.classes]
+def _class_idempotents(table, left):
+    """L* (left) or R*, and the idempotents of each of its classes, in
+    class order and, within a class, in member order."""
+    idem_set = set(idempotent_indices(table))
+    part = greens.starred_L(table) if left else greens.starred_R(table)
+    return part, [[i for i in members if i in idem_set] for members in part.classes]
 
 
 def _abundance(table, which):
-    idem = set(idempotent_indices(table))
-    part = greens.starred_L(table) if which == "left" else greens.starred_R(table)
-    for members, found in zip(part.classes, _class_idempotents(part, idem)):
+    part, by_class = _class_idempotents(table, which == "left")
+    for members, found in zip(part.classes, by_class):
         if not found:
             texts = ",".join(table.text_of(i) for i in members)
             return PropertyReport(
@@ -217,12 +218,6 @@ def is_right_adequate(table):
     return _all_of(table, "right-adequate", checks)
 
 
-def _unique_idempotent_map(part, idem_set):
-    """Class id -> its unique idempotent; None marks a precondition gap."""
-    by_class = _class_idempotents(part, idem_set)
-    return [found[0] if len(found) == 1 else None for found in by_class]
-
-
 def _ample(table, name, base, note, ea_legs):
     """base(table), then for every element a and idempotent e each leg of
     ea_legs: ea = a (ea)* for True, ae = (ae)+ a for False, each against
@@ -246,14 +241,14 @@ def _ample(table, name, base, note, ea_legs):
     if not report.holds:
         return PropertyReport(name, _label(table), False, witness=report.witness, note=note)
     idem = idempotent_indices(table)
-    idem_set, gap = set(idem), len(idem)
+    gap = len(idem)
     slot = dict(zip(idem, range(gap)))
     legs = []
     for ea_leg in ea_legs:
-        part = greens.starred_L(table) if ea_leg else greens.starred_R(table)
-        per_class = _unique_idempotent_map(part, idem_set)
-        # A gap's None is no idempotent, so it takes the gap slot.
-        slot_of = [slot.get(per_class[c], gap) for c in part.class_of]
+        part, by_class = _class_idempotents(table, ea_leg)
+        # A class without a unique idempotent takes the gap slot.
+        per_class = [slot[found[0]] if len(found) == 1 else gap for found in by_class]
+        slot_of = [per_class[c] for c in part.class_of]
         legs.append((ea_leg, slot_of.__getitem__))
     everyone, slots, pad = range(table.size), range(gap), (-1,)
     rows, cols = table.lines(everyone, True, at=idem), table.lines(everyone, False, at=idem)
@@ -327,9 +322,8 @@ def is_right_inverse_ideal(sub):
 
 
 def unique_idempotent_per_rstar_class(table):
-    idem_set = set(idempotent_indices(table))
-    rstar = greens.starred_R(table)
-    for members, found in zip(rstar.classes, _class_idempotents(rstar, idem_set)):
+    rstar, by_class = _class_idempotents(table, False)
+    for members, found in zip(rstar.classes, by_class):
         if len(found) != 1:
             texts = ",".join(table.text_of(i) for i in members)
             return PropertyReport(

@@ -118,7 +118,9 @@ scan of every b for each a, the idempotent rows at the idempotents, the
 ample legs down whole rows and columns with the legs' flags or-ed, and
 uvu over the whole ambient table for each u.  The library reads only the
 lines each predicate uses; its reports are checked against these field
-by field.
+by field.  oracle_unique_idempotents gives the ample oracles each starred
+class's unique idempotent from a set intersection of its own, apart
+from structure._class_idempotents.
 
 row_builds makes enumerate_family return fresh, uncached tables and
 counts the full product tables built, for the tests that check which
@@ -894,6 +896,16 @@ def _oracle_leg_star(table, rows, lstar, star_of, a, e):
     return True, None
 
 
+def oracle_unique_idempotents(part, idem_set):
+    """Class id -> the one idempotent in that class of part, or None when
+    the class holds none or several."""
+    per_class = []
+    for members in part.classes:
+        found = idem_set.intersection(members)
+        per_class.append(found.pop() if len(found) == 1 else None)
+    return per_class
+
+
 def _oracle_per_element(part, per_class):
     found = [per_class[c] for c in part.class_of]
     return [i or 0 for i in found], [i is None for i in found]
@@ -947,7 +959,7 @@ def oracle_ample(table, one_sided=False):
     flags, witnesses = [], []
     for relation, failures, witness in legs:
         part = getattr(greens, relation)(table)
-        per_class = structure._unique_idempotent_map(part, idem_set)
+        per_class = oracle_unique_idempotents(part, idem_set)
         flags.append(failures(rows, part, per_class))
         witnesses.append(partial(witness, table, rows, part, per_class))
     best, limit = None, table.size

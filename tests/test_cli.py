@@ -161,6 +161,20 @@ def test_enum_json_full_listing(capsys):
     assert len(payload["elements"]) == 9
 
 
+def test_table_json_shape(capsys):
+    code, data, _ = run_json(capsys, "enum", "--family", "rq", "--n", "3", "--p", "1")
+    table = families.enumerate_family(families.FamilySpec("rq", 3, 1))
+    assert code == 0
+    assert list(data) == ["family", "n", "p", "order", "elements"]
+    assert data["family"] == "rq"
+    assert data["n"] == 3 and data["p"] == 1
+    assert data["order"] == table.size
+    assert data["elements"] == [table.text_of(i) for i in range(table.size)]
+    assert data["elements"][0] == "0"
+    _, plain, _ = run_json(capsys, "enum", "--family", "icn", "--n", "2")
+    assert list(plain) == ["family", "n", "order", "elements"]
+
+
 # ---------------------------------------------------------------- size caps
 
 
@@ -587,6 +601,20 @@ def test_decompose_lift_refuses_a_chain_where_nothing_lifts(capsys, family, n, e
     )
     assert (code, out) == (2, "")
     assert err == f"error: no element lifts on the {n}-chain in this family\n"
+
+
+def test_a_lift_with_no_room_left_exits_four(capsys, monkeypatch):
+    # lift_bound leaves two free points for an idempotent's lift; one
+    # raised to n - 1 lets IC_4's height-3 idempotent through with one
+    # free point, and the shortfall is a defect, not bad input.
+    monkeypatch.setattr(genrank, "lift_bound", lambda n, qprime_side: n - 1)
+    code, out, err = run_cli(
+        capsys,
+        "decompose", "--family", "icn", "--n", "4", "--element", "4:1>1,2>2,3>3",
+        "--mode", "lift",
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: internal invariant failed: no room left on the chain for the lift\n"
 
 
 def test_decompose_empty_product(capsys):

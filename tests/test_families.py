@@ -124,6 +124,13 @@ def test_rees_zero_sits_at_index_zero():
         assert table.height_of(0) is None
 
 
+def test_a_rees_table_packed_without_its_zero_is_refused():
+    spec = FamilySpec("ric", 3, 2)
+    images = families.enumerate_family(spec).images
+    with pytest.raises(ValidationError, match="Rees table is missing its zero sentinel"):
+        families.SemigroupTable(spec, images[1:])
+
+
 def test_empty_map_is_the_zero_of_plain_families():
     for spec in (FamilySpec("icn", 3), FamilySpec("qprime", 3), FamilySpec("k", 3, 2)):
         table = families.enumerate_family(spec)
@@ -223,7 +230,7 @@ def test_index_answers_for_members_only(spec):
     everything = oracle_elements(FamilySpec("syminv", spec.n))
     remembered = [
         el for el in everything
-        if 0 < pinj.height(el) < (spec.p or 0) and pack(el, spec.n) in table._index
+        if 0 < pinj.height(el) < (spec.p or 0) and pack(el, spec.n) in table._memo["index"]
     ]
     assert bool(remembered) == spec.is_rees
     position = {table.text_of(i): i for i in range(table.size)}
@@ -856,6 +863,9 @@ def test_a_spec_is_immutable_and_equal_specs_share_one_table():
         assert other != spec
         assert families.enumerate_family(other) is not table
     assert repr(spec) == "FamilySpec(kind='rq', n=4, p=2)"
+    # Against anything but a spec, even its own fields, equality defers.
+    assert spec.__eq__(("rq", 4, 2)) is NotImplemented
+    assert spec != ("rq", 4, 2) and spec != "RQ'_4(2)"
 
 
 def test_valid_heights_are_the_heights_a_spec_accepts():
@@ -884,18 +894,6 @@ def test_labels():
     assert FamilySpec("m", 4, 2).label() == "M(4,2)"
     assert FamilySpec("ric", 4, 2).label() == "RIC_4(2)"
     assert FamilySpec("rq", 4, 2).label() == "RQ'_4(2)"
-
-
-def test_table_json_shape():
-    table = families.enumerate_family(FamilySpec("rq", 3, 1))
-    data = families.table_json(table)
-    assert data["family"] == "rq"
-    assert data["n"] == 3 and data["p"] == 1
-    assert data["order"] == table.size
-    assert data["elements"][0] == "0"
-    assert len(data["elements"]) == table.size
-    plain = families.table_json(families.enumerate_family(FamilySpec("icn", 2)))
-    assert "p" not in plain
 
 
 def test_rees_zero_is_a_singleton():
@@ -1044,7 +1042,6 @@ def test_a_walked_table_builds_neither_index_nor_identity(spec):
     assert table.zero_index == 0
     assert genrank.kind_census(table)
     assert "index" not in table._memo and "identity" not in table._memo
-    assert table._index is None
 
 
 def test_the_first_lookup_builds_the_index_once(monkeypatch):
@@ -1053,7 +1050,6 @@ def test_the_first_lookup_builds_the_index_once(monkeypatch):
     assert table.locate(table.images[3]) == 3
     assert calls == [table]
     index = table._memo["index"]
-    assert table._index is index
     assert table.index(table.element(4)) == 4 and table.product(3, 4) is not None
     table.product_rows()
     assert table.locate(bytes(5)) is None
@@ -1073,8 +1069,7 @@ def test_twins_renamed_before_and_after_the_index_share_it(monkeypatch, first):
     for table in (whole, before, after):
         assert table.locate(table.images[7]) == 7
     assert len(calls) == 1
-    assert before._index is whole._index and after._index is whole._index
-    assert whole._memo["index"] is whole._index
+    assert before._memo["index"] is whole._memo["index"] is after._memo["index"]
 
 
 def test_a_missing_identity_is_searched_for_once(monkeypatch):

@@ -1,10 +1,11 @@
 """Closed forms, embedded sequence prefixes, and their cross-identities."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from catalanlab import formulas
+from catalanlab import battery, formulas
 from catalanlab.errors import ValidationError
 from catalanlab.families import FamilySpec
 
@@ -152,6 +153,33 @@ def test_count_formula_generators_and_maximal():
 def test_count_formula_rejects_unknown_kind():
     with pytest.raises(ValidationError):
         formulas.count_formula("mystery", FamilySpec("icn", 3))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
+def test_public_entry_points_refuse_a_non_integer(bad):
+    # A bool counts as no integer, as in catalan and t.
+    calls = [
+        lambda: formulas.count_formula("idempotents", FamilySpec("icn", 4), p=bad),
+        lambda: formulas.count_formula("generators", FamilySpec("rq", 4, 2), p=bad),
+        lambda: formulas.syminv_order(bad),
+        lambda: formulas.essential_triangle_row(bad),
+        lambda: formulas.generator_triangle_row(bad),
+        lambda: formulas.A000245.value(bad),
+        lambda: battery.verification_report(bad),
+        lambda: battery.verification_report(2, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_a_count_off_its_embedded_prefix_fails_the_row():
+    # t_3 = 9 is A000245's n = 3 term; a count equal to the expected value
+    # but not to the prefix still fails.
+    status = battery._and_prefix(formulas.A000245, 0)
+    x = SimpleNamespace(n=3)
+    assert status(x, 9, 9) == "pass"
+    assert status(x, 10, 10) == "fail"
 
 
 def test_comb_is_zero_outside_range():

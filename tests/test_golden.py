@@ -1,5 +1,5 @@
 """Pinned bytes of the verification battery's output and of the
-product table dump.
+product table dump, and one digest over every closed-form value.
 
 Each digest is the sha256 of the stdout of one `catalanlab verify` or
 `catalanlab enum --products` run.  A change to any row's id, claim text,
@@ -9,10 +9,12 @@ test_acceptance.py, whose module fixture already builds it.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from catalanlab import cli
+from catalanlab import cli, families, formulas
+from catalanlab.families import FamilySpec
 
 GOLDEN = [
     ("json", 1, "d3702016d8c841229f051b4e362b493452d50e331179f8936f4ca804ea6abae3"),
@@ -52,3 +54,23 @@ def test_product_table_bytes_are_pinned(capsys, kind, n, p, fmt, digest):
     assert cli.main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+FORMULA_DIGEST = "741086d173e946f2a53c57ff97b8de9330bb7e13ae2cf7a9ff9cd83477e5b96f"
+
+
+def test_every_closed_form_value_is_pinned():
+    # Every rank_formula and count_formula value, for every kind, n from 1
+    # to 12 and every valid p, hashed in one digest: a change to any
+    # closed form, its range or its None changes the digest.
+    rows = []
+    for kind in families.KINDS:
+        for n in range(1, 13):
+            for p in families._valid_heights(kind, n):
+                spec = FamilySpec(kind, n, p)
+                rows.append(["rank", kind, n, p, formulas.rank_formula(spec)])
+                for name in ("idempotents", "essentials", "requisites", "maximal", "generators"):
+                    for q in [None, *range(n + 2)]:
+                        rows.append([name, kind, n, p, q, formulas.count_formula(name, spec, q)])
+    assert len(rows) == 18_574
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == FORMULA_DIGEST

@@ -358,6 +358,18 @@ def test_from_pairs_validation():
             pinj.from_pairs(3, pairs)
 
 
+def test_an_image_table_of_the_wrong_length_is_refused():
+    for img in ((1, 2), (1, 2, 3, None)):
+        with pytest.raises(ValidationError, match=f"has length {len(img)}, expected 3"):
+            pinj.PartialInjection(3, img)
+
+
+def test_repr_is_the_parse_text_call_that_rebuilds_the_element():
+    alpha = pinj.parse_text("3:2>1,3>3")
+    assert repr(alpha) == "parse_text('3:2>1,3>3')"
+    assert eval(repr(alpha), {"parse_text": pinj.parse_text}) == alpha
+
+
 def test_chain_sizes_that_are_not_positive_integers_raise_validation_errors():
     # checked before any per-point list is built, so a string or a float
     # is refused with the library's error, not a bare TypeError

@@ -14,9 +14,10 @@ from conftest import (
     oracle_inverse_ideal,
     oracle_regular_elements,
     oracle_semilattice,
+    oracle_unique_idempotents,
 )
 
-from catalanlab import families, greens, pinj, structure
+from catalanlab import battery, families, greens, pinj, structure
 from catalanlab.errors import ValidationError
 from catalanlab.families import REES_ZERO, FamilySpec
 
@@ -199,8 +200,8 @@ def scalar_ample_failure(t, one_sided):
     idem_set = set(idem)
     lstar = greens.starred_L(t)
     rstar = greens.starred_R(t)
-    star_of = structure._unique_idempotent_map(lstar, idem_set)
-    plus_of = structure._unique_idempotent_map(rstar, idem_set)
+    star_of = oracle_unique_idempotents(lstar, idem_set)
+    plus_of = oracle_unique_idempotents(rstar, idem_set)
     for a in range(t.size):
         for e in idem:
             legs = [_oracle_leg_plus(t, rows, rstar, plus_of, a, e)]
@@ -454,3 +455,9 @@ def test_idempotents_are_read_once_per_table():
     first.append(99)
     assert structure.idempotent_indices(t) == [0, 1]
     assert calls == [(0, 0), (1, 1)]
+
+
+def test_a_failing_property_shows_its_witness_in_a_battery_row():
+    failed = structure.PropertyReport("regular", "IC_2", False, witness="2:2>1")
+    assert battery._shown(failed) == "False (witness 2:2>1)"
+    assert battery._shown(structure.PropertyReport("regular", "I_2", True)) is True
