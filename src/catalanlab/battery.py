@@ -199,9 +199,13 @@ def _census_claim(rid, text, kind, heights):
 
 def _starred_counts(x):
     """Published right and left starred class counts of a Rees quotient:
-    one class per domain and per image of the height, plus the zero."""
-    domains = formulas._comb(x.n - 1 if x.spec.qprime_side else x.n, x.spec.p)
-    return f"{domains + 1},{formulas._comb(x.n, x.spec.p) + 1}"
+    one class per domain and per image of the height, plus the zero.  A
+    domain or an image is one idempotent, the partial identity on it, so
+    the counts are the height-p idempotents of the quotient's side and of
+    IC_n."""
+    domains = formulas.count_formula("idempotents", x.spec)
+    images = formulas.count_formula("idempotents", families.FamilySpec("icn", x.n), x.spec.p)
+    return f"{domains + 1},{images + 1}"
 
 
 def _starred_class_counts(x):

@@ -33,9 +33,11 @@ identity, its generators and both Cayley graphs, product rows, relation
 partitions and idempotents, is kept in one dict on the table (memoized),
 and goes when the table does; a table only walked element by element
 builds none of it.
-A is chosen on the right graph, with its columns; A's rows are composed
-only when a reader first asks, and both are read through one accessor,
-generator_lines(left), so rank and maximal compose no row.
+A is chosen on the right graph, with its columns and the spanning tree
+its search grows; A's rows are gathered along that tree off the columns,
+with no composition, only when a reader first asks, and both are read
+through one accessor, generator_lines(left), so rank and maximal build
+no row.
 The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
 of Q'_n, enumerated in the same order; so while one of the two tables
 is held, the other is it renamed (SemigroupTable.renamed): the same
@@ -51,8 +53,8 @@ import struct
 import weakref
 from collections import defaultdict
 from functools import partial
-from itertools import compress, repeat
-from operator import add, itemgetter
+from itertools import chain, compress, repeat
+from operator import add, getitem, itemgetter
 
 from . import pinj
 from .errors import (
@@ -305,12 +307,30 @@ class SemigroupTable:
         """A Cayley graph: for each g in A, in the order of
         self.generators, the row g.x (left) or the column x.g for every x.
         The columns are composed as A is chosen (_right_graph) and kept
-        with it; the rows are composed when a reader first asks, in
-        O(m |A|) compositions on packed images, and then kept in the store
-        under "A rows", so rank and maximal compose no row."""
+        with it; the rows are gathered off them when a reader first asks
+        (_generator_rows), with no composition, and then kept in the store
+        under "A rows", so rank and maximal build no row."""
         if left:
-            return memoized(self, "A rows", lambda t: tuple(t.lines(t.generators, True)))
+            return memoized(self, "A rows", SemigroupTable._generator_rows)
         return memoized(self, "A", SemigroupTable._right_graph)[1]
+
+    def _generator_rows(self):
+        """A's rows, gathered along the right graph's spanning tree, one
+        row at a time and in tree order: g.a = col_a[g] for a in A, then
+        g.x = col_h[g.p] for each edge x = p.h (proved in _right_graph).
+        Each entry is one read of a held column, O(m) a row."""
+        gens, columns, (child, parent, via) = memoized(self, "A", SemigroupTable._right_graph)
+        child, parent = child.tolist(), parent.tolist()
+        via_columns = list(map(columns.__getitem__, via))
+        rows = []
+        for g in gens:
+            row = [0] * self.size
+            for a, column in zip(gens, columns):
+                row[a] = column[g]
+            for x, p, column in zip(child, parent, via_columns):
+                row[x] = column[row[p]]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def lines(self, indices, left, at=None):
         """For each index a, the row a.x (left) or the column x.a, for every
@@ -369,14 +389,34 @@ class SemigroupTable:
         return tuple(rows)
 
     def _right_graph(self):
-        """A and its columns, chosen and composed (Froidure and Pin's
+        """A, its columns and the spanning tree of the right Cayley graph
+        that reaches every other element from A (Froidure and Pin's
         Cayley-graph enumeration).  Each element is visited once: one
         outside <A>, the subsemigroup the generators chosen so far
-        generate, joins A and has its column x.g composed.  A search over
-        x -> x.g (g in A, reach) from the new generator and its products
-        with everything reached then extends the reach to <A>, as in
-        closure.  No row is composed.  Only an element outside <A> joins
-        A, so A generates.
+        generate, joins A and has its column x.g composed.  One search,
+        the same for every family, then extends the reach to <A>: x.g for
+        each x reached before, then the new generator and each element it
+        finds times every generator, level by level, as in closure.  No
+        row is composed.  Only an element outside <A> joins A, so A
+        generates.
+
+        The search keeps the spanning tree it grows, in the store entry
+        "A" with A and its columns: three buffers in the order found,
+        child[e] = parent[e].A[via[e]] for every edge e.  Each edge is a
+        product, as child[e] is read off A[via[e]]'s column at parent[e].
+        Each parent comes before its child: it is in A or the child of an
+        earlier edge, as the search multiplies only what it has reached.
+        Each element past A is taken once, when first reached, so it is
+        the child of exactly one edge, and the roots are exactly A.  The
+        buffers are memoryviews of the table's index format
+        (_index_typecode), 6 or 12 bytes an element.
+
+        A's rows follow from the tree and the columns with no product
+        composed (_generator_rows).  For a in A, g.a = col_a[g].  For an
+        edge x = p.h, g.x = (g.p).h = col_h[g.p] by associativity, and
+        g.p is known first, as p is in A or an earlier child.  In a Rees
+        quotient this holds when g.p is the zero too, as the zero absorbs:
+        col_h[0] = 0.h = 0.
 
         Elements are visited in descending phi(x) = (height, sum im x -
         sum dom x), the higher index first on ties.  The Rees zero packs as
@@ -405,7 +445,12 @@ class SemigroupTable:
         """
         m, n, images = self.size, self.family.n, self.images
         column_of = self._composer(left=False)
-        reached = bytearray(m)
+        # unseen[x] is 1 until the search reaches x.
+        unseen = bytearray(b"\1") * m
+        code = _index_typecode(m)
+        child, parent, via = (memoryview(bytearray(m * struct.calcsize(code))).cast(code)
+                              for _ in range(3))
+        edges = 0
         gens, gen_columns = [], []
         points = range(1, n + 1)
 
@@ -413,16 +458,46 @@ class SemigroupTable:
             img = images[i]
             return n - img.count(0), sum(img) - sum(compress(points, img)), i
 
+        def take(sources, first, columns):
+            """Record a tree edge to y = x.A[h] for each h, from first on
+            along the given columns, and each x in sources, a non-empty
+            sequence, whose y is not yet reached, and return the new
+            children.  Each column's products are read with one itemgetter
+            call, and compress reads each mark only once the product
+            before it is recorded, so each y is taken once, from its first
+            parent."""
+            nonlocal edges
+            products = map(itemgetter(*sources), columns)
+            if len(sources) > 1:
+                products = chain.from_iterable(products)
+            width, found = len(sources), []
+            for i in compress(range(width * len(columns)), map(getitem, repeat(unseen), products)):
+                h, j = divmod(i, width)
+                x = sources[j]
+                y = columns[h][x]
+                unseen[y] = 0
+                child[edges], parent[edges], via[edges] = y, x, first + h
+                edges += 1
+                found.append(y)
+            return found
+
+        # Every element reached, in the order found.
+        reached = []
         for top in sorted(range(m), key=phi, reverse=True):
-            if reached[top]:
+            if not unseen[top]:
                 continue
-            col_g = column_of(top)
+            k = len(gens)
             gens.append(top)
-            gen_columns.append(col_g)
-            # The new generator and everything reached times it, then
-            # each new element times every generator, level by level.
-            reach(gen_columns, {top}.union(compress(col_g, reached)), reached)
-        return tuple(gens), tuple(gen_columns)
+            gen_columns.append(column_of(top))
+            unseen[top] = 0
+            # Everything reached before times the new generator, then the
+            # new generator and each new element times every generator,
+            # level by level.
+            level = [top, *take(reached, k, gen_columns[k:])] if reached else [top]
+            while level:
+                reached += level
+                level = take(level, 0, gen_columns)
+        return tuple(gens), tuple(gen_columns), (child[:edges], parent[:edges], via[:edges])
 
     def _composer(self, left, at=None):
         """A function from an index a to the row a.x (left) or the column

@@ -51,7 +51,7 @@ def t(n):
 def syminv_order(n):
     """Order of the monoid of all partial injections of an n-chain:
     the sum over k of binomial(n, k)^2 k!."""
-    n = _integer(n, "syminv_order's n")
+    n = _natural(n, "syminv_order's n")
     return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
 
 
@@ -59,6 +59,14 @@ def _integer(value, what):
     """value, or ValidationError when it is no integer (a bool is none)."""
     if type(value) is bool or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _natural(value, what):
+    """value, or ValidationError when it is no integer >= 0: a height or
+    a chain size, which is never negative."""
+    if _integer(value, what) < 0:
+        raise ValidationError(f"{what} must be >= 0, got {value!r}")
     return value
 
 
@@ -106,7 +114,7 @@ def count_formula(kind, spec, p=None):
     if kind not in ("idempotents", "essentials", "requisites", "maximal", "generators"):
         raise ValidationError(f"unknown census kind {kind!r}")
     if p is not None:
-        _integer(p, "the census height p")
+        _natural(p, "the census height p")
     n, fam = spec.n, spec.kind
     if kind == "maximal":
         # On these J-trivial monoids the maximal subsemigroups are the

@@ -17,8 +17,9 @@ Everything else reads the Cayley graphs over A, O(m |A|) entries for m
 elements; the m x m product table is never built.  Costs, for G the
 indices passed in: A and its columns O(m |A|) compositions on packed
 images, after an O(m log m) sort, plus an O(m |A|) search along the
-columns, with no row composed (table.generator_lines); the
-J-triviality check on I_n O(m |A|) (Tarjan), over A's rows as well;
+columns that keeps its spanning tree, with no row built
+(table.generator_lines); the J-triviality check on I_n O(m |A|)
+(Tarjan), over A's rows as well;
 maximal's check of A one scan of each held column, O(m |A|) reads;
 closure(G) O(m |G|) compositions plus O(|<G>| |G|) steps.
 """

@@ -5,11 +5,11 @@ generating set A: x -> xg is the right graph and x -> gx the left one
 (g in A).  xS^1 is what x reaches in the right graph, so R is its
 strongly connected components; L is those of the left graph and J those
 of the union of both.  Tarjan's algorithm finds them in O(m |A|).  The
-graphs are table.generator_lines(left): A's columns, composed as A is
-chosen, and A's rows, composed when first asked for, so R composes no
-row; each is composed once per semigroup on packed images and held in
-the table's store, and the classical relations never build the m x m
-product rows.
+graphs are table.generator_lines(left): A's columns, composed on packed
+images as A is chosen, and A's rows, gathered off those columns along
+the search's spanning tree when first asked for, so R builds no row;
+each is built once per semigroup and held in the table's store, and the
+classical relations never build the m x m product rows.
 Joins are components too: D is the partition into the strongly connected
 components of the graph with a cycle through each L-class and each
 R-class (D* likewise over L* and R*), so one routine does all the

@@ -9,7 +9,8 @@ predicate uses: rows a.x and columns x.a composed on packed images by
 table.lines (one composer per pass), rows and columns gathered along the
 Cayley graphs from A (families.gather) off A's rows and columns, which
 the table holds (table.generator_lines: A's columns from when A was
-chosen, A's rows from when a check first asked), or single products.
+chosen, A's rows gathered off them when a check first asked), or single
+products.
 With m elements and E the idempotents:
 
   idempotent_indices   the diagonal, i.i = i: m products, once per table

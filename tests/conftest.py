@@ -39,6 +39,11 @@ x -> g.x (g in A) extends the reach to the subsemigroup generated so far.
 The library composes A's columns instead and searches along them; its A,
 in order, and A's rows and columns are checked against these.
 
+oracle_rows is A's rows g.x composed directly, by direct_product, as
+the library composed them before it gathered them along the spanning tree
+of its search on the right graph; the gathered rows are checked against
+it.
+
 kernel_key and kernel_key_starred key each line by the first position of
 each value, over a copy of the line with a appended for an adjoined
 identity: a signature apart from the library's first-occurrence labels,
@@ -399,6 +404,13 @@ def oracle_left_graph(table):
                 reached[y] = 1
             found = {row[y] for row in gen_rows for y in fresh}
     return tuple(gens), tuple(gen_rows)
+
+
+def oracle_rows(table):
+    """A's rows, in A's order: g.x for every x, each composed directly."""
+    return tuple(
+        tuple(direct_product(table, g, x) for x in range(table.size)) for g in table.generators
+    )
 
 
 def no_smaller_generating_set(table):

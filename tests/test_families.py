@@ -24,6 +24,7 @@ from conftest import (
     oracle_images,
     oracle_indecomposables,
     oracle_left_graph,
+    oracle_rows,
     pack,
     packed_table,
     tree_walk,
@@ -644,6 +645,37 @@ def test_rank_and_maximal_compose_no_row(monkeypatch, spec):
     assert genrank.maximal_subsemigroups(table) == sorted(table.generators)
     assert report.rank == len(table.generators)
     assert "A rows" not in table._memo
+
+
+# Every differential table (I_n to n = 4), and IC_n and Q'_n to n = 8.
+TREE_SPECS = DIFFERENTIAL_SPECS + [FamilySpec(kind, n) for n in (7, 8) for kind in ("icn", "qprime")]
+
+
+@pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.label())
+def test_gathered_rows_equal_the_composed_rows(spec):
+    table = families._enumerate_table(spec)
+    assert table.generator_lines(True) == oracle_rows(table)
+
+
+@pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.label())
+def test_spanning_tree_reaches_every_element_once_from_A(spec):
+    # The tree the search keeps with A: the roots are exactly A, every
+    # other element is the child of one edge and the product of its parent
+    # and the edge's generator, and every parent is in A or the child of
+    # an earlier edge.  Held as typed buffers, not as tuples.
+    table = families._enumerate_table(spec)
+    gens, m = table.generators, table.size
+    _, _, tree = table._memo["A"]
+    for buffer in tree:
+        assert isinstance(buffer, memoryview) and buffer.format == families._index_typecode(m)
+    child, parent, via = map(list, tree)
+    assert len(child) == len(parent) == len(via) == m - len(gens)
+    assert sorted(child + list(gens)) == list(range(m))
+    reached = set(gens)
+    for x, p, h in zip(child, parent, via):
+        assert p in reached
+        assert x == table.product(p, gens[h])
+        reached.add(x)
 
 
 @pytest.mark.parametrize("spec", JTRIVIAL_SPECS, ids=lambda s: s.label())

@@ -173,6 +173,23 @@ def test_public_entry_points_refuse_a_non_integer(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [-1, -5], ids=repr)
+def test_a_negative_height_or_chain_size_is_refused(bad):
+    # A height and a chain size are never negative, as catalan and t
+    # refuse n < 1; height 0 and the empty chain stay valid.
+    calls = [
+        lambda: formulas.count_formula("idempotents", FamilySpec("icn", 4), p=bad),
+        lambda: formulas.count_formula("essentials", FamilySpec("qprime", 4), p=bad),
+        lambda: formulas.count_formula("generators", FamilySpec("rq", 4, 2), p=bad),
+        lambda: formulas.syminv_order(bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=">= 0"):
+            call()
+    assert formulas.count_formula("idempotents", FamilySpec("icn", 4), p=0) == 1
+    assert formulas.syminv_order(0) == 1
+
+
 def test_a_count_off_its_embedded_prefix_fails_the_row():
     # t_3 = 9 is A000245's n = 3 term; a count equal to the expected value
     # but not to the prefix still fails.
