@@ -37,7 +37,9 @@ A is chosen on the right graph, with its columns and the spanning tree
 its search grows; A's rows are gathered along that tree off the columns,
 with no composition, only when a reader first asks, and both are read
 through one accessor, generator_lines(left), so rank and maximal build
-no row.
+no row.  Every element's row and column at a few points, the
+idempotents for the ample identities, are gathered off them along the
+two trees (gathered_lines), with no composition either.
 The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
 of Q'_n, enumerated in the same order; so while one of the two tables
 is held, the other is it renamed (SemigroupTable.renamed): the same
@@ -342,6 +344,57 @@ class SemigroupTable:
         (generator_lines); the callers here ask for other lines."""
         return map(self._composer(left, at), indices)
 
+    def gathered_lines(self, at):
+        """Yield (a, row, column) once for every element a, in the order of
+        a walk: a.x and x.a for each x in at, in that order, as tuples.
+        Read off A's held lines along the Cayley graphs, with no product
+        composed.  The columns are gathered first and packed, each into
+        bytes of |at| entries of the table's index format (_index_typecode),
+        m |at| entries in all; then the rows are gathered depth first,
+        holding the rows on one tree path.  (One buffer of all the columns
+        was one large allocation on top of the memory the starred relations
+        had freed: IC_10 `ample` peaked at 281 MB with it, 172 MB with
+        bytes an element.)
+
+        Columns, along the right graph's spanning tree (_right_graph).  For
+        a in A, x.a = col_a[x].  For an edge c = p.h, x.c = (x.p).h =
+        col_h[x.p] by associativity, so c's column is h's held column read
+        at p's, one itemgetter call; p is in A or an earlier child, so its
+        column is packed first.
+
+        Rows, along a breadth-first tree of the left graph from A:
+        c -> g.c = row_g[c] for g in A (_breadth_first, which holds indices
+        only).  For g in A, g.x = row_g[x].  For an edge c = g.q, c.x =
+        g.(q.x) = row_g[q.x], so c's row is g's held row read at q's.  Every
+        element is a word g_1 ... g_k over A, and g_1 . (g_2 ... g_k) is an
+        edge from an element the search reaches, by induction on k, so the
+        tree reaches every element, each once.
+
+        In a Rees quotient the table's product is the quotient's, which is
+        associative too: when x.p (q.x) is the zero, col_h[0] = 0.h = 0 and
+        row_g[0] = g.0 = 0, as the zero absorbs.
+        """
+        at = tuple(at)
+        gens, columns, (child, parent, via) = memoized(self, "A", SemigroupTable._right_graph)
+        rows = self.generator_lines(True)
+        take = getter(len(at))
+        line = struct.Struct(f"{len(at)}{_index_typecode(self.size)}")
+        pack, unpack = line.pack, line.unpack
+        packed = [None] * self.size
+        for a, column in zip(gens, columns):
+            packed[a] = pack(*take(*at)(column))
+        for c, p, h in zip(child, parent, via):
+            packed[c] = pack(*take(*unpack(packed[p]))(columns[h]))
+        # Each tree node's row is its generator's read at its parent's, and
+        # at stands in for the parent of a root: g.x = row_g[x].
+        nodes, along, ends = _breadth_first(gens, rows)
+        stack = list(zip(range(ends[0]), repeat(at)))
+        while stack:
+            j, row = stack.pop()
+            c, row = nodes[j], take(*row)(rows[along[j]])
+            yield c, row, unpack(packed[c])
+            stack.extend(zip(range(ends[j], ends[j + 1]), repeat(row)))
+
     def kernel_groups(self, left):
         """The indices grouped by image (left) or by domain, each group in
         index order and the groups in order of their first members.  Members
@@ -546,11 +599,11 @@ def memoized(table, name, build, *args):
     under name in table._memo, the one store of what a table derives:
     its image index and identity, its generators and both Cayley graphs,
     product rows, relation partitions and the steps between kernel groups
-    (greens) and idempotents (structure).  A None result is kept too, so
-    a table with no identity searches once.  A table renamed
-    from another holds that one's store.  Each result is kept as built,
-    even when it equals one already stored.  Every table has a store, the
-    tests' stand-in tables too.
+    (greens), and the idempotents and the semilattice outcome (structure).
+    A None result is kept too, so a table with no identity searches once.
+    A table renamed from another holds that one's store.  Each result is
+    kept as built, even when it equals one already stored.  Every table
+    has a store, the tests' stand-in tables too.
     """
     memo = table._memo
     found = memo.get(name, _UNBUILT)
@@ -586,8 +639,27 @@ def gather(gens, lines, steps, node_of=None):
     node it enters, so it enters that node too.  Along the columns the
     induction reads the word from its end.
     """
+    nodes, via, ends = _breadth_first(gens, steps, node_of)
+    for k in via[:ends[0]]:
+        yield gens[k], lines[k]
+    stack = [(j, lines[via[i]]) for i in range(ends[0]) for j in range(ends[i], ends[i + 1])]
+    while stack:
+        j, line = stack.pop()
+        k = via[j]
+        a, line = line[gens[k]], itemgetter(*lines[k])(line)
+        yield a, line
+        stack.extend(zip(range(ends[j], ends[j + 1]), repeat(line)))
+
+
+def _breadth_first(gens, steps, node_of=None):
+    """The breadth-first tree over the nodes from A along the steps (see
+    gather), as three lists of indices: nodes in the order found, via[j]
+    the generator along which nodes[j] was found, and ends, where
+    nodes[j] for j in range(ends[i], ends[i + 1]) was found from
+    nodes[i], and ends[0] counts the roots, the nodes of A's first
+    members to reach them."""
     if node_of is None:
-        node_of = range(len(lines[0]))
+        node_of = range(len(steps[0]))
     reached = bytearray(len(steps[0]))
     nodes, via = [], []
     for k, g in enumerate(gens):
@@ -595,9 +667,6 @@ def gather(gens, lines, steps, node_of=None):
             reached[node_of[g]] = 1
             nodes.append(node_of[g])
             via.append(k)
-            yield g, lines[k]
-    # Breadth first: nodes[j] for j in range(ends[i], ends[i + 1]) was
-    # found from nodes[i] along generator via[j]; ends[0] counts the roots.
     ends = [len(nodes)]
     for v in nodes:
         for k, step in enumerate(steps):
@@ -607,13 +676,18 @@ def gather(gens, lines, steps, node_of=None):
                 nodes.append(w)
                 via.append(k)
         ends.append(len(nodes))
-    stack = [(j, lines[via[i]]) for i in range(ends[0]) for j in range(ends[i], ends[i + 1])]
-    while stack:
-        j, line = stack.pop()
-        k = via[j]
-        a, line = line[gens[k]], itemgetter(*lines[k])(line)
-        yield a, line
-        stack.extend(zip(range(ends[j], ends[j + 1]), repeat(line)))
+    return nodes, via, ends
+
+
+def getter(width):
+    """A function from width indices to a function from a line to the
+    tuple of its entries there: itemgetter when width > 1, as itemgetter
+    gives one index's bare entry, and fails on no index."""
+    return itemgetter if width > 1 else _entries
+
+
+def _entries(*indices):
+    return lambda line: tuple(map(line.__getitem__, indices))
 
 
 def reach(lines, found, reached):

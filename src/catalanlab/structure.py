@@ -7,10 +7,10 @@ product table, never just a bare False.
 No check builds the m x m product table.  Each reads only the lines its
 predicate uses: rows a.x and columns x.a composed on packed images by
 table.lines (one composer per pass), rows and columns gathered along the
-Cayley graphs from A (families.gather) off A's rows and columns, which
-the table holds (table.generator_lines: A's columns from when A was
-chosen, A's rows gathered off them when a check first asked), or single
-products.
+Cayley graphs from A (families.gather, table.gathered_lines) off A's
+rows and columns, which the table holds (table.generator_lines: A's
+columns from when A was chosen, A's rows gathered off them when a check
+first asked), or single products.
 With m elements and E the idempotents:
 
   idempotent_indices   the diagonal, i.i = i: m products, once per table
@@ -22,11 +22,16 @@ With m elements and E the idempotents:
                        composed past A's held rows and columns, and only
                        the lines on one tree path held.
   semilattice          the rows of the idempotents, composed only at the
-                       idempotents: |E|^2 compositions.
-  ample, right-ample   each element's row and column, composed only at the
-                       idempotents and held only while that element is
-                       checked: 2 m |E| compositions, plus L* and R*
-                       (greens).
+                       idempotents: |E|^2 compositions, once per table
+                       (its failing pair, or None, kept in the store).
+  ample, right-ample   each element's row and column at the idempotents,
+                       gathered off A's held lines along the two Cayley
+                       graphs' trees (table.gathered_lines): no
+                       composition, 2 m |E| entries read, the columns
+                       held packed (2 m |E| bytes up to 65,536
+                       elements) and the rows on one tree path; each leg
+                       two itemgetter calls and one tuple compare an
+                       element.  Plus L* and R* (greens).
   abundance, unique    L* or R* and the diagonal.
   idempotent per R*
   inverse ideals       uv, uvu and vu for v = u^-1 alone, made from u's
@@ -183,31 +188,38 @@ def is_abundant(table):
 
 
 def is_semilattice_of_idempotents(table):
-    """Idempotents closed under the product and commuting with each other.
+    """Idempotents closed under the product and commuting with each other:
+    the first failure of _semilattice_failure, kept in the table's store
+    (families.memoized) and written here under the caller's label, as
+    IC_n and K(n,n) share one store."""
+    name = "semilattice-of-idempotents"
+    failure = families.memoized(table, "semilattice", _semilattice_failure)
+    if failure is None:
+        return PropertyReport(name, _label(table), True)
+    e, f, commute = failure
+    if commute:
+        witness = f"{table.text_of(e)} and {table.text_of(f)} do not commute"
+    else:
+        witness = f"product of {table.text_of(e)} and {table.text_of(f)} is not idempotent"
+    return PropertyReport(name, _label(table), False, witness=witness)
 
-    The rows of the idempotents, composed only at the idempotents: the
-    |E| x |E| products ef, which also give each fe."""
+
+def _semilattice_failure(table):
+    """The first pair (e, f) of idempotents, in index order, where ef !=
+    fe or ef is not idempotent, as (e, f, commute), commute True when ef
+    != fe; None when there is none.  The rows of the idempotents, composed
+    only at the idempotents: the |E| x |E| products ef, which also give
+    each fe."""
     idem = idempotent_indices(table)
     idem_set = set(idem)
     products = list(table.lines(idem, True, at=idem))
     for e, efs, fes in zip(idem, products, zip(*products)):
         for f, ef, fe in zip(idem, efs, fes):
             if ef != fe:
-                return PropertyReport(
-                    "semilattice-of-idempotents", _label(table), False,
-                    witness=(
-                        f"{table.text_of(e)} and {table.text_of(f)} do not commute"
-                    ),
-                )
+                return e, f, True
             if ef not in idem_set:
-                return PropertyReport(
-                    "semilattice-of-idempotents", _label(table), False,
-                    witness=(
-                        f"product of {table.text_of(e)} and {table.text_of(f)}"
-                        " is not idempotent"
-                    ),
-                )
-    return PropertyReport("semilattice-of-idempotents", _label(table), True)
+                return e, f, False
+    return None
 
 
 def is_adequate(table):
@@ -225,18 +237,22 @@ def _ample(table, name, base, note, ea_legs):
     the unique idempotent of a starred class.
 
     (ea)* and (ae)+ are idempotents, so both identities read only the
-    products of a with the idempotents.  One pass over a, in index order,
-    composes a's row and a's column at the idempotents alone, row[k] =
-    a.e_k and col[k] = e_k.a (2 m |E| compositions, no line held past its
-    a).  The ea leg scans col and looks a (ea)* up in row, at the slot of
-    (ea)*; the ae leg scans row and looks (ae)+ a up in col.  A class
-    lacking a unique idempotent has the slot past the last, a -1 appended
-    to both lines that matches no product, so a precondition gap is
-    flagged as a failure.  The witness is the first failing a, then the
-    least failing e in index order, then the first leg, and it is written
-    from the scan: the failing product is the scanned line's entry at e,
-    and the failure is a precondition gap exactly when that product's
-    slot is the gap.
+    products of a with the idempotents: a's row and column there,
+    row[k] = a.e_k and col[k] = e_k.a, which table.gathered_lines yields
+    for every a with no product composed.  The ea leg scans col and looks
+    a (ea)* up in row, at the slot of (ea)*; the ae leg scans row and
+    looks (ae)+ a up in col.  Each leg is two itemgetter calls, the slots
+    of the scanned products and the looked-up line at those slots, and one
+    tuple compare with the scanned line; the first differing slot is
+    sought only on a mismatch.  A class lacking a unique idempotent has
+    the slot past the last, a -1 appended to the looked-up line that
+    matches no product, so a precondition gap is flagged as a failure.
+
+    The witness is the least failing a, then the least failing e in index
+    order, then the first leg, over the whole walk, whatever order the
+    walk yields a in.  It is written from the scan: the failing product
+    is the scanned line's entry at e, and the failure is a precondition
+    gap exactly when that product's slot is the gap.
     """
     report = base(table)
     if not report.holds:
@@ -249,29 +265,31 @@ def _ample(table, name, base, note, ea_legs):
         part, by_class = _class_idempotents(table, ea_leg)
         # A class without a unique idempotent takes the gap slot.
         per_class = [slot[found[0]] if len(found) == 1 else gap for found in by_class]
-        slot_of = [per_class[c] for c in part.class_of]
-        legs.append((ea_leg, slot_of.__getitem__))
-    everyone, slots, pad = range(table.size), range(gap), (-1,)
-    rows, cols = table.lines(everyone, True, at=idem), table.lines(everyone, False, at=idem)
-    for a, row, col in zip(everyone, rows, cols):
-        row, col = row + pad, col + pad
-        firsts = []
-        for ea_leg, slot_of in legs:
-            scanned, looked_up = (col, row) if ea_leg else (row, col)
-            got = map(looked_up.__getitem__, map(slot_of, scanned))
-            firsts.append(next(compress(slots, map(ne, got, scanned)), gap))
-        k = min(firsts)
-        if k < gap:
-            ea_leg, slot_of = legs[firsts.index(k)]
-            product = (col if ea_leg else row)[k]
-            if slot_of(product) == gap:
-                relation = "L*" if ea_leg else "R*"
-                text = f"{relation}-class of {table.text_of(product)} lacks a unique idempotent"
-                return PropertyReport(name, _label(table), False, text, "precondition failure")
-            identity = "ea != a(ea)*" if ea_leg else "ae != (ae)+a"
-            text = f"{identity} for a={table.text_of(a)}, e={table.text_of(idem[k])}"
-            return PropertyReport(name, _label(table), False, text)
-    return PropertyReport(name, _label(table), True)
+        legs.append((ea_leg, [per_class[c] for c in part.class_of]))
+    take, pad = families.getter(gap), (-1,)
+    # The least failure so far, as (a, k, leg), and its product.
+    least, product = (table.size,), None
+    for a, row, col in table.gathered_lines(idem):
+        if a > least[0]:
+            continue
+        for leg, (ea_leg, slot_of) in enumerate(legs):
+            scanned, looked_up = (col, row + pad) if ea_leg else (row, col + pad)
+            if take(*take(*scanned)(slot_of))(looked_up) != scanned:
+                got = map(looked_up.__getitem__, map(slot_of.__getitem__, scanned))
+                k = next(compress(range(gap), map(ne, got, scanned)))
+                if (a, k, leg) < least:
+                    least, product = (a, k, leg), scanned[k]
+    if product is None:
+        return PropertyReport(name, _label(table), True)
+    a, k, leg = least
+    ea_leg, slot_of = legs[leg]
+    if slot_of[product] == gap:
+        relation = "L*" if ea_leg else "R*"
+        text = f"{relation}-class of {table.text_of(product)} lacks a unique idempotent"
+        return PropertyReport(name, _label(table), False, text, "precondition failure")
+    identity = "ea != a(ea)*" if ea_leg else "ae != (ae)+a"
+    text = f"{identity} for a={table.text_of(a)}, e={table.text_of(idem[k])}"
+    return PropertyReport(name, _label(table), False, text)
 
 
 def is_ample(table):

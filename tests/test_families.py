@@ -658,6 +658,23 @@ def test_gathered_rows_equal_the_composed_rows(spec):
 
 
 @pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.label())
+def test_gathered_lines_equal_the_composed_lines(spec):
+    # Each element once, with its row and column at the idempotents as
+    # tuples equal to the composed ones: on Q'_1 there is one idempotent,
+    # where itemgetter of one index gives no tuple.  Then at a few indices
+    # out of order, one repeated.
+    table = families._enumerate_table(spec)
+    m = table.size
+    for at in (structure.idempotent_indices(table), [m - 1, 0, m // 2, 0]):
+        gathered = sorted(table.gathered_lines(at))
+        assert [a for a, _, _ in gathered] == list(range(m))
+        for side in (1, 2):
+            lines = [line[side] for line in gathered]
+            assert all(type(line) is tuple for line in lines)
+            assert lines == list(table.lines(range(m), side == 1, at=at))
+
+
+@pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.label())
 def test_spanning_tree_reaches_every_element_once_from_A(spec):
     # The tree the search keeps with A: the roots are exactly A, every
     # other element is the child of one edge and the product of its parent

@@ -1,5 +1,6 @@
 """Abundance, adequacy, ample identities, and inverse-ideal embeddings."""
 
+import copy
 import random
 
 import pytest
@@ -50,12 +51,26 @@ class FakeTable:
             return [tuple(self._rows[a][x] for x in at) for a in indices]
         return [tuple(self._rows[x][a] for x in at) for a in indices]
 
+    def gathered_lines(self, at):
+        # Read off the rows directly: the hand-written products need not
+        # associate, so nothing may be gathered along a Cayley graph.
+        at = tuple(at)
+        for a, row in enumerate(self._rows):
+            yield a, tuple(row[x] for x in at), tuple(self._rows[x][a] for x in at)
+
     def kernel_groups(self, left):
         # No element is proven to share a kernel with another.
         return [(a,) for a in range(self.size)]
 
     def text_of(self, i):
         return f"e{i}"
+
+
+class ReversedTable(FakeTable):
+    """A stand-in whose walk yields its elements in reverse index order."""
+
+    def gathered_lines(self, at):
+        return reversed(list(super().gathered_lines(at)))
 
 
 LEFT_ZERO = FakeTable([[0, 0], [1, 1]])   # xy = x
@@ -164,6 +179,34 @@ def test_left_zero_pair_breaks_the_semilattice_check():
     assert structure.is_right_abundant(LEFT_ZERO).holds
 
 
+def test_semilattice_outcome_is_kept_once_for_both_twins(monkeypatch):
+    # IC_3 and K(3,3) share one store: the products of the idempotents are
+    # composed once, and each twin's report carries its own label.
+    composed = []
+    composer = families.SemigroupTable._composer
+
+    def counted(table, left, at=None):
+        composed.append(left)
+        return composer(table, left, at)
+
+    monkeypatch.setattr(families.SemigroupTable, "_composer", counted)
+    icn = families._enumerate_table(FamilySpec("icn", 3))
+    ideal = icn.renamed(FamilySpec("k", 3, 3))
+    reports = [structure.is_semilattice_of_idempotents(t) for t in (icn, ideal, icn, ideal)]
+    assert [(r.family, r.holds) for r in reports] == [("IC_3", True), ("K(3,3)", True)] * 2
+    assert composed == [True]
+    # A failing outcome is kept as the pair and its kind, and written
+    # under each twin's label with the same witness.
+    left_zero = FakeTable([[0, 0], [1, 1]])
+    twin = copy.copy(left_zero)
+    twin.label = "twin"
+    first, second = map(structure.is_semilattice_of_idempotents, (left_zero, twin))
+    assert twin._memo is left_zero._memo
+    assert left_zero._memo["semilattice"] == (0, 1, True)
+    assert (first.family, second.family) == ("fake", "twin")
+    assert first.witness == second.witness == "e0 and e1 do not commute"
+
+
 def test_adequate_and_ample_on_the_full_side():
     for n in range(2, 6):
         t = table("icn", n)
@@ -213,10 +256,11 @@ def scalar_ample_failure(t, one_sided):
     return None
 
 
-def perturbed_tables(seed, count):
+def perturbed_tables(seed, count, stand_in=FakeTable):
     """Product tables of small families with a few entries overwritten at
     random, so that failures land at varied (a, e), then as many wholly
-    random small tables, where precondition gaps abound."""
+    random small tables, where precondition gaps abound, each as a
+    stand_in."""
     rng = random.Random(seed)
     bases = [table("icn", 3), table("icn", 4), table("qprime", 4), table("rq", 4, 2)]
     for _ in range(count):
@@ -224,10 +268,10 @@ def perturbed_tables(seed, count):
         m = len(rows)
         for _ in range(rng.randint(1, 3)):
             rows[rng.randrange(m)][rng.randrange(m)] = rng.randrange(m)
-        yield FakeTable(rows)
+        yield stand_in(rows)
     for _ in range(count):
         m = rng.randint(1, 5)
-        yield FakeTable([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+        yield stand_in([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
 
 
 def pass_the_base_checks(monkeypatch):
@@ -240,10 +284,9 @@ def pass_the_base_checks(monkeypatch):
     monkeypatch.setattr(structure, "is_right_adequate", holds)
 
 
-def test_ample_witnesses_match_the_pairwise_loop(monkeypatch):
-    pass_the_base_checks(monkeypatch)
+def assert_ample_witnesses_match_the_pairwise_loop(tables):
     seen = set()
-    for t in perturbed_tables(seed=7, count=300):
+    for t in tables:
         for check, one_sided in ((structure.is_ample, False), (structure.is_right_ample, True)):
             report = check(t)
             want = scalar_ample_failure(t, one_sided)
@@ -254,6 +297,19 @@ def test_ample_witnesses_match_the_pairwise_loop(monkeypatch):
                 seen.add(want[0].split(" ")[0])
     # every kind of failure turned up: both identities and both gaps
     assert seen == {"ea", "ae", "L*-class", "R*-class"}
+
+
+def test_ample_witnesses_match_the_pairwise_loop(monkeypatch):
+    pass_the_base_checks(monkeypatch)
+    assert_ample_witnesses_match_the_pairwise_loop(perturbed_tables(seed=7, count=300))
+
+
+def test_ample_witnesses_do_not_depend_on_the_walk_order(monkeypatch):
+    # The least failure over the whole walk is reported, so a walk that
+    # meets the elements from the last index down reports the same.
+    pass_the_base_checks(monkeypatch)
+    tables = perturbed_tables(seed=7, count=300, stand_in=ReversedTable)
+    assert_ample_witnesses_match_the_pairwise_loop(tables)
 
 
 def test_first_ample_witnesses_pinned(monkeypatch):
@@ -404,20 +460,19 @@ def test_property_checks_on_stand_in_tables_match_the_row_oracles(monkeypatch):
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
 def test_ample_composes_lines_only_at_the_idempotents(spec, monkeypatch):
     # The legs read each element's row and column at the idempotents
-    # alone: no full line is composed once A's rows, L*, R*, the
-    # idempotents and the base checks are in the table's store.
+    # alone, gathered off A's held lines: no line is composed, not even
+    # at the idempotents, once A's rows, L*, R*, the idempotents and the
+    # base checks are in the table's store.
     t = families.enumerate_family(spec)
     t.generator_lines(True)
     greens.starred_L(t), greens.starred_R(t), structure.idempotent_indices(t)
     structure.is_adequate(t), structure.is_right_adequate(t)
     want = oracle_ample(t), oracle_ample(t, one_sided=True)
-    composer = families.SemigroupTable._composer
 
-    def at_the_idempotents(table, left, at=None):
-        assert at is not None, "a full line was composed"
-        return composer(table, left, at)
+    def no_line(table, left, at=None):
+        raise AssertionError("a line was composed")
 
-    monkeypatch.setattr(families.SemigroupTable, "_composer", at_the_idempotents)
+    monkeypatch.setattr(families.SemigroupTable, "_composer", no_line)
     assert (structure.is_ample(t), structure.is_right_ample(t)) == want
     # the legs run on every table with the base checks passed by fiat
     pass_the_base_checks(monkeypatch)
