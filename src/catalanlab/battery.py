@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple
 from . import families, formulas, genrank, greens, pinj, structure
 from .errors import CapExceededError, ValidationError
 
-DEFAULT_STARRED_CAP = 5
 BATTERY_STARRED_CEILING = 7
 
 ICN, QPRIME, SYMINV = families.KIND_ICN, families.KIND_QPRIME, families.KIND_SYMINV
@@ -229,11 +228,16 @@ def _dstar_and_jstar_are_height(x):
 
 def _dstar_is_threefold_composite(x):
     lstar, rstar = greens.starred_L(x.table), greens.starred_R(x.table)
-    dstar = greens.related_sets(greens.starred_D(x.table))
-    return (
-        dstar == greens.related_sets(rstar, lstar, rstar)
-        and dstar == greens.related_sets(lstar, rstar, lstar)
+    dstar = greens.starred_D(x.table)
+    return greens.is_composite(dstar, rstar, lstar, rstar) and greens.is_composite(
+        dstar, lstar, rstar, lstar
     )
+
+
+def _composed(p, q, a, b):
+    """Whether a (P o Q) b: the P-class of a meets the Q-class of b, that
+    is their pair of class ids occurs at some element."""
+    return (p.class_of[a], q.class_of[b]) in zip(p.class_of, q.class_of)
 
 
 def _noncommute(x):
@@ -241,10 +245,7 @@ def _noncommute(x):
     n, is in L* o R* but not in R* o L*."""
     a, b = (x.table.index(pinj.partial_identity(x.n, (pt,))) for pt in (x.n - 1, x.n))
     lstar, rstar = greens.starred_L(x.table), greens.starred_R(x.table)
-    return (
-        b in greens.related_sets(lstar, rstar)[a]
-        and b not in greens.related_sets(rstar, lstar)[a]
-    )
+    return _composed(lstar, rstar, a, b) and not _composed(rstar, lstar, a, b)
 
 
 def _shown(report):
@@ -643,7 +644,7 @@ def verification_report(n_max=4, starred_n_max=None):
     if type(n_max) is bool or not isinstance(n_max, int) or n_max < 1:
         raise ValidationError(f"the verification bound must be at least 1, got {n_max!r}")
     if starred_n_max is None:
-        starred_n_max = min(n_max, DEFAULT_STARRED_CAP)
+        starred_n_max = min(n_max, greens.DEFAULT_STARRED_CAP)
     if type(starred_n_max) is bool or not isinstance(starred_n_max, int) or starred_n_max < 1:
         raise ValidationError(
             f"the starred verification bound must be at least 1, got {starred_n_max!r}"

@@ -18,7 +18,6 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from . import families, formulas, genrank, greens, pinj, structure
-from .battery import DEFAULT_STARRED_CAP, verification_report
 from .errors import CapExceededError, InvariantError, ValidationError
 
 DEFAULT_CLI_ENUM_CAP = 10
@@ -207,7 +206,7 @@ def _product_text(table, fmt):
 def _cmd_greens(args):
     rel = args.relation
     if rel in greens.STARRED_NAMES:
-        spec, table = _table(args, DEFAULT_STARRED_CAP, "starred relation computation")
+        spec, table = _table(args, greens.DEFAULT_STARRED_CAP, "starred relation computation")
         part = greens.starred(table, rel)
     else:
         spec, table = _table(args, DEFAULT_CLI_ENUM_CAP, "relation computation")
@@ -252,7 +251,7 @@ def _cmd_greens(args):
 def _cmd_check(args):
     names = args.property
     if any(_PROPERTIES[name][1] for name in names):
-        spec, table = _table(args, DEFAULT_STARRED_CAP, "starred property check")
+        spec, table = _table(args, greens.DEFAULT_STARRED_CAP, "starred property check")
     else:
         spec, table = _table(args, DEFAULT_CLI_ENUM_CAP, "property check")
     expect = args.expect == "true"
@@ -388,6 +387,15 @@ def _cmd_maximal(args):
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def verification_report(n_max=4, starred_n_max=None):
+    """battery.verification_report, imported on the first call: only
+    `verify` loads the battery, whose claim table and code take about
+    140 KB that every other command would hold."""
+    from .battery import verification_report as report
+
+    return report(n_max, starred_n_max)
 
 
 def _cmd_verify(args):

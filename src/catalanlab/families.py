@@ -29,10 +29,10 @@ still holds, and a table nobody holds goes.  There is no size to set and
 nothing to evict; a caller that wants a table kept holds it.
 
 One store per table.  What a table computes once, its image index and
-identity, its generators and both Cayley graphs, product rows, relation
-partitions and idempotents, is kept in one dict on the table (memoized),
-and goes when the table does; a table only walked element by element
-builds none of it.
+identity, its generators and both Cayley graphs, product rows, theta,
+relation partitions and idempotents, is kept in one dict on the table
+(memoized), and goes when the table does; a table only walked element by
+element builds none of it.
 A is chosen on the right graph, with its columns and the spanning tree
 its search grows; A's rows are gathered along that tree off the columns,
 with no composition, only when a reader first asks, and both are read
@@ -142,6 +142,16 @@ class FamilySpec:
     @property
     def qprime_side(self):
         return self.kind in QPRIME_SIDE
+
+    @property
+    def self_dual(self):
+        """Whether theta (SemigroupTable.theta, with the proof) is an
+        anti-automorphism of the table: every kind off the Q' side.  It
+        leaves each Q'-side table with n >= 2: the partial identity on
+        {n-p+1, ..., n}, p = 1 off RQ'_p(n) and p <= n - 1 on it, omits 1,
+        so it is in the table, and theta sends it to the one on
+        {1, ..., p}, whose domain holds 1."""
+        return not self.qprime_side
 
     def label(self):
         n, p = self.n, self.p
@@ -297,6 +307,51 @@ class SemigroupTable:
         composite = self.images[i].translate(pinj._translate_table(self.images[j]))
         found = memoized(self, "index", SemigroupTable._image_index).get(composite)
         return self._collapse(composite, i, j) if found is None else found
+
+    @property
+    def theta(self):
+        """theta as an index map: theta[i] indexes theta(element i), where
+        theta(a) = rho o a^-1 o rho and rho(x) = n + 1 - x; the Rees zero,
+        packed as the empty map, goes to itself.  Built from the packed
+        images, not the Cayley graphs, on the first read, and kept in the
+        store in the index format (_index_typecode).  On a table that is
+        not self-dual (FamilySpec.self_dual) it is an InvariantError.
+
+        theta is an anti-automorphism of IC_n, K(n,p), RIC_p(n) and I_n.
+        As (a.b)^-1 = b^-1.a^-1 and rho.rho = 1, theta(a.b) =
+        theta(b).theta(a) and theta(theta(a)) = a in I_n.  It keeps the
+        height (|dom theta(a)| = |im a|) and isotone maps isotone (rho
+        reverses the order twice), and order-decreasing ones too: if
+        y = rho(a(x)) then theta(a)(y) = rho(x) <= y, as a(x) <= x.  So it
+        maps IC_n and each K(n,p) onto itself.  In RIC_p(n), with
+        theta(0) = 0, a product a.b of height p is the one in IC_n, and so
+        is theta(b).theta(a) = theta(a.b); one of lower height is the zero,
+        and so is theta(b).theta(a), of that height too; the zero absorbs.
+        So x.S^1 = y.S^1 exactly when S^1.theta(x) =
+        S^1.theta(y), and a.x = a.y exactly when theta(x).theta(a) =
+        theta(y).theta(a) (theta(1) = 1 on an adjoined identity): L =
+        theta(R) and L* = theta(R*), class by class (Howie, Fundamentals of
+        Semigroup Theory, 1995; Fountain, "Abundant semigroups", 1982).
+
+        Each image takes three C calls: bytes.maketrans(image, shifted)
+        sends a(x) to rho(x) + n, and reading it at rho(1), ..., rho(n)
+        gives rho(x) + n where rho(y) = a(x), and rho(y) <= n, which no
+        image point holds, elsewhere; unshift then keeps v - n of each
+        v > n and writes 0 for the rest.  (ASCII here: one character past
+        U+00FF makes Python hold a string at two bytes a character.)"""
+        return memoized(self, "theta", SemigroupTable._theta)
+
+    def _theta(self):
+        n = self.family.n
+        rho, shifted = bytes(range(n, 0, -1)), bytes(range(2 * n, n, -1))
+        unshift = bytes(n + 1) + bytes(range(1, 256 - n))
+        tables = map(bytes.maketrans, self.images, repeat(shifted))
+        mirrored = map(bytes.translate, map(bytes.translate, repeat(rho), tables), repeat(unshift))
+        found = list(map(memoized(self, "index", SemigroupTable._image_index).get, mirrored))
+        if None in found:
+            raise InvariantError(f"theta leaves {self.family.label()}")
+        code = _index_typecode(self.size)
+        return memoryview(struct.pack(f"{self.size}{code}", *found)).cast(code)
 
     @property
     def generators(self):
@@ -598,8 +653,9 @@ def memoized(table, name, build, *args):
     """build(table, *args), computed once per semigroup and then kept
     under name in table._memo, the one store of what a table derives:
     its image index and identity, its generators and both Cayley graphs,
-    product rows, relation partitions and the steps between kernel groups
-    (greens), and the idempotents and the semilattice outcome (structure).
+    product rows, theta, relation partitions and the steps between kernel
+    groups (greens), and the idempotents and the semilattice outcome
+    (structure).
     A None result is kept too, so a table with no identity searches once.
     A table renamed from another holds that one's store.  Each result is
     kept as built, even when it equals one already stored.  Every table

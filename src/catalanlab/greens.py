@@ -83,10 +83,10 @@ By the lemma every member of a group has the key of the element the
 group was entered through.  The tests' random tables, which need not
 associate, are generated by all their elements and gather nothing.  The
 work is one gather of m entries per group past A's, 512 of IC_9's 16,796
-elements for L* and 512 for R*, where a composed line takes m
-compositions and m hash lookups; the steps are |A| lookups per group in
-A's held columns (L*) or rows (R*), with no composition.  Keying each
-line, m labels, remains.
+elements for R* (and for L* off the self-dual tables, which read it
+through theta), where a composed line takes m compositions and m hash
+lookups; the steps are |A| lookups per group in A's held columns (L*) or
+rows (R*), with no composition.  Keying each line, m labels, remains.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
@@ -125,7 +125,9 @@ member of each domain group.
   Dually for g.x, with domain groups inside R*-classes.
 
 So J* composes nothing: it reads the groups and steps that L* and R*
-left in the store, x.g off A's held columns and g.x off A's rows.  On
+left in the store, x.g off A's held columns and g.x off A's rows (on a
+self-dual table, whose L* is theta(R*), the image groups' steps are read
+for J* alone).  On
 IC_9 that is 512 groups a side with 18 edges each, instead of 16,796
 elements and 18 composed columns: once D* is known, 79 ms of CPU with an
 edge per element, 21 ms with the steps composed again, 3 ms reading the
@@ -137,9 +139,32 @@ every family table here J* equals D*, but not on every finite
 semigroup: the tests hold a 33-element Rees quotient of a semigroup of
 partial maps where J* merges two D*-classes.
 
+Left from right through theta.  On a self-dual table (IC_n, K(n,p),
+RIC_p(n), I_n) theta(a) = rho o a^-1 o rho, rho(x) = n + 1 - x, is an
+anti-automorphism (SemigroupTable.theta has the proof), so L is theta(R)
+and L* is theta(R*), and _mirror reads them so, renumbered in index
+order; no image group's line is keyed.  theta comes from the packed
+images, not the Cayley graphs, so the tests hold the mirror to the
+direct routes (_green(t, "L"), _kernel_partition(t, True)), which the
+Q' side, where theta leaves the table, and duck-typed tables keep.  A's
+rows keep the tree gather: as theta of A's columns they took 16 ms on
+IC_9, theta's build included, against 17 ms.
+
+Composites on class ids.  P1 o ... o Pk takes a to the union of the
+Pk-classes that a's P1-class reaches (_reached).  It equals a partition D
+exactly when (i) every D-class is a union of Pk-classes, that is the
+Pk-classes its members lie in have sizes adding up to its own; (ii) every
+P1-class lies in one D-class; and (iii) the Pk-class ids each P1-class
+reaches are those of its D-class.  If they hold, a goes to the union of
+the Pk-classes of D(a) (iii), which is D(a) (i).  Conversely, when the
+composite is D, D(a) is constant on a's P1-class and a union of
+Pk-classes, which gives (ii) and (i), and (iii) follows.  is_composite decides the three on
+class ids, and the battery's D* rows read it.
+
 The classical relations, L*, R* and D* are computed once per table, and
 later calls return the same IndexPartition; so are each side's kernel
-groups and steps.  H* and J* are built from them afresh on each call.
+groups and steps, and theta.  H* and J* are built from them afresh on each
+call.
 They are kept in the table's store (families.memoized), which K(n,n)
 shares with IC_n and M(n,n-1) with Q'_n while both are held, and which
 goes when the table does.
@@ -152,14 +177,17 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict
-from itertools import chain, count
-from operator import itemgetter
+from itertools import chain, count, repeat
+from operator import eq, itemgetter
 
 from . import families
 from .errors import InvariantError, ValidationError
 
 GREEN_NAMES = ("L", "R", "H", "D", "J")
 STARRED_NAMES = ("Ls", "Rs", "Hs", "Ds", "Js")
+# The largest chain the starred relations are computed on by default: the
+# CLI's cap for them, and the battery's starred bound.
+DEFAULT_STARRED_CAP = 5
 
 class IndexPartition:
     """A partition of table indices with deterministic class ids."""
@@ -239,13 +267,20 @@ def green(table, which):
     """
     if which not in GREEN_NAMES:
         raise ValidationError(f"unknown Green relation {which!r}")
+    return _classical(table, which)
+
+
+def _classical(table, which):
+    """which from the store: L as theta(R) on a self-dual table, else _green."""
+    if which == "L" and _self_dual(table):
+        return families.memoized(table, "L", _mirror, "R", _green, "R")
     return families.memoized(table, which, _green, which)
 
 
 def _green(table, which):
+    """which on the Cayley graphs (L directly, with no mirror)."""
     if which in ("H", "D"):
-        lpart = families.memoized(table, "L", _green, "L")
-        rpart = families.memoized(table, "R", _green, "R")
+        lpart, rpart = _classical(table, "L"), _classical(table, "R")
         if which == "H":
             return _meet(lpart, rpart)
         return _join(lpart, rpart)
@@ -341,7 +376,7 @@ def _group_steps(table, left):
     Cayley graph") proves that every member steps to that group.  The
     groups are checked to partition the table (IndexPartition.from_groups)
     and kept in its store, one entry a side, so J* reads what L* and R*
-    walked."""
+    walked, or reads them first."""
     return families.memoized(table, "Ls steps" if left else "Rs steps", _read_group_steps, left)
 
 
@@ -382,13 +417,29 @@ def _kernel_partition(table, left):
 
 def starred_L(table):
     """L*: equal kernels of x -> ax with x running over the table plus a
-    formally adjoined identity when none is present."""
+    formally adjoined identity when none is present; theta(R*) on a self-dual
+    table (_mirror)."""
+    if _self_dual(table):
+        return families.memoized(table, "Ls", _mirror, "Rs", _kernel_partition, False)
     return families.memoized(table, "Ls", _kernel_partition, True)
 
 
 def starred_R(table):
     """R*: the dual of L*, with kernels of x -> xa."""
     return families.memoized(table, "Rs", _kernel_partition, False)
+
+
+def _self_dual(table):
+    """Whether table is a self-dual family table; duck-typed ones are not."""
+    return isinstance(table, families.SemigroupTable) and table.family.self_dual
+
+
+def _mirror(table, name, build, *args):
+    """L or L* as theta of R or R*, the relation kept under name (built by
+    build(table, *args) when not yet there), renumbered in index order."""
+    theta = table.theta
+    classes = families.memoized(table, name, build, *args).classes
+    return IndexPartition.from_groups(table.size, map(map, repeat(theta.__getitem__), classes))
 
 
 def starred_H(table):
@@ -480,24 +531,49 @@ def related_sets(*partitions):
     """The composite relation P1 o P2 o ... o Pk of partitions of one table.
 
     Entry a of the returned tuple is the frozenset of every b with
-    a (P1 o ... o Pk) b.  The work is done on class ids: a (P o Q) b holds
-    exactly when the P-class of a meets the Q-class of b, that is when
-    their pair of ids occurs in zip(P.class_of, Q.class_of).  So a's P1
-    class id is expanded through that adjacency of each consecutive pair
-    in turn, and the set for a is the members of the Pk-classes reached;
-    it is shared by the whole P1-class, and classes that reach the same
-    Pk-classes share one frozenset.  With one partition the entry is just
-    a's class.
+    a (P1 o ... o Pk) b: the members of the Pk-classes that a's P1-class
+    reaches (_reached).  It is shared by the whole P1-class, and classes
+    that reach the same Pk-classes share one frozenset.  With one
+    partition the entry is just a's class.
     """
-    reach = [(c,) for c in range(len(partitions[0].classes))]
+    classes = partitions[-1].classes
+    shared = {}
+    reach = _reached(partitions)
+    for ids in reach:
+        if ids not in shared:
+            shared[ids] = frozenset(chain.from_iterable(map(classes.__getitem__, ids)))
+    return tuple(shared[reach[c]] for c in partitions[0].class_of)
+
+
+def is_composite(target, *partitions):
+    """Whether P1 o ... o Pk equals target, all partitions of one table,
+    decided on class ids by (i) to (iii) of "Composites on class ids" in
+    the module docstring."""
+    first, last = partitions[0], partitions[-1]
+    # (ii): one pair of ids per P1-class.
+    if len(set(zip(first.class_of, target.class_of))) != len(first.classes):
+        return False
+    # (i): the Pk-classes each target class meets, their sizes adding up.
+    met = [set() for _ in target.classes]
+    for d, k in set(zip(target.class_of, last.class_of)):
+        met[d].add(k)
+    sizes = list(map(len, last.classes))
+    for ids, members in zip(met, target.classes):
+        if sum(map(sizes.__getitem__, ids)) != len(members):
+            return False
+    # (iii), read at each P1-class's first member.
+    firsts = map(target.class_of.__getitem__, map(itemgetter(0), first.classes))
+    return all(map(eq, _reached(partitions), map(met.__getitem__, firsts)))
+
+
+def _reached(partitions):
+    """For each P1-class, the frozenset of the Pk-class ids it reaches: a
+    (P o Q) b exactly when (P-id of a, Q-id of b) occurs in
+    zip(P.class_of, Q.class_of), so ids expand through that adjacency."""
+    reach = [frozenset((c,)) for c in range(len(partitions[0].classes))]
     for p, q in zip(partitions, partitions[1:]):
         adjacency = [[] for _ in p.classes]
         for c, d in set(zip(p.class_of, q.class_of)):
             adjacency[c].append(d)
         reach = [frozenset(chain.from_iterable(map(adjacency.__getitem__, ids))) for ids in reach]
-    classes = partitions[-1].classes
-    shared = {}
-    for ids in reach:
-        if ids not in shared:
-            shared[ids] = frozenset(chain.from_iterable(map(classes.__getitem__, ids)))
-    return tuple(shared[reach[c]] for c in partitions[0].class_of)
+    return reach

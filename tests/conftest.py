@@ -75,7 +75,9 @@ and x.g off the generator columns.
 
 oracle_related_sets is greens.related_sets as it was before it expanded
 class ids: each first class's members expanded through the classes of
-each later partition as sets of elements, one frozenset per class.
+each later partition as sets of elements, one frozenset per class.  It
+is also the oracle for greens.is_composite: a composite equals a
+partition exactly when both expand to the same sets.
 
 oracle_chain, oracle_expand and oracle_essential_factorization are the
 essential factorization by its earlier route: chain steps built from

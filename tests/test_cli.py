@@ -1035,7 +1035,7 @@ def test_no_height_on_the_one_chain_exits_two(capsys, family):
 
 def test_a_cold_import_loads_no_dataclasses_inspect_json_or_csv():
     # Every command is a fresh process, so what importing the package
-    # loads is paid on every call.
+    # loads is paid on every call.  The battery is loaded by verify alone.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -1047,7 +1047,7 @@ def test_a_cold_import_loads_no_dataclasses_inspect_json_or_csv():
                            env=env, timeout=60, check=True)
     loaded = set(child.stdout.decode().split())
     assert "catalanlab.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json", "csv"}
+    assert not loaded & {"dataclasses", "inspect", "json", "csv", "catalanlab.battery"}
 
 
 def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):
@@ -1063,12 +1063,13 @@ def test_a_table_that_is_not_closed_exits_four(capsys, monkeypatch):
 @pytest.mark.parametrize("relation", ["Ls", "Rs"])
 def test_a_gap_in_the_kernel_groups_exits_four(capsys, monkeypatch, relation):
     # The groups come from the table, so one missing is a defect, not bad input.
+    # Q'_3 keys both sides' groups; IC_3 would read L* through θ off R*.
     kernel_groups = families.SemigroupTable.kernel_groups
     monkeypatch.setattr(
         families.SemigroupTable, "kernel_groups", lambda t, left: kernel_groups(t, left)[:-1]
     )
     monkeypatch.setattr(families, "_build_table", families._enumerate_table)
-    args = ("greens", "--family", "icn", "--n", "3", "--relation", relation)
+    args = ("greens", "--family", "qprime", "--n", "3", "--relation", relation)
     code, out, err = run_cli(capsys, *args)
     assert code == 4
     assert out == ""
@@ -1089,7 +1090,7 @@ def test_an_overlap_in_the_kernel_groups_exits_four(capsys, monkeypatch, relatio
 
     monkeypatch.setattr(families.SemigroupTable, "kernel_groups", overlapping)
     monkeypatch.setattr(families, "_build_table", families._enumerate_table)
-    args = ("greens", "--family", "icn", "--n", "3", "--relation", relation)
+    args = ("greens", "--family", "qprime", "--n", "3", "--relation", relation)
     code, out, err = run_cli(capsys, *args)
     assert code == 4
     assert out == ""

@@ -27,6 +27,7 @@ from conftest import (
     oracle_rows,
     pack,
     packed_table,
+    points,
     tree_walk,
 )
 
@@ -672,6 +673,57 @@ def test_gathered_lines_equal_the_composed_lines(spec):
             lines = [line[side] for line in gathered]
             assert all(type(line) is tuple for line in lines)
             assert lines == list(table.lines(range(m), side == 1, at=at))
+
+
+SELF_DUAL_SPECS = [spec for spec in DIFFERENTIAL_SPECS if spec.self_dual]
+QPRIME_SIDE_SPECS = [spec for spec in DIFFERENTIAL_SPECS if spec.qprime_side and spec.n >= 2]
+
+
+def oracle_theta(el):
+    """rho o el^-1 o rho, rho(x) = n + 1 - x, built pair by pair by the
+    validating constructor; the Rees zero goes to itself."""
+    if el is REES_ZERO:
+        return REES_ZERO
+    n = el.n
+    return pinj.from_pairs(n, [(n + 1 - a, n + 1 - x) for x, a in enumerate(points(el), 1) if a])
+
+
+def test_self_dual_is_every_kind_off_the_qprime_side():
+    for kind in families.KINDS:
+        for spec in (FamilySpec(kind, 4, p) for p in _valid_heights(kind, 4)):
+            assert spec.self_dual == (kind in ("icn", "k", "ric", "syminv"))
+
+
+@pytest.mark.parametrize("spec", SELF_DUAL_SPECS, ids=lambda s: s.label())
+def test_theta_is_an_anti_automorphism_of_every_self_dual_table(spec):
+    # An involution that keeps height, fixes the Rees zero, maps A onto A
+    # and reverses every product, each read through table.product; and the
+    # element-level map the validating constructor builds.
+    table = families._enumerate_table(spec)
+    theta, m = table.theta, table.size
+    assert isinstance(theta, memoryview) and theta.format == families._index_typecode(m)
+    assert [table.index(oracle_theta(el)) for el in elements_of(table)] == list(theta)
+    assert [theta[t] for t in theta] == list(range(m))
+    assert list(map(table.height_of, theta)) == list(map(table.height_of, range(m)))
+    if spec.is_rees:
+        assert theta[table.zero_index] == table.zero_index
+    assert sorted(theta[g] for g in table.generators) == sorted(table.generators)
+    for x in range(m):
+        for y in range(m):
+            assert theta[table.product(x, y)] == table.product(theta[y], theta[x])
+
+
+@pytest.mark.parametrize("spec", QPRIME_SIDE_SPECS, ids=lambda s: s.label())
+def test_theta_leaves_every_qprime_side_table(spec):
+    # The partial identity on {n - p + 1, ..., n} (p = 1 off the quotients)
+    # goes to the one on {1, ..., p}, outside the table.
+    table = families._enumerate_table(spec)
+    p = spec.p if spec.is_rees else 1
+    eps = pinj.partial_identity(spec.n, range(spec.n - p + 1, spec.n + 1))
+    assert table.index(eps) is not None
+    assert table.index(oracle_theta(eps)) is None
+    with pytest.raises(InvariantError, match="theta leaves"):
+        table.theta
 
 
 @pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.label())

@@ -363,7 +363,35 @@ def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
         greens.green(table, which)
     structure.regular_elements(table)
     table.product_rows()
-    assert asked == [("kernel_groups", True), ("kernel_groups", False)]
+    # A self-dual table reads L* through θ off R*, so its image groups
+    # are first read by J*'s steps.
+    sides = [False, True] if spec.self_dual else [True, False]
+    assert asked == [("kernel_groups", left) for left in sides]
+
+
+MIRRORED_SPECS = [spec for spec in DIFFERENTIAL_SPECS if spec.self_dual] + [
+    FamilySpec(kind, 7, p) for kind in ("icn", "k", "ric") for p in _valid_heights(kind, 7)
+]
+
+
+@pytest.mark.parametrize("spec", MIRRORED_SPECS, ids=lambda s: s.label())
+def test_mirrored_L_and_L_star_equal_the_direct_routes(spec):
+    # A self-dual table reads L and L* as θ(R) and θ(R*); the direct routes,
+    # called directly, compute them on the Cayley graph and by kernel keys.
+    table = families._enumerate_table(spec)
+    assert greens.green(table, "L") == greens._green(table, "L")
+    assert greens.starred_L(table) == greens._kernel_partition(table, True)
+    assert "theta" in table._memo
+
+
+def test_the_qprime_side_keeps_the_direct_routes():
+    # No θ is built, and neither right-hand relation is.
+    for spec in (FamilySpec("qprime", 5), FamilySpec("m", 5, 3), FamilySpec("rq", 5, 2)):
+        table = families._enumerate_table(spec)
+        greens.green(table, "L")
+        greens.starred_L(table)
+        assert "theta" not in table._memo
+        assert "Rs" not in table._memo and "R" not in table._memo
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
@@ -425,9 +453,11 @@ def test_starred_L_and_R_key_one_line_per_image_and_per_domain(monkeypatch, spec
 
     monkeypatch.setattr(greens, "_kernel_key", counted)
     table = families._enumerate_table(spec)
-    for relation, name in ((greens.starred_L, pinj.image), (greens.starred_R, pinj.domain)):
+    # The direct route on both sides: a self-dual table's starred_L keys no
+    # line, as it reads L* through θ off R*.
+    for left, name in ((True, pinj.image), (False, pinj.domain)):
         keyed.clear()
-        relation(table)
+        greens._kernel_partition(table, left)
         # the Rees zero is one more group of its own
         want = {name(el) for el in elements_of(table) if el is not families.REES_ZERO}
         assert len(keyed) == len(want) + spec.is_rees
@@ -934,6 +964,83 @@ def test_related_sets_match_the_member_expansion_on_random_partitions():
         got = greens.related_sets(*parts)
         assert got == oracle_related_sets(*parts)
         assert len(set(map(id, got))) == len(set(got))
+
+
+# The composites the battery and the noncommuting rows read.
+STARRED_COMPOSITES = (("Rs", "Ls", "Rs"), ("Ls", "Rs", "Ls"), ("Ls", "Rs"), ("Rs", "Ls"))
+
+
+def moved_member(part):
+    """part with its last index moved into the class of index 0, or into a
+    class of its own when the two already share one."""
+    keys = list(part.class_of)
+    keys[-1] = keys[0] if keys[-1] != keys[0] else -1
+    return IndexPartition.from_keys(keys)
+
+
+def merged_classes(part):
+    """part with the class of its last index merged into that of index 0."""
+    keys = list(part.class_of)
+    return IndexPartition.from_keys([keys[0] if k == keys[-1] else k for k in keys])
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_composites_on_class_ids_match_the_member_expansion(spec):
+    # greens.is_composite against the composite and the target expanded
+    # member by member, for each composite against D*, L*, R* and two
+    # mutations of D*.
+    table = families.enumerate_family(spec)
+    rel = {name: greens.starred(table, name) for name in ("Ls", "Rs", "Ds")}
+    dstar = rel["Ds"]
+    targets = (dstar, rel["Ls"], rel["Rs"], moved_member(dstar), merged_classes(dstar))
+    for chain in STARRED_COMPOSITES:
+        parts = [rel[name] for name in chain]
+        want = oracle_related_sets(*parts)
+        for target in targets:
+            got = greens.is_composite(target, *parts)
+            assert got == (want == oracle_related_sets(target)), (chain, target.classes)
+        # D* is both threefold composites on every family table.
+        if len(chain) == 3:
+            assert greens.is_composite(dstar, *parts)
+
+
+def test_is_composite_by_hand():
+    # P = {0,1 | 2}, Q = {0 | 1,2}: P o Q takes 2 to {1, 2}, so it is no
+    # partition.  Against {0,1 | 2} every P-class lies in one class and
+    # reaches the Q-class ids of its own class; only the sizes tell:
+    # the Q-class {1, 2} has two members, the class {2} one.
+    p = IndexPartition.from_groups(3, [(0, 1), (2,)])
+    q = IndexPartition.from_groups(3, [(0,), (1, 2)])
+    assert not greens.is_composite(p, p, q)
+    # A P-class across two target classes, and reached ids that differ.
+    assert not greens.is_composite(q, p, q)
+    assert not greens.is_composite(IndexPartition.from_groups(3, [(0, 1, 2)]), p, q)
+    everything = IndexPartition.from_groups(3, [(0, 1, 2)])
+    assert greens.is_composite(everything, p, q, p)
+    assert greens.is_composite(q, q) and greens.is_composite(p, p, p)
+    assert not greens.is_composite(p, q)
+
+
+def test_is_composite_matches_the_member_expansion_on_random_partitions():
+    # Random chains of one to four partitions against random targets, the
+    # composite itself when it is a partition, and that composite with a
+    # class split in two.
+    rng = random.Random(41)
+    for _ in range(400):
+        size = rng.randint(1, 12)
+        parts = [
+            IndexPartition.from_keys([rng.randrange(classes) for _ in range(size)])
+            for classes in (rng.randint(1, size) for _ in range(rng.randint(1, 4)))
+        ]
+        want = oracle_related_sets(*parts)
+        targets = [IndexPartition.from_keys([rng.randrange(3) for _ in range(size)])]
+        if all(a in want[a] and want[b] == want[a] for a in range(size) for b in want[a]):
+            composite = IndexPartition.from_keys(want)
+            halves = [c if i % 2 else -1 - c for i, c in enumerate(composite.class_of)]
+            targets += [composite, IndexPartition.from_keys(halves)]
+        for target in targets:
+            got = greens.is_composite(target, *parts)
+            assert got == (want == oracle_related_sets(target))
 
 
 def test_related_sets_have_no_element_cap():
