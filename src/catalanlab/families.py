@@ -333,6 +333,16 @@ class SemigroupTable:
         theta(R) and L* = theta(R*), class by class (Howie, Fundamentals of
         Semigroup Theory, 1995; Fountain, "Abundant semigroups", 1982).
 
+        So g.a = theta(theta(a).theta(g)) = theta(col_theta(g)[theta(a)]),
+        read off A's held columns when theta maps A into A, and so onto
+        it (greens._mirrored_columns reads R*'s steps so).  On the
+        J-trivial IC_n, K(n,p) and RIC_p(n) A is the set of irreducibles
+        (_right_graph), and x = b.c with b, c != x exactly when theta(x) =
+        theta(c).theta(b) with theta(c), theta(b) != theta(x): theta keeps
+        irreducibility, so theta(A) = A.  On I_n A is the search's choice;
+        theta maps it onto itself on I_1 to I_7, and where it would not,
+        R*'s steps read A's rows.
+
         Each image takes three C calls: bytes.maketrans(image, shifted)
         sends a(x) to rho(x) + n, and reading it at rho(1), ..., rho(n)
         gives rho(x) + n where rho(y) = a(x), and rho(y) <= n, which no

@@ -33,6 +33,23 @@ a table have m entries, so keys of different widths never collide.  The
 adjoined identity is a second key component, the label of a in line a
 (a.1 = a), or -1 when a does not occur in it.
 
+A key is built only when a fingerprint collides, as Karp and Rabin
+confirm a fingerprint by a full comparison (IBM J. Res. Dev. 31, 1987),
+with a fingerprint cheaper than the key.  Each line is first read for
+three invariants, each one C-level scan: the number of distinct values,
+the size of the class of position 0, and the first position of a in line
+a, or -1 (_kernel_fingerprint).  Each is a function of the key: the
+number of labels, the count of label 0, and the first position of a's
+label.  With an identity e in the table a occurs in line a, at e's
+position (a.e = a = e.a), so a's label is the one the key holds there;
+with e adjoined it is the key's second component, and -1 when a does
+not occur.  Lines with equal keys have equal fingerprints, so a line
+alone under its fingerprint has a kernel no other line has.  Only the
+lines whose fingerprints collide are keyed, on a second walk, and their
+keys decide.  On the family tables here the fingerprints collide only on
+RQ'_n(p), where images really merge: the battery keys 52 of its 1,286
+lines, and IC_10 none of its 1,024.
+
 One key per image and one per domain.  The table hands greens groups of
 indices proven to share a kernel (SemigroupTable.kernel_groups: equal
 image for L*, equal domain for R*).  One line per group is keyed, and
@@ -85,8 +102,15 @@ associate, are generated by all their elements and gather nothing.  The
 work is one gather of m entries per group past A's, 512 of IC_9's 16,796
 elements for R* (and for L* off the self-dual tables, which read it
 through theta), where a composed line takes m compositions and m hash
-lookups; the steps are |A| lookups per group in A's held columns (L*) or
-rows (R*), with no composition.  Keying each line, m labels, remains.
+lookups.  Three scans of each line give its fingerprint, and only the
+groups whose fingerprints collide are walked again and keyed, m labels
+each; no key is held for a group alone.  R* of IC_10 keys none of its
+1,024 lines: 2.9 s of CPU and 43.5 MB for `greens --relation Rs`,
+against 4.8 to 5.6 s and 162 MB when each line was keyed and every key
+held (Python 3.11, 2-core VM).  The steps are |A| lookups per group in A's held
+columns, with no composition: a.g = col_g[a] for L*, and g.a for R*
+either row_g[a] off A's rows or, on a self-dual table,
+theta(col_theta(g)[theta(a)]) (SemigroupTable.theta), which builds no row.
 
 J* as strongly connected components.  Take the *-graph on S with edges
 x -> g.x and x -> x.g for g in A, plus a cycle through each L*-class and
@@ -125,13 +149,13 @@ member of each domain group.
   Dually for g.x, with domain groups inside R*-classes.
 
 So J* composes nothing: it reads the groups and steps that L* and R*
-left in the store, x.g off A's held columns and g.x off A's rows (on a
-self-dual table, whose L* is theta(R*), the image groups' steps are read
-for J* alone).  On
-IC_9 that is 512 groups a side with 18 edges each, instead of 16,796
-elements and 18 composed columns: once D* is known, 79 ms of CPU with an
-edge per element, 21 ms with the steps composed again, 3 ms reading the
-stored ones (Python 3.11, 2-core VM).  A duck-typed table's groups
+left in the store, x.g off A's held columns and g.x off A's rows, or
+through theta off the columns on a self-dual table (whose L* is
+theta(R*), so the image groups' steps are read for J* alone).  On IC_9
+that is 512 groups a side with 18 edges each, instead of 16,796 elements
+and 18 composed columns: once D* is known, 79 ms of CPU with an edge per
+element, 21 ms with the steps composed again, 3 ms reading the stored
+ones (Python 3.11, 2-core VM).  A duck-typed table's groups
 are singletons, so there every element steps alone.  Saturating each
 ideal as a set, as star_ideal does, reads whole rows and columns per
 element reached; star_ideal stays as the definition-level oracle.  On
@@ -372,11 +396,12 @@ def _group_steps(table, left):
     domain), the group of each index, and the steps between groups: for
     the k-th generator g, the group that each group's a.g (left) or g.a
     lies in, read at the group's first member off A's held lines, a.g =
-    col_g[a] and g.a = row_g[a].  The module docstring ("Lines from the
-    Cayley graph") proves that every member steps to that group.  The
-    groups are checked to partition the table (IndexPartition.from_groups)
-    and kept in its store, one entry a side, so J* reads what L* and R*
-    walked, or reads them first."""
+    col_g[a] and g.a = row_g[a], or theta(col_theta(g)[theta(a)]) on a
+    self-dual table (_mirrored_columns), which builds no row.  The module
+    docstring ("Lines from the Cayley graph") proves that every member
+    steps to that group.  The groups are checked to partition the table
+    (IndexPartition.from_groups) and kept in its store, one entry a side,
+    so J* reads what L* and R* walked, or reads them first."""
     return families.memoized(table, "Ls steps" if left else "Rs steps", _read_group_steps, left)
 
 
@@ -384,35 +409,76 @@ def _read_group_steps(table, left):
     part = IndexPartition.from_groups(table.size, table.kernel_groups(left))
     groups, group_of = part.classes, part.class_of
     firsts = [members[0] for members in groups]
-    lines = table.generator_lines(not left)
-    steps = [list(map(group_of.__getitem__, map(line.__getitem__, firsts))) for line in lines]
+    mirrored = None if left else _mirrored_columns(table)
+    if mirrored is None:
+        lines = table.generator_lines(not left)
+        steps = [list(map(group_of.__getitem__, map(line.__getitem__, firsts))) for line in lines]
+    else:
+        # g.a = theta(col_theta(g)[theta(a)]) (SemigroupTable.theta).
+        theta = table.theta
+        at = list(map(theta.__getitem__, firsts))
+        steps = [
+            list(map(group_of.__getitem__, map(theta.__getitem__, map(column.__getitem__, at))))
+            for column in mirrored
+        ]
     return groups, group_of, steps
+
+
+def _mirrored_columns(table):
+    """For each g in A, the held column of theta(g), when the table is
+    self-dual and theta maps A into A; else None, and R*'s steps read A's
+    rows."""
+    if not _self_dual(table):
+        return None
+    column_of = dict(zip(table.generators, table.generator_lines(False)))
+    mirrored = list(map(column_of.get, map(table.theta.__getitem__, table.generators)))
+    return None if None in mirrored else mirrored
 
 
 def _kernel_partition(table, left):
     """Elements a with equal kernels of line a (row for L*, column for
     R*), over the table with an identity adjoined when it has none.
 
-    One line is keyed per group the table proves to share a kernel
+    One line is read per group the table proves to share a kernel
     (kernel_groups, by image for L* and by domain for R*), and the whole
-    group takes that key; the lines come from families.gather along the
-    group steps, and the module docstring proves both steps.  Groups
-    whose keys are equal merge.
+    group shares its class; the lines come from families.gather along the
+    group steps, and the module docstring proves both steps.  Each line
+    is bucketed by _kernel_fingerprint, a function of its key, so a group
+    alone in its bucket is a class of its own.  Only the groups whose
+    fingerprints collide are keyed, on a second walk, and groups whose
+    keys are equal merge.
     """
     adjoin = table.identity_index is None
-    buckets = defaultdict(list)
     try:
         groups, group_of, steps = _group_steps(table, left)
         gens, lines = table.generators, table.generator_lines(left)
+        buckets = defaultdict(list)
         for a, line in families.gather(gens, lines, steps, group_of):
-            signature, labels = _kernel_key(line)
-            buckets[(signature, labels.get(a, -1)) if adjoin else signature].extend(
-                groups[group_of[a]]
-            )
-        return IndexPartition.from_groups(table.size, buckets.values())
+            buckets[_kernel_fingerprint(line, a)].append(group_of[a])
+        classes = [groups[gids[0]] for gids in buckets.values() if len(gids) == 1]
+        shared = {g for gids in buckets.values() if len(gids) > 1 for g in gids}
+        keyed = defaultdict(list)
+        if shared:
+            for a, line in families.gather(gens, lines, steps, group_of):
+                if group_of[a] in shared:
+                    signature, labels = _kernel_key(line)
+                    keyed[(signature, labels.get(a, -1)) if adjoin else signature].extend(
+                        groups[group_of[a]]
+                    )
+        return IndexPartition.from_groups(table.size, chain(classes, keyed.values()))
     except ValidationError as exc:
         # The groups come from the table, not the input: a flaw is a defect.
         raise InvariantError(f"{'L*' if left else 'R*'} kernel {exc}") from exc
+
+
+def _kernel_fingerprint(line, a):
+    """Invariants of the kernel of line a, each one C-level scan: the
+    number of distinct values, the size of the class of position 0, and
+    the first position of a in the line, or -1.  Each is a function of the
+    key (module docstring, "Kernel keys"), so lines with equal keys have
+    equal fingerprints."""
+    values = set(line)
+    return len(values), line.count(line[0]), line.index(a) if a in values else -1
 
 
 def starred_L(table):

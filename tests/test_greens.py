@@ -369,7 +369,8 @@ def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
     assert asked == [("kernel_groups", left) for left in sides]
 
 
-MIRRORED_SPECS = [spec for spec in DIFFERENTIAL_SPECS if spec.self_dual] + [
+SELF_DUAL_SPECS = [spec for spec in DIFFERENTIAL_SPECS if spec.self_dual]
+MIRRORED_SPECS = SELF_DUAL_SPECS + [
     FamilySpec(kind, 7, p) for kind in ("icn", "k", "ric") for p in _valid_heights(kind, 7)
 ]
 
@@ -444,23 +445,88 @@ def test_starred_relations_match_a_key_per_element_on_duck_typed_tables():
     FamilySpec("icn", 5), FamilySpec("qprime", 5), FamilySpec("rq", 5, 2), FamilySpec("syminv", 3),
 ], ids=lambda s: s.label())
 def test_starred_L_and_R_key_one_line_per_image_and_per_domain(monkeypatch, spec):
-    keyed = []
-    kernel_key = greens._kernel_key
+    # One line per image (domain) reaches the fingerprint, and a line is
+    # keyed only when its fingerprint collides: forced constant, every
+    # fingerprint collides and each group is keyed once, to the same
+    # partition.
+    read, keyed = [], []
+    fingerprint, kernel_key = greens._kernel_fingerprint, greens._kernel_key
 
-    def counted(values):
+    def counted_key(values):
         keyed.append(values)
         return kernel_key(values)
 
-    monkeypatch.setattr(greens, "_kernel_key", counted)
+    monkeypatch.setattr(greens, "_kernel_key", counted_key)
     table = families._enumerate_table(spec)
-    # The direct route on both sides: a self-dual table's starred_L keys no
-    # line, as it reads L* through θ off R*.
+    # The direct route on both sides: a self-dual table's starred_L reads
+    # no line, as it reads L* through θ off R*.
     for left, name in ((True, pinj.image), (False, pinj.domain)):
-        keyed.clear()
-        greens._kernel_partition(table, left)
         # the Rees zero is one more group of its own
         want = {name(el) for el in elements_of(table) if el is not families.REES_ZERO}
-        assert len(keyed) == len(want) + spec.is_rees
+        groups = len(want) + spec.is_rees
+        group_of = greens._group_steps(table, left)[1]
+        found = []
+        for forced in (None, ()):
+            def counted_fingerprint(line, a, forced=forced):
+                read.append(a)
+                return fingerprint(line, a) if forced is None else forced
+
+            monkeypatch.setattr(greens, "_kernel_fingerprint", counted_fingerprint)
+            read.clear()
+            keyed.clear()
+            found.append(greens._kernel_partition(table, left))
+            assert len(read) == len({group_of[a] for a in read}) == groups
+        assert len(keyed) == groups
+        assert found[0] == found[1]
+
+
+COLLISION_SPECS = DIFFERENTIAL_SPECS + [
+    FamilySpec(kind, n, p)
+    for kind, n in [("qprime", 7)] + [("rq", n) for n in range(1, 7)]
+    for p in _valid_heights(kind, n)
+    if FamilySpec(kind, n, p) not in DIFFERENTIAL_SPECS
+]
+
+
+@pytest.mark.parametrize("spec", COLLISION_SPECS, ids=lambda s: s.label())
+def test_starred_L_and_R_with_every_fingerprint_colliding_match_the_composed_line_route(
+    monkeypatch, spec
+):
+    # A constant fingerprint sends every group to the second walk, where
+    # each is keyed; the direct route on both sides still gives the
+    # partition of one composed line keyed per group.
+    monkeypatch.setattr(greens, "_kernel_fingerprint", lambda line, a: ())
+    table = families._enumerate_table(spec)
+    for left in (True, False):
+        assert greens._kernel_partition(table, left) == oracle_kernel_partition(table, left), left
+
+
+@pytest.mark.parametrize("spec", SELF_DUAL_SPECS, ids=lambda s: s.label())
+def test_domain_group_steps_through_theta_match_the_steps_off_the_rows(spec):
+    # On a self-dual table R*'s steps read g.a as θ(col_θ(g)[θ(a)]) off
+    # A's held columns, and build no row of A.
+    table = families._enumerate_table(spec)
+    groups, group_of, steps = greens._read_group_steps(table, False)
+    assert "A rows" not in table._memo
+    firsts = [members[0] for members in groups]
+    assert steps == [[group_of[row[a]] for a in firsts] for row in table.generator_lines(True)]
+
+
+def test_domain_group_steps_read_the_rows_when_theta_leaves_A():
+    # A generating set that θ does not map into itself: IC_4's A with one
+    # more element whose θ lies outside it.  R*'s steps then read A's rows.
+    table = families._enumerate_table(FamilySpec("icn", 4))
+    table.generators
+    gens, columns, tree = table._memo["A"]
+    theta = table.theta
+    extra = next(x for x in range(table.size)
+                 if x not in gens and theta[x] not in gens and theta[x] != x)
+    table._memo["A"] = (gens + (extra,), columns + tuple(table.lines([extra], False)), tree)
+    assert greens._mirrored_columns(table) is None
+    groups, group_of, steps = greens._read_group_steps(table, False)
+    assert "A rows" in table._memo
+    firsts = [members[0] for members in groups]
+    assert steps == [[group_of[table.product(g, a)] for a in firsts] for g in table.generators]
 
 
 @pytest.mark.parametrize("spec", [
