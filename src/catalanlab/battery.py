@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property, reduce
-from itertools import count
+from itertools import count, repeat
 from operator import itemgetter, methodcaller
 from typing import Callable, NamedTuple
 
@@ -273,8 +273,9 @@ def _inside(kind):
 def _top_idempotent_is_left_identity(x):
     table = x.table
     e = table.index(pinj.partial_identity(x.n, range(2, x.n + 1)))
-    (row_e,), (col_e,) = table.lines([e], True), table.lines([e], False)
     everyone = tuple(range(table.size))
+    row_e = tuple(map(table.product, repeat(e), everyone))
+    (col_e,) = table.columns([e])
     top_idems = [i for i in structure.idempotent_indices(table) if table.height_of(i) == x.n - 1]
     return row_e == everyone and col_e != everyone and top_idems == [e]
 

@@ -39,7 +39,11 @@ with no composition, only when a reader first asks, and both are read
 through one accessor, generator_lines(left), so rank and maximal build
 no row.  Every element's row and column at a few points, the
 idempotents for the ample identities, are gathered off them along the
-two trees (gathered_lines), with no composition either.
+two trees (gathered_lines), with no composition either.  Any other
+column is composed on the packed images by columns(), and no row is
+composed.  One breadth-first search (_breadth_first) walks the Cayley
+graphs past the choice of A: gather's, gathered_lines' and
+genrank.closure's.
 The ideal K(n,n) holds every element of IC_n, and M(n,n-1) every element
 of Q'_n, enumerated in the same order; so while one of the two tables
 is held, the other is it renamed (SemigroupTable.renamed): the same
@@ -399,15 +403,16 @@ class SemigroupTable:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def lines(self, indices, left, at=None):
-        """For each index a, the row a.x (left) or the column x.a, for every
-        x or for the x in at (in that order) when at is given, as an
-        iterator: one composer serves the pass, and each line is composed
-        only when the iterator reaches it.  Nothing is kept, so a caller
-        that reads each line once holds one line at a time; one that reads
-        them again makes a tuple of them.  A's lines are held
-        (generator_lines); the callers here ask for other lines."""
-        return map(self._composer(left, at), indices)
+    def columns(self, indices, at=None):
+        """For each index a, the column x.a, for every x or for the x in at
+        (in that order) when at is given, as an iterator: one composer
+        serves the pass, and each column is composed only when the iterator
+        reaches it.  Nothing is kept, so a caller that reads each column
+        once holds one at a time; one that reads them again makes a tuple
+        of them.  A's lines are held (generator_lines), its rows gathered
+        off its columns; no row is composed, and a reader of one other row
+        reads it through product."""
+        return map(self._composer(at), indices)
 
     def gathered_lines(self, at):
         """Yield (a, row, column) once for every element a, in the order of
@@ -492,7 +497,7 @@ class SemigroupTable:
         test every product read this: `enum --products` (cli._product_text,
         for every format) and the greens.star_ideal oracle.
         The relations and property checks read the Cayley graphs and
-        lines() instead, which hold O(m |A|) or O(m) entries
+        columns() instead, which hold O(m |A|) or O(m) entries
         instead of m^2.
         """
         return memoized(self, "rows", SemigroupTable._product_rows)
@@ -562,7 +567,7 @@ class SemigroupTable:
         there A generates but need not be minimum.
         """
         m, n, images = self.size, self.family.n, self.images
-        column_of = self._composer(left=False)
+        column_of = self._composer()
         # unseen[x] is 1 until the search reaches x.
         unseen = bytearray(b"\1") * m
         code = _index_typecode(m)
@@ -617,26 +622,22 @@ class SemigroupTable:
                 level = take(level, 0, gen_columns)
         return tuple(gens), tuple(gen_columns), (child[:edges], parent[:edges], via[:edges])
 
-    def _composer(self, left, at=None):
-        """A function from an index a to the row a.x (left) or the column
-        x.a, for every x in at (every x by default), composed on the
-        table's packed images.  A composite missing from the image index
-        is left to product."""
+    def _composer(self, at=None):
+        """A function from an index a to the column x.a, for every x in at
+        (every x by default), composed on the table's packed images: each
+        x's image sent on through a's.  A composite missing from the image
+        index is left to product."""
         images, index = self.images, memoized(self, "index", SemigroupTable._image_index)
         at = range(self.size) if at is None else tuple(at)
         others = list(map(images.__getitem__, at))
-        maps = list(map(pinj._translate_table, others)) if left else None
 
         def compose(a):
-            if left:
-                composites = map(images[a].translate, maps)
-            else:
-                composites = map(bytes.translate, others, repeat(pinj._translate_table(images[a])))
+            composites = map(bytes.translate, others, repeat(pinj._translate_table(images[a])))
             out = list(map(index.get, composites))
             if None in out:
                 for k, found in enumerate(out):
                     if found is None:
-                        out[k] = self.product(a, at[k]) if left else self.product(at[k], a)
+                        out[k] = self.product(at[k], a)
             return tuple(out)
 
         return compose
@@ -723,10 +724,12 @@ def _breadth_first(gens, steps, node_of=None):
     the generator along which nodes[j] was found, and ends, where
     nodes[j] for j in range(ends[i], ends[i + 1]) was found from
     nodes[i], and ends[0] counts the roots, the nodes of A's first
-    members to reach them."""
+    members to reach them.  With no generator, as genrank.closure may
+    pass, there is no step and no node."""
+    size = len(steps[0]) if steps else 0
     if node_of is None:
-        node_of = range(len(steps[0]))
-    reached = bytearray(len(steps[0]))
+        node_of = range(size)
+    reached = bytearray(size)
     nodes, via = [], []
     for k, g in enumerate(gens):
         if not reached[node_of[g]]:
@@ -754,19 +757,6 @@ def getter(width):
 
 def _entries(*indices):
     return lambda line: tuple(map(line.__getitem__, indices))
-
-
-def reach(lines, found, reached):
-    """Mark in reached, a bytearray over the elements, everything in found
-    and everything it reaches along x -> line[x] for the lines given, level
-    by level: each level marks what it found unmarked, and the next level
-    is their successors.  lines is read once a level, so it must be a
-    sequence."""
-    while found:
-        fresh = [y for y in found if not reached[y]]
-        for y in fresh:
-            reached[y] = 1
-        found = set().union(*(map(line.__getitem__, fresh) for line in lines))
 
 
 # A bytes.translate table that sends a packed image to its domain: 1 at

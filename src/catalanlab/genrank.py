@@ -43,12 +43,13 @@ from .errors import (
 def closure(table, generators):
     """Indices of the subsemigroup generated by the given indices.
 
-    G and everything it reaches over x -> x.g (g in G, families.reach):
+    G and everything it reaches over x -> x.g (g in G), the nodes of the
+    breadth-first search from G along G's columns (families._breadth_first):
     every product g_1 ... g_k is reached from g_1 by right
     multiplications.  G may be any set of indices, not only generators of
-    the table; each column x.g is composed on packed images
-    (table.lines), O(m) per element of G, and the search takes
-    O(|<G>| |G|) steps, not O(|<G>|^2).
+    the table, and is taken once each; each column x.g is composed on
+    packed images (table.columns), O(m) per element of G, and the search
+    takes O(|<G>| |G|) steps, not O(|<G>|^2).
     """
     gens = list(generators)
     for g in gens:
@@ -56,9 +57,9 @@ def closure(table, generators):
             raise ValidationError(f"generator index must be an integer, got {g!r}")
         if not 0 <= g < table.size:
             raise ValidationError(f"generator index {g} out of range")
-    reached = bytearray(table.size)
-    families.reach(tuple(table.lines(dict.fromkeys(gens), False)), gens, reached)
-    return frozenset(compress(range(table.size), reached))
+    gens = list(dict.fromkeys(gens))
+    nodes, _, _ = families._breadth_first(gens, tuple(table.columns(gens)))
+    return frozenset(nodes)
 
 
 def indecomposables(table):

@@ -5,8 +5,8 @@ report carries a witness that can be re-verified directly against the
 product table, never just a bare False.
 
 No check builds the m x m product table.  Each reads only the lines its
-predicate uses: rows a.x and columns x.a composed on packed images by
-table.lines (one composer per pass), rows and columns gathered along the
+predicate uses: columns x.a composed on packed images by table.columns
+(one composer per pass), rows and columns gathered along the
 Cayley graphs from A (families.gather, table.gathered_lines) off A's
 rows and columns, which the table holds (table.generator_lines: A's
 columns from when A was chosen, A's rows gathered off them when a check
@@ -21,9 +21,9 @@ With m elements and E the idempotents:
                        (families.gather): m^2 entries read, no line
                        composed past A's held rows and columns, and only
                        the lines on one tree path held.
-  semilattice          the rows of the idempotents, composed only at the
-                       idempotents: |E|^2 compositions, once per table
-                       (its failing pair, or None, kept in the store).
+  semilattice          the columns of the idempotents, composed only at
+                       the idempotents: |E|^2 compositions, once per
+                       table (its failing pair, or None, kept in store).
   ample, right-ample   each element's row and column at the idempotents,
                        gathered off A's held lines along the two Cayley
                        graphs' trees (table.gathered_lines): no
@@ -207,13 +207,13 @@ def is_semilattice_of_idempotents(table):
 def _semilattice_failure(table):
     """The first pair (e, f) of idempotents, in index order, where ef !=
     fe or ef is not idempotent, as (e, f, commute), commute True when ef
-    != fe; None when there is none.  The rows of the idempotents, composed
-    only at the idempotents: the |E| x |E| products ef, which also give
-    each fe."""
+    != fe; None when there is none.  The columns of the idempotents,
+    composed only at the idempotents: the |E| x |E| products fe, which
+    also give each ef."""
     idem = idempotent_indices(table)
     idem_set = set(idem)
-    products = list(table.lines(idem, True, at=idem))
-    for e, efs, fes in zip(idem, products, zip(*products)):
+    products = list(table.columns(idem, at=idem))
+    for e, fes, efs in zip(idem, products, zip(*products)):
         for f, ef, fe in zip(idem, efs, fes):
             if ef != fe:
                 return e, f, True

@@ -57,13 +57,17 @@ recurrence along the breadth-first spanning tree from A (spanning_tree,
 walked depth first by tree_walk), with no grouping; tree_starred builds
 all five starred relations on it, and the library is checked against
 both.
+composed_rows is the row side of the composer as the library had it
+before it composed columns only (table.columns): rows a.x, each entry one
+table.product.  composed_lines is it or table.columns, by side; the
+oracles below that compose a row read it.
 oracle_kernel_partition is L* and R* as the library computed them before
 it walked the kernel groups along the Cayley graph: the first member of
-each group has its row (column) composed by table.lines
+each group has its row (column) composed by composed_lines
 and keyed by greens._kernel_key, and the whole group takes that key.
 composed_group_steps is greens._group_steps as it was before the table
 held A's columns: L*'s steps composed as the products of each image
-group's first member with A (table.lines(firsts, True, at=A)), R*'s read off
+group's first member with A (composed_rows(firsts, at=A)), R*'s read off
 A's rows.  The library reads L*'s steps off A's held columns and is
 checked against it.
 star_ideal_J groups elements by greens.star_ideal, the saturated
@@ -151,7 +155,7 @@ one.
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations, compress, count, permutations
+from itertools import combinations, compress, count, permutations, repeat
 from operator import getitem, itemgetter, ne, or_
 
 import pytest
@@ -396,7 +400,7 @@ def oracle_left_graph(table):
     for top in sorted(range(m), key=phi, reverse=True):
         if reached[top]:
             continue
-        row_g = next(iter(table.lines([top], True)))
+        (row_g,) = composed_rows(table, [top])
         gens.append(top)
         gen_rows.append(row_g)
         found = {top}.union(compress(row_g, reached))
@@ -406,6 +410,19 @@ def oracle_left_graph(table):
                 reached[y] = 1
             found = {row[y] for row in gen_rows for y in fresh}
     return tuple(gens), tuple(gen_rows)
+
+
+def composed_rows(table, indices, at=None):
+    """For each index a, the row a.x for every x, or for the x in at (in
+    that order), each entry one table.product."""
+    at = range(table.size) if at is None else tuple(at)
+    return [tuple(map(table.product, repeat(a), at)) for a in indices]
+
+
+def composed_lines(table, indices, left, at=None):
+    """The rows a.x (left, composed_rows) or the columns x.a
+    (table.columns) of the indices, at every x or the x in at."""
+    return composed_rows(table, indices, at) if left else list(table.columns(indices, at))
 
 
 def oracle_rows(table):
@@ -504,7 +521,7 @@ def oracle_kernel_partition(table, left):
     groups whose keys are equal merge."""
     groups = table.kernel_groups(left)
     firsts = [members[0] for members in groups]
-    lines = table.lines(firsts, left)
+    lines = composed_lines(table, firsts, left)
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
     for a, members, line in zip(firsts, groups, lines):
@@ -516,7 +533,7 @@ def oracle_kernel_partition(table, left):
 def composed_group_steps(table, left):
     """The kernel groups, the group of each index and, for the k-th
     generator g, the group of each group's a.g (left) or g.a, read at its
-    first member: a.g composed by table.lines at A, g.a off A's rows."""
+    first member: a.g composed by composed_rows at A, g.a off A's rows."""
     groups = table.kernel_groups(left)
     group_of = [0] * table.size
     for gid, members in enumerate(groups):
@@ -525,7 +542,7 @@ def composed_group_steps(table, left):
     gens = table.generators
     firsts = [members[0] for members in groups]
     if left:
-        steps = tuple(zip(*(map(group_of.__getitem__, r) for r in table.lines(firsts, True, gens))))
+        steps = tuple(zip(*(map(group_of.__getitem__, r) for r in composed_rows(table, firsts, gens))))
     else:
         steps = [[group_of[row[a]] for a in firsts] for row in table.generator_lines(True)]
     return groups, group_of, steps
@@ -597,7 +614,7 @@ def tree_kernel_partition(table, left):
     directly, every other y = g.x (x.g) from its parent's key by
     tree_relabel, with a's label adjoined when the table has no identity."""
     gens = table.generators
-    lines = tuple(table.lines(gens, left))
+    lines = tuple(composed_lines(table, gens, left))
     adjoin = table.identity_index is None
     buckets = defaultdict(list)
     walk = tree_walk(table.size, gens, lines, tree_kernel_key, tree_relabel)
@@ -615,7 +632,7 @@ def tree_starred(table):
     lstar = tree_kernel_partition(table, True)
     rstar = tree_kernel_partition(table, False)
     gens = table.generators
-    successors = list(map(list, zip(*table.generator_lines(True), *table.lines(gens, False))))
+    successors = list(map(list, zip(*table.generator_lines(True), *table.columns(gens))))
     for part in (lstar, rstar):
         for members in part.classes:
             for a, b in zip(members, members[1:] + members[:1]):
@@ -650,7 +667,7 @@ def per_element_J(table):
     dstar = greens.starred_D(table)
     dclass = dstar.class_of
     successors = [set() for _ in dstar.classes]
-    edges = zip(*table.generator_lines(True), *table.lines(table.generators, False))
+    edges = zip(*table.generator_lines(True), *table.columns(table.generators))
     for c, targets in zip(dclass, edges):
         successors[c].update(map(dclass.__getitem__, targets))
     components = greens._components(successors).class_of

@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     DIFFERENTIAL_SPECS,
     assert_revalidates,
+    composed_lines,
     direct_product,
     direct_rows,
     elements_of,
@@ -329,28 +330,27 @@ def test_cayley_graphs_match_direct_products(spec):
     want = direct_rows(table)
     gens = table.generators
     assert table.generator_lines(True) == tuple(want[g] for g in gens)
-    assert tuple(table.lines(table.generators, False)) == tuple(
+    assert tuple(table.columns(table.generators)) == tuple(
         tuple(row[g] for row in want) for g in gens
     )
-    # a line outside the generating set is composed the same way
-    assert tuple(table.lines(range(table.size), False)) == tuple(zip(*want))
-    assert tuple(table.lines(range(table.size), True)) == want
-    # rows read at some positions only, in their order, Rees collapses included
+    # a column outside the generating set is composed the same way
+    columns = tuple(zip(*want))
+    assert tuple(table.columns(range(table.size))) == columns
+    # columns read at some positions only, in their order, Rees collapses
+    # included
     at = range(table.size - 1, -1, -2)
-    assert tuple(table.lines(range(table.size), True, at=at)) == tuple(
-        tuple(row[x] for x in at) for row in want
+    assert tuple(table.columns(range(table.size), at=at)) == tuple(
+        tuple(column[x] for x in at) for column in columns
     )
 
 
-def test_rows_and_columns_are_composed_as_they_are_read():
+def test_columns_are_composed_as_they_are_read():
     table = families.enumerate_family(FamilySpec("icn", 4))
-    want = direct_rows(table)
-    columns = tuple(zip(*want))
-    for left, line_of in ((True, want.__getitem__), (False, columns.__getitem__)):
-        made = table.lines([5, 0, 5], left)
-        assert next(made) == line_of(5)
-        assert list(made) == [line_of(0), line_of(5)]
-        assert list(table.lines([], left)) == []
+    columns = tuple(zip(*direct_rows(table)))
+    made = table.columns([5, 0, 5])
+    assert next(made) == columns[5]
+    assert list(made) == [columns[0], columns[5]]
+    assert list(table.columns([])) == []
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
@@ -364,7 +364,7 @@ def test_tree_walk_derives_every_line_from_its_tree_parent(spec):
     def step(line_x, line_g):
         return itemgetter(*line_x)(line_g)
 
-    rows, columns = table.generator_lines(True), tuple(table.lines(gens, False))
+    rows, columns = table.generator_lines(True), tuple(table.columns(gens))
     for lines, transpose in ((rows, False), (columns, True)):
         walked = list(tree_walk(table.size, gens, lines, tuple, step))
         assert sorted(a for a, _ in walked) == list(range(table.size))
@@ -376,7 +376,7 @@ def gather_walks(table, left):
     """gather's inputs for the rows (left) or the columns of a table, as
     (lines, steps, node_of): over the elements, and over the kernel groups
     with each step read at a group's first member."""
-    rows, columns = table.generator_lines(True), tuple(table.lines(table.generators, False))
+    rows, columns = table.generator_lines(True), tuple(table.columns(table.generators))
     lines, steps = (rows, columns) if left else (columns, rows)
     groups = table.kernel_groups(left)
     group_of = [None] * table.size
@@ -539,7 +539,7 @@ def test_a_table_that_is_not_closed_raises_an_invariant_error(spec, dropped, fac
     with pytest.raises(InvariantError, match=not_closed):
         corrupt.product(i, j)
     with pytest.raises(InvariantError, match=not_closed):
-        list(corrupt.lines([i], True))
+        list(corrupt.columns([j]))
     with pytest.raises(InvariantError, match=not_closed):
         corrupt.product_rows()
 
@@ -554,8 +554,7 @@ def test_products_rows_and_columns_share_one_packing(monkeypatch):
     monkeypatch.setattr(pinj, "compose", None)
     monkeypatch.setattr(families.SemigroupTable, "element", None)
     assert tuple(tuple(table.product(i, j) for j in range(m)) for i in range(m)) == want
-    assert tuple(table.lines(range(m), True)) == want
-    assert tuple(table.lines(range(m), False)) == tuple(zip(*want))
+    assert tuple(table.columns(range(m))) == tuple(zip(*want))
     assert tuple(map(tuple, table.product_rows())) == want
 
 
@@ -631,16 +630,9 @@ def test_right_graph_chooses_the_left_graphs_generators_and_lines(spec):
 
 @pytest.mark.parametrize("spec", JTRIVIAL_SPECS + [FamilySpec("qprime", 7)],
                          ids=lambda s: s.label())
-def test_rank_and_maximal_compose_no_row(monkeypatch, spec):
-    # Choosing A composes columns only: no row, so no translate table per
-    # element, for the commands that read A alone.
-    composer = families.SemigroupTable._composer
-
-    def columns_only(table, left, at=None):
-        assert not left, "a row was composed"
-        return composer(table, left, at)
-
-    monkeypatch.setattr(families.SemigroupTable, "_composer", columns_only)
+def test_rank_and_maximal_compose_no_row(spec):
+    # Choosing A composes columns only, and the commands that read A alone
+    # gather no row of A.
     table = families._enumerate_table(spec)
     report = genrank.minimal_generating_set(table)
     assert genrank.maximal_subsemigroups(table) == sorted(table.generators)
@@ -658,6 +650,20 @@ def test_gathered_rows_equal_the_composed_rows(spec):
     assert table.generator_lines(True) == oracle_rows(table)
 
 
+@pytest.mark.parametrize("spec", [spec for spec in TREE_SPECS if spec.self_dual],
+                         ids=lambda s: s.label())
+def test_gathered_rows_mirror_the_held_columns(spec):
+    # g.x = θ(θ(x).θ(g)) = θ(col_θ(g)[θ(x)]), read off A's held columns
+    # with θ(A) = A: an oracle for the rows that rests on θ, not on the
+    # spanning tree they were gathered along.
+    table = families._enumerate_table(spec)
+    theta, gens = table.theta, table.generators
+    column_of = dict(zip(gens, table.generator_lines(False)))
+    assert table.generator_lines(True) == tuple(
+        tuple(theta[column_of[theta[g]][theta[x]]] for x in range(table.size)) for g in gens
+    )
+
+
 @pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.label())
 def test_gathered_lines_equal_the_composed_lines(spec):
     # Each element once, with its row and column at the idempotents as
@@ -672,7 +678,7 @@ def test_gathered_lines_equal_the_composed_lines(spec):
         for side in (1, 2):
             lines = [line[side] for line in gathered]
             assert all(type(line) is tuple for line in lines)
-            assert lines == list(table.lines(range(m), side == 1, at=at))
+            assert lines == composed_lines(table, range(m), side == 1, at)
 
 
 SELF_DUAL_SPECS = [spec for spec in DIFFERENTIAL_SPECS if spec.self_dual]

@@ -84,6 +84,9 @@ def compose_all(factors, n):
 def test_closure_basics():
     t = table("icn", 3)
     assert genrank.closure(t, []) == frozenset()
+    # a generator given twice is walked once
+    g = t.index(pinj.parse_text("3:2>1,3>2"))
+    assert texts(t, genrank.closure(t, [g, g])) == {"3:2>1,3>2", "3:3>1", "3:"}
     ident = t.identity_index
     assert genrank.closure(t, [ident]) == {ident}
     assert genrank.closure(t, range(t.size)) == frozenset(range(t.size))

@@ -344,18 +344,18 @@ def test_starred_L_and_R_compose_only_the_generator_lines(monkeypatch, spec):
     table = families._enumerate_table(spec)
     table.generator_lines(True)
     asked = []
-    lines, kernel_groups = table.lines, table.kernel_groups
+    columns, kernel_groups = table.columns, table.kernel_groups
 
-    def counted_lines(indices, left, at=None):
+    def counted_columns(indices, at=None):
         indices = tuple(indices)
-        asked.append(("lines", indices, left, at))
-        return lines(indices, left, at)
+        asked.append(("columns", indices, at))
+        return columns(indices, at)
 
     def counted_groups(left):
         asked.append(("kernel_groups", left))
         return kernel_groups(left)
 
-    monkeypatch.setattr(table, "lines", counted_lines)
+    monkeypatch.setattr(table, "columns", counted_columns)
     monkeypatch.setattr(table, "kernel_groups", counted_groups)
     for which in ("Ls", "Rs", "Ds", "Hs", "Js"):
         greens.starred(table, which)
@@ -480,6 +480,29 @@ def test_starred_L_and_R_key_one_line_per_image_and_per_domain(monkeypatch, spec
         assert found[0] == found[1]
 
 
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda s: s.label())
+def test_kernel_fingerprint_is_kept_when_the_line_is_relabelled(spec):
+    # Renaming a line's values and a by one permutation keeps the kernel
+    # and a's label in it, so the key; a function of the key is kept too.
+    # The renamed lines need not be lines of any table, so a fingerprint
+    # that reads the values themselves is told apart here.
+    table = families.enumerate_family(spec)
+    rng = random.Random(7)
+    rows, columns = table.generator_lines(True), table.generator_lines(False)
+
+    def key(line, a):
+        signature, labels = greens._kernel_key(line)
+        return signature, labels.get(a, -1)
+
+    for lines, steps in ((rows, columns), (columns, rows)):
+        for a, line in families.gather(table.generators, lines, steps):
+            sigma = list(range(table.size))
+            rng.shuffle(sigma)
+            renamed = tuple(map(sigma.__getitem__, line)), sigma[a]
+            assert key(*renamed) == key(line, a)
+            assert greens._kernel_fingerprint(*renamed) == greens._kernel_fingerprint(line, a)
+
+
 COLLISION_SPECS = DIFFERENTIAL_SPECS + [
     FamilySpec(kind, n, p)
     for kind, n in [("qprime", 7)] + [("rq", n) for n in range(1, 7)]
@@ -521,7 +544,7 @@ def test_domain_group_steps_read_the_rows_when_theta_leaves_A():
     theta = table.theta
     extra = next(x for x in range(table.size)
                  if x not in gens and theta[x] not in gens and theta[x] != x)
-    table._memo["A"] = (gens + (extra,), columns + tuple(table.lines([extra], False)), tree)
+    table._memo["A"] = (gens + (extra,), columns + tuple(table.columns([extra])), tree)
     assert greens._mirrored_columns(table) is None
     groups, group_of, steps = greens._read_group_steps(table, False)
     assert "A rows" in table._memo
@@ -563,10 +586,10 @@ def test_starred_J_matches_the_per_element_edges(monkeypatch, spec):
     greens.starred_D(table)
     want = per_element_J(table)
 
-    def refuse(_indices, _left, _at=None):
+    def refuse(_indices, _at=None):
         raise AssertionError("J* reads g.x off A's rows and x.g at image groups")
 
-    monkeypatch.setattr(table, "lines", refuse)
+    monkeypatch.setattr(table, "columns", refuse)
     assert greens.starred_J(table) == want
 
 
@@ -720,13 +743,9 @@ def test_tables_that_cannot_be_weakly_referenced_still_work():
             return self._rows
 
         def generator_lines(self, left):
-            return self.lines(self.generators, left)
-
-        def lines(self, indices, left, at=None):
-            at = range(self.size) if at is None else tuple(at)
             if left:
-                return [tuple(self._rows[a][x] for x in at) for a in indices]
-            return [tuple(self._rows[x][a] for x in at) for a in indices]
+                return [tuple(self._rows[g]) for g in self.generators]
+            return [tuple(row[g] for row in self._rows) for g in self.generators]
 
         def kernel_groups(self, left):
             return [(a,) for a in range(self.size)]

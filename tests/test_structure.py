@@ -43,12 +43,12 @@ class FakeTable:
         return self._rows[i][j]
 
     def generator_lines(self, left):
-        return self.lines(self.generators, left)
-
-    def lines(self, indices, left, at=None):
-        at = range(self.size) if at is None else tuple(at)
         if left:
-            return [tuple(self._rows[a][x] for x in at) for a in indices]
+            return [tuple(self._rows[g]) for g in self.generators]
+        return self.columns(self.generators)
+
+    def columns(self, indices, at=None):
+        at = range(self.size) if at is None else tuple(at)
         return [tuple(self._rows[x][a] for x in at) for a in indices]
 
     def gathered_lines(self, at):
@@ -181,20 +181,21 @@ def test_left_zero_pair_breaks_the_semilattice_check():
 
 def test_semilattice_outcome_is_kept_once_for_both_twins(monkeypatch):
     # IC_3 and K(3,3) share one store: the products of the idempotents are
-    # composed once, and each twin's report carries its own label.
+    # composed once, as their columns at the idempotents, and each twin's
+    # report carries its own label.
     composed = []
     composer = families.SemigroupTable._composer
 
-    def counted(table, left, at=None):
-        composed.append(left)
-        return composer(table, left, at)
+    def counted(table, at=None):
+        composed.append(tuple(at))
+        return composer(table, at)
 
     monkeypatch.setattr(families.SemigroupTable, "_composer", counted)
     icn = families._enumerate_table(FamilySpec("icn", 3))
     ideal = icn.renamed(FamilySpec("k", 3, 3))
     reports = [structure.is_semilattice_of_idempotents(t) for t in (icn, ideal, icn, ideal)]
     assert [(r.family, r.holds) for r in reports] == [("IC_3", True), ("K(3,3)", True)] * 2
-    assert composed == [True]
+    assert composed == [tuple(structure.idempotent_indices(icn))]
     # A failing outcome is kept as the pair and its kind, and written
     # under each twin's label with the same witness.
     left_zero = FakeTable([[0, 0], [1, 1]])
@@ -469,7 +470,7 @@ def test_ample_composes_lines_only_at_the_idempotents(spec, monkeypatch):
     structure.is_adequate(t), structure.is_right_adequate(t)
     want = oracle_ample(t), oracle_ample(t, one_sided=True)
 
-    def no_line(table, left, at=None):
+    def no_line(table, at=None):
         raise AssertionError("a line was composed")
 
     monkeypatch.setattr(families.SemigroupTable, "_composer", no_line)
