@@ -48,9 +48,11 @@ by _trusted, which checks nothing, at a site whose validity is proven:
   lie in 1..n and below MAX_IMAGE, and writes the image only after
   checking that the point follows the last one and that the image was
   not written before.
-- genrank's factor walk (_factor_walk), which builds every chain step
-  and essential, both factors of its requisite split, and both factors
-  of lift_height: the proofs are in essential_factorization,
+- genrank's factor walk (_factor_walk), which builds each chain step
+  and essential once, from the bit mask of its fixed part and its moved
+  pair, and shares it with every later factorization through one
+  bounded table of steps; both factors of its requisite split; and both
+  factors of lift_height: the proofs are in essential_factorization,
   _split_requisite and lift_height.  They take chains of at most
   MAX_IMAGE points, so every point they write fits in a byte.
 

@@ -450,6 +450,57 @@ def test_the_factor_walk_matches_the_stepwise_route(kind):
                     assert images(got) == images(stepwise_expand(step))
 
 
+def test_factoring_ic_n_builds_each_step_once(monkeypatch):
+    # From an empty step table, IC_1, ..., IC_7 in turn in one process:
+    # each chain size adds every nonempty partial identity and every
+    # essential of its chain, once each, so no key repeats a step and no
+    # two steps, on one chain or on two, share a key.
+    monkeypatch.setattr(genrank, "_STEPS", {})
+    total = 0
+    for n in range(1, 8):
+        for alpha in elements_of(families.enumerate_family(FamilySpec("icn", n))):
+            genrank.essential_factorization(alpha)
+        total += 2 ** n - 1 + (n - 1) * 2 ** n // 4
+        assert len(genrank._STEPS) == total
+
+
+def test_factorizations_keep_their_factors_when_no_step_is_kept(monkeypatch):
+    # Past the keep bound a step is built and not kept: with a bound of 0
+    # every factor is built afresh, and every factorization of IC_n and
+    # Q'_n, n <= 6, gives the same images in the same order as with the
+    # table.
+    def factorizations():
+        out = []
+        for kind in ("icn", "qprime"):
+            for n in range(1, 7):
+                for alpha in elements_of(families.enumerate_family(FamilySpec(kind, n))):
+                    chain = genrank.factor_idempotent_quasi_chain(alpha)
+                    out += [genrank.essential_factorization(alpha, kind == "qprime"), chain]
+                    out += [genrank.expand_quasi_to_essentials(step) for step in chain
+                            if pinj.shift(step) == 1]
+        return [[f.img for f in factors] for factors in out]
+
+    monkeypatch.setattr(genrank, "_STEPS", {})
+    kept = factorizations()
+    monkeypatch.setattr(genrank, "_STEPS", {})
+    monkeypatch.setattr(genrank, "_STEPS_KEPT", 0)
+    assert factorizations() == kept
+    assert genrank._STEPS == {}
+
+
+def test_factorizations_share_their_steps(monkeypatch):
+    # 3:2>1,3>3 ends with the partial identity on {1, 3}, with which
+    # 3:1>1,3>3 starts: one object, still immutable.
+    monkeypatch.setattr(genrank, "_STEPS", {})
+    first = genrank.essential_factorization(pinj.parse_text("3:2>1,3>3"))
+    second = genrank.essential_factorization(pinj.parse_text("3:1>1,3>3"))
+    assert first[1] is second[0] is second[1]
+    assert points(first[1]) == [1, None, 3]
+    with pytest.raises(AttributeError):
+        first[1].img = b"\1\2\3"
+    assert points(second[0]) == [1, None, 3]
+
+
 @pytest.mark.parametrize("kind", ["icn", "qprime"])
 def test_every_factor_revalidates(kind):
     # The factor builders skip validation; every factor they return on

@@ -445,10 +445,11 @@ def test_text_of_images_matches_the_f_string_oracle():
 
 def test_a_cold_import_builds_no_pair_text_table():
     # The tables are built per chain size on first use, so a command
-    # pays only for the chains it writes.
+    # pays only for the chains it writes; so are the factor walk's steps.
     probe = (
         "import catalanlab, catalanlab.cli\n"
-        "from catalanlab import pinj\n"
+        "from catalanlab import genrank, pinj\n"
+        "print(len(genrank._STEPS))\n"
         "print(pinj._pair_texts.cache_info().currsize)\n"
         "pinj.canonical_text(pinj.identity(3))\n"
         "print(pinj._pair_texts.cache_info().currsize)\n"
@@ -456,7 +457,7 @@ def test_a_cold_import_builds_no_pair_text_table():
     env = dict(os.environ, PYTHONPATH=str(Path(pinj.__file__).parents[1]))
     child = subprocess.run([sys.executable, "-c", probe], stdout=subprocess.PIPE,
                            env=env, timeout=60, check=True)
-    assert child.stdout.decode().split() == ["0", "1"]
+    assert child.stdout.decode().split() == ["0", "0", "1"]
 
 
 def test_compose_rejects_mismatched_chains():
