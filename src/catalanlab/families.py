@@ -17,7 +17,9 @@ keeps its elements only as their images packed into bytes (0 outside the
 domain), one tuple of them and, from the first lookup on, one dict from
 packed image to index, and composes every product on them.  Enumeration
 writes those bytes directly, point by point, and sorts them by height and
-text; no element object is built until element(i) wraps one's image.
+text; no element object is built until element(i) wraps one's image.  The
+order is by text, but on chains of at most 9 points it is read off a byte
+key, with no text written (_enumerate_table proves the two orders agree).
 Rees tables put their zero, packed as the empty map, at index 0.  Tables
 are read-only: the packed images and the Cayley-graph rows are tuples,
 and the full product rows read-only memoryviews of 2-byte indices
@@ -60,7 +62,7 @@ import weakref
 from collections import defaultdict
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import add, getitem, itemgetter
+from operator import add, getitem, itemgetter, methodcaller
 
 from . import pinj
 from .errors import (
@@ -853,10 +855,38 @@ def _build_table(spec):
     return table
 
 
+# Sends 0 to 255 and every other byte to itself: a packed image sent
+# through it sorts as its text on a chain of at most _BYTE_KEY_CHAIN points.
+_TEXT_ORDER = b"\xff" + bytes(range(1, 256))
+_BYTE_KEY_CHAIN = 9
+
+
 def _enumerate_table(spec):
     """The table of spec, enumerated as packed images and sorted by
     (height, canonical text), the Rees zero at index 0, with a store of
-    its own.  Not cached."""
+    its own.  Not cached.
+
+    On a chain of n <= 9 points each height is sorted by the bytes
+    image.translate(_TEXT_ORDER), the image with 0 lifted to 255, which
+    orders it as its texts do.  Within one height every text has the same
+    number of pairs, and with one-digit points it is the head "n:" then a
+    fixed-width sequence of "x>a" chunks, so texts compare as the pair
+    sequences (x_1, a_1, x_2, a_2, ...) do.  Take the first point x where
+    two keys differ; the maps agree below x, so their pair sequences agree
+    up to x.  Either both maps are defined at x, and the next pairs share
+    x, so the texts compare as the images do, digits as their bytes; or
+    one is defined at x and the other is not, and the other's next domain
+    point is later (it has pairs left, as the heights are equal), so its
+    text is the larger, by its larger digit there, and so is its key, by
+    255 against an image of at most 9.  Equal keys are equal images.
+    Nothing here uses the images' order, so the rule holds for syminv's
+    unordered images too.
+
+    Past 9 it fails, and no positional key holds: "10>" sorts before "1>"
+    as text, so K(10,1) lists 10:10>1 before 10:1>1, the pair on the later
+    point first.  So longer chains are sorted by pinj.text_of_images, the
+    text itself.
+    """
     n, p = spec.n, spec.p
     if spec.kind == KIND_SYMINV:
         layers = _layers(n, range(n + 1), partial(_partial_injection_values, n))
@@ -871,9 +901,12 @@ def _enumerate_table(spec):
     # by (height, text).  The Rees zero packs as the empty map: the
     # quotient collapses the whole lower ideal, empty map included, into it.
     images = [bytes(n)] if spec.is_rees else []
-    text = partial(pinj.text_of_images, n)
+    if n <= _BYTE_KEY_CHAIN:
+        key = methodcaller("translate", _TEXT_ORDER)
+    else:
+        key = partial(pinj.text_of_images, n)
     for layer in layers:
-        images.extend(sorted(layer, key=text))
+        images.extend(sorted(layer, key=key))
     return SemigroupTable(spec, images)
 
 

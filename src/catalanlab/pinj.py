@@ -29,8 +29,9 @@ twice; a bool counts as no integer here.  Every other element is built
 by _trusted, which checks nothing, at a site whose validity is proven:
 
 - compose: alpha's packed image sent through a translate table of
-  beta's (_translate_table), which sends each point a in 1..255 to
-  a beta and 0 to 0.  Each image of alpha is such a point, so each
+  beta's (_translate_table, kept by beta's packed image for the next
+  call, up to _KEEP_TABLES of them), which sends each point a in 1..255
+  to a beta and 0 to 0.  Each image of alpha is such a point, so each
   composite value is an image of beta, in 1..n and at most 255, or 0
   where x alpha beta is undefined; two points with one composite image
   have one image under alpha, as beta is injective, so they are one
@@ -210,12 +211,29 @@ def partial_identity(n, points):
     return PartialInjection(n, img)
 
 
+# The translate tables compose keeps, by the right operand's packed image,
+# and how many it keeps at most: 256 bytes each, about 1.5 MB when full.
+_KEPT_TABLES = {}
+_KEEP_TABLES = 1 << 12
+
+
 def compose(alpha, beta):
-    """Left-to-right composite: x -> (x alpha) beta where both sides are defined."""
+    """Left-to-right composite: x -> (x alpha) beta where both sides are defined.
+
+    The translate table of beta is kept by beta's packed image, which is
+    all it is built from, while fewer than _KEEP_TABLES are kept, so a
+    right operand met again is not rebuilt; the table past the bound is
+    built for the one call."""
     n = alpha.n
     if n != beta.n:
         raise ChainMismatchError(f"cannot compose maps on chains {n} and {beta.n}")
-    return _trusted(n, alpha.img.translate(_translate_table(beta.img)))
+    image = beta.img
+    table = _KEPT_TABLES.get(image)
+    if table is None:
+        table = _translate_table(image)
+        if len(_KEPT_TABLES) < _KEEP_TABLES:
+            _KEPT_TABLES[image] = table
+    return _trusted(n, alpha.img.translate(table))
 
 
 def _translate_table(image):

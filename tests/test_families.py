@@ -101,12 +101,25 @@ def test_full_height_ideal_is_the_whole_monoid():
     ]
 
 
+# Every kind at n = 7, 8 and 9, each height of the ideals and quotients,
+# and I_n while it is small: the chains whose layers sort by a byte key.
+TEXT_ORDER_SPECS = [
+    FamilySpec(kind, n, p)
+    for n in (7, 8, 9)
+    for kind in families.KINDS
+    if kind != "syminv"
+    for p in _valid_heights(kind, n)
+] + [FamilySpec("syminv", n) for n in range(1, 7)]
+
+
 def test_elements_sorted_by_height_then_text():
+    # The oracle sorts by the text itself, whatever key the enumerator uses.
     for spec in (
         FamilySpec("icn", 4),
         FamilySpec("qprime", 4),
         FamilySpec("k", 4, 2),
         FamilySpec("ric", 4, 2),
+        *TEXT_ORDER_SPECS,
     ):
         table = families.enumerate_family(spec)
         start = 1 if spec.is_rees else 0
@@ -200,6 +213,9 @@ def test_two_digit_texts_sort_as_strings():
     assert table.size == 881
     positions = [table.index(pinj.parse_text(t)) for t in ("10:10>1", "10:10>10", "10:10>2")]
     assert positions == sorted(positions)
+    # "10>" sorts before "1>", so the pair on the later point comes first:
+    # no key read point by point gives this order.
+    assert families.enumerate_family(FamilySpec("k", 10, 1)).text_of(1) == "10:10>1"
 
 
 def test_a_build_makes_no_element_objects(monkeypatch):

@@ -51,6 +51,35 @@ def test_compose_matches_pointwise_oracle_exhaustively():
                 assert as_dict(got) == oracle_compose(as_dict(a), as_dict(b))
 
 
+@pytest.mark.parametrize("keep", [0, pinj._KEEP_TABLES])
+def test_compose_reads_the_table_of_its_right_operand(monkeypatch, keep):
+    # Every product through a table built afresh for it, whether compose
+    # keeps no table or keeps every right operand's.
+    monkeypatch.setattr(pinj, "_KEPT_TABLES", {})
+    monkeypatch.setattr(pinj, "_KEEP_TABLES", keep)
+    right_operands = 0
+    for kind, n in (("icn", 4), ("syminv", 3)):
+        els = all_elements(kind, n)
+        right_operands += len(els)
+        for a in els:
+            for b in els:
+                got = pinj.compose(a, b)
+                assert got.n == n
+                assert got.img == a.img.translate(pinj._translate_table(b.img))
+    assert len(pinj._KEPT_TABLES) == min(keep, right_operands)
+
+
+def test_compose_keeps_at_most_the_bound_of_tables(monkeypatch):
+    monkeypatch.setattr(pinj, "_KEPT_TABLES", {})
+    monkeypatch.setattr(pinj, "_KEEP_TABLES", 5)
+    els = all_elements("icn", 4)
+    assert len(els) > 5
+    for b in els:
+        assert pinj.compose(pinj.identity(4), b) == b
+    assert len(pinj._KEPT_TABLES) == 5
+    assert all(pinj._KEPT_TABLES[b.img] == pinj._translate_table(b.img) for b in els[:5])
+
+
 @pytest.mark.parametrize("kind,n", [("syminv", 4), ("icn", 5), ("qprime", 5)])
 def test_compose_matches_the_loop_oracle_on_every_pair(kind, n):
     els = all_elements(kind, n)
@@ -445,11 +474,13 @@ def test_text_of_images_matches_the_f_string_oracle():
 
 def test_a_cold_import_builds_no_pair_text_table():
     # The tables are built per chain size on first use, so a command
-    # pays only for the chains it writes; so are the factor walk's steps.
+    # pays only for the chains it writes; so are the factor walk's steps
+    # and compose's translate tables.
     probe = (
         "import catalanlab, catalanlab.cli\n"
         "from catalanlab import genrank, pinj\n"
         "print(len(genrank._STEPS))\n"
+        "print(len(pinj._KEPT_TABLES))\n"
         "print(pinj._pair_texts.cache_info().currsize)\n"
         "pinj.canonical_text(pinj.identity(3))\n"
         "print(pinj._pair_texts.cache_info().currsize)\n"
@@ -457,7 +488,7 @@ def test_a_cold_import_builds_no_pair_text_table():
     env = dict(os.environ, PYTHONPATH=str(Path(pinj.__file__).parents[1]))
     child = subprocess.run([sys.executable, "-c", probe], stdout=subprocess.PIPE,
                            env=env, timeout=60, check=True)
-    assert child.stdout.decode().split() == ["0", "0", "1"]
+    assert child.stdout.decode().split() == ["0", "0", "0", "1"]
 
 
 def test_compose_rejects_mismatched_chains():
